@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-smoke sweep scenarios curves analytic golden paper resume-demo clean
+.PHONY: all build test race vet fmt-check bench-smoke sweep scenarios curves analytic golden paper resume-demo clean
 
 all: build test
 
@@ -22,10 +22,6 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-
-# make bench writes a dated baseline under bench/ (BENCH_<date>.json).
-bench:
-	./scripts/bench.sh
 
 # make bench-smoke refreshes the committed CI regression-gate baseline
 # (bench/SMOKE_BASELINE.json) after an intentional performance change.

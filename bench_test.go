@@ -76,10 +76,10 @@ func benchARM(b *testing.B, spec *prog.Spec) {
 	reportSimSpeed(b, makespan)
 }
 
-// benchTG replays a translated benchmark on the given kernel. The legacy
+// benchTG replays a translated benchmark on the given kernel. The
 // BenchmarkTable2*TG names pin the strict kernel so their Msimcycles/s stay
-// comparable with the recorded BENCH_*.json baselines; the *TGSkip variants
-// measure the idle-skipping kernel against them.
+// comparable across PRs; the *TGSkip variants measure the idle-skipping
+// kernel against them.
 func benchTG(b *testing.B, spec *prog.Spec, kernel platform.KernelMode) {
 	b.Helper()
 	ref, err := exp.RunReference(spec, exp.DefaultOptions(), true)

@@ -51,24 +51,23 @@
 // artifacts; strict exists for cross-checking and for timing experiments
 // that must not benefit from kernel tricks.
 //
-// -shards N > 0 runs every ×pipes simulation sharded across N engine
-// goroutines (conservative time-window synchronisation, see internal/shard),
-// overriding any per-scenario shards setting. Artifacts are byte-identical
-// for every N >= 1 — the CI shard-determinism matrix pins this — though
-// sharded runs form their own determinism class versus the legacy
-// single-engine path (-shards absent or 0). AMBA points ignore the setting.
+// -shards N > 1 runs every ×pipes simulation sharded across N engine
+// goroutines (conservative time-window synchronisation, see internal/shard).
+// It is a pure execution knob like -workers and -kernel: artifacts are
+// byte-identical for every N, 0 and 1 (one engine) included — the CI
+// shard-determinism matrix pins this. AMBA points ignore the setting.
 //
 // -journal FILE makes the sweep crash-safe: every completed point is
 // appended to an fsync'd write-ahead journal, and -resume skips completed
 // points and re-runs only in-flight or unstarted ones — final artifacts
-// are byte-identical to an uninterrupted run at any kill point, worker
-// count, kernel or shard count. SIGINT/SIGTERM drain gracefully:
-// in-flight points finish, the journal is flushed, and the process exits
-// nonzero with a resume hint.
+// are byte-identical to an uninterrupted run at any kill point, and the
+// resume may use a different worker count, kernel or shard count.
+// SIGINT/SIGTERM drain gracefully: in-flight points finish, the journal is
+// flushed, and the process exits nonzero with a resume hint.
 //
 // -retries N retries points whose failure classifies as transient (run
 // budget, barrier stall, worker panic) up to N attempts with exponential
-// -retry-backoff, dropping to the strict kernel and a single shard on the
+// -retry-backoff, dropping to the strict kernel and a single engine on the
 // final attempt; deterministic failures (deadlock, conservation) are
 // quarantined immediately as failed points. -point-deadline bounds each
 // attempt's wall clock through the guard run budget.
@@ -113,13 +112,13 @@ func main() {
 		validate   = flag.Bool("validate", false, "run the generator-validation harness and write a fidelity report instead of sweeping")
 		sizesFlag  = flag.String("sizes", "default", "benchmark sizes for -paper: quick or default")
 		kernelFlag = flag.String("kernel", "auto", "simulation kernel: auto (event for replay), strict, skip or event")
-		shards     = flag.Int("shards", 0, "shard every ×pipes simulation across N engine goroutines (0 = legacy single engine)")
+		shards     = flag.Int("shards", 0, "shard every ×pipes simulation across N engine goroutines (0 or 1 = one engine); artifacts are byte-identical for every N")
 		guardFlag  = flag.Bool("guard", false, "arm the guard watchdogs (deadlock horizon, conservation scans, barrier-stall bound) on every point")
 		runBudget  = flag.Duration("run-budget", 0, "wall-clock budget per point (implies -guard); an exceeded point fails with a run-budget violation")
 		onViol     = flag.String("on-violation", "record", "guard violation handling: record (failed point, grid continues, exit 0) or fail (same artifacts, exit 1)")
 		journalF   = flag.String("journal", "", "write-ahead journal file: every completed point is fsync'd so a crashed or interrupted sweep resumes with -resume")
 		resume     = flag.Bool("resume", false, "resume the -journal file, skipping completed points (artifacts come out byte-identical to an uninterrupted run)")
-		retries    = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff, falling back to the strict kernel and one shard on the last attempt (0/1 = no retries)")
+		retries    = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff, falling back to the strict kernel and one engine on the last attempt (0/1 = no retries)")
 		retryBack  = flag.Duration("retry-backoff", 0, "base delay before a retry, doubling per attempt")
 		deadline   = flag.Duration("point-deadline", 0, "wall-clock deadline per point attempt (rides the guard run budget; a blown deadline is transient and retried)")
 	)

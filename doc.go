@@ -171,18 +171,19 @@
 // but never the baseline the paper's claims are calibrated against.
 //
 // The three kernels pick which devices to tick; the sharded run mode
-// (PlatformConfig.Shards, tgsweep -shards, internal/shard) additionally
-// picks where: the ×pipes fabric is partitioned into contiguous row
-// bands, each band's routers, masters and slaves advance on their own
-// engine goroutine under the chosen kernel, and the shards synchronise
-// with conservative time windows bounded by the same NextWake promise the
-// kernels rely on. Cross-shard flits move through preallocated cut-link
-// rings at window boundaries with uncut-link timing, so any shard count —
-// including one — computes byte-identical artifacts under every kernel
-// (the CI shard-determinism matrix pins shards {1,2,4,8} × kernels
-// {strict,skip,event}). Sharded runs form their own determinism class
-// versus the legacy single-engine path (Shards=0), which remains
-// byte-unchanged from before sharding existed.
+// (PlatformConfig.Shards, SweepRunner.Shards, tgsweep -shards,
+// internal/shard) additionally picks where: the ×pipes fabric is
+// partitioned into contiguous row bands, each band's routers, masters and
+// slaves advance on their own engine goroutine under the chosen kernel,
+// and the shards synchronise with conservative time windows bounded by
+// the same NextWake promise the kernels rely on. Cross-shard flits move
+// through preallocated cut-link rings at window boundaries with uncut-link
+// timing, and the fabric's flow control and the platform's completion
+// stride are the same on every path, so the shard count is a pure
+// execution knob: every value — 0 (one engine) included — computes
+// byte-identical artifacts under every kernel (the CI shard-determinism
+// job compares kernels {strict,skip,event} × shards {1,2,4,8} against the
+// strict single-engine run).
 //
 // # Phased measurement
 //
@@ -246,17 +247,18 @@
 // write-ahead journal, and a resumed campaign (ResumeSweep, tgsweep
 // -resume) skips completed points and re-serializes their stored results,
 // so the final artifacts are byte-identical to an uninterrupted run at any
-// kill point, worker count, kernel or shard count. Point keys hash only
-// result-determining configuration, so campaigns resume across changed
-// execution knobs (workers, kernel, shards, retries); a different grid is
+// kill point. A sweep point holds only result-determining configuration
+// and its key is the hash of the whole point; the execution knobs
+// (workers, kernel, shards, guard, retries) live on the runner, so
+// campaigns resume across any change to them. A different grid is
 // refused via the campaign key. Torn journal tails (the crash signature)
 // truncate cleanly on resume; mid-file corruption is a hard error.
 //
-// A SweepRetryPolicy (Runner.Retry, grid/scenario "retry", tgsweep
+// A SweepRetryPolicy (SweepRunner.Retry, tgsweep
 // -retries/-retry-backoff/-point-deadline) re-attempts transiently failed
 // points — run budget, barrier stall, recovered worker panic — with
 // exponential backoff, falling back to the strict kernel and a single
-// shard on the final attempt, while deterministic failures (deadlock,
+// engine on the final attempt, while deterministic failures (deadlock,
 // conservation) quarantine immediately. SIGINT/SIGTERM drain gracefully
 // on the CLIs: in-flight points finish, the journal flushes, and the
 // process exits nonzero with a resume hint (ErrSweepDrained in the API).

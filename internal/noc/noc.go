@@ -201,10 +201,11 @@ type fifo struct {
 	head int
 	n    int
 
-	// poppedN counts pops during cycle poppedAt. Sharded mode uses the pair
-	// to reconstruct a FIFO's cycle-start occupancy (len + pops this cycle),
-	// which makes downstream-space checks independent of router tick order —
-	// the property that lets a cut link behave exactly like a local one.
+	// poppedN counts pops during cycle poppedAt. downstreamSpace uses the
+	// pair to reconstruct a FIFO's cycle-start occupancy (len + pops this
+	// cycle), which makes downstream-space checks independent of router
+	// tick order — the property that lets a cut link behave exactly like a
+	// local one.
 	poppedN  int
 	poppedAt uint64
 }
@@ -273,40 +274,10 @@ type localSink interface {
 	acceptFlit(fl flit, cycle uint64)
 }
 
-// route returns the output port for a flit headed to dst: XY
-// dimension-ordered routing, taking the shorter way around each ring on a
-// torus (a tie at exactly half the ring goes east/south, so every router
-// along the path agrees on the direction).
+// route returns the output port for a flit headed to dst (see dorPort).
 func (r *router) route(dst int) int {
-	w, h := r.n.cfg.Width, r.n.cfg.Height
-	dx := (dst % w) - r.x
-	dy := (dst / w) - r.y
-	if r.n.cfg.Topology == Torus {
-		if dx != 0 {
-			if e := ((dx % w) + w) % w; 2*e <= w {
-				return portE
-			}
-			return portW
-		}
-		if dy != 0 {
-			if s := ((dy % h) + h) % h; 2*s <= h {
-				return portS
-			}
-			return portN
-		}
-		return portL
-	}
-	switch {
-	case dx > 0:
-		return portE
-	case dx < 0:
-		return portW
-	case dy > 0:
-		return portS
-	case dy < 0:
-		return portN
-	}
-	return portL
+	c := &r.n.cfg
+	return dorPort(c.Topology, c.Width, c.Height, r.x, r.y, dst)
 }
 
 // wraps reports whether this router's output dir is a torus wrap link (the
@@ -357,12 +328,14 @@ func (r *router) outVC(in, vc, o int) int {
 }
 
 // downstreamSpace reports whether output dir of this router can accept a
-// flit on vc this cycle. In sharded mode the check is conservative: it uses
-// the downstream FIFO's occupancy as of the start of the cycle (current
-// length plus pops made this cycle, or the exporter's credit view over a
-// cut link), so the answer never depends on which routers happened to tick
-// first — the invariant that makes every partition of the fabric compute
-// the same flit movements.
+// flit on vc this cycle. This is the fabric's one flow-control rule: the
+// check is conservative, using the downstream FIFO's occupancy as of the
+// start of the cycle (current length plus pops made this cycle, or the
+// exporter's credit view over a cut link). The answer therefore never
+// depends on which routers happened to tick first, so the outcome of a
+// cycle is a pure function of the state at its start — the invariant that
+// makes the unpartitioned fabric and every partition of it compute the
+// same flit movements.
 func (r *router) downstreamSpace(dir, vc int, cycle uint64) bool {
 	if dir == portL {
 		return r.local != nil // NIs always sink delivered flits
@@ -373,7 +346,7 @@ func (r *router) downstreamSpace(dir, vc int, cycle uint64) bool {
 	nb := r.n.neighbor(r.id, dir)
 	q := &nb.in[opposite(dir)][vc]
 	occ := q.len()
-	if r.n.sharded && q.poppedAt == cycle {
+	if q.poppedAt == cycle {
 		occ += q.poppedN
 	}
 	return occ < r.n.cfg.BufferFlits
@@ -468,14 +441,12 @@ func (r *router) tryForward(o, ovc int, cycle uint64) bool {
 		return false
 	}
 	moved := q.pop()
-	if r.n.sharded {
-		if q.poppedAt != cycle {
-			q.poppedAt, q.poppedN = cycle, 0
-		}
-		q.poppedN++
-		if cl := r.inCut[a.in]; cl != nil {
-			cl.popped[a.invc]++
-		}
+	if q.poppedAt != cycle {
+		q.poppedAt, q.poppedN = cycle, 0
+	}
+	q.poppedN++
+	if cl := r.inCut[a.in]; cl != nil {
+		cl.popped[a.invc]++
 	}
 	if moved.tail() {
 		r.alloc[o][ovc] = hold{in: -1}
@@ -556,11 +527,6 @@ type Network struct {
 	// Partition carves the fabric into regions.
 	st shardState
 
-	// sharded is set by Partition. It switches the routers to
-	// cycle-start-occupancy flow control, the conservative discipline under
-	// which flit movement is independent of router tick order and therefore
-	// of the shard count (see downstreamSpace).
-	sharded bool
 	// regions are the spatial shards after Partition (nil otherwise);
 	// regionOfRow maps a mesh row to its region index.
 	regions     []*Region

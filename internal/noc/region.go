@@ -14,14 +14,13 @@ import (
 // between execution windows, plus credit counters giving the exporter a
 // conservative view of downstream buffer space.
 //
-// Determinism is the design constraint. Partitioning also switches the
-// whole fabric to cycle-start-occupancy flow control (see downstreamSpace):
-// under that discipline the outcome of a cycle is a pure function of the
-// state at its start, independent of router tick order, so cutting a link
-// (which delays visibility of a pushed flit until the window boundary, and
-// of a pop until the next credit snapshot) produces exactly the flit
-// movements of the uncut fabric. Every partition of the same network —
-// including the trivial one-region partition — computes byte-identical
+// Determinism is the design constraint. The fabric's flow control reads
+// cycle-start occupancy (see downstreamSpace): the outcome of a cycle is a
+// pure function of the state at its start, independent of router tick
+// order, so cutting a link (which delays visibility of a pushed flit until
+// the window boundary, and of a pop until the next credit snapshot)
+// produces exactly the flit movements of the uncut fabric. The
+// unpartitioned network and every partition of it compute byte-identical
 // results.
 
 // cutRingCap bounds a cut link's export ring. A physical link carries at
@@ -95,13 +94,9 @@ type Region struct {
 }
 
 // Partition cuts the fabric into k contiguous row bands (clamped to
-// [1, Height]) and switches it to the conservative sharded flow-control
-// discipline. It must be called once, after all NIs are attached and
-// before the first tick. Even k == 1 changes semantics (conservative flow
-// control differs from the legacy tick-order-dependent check under
-// backpressure), which is exactly what makes every k compute identical
-// results; legacy single-engine artifacts are preserved by never calling
-// Partition.
+// [1, Height]). It must be called once, after all NIs are attached and
+// before the first tick. It changes how the fabric executes, never what it
+// computes: k == 1 is the unpartitioned network driven through a Region.
 func (n *Network) Partition(k int) []*Region {
 	if n.regions != nil {
 		panic("noc: network already partitioned")
@@ -115,7 +110,6 @@ func (n *Network) Partition(k int) []*Region {
 	if k > n.cfg.Height {
 		k = n.cfg.Height
 	}
-	n.sharded = true
 	n.regionOfRow = make([]int, n.cfg.Height)
 	regions := make([]*Region, k)
 	for s := 0; s < k; s++ {

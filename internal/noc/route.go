@@ -52,19 +52,18 @@ type Hop struct {
 	Port int
 }
 
-// NextPort returns the output port a packet at router cur takes toward dst
-// under the fabric's dimension-ordered routing: X first then Y on the
-// mesh, shortest way around each ring (ties toward east/south) on the
-// torus. It returns PortL when cur == dst. The logic mirrors the live
-// router's route decision exactly; TestRouteMatchesRouter pins the
-// equivalence, so analytic channel-load enumeration and the simulated
-// fabric can never drift apart.
-func (c Config) NextPort(cur, dst int) int {
-	c = c.WithDefaults()
-	w, h := c.Width, c.Height
-	dx := (dst % w) - (cur % w)
-	dy := (dst / w) - (cur / w)
-	if c.Topology == Torus {
+// dorPort is the fabric's one routing decision, shared by the live routers
+// (router.route) and the route enumeration below (NextPort, Route,
+// RouteLen), so analytic channel loads always come from the paths the
+// simulated fabric uses. A packet at router (x, y) of a w×h grid headed to
+// node dst takes dimension-ordered routing: X first then Y on the mesh,
+// the shorter way around each ring on the torus — a tie at exactly half
+// the ring goes east/south, so every router along the path agrees on the
+// direction. It returns portL at the destination.
+func dorPort(topo Topology, w, h, x, y, dst int) int {
+	dx := (dst % w) - x
+	dy := (dst / w) - y
+	if topo == Torus {
 		if dx != 0 {
 			if e := ((dx % w) + w) % w; 2*e <= w {
 				return portE
@@ -90,6 +89,18 @@ func (c Config) NextPort(cur, dst int) int {
 		return portN
 	}
 	return portL
+}
+
+// nextPort is dorPort from a node index, on an already-defaulted Config.
+func (c Config) nextPort(cur, dst int) int {
+	return dorPort(c.Topology, c.Width, c.Height, cur%c.Width, cur/c.Width, dst)
+}
+
+// NextPort returns the output port a packet at router cur takes toward dst
+// under the fabric's dimension-ordered routing (see dorPort); PortL when
+// cur == dst.
+func (c Config) NextPort(cur, dst int) int {
+	return c.WithDefaults().nextPort(cur, dst)
 }
 
 // step returns the router one hop from cur through port p (wrap-aware).
@@ -119,7 +130,7 @@ func (c Config) Route(src, dst int, path []Hop) []Hop {
 	c = c.WithDefaults()
 	cur := src
 	for {
-		p := c.NextPort(cur, dst)
+		p := c.nextPort(cur, dst)
 		path = append(path, Hop{Node: cur, Port: p})
 		if p == portL {
 			return path
@@ -134,7 +145,7 @@ func (c Config) RouteLen(src, dst int) int {
 	c = c.WithDefaults()
 	n := 0
 	for cur := src; cur != dst; n++ {
-		cur = c.step(cur, c.NextPort(cur, dst))
+		cur = c.step(cur, c.nextPort(cur, dst))
 	}
 	return n
 }

@@ -2,27 +2,68 @@ package noc
 
 import "testing"
 
-// TestRouteMatchesRouter pins the exported route enumerator to the live
-// router's DOR decision on every (src, dst, position) triple of both
-// topologies: analytic channel loads must come from the same paths the
-// fabric actually uses.
+// TestRouteMatchesRouter is the table test of dorPort, the one routing
+// decision behind both the live router and the exported route enumerator:
+// hand-computed ports on open grids and on even and odd rings, each also
+// read back through router.route and Config.NextPort so neither caller can
+// grow logic of its own.
 func TestRouteMatchesRouter(t *testing.T) {
-	for _, topo := range []Topology{Mesh, Torus} {
-		for _, dims := range [][2]int{{4, 3}, {2, 2}, {5, 4}, {3, 5}} {
-			cfg := Config{Width: dims[0], Height: dims[1], Topology: topo}.WithDefaults()
-			net := New(cfg, func() uint64 { return 0 })
-			nodes := cfg.Width * cfg.Height
-			for cur := 0; cur < nodes; cur++ {
-				for dst := 0; dst < nodes; dst++ {
-					want := net.routers[cur].route(dst)
-					got := cfg.NextPort(cur, dst)
-					if got != want {
-						t.Fatalf("%v %dx%d: NextPort(%d, %d) = %s, router says %s",
-							topo, cfg.Width, cfg.Height, cur, dst, PortName(got), PortName(want))
-					}
-				}
-			}
+	cases := []struct {
+		topo     Topology
+		w, h     int
+		cur, dst int
+		want     int
+	}{
+		{Mesh, 4, 3, 5, 5, portL},
+		{Mesh, 4, 3, 5, 6, portE},
+		{Mesh, 4, 3, 5, 4, portW},
+		{Mesh, 4, 3, 5, 1, portN},
+		{Mesh, 4, 3, 5, 9, portS},
+		{Mesh, 4, 3, 5, 2, portE},  // X before Y
+		{Mesh, 4, 3, 5, 8, portW},  // X before Y
+		{Mesh, 4, 3, 0, 3, portE},  // no wrap on the open grid
+		{Mesh, 4, 3, 0, 8, portS},  // no wrap on the open grid
+		{Mesh, 1, 5, 0, 4, portS},  // degenerate column
+		{Torus, 4, 4, 0, 1, portE}, // one hop east
+		{Torus, 4, 4, 0, 3, portW}, // wrap west is 1 hop, east is 3
+		{Torus, 4, 4, 3, 0, portE}, // wrap east is 1 hop
+		{Torus, 4, 4, 0, 2, portE}, // tie at half the even ring goes east
+		{Torus, 4, 4, 2, 0, portE}, // ... from either side
+		{Torus, 4, 4, 0, 12, portN},
+		{Torus, 4, 4, 12, 0, portS},
+		{Torus, 4, 4, 0, 8, portS},  // vertical tie goes south
+		{Torus, 4, 4, 1, 11, portE}, // X before Y
+		{Torus, 4, 4, 5, 5, portL},
+		{Torus, 5, 3, 0, 2, portE}, // odd ring: 2 east beats 3 west
+		{Torus, 5, 3, 0, 3, portW}, // odd ring: 2 west beats 3 east
+		{Torus, 5, 3, 0, 10, portN},
+		{Torus, 5, 3, 10, 0, portS},
+		{Torus, 2, 2, 0, 1, portE}, // two-node ring: always the tie
+		{Torus, 2, 2, 1, 0, portE},
+		{Torus, 2, 2, 0, 2, portS},
+	}
+	nets := map[Config]*Network{}
+	for _, tc := range cases {
+		if got := dorPort(tc.topo, tc.w, tc.h, tc.cur%tc.w, tc.cur/tc.w, tc.dst); got != tc.want {
+			t.Errorf("%v %dx%d: dorPort(%d -> %d) = %s, want %s",
+				tc.topo, tc.w, tc.h, tc.cur, tc.dst, PortName(got), PortName(tc.want))
 		}
+		cfg := Config{Width: tc.w, Height: tc.h, Topology: tc.topo}
+		if got := cfg.NextPort(tc.cur, tc.dst); got != tc.want {
+			t.Errorf("%v %dx%d: NextPort(%d, %d) = %s, want %s",
+				tc.topo, tc.w, tc.h, tc.cur, tc.dst, PortName(got), PortName(tc.want))
+		}
+		if nets[cfg] == nil {
+			nets[cfg] = New(cfg, func() uint64 { return 0 })
+		}
+		if got := nets[cfg].routers[tc.cur].route(tc.dst); got != tc.want {
+			t.Errorf("%v %dx%d: router %d route(%d) = %s, want %s",
+				tc.topo, tc.w, tc.h, tc.cur, tc.dst, PortName(got), PortName(tc.want))
+		}
+	}
+	// The zero Config routes on its 4x3 default grid.
+	if got := (Config{}).NextPort(0, 11); got != portE {
+		t.Errorf("zero Config NextPort(0, 11) = %s, want E", PortName(got))
 	}
 }
 

@@ -53,7 +53,7 @@ func guardMatrixShards(t *testing.T) int {
 }
 
 // guardMatrixPoints is the partition matrix each fault test runs: the
-// legacy single engine (Monitor watchdogs) and the sharded runner (SPMD
+// single engine (Monitor watchdogs) and the sharded runner (SPMD
 // verdicts).
 func guardMatrixPoints(t *testing.T) []int {
 	return []int{0, guardMatrixShards(t)}

@@ -144,13 +144,13 @@ type Config struct {
 	// simulated state (the differential tests assert byte-identical sweep
 	// artifacts), differing only in host time.
 	Kernel KernelMode
-	// Shards > 0 partitions an XPipes fabric into that many spatial shards
+	// Shards > 1 partitions an XPipes fabric into that many spatial shards
 	// (clamped to the mesh height), each running on its own engine and OS
 	// thread under the conservative time-window protocol (see internal/
-	// shard). Sharded runs form their own determinism class: every shard
-	// count — including 1 — computes byte-identical simulated state, but
-	// the class differs from the legacy single-engine run (0), whose
-	// flow-control check is tick-order dependent. The bus fabric has no
+	// shard). It is a pure execution knob: every value computes
+	// byte-identical simulated state. 0 runs the one engine every other
+	// platform uses; 1 drives the unpartitioned fabric through the shard
+	// runner (its k = 1 case, no code of its own). The bus fabric has no
 	// spatial structure to cut; AMBA platforms ignore the knob.
 	Shards int
 }
@@ -286,8 +286,7 @@ func Build(cfg Config, factory MasterFactory) (*System, error) {
 		s.fabric = net
 		if cfg.Shards > 0 {
 			// Partition after every NI is attached and before anything
-			// ticks; the partition also switches the fabric to the
-			// conservative sharded flow-control discipline.
+			// ticks.
 			regions = net.Partition(cfg.Shards)
 			shardEngines = make([]*sim.Engine, len(regions))
 			for si := range regions {
@@ -418,23 +417,31 @@ func (s *System) Done() bool {
 	return true
 }
 
+// completionStride is the platform's one stop rule: a run or phased
+// window that ends by completion (all masters done, fabric drained) stops
+// on the first multiple of this many cycles — counted from the window
+// start, clamped to the window end — at or after the completion cycle.
+// The single engine gets there by evaluating the predicate only at those
+// boundaries (sim.Engine.RunEvery, which keeps the check out of the
+// per-cycle hot path); the shard runner detects completion on the exact
+// cycle and runs on to the same boundary (shard.Runner). Either way the
+// final engine cycle is identical.
+const completionStride = 32
+
 // Run simulates until all masters are done and the fabric has drained, or
 // maxCycles elapse. It returns the makespan in cycles — the paper's
-// "cumulative execution time" metric (total simulated cycles of the run).
-//
-// The completion predicate is evaluated every 32 cycles; the returned
-// makespan comes from the masters' halt cycles and is unaffected by the
-// detection stride.
+// "cumulative execution time" metric (total simulated cycles of the run),
+// taken from the masters' halt cycles and so unaffected by
+// completionStride.
 func (s *System) Run(maxCycles uint64) (uint64, error) {
+	var err error
 	if s.Sharded != nil {
-		if err := s.Sharded.Run(maxCycles); err != nil {
-			return s.Sharded.Cycle(), fmt.Errorf("platform(%s): %w", s.Cfg.Interconnect, err)
-		}
-		return s.Makespan(), nil
+		err = s.Sharded.Run(maxCycles, completionStride)
+	} else {
+		_, err = s.Engine.RunEvery(maxCycles, completionStride, func() bool {
+			return s.Done() && s.fabric.Idle()
+		})
 	}
-	_, err := s.Engine.RunEvery(maxCycles, 32, func() bool {
-		return s.Done() && s.fabric.Idle()
-	})
 	if err != nil {
 		return s.Engine.Cycle(), fmt.Errorf("platform(%s): %w", s.Cfg.Interconnect, err)
 	}
@@ -443,25 +450,25 @@ func (s *System) Run(maxCycles uint64) (uint64, error) {
 }
 
 // RunPhased executes the warmup → measure → drain methodology on the
-// system, using the same completion predicate and detection stride as Run.
-// Phase boundaries are forced wake points, so the three kernels land on
-// byte-identical boundary cycles (see sim.Phases). Callers drive the
-// Stats registry from the phase callbacks: Sync + Reset at the warmup
-// boundary, Sync + Snapshot + Reset at each epoch end.
+// system, using the same completion predicate and completionStride as Run
+// (unless p.Stride overrides it). Phase boundaries are forced wake points,
+// so the three kernels land on byte-identical boundary cycles (see
+// sim.Phases). Callers drive the Stats registry from the phase callbacks:
+// Sync + Reset at the warmup boundary, Sync + Snapshot + Reset at each
+// epoch end.
 func (s *System) RunPhased(p sim.Phases, maxCycles uint64) (sim.PhasedResult, error) {
 	if p.Stride == 0 {
-		p.Stride = 32
+		p.Stride = completionStride
 	}
+	var res sim.PhasedResult
+	var err error
 	if s.Sharded != nil {
-		res, err := s.Sharded.RunPhased(p, maxCycles)
-		if err != nil {
-			return res, fmt.Errorf("platform(%s): %w", s.Cfg.Interconnect, err)
-		}
-		return res, nil
+		res, err = s.Sharded.RunPhased(p, maxCycles)
+	} else {
+		res, err = s.Engine.RunPhased(p, maxCycles, func() bool {
+			return s.Done() && s.fabric.Idle()
+		})
 	}
-	res, err := s.Engine.RunPhased(p, maxCycles, func() bool {
-		return s.Done() && s.fabric.Idle()
-	})
 	if err != nil {
 		return res, fmt.Errorf("platform(%s): %w", s.Cfg.Interconnect, err)
 	}

@@ -16,9 +16,9 @@ import (
 )
 
 // shardCounts is the partition matrix the determinism properties pin. The
-// one-shard run is the reference: sharded semantics are their own
-// determinism class (conservative flow control), so every other count must
-// match shards=1, not the legacy single-engine run.
+// reference is always shards=0 — the strict kernel on the single engine,
+// the only oracle — and every count, the cut-free shards=1 included, must
+// match it.
 var shardCounts = []int{1, 2, 3, 4}
 
 // runObs captures everything a sharded run exposes that could diverge.
@@ -32,10 +32,11 @@ type runObs struct {
 
 // TestShardDeterminismRandomPrograms: for randomized TG programs on the
 // mesh and the torus, every shard count and every kernel must reproduce
-// the shards=1 strict run bit-for-bit: halt cycles, makespan, final engine
-// cycle and the canonical snapshot device count.
+// the strict single-engine run bit-for-bit: halt cycles, makespan, final
+// engine cycle and the canonical snapshot device count. (The kernel axis at
+// shards=0 is TestKernelPropertyRandomPrograms' job.)
 func TestShardDeterminismRandomPrograms(t *testing.T) {
-	const trials = 8
+	const trials = 6
 	for trial := 0; trial < trials; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)*2003 + 5))
 		cores := 2 + r.Intn(3)
@@ -72,12 +73,9 @@ func TestShardDeterminismRandomPrograms(t *testing.T) {
 				}
 				return makespan, sys.EngineSnapshot().Cycles, halts
 			}
-			mkRef, cycRef, haltRef := run(platform.KernelStrict, 1)
+			mkRef, cycRef, haltRef := run(platform.KernelStrict, 0)
 			for _, kernel := range propertyKernels() {
 				for _, shards := range shardCounts {
-					if kernel == platform.KernelStrict && shards == 1 {
-						continue
-					}
 					mk, cyc, halt := run(kernel, shards)
 					if mk != mkRef || cyc != cycRef {
 						t.Fatalf("trial %d %v topo %v shards=%d: makespan %d (cycle %d), reference %d (cycle %d)",
@@ -131,7 +129,7 @@ func shardObsRun(t *testing.T, scfg stochastic.Config, topo noc.Topology,
 // gate: randomized stochastic scenarios, kernels and shard counts, with
 // the goroutine-per-shard runner exercised under load. Every observation —
 // issue counts and full latency histograms included — must match the
-// shards=1 run of the same kernel.
+// strict single-engine run.
 func TestShardDeterminismRandomScenarios(t *testing.T) {
 	trials := 12
 	if testing.Short() {
@@ -169,14 +167,14 @@ func TestShardDeterminismRandomScenarios(t *testing.T) {
 		topo := []noc.Topology{noc.Mesh, noc.Torus}[r.Intn(2)]
 		kernel := propertyKernels()[r.Intn(len(propertyKernels()))]
 
-		ref := shardObsRun(t, scfg, topo, kernel, 1, 5_000_000)
+		ref := shardObsRun(t, scfg, topo, platform.KernelStrict, 0, 5_000_000)
 		// Two random shard counts per trial keep the stress run fast while
 		// still covering the matrix across trials.
 		for i := 0; i < 2; i++ {
-			shards := 2 + r.Intn(3)
+			shards := shardCounts[r.Intn(len(shardCounts))]
 			got := shardObsRun(t, scfg, topo, kernel, shards, 5_000_000)
 			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("trial %d %v/%v %v shards=%d diverged from shards=1:\n got %+v\n ref %+v",
+				t.Fatalf("trial %d %v/%v %v shards=%d diverged from strict shards=0:\n got %+v\n ref %+v",
 					trial, scfg.Dist, spatial.Pattern, kernel, shards, got, ref)
 			}
 		}
@@ -222,8 +220,8 @@ func TestShardAdvanceAllocFree(t *testing.T) {
 }
 
 // TestShardPhasedMatchesSingle pins the phased path: warmup/epoch/drain
-// boundaries, the phased result and the synced registry snapshot must be
-// identical for every shard count.
+// boundaries, the phased result and the synced registry snapshot of every
+// shard count must be identical to the single engine's.
 func TestShardPhasedMatchesSingle(t *testing.T) {
 	const w, h = 2, 2
 	cores := w * h
@@ -278,14 +276,14 @@ func TestShardPhasedMatchesSingle(t *testing.T) {
 		}
 		return res, string(snap)
 	}
-	refRes, refSnap := run(1)
-	for _, shards := range shardCounts[1:] {
+	refRes, refSnap := run(0)
+	for _, shards := range shardCounts {
 		res, snap := run(shards)
 		if res != refRes {
 			t.Fatalf("shards=%d: phased result %+v, reference %+v", shards, res, refRes)
 		}
 		if snap != refSnap {
-			t.Fatalf("shards=%d: registry snapshot diverged from shards=1:\n%s\nvs\n%s", shards, snap, refSnap)
+			t.Fatalf("shards=%d: registry snapshot diverged from shards=0:\n%s\nvs\n%s", shards, snap, refSnap)
 		}
 	}
 }

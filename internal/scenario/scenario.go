@@ -26,7 +26,10 @@ import (
 )
 
 // Spec is one declarative scenario. The zero values of the optional axes
-// take the sweep defaults (one 5 ns clock, seed 1, mean gap 10).
+// take the sweep defaults (one 5 ns clock, seed 1, mean gap 10). A
+// scenario says what to simulate; how to execute it (workers, kernel,
+// shards, guard, retry) is the sweep.Runner's business, so a file carrying
+// such a field fails as an unknown field.
 type Spec struct {
 	// Name labels the scenario in artifacts and reports.
 	Name string `json:"name"`
@@ -75,19 +78,6 @@ type Spec struct {
 	// ClockPeriodsNS and Seeds are the remaining sweep axes.
 	ClockPeriodsNS []uint64 `json:"clock_periods_ns,omitempty"`
 	Seeds          []int64  `json:"seeds,omitempty"`
-
-	// Shards > 0 runs every ×pipes point of this scenario sharded across
-	// that many engine goroutines (see sweep.Grid.Shards). Results are
-	// identical for every count >= 1; a runner-level override (-shards)
-	// takes precedence.
-	Shards int `json:"shards,omitempty"`
-
-	// Retry sets the per-point retry/deadline policy (transient failures
-	// re-attempted with backoff, a wall-clock deadline per attempt; see
-	// sweep.RetryPolicy). A runner-level policy (-retries) takes
-	// precedence. Execution-only: it never changes results or journal
-	// point identity.
-	Retry *sweep.RetryPolicy `json:"retry,omitempty"`
 
 	// Measurement methodology (all optional; zero values keep the classic
 	// whole-run accounting). Warmup discards the lead-in transient,
@@ -200,8 +190,6 @@ func (s Spec) Grid() (sweep.Grid, error) {
 		ClockPeriodsNS: s.ClockPeriodsNS,
 		Seeds:          s.Seeds,
 		Measure:        s.Measure(),
-		Shards:         s.Shards,
-		Retry:          s.Retry,
 	}
 	if err := g.Validate(); err != nil {
 		return sweep.Grid{}, fmt.Errorf("scenario %q: %w", s.Name, err)
@@ -282,12 +270,6 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %q: curve gap %d is %g, want (0, 1e9]", s.Name, i, gap)
 		}
 	}
-	if err := sweep.ValidateShards(s.Shards); err != nil {
-		return fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	if err := s.Retry.Validate(); err != nil {
-		return fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
 	for _, w := range d.workloads() {
 		if err := (sweep.Grid{Workloads: []sweep.Workload{w},
 			Fabrics: []sweep.Fabric{d.fabric()}}).Validate(); err != nil {
@@ -332,7 +314,6 @@ func (s Spec) Curve() (sweep.CurveSpec, error) {
 		Gaps:     s.CurveGaps,
 		Mode:     s.CurveMode,
 		Measure:  m,
-		Retry:    s.Retry,
 	}
 	if len(s.ClockPeriodsNS) > 0 {
 		cs.ClockPeriodNS = s.ClockPeriodsNS[0]

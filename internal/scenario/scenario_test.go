@@ -288,40 +288,23 @@ func TestSpecMeasureValidation(t *testing.T) {
 	}
 }
 
-func TestSpecRetryCompilation(t *testing.T) {
-	// The retry knob survives the strict JSON loader and threads into
-	// both the grid and curve compilations.
-	src := `{"name":"r","fabric":"amba","width":2,"height":2,"pattern":"uniform",
-		"count":100,"epoch_cycles":1000,
-		"retry":{"max_attempts":3,"backoff_ms":50,"deadline_ms":60000}}`
-	specs, err := Parse(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sweep.RetryPolicy{MaxAttempts: 3, BackoffMS: 50, DeadlineMS: 60000}
-	g, err := specs[0].Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Retry == nil || *g.Retry != want {
-		t.Fatalf("grid retry = %+v, want %+v", g.Retry, want)
-	}
-	for _, p := range g.Expand() {
-		if p.Retry == nil || *p.Retry != want {
-			t.Fatalf("point retry = %+v", p.Retry)
+// TestParseRejectsExecutionKnobs: how a scenario is executed (shards,
+// retry) is the sweep.Runner's business, so a scenario file carrying such a
+// field fails with the strict loader's named unknown-field error rather
+// than silently ignoring it.
+func TestParseRejectsExecutionKnobs(t *testing.T) {
+	const base = `{"name":"r","fabric":"xpipes","width":2,"height":2,"pattern":"uniform","count":100`
+	for field, src := range map[string]string{
+		"shards": base + `,"shards":2}`,
+		"retry":  base + `,"retry":{"max_attempts":3,"backoff_ms":50,"deadline_ms":60000}}`,
+	} {
+		_, err := Parse(strings.NewReader(src))
+		if want := `unknown field "` + field + `"`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("scenario file with %s: error %v, want %s", field, err, want)
 		}
 	}
-	cs, err := specs[0].Curve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Retry == nil || *cs.Retry != want {
-		t.Fatalf("curve retry = %+v, want %+v", cs.Retry, want)
-	}
-	bad := specs[0]
-	bad.Retry = &sweep.RetryPolicy{MaxAttempts: -1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative max_attempts must be rejected")
+	if _, err := Parse(strings.NewReader(base + "}")); err != nil {
+		t.Fatalf("the same scenario without execution knobs must load: %v", err)
 	}
 }
 

@@ -30,8 +30,9 @@
 //
 // Completion is likewise decided on shared data only: each shard publishes
 // its local predicate at every boundary, and a round starts by checking the
-// conjunction, so all shards stop on the same cycle for any shard count and
-// any host schedule.
+// conjunction, so all shards agree on the completion cycle for any shard
+// count and any host schedule — and stop together on the stride boundary
+// that follows it, where a single engine would stop (see shardLoop).
 //
 // # Guarding
 //
@@ -153,12 +154,14 @@ type Runner struct {
 	wg     sync.WaitGroup
 
 	// workers[i] drives shard i+1 through one segment, reading the bound
-	// from target. The closures are built once in New: spawning a niladic
-	// func value allocates nothing, so steady-state segments stay off the
-	// heap entirely. target is a plain field — it is written before the
-	// spawns and the goroutine start/join edges order it.
+	// and completion stride from target and stride. The closures are built
+	// once in New: spawning a niladic func value allocates nothing, so
+	// steady-state segments stay off the heap entirely. target and stride
+	// are plain fields — they are written before the spawns and the
+	// goroutine start/join edges order them.
 	workers []func()
 	target  uint64
+	stride  uint64
 
 	count  atomic.Int32
 	sense  atomic.Uint32
@@ -423,14 +426,24 @@ func (r *Runner) maybeStall(s int, c uint64) {
 
 // shardLoop is the SPMD body every shard runs for one segment: publish the
 // entry state, then rounds of compute / exchange until the shared stop
-// condition (global completion, the segment target, or a guard verdict)
-// fires — identically on every shard.
-func (r *Runner) shardLoop(s int, target uint64) {
+// condition (the segment target, completion, or a guard verdict) fires —
+// identically on every shard.
+//
+// Completion follows the single engine's stop rule (sim.Engine.RunEvery):
+// once the predicate holds at cycle c the segment target shrinks to the
+// first stride boundary at or after c, counted from the segment start —
+// the first boundary being start+stride, since the engine never evaluates
+// the predicate before executing a stride. The remaining rounds run a
+// finished, quiescent platform up to that boundary. Every shard derives
+// the new target from the same published flags in the same round, and the
+// platform's predicate is monotone, so the boundary is stable.
+func (r *Runner) shardLoop(s int, target, stride uint64) {
 	sh := r.shards[s]
 	win := r.wins[s]
 	sl := &r.slots[s]
 	g := r.guard
 	c := sh.Engine.Cycle()
+	start := c
 	sl.horizon = win.NextWake()
 	sl.done = sh.Done()
 	if g != nil {
@@ -438,7 +451,10 @@ func (r *Runner) shardLoop(s int, target uint64) {
 	}
 	r.await(s)
 	for {
-		if r.allDone() || c >= target {
+		if r.allDone() {
+			target = min(target, start+max((c-start+stride-1)/stride, 1)*stride)
+		}
+		if c >= target {
 			return
 		}
 		if g != nil {
@@ -478,7 +494,7 @@ func (r *Runner) shardLoop(s int, target uint64) {
 // device panic into runner poison instead of killing the process.
 func (r *Runner) segWorker(s int) {
 	defer r.segDone(s)
-	r.shardLoop(s, r.target)
+	r.shardLoop(s, r.target, r.stride)
 }
 
 func (r *Runner) segDone(s int) {
@@ -495,13 +511,13 @@ func (r *Runner) segDone(s int) {
 // runShard0 runs the caller's shard, poisoning the runner on a panic so
 // the workers drain out of their barriers; runSegment re-raises (legacy)
 // or converts the poison (guarded) after the join.
-func (r *Runner) runShard0(target uint64) {
+func (r *Runner) runShard0() {
 	defer func() {
 		if v := recover(); v != nil {
 			r.poisonShard(v, 0)
 		}
 	}()
-	r.shardLoop(0, target)
+	r.shardLoop(0, r.target, r.stride)
 }
 
 // joinWorkers joins the segment's goroutines. A guarded runner with a
@@ -568,12 +584,12 @@ func (r *Runner) attachDiag(v *guard.Violation) {
 }
 
 // runSegment advances all shards from their common cycle by at most window
-// cycles, stopping early when the global completion predicate holds at a
-// boundary or a guard verdict fires. It returns the executed cycle count,
-// the predicate's final value, and the violation (as an error) on a
+// cycles, stopping early on completion (shardLoop's stop rule; stride 0
+// means 1) or when a guard verdict fires. It returns the executed cycle
+// count, the predicate's final value, and the violation (as an error) on a
 // guarded runner. Goroutines are spawned per segment and fully joined
 // before it returns; a dead (or, unguarded, poisoned) runner fails fast.
-func (r *Runner) runSegment(window uint64) (uint64, bool, error) {
+func (r *Runner) runSegment(window, stride uint64) (uint64, bool, error) {
 	if r.dead != nil {
 		return 0, false, r.dead
 	}
@@ -586,14 +602,14 @@ func (r *Runner) runSegment(window uint64) (uint64, bool, error) {
 		g.start = time.Now()
 	}
 	start := r.shards[0].Engine.Cycle()
-	target := start + window
-	r.target = target
+	r.target = start + window
+	r.stride = max(stride, 1)
 	r.liveWorkers.Store(int32(len(r.workers)))
 	for _, w := range r.workers {
 		r.wg.Add(1)
 		go w()
 	}
-	r.runShard0(target)
+	r.runShard0()
 	if err := r.joinWorkers(); err != nil {
 		// Workers may still be running: do not touch shared state beyond
 		// latching the runner dead.
@@ -631,12 +647,11 @@ func (r *Runner) runSegment(window uint64) (uint64, bool, error) {
 }
 
 // Run simulates until the completion predicate holds or maxCycles elapse,
-// mirroring sim.Engine.RunEvery's contract (completion is checked at every
-// window boundary; the error wraps sim.ErrMaxCycles on budget exhaustion).
-// On a guarded runner a watchdog violation is returned as the
-// *guard.Violation error itself.
-func (r *Runner) Run(maxCycles uint64) error {
-	_, done, err := r.runSegment(maxCycles)
+// with sim.Engine.RunEvery's contract (the stop rule of shardLoop; the
+// error wraps sim.ErrMaxCycles on budget exhaustion). On a guarded runner
+// a watchdog violation is returned as the *guard.Violation error itself.
+func (r *Runner) Run(maxCycles, stride uint64) error {
+	_, done, err := r.runSegment(maxCycles, stride)
 	if err != nil {
 		return err
 	}
@@ -647,12 +662,13 @@ func (r *Runner) Run(maxCycles uint64) error {
 }
 
 // Advance runs at most cycles cycles without regard for completion (the
-// segment still stops early if the workload finishes) and returns the
-// executed count. It is the benchmarking hook: steady state allocates
-// nothing, so throughput measurements see only the simulation itself. The
-// error is non-nil only on a guarded runner whose watchdogs fired.
+// segment still stops early, on the exact cycle, if the workload finishes)
+// and returns the executed count. It is the benchmarking hook: steady
+// state allocates nothing, so throughput measurements see only the
+// simulation itself. The error is non-nil only on a guarded runner whose
+// watchdogs fired.
 func (r *Runner) Advance(cycles uint64) (uint64, error) {
-	n, _, err := r.runSegment(cycles)
+	n, _, err := r.runSegment(cycles, 1)
 	return n, err
 }
 
@@ -661,15 +677,14 @@ func (r *Runner) Advance(cycles uint64) (uint64, error) {
 // plus measurement, Drain has its own budget, truncation of the
 // measurement plan is an error wrapping sim.ErrMaxCycles, an incomplete
 // drain is not, and a guard violation propagates immediately from any
-// phase. Phases.Stride is ignored — the sharded completion check runs at
-// every window boundary.
+// phase. Phases.Stride is the completion stride of every window.
 func (r *Runner) RunPhased(p sim.Phases, maxCycles uint64) (sim.PhasedResult, error) {
 	var res sim.PhasedResult
 	remaining := maxCycles
 
 	if p.Warmup > 0 {
 		win := min(p.Warmup, remaining)
-		n, done, err := r.runSegment(win)
+		n, done, err := r.runSegment(win, p.Stride)
 		res.WarmupCycles = n
 		remaining -= n
 		if err != nil {
@@ -703,7 +718,7 @@ func (r *Runner) RunPhased(p sim.Phases, maxCycles uint64) (sim.PhasedResult, er
 			win = p.Epoch
 		}
 		start := r.Cycle()
-		n, finished, err := r.runSegment(win)
+		n, finished, err := r.runSegment(win, p.Stride)
 		remaining -= n
 		res.MeasureCycles += n
 		res.Epochs++
@@ -731,7 +746,7 @@ func (r *Runner) RunPhased(p sim.Phases, maxCycles uint64) (sim.PhasedResult, er
 	}
 
 	if p.Drain > 0 {
-		n, finished, err := r.runSegment(p.Drain)
+		n, finished, err := r.runSegment(p.Drain, p.Stride)
 		res.DrainCycles = n
 		if err != nil {
 			return res, err

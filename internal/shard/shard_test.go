@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"noctg/internal/sim"
@@ -67,29 +68,76 @@ func newShard(dev sim.Device, kernel sim.Kernel, doneAt uint64) *Shard {
 }
 
 // TestRunnerStopsTogether: shards with staggered local completion must all
-// stop on the same cycle — the first boundary where the conjunction holds.
+// stop on the same cycle — the first stride boundary at or after the first
+// boundary where the conjunction holds (cycle 400), clamped to the budget.
 func TestRunnerStopsTogether(t *testing.T) {
-	doneAts := []uint64{100, 250, 400}
-	shards := make([]*Shard, len(doneAts))
-	devs := make([]*ticker, len(doneAts))
-	for i, at := range doneAts {
-		devs[i] = &ticker{}
-		shards[i] = newShard(devs[i], sim.KernelStrict, at)
-	}
-	r := New(shards)
-	if err := r.Run(10_000); err != nil {
-		t.Fatal(err)
-	}
-	for i, sh := range shards {
-		if got := sh.Engine.Cycle(); got != 400 {
-			t.Fatalf("shard %d stopped at %d, want 400", i, got)
+	for _, tc := range []struct{ budget, stride, want uint64 }{
+		{10_000, 1, 400},
+		{10_000, 32, 416},
+		{10_000, 100, 400}, // completion on a boundary stops there
+		{10_000, 150, 450},
+		{410, 32, 410}, // the boundary past the budget clamps to it
+	} {
+		doneAts := []uint64{100, 250, 400}
+		shards := make([]*Shard, len(doneAts))
+		devs := make([]*ticker, len(doneAts))
+		for i, at := range doneAts {
+			devs[i] = &ticker{}
+			shards[i] = newShard(devs[i], sim.KernelStrict, at)
 		}
-		if devs[i].ticks != 400 {
-			t.Fatalf("shard %d ticked %d times, want 400", i, devs[i].ticks)
+		r := New(shards)
+		if err := r.Run(tc.budget, tc.stride); err != nil {
+			t.Fatalf("budget %d stride %d: %v", tc.budget, tc.stride, err)
+		}
+		for i, sh := range shards {
+			if got := sh.Engine.Cycle(); got != tc.want {
+				t.Fatalf("budget %d stride %d: shard %d stopped at %d, want %d", tc.budget, tc.stride, i, got, tc.want)
+			}
+			if devs[i].ticks != tc.want {
+				t.Fatalf("budget %d stride %d: shard %d ticked %d times, want %d", tc.budget, tc.stride, i, devs[i].ticks, tc.want)
+			}
+		}
+		if r.Cycle() != tc.want {
+			t.Fatalf("budget %d stride %d: runner cycle %d, want %d", tc.budget, tc.stride, r.Cycle(), tc.want)
 		}
 	}
-	if r.Cycle() != 400 {
-		t.Fatalf("runner cycle %d, want 400", r.Cycle())
+}
+
+// TestRunnerStopRuleMatchesEngine pins the one stop rule from both sides:
+// for every kernel, completion cycle, stride and budget — completion before
+// the first cycle, on a boundary, past the budget — the runner must stop
+// on exactly the cycle sim.Engine.RunEvery stops a single engine on, with
+// the same verdict.
+func TestRunnerStopRuleMatchesEngine(t *testing.T) {
+	for _, kernel := range []sim.Kernel{sim.KernelStrict, sim.KernelSkip, sim.KernelEvent} {
+		for _, doneAt := range []uint64{0, 1, 31, 32, 33, 64, 100} {
+			for _, stride := range []uint64{1, 7, 32} {
+				for _, budget := range []uint64{1, 32, 40, 64, 96, 1000} {
+					// The napper's last wake is the completion cycle; done
+					// reads device state only (the skip/event contract).
+					build := func() (*sim.Engine, func() bool) {
+						e := sim.NewEngine(sim.Clock{})
+						e.SetKernel(kernel)
+						d := &napper{}
+						if doneAt > 0 {
+							d.wakes = []uint64{doneAt - 1}
+						}
+						e.Add(d)
+						return e, func() bool { return len(d.wakes) == 0 }
+					}
+					re, rdone := build()
+					_, refErr := re.RunEvery(budget, stride, rdone)
+					se, sdone := build()
+					gotErr := New([]*Shard{{Engine: se, Done: sdone}}).Run(budget, stride)
+					if errors.Is(refErr, sim.ErrMaxCycles) != errors.Is(gotErr, sim.ErrMaxCycles) || (refErr == nil) != (gotErr == nil) {
+						t.Fatalf("%v doneAt %d stride %d budget %d: engine err %v, runner err %v", kernel, doneAt, stride, budget, refErr, gotErr)
+					}
+					if re.Cycle() != se.Cycle() {
+						t.Fatalf("%v doneAt %d stride %d budget %d: engine stopped at %d, runner at %d", kernel, doneAt, stride, budget, re.Cycle(), se.Cycle())
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -100,7 +148,7 @@ func TestRunnerBudget(t *testing.T) {
 		newShard(&ticker{}, sim.KernelStrict, 1000),
 		newShard(&ticker{}, sim.KernelStrict, 1000),
 	})
-	err := r.Run(50)
+	err := r.Run(50, 32)
 	if !errors.Is(err, sim.ErrMaxCycles) {
 		t.Fatalf("err = %v, want ErrMaxCycles", err)
 	}
@@ -119,7 +167,7 @@ func TestRunnerExchangeCadence(t *testing.T) {
 	pb := b.Exchanger.(*exchangeProbe)
 	pb.pending = 3 // imported at the first boundary
 	r := New([]*Shard{a, b})
-	if err := r.Run(1000); err != nil {
+	if err := r.Run(1000, 1); err != nil {
 		t.Fatal(err)
 	}
 	pa := a.Exchanger.(*exchangeProbe)
@@ -144,16 +192,17 @@ func TestRunnerWindowsSkipQuiescence(t *testing.T) {
 	a.Done = func() bool { return len(na.wakes) == 0 }
 	b.Done = func() bool { return len(nb.wakes) == 0 }
 	r := New([]*Shard{a, b})
-	if err := r.Run(100_000); err != nil {
+	if err := r.Run(100_000, 32); err != nil {
 		t.Fatal(err)
 	}
 	if na.ticks != 2 || nb.ticks != 1 {
 		t.Fatalf("wake ticks %d/%d, want 2/1", na.ticks, nb.ticks)
 	}
-	// The last wake executes in the window ending at 10_001; its boundary
-	// is the first one where the conjunction holds.
-	if r.Cycle() != 10_001 {
-		t.Fatalf("cycle %d, want 10001", r.Cycle())
+	// The last wake executes in the window ending at 10_001, the first
+	// boundary where the conjunction holds; one more quiescent window
+	// lands the run on the next multiple of the stride.
+	if r.Cycle() != 10_016 {
+		t.Fatalf("cycle %d, want 10016", r.Cycle())
 	}
 	if skipped := a.Engine.SkippedCycles; skipped == 0 {
 		t.Fatal("event kernel skipped nothing across quiescent windows")
@@ -188,7 +237,7 @@ func TestRunnerPanicPoison(t *testing.T) {
 				t.Fatalf("%s: recovered %v, want the bomb's value", op, v)
 			}
 		}()
-		_ = r.Run(10_000)
+		_ = r.Run(10_000, 32)
 		t.Fatalf("%s returned without panicking", op)
 	}
 	mustPanic("first run")
@@ -196,7 +245,8 @@ func TestRunnerPanicPoison(t *testing.T) {
 }
 
 // TestRunnerPhasedMatchesEngine: a single-shard runner must reproduce
-// sim.RunPhased (stride 1) exactly — boundaries, epochs, completion phase.
+// sim.RunPhased exactly — boundaries, epochs, completion phase — for every
+// completion stride and for completion in warm-up, mid-epoch and drain.
 func TestRunnerPhasedMatchesEngine(t *testing.T) {
 	build := func() (*sim.Engine, *ticker) {
 		e := sim.NewEngine(sim.Clock{})
@@ -204,13 +254,13 @@ func TestRunnerPhasedMatchesEngine(t *testing.T) {
 		e.Add(d)
 		return e, d
 	}
-	phases := func(boundaries *[]uint64) sim.Phases {
+	phases := func(stride uint64, boundaries *[]uint64) sim.Phases {
 		return sim.Phases{
 			Warmup:      100,
 			Epoch:       300,
 			MaxEpochs:   5,
 			Drain:       1000,
-			Stride:      1,
+			Stride:      stride,
 			AfterWarmup: func(now uint64) { *boundaries = append(*boundaries, now) },
 			AfterEpoch: func(epoch int, start, end uint64) bool {
 				*boundaries = append(*boundaries, start, end)
@@ -218,32 +268,29 @@ func TestRunnerPhasedMatchesEngine(t *testing.T) {
 			},
 		}
 	}
+	for _, stride := range []uint64{1, 32, 64} {
+		for _, doneAt := range []uint64{50, 777, 1590, 1700, 5000} {
+			re, rd := build()
+			var refB []uint64
+			refRes, refErr := re.RunPhased(phases(stride, &refB), 10_000, func() bool { return re.Cycle() >= doneAt })
 
-	re, rd := build()
-	var refB []uint64
-	const doneAt = 777
-	refRes, refErr := re.RunPhased(phases(&refB), 10_000, func() bool { return re.Cycle() >= doneAt })
+			se, sd := build()
+			var gotB []uint64
+			r := New([]*Shard{{Engine: se, Done: func() bool { return se.Cycle() >= doneAt }}})
+			gotRes, gotErr := r.RunPhased(phases(stride, &gotB), 10_000)
 
-	se, sd := build()
-	var gotB []uint64
-	r := New([]*Shard{{Engine: se, Done: func() bool { return se.Cycle() >= doneAt }}})
-	gotRes, gotErr := r.RunPhased(phases(&gotB), 10_000)
-
-	if (refErr == nil) != (gotErr == nil) {
-		t.Fatalf("errors diverged: %v vs %v", refErr, gotErr)
-	}
-	if refRes != gotRes {
-		t.Fatalf("results diverged: %+v vs %+v", refRes, gotRes)
-	}
-	if len(refB) != len(gotB) {
-		t.Fatalf("boundary counts diverged: %v vs %v", refB, gotB)
-	}
-	for i := range refB {
-		if refB[i] != gotB[i] {
-			t.Fatalf("boundaries diverged: %v vs %v", refB, gotB)
+			if (refErr == nil) != (gotErr == nil) {
+				t.Fatalf("stride %d doneAt %d: errors diverged: %v vs %v", stride, doneAt, refErr, gotErr)
+			}
+			if refRes != gotRes {
+				t.Fatalf("stride %d doneAt %d: results diverged: %+v vs %+v", stride, doneAt, refRes, gotRes)
+			}
+			if !slices.Equal(refB, gotB) {
+				t.Fatalf("stride %d doneAt %d: boundaries diverged: %v vs %v", stride, doneAt, refB, gotB)
+			}
+			if rd.ticks != sd.ticks {
+				t.Fatalf("stride %d doneAt %d: work diverged: %d vs %d", stride, doneAt, rd.ticks, sd.ticks)
+			}
 		}
-	}
-	if rd.ticks != sd.ticks {
-		t.Fatalf("work diverged: %d vs %d", rd.ticks, sd.ticks)
 	}
 }

@@ -244,10 +244,10 @@ func TestAdaptiveCurveShardDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	want := render(1)
+	want := render(0)
 	for _, shards := range []int{2, 3} {
 		if got := render(shards); !bytes.Equal(want, got) {
-			t.Fatalf("adaptive curve artifacts differ between 1 and %d shards", shards)
+			t.Fatalf("adaptive curve artifacts differ between 0 and %d shards", shards)
 		}
 	}
 }

@@ -82,9 +82,6 @@ type CurveSpec struct {
 	// Measure is the per-level phased methodology; EpochCycles must be set
 	// (open-loop levels never complete, so epochs are the only windows).
 	Measure Measure `json:"measure"`
-	// Retry is the per-level retry/deadline policy (see RetryPolicy); the
-	// runner-level policy overrides it.
-	Retry *RetryPolicy `json:"retry,omitempty"`
 	// Mode selects CurveModeUniform (default) or CurveModeAdaptive. The
 	// mode is result-determining: adaptive curves carry estimated points.
 	Mode string `json:"mode,omitempty"`
@@ -129,9 +126,6 @@ func (cs CurveSpec) Validate() error {
 	}
 	if d.Measure.EpochCycles == 0 {
 		return fmt.Errorf("sweep: curve %q: measure.epoch_cycles must be set (open-loop levels never complete)", cs.Name)
-	}
-	if err := d.Retry.Validate(); err != nil {
-		return fmt.Errorf("sweep: curve %q: %w", cs.Name, err)
 	}
 	switch d.Mode {
 	case "", CurveModeUniform:
@@ -492,7 +486,7 @@ func (st *curveState) assemble() Curve {
 // runCurveLevel measures one load level: the template workload at the
 // given gap, effectively unbounded transactions, phased measurement, no
 // tracing (an open-loop monitor event log would grow without bound).
-// Levels run under the same retry policy as grid points, and a failing
+// Levels run under the runner's retry policy like grid points, and a failing
 // level keeps its full violation context — a worker panic's recovery
 // names the curve and gap, not just a generic failed point.
 func (r Runner) runCurveLevel(cache *programCache, cs CurveSpec, gap float64) CurvePoint {
@@ -507,7 +501,6 @@ func (r Runner) runCurveLevel(cache *programCache, cs CurveSpec, gap float64) Cu
 		ClockPeriodNS: cs.ClockPeriodNS,
 		Seed:          cs.Seed,
 		Measure:       &m,
-		Retry:         cs.Retry,
 	}, false, 0, nil)
 	cp := CurvePoint{
 		MeanGap:    gap,

@@ -172,7 +172,7 @@ func TestCurvePanicKeepsPointContext(t *testing.T) {
 }
 
 // TestCurveRetryRecovers: a transient first-attempt failure on a curve
-// level retries under the spec's policy and the final artifact is
+// level retries under the runner's policy and the final artifact is
 // byte-identical to a fault-free run.
 func TestCurveRetryRecovers(t *testing.T) {
 	spec := goldenCurveSpec()
@@ -181,8 +181,8 @@ func TestCurveRetryRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Retry = &RetryPolicy{MaxAttempts: 2}
 	r := Runner{
+		Retry:  &RetryPolicy{MaxAttempts: 2},
 		Faults: func(Point) *guard.FaultPlan { panic("transient curve panic") },
 	}
 	retried, err := r.RunCurve(spec)
@@ -190,7 +190,6 @@ func TestCurveRetryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	render := func(c Curve) []byte {
-		c.Name = "normalized" // Retry lives in the spec, not the curve
 		var buf bytes.Buffer
 		if err := WriteCurvesJSON(&buf, []Curve{c}); err != nil {
 			t.Fatal(err)

@@ -274,6 +274,8 @@ func (f Fabric) topology() noc.Topology {
 }
 
 // Grid is the cross product of workloads × fabrics × clock periods × seeds.
+// Like Point it says what to compute, never how: execution knobs (workers,
+// kernel, shards, guard, retry) live on the Runner only.
 type Grid struct {
 	Workloads []Workload `json:"workloads"`
 	Fabrics   []Fabric   `json:"fabrics"`
@@ -287,20 +289,14 @@ type Grid struct {
 	// Measure switches every point to the phased warmup/measure/drain
 	// methodology (nil keeps the legacy whole-run accounting).
 	Measure *Measure `json:"measure,omitempty"`
-	// Shards > 0 runs every ×pipes point sharded across that many engines
-	// (see platform.Config.Shards); AMBA points ignore it. Sharded results
-	// are identical for every shard count >= 1 but form their own
-	// determinism class versus the legacy single-engine run (0).
-	Shards int `json:"shards,omitempty"`
-	// Retry is the per-point retry/deadline policy applied to every point
-	// (see RetryPolicy). Execution-only, like Shards.
-	Retry *RetryPolicy `json:"retry,omitempty"`
 	// Analytic enables the closed-form pre-pass on every stochastic
 	// point (see Point.Analytic). TG points always simulate.
 	Analytic bool `json:"analytic,omitempty"`
 }
 
-// Point is one fully-specified grid configuration.
+// Point is one fully-specified grid configuration. It holds only
+// result-determining fields, which is what lets PointKey hash the whole
+// value.
 type Point struct {
 	ID            int      `json:"id"`
 	Workload      Workload `json:"workload"`
@@ -310,14 +306,6 @@ type Point struct {
 	// Measure enables phased measurement for this point (nil = legacy
 	// whole-run accounting).
 	Measure *Measure `json:"measure,omitempty"`
-	// Shards is the point's parallel-execution setting (see Grid.Shards).
-	// Execution-only: results never record it, and artifacts are
-	// byte-identical across shard counts >= 1.
-	Shards int `json:"shards,omitempty"`
-	// Retry is the point's retry/deadline policy (see Grid.Retry).
-	// Execution-only: excluded from the journal point key, so a resumed
-	// campaign may change it.
-	Retry *RetryPolicy `json:"retry,omitempty"`
 	// Analytic enables the closed-form pre-pass for this point: when the
 	// queueing model brackets the operating region confidently (deep in
 	// the linear region or deep past saturation), the point is recorded
@@ -351,7 +339,6 @@ func (g Grid) Expand() []Point {
 					pts = append(pts, Point{
 						ID: len(pts), Workload: w, Fabric: f,
 						ClockPeriodNS: c, Seed: s, Measure: g.Measure,
-						Shards: g.Shards, Retry: g.Retry,
 						Analytic: g.Analytic && w.Kind == KindStochastic,
 					})
 				}
@@ -386,22 +373,17 @@ func (g Grid) Validate() error {
 		}
 	}
 	if g.Measure != nil {
-		if err := g.Measure.Validate(); err != nil {
-			return err
-		}
+		return g.Measure.Validate()
 	}
-	if err := ValidateShards(g.Shards); err != nil {
-		return err
-	}
-	return g.Retry.Validate()
+	return nil
 }
 
-// MaxShards bounds the shard axis so a hostile grid file cannot demand
+// MaxShards bounds Runner.Shards so a mistyped -shards cannot demand
 // thousands of goroutines per point. The fabric additionally clamps the
 // effective count to its mesh height.
 const MaxShards = 64
 
-// ValidateShards checks a shards setting (grid, point or runner override).
+// ValidateShards checks a Runner.Shards setting.
 func ValidateShards(shards int) error {
 	if shards < 0 || shards > MaxShards {
 		return fmt.Errorf("sweep: shards %d outside [0, %d]", shards, MaxShards)

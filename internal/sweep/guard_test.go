@@ -169,41 +169,44 @@ func TestParseGridRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
+		want string // substring the error must carry ("" = any error)
 	}{
-		{"empty", ""},
-		{"not json", "workloads: none"},
+		{"empty", "", ""},
+		{"not json", "workloads: none", ""},
 		{"unknown field", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
-			`"fabrics":[{"interconnect":"amba"}],"bandwidth":9}`},
-		{"no fabrics", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}]}`},
-		{"over-limit shards", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
-			`"fabrics":[{"interconnect":"amba"}],"shards":65}`},
-		{"negative shards", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
-			`"fabrics":[{"interconnect":"amba"}],"shards":-1}`},
+			`"fabrics":[{"interconnect":"amba"}],"bandwidth":9}`, `unknown field "bandwidth"`},
+		{"no fabrics", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}]}`, ""},
+		// Execution knobs are Runner-only: a grid file cannot carry them,
+		// whatever the value.
+		{"shards knob", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
+			`"fabrics":[{"interconnect":"amba"}],"shards":2}`, `unknown field "shards"`},
+		{"retry knob", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
+			`"fabrics":[{"interconnect":"amba"}],"retry":{"max_attempts":2}}`, `unknown field "retry"`},
 		{"over-limit pattern grid", `{"workloads":[{"kind":"stochastic","dist":"uniform",` +
 			`"cores":16777216,"pattern":"uniform","pattern_w":4096,"pattern_h":4096}],` +
-			`"fabrics":[{"interconnect":"amba"}]}`},
+			`"fabrics":[{"interconnect":"amba"}]}`, ""},
 		{"pattern without grid", `{"workloads":[{"kind":"stochastic","dist":"uniform",` +
-			`"cores":4,"pattern_w":2,"pattern_h":2}],"fabrics":[{"interconnect":"amba"}]}`},
+			`"cores":4,"pattern_w":2,"pattern_h":2}],"fabrics":[{"interconnect":"amba"}]}`, ""},
 		{"zero clock", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
-			`"fabrics":[{"interconnect":"amba"}],"clock_periods_ns":[0]}`},
+			`"fabrics":[{"interconnect":"amba"}],"clock_periods_ns":[0]}`, ""},
 	}
 	for _, tc := range cases {
-		if _, err := ParseGrid(strings.NewReader(tc.src)); err == nil {
+		_, err := ParseGrid(strings.NewReader(tc.src))
+		if err == nil {
 			t.Errorf("%s: ParseGrid accepted %q", tc.name, tc.src)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
 		}
 	}
 }
 
-// TestRunnerRejectsOverLimitShards: the runner-level override is bounded
-// like the grid axis.
+// TestRunnerRejectsOverLimitShards: the runner's shard count is bounded at
+// both ends before any point runs.
 func TestRunnerRejectsOverLimitShards(t *testing.T) {
-	if _, err := (Runner{Shards: MaxShards + 1}).Run(guardTestPoints()); err == nil {
-		t.Fatal("over-limit runner shards accepted")
-	}
-	pts := guardTestPoints()
-	pts[0].Shards = -2
-	if _, err := (Runner{}).Run(pts); err == nil {
-		t.Fatal("negative point shards accepted")
+	for _, shards := range []int{MaxShards + 1, -2} {
+		if _, err := (Runner{Shards: shards}).Run(guardTestPoints()); err == nil {
+			t.Fatalf("runner shards %d accepted", shards)
+		}
 	}
 }
 

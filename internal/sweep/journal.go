@@ -11,25 +11,16 @@ import (
 )
 
 // PointKey is the stable identity of one grid point in a journal: the
-// sha256 of the point's canonical JSON, excluding the execution-only
-// knobs (Shards, Retry). Exclusion is deliberate — those settings never
-// change what a point computes (pinned by the shard-determinism matrix),
-// so a campaign may be resumed under a different shard count, worker
-// count, kernel or retry policy and still match its journal.
+// sha256 of the point's JSON. A Point holds only result-determining
+// fields — the execution knobs (workers, kernel, shards, guard, retry)
+// live on the Runner and never change what a point computes — so a
+// campaign may be resumed under any other Runner, a different shard count
+// (0 included) among them, and still match its journal. The omitempty
+// tags on Measure and Analytic keep the keys of journals written before
+// those fields existed; TestPointKeyExecutionOnlyKnobs pins one literal
+// key.
 func PointKey(p Point) string {
-	canon := struct {
-		ID            int      `json:"id"`
-		Workload      Workload `json:"workload"`
-		Fabric        Fabric   `json:"fabric"`
-		ClockPeriodNS uint64   `json:"clock_period_ns"`
-		Seed          int64    `json:"seed"`
-		Measure       *Measure `json:"measure,omitempty"`
-		// Analytic is result-determining (an estimated result differs
-		// from a measured one), so it keys the journal; omitempty keeps
-		// every pre-existing journal's keys byte-identical.
-		Analytic bool `json:"analytic,omitempty"`
-	}{p.ID, p.Workload, p.Fabric, p.ClockPeriodNS, p.Seed, p.Measure, p.Analytic}
-	b, err := json.Marshal(canon)
+	b, err := json.Marshal(p)
 	if err != nil {
 		// Point fields are plain data; Marshal cannot fail on them.
 		panic(fmt.Sprintf("sweep: point key: %v", err))

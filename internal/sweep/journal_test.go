@@ -176,22 +176,85 @@ func TestResumeRejectsDifferentCampaign(t *testing.T) {
 	}
 }
 
-// TestPointKeyExecutionOnlyKnobs: shard counts and retry policies never
-// change what a point computes, so they must not change its journal key —
-// a campaign resumes across -shards/-retries changes. Identity fields do.
+// TestPointKeyExecutionOnlyKnobs: the execution knobs live on the Runner,
+// so they cannot reach a point's journal key — a campaign resumes across
+// -shards/-retries/-kernel changes. The key is the hash of the whole Point,
+// and two literal keys computed before Point shed its Shards/Retry fields
+// prove journals written by older builds still resume. Identity fields
+// change the key.
 func TestPointKeyExecutionOnlyKnobs(t *testing.T) {
 	p := journalTestPoints()[0]
 	base := PointKey(p)
-	q := p
-	q.Shards = 4
-	q.Retry = &RetryPolicy{MaxAttempts: 3}
-	if PointKey(q) != base {
-		t.Fatal("execution-only knobs changed the point key")
+	if want := "a7cb589a3053eb3f1b26486ab59e6380e7930348f5e5e9e33738ab8e7ed41381"; base != want {
+		t.Fatalf("point key %s, want the pre-existing journals' %s", base, want)
+	}
+	q := ScenarioGrid().Expand()[1]
+	q.Measure = &Measure{WarmupCycles: 100, EpochCycles: 200, Epochs: 2}
+	q.Analytic = true
+	if got, want := PointKey(q), "01f01ebfdc2bf164f06d05156188f9a36624a0ecb375ce8b3fe3f597b033ba5a"; got != want {
+		t.Fatalf("phased analytic point key %s, want the pre-existing journals' %s", got, want)
+	}
+	buf, err := json.Marshal(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, knob := range []string{"shards", "retry"} {
+		if bytes.Contains(buf, []byte(knob)) {
+			t.Fatalf("execution knob %q in the point's JSON: %s", knob, buf)
+		}
 	}
 	q = p
 	q.Seed++
 	if PointKey(q) == base {
 		t.Fatal("seed change kept the point key")
+	}
+}
+
+// TestResumeAcrossShardCounts: the shard count is a Runner knob like the
+// worker count, so a campaign journaled under one count and cut at any
+// record boundary must resume under another — 0 (one engine) and 2, in
+// both directions — into artifacts byte-identical to an uninterrupted run.
+func TestResumeAcrossShardCounts(t *testing.T) {
+	pts := Grid{
+		Workloads: []Workload{{Kind: KindStochastic, Dist: "poisson", Cores: 4, MeanGap: 5, Count: 40,
+			Pattern: "transpose", PatternW: 2, PatternH: 2}},
+		Fabrics: []Fabric{{Interconnect: FabricXPipes, MeshWidth: 4, MeshHeight: 3, BufferFlits: 2}},
+		Seeds:   []int64{1, 2, 3},
+	}.Expand()
+	plain, err := Runner{Workers: 2}.Run(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := renderResults(t, plain)
+	dir := t.TempDir()
+	for _, tc := range []struct{ from, to int }{{0, 2}, {2, 0}} {
+		full := filepath.Join(dir, "full.journal")
+		if _, _, err := (Runner{Workers: 1, Shards: tc.from}).RunJournaled(pts, JournalConfig{Path: full}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Remove(full)
+		for i, b := range data {
+			if b != '\n' {
+				continue
+			}
+			path := filepath.Join(dir, "cut.journal")
+			if err := os.WriteFile(path, data[:i+1], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			res, _, err := Runner{Workers: 2, Shards: tc.to}.Resume(pts, path)
+			if err != nil {
+				t.Fatalf("shards %d -> %d, cut at %d: %v", tc.from, tc.to, i+1, err)
+			}
+			if got := renderResults(t, res); !bytes.Equal(baseline, got) {
+				t.Fatalf("shards %d -> %d, cut at %d: resumed artifact diverged:\n%s\nvs\n%s",
+					tc.from, tc.to, i+1, got, baseline)
+			}
+			os.Remove(path)
+		}
 	}
 }
 

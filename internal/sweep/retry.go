@@ -85,15 +85,6 @@ func (p *RetryPolicy) backoff(a int) time.Duration {
 	return d
 }
 
-// retryFor resolves the policy for one point: the runner-level policy
-// (the -retries flags) overrides any per-point one from grid or scenario.
-func (r Runner) retryFor(p Point) *RetryPolicy {
-	if r.Retry != nil {
-		return r.Retry
-	}
-	return p.Retry
-}
-
 // transientFailure reports whether a failed result is worth retrying:
 // only failures carrying a transiently classified guard violation
 // qualify. Failures with no violation at all (build or config errors)
@@ -109,7 +100,7 @@ func transientFailure(res Result) bool {
 // record); an error from it aborts the run. It returns the final result
 // and the last attempt number.
 func (r Runner) runPointRetry(cache *programCache, p Point, trace bool, prior int, onAttempt func(int) error) (Result, int, error) {
-	policy := r.retryFor(p)
+	policy := r.Retry
 	first := prior + 1
 	last := policy.attempts()
 	if last < first {

@@ -71,7 +71,10 @@ type Result struct {
 	Analytic *analytic.Estimate `json:"analytic,omitempty"`
 }
 
-// Runner executes grid points over a bounded worker pool.
+// Runner executes grid points over a bounded worker pool. It is the one
+// home of the execution knobs — how to run, never what to compute: every
+// setting below except MaxCycles leaves fault-free artifacts
+// byte-identical, and none of them enters a point's journal key.
 type Runner struct {
 	// Workers bounds concurrent engines (<= 0 means GOMAXPROCS).
 	Workers int
@@ -85,12 +88,10 @@ type Runner struct {
 	// event kernels produce byte-identical artifacts (asserted by
 	// TestKernelDifferential).
 	Kernel platform.KernelMode
-	// Shards > 0 overrides every point's Shards setting, running each
-	// ×pipes simulation across that many engine goroutines (the -shards
-	// flag). Like Workers and Kernel it is execution-only: artifacts are
-	// byte-identical for every shard count >= 1 (the CI shard-determinism
-	// matrix pins this), though sharded runs form their own determinism
-	// class versus legacy single-engine runs.
+	// Shards > 1 runs each ×pipes simulation across that many engine
+	// goroutines (the -shards flag; see platform.Config.Shards). Artifacts
+	// are byte-identical for every value, 0 included — the CI
+	// shard-determinism matrix pins this. AMBA points ignore it.
 	Shards int
 	// Guard arms the guard watchdogs (see internal/guard) on every point's
 	// platform. Fault-free guarded points produce byte-identical artifacts
@@ -103,9 +104,8 @@ type Runner struct {
 	// injects nothing. Plans are injected on a point's first attempt only,
 	// so a transient injected failure proves the retry path recovers.
 	Faults func(Point) *guard.FaultPlan
-	// Retry, when set, overrides every point's retry policy (the -retries
-	// flags). Nil falls back to the per-point policy from grid/scenario;
-	// nil both ways means one attempt per point and no deadline.
+	// Retry is the retry/deadline policy of every point and curve level
+	// (the -retries flags). Nil means one attempt and no deadline.
 	Retry *RetryPolicy
 	// Interrupted, when set, is polled before each point starts; once it
 	// returns true the runner stops starting points (in-flight points
@@ -200,12 +200,6 @@ func (r Runner) validatePoints(points []Point) error {
 				return fmt.Errorf("sweep: point %d: %w", p.ID, err)
 			}
 		}
-		if err := ValidateShards(p.Shards); err != nil {
-			return fmt.Errorf("sweep: point %d: %w", p.ID, err)
-		}
-		if err := p.Retry.Validate(); err != nil {
-			return fmt.Errorf("sweep: point %d: %w", p.ID, err)
-		}
 	}
 	if err := ValidateShards(r.Shards); err != nil {
 		return err
@@ -246,9 +240,9 @@ type execOpts struct {
 	// Fault plans — test stimulus — inject on attempt 1 only, so an
 	// injected transient failure proves the retry path recovers.
 	attempt int
-	// fallback is set on the final attempt of a retried point: the kernel
-	// drops to strict and multi-shard runs collapse to one engine, trading
-	// speed for the most conservative execution mode available.
+	// fallback is set on the final attempt of a retried point: strict
+	// kernel, single engine — the most conservative execution mode
+	// available, and result-neutral like every Runner knob.
 	fallback bool
 	// deadline bounds this attempt's wall clock through guard.RunBudget.
 	deadline time.Duration
@@ -327,18 +321,9 @@ func (r Runner) runPointExec(cache *programCache, p Point, opts execOpts) (res R
 	if kernel == platform.KernelAuto {
 		kernel = platform.KernelEvent
 	}
-	shards := p.Shards
-	if r.Shards > 0 {
-		shards = r.Shards
-	}
+	shards := r.Shards
 	if opts.fallback {
-		// Final-attempt fallback: strict kernel, single engine. Shards
-		// collapse only from >1 — 0 stays 0 so a legacy single-engine
-		// point keeps its determinism class.
-		kernel = platform.KernelStrict
-		if shards > 1 {
-			shards = 1
-		}
+		kernel, shards = platform.KernelStrict, 0
 	}
 	cfg := platform.Config{
 		Cores:        p.Workload.Cores,

@@ -1,8 +1,7 @@
 // Command bench2json converts `go test -bench` text output into a JSON
 // baseline artifact: one record per benchmark with ns/op and every custom
-// metric (Msimcycles/s, simcycles, errpct, …). CI runs it via
-// scripts/bench.sh and uploads the result, so the repository accumulates a
-// dated performance trajectory.
+// metric (Msimcycles/s, simcycles, errpct, …). scripts/bench.sh runs it to
+// produce the smoke-gate baseline and CI's side of the comparison.
 //
 // Usage: bench2json [bench-output.txt]   (reads stdin when no file given)
 package main
