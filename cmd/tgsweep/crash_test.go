@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"noctg/internal/journal"
 	"noctg/internal/sweep"
 )
 
@@ -43,7 +44,7 @@ func crashGrid(t *testing.T, dir string) string {
 			Dist:     "uniform",
 			Cores:    4,
 			MeanGap:  6,
-			Count:    4000,
+			Count:    16000,
 			Pattern:  "transpose",
 			PatternW: 2,
 			PatternH: 2,
@@ -126,26 +127,46 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	}
 	for i, tr := range trials {
 		out := filepath.Join(dir, fmt.Sprintf("crash%d", i))
-		journal := out + ".journal"
+		journalPath := out + ".journal"
 		delay := wall / 10
 		if span := int64(8 * wall / 10); span > 0 {
 			delay += time.Duration(rnd.Int63n(span))
 		}
 
 		args := []string{"-grid", grid, "-workers", tr.workers, "-kernel", tr.kernel,
-			"-journal", journal, "-out", out}
+			"-journal", journalPath, "-out", out}
 		cmd := exec.Command(bin, append(args, "-shards", tr.shards)...)
 		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(delay)
-		// SIGKILL: no handler runs, so whatever the journal holds — torn
-		// tail included — is exactly what resume must recover from. The
-		// process may legitimately have finished already (timing noise);
-		// resume must be byte-identical either way.
-		_ = cmd.Process.Kill()
-		err := cmd.Wait()
+		// The child is reaped on every path: exited carries its Wait.
+		exited := make(chan error, 1)
+		go func() { exited <- cmd.Wait() }()
+		// The kill lands at the drawn delay or, where process start-up and
+		// the first point alone outlast that, as soon after as the journal
+		// holds a finished point — a kill before then only tests re-running
+		// from scratch. SIGKILL: no handler runs, so whatever the journal
+		// holds — torn tail included — is exactly what resume must recover
+		// from. The process may legitimately have finished already (timing
+		// noise); resume must be byte-identical either way.
+		var err error
+		killAt := time.Now().Add(delay)
+		for alive := true; alive; {
+			select {
+			case err = <-exited:
+				alive = false
+			case <-time.After(2 * time.Millisecond):
+				if time.Now().Before(killAt) {
+					continue
+				}
+				if log, lerr := journal.Load(journalPath); lerr == nil && len(log.Done) > 0 {
+					_ = cmd.Process.Kill()
+					err = <-exited
+					alive = false
+				}
+			}
+		}
 		t.Logf("trial %d (workers=%s kernel=%s shards=%s, resumed at shards=%s): killed after %v (%v)",
 			i, tr.workers, tr.kernel, tr.shards, tr.resumeShards, delay, err)
 

@@ -185,6 +185,37 @@
 // job compares kernels {strict,skip,event} × shards {1,2,4,8} against the
 // strict single-engine run).
 //
+// Inside a cycle the ×pipes fabric (internal/noc) pays only for flits that
+// exist. Its one flow-control rule — downstreamSpace reads the downstream
+// FIFO's occupancy as of the start of the cycle — makes a cycle's outcome
+// independent of router tick order, and a router holding no flit can
+// change nothing, so three summaries of state the fabric already keeps let
+// a tick skip the rest without moving a byte of any artifact. Each router
+// has an occupancy mask over its (port, VC) input FIFOs, set where a flit
+// enters (router.pushIn, the only such place) and cleared when a pop
+// empties a FIFO; it probes only candidate (output, out-VC) channels —
+// those with a wormhole owner plus those a front head flit requests, a
+// superset of every channel on which allocation or forwarding could act,
+// topped up after each forward because a pop can surface the next packet's
+// head — in the round-robin order a scan of all twenty would use. Each
+// pool domain (the network, or one shard's Region) has a bitmap of its
+// routers that hold flits, walked in ascending router id and written only
+// by the goroutine ticking that domain: in its compute step for local
+// pushes, in its own Exchange for cut-link imports. And quiescence
+// (Idle, NextWake) is a resident-flit count and a busy-NI count, not a
+// scan. The redundant state is checked, not trusted: the guard layer's
+// conservation scan verifies masks, request cache, active sets and counts
+// against the FIFOs and owner tables, and the exhaustive schedule survives
+// as a test-only reference that production must match cycle for cycle.
+//
+// Between points a campaign recycles its platforms' memories. A RAM takes
+// its backing store on the first write and reads as zeros until then;
+// Clear wipes the store and pools it, and the sweep runner clears the
+// memories of every point that ran to completion. Building one platform
+// per point no longer allocates, and collects, hundreds of KiB that
+// nothing wrote: with the fabric cheap, those collections had become the
+// largest source of run-to-run variation in a sweep's wall time.
+//
 // # Phased measurement
 //
 // Every platform carries a unified stats registry (StatsRegistry): devices

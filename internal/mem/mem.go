@@ -6,6 +6,8 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"noctg/internal/ocp"
 )
@@ -13,9 +15,17 @@ import (
 // RAM is a word-addressed memory slave with a configurable access time.
 // Private memories and the shared memory differ only in the address range
 // the platform maps them at and in cacheability.
+//
+// The backing store is taken on the first write and every word reads as
+// zero until then; Clear hands it back, wiped, for the next memory to
+// take. A platform maps 128 KiB per core plus the shared memory, and a
+// campaign builds one platform per point: allocating and collecting that
+// store afresh each time was most of a sweep's allocation volume and,
+// through it, of its garbage collections.
 type RAM struct {
 	base  uint32
-	words []uint32
+	size  int      // words
+	words []uint32 // nil until the first write
 	// waitStates is the intrinsic per-access service time in cycles
 	// (the paper's "slave access time"). Bursts pay it once per beat.
 	waitStates uint64
@@ -28,7 +38,26 @@ func NewRAM(name string, base, size uint32, waitStates uint64) *RAM {
 	if base%4 != 0 || size%4 != 0 || size == 0 {
 		panic(fmt.Sprintf("mem: RAM %s base/size must be word aligned and non-zero", name))
 	}
-	return &RAM{base: base, words: make([]uint32, size/4), waitStates: waitStates, name: name}
+	return &RAM{base: base, size: int(size / 4), waitStates: waitStates, name: name}
+}
+
+// stores holds wiped backing stores by capacity class: class c keeps
+// slices of at least 1<<c words. Everything in a pool is all zeros.
+var stores [33]sync.Pool
+
+// store returns the backing store, taking a pooled or a fresh one on first
+// use. A request looks in the class that covers it and a returned store
+// goes to the class it fills, so power-of-two sizes — all the platform
+// maps — are reused exactly and others only by smaller requests.
+func (r *RAM) store() []uint32 {
+	if r.words == nil {
+		if w, ok := stores[bits.Len(uint(r.size-1))].Get().(*[]uint32); ok {
+			r.words = (*w)[:r.size]
+		} else {
+			r.words = make([]uint32, r.size)
+		}
+	}
+	return r.words
 }
 
 // Name returns the memory's diagnostic name.
@@ -36,7 +65,7 @@ func (r *RAM) Name() string { return r.name }
 
 // Range returns the address range the RAM occupies.
 func (r *RAM) Range() ocp.AddrRange {
-	return ocp.AddrRange{Base: r.base, Size: uint32(len(r.words) * 4)}
+	return ocp.AddrRange{Base: r.base, Size: uint32(r.size * 4)}
 }
 
 // AccessCycles implements ocp.Slave.
@@ -54,14 +83,20 @@ func (r *RAM) Perform(req *ocp.Request) ocp.Response {
 // port across transactions.
 func (r *RAM) PerformInto(req *ocp.Request, dst []uint32) ocp.Response {
 	idx, ok := r.index(req.Addr)
-	if !ok || idx+req.Burst > len(r.words) {
+	if !ok || idx+req.Burst > r.size {
 		return ocp.Response{Err: true}
 	}
 	switch {
 	case req.Cmd.IsRead():
+		if r.words == nil {
+			for range req.Burst {
+				dst = append(dst, 0)
+			}
+			return ocp.Response{Data: dst}
+		}
 		return ocp.Response{Data: append(dst, r.words[idx:idx+req.Burst]...)}
 	case req.Cmd.IsWrite():
-		copy(r.words[idx:idx+req.Burst], req.Data)
+		copy(r.store()[idx:idx+req.Burst], req.Data)
 		return ocp.Response{}
 	}
 	return ocp.Response{Err: true}
@@ -85,6 +120,9 @@ func (r *RAM) PeekWord(addr uint32) uint32 {
 	if !ok {
 		panic(fmt.Sprintf("mem: PeekWord %#08x outside %s %v", addr, r.name, r.Range()))
 	}
+	if r.words == nil {
+		return 0
+	}
 	return r.words[idx]
 }
 
@@ -94,23 +132,30 @@ func (r *RAM) PokeWord(addr uint32, v uint32) {
 	if !ok {
 		panic(fmt.Sprintf("mem: PokeWord %#08x outside %s %v", addr, r.name, r.Range()))
 	}
-	r.words[idx] = v
+	r.store()[idx] = v
 }
 
 // LoadWords copies words into memory starting at addr (loader path).
 func (r *RAM) LoadWords(addr uint32, words []uint32) {
 	idx, ok := r.index(addr)
-	if !ok || idx+len(words) > len(r.words) {
+	if !ok || idx+len(words) > r.size {
 		panic(fmt.Sprintf("mem: LoadWords %#08x+%d outside %s %v", addr, len(words), r.name, r.Range()))
 	}
-	copy(r.words[idx:], words)
+	copy(r.store()[idx:], words)
 }
 
-// Clear zeroes the whole memory.
+// Clear zeroes the whole memory: the backing store is wiped and handed
+// back for the next memory to take, and the RAM reads as zeros until it is
+// written again. A runner that is done with a platform clears its memories
+// so the next platform it builds reuses their stores.
 func (r *RAM) Clear() {
-	for i := range r.words {
-		r.words[i] = 0
+	if r.words == nil {
+		return
 	}
+	w := r.words[:cap(r.words)]
+	clear(w)
+	stores[bits.Len(uint(len(w)))-1].Put(&w)
+	r.words = nil
 }
 
 func (r *RAM) index(addr uint32) (int, bool) {
@@ -118,7 +163,7 @@ func (r *RAM) index(addr uint32) (int, bool) {
 		return 0, false
 	}
 	idx := int((addr - r.base) / 4)
-	if idx >= len(r.words) {
+	if idx >= r.size {
 		return 0, false
 	}
 	return idx, true

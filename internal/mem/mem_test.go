@@ -76,6 +76,69 @@ func TestRAMPeekPokeLoad(t *testing.T) {
 	}
 }
 
+// An unwritten RAM reads as zeros through every read path and takes no
+// backing store to do so; reads stay bounds-checked.
+func TestRAMUnwrittenReadsZeroWithoutStore(t *testing.T) {
+	r := NewRAM("priv", 0x1000, 1<<20, 0)
+	dst := make([]uint32, 0, 4)
+	if avg := testing.AllocsPerRun(10, func() {
+		resp := r.PerformInto(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x1ff0, Burst: 4}, dst)
+		if resp.Err || len(resp.Data) != 4 || resp.Data[0]|resp.Data[1]|resp.Data[2]|resp.Data[3] != 0 {
+			t.Fatalf("unwritten burst read = %+v", resp)
+		}
+		if r.PeekWord(0x1000+1<<20-4) != 0 {
+			t.Fatal("unwritten peek is not zero")
+		}
+		r.Clear()
+	}); avg != 0 || r.words != nil {
+		t.Fatalf("reading an unwritten RAM allocates %.0f times, store taken: %v", avg, r.words != nil)
+	}
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x1000 + 1<<20, Burst: 1}); !resp.Err {
+		t.Fatal("past-end read of an unwritten RAM should fail")
+	}
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: 0x1000 + 1<<20 - 8, Burst: 4, Data: make([]uint32, 4)}); !resp.Err || r.words != nil {
+		t.Fatal("straddling write should fail before taking a store")
+	}
+}
+
+// A store handed back by Clear comes out wiped, whoever takes it next: a
+// RAM of the same size, or a smaller one the store's class covers. The
+// round trips repeat because a sync.Pool may drop what it is given.
+func TestRAMClearRecyclesWipedStore(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		a := NewRAM("a", 0, 4096, 0)
+		for addr := uint32(0); addr < 4096; addr += 4 {
+			a.PokeWord(addr, ^addr)
+		}
+		a.Clear()
+		if a.PeekWord(8) != 0 {
+			t.Fatal("cleared RAM does not read zero")
+		}
+		a.PokeWord(8, 5) // still usable: takes a store again
+		if a.PeekWord(8) != 5 || a.PeekWord(12) != 0 {
+			t.Fatal("cleared RAM is not writable")
+		}
+		a.Clear()
+
+		for _, size := range []uint32{4096, 4096 - 40, 2052} {
+			b := NewRAM("b", 0x8000, size, 0)
+			b.PokeWord(0x8000, 1)
+			if got := (b.Range()); got.Size != size {
+				t.Fatalf("Range().Size = %#x, want %#x", got.Size, size)
+			}
+			for addr := uint32(4); addr < size; addr += 4 {
+				if v := b.PeekWord(0x8000 + addr); v != 0 {
+					t.Fatalf("round %d size %d: word %#x = %#x leaked from a recycled store", round, size, addr, v)
+				}
+			}
+			if resp := b.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x8000 + size, Burst: 1}); !resp.Err {
+				t.Fatalf("size %d: read past the end of a RAM on a larger store should fail", size)
+			}
+			b.Clear()
+		}
+	}
+}
+
 func TestRAMRange(t *testing.T) {
 	r := NewRAM("x", 0x2000, 0x100, 0)
 	want := ocp.AddrRange{Base: 0x2000, Size: 0x100}

@@ -55,6 +55,7 @@ func (rg *Region) Live() int { return rg.st.livePackets }
 type domainTally struct {
 	flits int // flits resident in the domain's router FIFOs
 	refs  int // live packet references (tail flits + NI-held packets)
+	busy  int // NIs with work in hand (!idle())
 }
 
 // countTails returns the number of tail flits in the FIFO. Each live
@@ -101,6 +102,11 @@ func (n *Network) domainIndex(st *shardState) int {
 //
 //   - flit conservation: each domain's residentFlits equals its routers'
 //     total FIFO occupancy;
+//   - schedule state: everything the tick trusts in place of a scan agrees
+//     with what a scan finds — each router's occupancy and held masks and
+//     request cache with its FIFOs and owner table, each domain's
+//     active-router set with exactly its occupied routers, each domain's
+//     busy-NI count with its non-idle NIs;
 //   - link counters: each cut link's per-VC pushed/popped/credit counters
 //     are mutually consistent and account exactly for the FIFO they feed
 //     (ring empty at boundaries);
@@ -120,8 +126,12 @@ func (n *Network) CheckInvariants() *guard.Violation {
 		}
 	}
 	for _, m := range n.masters {
+		d := &tally[n.domainIndex(m.st)]
 		if m.pkt != nil {
-			tally[n.domainIndex(m.st)].refs++
+			d.refs++
+		}
+		if !m.idle() {
+			d.busy++
 		}
 	}
 	for _, s := range n.slaves {
@@ -133,6 +143,9 @@ func (n *Network) CheckInvariants() *guard.Violation {
 		if s.out != nil {
 			d.refs++
 		}
+		if !s.idle() {
+			d.busy++
+		}
 	}
 
 	// Flit conservation per domain.
@@ -142,6 +155,21 @@ func (n *Network) CheckInvariants() *guard.Violation {
 	for _, rg := range n.regions {
 		if rg.st.residentFlits != tally[1+rg.index].flits {
 			return conservationViolation(rg.index, rg.st.residentFlits, tally[1+rg.index].flits)
+		}
+	}
+
+	// Schedule state.
+	for _, r := range n.routers {
+		if v := n.routerScheduleViolation(r); v != nil {
+			return v
+		}
+	}
+	if n.st.busyNIs != tally[0].busy {
+		return busyViolation(-1, n.st.busyNIs, tally[0].busy)
+	}
+	for _, rg := range n.regions {
+		if rg.st.busyNIs != tally[1+rg.index].busy {
+			return busyViolation(rg.index, rg.st.busyNIs, tally[1+rg.index].busy)
 		}
 	}
 
@@ -201,6 +229,63 @@ func conservationViolation(shard, resident, observed int) *guard.Violation {
 	return &guard.Violation{Kind: guard.KindConservation, Shard: shard,
 		Msg: fmt.Sprintf("domain accounts %d resident flits but its router FIFOs hold %d "+
 			"(flits created or destroyed in flight)", resident, observed)}
+}
+
+func busyViolation(shard, counted, observed int) *guard.Violation {
+	return &guard.Violation{Kind: guard.KindConservation, Shard: shard,
+		Msg: fmt.Sprintf("domain counts %d busy NIs but %d of its NIs hold work", counted, observed)}
+}
+
+// routerScheduleViolation checks one router's occupancy mask, held mask,
+// request cache and active-set membership against its FIFOs and owner
+// table.
+func (n *Network) routerScheduleViolation(r *router) *guard.Violation {
+	shard := n.domainIndex(r.st) - 1
+	bad := func(p, vc int, format string, args ...any) *guard.Violation {
+		return &guard.Violation{Kind: guard.KindConservation, Shard: shard,
+			Msg: fmt.Sprintf("node %d port %s vc %s: ", r.id, portNames[p], vcNames[vc]) + fmt.Sprintf(format, args...)}
+	}
+	for p := 0; p < numPorts; p++ {
+		for vc := 0; vc < numVC; vc++ {
+			b := p*numVC + vc
+			q := &r.in[p][vc]
+			if occ := r.occ>>b&1 != 0; occ == q.empty() {
+				return bad(p, vc, "occupancy bit %t but the input FIFO holds %d flits", occ, q.len())
+			}
+			switch w := r.want[b]; {
+			case w == wantUnknown:
+			case q.empty():
+				return bad(p, vc, "request cache holds %d for an empty input FIFO", w)
+			case !q.front().head():
+				if w != wantNone {
+					return bad(p, vc, "request cache holds channel %d but the front flit is not a head", w)
+				}
+			default:
+				o := r.route(q.front().pkt.dst)
+				if want := o*numVC + r.outVC(p, vc, o); int(w) != want {
+					return bad(p, vc, "request cache holds %d but the front head flit requests channel %d", w, want)
+				}
+			}
+			if held := r.held>>b&1 != 0; held != (r.alloc[p][vc].in >= 0) {
+				return bad(p, vc, "held bit %t but the output channel's owner is input %d", held, r.alloc[p][vc].in)
+			}
+		}
+	}
+	// The router is in its own domain's active set exactly while it holds
+	// a flit, and never in another domain's.
+	for i := 0; i <= len(n.regions); i++ {
+		st := &n.st
+		if i > 0 {
+			st = &n.regions[i-1].st
+		}
+		want := st == r.st && r.occ != 0
+		if got := st.active[r.id>>6]>>(r.id&63)&1 != 0; got != want {
+			return &guard.Violation{Kind: guard.KindConservation, Shard: shard,
+				Msg: fmt.Sprintf("node %d (occupancy mask %#x): active bit %t in domain %d, want %t",
+					r.id, r.occ, got, i-1, want)}
+		}
+	}
+	return nil
 }
 
 func linkViolation(cl *cutLink, vc int, what string) *guard.Violation {

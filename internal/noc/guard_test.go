@@ -1,0 +1,116 @@
+package noc
+
+import (
+	"strings"
+	"testing"
+
+	"noctg/internal/guard"
+)
+
+// TestCheckInvariantsCatchesScheduleCorruption: the masks, caches and
+// counts the tick trusts in place of scans are redundant with the tables
+// they summarise, so CheckInvariants must notice each of them going wrong
+// — as a conservation violation that names the place.
+func TestCheckInvariantsCatchesScheduleCorruption(t *testing.T) {
+	spec := fabricSpec{topo: Torus, w: 4, h: 3, buf: 2, traffic: trafficHotspot, seed: 99}
+	// busyRouter returns a router holding a flit and one of its occupied
+	// FIFOs; idleRouter one holding none.
+	busyRouter := func(n *Network) (*router, int) {
+		for _, r := range n.routers {
+			if r.occ != 0 && r.held != 0 {
+				for b := 0; b < numPorts*numVC; b++ {
+					if r.occ>>b&1 != 0 {
+						return r, b
+					}
+				}
+			}
+		}
+		t.Fatal("no router holds both a flit and a wormhole")
+		return nil, 0
+	}
+	idleRouter := func(n *Network) *router {
+		for _, r := range n.routers {
+			if r.occ == 0 {
+				return r
+			}
+		}
+		t.Fatal("every router holds a flit")
+		return nil
+	}
+	cases := []struct {
+		name    string
+		parts   int
+		corrupt func(n *Network)
+		names   string // what the violation message must mention
+	}{
+		{"occupancy bit cleared", 0, func(n *Network) {
+			r, b := busyRouter(n)
+			r.occ &^= 1 << b
+		}, "occupancy bit false"},
+		{"occupancy bit set on an empty FIFO", 0, func(n *Network) {
+			r := idleRouter(n)
+			r.occ |= 1 << (portE*numVC + vcResp)
+		}, "port e vc resp: occupancy bit true"},
+		{"held bit cleared", 0, func(n *Network) {
+			r, _ := busyRouter(n)
+			r.held &= r.held - 1
+		}, "held bit false"},
+		{"held bit set on a free channel", 0, func(n *Network) {
+			r := idleRouter(n)
+			for b := 0; b < numPorts*numVC; b++ {
+				if r.held>>b&1 == 0 {
+					r.held |= 1 << b
+					return
+				}
+			}
+		}, "held bit true"},
+		{"request cache points elsewhere", 0, func(n *Network) {
+			r, b := busyRouter(n)
+			r.resolve(b)
+			r.want[b] = (r.want[b] + 3) % (numPorts * numVC)
+		}, "request cache"},
+		{"request cache on an empty FIFO", 0, func(n *Network) {
+			idleRouter(n).want[portW*numVC+vcReq] = wantNone
+		}, "port w vc req: request cache holds -2 for an empty input FIFO"},
+		{"occupied router missing from the active set", 0, func(n *Network) {
+			r, _ := busyRouter(n)
+			r.st.active[r.id>>6] &^= 1 << (r.id & 63)
+		}, "active bit false"},
+		{"empty router left in the active set", 2, func(n *Network) {
+			r := idleRouter(n)
+			r.st.active[r.id>>6] |= 1 << (r.id & 63)
+		}, "active bit true"},
+		{"router active in a foreign domain", 2, func(n *Network) {
+			r, _ := busyRouter(n)
+			foreign := n.regions[1-r.st.index]
+			foreign.st.active[r.id>>6] |= 1 << (r.id & 63)
+		}, "active bit true in domain"},
+		{"busy-NI count drifts", 0, func(n *Network) { n.st.busyNIs++ }, "busy NIs"},
+		{"busy-NI count drifts in a region", 2, func(n *Network) { n.regions[1].st.busyNIs-- }, "busy NIs"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newFabricRig(t, spec, tc.parts)
+			for g.cycle < 300 {
+				g.step()
+			}
+			if v := g.net.CheckInvariants(); v != nil {
+				t.Fatalf("before the corruption: %v", v)
+			}
+			tc.corrupt(g.net)
+			v := g.net.CheckInvariants()
+			if v == nil {
+				t.Fatal("corruption went unnoticed")
+			}
+			if v.Kind != guard.KindConservation {
+				t.Fatalf("violation kind %s, want %s: %s", v.Kind, guard.KindConservation, v.Msg)
+			}
+			if !strings.Contains(v.Msg, "node ") && !strings.Contains(v.Msg, "domain ") {
+				t.Fatalf("violation does not say where: %s", v.Msg)
+			}
+			if !strings.Contains(v.Msg, tc.names) {
+				t.Fatalf("violation %q does not mention %q", v.Msg, tc.names)
+			}
+		})
+	}
+}

@@ -22,6 +22,7 @@ const (
 type masterNI struct {
 	net  *Network
 	node int
+	r    *router // the node's router, whose local port this NI feeds
 	// st is the pool/stats domain charged for this NI's packets (the
 	// network's own, or its region's after Partition); now is the cycle
 	// source (the shard engine's after Partition + BindCycleSource); rg is
@@ -29,6 +30,9 @@ type masterNI struct {
 	st  *shardState
 	now func() uint64
 	rg  *Region
+
+	// busy mirrors !idle() as last reported to st.busyNIs (see noteBusy).
+	busy bool
 
 	state    masterNIState
 	req      ocp.Request
@@ -81,6 +85,7 @@ func (m *masterNI) TryRequest(req *ocp.Request) bool {
 				m.respAt = m.now() + m.net.cfg.RespCycles
 				m.hasResp = true
 			}
+			m.noteBusy()
 			return false
 		}
 		pkt := m.st.getPacket()
@@ -97,6 +102,7 @@ func (m *masterNI) TryRequest(req *ocp.Request) bool {
 		m.pkt = pkt
 		m.nextFlit = 0
 		m.state = niInjecting
+		m.noteBusy()
 		return false
 	case niInjecting:
 		return false
@@ -105,6 +111,7 @@ func (m *masterNI) TryRequest(req *ocp.Request) bool {
 		if m.req.Cmd.IsRead() {
 			m.busyRead = true
 		}
+		m.noteBusy()
 		return true
 	}
 	return false
@@ -119,6 +126,7 @@ func (m *masterNI) TakeResponse() (*ocp.Response, bool) {
 	}
 	m.hasResp = false
 	m.busyRead = false
+	m.noteBusy()
 	m.lat.Observe(m.now() - m.reqStart)
 	return &m.resp, true
 }
@@ -155,17 +163,13 @@ func (m *masterNI) wakeUp() {
 	m.net.wakeUp()
 }
 
-// tick injects up to one flit of the pending request packet per cycle.
-func (m *masterNI) tick(cycle uint64) {
-	if m.state != niInjecting {
+// inject moves up to one flit of the pending request packet into the local
+// router; Network.tick calls it each cycle the NI is in niInjecting.
+func (m *masterNI) inject(cycle uint64) {
+	if m.r.in[portL][vcReq].len() >= m.net.cfg.BufferFlits {
 		return
 	}
-	r := m.net.routers[m.node]
-	q := &r.in[portL][vcReq]
-	if q.len() >= m.net.cfg.BufferFlits {
-		return
-	}
-	q.push(flit{pkt: m.pkt, idx: m.nextFlit, arrived: cycle})
+	m.r.pushIn(portL, vcReq, flit{pkt: m.pkt, idx: m.nextFlit, arrived: cycle})
 	m.st.residentFlits++
 	m.nextFlit++
 	if m.nextFlit == m.pkt.length {
@@ -191,10 +195,29 @@ func (m *masterNI) acceptFlit(fl flit, cycle uint64) {
 		m.rxFlits = 0
 		m.st.putPacket(fl.pkt)
 	}
+	m.noteBusy()
 }
 
 func (m *masterNI) idle() bool {
 	return m.state == niIdle && !m.busyRead && !m.hasResp && m.rxFlits == 0
+}
+
+// noteBusy keeps the domain's busy-NI count in step with idle(); every
+// method that can change idle()'s answer ends with it.
+func (m *masterNI) noteBusy() { m.st.noteBusy(&m.busy, !m.idle()) }
+
+// noteBusy records an NI's idle/busy transition (flag is the NI's mirror of
+// what it last reported) in the domain's busy-NI count.
+func (st *shardState) noteBusy(flag *bool, busy bool) {
+	if busy == *flag {
+		return
+	}
+	*flag = busy
+	if busy {
+		st.busyNIs++
+	} else {
+		st.busyNIs--
+	}
 }
 
 var _ ocp.MasterPort = (*masterNI)(nil)
@@ -207,11 +230,14 @@ var _ localSink = (*masterNI)(nil)
 type slaveNI struct {
 	net   *Network
 	node  int
+	r     *router // the node's router, whose local port this NI feeds
 	slave ocp.Slave
 	rng   ocp.AddrRange
 	// st is the pool/stats domain charged for this NI's packets (the
 	// network's own, or its region's after Partition).
 	st *shardState
+	// busy mirrors !idle() as last reported to st.busyNIs (see noteBusy).
+	busy bool
 
 	// queue holds fully received packets waiting for service; qhead indexes
 	// the next one so the backing array is reused instead of re-sliced away.
@@ -234,23 +260,25 @@ func (s *slaveNI) acceptFlit(fl flit, cycle uint64) {
 	}
 	if fl.tail() {
 		s.queue = append(s.queue, fl.pkt)
+		s.noteBusy()
 	}
 }
 
+// tick advances a busy slave NI by one cycle; Network.tick skips the idle
+// ones, which have nothing queued, in service or draining.
 func (s *slaveNI) tick(cycle uint64) {
 	if fa := s.net.faults; fa != nil && fa.frozen(s.node, cycle) {
 		return // injected fault: the slave serves and drains nothing
 	}
 	// Drain the outgoing response packet first: one flit per cycle.
 	if s.out != nil {
-		r := s.net.routers[s.node]
-		q := &r.in[portL][vcResp]
-		if q.len() < s.net.cfg.BufferFlits {
-			q.push(flit{pkt: s.out, idx: s.nextFlit, arrived: cycle})
+		if s.r.in[portL][vcResp].len() < s.net.cfg.BufferFlits {
+			s.r.pushIn(portL, vcResp, flit{pkt: s.out, idx: s.nextFlit, arrived: cycle})
 			s.st.residentFlits++
 			s.nextFlit++
 			if s.nextFlit == s.out.length {
 				s.out = nil
+				s.noteBusy()
 			}
 		}
 		return
@@ -309,10 +337,14 @@ func (s *slaveNI) tick(cycle uint64) {
 		}
 		s.doneAt = cycle + 1 + s.slave.AccessCycles(&s.current.req)
 	}
+	s.noteBusy()
 }
 
 func (s *slaveNI) idle() bool {
 	return s.current == nil && s.out == nil && s.qhead == len(s.queue)
 }
+
+// noteBusy is masterNI.noteBusy for the slave side.
+func (s *slaveNI) noteBusy() { s.st.noteBusy(&s.busy, !s.idle()) }
 
 var _ localSink = (*slaveNI)(nil)

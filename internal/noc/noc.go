@@ -22,6 +22,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"noctg/internal/ocp"
 	"noctg/internal/sim"
@@ -219,7 +220,11 @@ func (f *fifo) push(fl flit) {
 	if f.n == len(f.buf) {
 		panic("noc: fifo overflow")
 	}
-	f.buf[(f.head+f.n)%len(f.buf)] = fl
+	i := f.head + f.n
+	if i >= len(f.buf) {
+		i -= len(f.buf)
+	}
+	f.buf[i] = fl
 	f.n++
 }
 
@@ -230,7 +235,9 @@ func (f *fifo) front() *flit { return &f.buf[f.head] }
 func (f *fifo) pop() flit {
 	fl := f.buf[f.head]
 	f.buf[f.head].pkt = nil // drop the packet reference for the pool's sake
-	f.head = (f.head + 1) % len(f.buf)
+	if f.head++; f.head == len(f.buf) {
+		f.head = 0
+	}
 	f.n--
 	return fl
 }
@@ -243,20 +250,47 @@ func (f *fifo) pop() flit {
 // contiguity). On a mesh the input VC always equals the output VC, so this
 // is exactly the classic per-VC switch allocation.
 type hold struct {
-	in   int // input port, -1 when the channel is free
-	invc int // input VC the owning packet's flits arrive on
+	in   int8 // input port, -1 when the channel is free
+	invc int8 // input VC the owning packet's flits arrive on
 }
 
-// router is one fabric node's switch.
+// Values of router.want other than a channel.
+const (
+	wantUnknown = -1 // the front flit has not been looked at (or there is none)
+	wantNone    = -2 // the front flit is not a head: it requests nothing
+)
+
+// router is one fabric node's switch. The switch state proper — owners,
+// round-robin pointers and the masks over them — is kept in small types
+// side by side: a tick reads all of it, and on a large mesh every cache
+// line a router spans is a miss.
 type router struct {
 	n     *Network
 	id    int
 	x, y  int
 	in    [numPorts][numVC]fifo
-	alloc [numPorts][numVC]hold // wormhole owner per (output, out-VC)
-	rrVC  [numPorts]int
-	rrIn  [numPorts][numVC]int
 	local localSink // attached NI, or nil
+
+	alloc [numPorts][numVC]hold // wormhole owner per (output, out-VC)
+	rrVC  [numPorts]uint8
+	rrIn  [numPorts][numVC]uint8
+
+	// occ and held summarise in and alloc so a tick visits only what can
+	// move: occ has bit p*numVC+vc set while input FIFO (p, vc) holds a
+	// flit, held has bit o*numVC+ovc set while channel (o, ovc) has a
+	// wormhole owner. want[p*numVC+vc] caches the channel (o*numVC+ovc) the
+	// FIFO's front flit requests, resolved once per front flit (wantUnknown
+	// until then, wantNone for a body or tail flit); a pop — the only way a
+	// non-empty FIFO's front changes — resets it. CheckInvariants verifies
+	// all three against the tables.
+	occ, held uint32
+	want      [numPorts * numVC]int8
+
+	// nb[dir] is the router one hop out of dir (nil where a mesh has no
+	// link) and wrap[dir] whether that hop crosses a torus dateline; both
+	// are fixed at construction.
+	nb   [numPorts]*router
+	wrap [numPorts]bool
 
 	// st is the pool/stats domain this router charges: the network's own in
 	// the single-engine configuration, its region's after Partition.
@@ -277,11 +311,13 @@ type localSink interface {
 // route returns the output port for a flit headed to dst (see dorPort).
 func (r *router) route(dst int) int {
 	c := &r.n.cfg
-	return dorPort(c.Topology, c.Width, c.Height, r.x, r.y, dst)
+	d := r.n.routers[dst]
+	return dorStep(c.Topology, c.Width, c.Height, d.x-r.x, d.y-r.y)
 }
 
 // wraps reports whether this router's output dir is a torus wrap link (the
-// ring's dateline).
+// ring's dateline). Like Network.neighbor and hasLink it is construction-
+// time geometry: New files the answers in the nb and wrap tables.
 func (r *router) wraps(dir int) bool {
 	if r.n.cfg.Topology != Torus {
 		return false
@@ -318,13 +354,27 @@ func (r *router) outVC(in, vc, o int) int {
 	if r.n.cfg.Topology != Torus || o == portL {
 		return vc
 	}
-	if r.wraps(o) {
+	if r.wrap[o] {
 		return datelineVC(vc)
 	}
 	if sameDim(in, o) {
 		return vc
 	}
 	return baseVC(vc)
+}
+
+// pushIn is the one way a flit enters a router — from a neighbour's
+// deliver, an NI's injection or a cut-link import. It keeps the occupancy
+// mask and the owning domain's active-router set in step with the FIFOs, so
+// the pusher must be the goroutine ticking r's domain (every caller is: a
+// local link stays inside its domain, and a cut link is imported by the
+// destination's own Exchange).
+func (r *router) pushIn(p, vc int, fl flit) {
+	r.in[p][vc].push(fl)
+	if r.occ == 0 {
+		r.st.active[r.id>>6] |= 1 << (r.id & 63)
+	}
+	r.occ |= 1 << (p*numVC + vc)
 }
 
 // downstreamSpace reports whether output dir of this router can accept a
@@ -335,7 +385,8 @@ func (r *router) outVC(in, vc, o int) int {
 // depends on which routers happened to tick first, so the outcome of a
 // cycle is a pure function of the state at its start — the invariant that
 // makes the unpartitioned fabric and every partition of it compute the
-// same flit movements.
+// same flit movements, and that lets a cycle skip every router holding no
+// flit (see Network.tick).
 func (r *router) downstreamSpace(dir, vc int, cycle uint64) bool {
 	if dir == portL {
 		return r.local != nil // NIs always sink delivered flits
@@ -343,7 +394,10 @@ func (r *router) downstreamSpace(dir, vc int, cycle uint64) bool {
 	if cl := r.cut[dir]; cl != nil {
 		return cl.pushed[vc]-cl.credit[vc] < uint64(r.n.cfg.BufferFlits)
 	}
-	nb := r.n.neighbor(r.id, dir)
+	nb := r.nb[dir]
+	if nb == nil {
+		panic(fmt.Sprintf("noc: no neighbor %d of node %d", dir, r.id))
+	}
 	q := &nb.in[opposite(dir)][vc]
 	occ := q.len()
 	if q.poppedAt == cycle {
@@ -372,75 +426,153 @@ func (r *router) deliver(dir, vc int, fl flit, cycle uint64) {
 		r.st.residentFlits--
 		return
 	}
-	nb := r.n.neighbor(r.id, dir)
-	nb.in[opposite(dir)][vc].push(fl)
+	r.nb[dir].pushIn(opposite(dir), vc, fl)
 }
+
+// resolve fills in want[b] from input FIFO b's front flit: the route and
+// out-VC of a head flit, computed this once per router it crosses.
+func (r *router) resolve(b int) int8 {
+	p, vc := b/numVC, b%numVC
+	fl := r.in[p][vc].front()
+	w := int8(wantNone)
+	if fl.head() {
+		o := r.route(fl.pkt.dst)
+		w = int8(o*numVC + r.outVC(p, vc, o))
+	}
+	r.want[b] = w
+	return w
+}
+
+// requests returns the channels the front flits of the given occupied input
+// FIFOs ask for, as candidate bits.
+func (r *router) requests(fifos uint32) (cand uint32) {
+	for ; fifos != 0; fifos &= fifos - 1 {
+		b := bits.TrailingZeros32(fifos)
+		w := r.want[b]
+		if w == wantUnknown {
+			w = r.resolve(b)
+		}
+		if w >= 0 {
+			cand |= 1 << w
+		}
+	}
+	return cand
+}
+
+// allChannels masks a router's numPorts×numVC FIFO (or channel) bits, and
+// classFIFOs[c] those of the input FIFOs of message class c (its base and
+// dateline VC at every port). The masks below rely on VC numbering: class
+// is the low bit, and a class's base VC sorts before its dateline VC.
+const allChannels = 1<<(numPorts*numVC) - 1
+
+var classFIFOs = func() (m [2]uint32) {
+	for p := 0; p < numPorts; p++ {
+		m[vcReq] |= (1<<vcReq | 1<<vcReqDL) << (p * numVC)
+		m[vcResp] |= (1<<vcResp | 1<<vcRespDL) << (p * numVC)
+	}
+	return m
+}()
 
 // tick performs switch allocation and forwards at most one flit per output
 // port (the physical link constraint), choosing among VCs round-robin.
+//
+// Only candidate (output, out-VC) channels are probed: those with a
+// wormhole owner plus those a front head flit requests. The set is a
+// superset of the channels on which tryForward could change any state — a
+// channel with neither an owner nor a requesting head has nothing to
+// allocate and nothing to forward — so skipping the rest leaves every
+// round-robin pointer, allocation and flit movement exactly as a scan of
+// all numPorts×numVC channels would. A forward can surface the next
+// packet's head in the FIFO it popped, which may ask for a later output in
+// this same tick, so the set is topped up after every forward.
 func (r *router) tick(cycle uint64) {
-	for o := 0; o < numPorts; o++ {
+	cand := r.held | r.requests(r.occ)
+	// Outputs in ascending order, each one's VCs from its round-robin
+	// pointer; rest holds the candidates of the outputs still to visit.
+	for rest := cand; rest != 0; {
+		o := bits.TrailingZeros32(rest) / numVC
 		for k := 0; k < numVC; k++ {
-			vc := (r.rrVC[o] + k) % numVC
-			if r.tryForward(o, vc, cycle) {
-				r.rrVC[o] = (vc + 1) % numVC
-				r.st.flitsRouted++
-				r.st.flitsVC[vc].Inc()
+			vc := (int(r.rrVC[o]) + k) & (numVC - 1)
+			if cand&(1<<(o*numVC+vc)) == 0 {
+				continue
+			}
+			if from, ok := r.tryForward(o, vc, cycle); ok {
+				cand |= r.requests(r.occ & (1 << from))
 				break
 			}
+		}
+		rest = cand &^ (1<<((o+1)*numVC) - 1)
+	}
+}
+
+// tryForward moves one flit through output o on outgoing VC ovc and
+// reports the input FIFO (p*numVC+vc) it came from. The input VC feeding
+// an out-VC can be the same class's base or dateline VC (torus turns reset
+// the dateline bit, wrap links set it); the allocation fixes one (input
+// port, input VC) owner until the packet's tail passes.
+func (r *router) tryForward(o, ovc int, cycle uint64) (from int, ok bool) {
+	if fa := r.n.faults; fa != nil && fa.stalled(r.id, o, cycle) {
+		return 0, false
+	}
+	if r.alloc[o][ovc].in < 0 {
+		r.allocate(o, ovc, cycle)
+	}
+	return r.forward(o, ovc, cycle)
+}
+
+// allocate grants the free channel (o, ovc) to an input whose head flit
+// requests o and would leave on ovc: input ports round-robin from rrIn,
+// base VC before dateline VC within a port. Rotating the occupied FIFOs of
+// ovc's class down by the pointer turns that order into ascending bit
+// order.
+func (r *router) allocate(o, ovc int, cycle uint64) {
+	ch := o*numVC + ovc
+	rot := uint(r.rrIn[o][ovc]) * numVC
+	m := r.occ & classFIFOs[ovc&1]
+	for m = (m>>rot | m<<(numPorts*numVC-rot)) & allChannels; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros32(m) + int(rot)
+		if b >= numPorts*numVC {
+			b -= numPorts * numVC
+		}
+		if int(r.want[b]) == ch && r.in[b/numVC][b%numVC].front().arrived < cycle {
+			r.grant(o, ovc, b/numVC, b%numVC)
+			return
 		}
 	}
 }
 
-// tryForward moves one flit through output o on outgoing VC ovc. The input
-// VC feeding an out-VC can be the same class's base or dateline VC (torus
-// turns reset the dateline bit, wrap links set it); the allocation fixes
-// one (input port, input VC) owner until the packet's tail passes.
-func (r *router) tryForward(o, ovc int, cycle uint64) bool {
-	if fa := r.n.faults; fa != nil && fa.stalled(r.id, o, cycle) {
-		return false
-	}
-	if r.alloc[o][ovc].in < 0 {
-		// Allocate the wormhole to an input whose head flit requests o
-		// and would leave on ovc.
-		n := numPorts
-	scan:
-		for k := 0; k < n; k++ {
-			i := (r.rrIn[o][ovc] + k) % n
-			for _, invc := range [2]int{baseVC(ovc), datelineVC(ovc)} {
-				q := &r.in[i][invc]
-				if q.empty() {
-					continue
-				}
-				fl := q.front()
-				if !fl.head() || fl.arrived >= cycle {
-					continue
-				}
-				if r.route(fl.pkt.dst) != o || r.outVC(i, invc, o) != ovc {
-					continue
-				}
-				r.alloc[o][ovc] = hold{in: i, invc: invc}
-				r.rrIn[o][ovc] = (i + 1) % n
-				break scan
-			}
-		}
-	}
+// grant makes input FIFO (in, invc) the wormhole owner of channel (o, ovc)
+// and moves the channel's input round-robin pointer past it.
+func (r *router) grant(o, ovc, in, invc int) {
+	r.alloc[o][ovc] = hold{in: int8(in), invc: int8(invc)}
+	r.held |= 1 << (o*numVC + ovc)
+	r.rrIn[o][ovc] = uint8((in + 1) % numPorts)
+}
+
+// forward moves the front flit of channel (o, ovc)'s owner, if it has one
+// that may move, one hop on; a tail flit frees the channel behind it.
+func (r *router) forward(o, ovc int, cycle uint64) (from int, ok bool) {
 	a := r.alloc[o][ovc]
 	if a.in < 0 {
-		return false
+		return 0, false
 	}
 	q := &r.in[a.in][a.invc]
 	if q.empty() {
-		return false
+		return 0, false
 	}
 	fl := q.front()
 	if fl.arrived >= cycle { // one hop per cycle
-		return false
+		return 0, false
 	}
 	if !r.downstreamSpace(o, ovc, cycle) {
-		return false
+		return 0, false
 	}
+	from = int(a.in)*numVC + int(a.invc)
 	moved := q.pop()
+	r.want[from] = wantUnknown
+	if q.empty() {
+		r.occ &^= 1 << from
+	}
 	if q.poppedAt != cycle {
 		q.poppedAt, q.poppedN = cycle, 0
 	}
@@ -450,15 +582,19 @@ func (r *router) tryForward(o, ovc int, cycle uint64) bool {
 	}
 	if moved.tail() {
 		r.alloc[o][ovc] = hold{in: -1}
+		r.held &^= 1 << (o*numVC + ovc)
 	}
+	r.rrVC[o] = uint8(ovc+1) & (numVC - 1)
+	r.st.flitsRouted++
+	r.st.flitsVC[ovc].Inc()
 	if fa := r.n.faults; fa != nil && fa.dropped(r.id, o, cycle) {
 		// Injected fault: the flit vanishes with its bookkeeping
 		// deliberately left inconsistent, so the conservation (and, for a
 		// tail, pool-mass) watchdogs have something real to catch.
-		return true
+		return from, true
 	}
 	r.deliver(o, ovc, moved, cycle)
-	return true
+	return from, true
 }
 
 // shardState is the pool/stats domain of one execution shard. The
@@ -469,10 +605,11 @@ func (r *router) tryForward(o, ovc int, cycle uint64) bool {
 type shardState struct {
 	// pktPool recycles packet structs (and their payload buffers); each
 	// shard's engine is single-goroutine, so no locking is needed.
-	// livePackets counts packets currently out of the pool — the cheap
-	// quiescence signal the unsharded NextWake uses every cycle. (A packet
-	// can retire in a different shard than it was issued from, so sharded
-	// quiescence uses residentFlits + NI idleness per region instead.)
+	// livePackets counts packets currently out of the pool — the guard
+	// layer's pool-mass account. (A packet can retire in a different shard
+	// than it was issued from, so a single domain's count can go negative
+	// and only the sum means anything; quiescence is judged per domain from
+	// residentFlits and busyNIs instead, see quiet.)
 	pktPool     []*packet
 	livePackets int
 	// index is the owning region's position in the partition (0 for the
@@ -487,8 +624,16 @@ type shardState struct {
 	returns [][]*packet
 	// residentFlits counts flits currently held in this domain's router
 	// FIFOs: incremented on NI injection and cross-shard import,
-	// decremented on local delivery and cross-shard export.
+	// decremented on local delivery and cross-shard export. busyNIs counts
+	// the domain's NIs with work in hand (!idle(), kept by noteBusy), so
+	// quiescence is two compares instead of a scan of every queue and NI.
 	residentFlits int
+	busyNIs       int
+	// active has bit id set for exactly the domain's routers that hold a
+	// flit: router.pushIn adds a router, tick retires it once it drains.
+	// Only the goroutine ticking this domain ever writes it — its own
+	// compute step for local pushes, its own Exchange for imports.
+	active []uint64
 	// retired counts packets ever recycled through putPacket. Unlike the
 	// registry stats below it is never reset: the guard layer's deadlock
 	// watchdog needs a monotone progress signal that survives epoch
@@ -554,15 +699,25 @@ func New(cfg Config, now func() uint64) *Network {
 	n := &Network{cfg: cfg.WithDefaults(), now: now}
 	n.st.hops = newHopsHistogram()
 	total := n.cfg.Width * n.cfg.Height
+	n.st.active = make([]uint64, (total+63)/64)
 	for id := 0; id < total; id++ {
 		r := &router{n: n, id: id, x: id % n.cfg.Width, y: id / n.cfg.Width, st: &n.st}
 		for o := 0; o < numPorts; o++ {
 			for v := 0; v < numVC; v++ {
 				r.alloc[o][v] = hold{in: -1}
 				r.in[o][v].init(n.cfg.BufferFlits)
+				r.want[o*numVC+v] = wantUnknown
 			}
 		}
 		n.routers = append(n.routers, r)
+	}
+	for _, r := range n.routers {
+		for dir := portN; dir < portL; dir++ {
+			if n.hasLink(r, dir) {
+				r.nb[dir] = n.neighbor(r.id, dir)
+				r.wrap[dir] = r.wraps(dir)
+			}
+		}
 	}
 	return n
 }
@@ -735,7 +890,7 @@ func (n *Network) neighbor(id, dir int) *router {
 // returns its OCP port. Each node holds at most one NI.
 func (n *Network) AttachMaster(node int) ocp.MasterPort {
 	n.checkNode(node)
-	ni := &masterNI{net: n, node: node, st: &n.st, now: n.now, lat: sim.NewLatencyHistogram(),
+	ni := &masterNI{net: n, node: node, r: n.routers[node], st: &n.st, now: n.now, lat: sim.NewLatencyHistogram(),
 		respData: make([]uint32, 0, packetBufWords)}
 	n.routers[node].local = ni
 	n.masters = append(n.masters, ni)
@@ -753,7 +908,7 @@ func (n *Network) AttachSlave(node int, slave ocp.Slave, rng ocp.AddrRange) erro
 	// The queue starts with a generous capacity so the slice-doubling
 	// growth toward a workload's high-water depth is front-loaded into
 	// construction instead of trickling through the measured run.
-	ni := &slaveNI{net: n, node: node, st: &n.st, slave: slave, rng: rng,
+	ni := &slaveNI{net: n, node: node, r: n.routers[node], st: &n.st, slave: slave, rng: rng,
 		queue: make([]*packet, 0, 64)}
 	n.routers[node].local = ni
 	n.slaves = append(n.slaves, ni)
@@ -780,44 +935,58 @@ func (n *Network) decode(addr uint32) *slaveNI {
 
 // Tick implements sim.Device: NIs inject/serve, then routers switch.
 func (n *Network) Tick(cycle uint64) {
-	for _, m := range n.masters {
-		m.tick(cycle)
+	n.tick(&n.st, n.masters, n.slaves, cycle)
+}
+
+// tick runs one cycle of one pool domain — the whole network, or a
+// Region's band of it: the domain's master NIs inject, its slave NIs
+// serve, then its routers switch. Only routers in the active set tick. A
+// router holding no flit can change no state in its tick, and because
+// downstreamSpace reads cycle-start occupancy no router's outcome depends
+// on whether a neighbour has ticked yet, so leaving the empty ones out
+// changes nothing; the set is walked in ascending router id, the order a
+// loop over every router uses, so the shared counters see the same
+// sequence too. A router that receives its first flit while the walk is
+// under way joins the set at once (it ticks this cycle only if the walk
+// has not passed its word yet, and that tick finds nothing old enough to
+// move) and one that drains is retired after its tick.
+func (n *Network) tick(st *shardState, masters []*masterNI, slaves []*slaveNI, cycle uint64) {
+	for _, m := range masters {
+		if m.state == niInjecting {
+			m.inject(cycle)
+		}
 	}
-	for _, s := range n.slaves {
-		s.tick(cycle)
+	for _, s := range slaves {
+		if s.busy {
+			s.tick(cycle)
+		}
 	}
-	for _, r := range n.routers {
-		r.tick(cycle)
+	for i, w := range st.active {
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			r := n.routers[i<<6|b]
+			r.tick(cycle)
+			if r.occ == 0 {
+				st.active[i] &^= 1 << b
+			}
+		}
 	}
 }
+
+// quiet reports whether the domain holds no flits and all its NIs are
+// idle: nothing in it can act until a master injects or a neighbour shard
+// exports a flit into it.
+func (st *shardState) quiet() bool { return st.residentFlits == 0 && st.busyNIs == 0 }
 
 // Idle reports whether no flits, pending NI work or undelivered responses
 // remain anywhere in the fabric.
 func (n *Network) Idle() bool {
-	for _, r := range n.routers {
-		for p := 0; p < numPorts; p++ {
-			for v := 0; v < numVC; v++ {
-				if !r.in[p][v].empty() {
-					return false
-				}
-			}
-		}
-	}
-	return n.nisIdle()
-}
-
-func (n *Network) nisIdle() bool {
-	for _, m := range n.masters {
-		if !m.idle() {
+	for _, rg := range n.regions {
+		if !rg.st.quiet() {
 			return false
 		}
 	}
-	for _, s := range n.slaves {
-		if !s.idle() {
-			return false
-		}
-	}
-	return true
+	return n.st.quiet()
 }
 
 // NextWake implements sim.Sleeper. The NoC has no timed state of its own —
@@ -825,10 +994,9 @@ func (n *Network) nisIdle() bool {
 // quiescent until some master injects again; the injection (a TryRequest on
 // a master NI) fires the wake hook, so quiescence is a safe promise even
 // under the event kernel, where a sleeping network is not ticked at all
-// while other devices run. Every in-network flit belongs to a live pooled
-// packet, so livePackets == 0 makes the full router scan unnecessary.
+// while other devices run.
 func (n *Network) NextWake(now uint64) uint64 {
-	if n.st.livePackets == 0 && n.nisIdle() {
+	if n.st.quiet() {
 		return sim.WakeNever
 	}
 	return now

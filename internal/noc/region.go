@@ -101,7 +101,7 @@ func (n *Network) Partition(k int) []*Region {
 	if n.regions != nil {
 		panic("noc: network already partitioned")
 	}
-	if n.st.livePackets != 0 || n.st.residentFlits != 0 {
+	if n.st.livePackets != 0 || !n.st.quiet() {
 		panic("noc: Partition on a network with traffic in flight")
 	}
 	if k < 1 {
@@ -117,6 +117,7 @@ func (n *Network) Partition(k int) []*Region {
 		rg.st.hops = newHopsHistogram()
 		rg.st.index = s
 		rg.st.returns = make([][]*packet, k)
+		rg.st.active = make([]uint64, len(n.st.active))
 		for y := rg.y0; y < rg.y1; y++ {
 			n.regionOfRow[y] = s
 		}
@@ -205,39 +206,16 @@ func (rg *Region) BindCycleSource(now func() uint64) {
 	}
 }
 
-// Tick implements sim.Device with the same intra-cycle order as
-// Network.Tick: master NIs inject, slave NIs serve, routers switch.
+// Tick implements sim.Device: Network.Tick's cycle (Network.tick) over the
+// region's own NIs and active routers.
 func (rg *Region) Tick(cycle uint64) {
-	for _, m := range rg.masters {
-		m.tick(cycle)
-	}
-	for _, s := range rg.slaves {
-		s.tick(cycle)
-	}
-	for _, r := range rg.routers {
-		r.tick(cycle)
-	}
+	rg.net.tick(&rg.st, rg.masters, rg.slaves, cycle)
 }
 
 // Idle reports whether the region holds no flits and all its NIs are
 // quiescent. Valid only at window boundaries after Exchange, when the
 // import rings are empty.
-func (rg *Region) Idle() bool {
-	if rg.st.residentFlits != 0 {
-		return false
-	}
-	for _, m := range rg.masters {
-		if !m.idle() {
-			return false
-		}
-	}
-	for _, s := range rg.slaves {
-		if !s.idle() {
-			return false
-		}
-	}
-	return true
-}
+func (rg *Region) Idle() bool { return rg.st.quiet() }
 
 // NextWake implements sim.Sleeper: like the whole network, a region has no
 // timed state — it is active while it holds work and quiescent until a
@@ -282,7 +260,7 @@ func (rg *Region) Exchange() int {
 			cf := *slot
 			slot.fl.pkt = nil // drop the packet reference for the pool's sake
 			cl.ringHead++
-			cl.dst.in[cl.inPort][cf.vc].push(cf.fl)
+			cl.dst.pushIn(cl.inPort, cf.vc, cf.fl)
 			imported++
 		}
 	}

@@ -61,17 +61,28 @@ type Hop struct {
 // the ring goes east/south, so every router along the path agrees on the
 // direction. It returns portL at the destination.
 func dorPort(topo Topology, w, h, x, y, dst int) int {
-	dx := (dst % w) - x
-	dy := (dst / w) - y
+	return dorStep(topo, w, h, (dst%w)-x, (dst/w)-y)
+}
+
+// dorStep is dorPort on the offset (dx, dy) from the current router to the
+// destination, |dx| < w and |dy| < h. The routers call it directly: they
+// know every node's coordinates, so the per-flit path divides nothing.
+func dorStep(topo Topology, w, h, dx, dy int) int {
 	if topo == Torus {
 		if dx != 0 {
-			if e := ((dx % w) + w) % w; 2*e <= w {
+			if dx < 0 {
+				dx += w // hops going east
+			}
+			if 2*dx <= w {
 				return portE
 			}
 			return portW
 		}
 		if dy != 0 {
-			if s := ((dy % h) + h) % h; 2*s <= h {
+			if dy < 0 {
+				dy += h // hops going south
+			}
+			if 2*dy <= h {
 				return portS
 			}
 			return portN

@@ -401,7 +401,9 @@ func (r Runner) runPointExec(cache *programCache, p Point, opts execOpts) (res R
 	if p.Measure != nil {
 		if err := runPhased(sys, *p.Measure, maxCycles, &res); err != nil {
 			recordFailure(&res, err)
+			return res
 		}
+		recycle(sys)
 		return res
 	}
 
@@ -434,7 +436,19 @@ func (r Runner) runPointExec(cache *programCache, p Point, opts execOpts) (res R
 	if sys.Bus != nil {
 		res.BusBusyCycles = sys.Bus.BusyCycles()
 	}
+	recycle(sys)
 	return res
+}
+
+// recycle clears the memories of a platform whose point ran to completion,
+// so the next platform this process builds takes their backing stores
+// instead of allocating its own (see mem.RAM). A failed point keeps its
+// memories: a shard the guard gave up on may still be writing to them.
+func recycle(sys *platform.System) {
+	for _, m := range sys.Privs {
+		m.Clear()
+	}
+	sys.Shared.Clear()
 }
 
 // recordFailure records a run error on the result, preserving the typed

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -280,6 +281,48 @@ func TestRunnerClockPlumbing(t *testing.T) {
 	if res[1].MakespanNS != 2*res[0].MakespanNS {
 		t.Fatalf("10 ns run should cover twice the sim time: %d vs %d ns",
 			res[1].MakespanNS, res[0].MakespanNS)
+	}
+}
+
+// TestRunRecyclesPlatformMemories pins what keeps a campaign's garbage
+// collections few: a finished point clears its platform's memories, so the
+// next platform takes their backing stores instead of allocating its own.
+// These points write only the 256 KiB shared memory (the private ones are
+// never backed at all), so a point that allocates less than that is running
+// on a recycled store: about 130 KiB with recycling, 370 KiB without, and
+// the bound leaves room for the quarter of the stores a sync.Pool drops
+// under the race detector. A recycled store must also read as a fresh one:
+// the same points give the same bytes the second time through.
+func TestRunRecyclesPlatformMemories(t *testing.T) {
+	g := Grid{
+		Workloads: []Workload{{Kind: KindStochastic, Dist: "poisson", Cores: 4, MeanGap: 6, Count: 40}},
+		Fabrics: []Fabric{{Interconnect: FabricAMBA},
+			{Interconnect: FabricXPipes, MeshWidth: 4, MeshHeight: 3}},
+		Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8},
+	}
+	points := g.Expand()
+	run := func() []byte {
+		t.Helper()
+		res, err := Runner{Workers: 1}.Run(points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cold := run()
+	var m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m1)
+	warm := run()
+	runtime.ReadMemStats(&m2)
+	if !bytes.Equal(cold, warm) {
+		t.Fatal("results differ once platforms run on recycled memories")
+	}
+	if perPoint := (m2.TotalAlloc - m1.TotalAlloc) / uint64(len(points)); perPoint > 256<<10 {
+		t.Fatalf("a point allocates %d KiB: its platform's memories are not being recycled", perPoint>>10)
 	}
 }
 
