@@ -54,11 +54,33 @@ func TestZeroAllocTGDeviceIdleTick(t *testing.T) {
 
 func TestZeroAllocTransactionPath(t *testing.T) {
 	for _, ic := range []platform.Interconnect{platform.AMBA, platform.XPipes} {
-		sys := newTransactionSystem(t, ic)
+		sys := newTransactionSystem(t, platform.Config{Interconnect: ic})
 		// Warm the reusable buffers and pools, then demand exact zero.
 		sys.Engine.RunFor(4096)
 		if avg := testing.AllocsPerRun(5, func() { sys.Engine.RunFor(10_000) }); avg != 0 {
 			t.Errorf("%v: steady-state transaction path allocates %.2f allocs per 10k cycles", ic, avg)
+		}
+	}
+}
+
+// TestZeroAllocMeteredTransactionPath extends the guard to a Trace: true
+// platform nobody asked to record — what every sweep point runs on: the
+// port monitors count transactions and observe latencies without keeping
+// an event log or copying a payload, so steady state allocates nothing
+// however many transactions go by.
+func TestZeroAllocMeteredTransactionPath(t *testing.T) {
+	for _, ic := range []platform.Interconnect{platform.AMBA, platform.XPipes} {
+		sys := newTransactionSystem(t, platform.Config{Interconnect: ic, Trace: true})
+		sys.Engine.RunFor(4096)
+		before := sys.Monitors[0].Transactions()
+		if avg := testing.AllocsPerRun(5, func() { sys.Engine.RunFor(10_000) }); avg != 0 {
+			t.Errorf("%v: metered transaction path allocates %.2f allocs per 10k cycles", ic, avg)
+		}
+		if sys.Monitors[0].Transactions() == before {
+			t.Fatalf("%v: the monitor metered no transaction", ic)
+		}
+		if sys.Monitors[0].Events() != nil {
+			t.Fatalf("%v: a monitor nobody asked to record kept an event log", ic)
 		}
 	}
 }
@@ -98,7 +120,7 @@ func TestZeroAllocStatsRegistryHotPath(t *testing.T) {
 // must stay allocation-free with the stats subsystem fully wired.
 func TestZeroAllocPhasedTransactionPath(t *testing.T) {
 	for _, ic := range []platform.Interconnect{platform.AMBA, platform.XPipes} {
-		sys := newTransactionSystem(t, ic)
+		sys := newTransactionSystem(t, platform.Config{Interconnect: ic})
 		if sys.Stats == nil || sys.Stats.Counters() == 0 {
 			t.Fatal("transaction system has no registered stats")
 		}

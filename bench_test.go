@@ -690,8 +690,9 @@ func BenchmarkTGDeviceIdleTick(b *testing.B) {
 // newTransactionSystem builds the 2-TG platform the transaction-path
 // benchmark and the zero-alloc guard tests drive: an endless loop of
 // single-word writes, blocking reads and bursts, so every hot path of the
-// fabric is exercised.
-func newTransactionSystem(tb testing.TB, ic platform.Interconnect) *platform.System {
+// fabric is exercised. cfg picks the fabric and anything else but the core
+// count.
+func newTransactionSystem(tb testing.TB, cfg platform.Config) *platform.System {
 	tb.Helper()
 	src := `MASTER[0,0]
 REGISTER addr 0x08000000
@@ -712,7 +713,8 @@ END`
 		}
 		progs[i] = p
 	}
-	sys, err := platform.BuildTG(platform.Config{Cores: 2, Interconnect: ic}, progs)
+	cfg.Cores = len(progs)
+	sys, err := platform.BuildTG(cfg, progs)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -725,7 +727,7 @@ END`
 func BenchmarkTransactionPath(b *testing.B) {
 	for _, ic := range []platform.Interconnect{platform.AMBA, platform.XPipes} {
 		b.Run(ic.String(), func(b *testing.B) {
-			sys := newTransactionSystem(b, ic)
+			sys := newTransactionSystem(b, platform.Config{Interconnect: ic})
 			// Warm the reusable buffers and pools before measuring.
 			sys.Engine.RunFor(4096)
 			b.ReportAllocs()

@@ -238,9 +238,21 @@
 // by the phased differential tests). Lazily credited statistics (the
 // bus's bulk busy/idle and wait-cycle credits) register sync hooks so a
 // boundary snapshot attributes every elided cycle to the epoch it belongs
-// to. Phases off reproduces the legacy single-window artifacts
-// byte-for-byte, as does the degenerate phased configuration warmup=0,
-// epochs=1, drain=0.
+// to. The warmup → epochs → drain sequencing lives once (sim.Phases.Run);
+// the single engine and the shard runner each supply only their "run one
+// window" function, so a plan and its errors do not depend on the shard
+// count.
+//
+// There is one accounting. Every sweep point fills its result from the
+// per-master traffic meters and the stats registry at epoch boundaries; a
+// point without a Measure runs the zero plan — no warmup, one open epoch
+// from cycle 0 to completion, no drain — and carries no Phases block, and
+// warmup=0, epochs=1, drain=0 is that plan written out: the same bytes plus
+// the block. Who meters and who records: a port Monitor (Config.Trace)
+// always meters, at no allocation, and records an event log only after
+// Monitor.Record, which RunReference — the run whose product is the
+// paper's trace — alone calls; sweep points never record, and curve levels
+// run without monitors on the generators' own meters.
 //
 // Load-latency curves (CurveSpec, tgsweep -curve) build on phased
 // measurement: one stochastic scenario swept over an injection-load axis,

@@ -395,9 +395,6 @@ func (b *Bus) SetWaker(w sim.Waker) { b.waker = w }
 // DecodeErrors returns the number of requests that decoded to no slave.
 func (b *Bus) DecodeErrors() uint64 { return b.decodeErrors.Value() }
 
-// SlaveErrors returns the number of error responses from mapped slaves.
-func (b *Bus) SlaveErrors() uint64 { return b.slaveErrors.Value() }
-
 // RegisterStats implements sim.StatsSource: the full counter set —
 // occupancy, total and per-master grants, per-master wait cycles, decode
 // and slave errors — joins the registry so phased measurement can reset

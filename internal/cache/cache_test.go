@@ -91,6 +91,7 @@ func rigMU(t *testing.T, icfg, dcfg Config) (*sim.Engine, *MemUnit, *ocp.Monitor
 		t.Fatal(err)
 	}
 	mon := ocp.NewMonitor(bus.NewMasterPort(), e.Cycle)
+	mon.Record()
 	mu := NewMemUnit(mon, New(icfg), New(dcfg), []ocp.AddrRange{ram.Range()})
 	e.Add(sim.DeviceFunc(mu.Tick))
 	e.Add(bus)

@@ -287,20 +287,3 @@ func (d *Device) TickWake(cycle uint64) uint64 {
 var _ sim.Device = (*Device)(nil)
 var _ sim.Sleeper = (*Device)(nil)
 var _ sim.TickSleeper = (*Device)(nil)
-
-// DebugState exposes the FSM state for diagnostics.
-func (d *Device) DebugState() string {
-	switch d.state {
-	case dRun:
-		return "run"
-	case dIdle:
-		return fmt.Sprintf("idle(until %d)", d.wakeAt)
-	case dIssue:
-		return "issue"
-	case dWait:
-		return "wait"
-	case dHalt:
-		return "halt"
-	}
-	return "?"
-}

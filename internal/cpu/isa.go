@@ -70,9 +70,6 @@ func (o Op) String() string {
 // Valid reports whether o is a defined opcode.
 func (o Op) Valid() bool { return o < opCount }
 
-// IsBranch reports whether o is a conditional branch.
-func (o Op) IsBranch() bool { return o >= BEQ && o <= BGEU }
-
 // execCycles is the execute-stage latency per opcode (fetch and memory
 // stages add their own cycles).
 var execCycles = map[Op]int{

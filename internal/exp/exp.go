@@ -56,8 +56,11 @@ type RefResult struct {
 }
 
 // RunReference executes the spec on bit/cycle-true miniARM cores. With
-// traced set, OCP monitors collect a trace per master (the paper's
-// reference simulation).
+// traced set, an OCP monitor on every master port records a trace (the
+// paper's reference simulation): this is the one run whose product is the
+// event log, so it is the one place that switches Monitor.Record on —
+// every other platform built with Config.Trace only meters. Untraced, the
+// ports carry no monitor at all.
 func RunReference(spec *prog.Spec, opt Options, traced bool) (*RefResult, error) {
 	progs, err := spec.Assemble()
 	if err != nil {
@@ -71,6 +74,11 @@ func RunReference(spec *prog.Spec, opt Options, traced bool) (*RefResult, error)
 		return nil, err
 	}
 	sys.EnableGuard(opt.Guard)
+	if traced {
+		for _, mon := range sys.Monitors {
+			mon.Record()
+		}
+	}
 	start := time.Now()
 	makespan, err := sys.Run(spec.MaxCycles)
 	wall := time.Since(start)

@@ -8,7 +8,6 @@ import (
 	"noctg/internal/platform"
 	"noctg/internal/prog"
 	"noctg/internal/sim"
-	"noctg/internal/trace"
 )
 
 // LatencyProfile summarises per-transaction read latencies (response cycle
@@ -23,16 +22,12 @@ type LatencyProfile struct {
 	Hist  *sim.Histogram
 }
 
-func profileTraces(traces []*trace.Trace) *LatencyProfile {
-	p := &LatencyProfile{Hist: sim.NewHistogram(4, 8, 16, 32, 64, 128, 256)}
-	for _, tr := range traces {
-		for i := range tr.Events {
-			e := &tr.Events[i]
-			if !e.HasResp {
-				continue
-			}
-			p.Hist.Observe(e.Resp - e.Accept)
-		}
+// portProfile merges the read-latency histograms the platform's port
+// monitors metered.
+func portProfile(sys *platform.System) *LatencyProfile {
+	p := &LatencyProfile{Hist: sim.NewLatencyHistogram()}
+	for _, mon := range sys.Monitors {
+		p.Hist.Merge(mon.LatencyHist())
 	}
 	p.Reads = p.Hist.Count()
 	p.Mean = p.Hist.Mean()
@@ -40,8 +35,8 @@ func profileTraces(traces []*trace.Trace) *LatencyProfile {
 	return p
 }
 
-// LatencyComparison runs the spec on cycle-true cores and on TGs (both
-// traced) and returns the two read-latency profiles.
+// LatencyComparison runs the spec on cycle-true cores and on TGs, both with
+// port monitors, and returns the two read-latency profiles.
 func LatencyComparison(spec *prog.Spec, opt Options) (arm, tg *LatencyProfile, err error) {
 	ref, err := RunReference(spec, opt, true)
 	if err != nil {
@@ -54,7 +49,7 @@ func LatencyComparison(spec *prog.Spec, opt Options) (arm, tg *LatencyProfile, e
 	}
 	cfg := opt.Platform
 	cfg.Cores = spec.Cores
-	cfg.Trace = true // monitor the TG ports too
+	cfg.Trace = true // meter the TG ports too
 	sys, err := platform.BuildTG(cfg, progs)
 	if err != nil {
 		return nil, nil, err
@@ -62,11 +57,7 @@ func LatencyComparison(spec *prog.Spec, opt Options) (arm, tg *LatencyProfile, e
 	if _, err := sys.Run(spec.MaxCycles); err != nil {
 		return nil, nil, err
 	}
-	var tgTraces []*trace.Trace
-	for i, mon := range sys.Monitors {
-		tgTraces = append(tgTraces, trace.New(i, sys.Engine.Clock(), mon.Events()))
-	}
-	return profileTraces(ref.Traces), profileTraces(tgTraces), nil
+	return portProfile(ref.Sys), portProfile(sys), nil
 }
 
 // MeanErrorPct returns the relative difference of the two profile means.

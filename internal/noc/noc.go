@@ -805,15 +805,6 @@ func (n *Network) DecodeErrors() uint64 {
 	return v
 }
 
-// SlaveErrors returns the number of error responses from attached slaves.
-func (n *Network) SlaveErrors() uint64 {
-	v := n.st.slaveErrors.Value()
-	for _, rg := range n.regions {
-		v += rg.st.slaveErrors.Value()
-	}
-	return v
-}
-
 // vcNames labels the virtual channels in flit-counter metric names.
 var vcNames = [numVC]string{vcReq: "req", vcResp: "resp", vcReqDL: "req_dl", vcRespDL: "resp_dl"}
 

@@ -183,9 +183,6 @@ func (n *Network) hasLink(r *router, dir int) bool {
 	return false
 }
 
-// Regions returns the partition (nil before Partition).
-func (n *Network) Regions() []*Region { return n.regions }
-
 // RegionOf returns the region index owning a fabric node.
 func (n *Network) RegionOf(node int) int {
 	return n.regionOfRow[node/n.cfg.Width]

@@ -6,8 +6,8 @@ import "noctg/internal/sim"
 // measurement layer aggregates over: completed transactions, completed
 // reads, and the read-latency histogram (canonical sim.LatencyBounds
 // buckets). Monitors implement it at the OCP port; traffic sources that
-// run untraced (stochastic generators in open-loop curve runs) implement
-// it themselves.
+// run without a monitor (stochastic generators in open-loop curve runs)
+// implement it themselves.
 type TrafficMeter interface {
 	// Transactions returns completed transactions: accepted posted writes
 	// plus reads whose response arrived.
@@ -55,27 +55,32 @@ func (e *Event) Done() uint64 {
 	return e.Accept
 }
 
-// Monitor wraps a MasterPort and records every transaction flowing through
-// it. It is the in-simulation equivalent of the paper's adapted OCP
-// interface modules that "collect traces of OCP request and response
-// communication events".
+// Monitor wraps a MasterPort and observes every transaction flowing through
+// it. It always meters: the transaction and read counters and the two
+// latency histograms (TrafficMeter, and the "port<i>/" registry entries)
+// cost no allocation and are what every measurement reads. It records —
+// keeps an event log with a private copy of each payload — only after
+// Record: the log is the in-simulation equivalent of the paper's adapted
+// OCP interface modules that "collect traces of OCP request and response
+// communication events", and only a run whose product is that trace
+// (exp.RunReference) pays for it.
 //
-// The wrapped port sees exactly the same call sequence, so enabling tracing
-// does not perturb simulated timing (it does cost host time, which is the
-// paper's §6 trace-collection overhead experiment).
+// The wrapped port sees exactly the same call sequence either way, so a
+// monitor does not perturb simulated timing (recording does cost host
+// time, which is the paper's §6 trace-collection overhead experiment).
 type Monitor struct {
 	port   MasterPort
 	now    func() uint64
+	record bool
 	events []Event
 
 	cur       Event
 	asserting bool // a request has been presented but not yet accepted
 	awaiting  bool // an accepted read is awaiting its response
 
-	// Registry-backed metrics mirroring the event stream: txns/reads
-	// count completed transactions as events are recorded, lat observes
-	// Resp-Accept read latencies. Unlike events, these are epoch-resettable
-	// through the stats registry, which is what phased measurement reads.
+	// Registry-backed metrics: txns/reads count completed transactions,
+	// lat observes Resp-Accept and reqLat Resp-Assert read latencies. They
+	// are epoch-resettable through the stats registry.
 	txns   sim.Counter
 	reads  sim.Counter
 	lat    *sim.Histogram
@@ -111,7 +116,12 @@ func (m *Monitor) RegisterStats(r *sim.Registry) {
 	r.RegisterHistogram("req_latency", m.reqLat)
 }
 
-// TryRequest implements MasterPort, recording assert and accept cycles.
+// Record switches the event log on: every transaction completed from now
+// on is appended to Events with its own copy of the payload. Call it before
+// the run starts.
+func (m *Monitor) Record() { m.record = true }
+
+// TryRequest implements MasterPort, noting assert and accept cycles.
 func (m *Monitor) TryRequest(req *Request) bool {
 	if !m.asserting {
 		m.cur = Event{
@@ -121,7 +131,7 @@ func (m *Monitor) TryRequest(req *Request) bool {
 			MasterID: req.MasterID,
 			Assert:   m.now(),
 		}
-		if req.Cmd.IsWrite() {
+		if m.record && req.Cmd.IsWrite() {
 			m.cur.Data = append([]uint32(nil), req.Data...)
 		}
 		m.asserting = true
@@ -133,22 +143,31 @@ func (m *Monitor) TryRequest(req *Request) bool {
 		if req.Cmd.IsRead() {
 			m.awaiting = true
 		} else {
-			m.events = append(m.events, m.cur)
-			m.txns.Inc()
+			m.complete()
 		}
 	}
 	return ok
 }
 
-// TakeResponse implements MasterPort, recording the response cycle and data.
+// complete counts the current transaction and, when recording, logs it.
+func (m *Monitor) complete() {
+	m.txns.Inc()
+	if m.record {
+		m.events = append(m.events, m.cur)
+	}
+}
+
+// TakeResponse implements MasterPort, noting the response cycle (and, when
+// recording, the data).
 func (m *Monitor) TakeResponse() (*Response, bool) {
 	resp, ok := m.port.TakeResponse()
 	if ok && m.awaiting {
 		m.cur.Resp = m.now()
 		m.cur.HasResp = true
-		m.cur.Data = append([]uint32(nil), resp.Data...)
-		m.events = append(m.events, m.cur)
-		m.txns.Inc()
+		if m.record {
+			m.cur.Data = append([]uint32(nil), resp.Data...)
+		}
+		m.complete()
 		m.reads.Inc()
 		m.lat.Observe(m.cur.Resp - m.cur.Accept)
 		m.reqLat.Observe(m.cur.Resp - m.cur.Assert)
@@ -162,7 +181,7 @@ func (m *Monitor) Busy() bool { return m.port.Busy() }
 
 // WakeHint implements WakeHinter by delegation, so tracing a port does not
 // cost the master its ability to sleep through known stall horizons.
-// Monitors record only on TryRequest/TakeResponse transitions, which a
+// Monitors observe only TryRequest/TakeResponse transitions, which a
 // hinted sleep by definition does not skip.
 func (m *Monitor) WakeHint(now uint64) uint64 {
 	if h, ok := m.port.(WakeHinter); ok {
@@ -173,16 +192,10 @@ func (m *Monitor) WakeHint(now uint64) uint64 {
 
 var _ WakeHinter = (*Monitor)(nil)
 
-// Events returns the recorded transactions in issue order. The returned
-// slice is owned by the monitor; callers must not modify it.
+// Events returns the transactions recorded since Record, in issue order
+// (nil on a monitor that only meters). The returned slice is owned by the
+// monitor; callers must not modify it.
 func (m *Monitor) Events() []Event { return m.events }
-
-// Reset discards all recorded events.
-func (m *Monitor) Reset() {
-	m.events = nil
-	m.asserting = false
-	m.awaiting = false
-}
 
 var _ MasterPort = (*Monitor)(nil)
 var _ TrafficMeter = (*Monitor)(nil)

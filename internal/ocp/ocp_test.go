@@ -121,6 +121,7 @@ func TestMonitorRecordsWriteAcceptance(t *testing.T) {
 	var cycle uint64
 	p := &scriptPort{acceptAfter: 2}
 	m := NewMonitor(p, func() uint64 { return cycle })
+	m.Record()
 
 	req := &Request{Cmd: Write, Addr: 0x20, Burst: 1, Data: []uint32{0x111}}
 	for !m.TryRequest(req) {
@@ -149,6 +150,7 @@ func TestMonitorRecordsReadResponse(t *testing.T) {
 	var cycle uint64
 	p := &scriptPort{}
 	m := NewMonitor(p, func() uint64 { return cycle })
+	m.Record()
 
 	req := &Request{Cmd: Read, Addr: 0x104, Burst: 1}
 	if !m.TryRequest(req) {
@@ -198,16 +200,32 @@ func TestMonitorPassThroughTransparency(t *testing.T) {
 	}
 }
 
-func TestMonitorReset(t *testing.T) {
+// TestMonitorMetersWithoutRecording pins the split of duties: a monitor
+// nobody asked to record still counts transactions and observes latencies,
+// keeps no event log, and copies no payload.
+func TestMonitorMetersWithoutRecording(t *testing.T) {
+	var cycle uint64
 	p := &scriptPort{}
-	m := NewMonitor(p, func() uint64 { return 0 })
+	m := NewMonitor(p, func() uint64 { return cycle })
 	m.TryRequest(&Request{Cmd: Write, Addr: 0, Burst: 1, Data: []uint32{1}})
-	if len(m.Events()) != 1 {
-		t.Fatal("event not recorded")
+	p.tries = 0
+	m.TryRequest(&Request{Cmd: Read, Addr: 4, Burst: 1})
+	cycle = 7
+	p.resp, p.respReady = &Response{Data: []uint32{9}}, true
+	if _, ok := m.TakeResponse(); !ok {
+		t.Fatal("response not passed through")
 	}
-	m.Reset()
-	if len(m.Events()) != 0 {
-		t.Fatal("Reset did not clear events")
+	if m.Transactions() != 2 || m.Reads() != 1 {
+		t.Fatalf("metered %d transactions, %d reads; want 2, 1", m.Transactions(), m.Reads())
+	}
+	if h := m.LatencyHist(); h.Count() != 1 || h.Max() != 7 {
+		t.Fatalf("latency histogram: %d samples, max %d; want 1, 7", h.Count(), h.Max())
+	}
+	if m.Events() != nil {
+		t.Fatalf("a metering-only monitor logged %d events", len(m.Events()))
+	}
+	if m.cur.Data != nil {
+		t.Fatal("a metering-only monitor copied a payload")
 	}
 }
 
@@ -215,6 +233,7 @@ func TestMonitorMultipleTransactionsInOrder(t *testing.T) {
 	var cycle uint64
 	p := &scriptPort{}
 	m := NewMonitor(p, func() uint64 { return cycle })
+	m.Record()
 	for i := 0; i < 5; i++ {
 		cycle = uint64(10 * i)
 		m.TryRequest(&Request{Cmd: Write, Addr: uint32(i * 4), Burst: 1, Data: []uint32{uint32(i)}})

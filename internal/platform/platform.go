@@ -115,8 +115,8 @@ func (k KernelMode) kernel(auto sim.Kernel) sim.Kernel {
 
 // MasterFactory builds master id over the given port. The system's memories
 // are already constructed when the factory runs (so program loaders may use
-// them); the port passed in is already wrapped by a trace monitor when
-// tracing is enabled.
+// them); the port passed in is already wrapped by its monitor when
+// Config.Trace is set.
 type MasterFactory func(s *System, id int, port ocp.MasterPort) Master
 
 // Config describes a platform instance.
@@ -136,7 +136,11 @@ type Config struct {
 	// Clock sets the simulated clock; the zero value is the paper's
 	// default 5 ns period.
 	Clock sim.Clock
-	// Trace enables OCP monitors on every master port.
+	// Trace puts an ocp.Monitor on every master port. A monitor always
+	// meters (transaction and read counters, latency histograms, the
+	// "port<i>/" registry entries) at no allocation; it records an event
+	// log only once somebody calls its Record, which exp.RunReference alone
+	// does.
 	Trace bool
 	// Kernel selects the simulation kernel. The default, KernelAuto,
 	// resolves to the event-driven kernel for TG-replay builders and
@@ -167,10 +171,13 @@ type idler interface{ Idle() bool }
 
 // System is an assembled platform ready to run.
 type System struct {
-	Engine   *sim.Engine
-	Cfg      Config
-	Masters  []Master
-	Monitors []*ocp.Monitor // non-nil entries only when Cfg.Trace
+	Engine  *sim.Engine
+	Cfg     Config
+	Masters []Master
+	// Monitors holds the per-port monitors, index-aligned with Masters; the
+	// entries are non-nil only when Cfg.Trace. They meter from the first
+	// cycle; none records until its Record is called.
+	Monitors []*ocp.Monitor
 	Privs    []*mem.RAM
 	Shared   *mem.RAM
 	Sems     *mem.SemBank

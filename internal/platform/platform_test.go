@@ -65,11 +65,12 @@ func TestTraceMonitorsAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(100_000); err != nil {
-		t.Fatal(err)
-	}
 	if sys.Monitors[0] == nil {
 		t.Fatal("monitor missing")
+	}
+	sys.Monitors[0].Record()
+	if _, err := sys.Run(100_000); err != nil {
+		t.Fatal(err)
 	}
 	evs := sys.Monitors[0].Events()
 	if len(evs) == 0 {

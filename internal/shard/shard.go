@@ -672,89 +672,10 @@ func (r *Runner) Advance(cycles uint64) (uint64, error) {
 	return n, err
 }
 
-// RunPhased executes the warmup → measure → drain methodology across the
-// shards with sim.RunPhased's exact semantics: maxCycles budgets warmup
-// plus measurement, Drain has its own budget, truncation of the
-// measurement plan is an error wrapping sim.ErrMaxCycles, an incomplete
-// drain is not, and a guard violation propagates immediately from any
-// phase. Phases.Stride is the completion stride of every window.
+// RunPhased executes the warmup → measure → drain plan (see sim.Phases.Run,
+// the one copy of its sequencing) across the shards: a window is one
+// segment. Results and errors are those of sim.Engine.RunPhased, and a
+// guard violation propagates immediately from any phase.
 func (r *Runner) RunPhased(p sim.Phases, maxCycles uint64) (sim.PhasedResult, error) {
-	var res sim.PhasedResult
-	remaining := maxCycles
-
-	if p.Warmup > 0 {
-		win := min(p.Warmup, remaining)
-		n, done, err := r.runSegment(win, p.Stride)
-		res.WarmupCycles = n
-		remaining -= n
-		if err != nil {
-			return res, err
-		}
-		if done {
-			res.Completed = true
-			res.CompletedIn = sim.PhaseWarmup
-		} else if win < p.Warmup {
-			return res, fmt.Errorf("shard: phased warmup truncated: %w (%d cycles)", sim.ErrMaxCycles, maxCycles)
-		}
-	}
-	if p.AfterWarmup != nil {
-		p.AfterWarmup(r.Cycle())
-	}
-	if res.Completed {
-		return res, nil
-	}
-
-	maxEpochs := p.MaxEpochs
-	if maxEpochs <= 0 && p.Epoch == 0 {
-		maxEpochs = 1
-	}
-	for epoch := 0; maxEpochs <= 0 || epoch < maxEpochs; epoch++ {
-		if remaining == 0 {
-			return res, fmt.Errorf("shard: phased measurement truncated after %d epochs: %w (%d cycles)",
-				res.Epochs, sim.ErrMaxCycles, maxCycles)
-		}
-		win := remaining
-		if p.Epoch > 0 && p.Epoch < win {
-			win = p.Epoch
-		}
-		start := r.Cycle()
-		n, finished, err := r.runSegment(win, p.Stride)
-		remaining -= n
-		res.MeasureCycles += n
-		res.Epochs++
-		if err != nil {
-			return res, err
-		}
-		more := true
-		if p.AfterEpoch != nil {
-			more = p.AfterEpoch(epoch, start, r.Cycle())
-		}
-		if finished {
-			res.Completed = true
-			res.CompletedIn = sim.PhaseMeasure
-			return res, nil
-		}
-		if !more {
-			break
-		}
-		if p.Epoch == 0 || win < p.Epoch {
-			// An exhausted open epoch, or an epoch the budget cut short with
-			// more epochs wanted: the measurement plan was truncated.
-			return res, fmt.Errorf("shard: phased measurement truncated after %d epochs: %w (%d cycles)",
-				res.Epochs, sim.ErrMaxCycles, maxCycles)
-		}
-	}
-
-	if p.Drain > 0 {
-		n, finished, err := r.runSegment(p.Drain, p.Stride)
-		res.DrainCycles = n
-		if err != nil {
-			return res, err
-		}
-		if finished {
-			res.Completed = true
-			res.CompletedIn = sim.PhaseDrain
-		}
-	}
-	return res, nil
+	return p.Run(maxCycles, r.Cycle, r.runSegment)
 }

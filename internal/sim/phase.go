@@ -88,10 +88,20 @@ type PhasedResult struct {
 	CompletedIn Phase
 }
 
-// RunPhased executes the warmup → measure → drain methodology: a warmup
-// window, then measurement epochs until the epoch cap, the AfterEpoch
-// callback, the workload (done) or the cycle budget stops them, then — if
-// the workload has not completed — a bounded drain window.
+// Run executes the warmup → measure → drain methodology over any runner
+// that can execute one bounded window: a warmup window, then measurement
+// epochs until the epoch cap, the AfterEpoch callback, the workload or the
+// cycle budget stops them, then — if the workload has not completed — a
+// bounded drain window. It is the one copy of the sequencing; the single
+// engine (Engine.RunPhased) and the shard runner (shard.Runner.RunPhased)
+// each supply their window and nothing else, so the two execute the same
+// plan and report the same errors.
+//
+// window runs at most cycles cycles from the current cycle, checking for
+// completion every stride cycles, and returns the executed count, whether
+// the workload completed, and any failure other than running out of window
+// (a watchdog violation), which stops the plan at once. now reads the
+// current cycle.
 //
 // maxCycles budgets warmup plus measurement; Drain has its own budget. The
 // returned error wraps ErrMaxCycles only when the budget truncated the
@@ -99,28 +109,20 @@ type PhasedResult struct {
 // without the workload ever completing returns nil (Completed reports the
 // difference). A drain window that ends without completion is likewise not
 // an error.
-func (e *Engine) RunPhased(p Phases, maxCycles uint64, done func() bool) (PhasedResult, error) {
+func (p Phases) Run(maxCycles uint64, now func() uint64, window func(cycles, stride uint64) (n uint64, done bool, err error)) (PhasedResult, error) {
 	var res PhasedResult
-	if done == nil {
-		return res, fmt.Errorf("sim: RunPhased requires a completion predicate")
-	}
-	stride := p.Stride
-	if stride == 0 {
-		stride = 1
-	}
+	stride := max(p.Stride, 1)
 	remaining := maxCycles
 
 	if p.Warmup > 0 {
 		win := min(p.Warmup, remaining)
-		n, err := e.run(win, stride, done)
+		n, done, err := window(win, stride)
 		res.WarmupCycles = n
 		remaining -= n
-		if err != nil && !errors.Is(err, ErrMaxCycles) {
-			// A watchdog violation (or any non-budget failure) is not
-			// window exhaustion: propagate it immediately.
+		if err != nil {
 			return res, err
 		}
-		if err == nil {
+		if done {
 			res.Completed = true
 			res.CompletedIn = PhaseWarmup
 		} else if win < p.Warmup {
@@ -129,7 +131,7 @@ func (e *Engine) RunPhased(p Phases, maxCycles uint64, done func() bool) (Phased
 		}
 	}
 	if p.AfterWarmup != nil {
-		p.AfterWarmup(e.cycle)
+		p.AfterWarmup(now())
 	}
 	if res.Completed {
 		return res, nil
@@ -139,29 +141,31 @@ func (e *Engine) RunPhased(p Phases, maxCycles uint64, done func() bool) (Phased
 	if maxEpochs <= 0 && p.Epoch == 0 {
 		maxEpochs = 1
 	}
+	truncated := func() error {
+		return fmt.Errorf("sim: phased measurement truncated after %d epochs: %w (%d cycles)",
+			res.Epochs, ErrMaxCycles, maxCycles)
+	}
 	for epoch := 0; maxEpochs <= 0 || epoch < maxEpochs; epoch++ {
 		if remaining == 0 {
-			return res, fmt.Errorf("sim: phased measurement truncated after %d epochs: %w (%d cycles)",
-				res.Epochs, ErrMaxCycles, maxCycles)
+			return res, truncated()
 		}
 		win := remaining
 		if p.Epoch > 0 && p.Epoch < win {
 			win = p.Epoch
 		}
-		start := e.cycle
-		n, err := e.run(win, stride, done)
+		start := now()
+		n, done, err := window(win, stride)
 		remaining -= n
 		res.MeasureCycles += n
 		res.Epochs++
-		if err != nil && !errors.Is(err, ErrMaxCycles) {
+		if err != nil {
 			return res, err
 		}
-		finished := err == nil
 		more := true
 		if p.AfterEpoch != nil {
-			more = p.AfterEpoch(epoch, start, e.cycle)
+			more = p.AfterEpoch(epoch, start, now())
 		}
-		if finished {
+		if done {
 			res.Completed = true
 			res.CompletedIn = PhaseMeasure
 			return res, nil
@@ -169,30 +173,40 @@ func (e *Engine) RunPhased(p Phases, maxCycles uint64, done func() bool) (Phased
 		if !more {
 			break
 		}
-		if p.Epoch == 0 {
-			// A single open epoch that neither completed nor exhausted its
-			// window cannot happen (run only returns early on done); an
-			// exhausted open window is a truncated plan.
-			return res, fmt.Errorf("sim: phased measurement truncated after %d epochs: %w (%d cycles)",
-				res.Epochs, ErrMaxCycles, maxCycles)
-		}
-		if win < p.Epoch {
-			// The budget cut this epoch short with more epochs wanted.
-			return res, fmt.Errorf("sim: phased measurement truncated after %d epochs: %w (%d cycles)",
-				res.Epochs, ErrMaxCycles, maxCycles)
+		if p.Epoch == 0 || win < p.Epoch {
+			// An exhausted open epoch (a window only ends early on
+			// completion), or an epoch the budget cut short with more
+			// epochs wanted: the measurement plan was truncated.
+			return res, truncated()
 		}
 	}
 
 	if p.Drain > 0 {
-		n, err := e.run(p.Drain, stride, done)
+		n, done, err := window(p.Drain, stride)
 		res.DrainCycles = n
-		if err != nil && !errors.Is(err, ErrMaxCycles) {
+		if err != nil {
 			return res, err
 		}
-		if err == nil {
+		if done {
 			res.Completed = true
 			res.CompletedIn = PhaseDrain
 		}
 	}
 	return res, nil
+}
+
+// RunPhased executes the plan (see Phases.Run) on this engine: a window is
+// one bounded run of the selected kernel.
+func (e *Engine) RunPhased(p Phases, maxCycles uint64, done func() bool) (PhasedResult, error) {
+	if done == nil {
+		return PhasedResult{}, fmt.Errorf("sim: RunPhased requires a completion predicate")
+	}
+	return p.Run(maxCycles, e.Cycle, func(cycles, stride uint64) (uint64, bool, error) {
+		n, err := e.run(cycles, stride, done)
+		if errors.Is(err, ErrMaxCycles) {
+			// Running out of window is the plan's business, not a failure.
+			return n, false, nil
+		}
+		return n, err == nil, err
+	})
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Counter is a zero-allocation monotonic event counter. Devices own their
 // counters as plain struct fields (the hot path is a single integer add)
@@ -175,14 +172,4 @@ func (r *Registry) CounterSnapshot() map[string]uint64 {
 		out[c.name] = c.m.Value()
 	}
 	return out
-}
-
-// CounterNames returns the registered counter names in sorted order.
-func (r *Registry) CounterNames() []string {
-	names := make([]string, 0, len(r.d.counters))
-	for _, c := range r.d.counters {
-		names = append(names, c.name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -484,8 +484,12 @@ func (st *curveState) assemble() Curve {
 }
 
 // runCurveLevel measures one load level: the template workload at the
-// given gap, effectively unbounded transactions, phased measurement, no
-// tracing (an open-loop monitor event log would grow without bound).
+// given gap, effectively unbounded transactions, phased measurement, and
+// no port monitors (trace false): the generators meter a level themselves.
+// They must keep that meter anyway — their "master<i>/" registry counters
+// are in every phased artifact's per-epoch breakdown, and monitor-less
+// platforms (the mesh16_sharded benchmark) read them — so until the two
+// meter hosts are folded into one, a level skips the second.
 // Levels run under the runner's retry policy like grid points, and a failing
 // level keeps its full violation context — a worker panic's recovery
 // names the curve and gap, not just a generic failed point.

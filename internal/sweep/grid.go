@@ -286,8 +286,8 @@ type Grid struct {
 	// are deterministic, so they run once per seed only if several seeds
 	// are listed — keep one seed for TG-only grids.
 	Seeds []int64 `json:"seeds,omitempty"`
-	// Measure switches every point to the phased warmup/measure/drain
-	// methodology (nil keeps the legacy whole-run accounting).
+	// Measure is every point's measurement plan (nil = the zero plan: one
+	// open epoch over the whole run; see Measure).
 	Measure *Measure `json:"measure,omitempty"`
 	// Analytic enables the closed-form pre-pass on every stochastic
 	// point (see Point.Analytic). TG points always simulate.
@@ -303,8 +303,8 @@ type Point struct {
 	Fabric        Fabric   `json:"fabric"`
 	ClockPeriodNS uint64   `json:"clock_period_ns"`
 	Seed          int64    `json:"seed"`
-	// Measure enables phased measurement for this point (nil = legacy
-	// whole-run accounting).
+	// Measure is this point's measurement plan (nil = the zero plan: one
+	// open epoch over the whole run; see Measure).
 	Measure *Measure `json:"measure,omitempty"`
 	// Analytic enables the closed-form pre-pass for this point: when the
 	// queueing model brackets the operating region confidently (deep in

@@ -9,18 +9,21 @@ import (
 	"noctg/internal/sim"
 )
 
-// Measure configures the phased measurement methodology for sweep points:
-// a warmup window whose statistics are discarded, one or more measurement
-// epochs whose statistics are the point's result, and an optional drain
-// window. Attached to a Grid (or Point) it switches the runner from the
-// legacy single-window accounting — which mixes cold-start transients into
-// every histogram — to steady-state epoch accounting.
+// Measure is a sweep point's measurement plan: a warmup window whose
+// statistics are discarded, one or more measurement epochs whose statistics
+// are the point's result, and an optional drain window. There is one
+// accounting — every point's Result is read from the per-master traffic
+// meters and the stats registry at epoch boundaries (see measure) — and the
+// plan only says where the boundaries fall. A point without a Measure runs
+// the zero plan: no warmup, one open epoch from cycle 0 to workload
+// completion, no drain, so its summary covers the whole run, cold-start
+// transients included, and its Result carries no Phases block.
 //
 // Two measurement modes exist:
 //
 //   - fixed: Epochs measurement epochs of EpochCycles each (Epochs = 1
-//     with EpochCycles = 0 is one open epoch to workload completion — the
-//     exact legacy behaviour, which the phased property tests pin);
+//     with EpochCycles = 0 is the zero plan written out: the same Result
+//     plus the Phases block, which the phased property tests pin);
 //   - adaptive: CITarget > 0 runs epochs of EpochCycles until the relative
 //     95% confidence-interval half-width of the per-epoch latency means
 //     drops to the target, a growing-latency saturation trend is detected,
@@ -127,8 +130,8 @@ type EpochStat struct {
 	Counters map[string]uint64 `json:"counters,omitempty"`
 }
 
-// PhaseStats is the phased-run extension of a Result (omitted entirely on
-// legacy single-window runs).
+// PhaseStats is the per-phase breakdown of a Result whose point carries a
+// Measure (omitted entirely on a point that runs the zero plan).
 type PhaseStats struct {
 	WarmupCycles  uint64 `json:"warmup_cycles"`
 	MeasureCycles uint64 `json:"measure_cycles"`
@@ -214,9 +217,10 @@ func latencyTrendGrowing(epochs []EpochStat) bool {
 	return true
 }
 
-// systemMeters resolves the per-master traffic-statistics view: the trace
-// monitor when one wraps the port, otherwise the master itself (stochastic
-// generators meter their own traffic for untraced open-loop runs).
+// systemMeters resolves who meters each master's traffic: the port monitor
+// when one wraps the port, otherwise the master itself (stochastic
+// generators meter their own traffic on the monitor-less platforms of
+// open-loop curve levels).
 func systemMeters(sys *platform.System) ([]ocp.TrafficMeter, error) {
 	meters := make([]ocp.TrafficMeter, len(sys.Masters))
 	for i := range sys.Masters {
@@ -226,7 +230,7 @@ func systemMeters(sys *platform.System) ([]ocp.TrafficMeter, error) {
 		default:
 			m, ok := sys.Masters[i].(ocp.TrafficMeter)
 			if !ok {
-				return nil, fmt.Errorf("sweep: master %d exports no traffic statistics (enable tracing)", i)
+				return nil, fmt.Errorf("sweep: master %d exports no traffic statistics (build with Config.Trace)", i)
 			}
 			meters[i] = m
 		}
@@ -234,27 +238,35 @@ func systemMeters(sys *platform.System) ([]ocp.TrafficMeter, error) {
 	return meters, nil
 }
 
-// phasedTotals accumulates measure-phase totals across epochs.
-type phasedTotals struct {
+// epochTotals accumulates the measured epochs' totals.
+type epochTotals struct {
 	txns, reads uint64
 	flits, busy uint64
 	latency     *sim.Histogram
 	reqLatency  *sim.Histogram
 }
 
-// runPhased executes the phased methodology on an assembled system and
-// fills the Result: the legacy summary fields carry the measure-phase
-// aggregate (steady state only — warmup and drain traffic is excluded),
-// and res.Phases carries the per-epoch breakdown.
-func runPhased(sys *platform.System, m Measure, maxCycles uint64, res *Result) error {
+// measure runs the point's plan on an assembled system and fills the
+// Result — the one accounting every grid point, journaled point and curve
+// level goes through. At each epoch boundary it settles the stats registry,
+// reads the per-master traffic meters and the fabric counters, and zeroes
+// the registry for the next epoch; nothing walks an event log (sweep
+// platforms keep none). The summary fields carry the aggregate of the
+// measured epochs — steady state only, warmup and drain traffic excluded —
+// and, for a point with a Measure, res.Phases the per-epoch breakdown.
+func measure(sys *platform.System, m *Measure, maxCycles uint64, res *Result) error {
 	meters, err := systemMeters(sys)
 	if err != nil {
 		return err
 	}
+	var plan Measure // a nil Measure is the zero plan
+	if m != nil {
+		plan = *m
+	}
 	reg := sys.Stats
-	tot := phasedTotals{latency: sim.NewLatencyHistogram(), reqLatency: sim.NewLatencyHistogram()}
+	tot := epochTotals{latency: sim.NewLatencyHistogram(), reqLatency: sim.NewLatencyHistogram()}
 	ps := &PhaseStats{}
-	adaptive := m.CITarget > 0
+	adaptive := plan.CITarget > 0
 
 	collect := func(epoch int, start, end uint64) EpochStat {
 		reg.Sync(end)
@@ -280,7 +292,9 @@ func runPhased(sys *platform.System, m Measure, maxCycles uint64, res *Result) e
 		if sys.Bus != nil {
 			st.BusBusyCycles = sys.Bus.BusyCycles()
 		}
-		st.Counters = reg.CounterSnapshot()
+		if m != nil {
+			st.Counters = reg.CounterSnapshot()
+		}
 		tot.txns += st.Transactions
 		tot.reads += st.Reads
 		tot.flits += st.FlitsRouted
@@ -292,10 +306,10 @@ func runPhased(sys *platform.System, m Measure, maxCycles uint64, res *Result) e
 	}
 
 	cfg := sim.Phases{
-		Warmup:    m.WarmupCycles,
-		Epoch:     m.EpochCycles,
-		MaxEpochs: m.maxEpochs(),
-		Drain:     m.DrainCycles,
+		Warmup:    plan.WarmupCycles,
+		Epoch:     plan.EpochCycles,
+		MaxEpochs: plan.maxEpochs(),
+		Drain:     plan.DrainCycles,
 		AfterWarmup: func(now uint64) {
 			// Discard warmup-phase statistics: settle the lazy credits so
 			// they land (and are zeroed) on the warmup side of the boundary.
@@ -312,7 +326,7 @@ func runPhased(sys *platform.System, m Measure, maxCycles uint64, res *Result) e
 				return false
 			}
 			if len(ps.Epochs) >= minCIEpochs {
-				if rel := relCIHalfWidth(ps.Epochs); rel <= m.CITarget {
+				if rel := relCIHalfWidth(ps.Epochs); rel <= plan.CITarget {
 					ps.Converged = true
 					return false
 				}
@@ -321,19 +335,31 @@ func runPhased(sys *platform.System, m Measure, maxCycles uint64, res *Result) e
 		},
 	}
 
-	pr, err := sys.RunPhased(cfg, maxCycles)
+	var pr sim.PhasedResult
+	if m == nil {
+		// The zero plan is one window from cycle 0 — System.Run — so a run
+		// the budget cuts short fails with Run's error, not a phased plan's.
+		if _, err = sys.Run(maxCycles); err == nil {
+			cfg.AfterEpoch(0, 0, sys.Engine.Cycle())
+			pr.Completed = true
+		}
+	} else {
+		pr, err = sys.RunPhased(cfg, maxCycles)
+	}
 	if err != nil {
 		return err
 	}
-	ps.WarmupCycles = pr.WarmupCycles
-	ps.MeasureCycles = pr.MeasureCycles
-	ps.DrainCycles = pr.DrainCycles
-	ps.Completed = pr.Completed
-	if rel := relCIHalfWidth(ps.Epochs); !math.IsInf(rel, 1) {
-		ps.CIHalfWidthRel = rel
+	if m != nil {
+		ps.WarmupCycles = pr.WarmupCycles
+		ps.MeasureCycles = pr.MeasureCycles
+		ps.DrainCycles = pr.DrainCycles
+		ps.Completed = pr.Completed
+		if rel := relCIHalfWidth(ps.Epochs); !math.IsInf(rel, 1) {
+			ps.CIHalfWidthRel = rel
+		}
+		ps.ReqLatency = tot.reqLatency.Snapshot()
+		res.Phases = ps
 	}
-	ps.ReqLatency = tot.reqLatency.Snapshot()
-	res.Phases = ps
 
 	res.Engine = sys.EngineSnapshot()
 	res.Transactions = tot.txns
@@ -342,8 +368,7 @@ func runPhased(sys *platform.System, m Measure, maxCycles uint64, res *Result) e
 	res.FlitsRouted = tot.flits
 	res.BusBusyCycles = tot.busy
 	if pr.Completed {
-		// A completed workload reports the paper's makespan metrics, exactly
-		// as the legacy single-window accounting does.
+		// A completed workload reports the paper's makespan metrics.
 		makespan := sys.Makespan()
 		res.MakespanCycles = makespan
 		res.MakespanNS = sys.Engine.Clock().NS(makespan)

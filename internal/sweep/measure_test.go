@@ -8,12 +8,12 @@ import (
 	"noctg/internal/platform"
 )
 
-// legacyEquivalentMeasure is the phased configuration the equivalence
-// property pins: no warmup, one open epoch to completion, no drain.
-func legacyEquivalentMeasure() *Measure { return &Measure{Epochs: 1} }
+// zeroPlanMeasure is the zero plan written out: no warmup, one open epoch
+// to completion, no drain.
+func zeroPlanMeasure() *Measure { return &Measure{Epochs: 1} }
 
-// stripPhases clears the phased extension so a phased Result can be
-// compared byte-for-byte against a legacy one.
+// stripPhases clears the Phases block so the Result of a point with a
+// Measure can be compared byte-for-byte against one without.
 func stripPhases(results []Result) []Result {
 	out := append([]Result(nil), results...)
 	for i := range out {
@@ -62,21 +62,22 @@ func randomPoint(rng *rand.Rand) Point {
 	}
 }
 
-// TestPhasedLegacyEquivalenceProperty is the compatibility property the
-// refactor hinges on: for randomized scenarios, under all three kernels, a
-// phased run with warmup=0, epochs=1, drain=0 produces a Result — and a
-// serialised artifact — byte-identical to the legacy single-window run
-// (modulo the purely additive phases block).
+// TestPhasedLegacyEquivalenceProperty pins what a nil Measure means: for
+// randomized scenarios, under all three kernels, nil Measure ≡
+// Measure{Epochs: 1} minus the Phases block — the same Result and the same
+// serialised bytes once the purely additive block is stripped. Both go
+// through the one accounting (measure); the nil point merely runs its single
+// window through System.Run.
 func TestPhasedLegacyEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260727))
 	const trials = 6
 	for trial := 0; trial < trials; trial++ {
 		base := randomPoint(rng)
 		phased := base
-		phased.Measure = legacyEquivalentMeasure()
+		phased.Measure = zeroPlanMeasure()
 		for _, kernel := range diffKernels() {
 			r := Runner{Kernel: kernel}
-			legacy, err := r.Run([]Point{base})
+			whole, err := r.Run([]Point{base})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,9 +85,12 @@ func TestPhasedLegacyEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if legacy[0].Err != "" || ph[0].Err != "" {
+			if whole[0].Err != "" || ph[0].Err != "" {
 				t.Fatalf("trial %d kernel %v: errs %q / %q (point %+v)",
-					trial, kernel, legacy[0].Err, ph[0].Err, base)
+					trial, kernel, whole[0].Err, ph[0].Err, base)
+			}
+			if whole[0].Phases != nil {
+				t.Fatalf("trial %d kernel %v: a point without a Measure reported phase stats", trial, kernel)
 			}
 			if ph[0].Phases == nil {
 				t.Fatalf("trial %d kernel %v: phased run reported no phase stats", trial, kernel)
@@ -94,11 +98,11 @@ func TestPhasedLegacyEquivalenceProperty(t *testing.T) {
 			if !ph[0].Phases.Completed || ph[0].Phases.WarmupCycles != 0 || len(ph[0].Phases.Epochs) != 1 {
 				t.Fatalf("trial %d kernel %v: phase stats %+v", trial, kernel, ph[0].Phases)
 			}
-			want := marshalResults(t, legacy)
+			want := marshalResults(t, whole)
 			got := marshalResults(t, stripPhases(ph))
 			if !bytes.Equal(want, got) {
-				t.Fatalf("trial %d kernel %v (%s @ %s): phased(0,1,0) diverged from legacy\nlegacy: %s\nphased: %s",
-					trial, kernel, legacy[0].Workload, legacy[0].Fabric, want, got)
+				t.Fatalf("trial %d kernel %v (%s @ %s): Measure{Epochs: 1} diverged from nil Measure\nnil:    %s\nphased: %s",
+					trial, kernel, whole[0].Workload, whole[0].Fabric, want, got)
 			}
 		}
 	}

@@ -54,9 +54,11 @@ type Result struct {
 	FlitsRouted   uint64 `json:"flits_routed"`
 	BusBusyCycles uint64 `json:"bus_busy_cycles"`
 
-	// Phases carries the phased-measurement breakdown (warmup/measure/
-	// drain windows and per-epoch statistics); nil on legacy runs, so
-	// phases-off artifacts are byte-identical to the pre-phase format.
+	// Phases carries the per-phase breakdown (warmup/measure/drain windows
+	// and per-epoch statistics) of a point that has a Measure; nil on a
+	// point that runs the zero plan, whose artifacts therefore serialise
+	// exactly as they did before phases existed. Either way the summary
+	// fields above come from the same accounting (see measure).
 	Phases *PhaseStats `json:"phases,omitempty"`
 
 	// Estimated marks a result produced by the closed-form estimator
@@ -232,9 +234,9 @@ func (r Runner) RunGrid(g Grid) ([]Result, error) {
 // execOpts carries the per-attempt execution knobs the retry policy
 // varies without touching the point itself.
 type execOpts struct {
-	// trace enables the per-port OCP monitors; open-loop curve points
-	// disable them (their event logs would grow without bound) and meter
-	// traffic at the generators instead.
+	// trace puts the metering OCP monitors on the master ports (they keep
+	// no event log: no sweep point records). Curve levels run without them
+	// and read the generators' own meters instead (see runCurveLevel).
 	trace bool
 	// attempt numbers this try (1-based, continuing across a resume).
 	// Fault plans — test stimulus — inject on attempt 1 only, so an
@@ -287,14 +289,9 @@ func (r Runner) analyticEstimate(p Point, res *Result) bool {
 	return true
 }
 
-// runPoint executes one configuration on its own engine with the default
-// first-attempt options. A panicking model is recorded as that point's
-// failure rather than aborting the sweep.
-func (r Runner) runPoint(cache *programCache, p Point, trace bool) Result {
-	return r.runPointExec(cache, p, execOpts{trace: trace, attempt: 1})
-}
-
-// runPointExec executes one attempt of one configuration.
+// runPointExec executes one attempt of one configuration on its own
+// engine. A panicking model is recorded as that point's failure rather than
+// aborting the sweep.
 func (r Runner) runPointExec(cache *programCache, p Point, opts execOpts) (res Result) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -398,43 +395,9 @@ func (r Runner) runPointExec(cache *programCache, p Point, opts execOpts) (res R
 		}
 	}
 
-	if p.Measure != nil {
-		if err := runPhased(sys, *p.Measure, maxCycles, &res); err != nil {
-			recordFailure(&res, err)
-			return res
-		}
-		recycle(sys)
-		return res
-	}
-
-	makespan, err := sys.Run(maxCycles)
-	if err != nil {
+	if err := measure(sys, p.Measure, maxCycles, &res); err != nil {
 		recordFailure(&res, err)
 		return res
-	}
-	res.MakespanCycles = makespan
-	res.MakespanNS = sys.Engine.Clock().NS(makespan)
-	res.Engine = sys.EngineSnapshot()
-
-	hist := sim.NewLatencyHistogram()
-	for _, mon := range sys.Monitors {
-		for _, e := range mon.Events() {
-			res.Transactions++
-			if e.HasResp {
-				hist.Observe(e.Resp - e.Accept)
-			}
-		}
-	}
-	res.Reads = hist.Count()
-	res.Latency = hist.Snapshot()
-	if makespan > 0 {
-		res.ThroughputTPK = float64(res.Transactions) * 1000 / float64(makespan)
-	}
-	if sys.Net != nil {
-		res.FlitsRouted = sys.Net.FlitsRouted()
-	}
-	if sys.Bus != nil {
-		res.BusBusyCycles = sys.Bus.BusyCycles()
 	}
 	recycle(sys)
 	return res
