@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench-smoke sweep scenarios curves analytic golden paper resume-demo clean
+.PHONY: all build test race vet fmt-check sweep scenarios curves analytic golden paper resume-demo clean
 
 all: build test
 
@@ -22,11 +22,6 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-
-# make bench-smoke refreshes the committed CI regression-gate baseline
-# (bench/SMOKE_BASELINE.json) after an intentional performance change.
-bench-smoke:
-	./scripts/bench.sh smoke
 
 # make sweep runs the stock 16-point grid on all cores.
 sweep:
@@ -58,7 +53,7 @@ golden:
 
 # make paper regenerates the paper's evaluation in parallel.
 paper:
-	$(GO) run ./cmd/tgsweep -paper -sizes quick
+	$(GO) run ./cmd/tgrepro -all -sizes quick
 
 # make resume-demo demonstrates a crash-safe campaign: a journaled sweep
 # is SIGKILLed mid-run, then resumed to completion — the resumed artifacts
@@ -74,5 +69,5 @@ resume-demo:
 	@echo "resumed artifacts: /tmp/resume-demo.json /tmp/resume-demo.csv"
 
 clean:
-	rm -f bench/*.txt results.json results.csv scenarios.json scenarios.csv \
+	rm -f results.json results.csv scenarios.json scenarios.csv \
 		curves.json curves.csv *.test ./*/*.test

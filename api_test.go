@@ -2,6 +2,11 @@ package noctg_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -24,7 +29,7 @@ func TestEndToEndFlow(t *testing.T) {
 
 	// .trc round trip.
 	var buf bytes.Buffer
-	if err := noctg.WriteTrace(ref.Traces[0], &buf); err != nil {
+	if err := ref.Traces[0].Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := noctg.ParseTrace(&buf)
@@ -62,7 +67,7 @@ func TestEndToEndFlow(t *testing.T) {
 
 	// .bin round trip.
 	var bin bytes.Buffer
-	if err := noctg.WriteBin(progs[0], &bin); err != nil {
+	if err := progs[0].WriteBin(&bin); err != nil {
 		t.Fatal(err)
 	}
 	fromBin, err := noctg.ReadBin(&bin)
@@ -86,51 +91,71 @@ func TestEndToEndFlow(t *testing.T) {
 	}
 }
 
-func TestPublicCrossCheck(t *testing.T) {
-	res, err := noctg.CrossCheck(noctg.Cacheloop(2, 300), noctg.DefaultOptions())
+// TestFacadeIsWhatExamplesUse keeps api.go from growing back into a mirror
+// of the internal packages: every exported identifier it declares must be
+// selected as noctg.X by a program under examples/ or by this file. The
+// module path is the bare "noctg", so nothing outside this repository can
+// import the facade — an alias nobody here selects has no user at all.
+func TestFacadeIsWhatExamplesUse(t *testing.T) {
+	fset := token.NewFileSet()
+	api, err := parser.ParseFile(fset, "api.go", nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Equal {
-		t.Fatalf("programs differ: %s", res.FirstDiff)
+	declared := map[string]bool{}
+	for _, decl := range api.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				declared[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						declared[sp.Name.Name] = true
+					}
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						if n.IsExported() {
+							declared[n.Name] = true
+						}
+					}
+				}
+			}
+		}
 	}
-}
+	if len(declared) == 0 {
+		t.Fatal("api.go declares nothing: the parse went wrong")
+	}
 
-func TestPublicMeasureRow(t *testing.T) {
-	row, err := noctg.MeasureRow(noctg.SPMatrix(8), noctg.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	users, err := filepath.Glob("examples/*/*.go")
+	if err != nil || len(users) == 0 {
+		t.Fatalf("no example sources found (%v)", err)
 	}
-	if row.ErrorPct > 1 {
-		t.Fatalf("error %.2f%%", row.ErrorPct)
+	users = append(users, "api_test.go")
+	for _, path := range users {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "noctg" {
+					delete(declared, sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
-	out := noctg.FormatTable2([]*noctg.Row{row})
-	if !strings.Contains(out, "spmatrix") {
-		t.Fatal("format output missing benchmark name")
-	}
-}
-
-func TestPublicPlatformOnXPipes(t *testing.T) {
-	bench := noctg.Cacheloop(2, 200)
-	opt := noctg.DefaultOptions()
-	opt.Platform.Interconnect = noctg.XPipes
-	ref, err := noctg.RunReference(bench, opt, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Makespan == 0 {
-		t.Fatal("no cycles simulated")
-	}
-}
-
-func TestPublicMemoryMap(t *testing.T) {
-	if noctg.PrivBaseFor(1) <= noctg.PrivBaseFor(0) {
-		t.Fatal("private bases must ascend")
-	}
-	if !noctg.SemRange().Contains(noctg.SemAddr(0)) {
-		t.Fatal("semaphore 0 outside bank")
-	}
-	if noctg.SharedRange().Overlaps(noctg.SemRange()) {
-		t.Fatal("shared and semaphore ranges overlap")
+	if len(declared) > 0 {
+		unused := make([]string, 0, len(declared))
+		for name := range declared {
+			unused = append(unused, name)
+		}
+		sort.Strings(unused)
+		t.Fatalf("api.go declares %d exported identifiers that no example and no test in api_test.go selects; delete them or use them:\n  %s",
+			len(unused), strings.Join(unused, "\n  "))
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"noctg/internal/cliflags"
 	"noctg/internal/core"
 	"noctg/internal/exp"
 	"noctg/internal/guard"
@@ -24,24 +25,21 @@ import (
 
 func main() {
 	var (
-		bench     = flag.String("bench", "mpmatrix", "benchmark: spmatrix, cacheloop, mpmatrix, des")
-		cores     = flag.Int("cores", 2, "number of processors")
-		n         = flag.Int("n", 16, "matrix dimension (spmatrix/mpmatrix)")
-		iters     = flag.Int("iters", 30000, "loop iterations (cacheloop)")
-		blocks    = flag.Int("blocks", 16, "blocks per core (des)")
-		ic        = flag.String("interconnect", "amba", "interconnect: amba or xpipes")
-		mode      = flag.String("mode", "arm", "arm (reference) or tg (full TG flow)")
-		traceDir  = flag.String("trace-dir", "", "write per-master .trc files here")
-		tgpDir    = flag.String("tgp-dir", "", "write per-master .tgp programs here (tg mode)")
-		stats     = flag.Bool("stats", false, "print platform statistics")
-		guardFlag = flag.Bool("guard", false, "arm the guard watchdogs (deadlock horizon, conservation scans) on the platform")
-		runBudget = flag.Duration("run-budget", 0, "wall-clock budget per simulation (implies -guard)")
-		onViol    = flag.String("on-violation", "fail", "guard violation handling: fail (exit 1) or record (print diagnostics, exit 0)")
+		bench    = flag.String("bench", "mpmatrix", "benchmark: spmatrix, cacheloop, mpmatrix, des")
+		cores    = flag.Int("cores", 2, "number of processors")
+		n        = flag.Int("n", 16, "matrix dimension (spmatrix/mpmatrix)")
+		iters    = flag.Int("iters", 30000, "loop iterations (cacheloop)")
+		blocks   = flag.Int("blocks", 16, "blocks per core (des)")
+		ic       = flag.String("interconnect", "amba", "interconnect: amba or xpipes")
+		mode     = flag.String("mode", "arm", "arm (reference) or tg (full TG flow)")
+		traceDir = flag.String("trace-dir", "", "write per-master .trc files here")
+		tgpDir   = flag.String("tgp-dir", "", "write per-master .tgp programs here (tg mode)")
+		stats    = flag.Bool("stats", false, "print platform statistics")
 	)
+	guards := cliflags.RegisterGuard("fail")
 	flag.Parse()
-	if *onViol != "record" && *onViol != "fail" {
-		fail(fmt.Errorf("-on-violation %q: want record or fail", *onViol))
-	}
+	gcfg, err := guards.Config()
+	fail(err)
 
 	var spec *prog.Spec
 	switch *bench {
@@ -67,14 +65,13 @@ func main() {
 		fail(fmt.Errorf("unknown interconnect %q", *ic))
 	}
 
-	if *guardFlag || *runBudget > 0 {
-		opt.Guard = guard.Default()
-		opt.Guard.RunBudget = *runBudget
+	if gcfg != nil {
+		opt.Guard = *gcfg
 	}
 
 	traced := *traceDir != "" || *mode == "tg"
 	ref, err := exp.RunReference(spec, opt, traced)
-	failViolation(err, *onViol)
+	failViolation(err, guards.OnViolation())
 	fail(err)
 	fmt.Printf("reference (%s, %s, %dP): %d cycles in %v\n",
 		spec.Name, opt.Platform.Interconnect, spec.Cores, ref.Makespan, ref.Wall)
@@ -109,7 +106,7 @@ func main() {
 			}
 		}
 		tg, err := exp.RunTG(spec, progs, opt)
-		failViolation(err, *onViol)
+		failViolation(err, guards.OnViolation())
 		fail(err)
 		gain := float64(ref.Wall) / float64(tg.Wall)
 		fmt.Printf("TG platform: %d cycles in %v (gain %.2fx, cycle error %+d)\n",

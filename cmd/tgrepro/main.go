@@ -16,8 +16,8 @@
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // -cpuprofile/-memprofile write pprof profiles of the evaluation (shared
-// flag wiring with tgsweep via internal/prof), so performance work needs no
-// code edits.
+// flag wiring with tgsweep via internal/cliflags), so performance work
+// needs no code edits.
 package main
 
 import (
@@ -26,11 +26,11 @@ import (
 	"fmt"
 	"os"
 
+	"noctg/internal/cliflags"
 	"noctg/internal/drain"
 	"noctg/internal/exp"
 	"noctg/internal/guard"
 	"noctg/internal/platform"
-	"noctg/internal/prof"
 	"noctg/internal/sweep"
 )
 
@@ -45,17 +45,14 @@ func main() {
 		sizesFlag  = flag.String("sizes", "default", "benchmark sizes: quick or default")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = all host cores)")
 		kernelFlag = flag.String("kernel", "auto", "TG-replay simulation kernel: auto (event), strict, skip or event; ARM reference runs always tick strictly")
-		guardFlag  = flag.Bool("guard", false, "arm the guard watchdogs (deadlock horizon, conservation scans) on every platform")
-		runBudget  = flag.Duration("run-budget", 0, "wall-clock budget per simulation (implies -guard)")
-		onViol     = flag.String("on-violation", "fail", "guard violation handling: fail (exit 1) or record (print diagnostics, exit 0)")
 	)
-	profiles := prof.Register()
+	profiles := cliflags.RegisterProfile()
+	guards := cliflags.RegisterGuard("fail")
 	flag.Parse()
 	kernel, err := platform.ParseKernel(*kernelFlag)
 	fail(err)
-	if *onViol != "record" && *onViol != "fail" {
-		fail(fmt.Errorf("-on-violation %q: want record or fail", *onViol))
-	}
+	gcfg, err := guards.Config()
+	fail(err)
 	sel := sweep.PaperSelect{
 		Table2:     *table2 || *all,
 		CrossCheck: *crosscheck || *all,
@@ -77,9 +74,8 @@ func main() {
 	}
 	opt := exp.DefaultOptions()
 	opt.Platform.Kernel = kernel
-	if *guardFlag || *runBudget > 0 {
-		opt.Guard = guard.Default()
-		opt.Guard.RunBudget = *runBudget
+	if gcfg != nil {
+		opt.Guard = *gcfg
 	}
 	opt.Interrupted = drain.Arm("tgrepro")
 	// Profiles are written on the success path only: fail() exits the
@@ -95,7 +91,7 @@ func main() {
 		if v.Diag != nil {
 			fmt.Fprintln(os.Stderr, v.Diag.Summary())
 		}
-		if *onViol == "fail" {
+		if guards.OnViolation() == "fail" {
 			os.Exit(1)
 		}
 		return

@@ -15,7 +15,6 @@
 //	tgsweep -validate [-scenario FILE|library] # generator fidelity report
 //	tgsweep -print-scenarios       # dump the scenario library as a template
 //	tgsweep -print-grid            # dump the default grid as a template
-//	tgsweep -paper [-sizes quick|default] [-workers N]
 //
 // With -scenario, the sweep points come from a declarative scenario file
 // (internal/scenario JSON: fabric, topology, logical core grid, spatial
@@ -40,9 +39,8 @@
 // stock source set; with -scenario, sources derive from the scenario
 // file's stochastic workloads. A failed fidelity check exits nonzero.
 //
-// With -paper, the paper's full evaluation (Table 2, the cross-interconnect
-// .tgp check, the overhead measurement, the ablations and the Figure 2
-// experiments) runs as one parallel invocation instead of a grid sweep.
+// The paper's own evaluation (Table 2, the cross-interconnect check, the
+// overhead measurement, the ablations, Figure 2) is cmd/tgrepro's job.
 //
 // -kernel selects the simulation kernel for replay runs: "event" (the
 // default via "auto") ticks only the devices that are due each cycle,
@@ -74,7 +72,7 @@
 //
 // -cpuprofile/-memprofile write
 // pprof profiles of the sweep (shared flag wiring with tgrepro via
-// internal/prof) so performance work needs no code edits.
+// internal/cliflags) so performance work needs no code edits.
 package main
 
 import (
@@ -87,11 +85,10 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"noctg/internal/cliflags"
 	"noctg/internal/drain"
-	"noctg/internal/exp"
 	"noctg/internal/guard"
 	"noctg/internal/platform"
-	"noctg/internal/prof"
 	"noctg/internal/scenario"
 	"noctg/internal/sweep"
 )
@@ -108,28 +105,27 @@ func main() {
 		curve      = flag.Bool("curve", false, "sweep injection load per scenario and emit load-latency curves (requires -scenario)")
 		curveMode  = flag.String("curve-mode", "", "curve traversal for every -curve scenario: uniform (simulate every level) or adaptive (seed from the analytic knee, simulate only around it); empty keeps each scenario's curve_mode")
 		analyticF  = flag.Bool("analytic", false, "analytic pre-pass: stochastic points the closed-form model brackets confidently are estimated instead of simulated (recorded with \"estimated\": true), and the predictions land in <out>.analytic.json")
-		paper      = flag.Bool("paper", false, "run the paper's experiments as one parallel invocation")
 		validate   = flag.Bool("validate", false, "run the generator-validation harness and write a fidelity report instead of sweeping")
-		sizesFlag  = flag.String("sizes", "default", "benchmark sizes for -paper: quick or default")
 		kernelFlag = flag.String("kernel", "auto", "simulation kernel: auto (event for replay), strict, skip or event")
 		shards     = flag.Int("shards", 0, "shard every ×pipes simulation across N engine goroutines (0 or 1 = one engine); artifacts are byte-identical for every N")
-		guardFlag  = flag.Bool("guard", false, "arm the guard watchdogs (deadlock horizon, conservation scans, barrier-stall bound) on every point")
-		runBudget  = flag.Duration("run-budget", 0, "wall-clock budget per point (implies -guard); an exceeded point fails with a run-budget violation")
-		onViol     = flag.String("on-violation", "record", "guard violation handling: record (failed point, grid continues, exit 0) or fail (same artifacts, exit 1)")
 		journalF   = flag.String("journal", "", "write-ahead journal file: every completed point is fsync'd so a crashed or interrupted sweep resumes with -resume")
 		resume     = flag.Bool("resume", false, "resume the -journal file, skipping completed points (artifacts come out byte-identical to an uninterrupted run)")
 		retries    = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff, falling back to the strict kernel and one engine on the last attempt (0/1 = no retries)")
 		retryBack  = flag.Duration("retry-backoff", 0, "base delay before a retry, doubling per attempt")
 		deadline   = flag.Duration("point-deadline", 0, "wall-clock deadline per point attempt (rides the guard run budget; a blown deadline is transient and retried)")
 	)
-	profiles := prof.Register()
+	profiles := cliflags.RegisterProfile()
+	// A violated point is a failed point of the artifact and the grid
+	// continues either way; -on-violation only picks the exit status.
+	guards := cliflags.RegisterGuard("record")
 	flag.Parse()
 
 	kernel, err := platform.ParseKernel(*kernelFlag)
 	fail(err)
 	fail(sweep.ValidateShards(*shards))
-	gcfg, err := guardConfig(*guardFlag, *runBudget, *onViol)
+	gcfg, err := guards.Config()
 	fail(err)
+	onViol := guards.OnViolation()
 	rpol, err := retryPolicy(*retries, *retryBack, *deadline)
 	fail(err)
 	if *resume && *journalF == "" {
@@ -158,10 +154,6 @@ func main() {
 		fail(writeJSONIndent(os.Stdout, specs))
 		return
 	}
-	if *paper {
-		runPaper(*sizesFlag, *workers, kernel, *shards)
-		return
-	}
 	if *validate {
 		runValidate(*scenPath, *workers, *kernelFlag, *out)
 		return
@@ -182,7 +174,7 @@ func main() {
 			if *journalF != "" {
 				fail(fmt.Errorf("-journal supports grid/scenario sweeps, not -curve"))
 			}
-			runCurves(specs, *curveMode, *workers, *maxCycles, *out, kernel, *shards, gcfg, rpol, *onViol)
+			runCurves(specs, *curveMode, *workers, *maxCycles, *out, kernel, *shards, gcfg, rpol, onViol)
 			return
 		}
 		var err error
@@ -269,7 +261,7 @@ func main() {
 
 	if *out == "-" {
 		fail(sweep.WriteJSON(os.Stdout, results))
-		exitViolations(violated, *onViol)
+		exitViolations(violated, onViol)
 		return
 	}
 	fail(sweep.WriteArtifacts(*out, results))
@@ -282,7 +274,7 @@ func main() {
 		fail(f.Close())
 		fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.analytic.json (%d predictions)\n", *out, len(rep.Entries))
 	}
-	exitViolations(violated, *onViol)
+	exitViolations(violated, onViol)
 }
 
 // printPredictions renders the closed-form prediction per scenario — the
@@ -324,23 +316,6 @@ func printPredictions(specs []scenario.Spec) {
 		fmt.Fprintf(tw, "%s\t%.1f\t%s\t%s\t%.1f\n", key, e.ZeroLoadLatency, knee, offered, e.SatThroughputTPK)
 	}
 	tw.Flush()
-}
-
-// guardConfig resolves the -guard/-run-budget/-on-violation flags into a
-// runner guard configuration (nil = unguarded).
-func guardConfig(guardOn bool, budget time.Duration, onViol string) (*guard.Config, error) {
-	if onViol != "record" && onViol != "fail" {
-		return nil, fmt.Errorf("-on-violation %q: want record or fail", onViol)
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("-run-budget %v: want a non-negative duration", budget)
-	}
-	if !guardOn && budget == 0 {
-		return nil, nil
-	}
-	c := guard.Default()
-	c.RunBudget = budget
-	return &c, nil
 }
 
 // exitViolations turns recorded violations into the process exit status
@@ -430,29 +405,6 @@ func runCurves(specs []scenario.Spec, mode string, workers int, maxCycles uint64
 	fail(sweep.WriteCurveArtifacts(out, curves))
 	fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.json and %s.csv\n", out, out)
 	exitViolations(violated, onViol)
-}
-
-// runPaper executes the whole evaluation in parallel and prints the same
-// reports as the sequential tgrepro harness. The kernel selection applies
-// to TG-replay runs only; ARM reference runs always tick strictly. The
-// shard count likewise reaches only ×pipes TG-replay platforms (AMBA and
-// reference builds ignore it).
-func runPaper(sizesFlag string, workers int, kernel platform.KernelMode, shards int) {
-	sizes := exp.DefaultSizes()
-	if sizesFlag == "quick" {
-		sizes = exp.QuickSizes()
-	}
-	if workers != 1 {
-		fmt.Fprintln(os.Stderr, "tgsweep:", sweep.TimingCaveat)
-	}
-	opt := exp.DefaultOptions()
-	opt.Platform.Kernel = kernel
-	opt.Platform.Shards = shards
-	start := time.Now()
-	res, err := sweep.RunPaper(sizes, opt, workers)
-	fail(err)
-	sweep.FormatPaper(os.Stdout, res, sweep.AllPaper())
-	fmt.Fprintf(os.Stderr, "tgsweep: paper evaluation in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
 func writeJSONIndent(f *os.File, v any) error {

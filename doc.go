@@ -15,15 +15,19 @@
 //	tg, _ := noctg.RunTG(bench, progs, opt)            // TGs replace the cores
 //	// tg.Makespan ≈ ref.Makespan, tg.Wall ≪ ref.Wall
 //
-// The package is a facade over the implementation packages under internal/:
+// The package is a thin facade — exactly the names the programs under
+// examples/ import, which a test enforces — over the implementation
+// packages under internal/:
 // simulation kernel (sim), OCP transaction layer (ocp), memories and
 // hardware semaphores (mem), AMBA AHB-style bus (amba), ×pipes-style
 // wormhole NoC (noc), caches (cache), the miniARM ISS and its assembler
 // (cpu), the Table 2 benchmarks (prog), the .trc trace format (trace), the
 // TG instruction set / translator / device (core), baseline generators
 // (replay, stochastic), platform assembly (platform), the experiment
-// harness (exp) and the parallel sweep runner (sweep). See DESIGN.md for
-// the system inventory and EXPERIMENTS.md for measured-vs-paper results.
+// harness (exp) and the parallel sweep runner (sweep). Qualified names
+// below (sweep.Measure, guard.Config) are those packages' own. README.md's
+// "Repository tour" is the system inventory; cmd/tgrepro -all prints the
+// measured-vs-paper results.
 //
 // Design-space sweeps run in parallel through the sweep API: a SweepGrid
 // (workloads × fabrics × clock periods × seeds) expands into independent
@@ -31,19 +35,20 @@
 // pool, with deterministic JSON/CSV artifacts — byte-identical for any
 // worker count:
 //
-//	grid := noctg.DefaultGrid()
+//	grid := noctg.SweepGrid{Workloads: …, Fabrics: …, Seeds: …}
 //	results, _ := noctg.SweepRunner{Workers: 8}.Run(grid.Expand())
 //	noctg.WriteSweepCSV(os.Stdout, results)
 //
 // The cmd/tgsweep CLI wraps the same flow (-grid, -workers, -out), and
-// RunPaper regenerates the paper's whole evaluation as one parallel
+// cmd/tgrepro regenerates the paper's whole evaluation as one parallel
 // invocation.
 //
 // # Spatial traffic patterns and scenarios
 //
 // Stochastic masters pair a temporal Dist (when to inject) with a spatial
-// pattern (where to send): UniformRandom, Transpose, BitComplement,
-// BitReverse, Hotspot and NearestNeighbor, the classic NoC evaluation set.
+// pattern (where to send): stochastic.UniformRandom, Transpose,
+// BitComplement, BitReverse, Hotspot and NearestNeighbor, the classic NoC
+// evaluation set.
 // Patterns are defined over the logical W×H grid of masters — generator i
 // is node (i mod W, i div W) — and each logical destination d maps to core
 // d's private memory through the platform address map, so the same
@@ -63,12 +68,12 @@
 // # Arrival processes and generator validation
 //
 // Beyond the i.i.d. gap distributions (Dist), a stochastic workload can
-// carry a stateful arrival process as its temporal model: an MMPPConfig —
-// a cyclic Markov chain of states, each with its own mean gap (0 = silent)
-// and exponential or deterministic dwell time, the classic on/off burst
-// model — or a SelfSimilarConfig, which superposes Pareto on/off stations
-// (shape α = 3 − 2H) into long-range-dependent traffic with a target Hurst
-// exponent. Orthogonally, Classes weights draw a per-transaction message
+// carry a stateful arrival process as its temporal model: a
+// stochastic.MMPP — a cyclic Markov chain of states, each with its own mean
+// gap (0 = silent) and exponential or deterministic dwell time, the classic
+// on/off burst model — or a stochastic.SelfSimilar, which superposes Pareto
+// on/off stations (shape α = 3 − 2H) into long-range-dependent traffic with
+// a target Hurst exponent. Orthogonally, Classes weights draw a per-transaction message
 // class: the request carries the tag, fabrics forward it untouched and
 // arbitrate class-blind, and completed transactions are counted per class.
 //
@@ -91,14 +96,15 @@
 // spec rate, inter-injection times against exact discretized CDFs
 // (Kolmogorov–Smirnov), index of dispersion against the finite-window
 // MMPP variance-time curve, aggregate-variance Hurst estimates, and χ²
-// class shares. The fidelity report (ValidationReport JSON) is
+// class shares. The fidelity report (valid.Report JSON) is
 // byte-identical across kernels and worker counts, so the whole suite
 // runs as deterministic CI tests rather than flaky statistics.
 //
 // # Analytic estimation and adaptive sweeps
 //
-// A closed-form queueing estimator (internal/analytic, surfaced as
-// AnalyticEstimator) predicts a stochastic configuration's operating
+// A closed-form queueing estimator (internal/analytic, compiled per
+// workload/fabric pair by sweep.NewEstimator) predicts a stochastic
+// configuration's operating
 // corner without simulating it: contention-free zero-load latency from
 // the fabric's pipeline constants and DOR route lengths, per-resource
 // occupancy (bus, links, slave ports) from the destination distribution,
@@ -121,14 +127,14 @@
 // injection-mix share.
 //
 // The sweep layer spends these predictions in three places. Curve runs
-// (CurveModeAdaptive, tgsweep -curve-mode adaptive) seed their load axis
+// (sweep.CurveModeAdaptive, tgsweep -curve-mode adaptive) seed their load axis
 // from the knee the saturation detector would find on the model's own
 // curve, simulate a handful of levels around it plus the axis endpoints,
 // and golden-section the bracket until the detected knee is pinned to one
 // ladder step — skipped levels are recorded as estimated points, never
 // dropped, and the cross-validation suite holds the detected knee within
 // one step of a uniform traversal at 40%+ fewer simulated levels. Grid
-// sweeps (GridSpec.Analytic, tgsweep -analytic) estimate points the model
+// sweeps (sweep.Point.Analytic, tgsweep -analytic) estimate points the model
 // brackets confidently — far from the predicted knee, error bars included
 // — and simulate the rest; estimated results are flagged ("estimated":
 // true), carry the full prediction, and key the journal distinctly, so
@@ -155,7 +161,7 @@
 // TryRequest) fire an engine wake hook at the moment of stimulus; and
 // ports can bound a blocked master's next possible progress (ocp
 // WakeHinter), letting masters sleep through known transfer occupancy
-// instead of polling. Platform KernelAuto resolves to the event kernel
+// instead of polling. platform.KernelAuto resolves to the event kernel
 // for TG and clone replay builders and to strict everywhere else; skip
 // remains selectable for cross-checking and as the simpler fallback, and
 // any platform containing a non-Sleeper device silently degrades to
@@ -218,14 +224,14 @@
 //
 // # Phased measurement
 //
-// Every platform carries a unified stats registry (StatsRegistry): devices
+// Every platform carries a unified stats registry (sim.Registry): devices
 // register their counters and histograms once under hierarchical names,
 // and measurement code syncs, snapshots and resets the whole population at
 // phase boundaries. On top of it, runs can follow the steady-state
 // methodology NoC evaluations expect — a warmup window whose statistics
 // are discarded, measurement epochs (fixed count, or adaptive until the
 // relative 95% CI half-width of the per-epoch request-latency means
-// reaches ci_target), and a bounded drain window (SweepMeasure on a grid
+// reaches ci_target), and a bounded drain window (sweep.Measure on a grid
 // or point, or the scenario fields warmup/epoch_cycles/epochs/ci_target/
 // drain).
 //
@@ -254,7 +260,7 @@
 // paper's trace — alone calls; sweep points never record, and curve levels
 // run without monitors on the generators' own meters.
 //
-// Load-latency curves (CurveSpec, tgsweep -curve) build on phased
+// Load-latency curves (sweep.CurveSpec, tgsweep -curve) build on phased
 // measurement: one stochastic scenario swept over an injection-load axis,
 // each level measured open-loop in adaptive epochs, with the saturation
 // point detected from the marginal-throughput knee, request-latency
@@ -262,21 +268,21 @@
 //
 // # Guard layer: watchdogs and fault injection
 //
-// A GuardConfig (Options.Guard, SweepRunner.Guard, the -guard and
+// A guard.Config (Options.Guard, SweepRunner.Guard, the -guard and
 // -run-budget CLI flags) arms runtime invariant watchdogs on any run: a
 // deadlock horizon (live packets but no retirement for NoRetireHorizon
 // cycles), flit/credit and packet-pool conservation scans every
 // ConservationEvery cycles, a wall-clock RunBudget for the whole run, and
 // a BarrierStall watchdog on the sharded SPMD barrier. A tripped watchdog
-// aborts the run with a typed GuardViolation — kind, cycle, shard and a
-// GuardDiagnostic dump of the wedged fabric (stuck queues, blocked
+// aborts the run with a typed *guard.Violation — kind, cycle, shard and a
+// guard.Diagnostic dump of the wedged fabric (stuck queues, blocked
 // masters, per-shard windows) — recoverable from any error chain via
-// AsViolation. Fault-free guarded runs are byte-identical to unguarded
-// ones at every kernel and shard count, and the guarded hot paths stay
-// allocation-free; DefaultGuard enables everything but the wall-clock
-// budget. The watchdogs are themselves pinned by deterministic fault
-// injection: a FaultPlan (or seeded RandomFaultPlan) wedges links, drops
-// flits, freezes slaves, leaks packets or stalls shards inside cycle
+// guard.AsViolation. Fault-free guarded runs are byte-identical to
+// unguarded ones at every kernel and shard count, and the guarded hot
+// paths stay allocation-free; guard.Default enables everything but the
+// wall-clock budget. The watchdogs are themselves pinned by deterministic
+// fault injection: a guard.FaultPlan (or seeded RandomPlan) wedges links,
+// drops flits, freezes slaves, leaks packets or stalls shards inside cycle
 // windows, and the guard test matrix proves each fault class trips its
 // watchdog under every kernel and shard count. In sweeps, a violating
 // point is recorded as a failed Result carrying the violation while the
@@ -287,7 +293,7 @@
 // A sweep can run journaled (SweepRunner.RunJournaled, tgsweep -journal):
 // every completed point appends one fsync'd, CRC-framed record — stable
 // point key, attempt count, outcome and the full serialized result — to a
-// write-ahead journal, and a resumed campaign (ResumeSweep, tgsweep
+// write-ahead journal, and a resumed campaign (SweepRunner.Resume, tgsweep
 // -resume) skips completed points and re-serializes their stored results,
 // so the final artifacts are byte-identical to an uninterrupted run at any
 // kill point. A sweep point holds only result-determining configuration
@@ -297,14 +303,14 @@
 // refused via the campaign key. Torn journal tails (the crash signature)
 // truncate cleanly on resume; mid-file corruption is a hard error.
 //
-// A SweepRetryPolicy (SweepRunner.Retry, tgsweep
+// A sweep.RetryPolicy (SweepRunner.Retry, tgsweep
 // -retries/-retry-backoff/-point-deadline) re-attempts transiently failed
 // points — run budget, barrier stall, recovered worker panic — with
 // exponential backoff, falling back to the strict kernel and a single
 // engine on the final attempt, while deterministic failures (deadlock,
 // conservation) quarantine immediately. SIGINT/SIGTERM drain gracefully
 // on the CLIs: in-flight points finish, the journal flushes, and the
-// process exits nonzero with a resume hint (ErrSweepDrained in the API).
+// process exits nonzero with a resume hint (sweep.ErrDrained in the API).
 // All artifact writers go through an atomic temp-file+rename helper, so
 // no crash leaves a partial output file.
 package noctg

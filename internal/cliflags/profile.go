@@ -1,7 +1,7 @@
-// Package prof wires the standard -cpuprofile/-memprofile flags into a
-// command, so every binary in cmd/ shares one implementation instead of
-// duplicating the pprof start/stop choreography.
-package prof
+// Package cliflags holds the flag groups more than one cmd/ main takes, so
+// each is declared, validated and resolved once: -cpuprofile/-memprofile
+// (this file) and -guard/-run-budget/-on-violation (guard.go).
+package cliflags
 
 import (
 	"flag"
@@ -11,16 +11,16 @@ import (
 	"runtime/pprof"
 )
 
-// Flags holds the registered profiling flag values.
-type Flags struct {
+// Profile holds the registered profiling flag values.
+type Profile struct {
 	cpu *string
 	mem *string
 }
 
-// Register adds -cpuprofile and -memprofile to the default flag set. Call
-// before flag.Parse.
-func Register() *Flags {
-	return &Flags{
+// RegisterProfile adds -cpuprofile and -memprofile to the default flag set.
+// Call before flag.Parse.
+func RegisterProfile() *Profile {
+	return &Profile{
 		cpu: flag.String("cpuprofile", "", "write a CPU profile to this file"),
 		mem: flag.String("memprofile", "", "write a heap profile to this file at exit"),
 	}
@@ -30,7 +30,7 @@ func Register() *Flags {
 // finishes the CPU profile and writes the heap profile. Call the stop
 // function on the success path only (a failed run exits without profiles,
 // matching the behaviour tgsweep always had).
-func (f *Flags) Start() (stop func() error, err error) {
+func (f *Profile) Start() (stop func() error, err error) {
 	var cpuFile *os.File
 	if *f.cpu != "" {
 		cpuFile, err = os.Create(*f.cpu)
@@ -67,7 +67,7 @@ func (f *Flags) Start() (stop func() error, err error) {
 
 // MustStart is Start with errors routed to stderr + exit, the shape every
 // cmd/ main wants.
-func (f *Flags) MustStart(tool string) (stop func()) {
+func (f *Profile) MustStart(tool string) (stop func()) {
 	s, err := f.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)

@@ -2,8 +2,8 @@
 // figure of the paper's evaluation (Section 6) on the Go platform —
 // Table 2 (accuracy and speedup per benchmark and core count), the
 // cross-interconnect .tgp equality check, the trace-collection overhead
-// measurement, and the baseline/design ablations. EXPERIMENTS.md records
-// the outputs against the paper's numbers.
+// measurement, and the baseline/design ablations. cmd/tgrepro prints the
+// outputs in the paper's layout (tgrepro -all).
 package exp
 
 import (

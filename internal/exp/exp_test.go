@@ -3,6 +3,7 @@ package exp
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"noctg/internal/amba"
 	"noctg/internal/layout"
@@ -191,6 +192,18 @@ func TestOverheadMetrics(t *testing.T) {
 }
 
 func TestQuickTable2Formats(t *testing.T) {
+	// A cache-resident replay takes 100–300 µs: the time columns keep their
+	// significant digits at every magnitude instead of rounding to 0s.
+	out := FormatTable2([]*Row{{Bench: "cacheloop", Cores: 2,
+		WallARM: 81234567 * time.Nanosecond, WallTG: 250 * time.Microsecond, Gain: 324.94}})
+	for _, want := range []string{" 250µs ", " 81.2ms "} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("table output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, " 0s ") {
+		t.Fatalf("a sub-millisecond time printed as 0s:\n%s", out)
+	}
 	if testing.Short() {
 		t.Skip("table sweep in -short mode")
 	}
@@ -199,7 +212,7 @@ func TestQuickTable2Formats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatTable2(rows)
+	out = FormatTable2(rows)
 	for _, want := range []string{"spmatrix", "cacheloop", "mpmatrix", "des", "gain"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table output missing %q:\n%s", want, out)

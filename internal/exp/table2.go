@@ -158,7 +158,18 @@ func FormatTable2(rows []*Row) string {
 		}
 		fmt.Fprintf(&b, "%-10s %3dP | %12d %12d %6.2f%% | %10s %10s %5.2fx\n",
 			name, r.Cores, r.CyclesARM, r.CyclesTG, r.ErrorPct,
-			r.WallARM.Round(time.Millisecond), r.WallTG.Round(time.Millisecond), r.Gain)
+			roundWall(r.WallARM), roundWall(r.WallTG), r.Gain)
 	}
 	return b.String()
+}
+
+// roundWall rounds a wall-clock time to three significant digits, so a
+// 250 µs replay prints as 250µs beside a 1.23s reference run instead of
+// rounding to 0s at a fixed millisecond resolution.
+func roundWall(d time.Duration) time.Duration {
+	unit := time.Duration(1)
+	for d/unit >= 1000 {
+		unit *= 10
+	}
+	return d.Round(unit)
 }

@@ -92,7 +92,7 @@ func TestKernelDifferentialPaper(t *testing.T) {
 		t.Skip("paper differential is a long test")
 	}
 	sizes := tinySizes()
-	sel := AllPaper()
+	sel := PaperSelect{Table2: true, CrossCheck: true, Overhead: true, Ablation: true, Fig2: true}
 
 	run := func(kernel platform.KernelMode) *PaperResults {
 		t.Helper()

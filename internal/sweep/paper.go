@@ -19,11 +19,6 @@ type PaperSelect struct {
 	Fig2       bool
 }
 
-// AllPaper selects every experiment family.
-func AllPaper() PaperSelect {
-	return PaperSelect{Table2: true, CrossCheck: true, Overhead: true, Ablation: true, Fig2: true}
-}
-
 // PaperResults aggregates the paper's Section 3/6 experiments, each slot
 // filled by an independent task of one parallel sweep invocation.
 type PaperResults struct {
@@ -40,11 +35,6 @@ type PaperResults struct {
 	// Fig2a / Fig2b are the transaction-semantics and reactivity figures.
 	Fig2a *exp.Fig2aResult
 	Fig2b *exp.Fig2bResult
-}
-
-// RunPaper executes every paper experiment as one parallel invocation.
-func RunPaper(sizes exp.Sizes, opt exp.Options, workers int) (*PaperResults, error) {
-	return RunPaperSelect(sizes, opt, workers, AllPaper())
 }
 
 // RunPaperSelect fans the selected experiment families out over one worker
