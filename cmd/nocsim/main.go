@@ -18,10 +18,11 @@ import (
 	"noctg/internal/cliflags"
 	"noctg/internal/core"
 	"noctg/internal/exp"
-	"noctg/internal/guard"
 	"noctg/internal/platform"
 	"noctg/internal/prog"
 )
+
+const tool cliflags.Tool = "nocsim"
 
 func main() {
 	var (
@@ -39,7 +40,8 @@ func main() {
 	guards := cliflags.RegisterGuard("fail")
 	flag.Parse()
 	gcfg, err := guards.Config()
-	fail(err)
+	tool.Fail(err)
+	tool.Fail(cliflags.OneOf("mode", *mode, "arm", "tg"))
 
 	var spec *prog.Spec
 	switch *bench {
@@ -52,7 +54,7 @@ func main() {
 	case "des":
 		spec = prog.DES(*cores, *blocks)
 	default:
-		fail(fmt.Errorf("unknown benchmark %q", *bench))
+		tool.Fail(fmt.Errorf("unknown benchmark %q", *bench))
 	}
 
 	opt := exp.DefaultOptions()
@@ -62,7 +64,7 @@ func main() {
 	case "xpipes":
 		opt.Platform.Interconnect = platform.XPipes
 	default:
-		fail(fmt.Errorf("unknown interconnect %q", *ic))
+		tool.Fail(fmt.Errorf("unknown interconnect %q", *ic))
 	}
 
 	if gcfg != nil {
@@ -71,19 +73,20 @@ func main() {
 
 	traced := *traceDir != "" || *mode == "tg"
 	ref, err := exp.RunReference(spec, opt, traced)
-	failViolation(err, guards.OnViolation())
-	fail(err)
+	if guards.Check(tool, err) {
+		return
+	}
 	fmt.Printf("reference (%s, %s, %dP): %d cycles in %v\n",
 		spec.Name, opt.Platform.Interconnect, spec.Cores, ref.Makespan, ref.Wall)
 
 	if *traceDir != "" {
-		fail(os.MkdirAll(*traceDir, 0o755))
+		tool.Fail(os.MkdirAll(*traceDir, 0o755))
 		for i, tr := range ref.Traces {
 			path := filepath.Join(*traceDir, fmt.Sprintf("%s_m%d.trc", spec.Name, i))
 			f, err := os.Create(path)
-			fail(err)
-			fail(tr.Write(f))
-			fail(f.Close())
+			tool.Fail(err)
+			tool.Fail(tr.Write(f))
+			tool.Fail(f.Close())
 			fmt.Printf("wrote %s (%d events)\n", path, len(tr.Events))
 		}
 	}
@@ -91,23 +94,24 @@ func main() {
 	if *mode == "tg" {
 		progs, tstats, twall, err := exp.TranslateAll(spec, ref.Traces,
 			core.DefaultTranslateConfig(exp.PollRangesFor(spec)))
-		fail(err)
+		tool.Fail(err)
 		fmt.Printf("translated %d events into %d programs in %v (%d poll loops, %d polls collapsed)\n",
 			tstats.Events, len(progs), twall, tstats.PollLoops, tstats.PollReadsCollapsed)
 		if *tgpDir != "" {
-			fail(os.MkdirAll(*tgpDir, 0o755))
+			tool.Fail(os.MkdirAll(*tgpDir, 0o755))
 			for i, p := range progs {
 				path := filepath.Join(*tgpDir, fmt.Sprintf("%s_m%d.tgp", spec.Name, i))
 				f, err := os.Create(path)
-				fail(err)
-				fail(p.Format(f))
-				fail(f.Close())
+				tool.Fail(err)
+				tool.Fail(p.Format(f))
+				tool.Fail(f.Close())
 				fmt.Printf("wrote %s (%d instructions)\n", path, len(p.Insts))
 			}
 		}
 		tg, err := exp.RunTG(spec, progs, opt)
-		failViolation(err, guards.OnViolation())
-		fail(err)
+		if guards.Check(tool, err) {
+			return
+		}
 		gain := float64(ref.Wall) / float64(tg.Wall)
 		fmt.Printf("TG platform: %d cycles in %v (gain %.2fx, cycle error %+d)\n",
 			tg.Makespan, tg.Wall, gain, int64(tg.Makespan)-int64(ref.Makespan))
@@ -128,29 +132,4 @@ func main() {
 		acq, fails, rel := sys.Sems.Stats()
 		fmt.Printf("semaphores: %d acquires, %d failed polls, %d releases\n", acq, fails, rel)
 	}
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nocsim:", err)
-		os.Exit(1)
-	}
-}
-
-// failViolation handles a guard violation per -on-violation: the structured
-// diagnostic is printed either way, and "record" exits 0 where "fail"
-// exits 1. Non-violation errors fall through to fail().
-func failViolation(err error, onViol string) {
-	v, ok := guard.AsViolation(err)
-	if !ok {
-		return
-	}
-	fmt.Fprintln(os.Stderr, "nocsim:", err)
-	if v.Diag != nil {
-		fmt.Fprintln(os.Stderr, v.Diag.Summary())
-	}
-	if onViol == "fail" {
-		os.Exit(1)
-	}
-	os.Exit(0)
 }

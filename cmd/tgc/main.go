@@ -16,10 +16,13 @@ import (
 	"fmt"
 	"os"
 
+	"noctg/internal/cliflags"
 	"noctg/internal/core"
 	"noctg/internal/layout"
 	"noctg/internal/trace"
 )
+
+const tool cliflags.Tool = "tgc"
 
 func main() {
 	var (
@@ -37,17 +40,17 @@ func main() {
 	switch {
 	case *dumpPath != "":
 		f, err := os.Open(*dumpPath)
-		fail(err)
+		tool.Fail(err)
 		p, err := core.ReadBin(f)
-		fail(f.Close())
-		fail(err)
-		fail(p.Format(os.Stdout))
+		tool.Fail(f.Close())
+		tool.Fail(err)
+		tool.Fail(p.Format(os.Stdout))
 	case *trcPath != "":
 		f, err := os.Open(*trcPath)
-		fail(err)
+		tool.Fail(err)
 		tr, err := trace.Parse(f)
-		fail(f.Close())
-		fail(err)
+		tool.Fail(f.Close())
+		tool.Fail(err)
 		cfg := core.TranslateConfig{
 			PollRanges:     []core.PollRange{{Range: layout.SemRange()}},
 			DefaultPollGap: *pollGap,
@@ -55,15 +58,15 @@ func main() {
 			Rewind:         *rewind,
 		}
 		p, stats, err := core.Translate(tr, cfg)
-		fail(err)
+		tool.Fail(err)
 		fmt.Fprintf(os.Stderr, "tgc: %d events -> %d instructions (%d poll loops, %d polls collapsed, %d clamped cycles)\n",
 			stats.Events, len(p.Insts), stats.PollLoops, stats.PollReadsCollapsed, stats.ClampedCycles)
 		emit(p, *tgpOut, *binOut)
 	case *asmPath != "":
 		src, err := os.ReadFile(*asmPath)
-		fail(err)
+		tool.Fail(err)
 		p, err := core.Assemble(string(src))
-		fail(err)
+		tool.Fail(err)
 		emit(p, *tgpOut, *binOut)
 	default:
 		flag.Usage()
@@ -74,24 +77,17 @@ func main() {
 func emit(p *core.Program, tgpOut, binOut string) {
 	if tgpOut != "" {
 		f, err := os.Create(tgpOut)
-		fail(err)
-		fail(p.Format(f))
-		fail(f.Close())
+		tool.Fail(err)
+		tool.Fail(p.Format(f))
+		tool.Fail(f.Close())
 	}
 	if binOut != "" {
 		f, err := os.Create(binOut)
-		fail(err)
-		fail(p.WriteBin(f))
-		fail(f.Close())
+		tool.Fail(err)
+		tool.Fail(p.WriteBin(f))
+		tool.Fail(f.Close())
 	}
 	if tgpOut == "" && binOut == "" {
-		fail(p.Format(os.Stdout))
-	}
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tgc:", err)
-		os.Exit(1)
+		tool.Fail(p.Format(os.Stdout))
 	}
 }

@@ -12,12 +12,13 @@
 //	tgrepro -overhead
 //	tgrepro -ablation
 //	tgrepro -fig2
-//	tgrepro -all [-kernel auto|strict|skip|event]
+//	tgrepro -all [-kernel event|strict|skip]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
-// -cpuprofile/-memprofile write pprof profiles of the evaluation (shared
-// flag wiring with tgsweep via internal/cliflags), so performance work
-// needs no code edits.
+// -workers, -kernel, the profile pair and the guard trio are the flag
+// groups tgrepro shares with tgsweep (and the guard trio with nocsim)
+// through internal/cliflags; -kernel picks the TG-replay kernel, and ARM
+// reference runs always tick strictly.
 package main
 
 import (
@@ -29,10 +30,10 @@ import (
 	"noctg/internal/cliflags"
 	"noctg/internal/drain"
 	"noctg/internal/exp"
-	"noctg/internal/guard"
-	"noctg/internal/platform"
 	"noctg/internal/sweep"
 )
+
+const tool cliflags.Tool = "tgrepro"
 
 func main() {
 	var (
@@ -43,16 +44,16 @@ func main() {
 		fig2       = flag.Bool("fig2", false, "Figure 2 transaction-semantics and reactivity experiments")
 		all        = flag.Bool("all", false, "run every experiment")
 		sizesFlag  = flag.String("sizes", "default", "benchmark sizes: quick or default")
-		workers    = flag.Int("workers", 0, "worker pool size (0 = all host cores)")
-		kernelFlag = flag.String("kernel", "auto", "TG-replay simulation kernel: auto (event), strict, skip or event; ARM reference runs always tick strictly")
 	)
+	execs := cliflags.RegisterExec()
 	profiles := cliflags.RegisterProfile()
 	guards := cliflags.RegisterGuard("fail")
 	flag.Parse()
-	kernel, err := platform.ParseKernel(*kernelFlag)
-	fail(err)
+	kernel, err := execs.Kernel()
+	tool.Fail(err)
 	gcfg, err := guards.Config()
-	fail(err)
+	tool.Fail(err)
+	tool.Fail(cliflags.OneOf("sizes", *sizesFlag, "quick", "default"))
 	sel := sweep.PaperSelect{
 		Table2:     *table2 || *all,
 		CrossCheck: *crosscheck || *all,
@@ -69,7 +70,7 @@ func main() {
 	if *sizesFlag == "quick" {
 		sizes = exp.QuickSizes()
 	}
-	if *workers != 1 && (sel.Table2 || sel.Overhead) {
+	if execs.Workers() != 1 && (sel.Table2 || sel.Overhead) {
 		fmt.Fprintln(os.Stderr, "tgrepro:", sweep.TimingCaveat)
 	}
 	opt := exp.DefaultOptions()
@@ -78,31 +79,15 @@ func main() {
 		opt.Guard = *gcfg
 	}
 	opt.Interrupted = drain.Arm("tgrepro")
-	// Profiles are written on the success path only: fail() exits the
+	// Profiles are written on the success path only: tool.Fail exits the
 	// process without running defers.
-	defer profiles.MustStart("tgrepro")()
-	res, err := sweep.RunPaperSelect(sizes, opt, *workers, sel)
+	defer profiles.Start(tool)()
+	res, err := sweep.RunPaperSelect(sizes, opt, execs.Workers(), sel)
 	if errors.Is(err, sweep.ErrDrained) {
-		fmt.Fprintln(os.Stderr, "tgrepro: interrupted — unstarted experiments skipped; re-run to complete them")
-		os.Exit(1)
+		tool.Fail(errors.New("interrupted — unstarted experiments skipped; re-run to complete them"))
 	}
-	if v, ok := guard.AsViolation(err); ok {
-		fmt.Fprintln(os.Stderr, "tgrepro:", err)
-		if v.Diag != nil {
-			fmt.Fprintln(os.Stderr, v.Diag.Summary())
-		}
-		if guards.OnViolation() == "fail" {
-			os.Exit(1)
-		}
+	if guards.Check(tool, err) {
 		return
 	}
-	fail(err)
 	sweep.FormatPaper(os.Stdout, res, sel)
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tgrepro:", err)
-		os.Exit(1)
-	}
 }

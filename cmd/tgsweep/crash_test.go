@@ -22,13 +22,13 @@ import (
 	"noctg/internal/sweep"
 )
 
-// buildTgsweep compiles the command under test once per test binary.
-func buildTgsweep(t *testing.T) string {
+// buildTool compiles the command cmd/<name> into a temporary directory.
+func buildTool(t *testing.T, name string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "tgsweep")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
+	bin := filepath.Join(t.TempDir(), name)
+	cmd := exec.Command("go", "build", "-o", bin, "../"+name)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building tgsweep: %v\n%s", err, out)
+		t.Fatalf("building %s: %v\n%s", name, err, out)
 	}
 	return bin
 }
@@ -95,7 +95,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills subprocesses")
 	}
-	bin := buildTgsweep(t)
+	bin := buildTool(t, "tgsweep")
 	dir := t.TempDir()
 	grid := crashGrid(t, dir)
 
@@ -121,7 +121,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		// across the crash.
 		resumeShards string
 	}{
-		{"2", "auto", "0", "0"},
+		{"2", "event", "0", "0"},
 		{"1", "strict", "0", "2"},
 		{"3", "event", "2", "0"},
 	}

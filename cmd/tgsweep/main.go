@@ -7,12 +7,12 @@
 // Usage:
 //
 //	tgsweep [-workers N] [-grid FILE|default] [-out BASE|-] [-maxcycles N]
-//	        [-kernel auto|strict|skip] [-shards N]
+//	        [-kernel event|strict|skip] [-shards N]
 //	        [-journal FILE [-resume]] [-retries N] [-retry-backoff D]
 //	        [-point-deadline D] [-cpuprofile FILE] [-memprofile FILE]
 //	tgsweep -scenario FILE|library # run declarative traffic scenarios
 //	tgsweep -scenario FILE|library -curve # load-latency curves per scenario
-//	tgsweep -validate [-scenario FILE|library] # generator fidelity report
+//	tgsweep -validate [-scenario FILE|library] [-workers N] [-out BASE|-] # fidelity report
 //	tgsweep -print-scenarios       # dump the scenario library as a template
 //	tgsweep -print-grid            # dump the default grid as a template
 //
@@ -38,16 +38,19 @@
 // estimates, class shares — lands in <out>.json. The default suite is the
 // stock source set; with -scenario, sources derive from the scenario
 // file's stochastic workloads. A failed fidelity check exits nonzero.
+// -validate reads -scenario, -workers and -out and nothing else: the
+// harness pins every kernel to one cycle schedule, so -kernel (still
+// checked) and the sweep flags do not apply.
 //
 // The paper's own evaluation (Table 2, the cross-interconnect check, the
 // overhead measurement, the ablations, Figure 2) is cmd/tgrepro's job.
 //
-// -kernel selects the simulation kernel for replay runs: "event" (the
-// default via "auto") ticks only the devices that are due each cycle,
-// "skip" fast-forwards only over cycles in which every device sleeps, and
-// "strict" ticks every device every cycle. All three produce byte-identical
-// artifacts; strict exists for cross-checking and for timing experiments
-// that must not benefit from kernel tricks.
+// -kernel selects the simulation kernel: "event" (the default) ticks only
+// the devices that are due each cycle, "skip" fast-forwards only over
+// cycles in which every device sleeps, and "strict" ticks every device
+// every cycle. All three produce byte-identical artifacts; strict exists
+// for cross-checking and for timing experiments that must not benefit
+// from kernel tricks.
 //
 // -shards N > 1 runs every ×pipes simulation sharded across N engine
 // goroutines (conservative time-window synchronisation, see internal/shard).
@@ -60,8 +63,9 @@
 // points and re-runs only in-flight or unstarted ones — final artifacts
 // are byte-identical to an uninterrupted run at any kill point, and the
 // resume may use a different worker count, kernel or shard count.
-// SIGINT/SIGTERM drain gracefully: in-flight points finish, the journal is
-// flushed, and the process exits nonzero with a resume hint.
+// Under -journal, SIGINT/SIGTERM drain gracefully: in-flight points
+// finish, the journal is flushed, and the process exits nonzero with a
+// resume hint. Without -journal a signal stops the process at once.
 //
 // -retries N retries points whose failure classifies as transient (run
 // budget, barrier stall, worker panic) up to N attempts with exponential
@@ -70,9 +74,10 @@
 // quarantined immediately as failed points. -point-deadline bounds each
 // attempt's wall clock through the guard run budget.
 //
-// -cpuprofile/-memprofile write
-// pprof profiles of the sweep (shared flag wiring with tgrepro via
-// internal/cliflags) so performance work needs no code edits.
+// -workers, -kernel, -cpuprofile/-memprofile and -guard/-run-budget/
+// -on-violation are declared once, in internal/cliflags, and shared with
+// tgrepro (the guard trio with nocsim too). A guard-violated point or
+// curve level exits 1 under -on-violation fail, 0 under record (default).
 package main
 
 import (
@@ -81,117 +86,106 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
 
 	"noctg/internal/cliflags"
 	"noctg/internal/drain"
-	"noctg/internal/guard"
-	"noctg/internal/platform"
 	"noctg/internal/scenario"
 	"noctg/internal/sweep"
 )
 
+const tool cliflags.Tool = "tgsweep"
+
 func main() {
 	var (
-		workers    = flag.Int("workers", 0, "worker pool size (0 = all host cores)")
-		gridPath   = flag.String("grid", "default", "grid JSON file, or \"default\" for the stock 16-point sweep")
-		scenPath   = flag.String("scenario", "", "scenario JSON file, or \"library\" for the stock pattern×topology set")
-		out        = flag.String("out", "results", "output basename (<out>.json and <out>.csv), or \"-\" for JSON on stdout")
-		maxCycles  = flag.Uint64("maxcycles", 0, "override the per-run simulated-cycle budget")
-		printGrid  = flag.Bool("print-grid", false, "print the default grid JSON and exit")
-		printScen  = flag.Bool("print-scenarios", false, "print the scenario library JSON and exit")
-		curve      = flag.Bool("curve", false, "sweep injection load per scenario and emit load-latency curves (requires -scenario)")
-		curveMode  = flag.String("curve-mode", "", "curve traversal for every -curve scenario: uniform (simulate every level) or adaptive (seed from the analytic knee, simulate only around it); empty keeps each scenario's curve_mode")
-		analyticF  = flag.Bool("analytic", false, "analytic pre-pass: stochastic points the closed-form model brackets confidently are estimated instead of simulated (recorded with \"estimated\": true), and the predictions land in <out>.analytic.json")
-		validate   = flag.Bool("validate", false, "run the generator-validation harness and write a fidelity report instead of sweeping")
-		kernelFlag = flag.String("kernel", "auto", "simulation kernel: auto (event for replay), strict, skip or event")
-		shards     = flag.Int("shards", 0, "shard every ×pipes simulation across N engine goroutines (0 or 1 = one engine); artifacts are byte-identical for every N")
-		journalF   = flag.String("journal", "", "write-ahead journal file: every completed point is fsync'd so a crashed or interrupted sweep resumes with -resume")
-		resume     = flag.Bool("resume", false, "resume the -journal file, skipping completed points (artifacts come out byte-identical to an uninterrupted run)")
-		retries    = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff, falling back to the strict kernel and one engine on the last attempt (0/1 = no retries)")
-		retryBack  = flag.Duration("retry-backoff", 0, "base delay before a retry, doubling per attempt")
-		deadline   = flag.Duration("point-deadline", 0, "wall-clock deadline per point attempt (rides the guard run budget; a blown deadline is transient and retried)")
+		gridPath  = flag.String("grid", "default", "grid JSON file, or \"default\" for the stock 16-point sweep")
+		scenPath  = flag.String("scenario", "", "scenario JSON file, or \"library\" for the stock pattern×topology set")
+		out       = flag.String("out", "results", "output basename (<out>.json and <out>.csv), or \"-\" for JSON on stdout")
+		maxCycles = flag.Uint64("maxcycles", 0, "override the per-run simulated-cycle budget")
+		printGrid = flag.Bool("print-grid", false, "print the default grid JSON and exit")
+		printScen = flag.Bool("print-scenarios", false, "print the scenario library JSON and exit")
+		curve     = flag.Bool("curve", false, "sweep injection load per scenario and emit load-latency curves (requires -scenario)")
+		curveMode = flag.String("curve-mode", "", "curve traversal for every -curve scenario: uniform (simulate every level) or adaptive (seed from the analytic knee, simulate only around it); empty keeps each scenario's curve_mode")
+		analyticF = flag.Bool("analytic", false, "analytic pre-pass: stochastic points the closed-form model brackets confidently are estimated instead of simulated (recorded with \"estimated\": true), and the predictions land in <out>.analytic.json")
+		validate  = flag.Bool("validate", false, "run the generator-validation harness and write a fidelity report instead of sweeping (reads only -scenario, -workers and -out)")
+		shards    = flag.Int("shards", 0, "shard every ×pipes simulation across N engine goroutines (0 or 1 = one engine); artifacts are byte-identical for every N")
+		journalF  = flag.String("journal", "", "write-ahead journal file: every completed point is fsync'd so a crashed or interrupted sweep resumes with -resume")
+		resume    = flag.Bool("resume", false, "resume the -journal file, skipping completed points (artifacts come out byte-identical to an uninterrupted run)")
+		retries   = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff, falling back to the strict kernel and one engine on the last attempt (0/1 = no retries)")
+		retryBack = flag.Duration("retry-backoff", 0, "base delay before a retry, doubling per attempt")
+		deadline  = flag.Duration("point-deadline", 0, "wall-clock deadline per point attempt (rides the guard run budget; a blown deadline is transient and retried)")
 	)
+	execs := cliflags.RegisterExec()
 	profiles := cliflags.RegisterProfile()
 	// A violated point is a failed point of the artifact and the grid
 	// continues either way; -on-violation only picks the exit status.
 	guards := cliflags.RegisterGuard("record")
 	flag.Parse()
 
-	kernel, err := platform.ParseKernel(*kernelFlag)
-	fail(err)
-	fail(sweep.ValidateShards(*shards))
+	kernel, err := execs.Kernel()
+	tool.Fail(err)
+	tool.Fail(sweep.ValidateShards(*shards))
 	gcfg, err := guards.Config()
-	fail(err)
-	onViol := guards.OnViolation()
+	tool.Fail(err)
 	rpol, err := retryPolicy(*retries, *retryBack, *deadline)
-	fail(err)
+	tool.Fail(err)
 	if *resume && *journalF == "" {
-		fail(fmt.Errorf("-resume requires -journal FILE"))
+		tool.Fail(errors.New("-resume requires -journal FILE"))
 	}
-	switch *curveMode {
-	case "", sweep.CurveModeUniform, sweep.CurveModeAdaptive:
-	default:
-		fail(fmt.Errorf("-curve-mode %q: want uniform or adaptive", *curveMode))
+	if *curveMode != "" {
+		tool.Fail(cliflags.OneOf("curve-mode", *curveMode, sweep.CurveModeUniform, sweep.CurveModeAdaptive))
 	}
+	r := sweep.Runner{Workers: execs.Workers(), MaxCycles: *maxCycles, Kernel: kernel,
+		Shards: *shards, Guard: gcfg, Retry: rpol}
 
-	// Profiles are written on the success path only: fail() exits the
+	// Profiles are written on the success path only: tool.Fail exits the
 	// process without running defers.
-	defer profiles.MustStart("tgsweep")()
+	defer profiles.Start(tool)()
 
 	if *printGrid {
 		g := sweep.DefaultGrid()
 		pts := g.Expand()
 		fmt.Fprintf(os.Stderr, "default grid: %d points\n", len(pts))
-		fail(writeJSONIndent(os.Stdout, g))
+		tool.Fail(writeJSONIndent(os.Stdout, g))
 		return
 	}
 	if *printScen {
 		specs := scenario.Library()
 		printPredictions(specs)
-		fail(writeJSONIndent(os.Stdout, specs))
+		tool.Fail(writeJSONIndent(os.Stdout, specs))
 		return
 	}
 	if *validate {
-		runValidate(*scenPath, *workers, *kernelFlag, *out)
+		runValidate(*scenPath, r.Workers, *out)
 		return
 	}
 
 	var points []sweep.Point
 	switch {
 	case *scenPath != "":
-		specs := scenario.Library()
-		if *scenPath != "library" {
-			f, err := os.Open(*scenPath)
-			fail(err)
-			specs, err = scenario.Parse(f)
-			f.Close()
-			fail(err)
-		}
+		specs := loadScenarios(*scenPath)
 		if *curve {
 			if *journalF != "" {
-				fail(fmt.Errorf("-journal supports grid/scenario sweeps, not -curve"))
+				tool.Fail(errors.New("-journal supports grid/scenario sweeps, not -curve"))
 			}
-			runCurves(specs, *curveMode, *workers, *maxCycles, *out, kernel, *shards, gcfg, rpol, onViol)
+			guards.Exit(tool, runCurves(r, specs, *curveMode, *out))
 			return
 		}
-		var err error
 		points, err = scenario.Points(specs)
-		fail(err)
+		tool.Fail(err)
 		fmt.Fprintf(os.Stderr, "tgsweep: %d scenarios\n", len(specs))
 	default:
 		if *curve {
-			fail(fmt.Errorf("-curve requires -scenario FILE|library"))
+			tool.Fail(errors.New("-curve requires -scenario FILE|library"))
 		}
 		grid := sweep.DefaultGrid()
 		if *gridPath != "default" {
 			f, err := os.Open(*gridPath)
-			fail(err)
+			tool.Fail(err)
 			grid, err = sweep.ParseGrid(f)
 			f.Close()
-			fail(err)
+			tool.Fail(err)
 		}
 		points = grid.Expand()
 	}
@@ -205,9 +199,8 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "tgsweep: analytic pre-pass armed on %d/%d points\n", marked, len(points))
 	}
-	fmt.Fprintf(os.Stderr, "tgsweep: %d configurations, %d workers\n", len(points), *workers)
+	fmt.Fprintf(os.Stderr, "tgsweep: %d configurations, %d workers\n", len(points), r.Workers)
 
-	r := sweep.Runner{Workers: *workers, MaxCycles: *maxCycles, Kernel: kernel, Shards: *shards, Guard: gcfg, Retry: rpol}
 	start := time.Now()
 	var results []sweep.Result
 	if *journalF != "" {
@@ -220,17 +213,16 @@ func main() {
 		if errors.Is(err, sweep.ErrDrained) {
 			fmt.Fprintf(os.Stderr, "tgsweep: interrupted: %d resumed, %d ran, %d pending\n",
 				status.Resumed, status.Ran, status.Skipped)
-			fmt.Fprintf(os.Stderr, "tgsweep: journal flushed; continue with: tgsweep -journal %s -resume ...\n", *journalF)
-			os.Exit(1)
+			tool.Fail(fmt.Errorf("journal flushed; continue with: tgsweep -journal %s -resume ...", *journalF))
 		}
-		fail(err)
+		tool.Fail(err)
 		if status.Resumed > 0 {
 			fmt.Fprintf(os.Stderr, "tgsweep: resumed %d completed points from %s, ran %d\n",
 				status.Resumed, *journalF, status.Ran)
 		}
 	} else {
 		results, err = r.Run(points)
-		fail(err)
+		tool.Fail(err)
 	}
 	wall := time.Since(start)
 
@@ -260,21 +252,36 @@ func main() {
 	}
 
 	if *out == "-" {
-		fail(sweep.WriteJSON(os.Stdout, results))
-		exitViolations(violated, onViol)
-		return
+		tool.Fail(sweep.WriteJSON(os.Stdout, results))
+	} else {
+		tool.Fail(sweep.WriteArtifacts(*out, results))
+		fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.json and %s.csv\n", *out, *out)
+		if *analyticF {
+			rep := sweep.AnalyticReport(points)
+			f, err := os.Create(*out + ".analytic.json")
+			tool.Fail(err)
+			tool.Fail(rep.WriteJSON(f))
+			tool.Fail(f.Close())
+			fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.analytic.json (%d predictions)\n", *out, len(rep.Entries))
+		}
 	}
-	fail(sweep.WriteArtifacts(*out, results))
-	fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.json and %s.csv\n", *out, *out)
-	if *analyticF {
-		rep := sweep.AnalyticReport(points)
-		f, err := os.Create(*out + ".analytic.json")
-		fail(err)
-		fail(rep.WriteJSON(f))
-		fail(f.Close())
-		fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.analytic.json (%d predictions)\n", *out, len(rep.Entries))
+	// Artifacts are on disk by now: a failing sweep still leaves its
+	// (deterministic) partial results behind.
+	guards.Exit(tool, violated)
+}
+
+// loadScenarios reads the -scenario file, or the stock library for
+// "library".
+func loadScenarios(path string) []scenario.Spec {
+	if path == "library" {
+		return scenario.Library()
 	}
-	exitViolations(violated, onViol)
+	f, err := os.Open(path)
+	tool.Fail(err)
+	defer f.Close()
+	specs, err := scenario.Parse(f)
+	tool.Fail(err)
+	return specs
 }
 
 // printPredictions renders the closed-form prediction per scenario — the
@@ -318,19 +325,6 @@ func printPredictions(specs []scenario.Spec) {
 	tw.Flush()
 }
 
-// exitViolations turns recorded violations into the process exit status
-// under -on-violation fail. Artifacts are already on disk at this point:
-// a failing sweep still leaves its (deterministic) partial results behind.
-func exitViolations(violated int, onViol string) {
-	if violated == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "tgsweep: %d points failed with guard violations\n", violated)
-	if onViol == "fail" {
-		os.Exit(1)
-	}
-}
-
 // retryPolicy resolves the -retries/-retry-backoff/-point-deadline flags
 // into a runner retry policy (nil = single attempt, no deadline).
 func retryPolicy(retries int, backoff, deadline time.Duration) (*sweep.RetryPolicy, error) {
@@ -348,11 +342,12 @@ func retryPolicy(retries int, backoff, deadline time.Duration) (*sweep.RetryPoli
 	return p, nil
 }
 
-// runCurves sweeps each scenario's injection load and writes load-latency
-// curve artifacts (<out>.json / <out>.csv, or JSON on stdout with "-").
-func runCurves(specs []scenario.Spec, mode string, workers int, maxCycles uint64, out string, kernel platform.KernelMode, shards int, gcfg *guard.Config, rpol *sweep.RetryPolicy, onViol string) {
+// runCurves sweeps each scenario's injection load through r and writes
+// load-latency curve artifacts (<out>.json / <out>.csv, or JSON on stdout
+// with "-"). It returns the number of guard-violated levels.
+func runCurves(r sweep.Runner, specs []scenario.Spec, mode string, out string) (violated int) {
 	css, err := scenario.Curves(specs)
-	fail(err)
+	tool.Fail(err)
 	if skipped := len(specs) - len(css); skipped > 0 {
 		fmt.Fprintf(os.Stderr, "tgsweep: %d arrival-process scenarios have no load axis to curve; skipped\n", skipped)
 	}
@@ -368,10 +363,10 @@ func runCurves(specs []scenario.Spec, mode string, workers int, maxCycles uint64
 			levels += len(sweep.DefaultCurveGaps)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "tgsweep: %d curves (%d load levels), %d workers\n", len(css), levels, workers)
+	fmt.Fprintf(os.Stderr, "tgsweep: %d curves (%d load levels), %d workers\n", len(css), levels, r.Workers)
 	start := time.Now()
-	curves, err := sweep.Runner{Workers: workers, MaxCycles: maxCycles, Kernel: kernel, Shards: shards, Guard: gcfg, Retry: rpol}.RunCurves(css)
-	fail(err)
+	curves, err := r.RunCurves(css)
+	tool.Fail(err)
 	sat := 0
 	for _, c := range curves {
 		if c.Saturation != nil {
@@ -387,35 +382,31 @@ func runCurves(specs []scenario.Spec, mode string, workers int, maxCycles uint64
 		}
 	}
 	fmt.Fprintf(os.Stderr, "tgsweep: %d/%d curves saturated in %v\n", sat, len(curves), time.Since(start).Round(time.Millisecond))
-	violated := 0
+	if out == "-" {
+		tool.Fail(sweep.WriteCurvesJSON(os.Stdout, curves))
+	} else {
+		tool.Fail(sweep.WriteCurveArtifacts(out, curves))
+		fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.json and %s.csv\n", out, out)
+	}
+	return curveViolations(curves)
+}
+
+// curveViolations counts the curve levels that carry a Violation — a
+// watchdog violation or a recovered worker panic — exactly as the grid
+// path counts Result.Violation.
+func curveViolations(curves []sweep.Curve) (n int) {
 	for _, c := range curves {
 		for _, p := range c.Points {
-			// Violation errors stringify with the guard prefix; the curve
-			// artifact keeps only the flat message per level.
-			if strings.HasPrefix(p.Err, "guard:") {
-				violated++
+			if p.Violation != nil {
+				n++
 			}
 		}
 	}
-	if out == "-" {
-		fail(sweep.WriteCurvesJSON(os.Stdout, curves))
-		exitViolations(violated, onViol)
-		return
-	}
-	fail(sweep.WriteCurveArtifacts(out, curves))
-	fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.json and %s.csv\n", out, out)
-	exitViolations(violated, onViol)
+	return n
 }
 
 func writeJSONIndent(f *os.File, v any) error {
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tgsweep:", err)
-		os.Exit(1)
-	}
 }

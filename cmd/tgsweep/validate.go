@@ -2,48 +2,27 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"time"
 
 	"noctg/internal/journal"
 	"noctg/internal/scenario"
-	"noctg/internal/sim"
 	"noctg/internal/valid"
 )
-
-// validateKernel maps the -kernel flag onto a concrete simulation kernel
-// for open-loop validation runs. The fidelity report is byte-identical for
-// every choice (the harness pins all kernels to the same cycle schedule),
-// so "auto" simply takes the event kernel like replay runs do.
-func validateKernel(flag string) sim.Kernel {
-	switch flag {
-	case "strict":
-		return sim.KernelStrict
-	case "skip":
-		return sim.KernelSkip
-	}
-	return sim.KernelEvent
-}
 
 // runValidate executes the generator-validation harness: the stock
 // fidelity suite by default, or sources derived from a scenario file's
 // stochastic workloads with -scenario. The report lands in <out>.json (or
-// on stdout with "-"); any failed fidelity check exits nonzero.
-func runValidate(scenPath string, workers int, kernelFlag, out string) {
-	kernel := validateKernel(kernelFlag)
+// on stdout with "-"); any failed fidelity check exits nonzero. It reads
+// no other flag: the always-awake capture clock pins every kernel to the
+// same schedule, so the report has no kernel to choose.
+func runValidate(scenPath string, workers int, out string) {
 	sources := valid.StockSources()
 	if scenPath != "" {
-		specs := scenario.Library()
-		if scenPath != "library" {
-			f, err := os.Open(scenPath)
-			fail(err)
-			specs, err = scenario.Parse(f)
-			f.Close()
-			fail(err)
-		}
-		pts, err := scenario.Points(specs)
-		fail(err)
+		pts, err := scenario.Points(loadScenarios(scenPath))
+		tool.Fail(err)
 		sources = sources[:0]
 		seen := map[string]bool{}
 		skipped := 0
@@ -63,14 +42,13 @@ func runValidate(scenPath string, workers int, kernelFlag, out string) {
 			fmt.Fprintf(os.Stderr, "tgsweep: %d points have no analytic spec, skipped\n", skipped)
 		}
 		if len(sources) == 0 {
-			fail(fmt.Errorf("no validatable stochastic workloads in %s", scenPath))
+			tool.Fail(fmt.Errorf("no validatable stochastic workloads in %s", scenPath))
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "tgsweep: validating %d sources, %d workers, %v kernel\n",
-		len(sources), workers, kernel)
+	fmt.Fprintf(os.Stderr, "tgsweep: validating %d sources, %d workers\n", len(sources), workers)
 	start := time.Now()
-	rep := valid.Validate(sources, kernel, workers)
+	rep := valid.Validate(sources, workers)
 	checks := 0
 	for _, s := range rep.Sources {
 		checks += len(s.Checks)
@@ -85,15 +63,14 @@ func runValidate(scenPath string, workers int, kernelFlag, out string) {
 		checks, time.Since(start).Round(time.Millisecond))
 
 	if out == "-" {
-		fail(rep.WriteJSON(os.Stdout))
+		tool.Fail(rep.WriteJSON(os.Stdout))
 	} else {
 		var buf bytes.Buffer
-		fail(rep.WriteJSON(&buf))
-		fail(journal.AtomicWrite(out+".json", buf.Bytes()))
+		tool.Fail(rep.WriteJSON(&buf))
+		tool.Fail(journal.AtomicWrite(out+".json", buf.Bytes()))
 		fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.json\n", out)
 	}
 	if !rep.Pass {
-		fmt.Fprintln(os.Stderr, "tgsweep: generator validation FAILED")
-		os.Exit(1)
+		tool.Fail(errors.New("generator validation FAILED"))
 	}
 }

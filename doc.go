@@ -161,11 +161,11 @@
 // TryRequest) fire an engine wake hook at the moment of stimulus; and
 // ports can bound a blocked master's next possible progress (ocp
 // WakeHinter), letting masters sleep through known transfer occupancy
-// instead of polling. platform.KernelAuto resolves to the event kernel
-// for TG and clone replay builders and to strict everywhere else; skip
-// remains selectable for cross-checking and as the simpler fallback, and
-// any platform containing a non-Sleeper device silently degrades to
-// strict ticking.
+// instead of polling. The event kernel is the zero value of
+// platform.KernelMode and so every platform's default; skip remains
+// selectable for cross-checking and as the simpler fallback, and any
+// platform containing a non-Sleeper device (a miniARM core) silently
+// degrades to strict ticking under either.
 //
 // All three produce identical simulated results — the differential tests
 // assert byte-identical sweep artifacts across the full kernel matrix.

@@ -3,6 +3,7 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"noctg/internal/guard"
@@ -31,8 +32,8 @@ func RegisterGuard(defaultOnViolation string) *Guard {
 // configuration (nil = unguarded). Call after flag.Parse and before
 // OnViolation.
 func (g *Guard) Config() (*guard.Config, error) {
-	if *g.onViol != "record" && *g.onViol != "fail" {
-		return nil, fmt.Errorf("-on-violation %q: want record or fail", *g.onViol)
+	if err := OneOf("on-violation", *g.onViol, "record", "fail"); err != nil {
+		return nil, err
 	}
 	if *g.budget < 0 {
 		return nil, fmt.Errorf("-run-budget %v: want a non-negative duration", *g.budget)
@@ -48,3 +49,36 @@ func (g *Guard) Config() (*guard.Config, error) {
 // OnViolation returns the -on-violation mode, "record" or "fail" once
 // Config has accepted it.
 func (g *Guard) OnViolation() string { return *g.onViol }
+
+// Exit is every tool's one guard-violation exit, called once the run's
+// output and diagnostics are out. A run that recorded violations exits 1
+// under -on-violation fail; under record, or with none, Exit returns and
+// the tool ends normally with exit 0.
+func (g *Guard) Exit(t Tool, violations int) {
+	if violations == 0 {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "%s: %d guard violation(s), -on-violation %s\n", t, violations, *g.onViol)
+	if *g.onViol == "fail" {
+		os.Exit(1)
+	}
+}
+
+// Check routes the error of a single run: nil passes (false); a guard
+// violation prints its diagnostic and goes through Exit (true: the run is
+// over); any other error fails the tool.
+func (g *Guard) Check(t Tool, err error) (violated bool) {
+	if err == nil {
+		return false
+	}
+	v, ok := guard.AsViolation(err)
+	if !ok {
+		t.Fail(err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: %v\n", t, err)
+	if v.Diag != nil {
+		fmt.Fprintln(os.Stderr, v.Diag.Summary())
+	}
+	g.Exit(t, 1)
+	return true
+}

@@ -1,11 +1,12 @@
 // Package cliflags holds the flag groups more than one cmd/ main takes, so
-// each is declared, validated and resolved once: -cpuprofile/-memprofile
-// (this file) and -guard/-run-budget/-on-violation (guard.go).
+// each is declared, validated and resolved once — -cpuprofile/-memprofile
+// (this file), -workers/-kernel (exec.go), -guard/-run-budget/
+// -on-violation (guard.go) — and the one exit path every main leaves
+// through on an error or a guard violation (tool.go).
 package cliflags
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -27,56 +28,34 @@ func RegisterProfile() *Profile {
 }
 
 // Start begins CPU profiling if requested and returns a stop function that
-// finishes the CPU profile and writes the heap profile. Call the stop
-// function on the success path only (a failed run exits without profiles,
-// matching the behaviour tgsweep always had).
-func (f *Profile) Start() (stop func() error, err error) {
+// finishes the CPU profile and writes the heap profile; errors either way
+// fail the tool. Call the stop function on the success path only (a
+// failed run exits without profiles).
+func (f *Profile) Start(t Tool) (stop func()) {
 	var cpuFile *os.File
 	if *f.cpu != "" {
+		var err error
 		cpuFile, err = os.Create(*f.cpu)
-		if err != nil {
-			return nil, err
-		}
+		t.Fail(err)
 		if err := pprof.StartCPUProfile(cpuFile); err != nil {
 			cpuFile.Close()
-			return nil, err
+			t.Fail(err)
 		}
 	}
-	return func() error {
+	return func() {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return err
-			}
+			t.Fail(cpuFile.Close())
 		}
 		if *f.mem != "" {
 			mf, err := os.Create(*f.mem)
-			if err != nil {
-				return err
-			}
+			t.Fail(err)
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(mf); err != nil {
 				mf.Close()
-				return err
+				t.Fail(err)
 			}
-			return mf.Close()
-		}
-		return nil
-	}, nil
-}
-
-// MustStart is Start with errors routed to stderr + exit, the shape every
-// cmd/ main wants.
-func (f *Profile) MustStart(tool string) (stop func()) {
-	s, err := f.Start()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-		os.Exit(1)
-	}
-	return func() {
-		if err := s(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-			os.Exit(1)
+			t.Fail(mf.Close())
 		}
 	}
 }

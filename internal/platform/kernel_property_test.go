@@ -7,11 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"noctg/internal/cache"
 	"noctg/internal/core"
 	"noctg/internal/layout"
 	"noctg/internal/noc"
 	"noctg/internal/ocp"
 	"noctg/internal/platform"
+	"noctg/internal/prog"
 	"noctg/internal/sim"
 	"noctg/internal/stochastic"
 )
@@ -222,6 +224,46 @@ func TestKernelPropertyRandomScenarios(t *testing.T) {
 			if !reflect.DeepEqual(histS, histK) {
 				t.Fatalf("trial %d %s: latency histograms diverged:\nstrict: %+v\n%v: %+v",
 					trial, fv.name, histS, kernel, histK)
+			}
+		}
+	}
+}
+
+// TestARMAlwaysTicksStrictly pins the property the kernel default rests
+// on: a miniARM core is not a sim.Sleeper, so on an ARM platform the event
+// and skip kernels elide nothing — the engine reports it cannot skip,
+// skips no cycle, and lands on the strict run's makespan. ARM reference
+// runs therefore need no kernel of their own, and the Table 2 gain
+// measures the TG model against a reference that ticked every cycle.
+func TestARMAlwaysTicksStrictly(t *testing.T) {
+	spec := prog.MPMatrix(2, 4)
+	progs, err := spec.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	caches := cache.Config{Lines: 64, WordsPerLine: 4}
+	for _, ic := range []platform.Interconnect{platform.AMBA, platform.XPipes} {
+		run := func(kernel platform.KernelMode) uint64 {
+			t.Helper()
+			sys, err := platform.BuildARM(platform.Config{Cores: spec.Cores, Interconnect: ic, Kernel: kernel},
+				progs, caches, caches)
+			if err != nil {
+				t.Fatalf("%v %v: %v", ic, kernel, err)
+			}
+			makespan, err := sys.Run(spec.MaxCycles)
+			if err != nil {
+				t.Fatalf("%v %v: %v", ic, kernel, err)
+			}
+			if sys.Engine.CanSkip() || sys.Engine.SkippedCycles != 0 {
+				t.Errorf("%v %v: ARM engine CanSkip=%v, skipped %d cycles; want strict ticking",
+					ic, kernel, sys.Engine.CanSkip(), sys.Engine.SkippedCycles)
+			}
+			return makespan
+		}
+		want := run(platform.KernelStrict)
+		for _, kernel := range []platform.KernelMode{platform.KernelEvent, platform.KernelSkip} {
+			if got := run(kernel); got != want {
+				t.Errorf("%v: %v makespan %d, strict %d", ic, kernel, got, want)
 			}
 		}
 	}

@@ -48,32 +48,28 @@ type Master interface {
 	Done() bool
 }
 
-// KernelMode selects the simulation kernel for a platform.
+// KernelMode selects the simulation kernel for a platform. Every mode
+// computes byte-identical simulated state; they differ only in host time.
+// Neither KernelEvent nor KernelSkip elides anything on an engine holding
+// a device that does not implement sim.Sleeper — the engine ticks it
+// strictly — and miniARM cores are such devices, so ARM reference runs
+// always tick strictly and the reported ARM-vs-TG speedups carry no kernel
+// tricks.
 type KernelMode int
 
 const (
-	// KernelAuto picks the event-driven kernel for TG-replay platforms
-	// (BuildTG, BuildClone) and the strict kernel everywhere else — in
-	// particular for ARM reference runs, whose reported ARM-vs-TG speedups
-	// must not be inflated by kernel tricks.
-	KernelAuto KernelMode = iota
+	// KernelEvent, the zero value, ticks only the devices whose scheduled
+	// wake is due each cycle and jumps all-asleep spans like KernelSkip;
+	// per-cycle cost scales with the awake set, not the core count.
+	KernelEvent KernelMode = iota
 	// KernelStrict ticks every device on every cycle.
 	KernelStrict
 	// KernelSkip fast-forwards over cycles in which every device sleeps.
-	// The engine silently falls back to strict ticking when a registered
-	// device does not implement sim.Sleeper (e.g. miniARM cores).
 	KernelSkip
-	// KernelEvent ticks only the devices whose scheduled wake is due each
-	// cycle and jumps all-asleep spans like KernelSkip; per-cycle cost
-	// scales with the awake set, not the core count. Falls back to strict
-	// ticking under the same condition as KernelSkip.
-	KernelEvent
 )
 
 func (k KernelMode) String() string {
 	switch k {
-	case KernelAuto:
-		return "auto"
 	case KernelStrict:
 		return "strict"
 	case KernelSkip:
@@ -87,30 +83,25 @@ func (k KernelMode) String() string {
 // ParseKernel converts a -kernel flag value into a KernelMode.
 func ParseKernel(s string) (KernelMode, error) {
 	switch s {
-	case "auto", "":
-		return KernelAuto, nil
+	case "event":
+		return KernelEvent, nil
 	case "strict":
 		return KernelStrict, nil
 	case "skip":
 		return KernelSkip, nil
-	case "event":
-		return KernelEvent, nil
 	}
-	return 0, fmt.Errorf("platform: unknown kernel %q (want auto, strict, skip or event)", s)
+	return 0, fmt.Errorf("platform: unknown kernel %q (want strict, skip or event)", s)
 }
 
-// kernel maps a KernelMode onto the engine's kernel, resolving KernelAuto
-// with the given default.
-func (k KernelMode) kernel(auto sim.Kernel) sim.Kernel {
+// kernel maps a KernelMode onto the engine's kernel.
+func (k KernelMode) kernel() sim.Kernel {
 	switch k {
 	case KernelStrict:
 		return sim.KernelStrict
 	case KernelSkip:
 		return sim.KernelSkip
-	case KernelEvent:
-		return sim.KernelEvent
 	}
-	return auto
+	return sim.KernelEvent
 }
 
 // MasterFactory builds master id over the given port. The system's memories
@@ -142,11 +133,10 @@ type Config struct {
 	// log only once somebody calls its Record, which exp.RunReference alone
 	// does.
 	Trace bool
-	// Kernel selects the simulation kernel. The default, KernelAuto,
-	// resolves to the event-driven kernel for TG-replay builders and
-	// strict otherwise; strict, skip and event runs produce identical
-	// simulated state (the differential tests assert byte-identical sweep
-	// artifacts), differing only in host time.
+	// Kernel selects the simulation kernel (default KernelEvent); strict,
+	// skip and event runs produce identical simulated state (the
+	// differential tests assert byte-identical sweep artifacts), differing
+	// only in host time.
 	Kernel KernelMode
 	// Shards > 1 partitions an XPipes fabric into that many spatial shards
 	// (clamped to the mesh height), each running on its own engine and OS
@@ -211,7 +201,7 @@ func Build(cfg Config, factory MasterFactory) (*System, error) {
 		return nil, fmt.Errorf("platform: nil master factory")
 	}
 	e := sim.NewEngine(cfg.Clock)
-	e.SetKernel(cfg.Kernel.kernel(sim.KernelStrict))
+	e.SetKernel(cfg.Kernel.kernel())
 	s := &System{Engine: e, Cfg: cfg}
 
 	s.Shared = mem.NewRAM("shared", layout.SharedBase, layout.SharedSize, cfg.MemWaitStates)
@@ -298,7 +288,7 @@ func Build(cfg Config, factory MasterFactory) (*System, error) {
 			shardEngines = make([]*sim.Engine, len(regions))
 			for si := range regions {
 				se := sim.NewEngine(cfg.Clock)
-				se.SetKernel(cfg.Kernel.kernel(sim.KernelStrict))
+				se.SetKernel(cfg.Kernel.kernel())
 				shardEngines[si] = se
 			}
 		}

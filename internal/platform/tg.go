@@ -21,16 +21,10 @@ func TGFactory(programs []*core.Program) MasterFactory {
 	}
 }
 
-// BuildTG assembles a platform driven by TG devices. Under KernelAuto the
-// platform runs the event-driven kernel: TG replay is exactly the workload
-// it accelerates (deep Idle gaps, mixed busy/idle masters, quiescent
-// fabric), and its results are identical to a strict run.
+// BuildTG assembles a platform driven by TG devices.
 func BuildTG(cfg Config, programs []*core.Program) (*System, error) {
 	if len(programs) != cfg.Cores {
 		return nil, fmt.Errorf("platform: %d TG programs for %d cores", len(programs), cfg.Cores)
-	}
-	if cfg.Kernel == KernelAuto {
-		cfg.Kernel = KernelEvent
 	}
 	return Build(cfg, TGFactory(programs))
 }
@@ -44,14 +38,10 @@ func CloneFactory(events [][]ocp.Event) MasterFactory {
 	}
 }
 
-// BuildClone assembles a platform driven by cloning replayers. Like
-// BuildTG, KernelAuto resolves to the event-driven kernel.
+// BuildClone assembles a platform driven by cloning replayers.
 func BuildClone(cfg Config, events [][]ocp.Event) (*System, error) {
 	if len(events) != cfg.Cores {
 		return nil, fmt.Errorf("platform: %d clone traces for %d cores", len(events), cfg.Cores)
-	}
-	if cfg.Kernel == KernelAuto {
-		cfg.Kernel = KernelEvent
 	}
 	return Build(cfg, CloneFactory(events))
 }

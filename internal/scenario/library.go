@@ -92,13 +92,3 @@ func Library() []Spec {
 	)
 	return specs
 }
-
-// ByName returns the library scenario with the given name.
-func ByName(name string) (Spec, error) {
-	for _, s := range Library() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("scenario: no library scenario %q", name)
-}

@@ -9,6 +9,18 @@ import (
 	"noctg/internal/sweep"
 )
 
+// libraryScenario returns the library scenario with the given name.
+func libraryScenario(t *testing.T, name string) Spec {
+	t.Helper()
+	for _, s := range Library() {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("no library scenario %q", name)
+	return Spec{}
+}
+
 func validSpecJSON() string {
 	return `{
 		"name": "transpose-torus",
@@ -142,12 +154,7 @@ func TestLibraryCompiles(t *testing.T) {
 			t.Fatalf("point %d has ID %d; scenario expansion must number sequentially", i, p.ID)
 		}
 	}
-	if _, err := ByName("transpose-torus"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("ByName must reject unknown scenarios")
-	}
+	libraryScenario(t, "transpose-torus")
 }
 
 // TestLibraryKernelDifferential is the scenario half of the equivalence
@@ -309,10 +316,7 @@ func TestParseRejectsExecutionKnobs(t *testing.T) {
 }
 
 func TestSpecCurveCompilation(t *testing.T) {
-	s, err := ByName("hotspot-amba")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := libraryScenario(t, "hotspot-amba")
 	cs, err := s.Curve()
 	if err != nil {
 		t.Fatal(err)
@@ -356,10 +360,7 @@ func TestLibraryCurveSaturation(t *testing.T) {
 	names := []string{"hotspot-amba", "hotspot-mesh", "uniform-torus"}
 	var specs []Spec
 	for _, n := range names {
-		s, err := ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := libraryScenario(t, n)
 		// Trim the light-load tail to keep the test fast; the knee sits at
 		// the heavy end of the axis.
 		s.CurveGaps = []float64{24, 8, 4, 2, 1, 0.5}

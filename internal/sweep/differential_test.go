@@ -146,10 +146,13 @@ func assertPaperEqual(t *testing.T, strict, skip *PaperResults) {
 	}
 }
 
-// TestKernelDefaultIsEvent pins the TG-replay default: a sweep Runner with
-// the zero-value kernel mode must behave exactly like an explicit
-// event-kernel selection (the active-set kernel is the replay default).
+// TestKernelDefaultIsEvent pins the default: the zero KernelMode is the
+// event kernel, and a sweep Runner that leaves it zero behaves exactly like
+// an explicit event-kernel selection.
 func TestKernelDefaultIsEvent(t *testing.T) {
+	if platform.KernelMode(0) != platform.KernelEvent {
+		t.Fatal("zero KernelMode must be the event kernel")
+	}
 	points := DefaultGrid().Expand()[:2]
 	auto, err := Runner{}.Run(points)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 const TimingCaveat = "note: wall-time columns (time ARM/TG, gain) contend for host cores under parallel execution; use -workers 1 for timing fidelity (simulated cycles are exact either way)"
 
 // FormatPaper renders the selected experiment families of one parallel
-// paper run in the report layout shared by cmd/tgrepro and cmd/tgsweep.
+// paper run in cmd/tgrepro's report layout.
 func FormatPaper(w io.Writer, res *PaperResults, sel PaperSelect) {
 	if sel.Table2 {
 		fmt.Fprintln(w, "== Table 2: TG vs ARM performance with AMBA ==")

@@ -84,10 +84,8 @@ type Runner struct {
 	// 8× the benchmark's MaxCycles for TG points (slow fabrics stretch the
 	// run), 2,000,000 cycles for stochastic points.
 	MaxCycles uint64
-	// Kernel selects the simulation kernel for every grid point. The
-	// default (KernelAuto) is the event-driven kernel: sweep points replay
-	// TGs or stochastic generators, never ARM cores, and the skip and
-	// event kernels produce byte-identical artifacts (asserted by
+	// Kernel selects the simulation kernel for every grid point (default
+	// event); every kernel produces byte-identical artifacts (asserted by
 	// TestKernelDifferential).
 	Kernel platform.KernelMode
 	// Shards > 1 runs each ×pipes simulation across that many engine
@@ -109,10 +107,11 @@ type Runner struct {
 	// Retry is the retry/deadline policy of every point and curve level
 	// (the -retries flags). Nil means one attempt and no deadline.
 	Retry *RetryPolicy
-	// Interrupted, when set, is polled before each point starts; once it
-	// returns true the runner stops starting points (in-flight points
-	// finish). Journaled runs report the skipped count for the resume
-	// hint. Wired to SIGINT/SIGTERM by the CLIs.
+	// Interrupted, when set, is polled by RunJournaled — and only there —
+	// before each point starts; once it returns true the journaled run
+	// stops starting points (in-flight points finish) and reports the
+	// skipped count for the resume hint. Run and RunCurves never poll it,
+	// so tgsweep wires it to SIGINT/SIGTERM only under -journal.
 	Interrupted func() bool
 }
 
@@ -314,11 +313,7 @@ func (r Runner) runPointExec(cache *programCache, p Point, opts execOpts) (res R
 		return res
 	}
 	ic, _ := p.Fabric.interconnect()
-	kernel := r.Kernel
-	if kernel == platform.KernelAuto {
-		kernel = platform.KernelEvent
-	}
-	shards := r.Shards
+	kernel, shards := r.Kernel, r.Shards
 	if opts.fallback {
 		kernel, shards = platform.KernelStrict, 0
 	}

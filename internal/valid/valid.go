@@ -8,11 +8,11 @@
 // sources, and χ² message-class shares.
 //
 // Every check is deterministic: the capture device is registered before
-// the generator and stays permanently awake, so all three kernels execute
-// the generator on exactly the same cycles and the fidelity report is
-// byte-identical across kernels and worker counts (the report embeds
-// neither). The same property makes each check a plain seeded CI test
-// rather than a flaky statistical one.
+// the generator and stays permanently awake, which pins the engine to a
+// cycle-by-cycle schedule whatever its kernel, so the harness takes no
+// kernel knob, and the fidelity report is byte-identical across worker
+// counts (it does not embed the count). The same property makes each
+// check a plain seeded CI test rather than a flaky statistical one.
 package valid
 
 import (
@@ -45,7 +45,7 @@ const ksCrit = 1.949
 // cycleProbe is the capture clock: registered first so its Tick runs
 // before the generator's on every cycle, it publishes the current cycle to
 // the port and — by always reporting itself awake — pins every kernel to a
-// cycle-by-cycle schedule, which makes injection timestamps kernel-exact.
+// cycle-by-cycle schedule, which makes injection timestamps exact.
 type cycleProbe struct{ now uint64 }
 
 func (c *cycleProbe) Name() string               { return "validprobe" }
@@ -123,9 +123,9 @@ type SourceReport struct {
 	Pass   bool    `json:"pass"`
 }
 
-// Report is the full fidelity report. It deliberately embeds neither the
-// kernel nor the worker count: the artifact must be byte-identical across
-// both axes, and the determinism tests pin that.
+// Report is the full fidelity report. It deliberately does not embed the
+// worker count: the artifact must be byte-identical for every count, and
+// the determinism test pins that.
 type Report struct {
 	Sources []SourceReport `json:"sources"`
 	Pass    bool           `json:"pass"`
@@ -142,11 +142,10 @@ func (r Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// collect runs one generator open-loop under the given kernel and returns
-// its injection cycles and class tags.
-func collect(cfg stochastic.Config, kernel sim.Kernel) ([]uint64, []int) {
+// collect runs one generator open-loop and returns its injection cycles
+// and class tags.
+func collect(cfg stochastic.Config) ([]uint64, []int) {
 	eng := sim.NewEngine(sim.Clock{})
-	eng.SetKernel(kernel)
 	probe := &cycleProbe{}
 	port := &capturePort{probe: probe}
 	eng.Add(probe)
@@ -163,15 +162,15 @@ func boundCheck(name string, value, target, low, high float64) Check {
 		Pass: value >= low && value <= high}
 }
 
-// CheckSource captures one source under kernel and evaluates its checks.
-func CheckSource(src Source, kernel sim.Kernel) SourceReport {
+// CheckSource captures one source and evaluates its checks.
+func CheckSource(src Source) SourceReport {
 	cfg := src.Config
 	cfg.Count = src.Draws
 	cfg.ReadFraction = -1 // pure posted writes: inter-injection = gap + 1
 	if len(cfg.Ranges) == 0 && cfg.Spatial == nil {
 		cfg.Ranges = []ocp.AddrRange{{Base: 0, Size: 0x400}}
 	}
-	times, classes := collect(cfg, kernel)
+	times, classes := collect(cfg)
 	// Drop the leading eighth as warmup: arrival state machines start from
 	// their stationary draw but the phase of the virtual clock does not.
 	skip := len(times) / 8
@@ -234,9 +233,9 @@ func CheckSource(src Source, kernel sim.Kernel) SourceReport {
 // Validate runs every source through CheckSource with the given worker
 // count. Results are slot-indexed (sweep.Map), so the report is identical
 // for any worker count.
-func Validate(sources []Source, kernel sim.Kernel, workers int) Report {
+func Validate(sources []Source, workers int) Report {
 	reps, err := sweep.Map(workers, sources, func(_ int, s Source) (SourceReport, error) {
-		return CheckSource(s, kernel), nil
+		return CheckSource(s), nil
 	})
 	if err != nil {
 		panic(err) // CheckSource never returns an error

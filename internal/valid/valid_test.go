@@ -6,14 +6,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"noctg/internal/sim"
 	"noctg/internal/stochastic"
 )
 
 // TestStockSourcesPass is the fidelity gate: every stock source must pass
 // every analytic check. Failures print the offending check with its band.
 func TestStockSourcesPass(t *testing.T) {
-	rep := Validate(StockSources(), sim.KernelStrict, 4)
+	rep := Validate(StockSources(), 4)
 	for _, s := range rep.Sources {
 		for _, c := range s.Checks {
 			if !c.Pass {
@@ -27,31 +26,6 @@ func TestStockSourcesPass(t *testing.T) {
 	}
 }
 
-// TestReportKernelByteIdentical pins the determinism contract: the
-// fidelity report serializes byte-identically under all three kernels.
-func TestReportKernelByteIdentical(t *testing.T) {
-	// A reduced suite keeps the 3-kernel sweep fast; determinism does not
-	// depend on draw counts.
-	srcs := StockSources()[:3]
-	for i := range srcs {
-		srcs[i].Draws /= 4
-	}
-	var ref bytes.Buffer
-	if err := Validate(srcs, sim.KernelStrict, 2).WriteJSON(&ref); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []sim.Kernel{sim.KernelSkip, sim.KernelEvent} {
-		var got bytes.Buffer
-		if err := Validate(srcs, k, 2).WriteJSON(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ref.Bytes(), got.Bytes()) {
-			t.Errorf("kernel %v: report differs from strict\nstrict:\n%s\n%v:\n%s",
-				k, ref.String(), k, got.String())
-		}
-	}
-}
-
 // TestReportWorkerByteIdentical: the worker pool must not leak scheduling
 // order into the artifact.
 func TestReportWorkerByteIdentical(t *testing.T) {
@@ -60,10 +34,10 @@ func TestReportWorkerByteIdentical(t *testing.T) {
 		srcs[i].Draws /= 4
 	}
 	var a, b bytes.Buffer
-	if err := Validate(srcs, sim.KernelStrict, 1).WriteJSON(&a); err != nil {
+	if err := Validate(srcs, 1).WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(srcs, sim.KernelStrict, 8).WriteJSON(&b); err != nil {
+	if err := Validate(srcs, 8).WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -82,7 +56,7 @@ func TestHarnessDetectsDrift(t *testing.T) {
 		Draws:  8000,
 		Rate:   2 * expGapRate(10),
 	}
-	rep := CheckSource(wrongRate, sim.KernelStrict)
+	rep := CheckSource(wrongRate)
 	if rep.Pass {
 		t.Error("2x-wrong rate spec passed the offered-load CI")
 	}
@@ -94,7 +68,7 @@ func TestHarnessDetectsDrift(t *testing.T) {
 		Rate:       expGapRate(6),
 		ClassProbs: []float64{0.2, 0.3, 0.5},
 	}
-	rep = CheckSource(wrongClasses, sim.KernelStrict)
+	rep = CheckSource(wrongClasses)
 	if rep.Pass {
 		t.Error("mis-stated class shares passed the chi-square check")
 	}
@@ -105,7 +79,7 @@ func TestHarnessDetectsDrift(t *testing.T) {
 		Rate:   1 / (1 + 9.5),
 		GapCDF: expGapCDF(10), GapCDFName: "exp",
 	}
-	rep = CheckSource(wrongCDF, sim.KernelStrict)
+	rep = CheckSource(wrongCDF)
 	if rep.Pass {
 		t.Error("uniform gaps passed a KS test against the exponential CDF")
 	}
@@ -134,7 +108,7 @@ func TestRandomizedMMPPRateCI(t *testing.T) {
 			Draws:  20000,
 			Rate:   discRate(m.Rate()),
 		}
-		rep := CheckSource(src, sim.KernelStrict)
+		rep := CheckSource(src)
 		if !rep.Pass {
 			t.Errorf("config %d (%+v): %+v", i, m, rep.Checks)
 		}
