@@ -48,9 +48,9 @@ func TestCurveViolationsFailTheRun(t *testing.T) {
 }
 
 // TestEnumFlagsRejectUnknownValues drives the built tools: an unknown
-// value of an enum flag — including the removed -kernel auto — must exit 1
-// with an error naming it, before any simulation starts, never fall back
-// to a different experiment.
+// value of an enum flag — including the removed -kernel auto — or a flag
+// the selected mode never reads must exit 1 with an error naming it,
+// before any simulation starts, never fall back to a different experiment.
 func TestEnumFlagsRejectUnknownValues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tools")
@@ -70,6 +70,9 @@ func TestEnumFlagsRejectUnknownValues(t *testing.T) {
 		{"tgsweep", []string{"-kernel", "auto"}, `unknown kernel "auto"`},
 		{"tgrepro", []string{"-all", "-kernel", "auto"}, `unknown kernel "auto"`},
 		{"tgsweep", []string{"-scenario", "library", "-curve", "-curve-mode", "fast"}, `-curve-mode "fast": want uniform or adaptive`},
+		// Flags a mode never reads are refused, not silently ignored.
+		{"tgsweep", []string{"-scenario", "library", "-curve-mode", "adaptive"}, `-curve-mode requires -curve`},
+		{"tgsweep", []string{"-scenario", "library", "-curve", "-analytic"}, `-analytic applies to grid/scenario sweeps, not -curve`},
 		{"nocsim", []string{"-on-violation", "ignore"}, `-on-violation "ignore": want record or fail`},
 	} {
 		out, err := exec.Command(bins[tc.tool], tc.args...).CombinedOutput()

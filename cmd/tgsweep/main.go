@@ -11,7 +11,8 @@
 //	        [-journal FILE [-resume]] [-retries N] [-retry-backoff D]
 //	        [-point-deadline D] [-cpuprofile FILE] [-memprofile FILE]
 //	tgsweep -scenario FILE|library # run declarative traffic scenarios
-//	tgsweep -scenario FILE|library -curve # load-latency curves per scenario
+//	tgsweep -scenario FILE|library -curve [-curve-mode uniform|adaptive]
+//	        [-journal FILE [-resume]] # load-latency curves per scenario
 //	tgsweep -validate [-scenario FILE|library] [-workers N] [-out BASE|-] # fidelity report
 //	tgsweep -print-scenarios       # dump the scenario library as a template
 //	tgsweep -print-grid            # dump the default grid as a template
@@ -29,7 +30,8 @@
 // With -curve (requires -scenario), each scenario's injection load is
 // swept over its curve_gaps axis (or the stock ladder) and measured with
 // the phased methodology at every level; the artifacts are load-latency
-// curves with the detected saturation point per scenario.
+// curves with the detected saturation point per scenario. -curve-mode
+// without -curve, and -analytic with it, are refused by name.
 //
 // With -validate, no simulation sweep runs: instead each stochastic
 // traffic source executes open-loop against the generator-validation
@@ -62,7 +64,8 @@
 // appended to an fsync'd write-ahead journal, and -resume skips completed
 // points and re-runs only in-flight or unstarted ones — final artifacts
 // are byte-identical to an uninterrupted run at any kill point, and the
-// resume may use a different worker count, kernel or shard count.
+// resume may use a different worker count, kernel or shard count. With
+// -curve, every load level is a journaled point.
 // Under -journal, SIGINT/SIGTERM drain gracefully: in-flight points
 // finish, the journal is flushed, and the process exits nonzero with a
 // resume hint. Without -journal a signal stops the process at once.
@@ -81,6 +84,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -91,6 +95,7 @@ import (
 
 	"noctg/internal/cliflags"
 	"noctg/internal/drain"
+	"noctg/internal/journal"
 	"noctg/internal/scenario"
 	"noctg/internal/sweep"
 )
@@ -134,7 +139,13 @@ func main() {
 		tool.Fail(errors.New("-resume requires -journal FILE"))
 	}
 	if *curveMode != "" {
+		if !*curve {
+			tool.Fail(errors.New("-curve-mode requires -curve"))
+		}
 		tool.Fail(cliflags.OneOf("curve-mode", *curveMode, sweep.CurveModeUniform, sweep.CurveModeAdaptive))
+	}
+	if *analyticF && *curve {
+		tool.Fail(errors.New("-analytic applies to grid/scenario sweeps, not -curve"))
 	}
 	r := sweep.Runner{Workers: execs.Workers(), MaxCycles: *maxCycles, Kernel: kernel,
 		Shards: *shards, Guard: gcfg, Retry: rpol}
@@ -160,16 +171,17 @@ func main() {
 		runValidate(*scenPath, r.Workers, *out)
 		return
 	}
+	jc := sweep.JournalConfig{Path: *journalF, Resume: *resume}
+	if jc.Path != "" {
+		r.Interrupted = drain.Arm("tgsweep")
+	}
 
 	var points []sweep.Point
 	switch {
 	case *scenPath != "":
 		specs := loadScenarios(*scenPath)
 		if *curve {
-			if *journalF != "" {
-				tool.Fail(errors.New("-journal supports grid/scenario sweeps, not -curve"))
-			}
-			guards.Exit(tool, runCurves(r, specs, *curveMode, *out))
+			guards.Exit(tool, runCurves(r, jc, specs, *curveMode, *out))
 			return
 		}
 		points, err = scenario.Points(specs)
@@ -203,27 +215,13 @@ func main() {
 
 	start := time.Now()
 	var results []sweep.Result
-	if *journalF != "" {
-		r.Interrupted = drain.Arm("tgsweep")
-		var status sweep.JournalStatus
-		results, status, err = r.RunJournaled(points, sweep.JournalConfig{Path: *journalF, Resume: *resume})
-		if status.Torn {
-			fmt.Fprintf(os.Stderr, "tgsweep: journal had a torn tail (crash signature); truncated and resumed\n")
-		}
-		if errors.Is(err, sweep.ErrDrained) {
-			fmt.Fprintf(os.Stderr, "tgsweep: interrupted: %d resumed, %d ran, %d pending\n",
-				status.Resumed, status.Ran, status.Skipped)
-			tool.Fail(fmt.Errorf("journal flushed; continue with: tgsweep -journal %s -resume ...", *journalF))
-		}
-		tool.Fail(err)
-		if status.Resumed > 0 {
-			fmt.Fprintf(os.Stderr, "tgsweep: resumed %d completed points from %s, ran %d\n",
-				status.Resumed, *journalF, status.Ran)
-		}
+	var status sweep.JournalStatus
+	if jc.Path != "" {
+		results, status, err = r.RunJournaled(points, jc)
 	} else {
 		results, err = r.Run(points)
-		tool.Fail(err)
 	}
+	reportRun(jc, status, err, "")
 	wall := time.Since(start)
 
 	failed, violated := 0, 0
@@ -258,10 +256,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.json and %s.csv\n", *out, *out)
 		if *analyticF {
 			rep := sweep.AnalyticReport(points)
-			f, err := os.Create(*out + ".analytic.json")
-			tool.Fail(err)
-			tool.Fail(rep.WriteJSON(f))
-			tool.Fail(f.Close())
+			var buf bytes.Buffer
+			tool.Fail(rep.WriteJSON(&buf))
+			tool.Fail(journal.AtomicWrite(*out+".analytic.json", buf.Bytes()))
 			fmt.Fprintf(os.Stderr, "tgsweep: wrote %s.analytic.json (%d predictions)\n", *out, len(rep.Entries))
 		}
 	}
@@ -342,10 +339,29 @@ func retryPolicy(retries int, backoff, deadline time.Duration) (*sweep.RetryPoli
 	return p, nil
 }
 
-// runCurves sweeps each scenario's injection load through r and writes
-// load-latency curve artifacts (<out>.json / <out>.csv, or JSON on stdout
-// with "-"). It returns the number of guard-violated levels.
-func runCurves(r sweep.Runner, specs []scenario.Spec, mode string, out string) (violated int) {
+// reportRun exits on a run's error — a drained journaled run, its pending
+// count prefixed by bound, with the resume hint — and reports its journal.
+func reportRun(jc sweep.JournalConfig, status sweep.JournalStatus, err error, bound string) {
+	if status.Torn {
+		fmt.Fprintf(os.Stderr, "tgsweep: journal had a torn tail (crash signature); truncated and resumed\n")
+	}
+	if errors.Is(err, sweep.ErrDrained) {
+		fmt.Fprintf(os.Stderr, "tgsweep: interrupted: %d resumed, %d ran, %s%d pending\n",
+			status.Resumed, status.Ran, bound, status.Skipped)
+		tool.Fail(fmt.Errorf("journal flushed; continue with: tgsweep -journal %s -resume ...", jc.Path))
+	}
+	tool.Fail(err)
+	if status.Resumed > 0 {
+		fmt.Fprintf(os.Stderr, "tgsweep: resumed %d completed points from %s, ran %d\n",
+			status.Resumed, jc.Path, status.Ran)
+	}
+}
+
+// runCurves sweeps each scenario's injection load through r — under the
+// journal when jc names one — and writes load-latency curve artifacts
+// (<out>.json / <out>.csv, or JSON on stdout with "-"). It returns the
+// number of guard-violated levels.
+func runCurves(r sweep.Runner, jc sweep.JournalConfig, specs []scenario.Spec, mode string, out string) (violated int) {
 	css, err := scenario.Curves(specs)
 	tool.Fail(err)
 	if skipped := len(specs) - len(css); skipped > 0 {
@@ -365,8 +381,14 @@ func runCurves(r sweep.Runner, specs []scenario.Spec, mode string, out string) (
 	}
 	fmt.Fprintf(os.Stderr, "tgsweep: %d curves (%d load levels), %d workers\n", len(css), levels, r.Workers)
 	start := time.Now()
-	curves, err := r.RunCurves(css)
-	tool.Fail(err)
+	var curves []sweep.Curve
+	var status sweep.JournalStatus
+	if jc.Path != "" {
+		curves, status, err = r.RunCurvesJournaled(css, jc)
+	} else {
+		curves, err = r.RunCurves(css)
+	}
+	reportRun(jc, status, err, "at least ") // later rounds are not known yet
 	sat := 0
 	for _, c := range curves {
 		if c.Saturation != nil {

@@ -254,11 +254,10 @@
 // point without a Measure runs the zero plan — no warmup, one open epoch
 // from cycle 0 to completion, no drain — and carries no Phases block, and
 // warmup=0, epochs=1, drain=0 is that plan written out: the same bytes plus
-// the block. Who meters and who records: a port Monitor (Config.Trace)
-// always meters, at no allocation, and records an event log only after
-// Monitor.Record, which RunReference — the run whose product is the
-// paper's trace — alone calls; sweep points never record, and curve levels
-// run without monitors on the generators' own meters.
+// the block. Each master has one meter: a stochastic generator its own, a
+// TG replay master a port Monitor (Config.Trace), which meters at no
+// allocation and records an event log only after Monitor.Record — which
+// RunReference, the run whose product is the paper's trace, alone calls.
 //
 // Load-latency curves (sweep.CurveSpec, tgsweep -curve) build on phased
 // measurement: one stochastic scenario swept over an injection-load axis,
@@ -290,9 +289,10 @@
 //
 // # Crash-safe campaigns
 //
-// A sweep can run journaled (SweepRunner.RunJournaled, tgsweep -journal):
-// every completed point appends one fsync'd, CRC-framed record — stable
-// point key, attempt count, outcome and the full serialized result — to a
+// A sweep can run journaled (SweepRunner.RunJournaled, tgsweep -journal;
+// RunCurvesJournaled, whose points are the curves' axis levels): every
+// completed point appends one fsync'd, CRC-framed record — stable point
+// key, attempt count, outcome and the full serialized result — to a
 // write-ahead journal, and a resumed campaign (SweepRunner.Resume, tgsweep
 // -resume) skips completed points and re-serializes their stored results,
 // so the final artifacts are byte-identical to an uninterrupted run at any

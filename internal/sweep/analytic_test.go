@@ -534,23 +534,6 @@ func TestCurveModeValidation(t *testing.T) {
 	}
 }
 
-// TestRunCurveSingle: the single-curve wrapper returns the same curve the
-// batch runner produces.
-func TestRunCurveSingle(t *testing.T) {
-	cs := adaptiveCurveSpec()
-	cs.Gaps = []float64{24, 2}
-	c, err := Runner{Workers: 1}.RunCurve(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Name != cs.Name || len(c.Points) != 2 {
-		t.Fatalf("curve = %s with %d points, want %s with 2", c.Name, len(c.Points), cs.Name)
-	}
-	if _, err := (Runner{}).RunCurve(CurveSpec{}); err == nil {
-		t.Fatal("empty curve spec accepted")
-	}
-}
-
 // TestAnalyticSpecLegacyTarget: pattern-less xpipes workloads target the
 // shared slave, exactly as the platform floorplan places it.
 func TestAnalyticSpecLegacyTarget(t *testing.T) {

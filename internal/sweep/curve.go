@@ -209,88 +209,120 @@ type Curve struct {
 	Analytic *analytic.Estimate `json:"analytic,omitempty"`
 }
 
-// RunCurve measures one load–latency curve, parallelising the load levels
-// over the runner's worker pool.
-func (r Runner) RunCurve(spec CurveSpec) (Curve, error) {
-	curves, err := r.RunCurves([]CurveSpec{spec})
-	if err != nil {
-		return Curve{}, err
-	}
-	return curves[0], nil
-}
-
 // RunCurves measures a set of curves, parallelising every (curve, load
 // level) pair over one worker pool. Results are deterministic and ordered
 // by input spec regardless of worker count: adaptive curves advance in
-// lockstep rounds, so every round's task list — and therefore every
+// lockstep rounds, so every round's level list — and therefore every
 // simulated level — is a pure function of earlier results, never of
 // worker scheduling.
 func (r Runner) RunCurves(specs []CurveSpec) ([]Curve, error) {
-	resolved := make([]CurveSpec, len(specs))
+	curves, _, err := r.runCurves(specs, nil)
+	return curves, err
+}
+
+// RunCurvesJournaled is RunCurves under RunJournaled's write-ahead journal:
+// every axis level of every curve is a point of the campaign, so a resume
+// replays the same rounds, restores the journaled levels and simulates
+// only the missing ones, into byte-identical curves.
+func (r Runner) RunCurvesJournaled(specs []CurveSpec, jc JournalConfig) ([]Curve, JournalStatus, error) {
+	return r.runCurves(specs, &jc)
+}
+
+// runCurves resolves the specs into their level points and drives the
+// lockstep rounds through the point executor, journaled when jc is set:
+// each round executes every curve's next levels as one point list, until
+// no curve asks for more.
+func (r Runner) runCurves(specs []CurveSpec, jc *JournalConfig) (curves []Curve, status JournalStatus, err error) {
+	states := make([]*curveState, len(specs))
+	levels := 0 // every axis level of every curve
 	for i, cs := range specs {
 		if err := cs.Validate(); err != nil {
-			return nil, fmt.Errorf("curve %d: %w", i, err)
+			return nil, status, fmt.Errorf("curve %d: %w", i, err)
 		}
-		resolved[i] = cs.withDefaults()
+		cs = cs.withDefaults()
 		// Ascending load = descending gap; stable ordering makes the
 		// saturation scan well-defined.
-		gaps := append([]float64(nil), resolved[i].Gaps...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(gaps)))
-		resolved[i].Gaps = gaps
-	}
-
-	states := make([]*curveState, len(resolved))
-	for i := range resolved {
-		st := &curveState{cs: resolved[i], sim: map[int]CurvePoint{}}
-		if resolved[i].Mode == CurveModeAdaptive {
-			est, err := NewEstimator(resolved[i].Workload, resolved[i].Fabric)
-			if err != nil {
-				return nil, fmt.Errorf("curve %q: %w", resolved[i].Name, err)
+		cs.Gaps = append([]float64(nil), cs.Gaps...)
+		sort.Sort(sort.Reverse(sort.Float64Slice(cs.Gaps)))
+		st := &curveState{cs: cs, first: levels, sim: map[int]CurvePoint{}}
+		levels += len(cs.Gaps)
+		if cs.Mode == CurveModeAdaptive {
+			if st.est, err = NewEstimator(cs.Workload, cs.Fabric); err != nil {
+				return nil, status, fmt.Errorf("curve %q: %w", cs.Name, err)
 			}
-			st.est = est
-			estimate := est.Estimate()
-			st.estimate = &estimate
 		}
 		states[i] = st
 	}
-
+	// CurveSpec.Validate has checked what the levels share with their spec,
+	// so only the runner's own knobs are left to check.
+	if err := r.validatePoints(nil); err != nil {
+		return nil, status, err
+	}
+	var j *campaignJournal
+	if jc != nil {
+		all := make([]Point, 0, levels)
+		for _, st := range states {
+			for gi := range st.cs.Gaps {
+				all = append(all, st.level(gi))
+			}
+		}
+		if j, err = openJournal(*jc, all); err != nil {
+			return nil, status, err
+		}
+		defer func() { status, err = j.status, j.close(err) }()
+	}
 	type level struct{ spec, gap int }
 	cache := &programCache{}
 	for {
-		var levels []level
+		var next []level
 		for si, st := range states {
 			for _, gi := range st.nextLevels() {
-				levels = append(levels, level{spec: si, gap: gi})
+				next = append(next, level{spec: si, gap: gi})
 			}
 		}
-		if len(levels) == 0 {
+		if len(next) == 0 {
 			break
 		}
-		pts, err := Map(r.Workers, levels, func(_ int, l level) (CurvePoint, error) {
-			return r.runCurveLevel(cache, resolved[l.spec], resolved[l.spec].Gaps[l.gap]), nil
-		})
-		if err != nil {
-			return nil, err
+		round := make([]Point, len(next))
+		for k, l := range next {
+			round[k] = states[l.spec].level(l.gap)
 		}
-		for k, l := range levels {
-			states[l.spec].sim[l.gap] = pts[k]
+		results, err := r.execPoints(cache, round, j)
+		if err != nil {
+			return nil, status, err
+		}
+		for k, l := range next {
+			st := states[l.spec]
+			st.sim[l.gap] = curvePoint(st.cs, st.cs.Gaps[l.gap], results[k])
 		}
 	}
-
-	curves := make([]Curve, len(resolved))
+	curves = make([]Curve, len(states))
 	for si, st := range states {
 		curves[si] = st.assemble()
 	}
-	return curves, nil
+	return curves, status, nil
 }
 
 // curveState tracks one curve's progress through the lockstep rounds.
 type curveState struct {
-	cs       CurveSpec
-	est      *analytic.Estimator // adaptive only
-	estimate *analytic.Estimate
-	sim      map[int]CurvePoint // simulated levels by axis index
-	seeded   bool
+	cs     CurveSpec
+	first  int                 // flattened index of the curve's first level
+	est    *analytic.Estimator // adaptive only
+	sim    map[int]CurvePoint  // simulated levels by axis index
+	seeded bool
+}
+
+// level is axis level gi as an ordinary sweep point: the template workload
+// at the level's gap with effectively unbounded transactions, measured in
+// phased epochs. Its ID is its flattened (curve, gap) index, so every level
+// of a campaign has its own PointKey.
+func (st *curveState) level(gi int) Point {
+	cs := st.cs
+	w, m := cs.Workload, cs.Measure
+	w.MeanGap, w.Count = cs.Gaps[gi], curveOpenCount
+	m.DrainCycles = 0 // open-loop levels have nothing to drain into
+	return Point{ID: st.first + gi, Workload: w, Fabric: cs.Fabric,
+		ClockPeriodNS: cs.ClockPeriodNS, Seed: cs.Seed, Measure: &m}
 }
 
 // nextLevels returns the axis indices to simulate this round (empty when
@@ -298,34 +330,21 @@ type curveState struct {
 // zero; adaptive curves seed knee-centred levels, then refine.
 func (st *curveState) nextLevels() []int {
 	n := len(st.cs.Gaps)
-	if st.est == nil {
-		if st.seeded {
-			return nil
-		}
-		st.seeded = true
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
 	if !st.seeded {
 		st.seeded = true
-		k := st.kneeIndex()
-		pick := map[int]bool{0: true, n - 1: true}
-		for _, i := range []int{k - 1, k, k + 1} {
-			if i >= 0 && i < n {
-				pick[i] = true
+		k := -2 // a uniform curve has no knee to seed around
+		if st.est != nil {
+			k = st.kneeIndex()
+		}
+		var idx []int
+		for i := 0; i < n; i++ {
+			if st.est == nil || i == 0 || i == n-1 || (i >= k-1 && i <= k+1) {
+				idx = append(idx, i)
 			}
 		}
-		idx := make([]int, 0, len(pick))
-		for i := range pick {
-			idx = append(idx, i)
-		}
-		sort.Ints(idx)
 		return idx
 	}
-	if len(st.sim) == n {
+	if st.est == nil || len(st.sim) == n {
 		return nil
 	}
 	s, p := st.satBracket()
@@ -434,81 +453,48 @@ func (st *curveState) assemble() Curve {
 		Fabric:        cs.Fabric.Label(),
 		ClockPeriodNS: cs.ClockPeriodNS,
 		Seed:          cs.Seed,
-	}
-	if st.est == nil {
-		pts := make([]CurvePoint, len(cs.Gaps))
-		for i := range cs.Gaps {
-			pts[i] = st.sim[i]
-		}
-		c.Points = pts
-		c.Saturation = detectSaturation(c.Points)
-		return c
+		Points:        make([]CurvePoint, len(cs.Gaps)),
 	}
 	seq, idx := st.simSeq()
 	sat := detectSaturation(seq)
 	satAxis := -1
 	if sat != nil {
 		satAxis = idx[sat.Index]
+		c.Saturation = &SaturationPoint{Index: satAxis, MeanGap: sat.MeanGap, ThroughputTPK: sat.ThroughputTPK}
 	}
-	pts := make([]CurvePoint, len(cs.Gaps))
-	k := 0
+	for k, i := range idx {
+		c.Points[i] = seq[k]
+	}
+	if st.est == nil {
+		return c // a uniform curve simulated every level
+	}
 	for i, gap := range cs.Gaps {
-		if k < len(idx) && idx[k] == i {
-			pts[i] = seq[k]
-			k++
-			continue
-		}
-		cp := CurvePoint{
-			MeanGap:       gap,
-			OfferedTPK:    float64(cs.Workload.Cores) * 1000 / (gap + 1),
-			ThroughputTPK: st.est.ThroughputAt(gap),
-			LatencyMean:   st.est.LatencyAt(gap),
-			Estimated:     true,
-			Saturated:     satAxis >= 0 && i >= satAxis,
-		}
-		pts[i] = cp
-	}
-	c.Points = pts
-	if sat != nil {
-		c.Saturation = &SaturationPoint{
-			Index:         satAxis,
-			MeanGap:       sat.MeanGap,
-			ThroughputTPK: sat.ThroughputTPK,
+		if _, ok := st.sim[i]; !ok {
+			c.Points[i] = CurvePoint{
+				MeanGap:       gap,
+				OfferedTPK:    float64(cs.Workload.Cores) * 1000 / (gap + 1),
+				ThroughputTPK: st.est.ThroughputAt(gap),
+				LatencyMean:   st.est.LatencyAt(gap),
+				Estimated:     true,
+				Saturated:     satAxis >= 0 && i >= satAxis,
+			}
 		}
 	}
 	c.Mode = CurveModeAdaptive
 	c.SimulatedLevels = len(idx)
 	c.EstimatedLevels = len(cs.Gaps) - len(idx)
-	c.Analytic = st.estimate
+	e := st.est.Estimate()
+	c.Analytic = &e
 	return c
 }
 
-// runCurveLevel measures one load level: the template workload at the
-// given gap, effectively unbounded transactions, phased measurement, and
-// no port monitors (trace false): the generators meter a level themselves.
-// They must keep that meter anyway — their "master<i>/" registry counters
-// are in every phased artifact's per-epoch breakdown, and monitor-less
-// platforms (the mesh16_sharded benchmark) read them — so until the two
-// meter hosts are folded into one, a level skips the second.
-// Levels run under the runner's retry policy like grid points, and a failing
+// curvePoint projects a level's Result onto its curve row. A failing
 // level keeps its full violation context — a worker panic's recovery
 // names the curve and gap, not just a generic failed point.
-func (r Runner) runCurveLevel(cache *programCache, cs CurveSpec, gap float64) CurvePoint {
-	w := cs.Workload
-	w.MeanGap = gap
-	w.Count = curveOpenCount
-	m := cs.Measure
-	m.DrainCycles = 0 // open-loop levels have nothing to drain into
-	res, _, _ := r.runPointRetry(cache, Point{
-		Workload:      w,
-		Fabric:        cs.Fabric,
-		ClockPeriodNS: cs.ClockPeriodNS,
-		Seed:          cs.Seed,
-		Measure:       &m,
-	}, false, 0, nil)
+func curvePoint(cs CurveSpec, gap float64, res Result) CurvePoint {
 	cp := CurvePoint{
 		MeanGap:    gap,
-		OfferedTPK: float64(w.Cores) * 1000 / (gap + 1),
+		OfferedTPK: float64(cs.Workload.Cores) * 1000 / (gap + 1),
 		Err:        res.Err,
 	}
 	if res.Err != "" {

@@ -31,13 +31,20 @@ func goldenCurveSpec() CurveSpec {
 	}
 }
 
-// TestGoldenCurve locks one stock load-latency curve byte-for-byte,
-// wired into the same -update flow as the other golden artifacts.
-func TestGoldenCurve(t *testing.T) {
-	c, err := Runner{}.RunCurve(goldenCurveSpec())
+// runCurve measures one curve through RunCurves.
+func runCurve(t *testing.T, r Runner, spec CurveSpec) Curve {
+	t.Helper()
+	curves, err := r.RunCurves([]CurveSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return curves[0]
+}
+
+// TestGoldenCurve locks one stock load-latency curve byte-for-byte,
+// wired into the same -update flow as the other golden artifacts.
+func TestGoldenCurve(t *testing.T) {
+	c := runCurve(t, Runner{}, goldenCurveSpec())
 	for _, p := range c.Points {
 		if p.Err != "" {
 			t.Fatalf("gap %g: %s", p.MeanGap, p.Err)
@@ -137,10 +144,7 @@ func TestCurvePanicKeepsPointContext(t *testing.T) {
 	r := Runner{
 		Faults: func(Point) *guard.FaultPlan { panic("injected curve panic") },
 	}
-	c, err := r.RunCurve(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := runCurve(t, r, spec)
 	for _, p := range c.Points {
 		if p.Err == "" || !strings.Contains(p.Err, "injected curve panic") {
 			t.Fatalf("gap %g: panic not recorded: %q", p.MeanGap, p.Err)
@@ -177,18 +181,12 @@ func TestCurvePanicKeepsPointContext(t *testing.T) {
 func TestCurveRetryRecovers(t *testing.T) {
 	spec := goldenCurveSpec()
 	spec.Gaps = []float64{24, 6}
-	clean, err := Runner{}.RunCurve(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := runCurve(t, Runner{}, spec)
 	r := Runner{
 		Retry:  &RetryPolicy{MaxAttempts: 2},
 		Faults: func(Point) *guard.FaultPlan { panic("transient curve panic") },
 	}
-	retried, err := r.RunCurve(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	retried := runCurve(t, r, spec)
 	render := func(c Curve) []byte {
 		var buf bytes.Buffer
 		if err := WriteCurvesJSON(&buf, []Curve{c}); err != nil {

@@ -4,8 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sync"
 
 	"noctg/internal/journal"
 )
@@ -57,8 +57,8 @@ type JournalStatus struct {
 	Resumed int
 	// Ran counts points executed (and journaled) this run.
 	Ran int
-	// Skipped counts points not started because Interrupted fired; they
-	// stay incomplete in the journal for the next resume.
+	// Skipped counts points not started because Interrupted fired (for
+	// curves, only the drained round's levels); they stay incomplete.
 	Skipped int
 	// Torn reports that the journal ended in a half-written record — the
 	// normal crash signature — which resume truncated away.
@@ -81,6 +81,75 @@ func journalOutcome(res Result) (journal.Outcome, string) {
 	return journal.OutcomeQuarantined, kind
 }
 
+// campaignJournal is a campaign's open write-ahead journal as the point
+// executor sees it: the records a resume restores, the writer new records
+// go to, and the running status. Run and RunCurves pass none.
+type campaignJournal struct {
+	w      *journal.Writer
+	log    *journal.Log
+	status JournalStatus
+}
+
+// openJournal creates jc's journal, or loads it for resume, for the
+// campaign of the given points. A resume refuses a journal of a different
+// campaign.
+func openJournal(jc JournalConfig, points []Point) (j *campaignJournal, err error) {
+	if jc.Path == "" {
+		return nil, fmt.Errorf("sweep: journaled run needs a journal path")
+	}
+	keys := make([]string, len(points))
+	for i, p := range points {
+		keys[i] = PointKey(p)
+	}
+	camp := CampaignKey(keys)
+	j = &campaignJournal{log: &journal.Log{}}
+	if jc.Resume {
+		if j.log, err = journal.Load(jc.Path); err != nil {
+			return nil, err
+		}
+		if c := j.log.Campaign; c != nil && (c.Key != camp || c.Points != len(keys)) {
+			return nil, fmt.Errorf("sweep: journal %s records a different campaign (%d points, key %.12s...); not resuming it",
+				jc.Path, c.Points, c.Key)
+		}
+		j.status.Torn = j.log.TornTail
+		j.w, err = journal.Resume(jc.Path, j.log)
+	} else {
+		j.w, err = journal.Create(jc.Path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if j.log.Campaign == nil {
+		// A fresh journal — or an empty or fully-torn one resumed — opens
+		// with the campaign header.
+		if err := j.w.Campaign(camp, len(keys)); err != nil {
+			j.w.Close()
+			return nil, err
+		}
+	}
+	return j, nil
+}
+
+// done journals a finished point's durable outcome record.
+func (j *campaignJournal) done(key string, attempt int, res Result) error {
+	buf, err := json.Marshal(res)
+	if err != nil {
+		return fmt.Errorf("sweep: result: %w", err)
+	}
+	outcome, kind := journalOutcome(res)
+	return j.w.Done(key, attempt, outcome, kind, buf)
+}
+
+// close flushes the journal. A flush failure outranks a drain — the resume
+// hint would promise records that may not be durable — but not an earlier
+// failure.
+func (j *campaignJournal) close(err error) error {
+	if cerr := j.w.Close(); cerr != nil && (err == nil || errors.Is(err, ErrDrained)) {
+		return cerr
+	}
+	return err
+}
+
 // RunJournaled executes the points under a write-ahead journal: one
 // fsync'd done record per finished point carrying the full serialised
 // Result, so any later resume reproduces final artifacts byte-identical
@@ -90,114 +159,15 @@ func journalOutcome(res Result) (journal.Outcome, string) {
 // never-started points re-run on resume. ErrDrained is returned when
 // Interrupted stopped the run before every point completed.
 func (r Runner) RunJournaled(points []Point, jc JournalConfig) ([]Result, JournalStatus, error) {
-	var status JournalStatus
-	if jc.Path == "" {
-		return nil, status, fmt.Errorf("sweep: journaled run needs a journal path")
-	}
 	if err := r.validatePoints(points); err != nil {
-		return nil, status, err
+		return nil, JournalStatus{}, err
 	}
-	keys := make([]string, len(points))
-	for i, p := range points {
-		keys[i] = PointKey(p)
+	j, err := openJournal(jc, points)
+	if err != nil {
+		return nil, JournalStatus{}, err
 	}
-	camp := CampaignKey(keys)
-
-	results := make([]Result, len(points))
-	completed := make([]bool, len(points))
-	prior := make(map[string]int)
-
-	var w *journal.Writer
-	if jc.Resume {
-		log, err := journal.Load(jc.Path)
-		if err != nil {
-			return nil, status, err
-		}
-		if log.Campaign != nil && (log.Campaign.Key != camp || log.Campaign.Points != len(points)) {
-			return nil, status, fmt.Errorf("sweep: journal %s records a different campaign (%d points, key %.12s...); not resuming it",
-				jc.Path, log.Campaign.Points, log.Campaign.Key)
-		}
-		status.Torn = log.TornTail
-		for i, k := range keys {
-			rec, ok := log.Done[k]
-			if !ok {
-				continue
-			}
-			if err := json.Unmarshal(rec.Result, &results[i]); err != nil {
-				return nil, status, fmt.Errorf("sweep: journal %s: point %d result: %w", jc.Path, points[i].ID, err)
-			}
-			completed[i] = true
-			status.Resumed++
-		}
-		for k, n := range log.Attempts {
-			prior[k] = n
-		}
-		if w, err = journal.Resume(jc.Path, log); err != nil {
-			return nil, status, err
-		}
-		if log.Campaign == nil {
-			// An empty or fully-torn journal resumes as a fresh campaign.
-			if err := w.Campaign(camp, len(points)); err != nil {
-				w.Close()
-				return nil, status, err
-			}
-		}
-	} else {
-		var err error
-		if w, err = journal.Create(jc.Path); err != nil {
-			return nil, status, err
-		}
-		if err := w.Campaign(camp, len(points)); err != nil {
-			w.Close()
-			return nil, status, err
-		}
-	}
-
-	var todo []int
-	for i := range points {
-		if !completed[i] {
-			todo = append(todo, i)
-		}
-	}
-	cache := &programCache{}
-	var mu sync.Mutex
-	_, runErr := Map(r.Workers, todo, func(_ int, i int) (struct{}, error) {
-		if r.Interrupted != nil && r.Interrupted() {
-			mu.Lock()
-			status.Skipped++
-			mu.Unlock()
-			return struct{}{}, nil
-		}
-		res, attempt, err := r.runPointRetry(cache, points[i], true, prior[keys[i]], func(a int) error {
-			return w.Start(keys[i], a)
-		})
-		if err != nil {
-			return struct{}{}, err
-		}
-		buf, err := json.Marshal(res)
-		if err != nil {
-			return struct{}{}, fmt.Errorf("sweep: point %d result: %w", points[i].ID, err)
-		}
-		outcome, kind := journalOutcome(res)
-		if err := w.Done(keys[i], attempt, outcome, kind, buf); err != nil {
-			return struct{}{}, err
-		}
-		results[i] = res
-		mu.Lock()
-		status.Ran++
-		mu.Unlock()
-		return struct{}{}, nil
-	})
-	if cerr := w.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
-	if runErr != nil {
-		return nil, status, runErr
-	}
-	if status.Skipped > 0 {
-		return results, status, ErrDrained
-	}
-	return results, status, nil
+	results, err := r.execPoints(&programCache{}, points, j)
+	return results, j.status, j.close(err)
 }
 
 // Resume continues an interrupted journaled run: completed points are

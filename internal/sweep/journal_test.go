@@ -38,126 +38,203 @@ func renderResults(t *testing.T, results []Result) []byte {
 	return buf.Bytes()
 }
 
-// TestJournaledMatchesPlain: a fault-free journaled run produces the same
-// artifact bytes as an unjournaled one — the journal is pure bookkeeping.
-func TestJournaledMatchesPlain(t *testing.T) {
+// journalTestCurve is a small adaptive curve on the AMBA bus: its knee
+// takes more than one lockstep round to bracket, and its fixed short
+// epochs keep every resume of the truncate-anywhere property cheap.
+func journalTestCurve() CurveSpec {
+	cs := goldenCurveSpec()
+	cs.Name = "hotspot-amba-journal"
+	cs.Gaps = []float64{48, 32, 24, 16, 12, 8, 6, 4, 3, 2, 1}
+	cs.Measure = Measure{WarmupCycles: 200, EpochCycles: 500, Epochs: 3}
+	cs.Mode = CurveModeAdaptive
+	return cs
+}
+
+// journalCampaign is one kind of journaled campaign, rendered to its JSON
+// artifact: a grid of points, or curves whose load levels are the points.
+type journalCampaign struct {
+	name string
+	// plain runs the campaign without a journal and returns the artifact
+	// and the number of points it simulated.
+	plain     func(*testing.T, Runner) ([]byte, int)
+	journaled func(*testing.T, Runner, JournalConfig) ([]byte, JournalStatus, error)
+	// rounds marks a campaign whose points are not all known up front:
+	// a drain skips only the current round's points, not later rounds'.
+	rounds bool
+}
+
+func journalCampaigns() []journalCampaign {
 	pts := journalTestPoints()
-	plain, err := Runner{Workers: 2}.Run(pts)
-	if err != nil {
-		t.Fatal(err)
+	specs := []CurveSpec{journalTestCurve()}
+	renderCurves := func(t *testing.T, curves []Curve) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteCurvesJSON(&buf, curves); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	journaled, status, err := Runner{Workers: 2}.RunJournaled(pts, JournalConfig{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status.Ran != len(pts) || status.Resumed != 0 || status.Skipped != 0 {
-		t.Fatalf("status %+v, want all %d points ran", status, len(pts))
-	}
-	if a, b := renderResults(t, plain), renderResults(t, journaled); !bytes.Equal(a, b) {
-		t.Fatalf("journaled artifact diverged:\n%s\nvs\n%s", b, a)
-	}
-	// A second fresh run must refuse the existing journal.
-	if _, _, err := (Runner{}).RunJournaled(pts, JournalConfig{Path: path}); err == nil {
-		t.Fatal("fresh journaled run clobbered an existing journal")
-	}
-	// A full resume re-runs nothing and matches again.
-	resumed, status, err := Runner{Workers: 2}.Resume(pts, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status.Ran != 0 || status.Resumed != len(pts) {
-		t.Fatalf("complete-journal resume status %+v", status)
-	}
-	if a, b := renderResults(t, plain), renderResults(t, resumed); !bytes.Equal(a, b) {
-		t.Fatal("resumed artifact diverged from the plain run")
+	return []journalCampaign{{
+		name: "grid",
+		plain: func(t *testing.T, r Runner) ([]byte, int) {
+			res, err := r.Run(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return renderResults(t, res), len(pts)
+		},
+		journaled: func(t *testing.T, r Runner, jc JournalConfig) ([]byte, JournalStatus, error) {
+			res, status, err := r.RunJournaled(pts, jc)
+			return renderResults(t, res), status, err
+		},
+	}, {
+		name: "adaptive curve",
+		plain: func(t *testing.T, r Runner) ([]byte, int) {
+			curves, err := r.RunCurves(specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return renderCurves(t, curves), curves[0].SimulatedLevels
+		},
+		journaled: func(t *testing.T, r Runner, jc JournalConfig) ([]byte, JournalStatus, error) {
+			curves, status, err := r.RunCurvesJournaled(specs, jc)
+			return renderCurves(t, curves), status, err
+		},
+		rounds: true,
+	}}
+}
+
+// TestJournaledMatchesPlain: a fault-free journaled run — grid or curves —
+// produces the same artifact bytes as an unjournaled one: the journal is
+// pure bookkeeping.
+func TestJournaledMatchesPlain(t *testing.T) {
+	for _, c := range journalCampaigns() {
+		t.Run(c.name, func(t *testing.T) {
+			plain, n := c.plain(t, Runner{Workers: 2})
+			path := filepath.Join(t.TempDir(), "sweep.journal")
+			journaled, status, err := c.journaled(t, Runner{Workers: 2}, JournalConfig{Path: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status.Ran != n || status.Resumed != 0 || status.Skipped != 0 {
+				t.Fatalf("status %+v, want all %d points ran", status, n)
+			}
+			if !bytes.Equal(plain, journaled) {
+				t.Fatalf("journaled artifact diverged:\n%s\nvs\n%s", journaled, plain)
+			}
+			// A second fresh run must refuse the existing journal.
+			if _, _, err := c.journaled(t, Runner{}, JournalConfig{Path: path}); err == nil {
+				t.Fatal("fresh journaled run clobbered an existing journal")
+			}
+			// A full resume re-runs nothing and matches again.
+			resumed, status, err := c.journaled(t, Runner{Workers: 2}, JournalConfig{Path: path, Resume: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status.Ran != 0 || status.Resumed != n {
+				t.Fatalf("complete-journal resume status %+v", status)
+			}
+			if !bytes.Equal(plain, resumed) {
+				t.Fatal("resumed artifact diverged from the plain run")
+			}
+		})
 	}
 }
 
 // TestResumeTruncateAnywhere is the kill-anywhere property in-process:
 // truncating the journal at every record boundary (and mid-record, the
 // torn-write case) then resuming yields artifacts byte-identical to the
-// uninterrupted run, across worker counts and kernels.
+// uninterrupted run, across worker counts and kernels — for a grid, and
+// for adaptive curves, whose resume replays the lockstep rounds.
 func TestResumeTruncateAnywhere(t *testing.T) {
-	pts := journalTestPoints()
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.journal")
-	baselineRes, _, err := Runner{Workers: 2}.RunJournaled(pts, JournalConfig{Path: full})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := renderResults(t, baselineRes)
-	data, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut at 0, at every record boundary, and 3 bytes past each boundary
-	// (a torn record).
-	cuts := []int{0}
-	for i, b := range data {
-		if b == '\n' {
-			cuts = append(cuts, i+1)
-			if i+4 < len(data) {
-				cuts = append(cuts, i+4)
+	for _, c := range journalCampaigns() {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			full := filepath.Join(dir, "full.journal")
+			baseline, status, err := c.journaled(t, Runner{Workers: 2}, JournalConfig{Path: full})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	runners := []Runner{
-		{Workers: 1},
-		{Workers: 3, Kernel: platform.KernelStrict},
-	}
-	for ci, cut := range cuts {
-		r := runners[ci%len(runners)]
-		path := filepath.Join(dir, "cut.journal")
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		res, status, err := r.Resume(pts, path)
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
-		}
-		if got := renderResults(t, res); !bytes.Equal(baseline, got) {
-			t.Fatalf("cut at %d: resumed artifact diverged:\n%s\nvs\n%s", cut, got, baseline)
-		}
-		if status.Resumed+status.Ran < len(pts) {
-			t.Fatalf("cut at %d: %+v does not cover %d points", cut, status, len(pts))
-		}
-		os.Remove(path)
+			n := status.Ran
+			data, err := os.ReadFile(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Cut at 0, at every record boundary, and 3 bytes past each
+			// boundary (a torn record).
+			cuts := []int{0}
+			for i, b := range data {
+				if b == '\n' {
+					cuts = append(cuts, i+1)
+					if i+4 < len(data) {
+						cuts = append(cuts, i+4)
+					}
+				}
+			}
+			runners := []Runner{
+				{Workers: 1},
+				{Workers: 3, Kernel: platform.KernelStrict},
+			}
+			for ci, cut := range cuts {
+				r := runners[ci%len(runners)]
+				path := filepath.Join(dir, "cut.journal")
+				if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				got, status, err := c.journaled(t, r, JournalConfig{Path: path, Resume: true})
+				if err != nil {
+					t.Fatalf("cut at %d: %v", cut, err)
+				}
+				if !bytes.Equal(baseline, got) {
+					t.Fatalf("cut at %d: resumed artifact diverged:\n%s\nvs\n%s", cut, got, baseline)
+				}
+				if status.Resumed+status.Ran < n {
+					t.Fatalf("cut at %d: %+v does not cover %d points", cut, status, n)
+				}
+				os.Remove(path)
+			}
+		})
 	}
 }
 
 // TestJournaledDrain: an interrupt stops new points, completes in-flight
-// ones, flushes the journal, and a later resume finishes the campaign
-// byte-identically.
+// ones, flushes the journal, and a later resume finishes the campaign —
+// grid or curves — byte-identically.
 func TestJournaledDrain(t *testing.T) {
-	pts := journalTestPoints()
-	plain, err := Runner{Workers: 2}.Run(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "drain.journal")
-	var polled atomic.Int32
-	r := Runner{Workers: 1, Interrupted: func() bool {
-		// First poll admits one point; every later poll drains.
-		return polled.Add(1) > 1
-	}}
-	partial, status, err := r.RunJournaled(pts, JournalConfig{Path: path})
-	if !errors.Is(err, ErrDrained) {
-		t.Fatalf("drained run returned %v, want ErrDrained", err)
-	}
-	if status.Ran != 1 || status.Skipped != 2 {
-		t.Fatalf("drain status %+v, want 1 ran / 2 skipped", status)
-	}
-	_ = partial
-	resumed, status, err := Runner{Workers: 2}.Resume(pts, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status.Resumed != 1 || status.Ran != 2 {
-		t.Fatalf("post-drain resume status %+v", status)
-	}
-	if a, b := renderResults(t, plain), renderResults(t, resumed); !bytes.Equal(a, b) {
-		t.Fatal("post-drain resume diverged from the plain run")
+	for _, c := range journalCampaigns() {
+		t.Run(c.name, func(t *testing.T) {
+			plain, n := c.plain(t, Runner{Workers: 2})
+			path := filepath.Join(t.TempDir(), "drain.journal")
+			var polled atomic.Int32
+			r := Runner{Workers: 1, Interrupted: func() bool {
+				// First poll admits one point; every later poll drains.
+				return polled.Add(1) > 1
+			}}
+			_, status, err := c.journaled(t, r, JournalConfig{Path: path})
+			if !errors.Is(err, ErrDrained) {
+				t.Fatalf("drained run returned %v, want ErrDrained", err)
+			}
+			// A grid skips every other point. A curve drains inside its
+			// first round, so the levels of later rounds are not even
+			// pending yet.
+			minSkipped := n - 1
+			if c.rounds {
+				minSkipped = 1
+			}
+			if status.Ran != 1 || status.Skipped < minSkipped || status.Skipped > n-1 {
+				t.Fatalf("drain status %+v, want 1 ran / %d..%d skipped", status, minSkipped, n-1)
+			}
+			resumed, status, err := c.journaled(t, Runner{Workers: 2}, JournalConfig{Path: path, Resume: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status.Resumed != 1 || status.Ran != n-1 {
+				t.Fatalf("post-drain resume status %+v", status)
+			}
+			if !bytes.Equal(plain, resumed) {
+				t.Fatal("post-drain resume diverged from the plain run")
+			}
+		})
 	}
 }
 
@@ -273,7 +350,7 @@ func TestRetryTransientPanicRecovers(t *testing.T) {
 		Faults: func(Point) *guard.FaultPlan { calls.Add(1); panic("injected worker panic") },
 	}
 	var attempts []int
-	res, last, err := r.runPointRetry(&programCache{}, pts[0], true, 0, func(a int) error {
+	res, last, err := r.runPointRetry(&programCache{}, pts[0], 0, func(a int) error {
 		attempts = append(attempts, a)
 		return nil
 	})
@@ -311,7 +388,7 @@ func TestRetryQuarantinesDeterministic(t *testing.T) {
 		},
 	}
 	var attempts int
-	res, last, err := r.runPointRetry(&programCache{}, pts[0], true, 0, func(int) error {
+	res, last, err := r.runPointRetry(&programCache{}, pts[0], 0, func(int) error {
 		attempts++
 		return nil
 	})
@@ -345,7 +422,7 @@ func TestRetryDeadlineBudget(t *testing.T) {
 		},
 	}
 	cache := &programCache{}
-	res, last, err := r.runPointRetry(cache, pts[0], true, 0, nil)
+	res, last, err := r.runPointRetry(cache, pts[0], 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

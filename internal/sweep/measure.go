@@ -217,23 +217,22 @@ func latencyTrendGrowing(epochs []EpochStat) bool {
 	return true
 }
 
-// systemMeters resolves who meters each master's traffic: the port monitor
-// when one wraps the port, otherwise the master itself (stochastic
-// generators meter their own traffic on the monitor-less platforms of
-// open-loop curve levels).
+// systemMeters resolves the one meter of each master's traffic: the port
+// monitor when runPointExec wrapped one around the port (TG replay
+// masters, which carry no meter), otherwise the master itself (stochastic
+// generators, on every grid point and curve level alike).
 func systemMeters(sys *platform.System) ([]ocp.TrafficMeter, error) {
 	meters := make([]ocp.TrafficMeter, len(sys.Masters))
-	for i := range sys.Masters {
-		switch {
-		case i < len(sys.Monitors) && sys.Monitors[i] != nil:
-			meters[i] = sys.Monitors[i]
-		default:
-			m, ok := sys.Masters[i].(ocp.TrafficMeter)
-			if !ok {
-				return nil, fmt.Errorf("sweep: master %d exports no traffic statistics (build with Config.Trace)", i)
-			}
-			meters[i] = m
+	for i, m := range sys.Masters {
+		if mon := sys.Monitors[i]; mon != nil {
+			meters[i] = mon
+			continue
 		}
+		mt, ok := m.(ocp.TrafficMeter)
+		if !ok {
+			return nil, fmt.Errorf("sweep: master %d exports no traffic statistics (build with Config.Trace)", i)
+		}
+		meters[i] = mt
 	}
 	return meters, nil
 }

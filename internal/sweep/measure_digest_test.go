@@ -21,8 +21,11 @@ import (
 // measure. The digests in testdata/measure_digest.json were generated at
 // f6f8854, when grid and journaled points still counted their transactions
 // by walking a monitor event log; a runner that fills the same Result from
-// the traffic meters must reproduce them bit for bit. Regenerate (only on
-// an intentional model change) with
+// the traffic meters must reproduce them bit for bit. One hash has changed
+// since: phased_grid's JSON, when stochastic points stopped wrapping their
+// ports in a second meter — its duplicate "port<i>/" keys left the
+// per-epoch counters, and every summary field (its CSV hash) stayed put.
+// Regenerate (only on an intentional model change) with
 //
 //	go test ./internal/sweep -run TestMeasureDigest -update
 

@@ -99,7 +99,7 @@ func transientFailure(res Result) bool {
 // invoked before each attempt with its number (the journal's start
 // record); an error from it aborts the run. It returns the final result
 // and the last attempt number.
-func (r Runner) runPointRetry(cache *programCache, p Point, trace bool, prior int, onAttempt func(int) error) (Result, int, error) {
+func (r Runner) runPointRetry(cache *programCache, p Point, prior int, onAttempt func(int) error) (Result, int, error) {
 	policy := r.Retry
 	first := prior + 1
 	last := policy.attempts()
@@ -115,17 +115,10 @@ func (r Runner) runPointRetry(cache *programCache, p Point, trace bool, prior in
 				return res, a, err
 			}
 		}
-		res = r.runPointExec(cache, p, execOpts{
-			trace:    trace,
-			attempt:  a,
-			fallback: a == last && last > 1,
-			deadline: policy.deadline(),
-		})
+		res = r.runPointExec(cache, p, a, a == last && last > 1, policy.deadline())
 		if res.Err == "" || a >= last || !transientFailure(res) {
 			return res, a, nil
 		}
-		if d := policy.backoff(a + 1); d > 0 {
-			time.Sleep(d)
-		}
+		time.Sleep(policy.backoff(a + 1)) // no-op without a backoff
 	}
 }

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -107,11 +109,11 @@ type Runner struct {
 	// Retry is the retry/deadline policy of every point and curve level
 	// (the -retries flags). Nil means one attempt and no deadline.
 	Retry *RetryPolicy
-	// Interrupted, when set, is polled by RunJournaled — and only there —
-	// before each point starts; once it returns true the journaled run
-	// stops starting points (in-flight points finish) and reports the
-	// skipped count for the resume hint. Run and RunCurves never poll it,
-	// so tgsweep wires it to SIGINT/SIGTERM only under -journal.
+	// Interrupted, when set, is polled by the one point executor before
+	// each point starts — grid, journaled and curve runs alike. Once it
+	// returns true no further point starts (in-flight points finish) and
+	// the run returns ErrDrained. tgsweep wires it to SIGINT/SIGTERM under
+	// -journal, where a drained campaign can resume.
 	Interrupted func() bool
 }
 
@@ -210,16 +212,61 @@ func (r Runner) validatePoints(points []Point) error {
 
 // Run executes every point and returns the results in point order,
 // regardless of Workers. It returns an error only for an invalid grid
-// point; individual run failures are recorded in Result.Err.
+// point or a drain; individual run failures are recorded in Result.Err.
 func (r Runner) Run(points []Point) ([]Result, error) {
 	if err := r.validatePoints(points); err != nil {
 		return nil, err
 	}
-	cache := &programCache{}
-	return Map(r.Workers, points, func(_ int, p Point) (Result, error) {
-		res, _, _ := r.runPointRetry(cache, p, true, 0, nil)
-		return res, nil
-	})
+	return r.execPoints(&programCache{}, points, nil)
+}
+
+// execPoints is the one point executor behind Run, RunJournaled and every
+// lockstep round of RunCurves: it restores the points journal j holds as
+// done, runs the rest through the retry policy on the worker pool —
+// journaled when j is set — and starts none once Interrupted fires
+// (ErrDrained). Results come back in point order.
+func (r Runner) execPoints(cache *programCache, points []Point, j *campaignJournal) ([]Result, error) {
+	results := make([]Result, len(points))
+	var tasks []func() error
+	for i := range points {
+		p, res := &points[i], &results[i]
+		key, prior := "", 0
+		var onAttempt func(int) error
+		if j != nil {
+			key = PointKey(*p)
+			if rec, ok := j.log.Done[key]; ok {
+				if err := json.Unmarshal(rec.Result, res); err != nil {
+					return nil, fmt.Errorf("sweep: point %d: journal result: %w", p.ID, err)
+				}
+				j.status.Resumed++
+				continue
+			}
+			prior, onAttempt = j.log.Attempts[key], func(a int) error { return j.w.Start(key, a) }
+		}
+		tasks = append(tasks, func() (err error) {
+			var attempt int
+			if *res, attempt, err = r.runPointRetry(cache, *p, prior, onAttempt); err != nil || j == nil {
+				return err
+			}
+			return j.done(key, attempt, *res)
+		})
+	}
+	errs := RunDrained(r.Workers, tasks, r.Interrupted)
+	drained := 0
+	for i, err := range errs {
+		if errors.Is(err, ErrDrained) {
+			drained, errs[i] = drained+1, nil
+		}
+	}
+	if j != nil {
+		j.status.Ran += len(tasks) - drained
+		j.status.Skipped += drained
+	}
+	err := errors.Join(errs...)
+	if err == nil && drained > 0 {
+		err = ErrDrained
+	}
+	return results, err
 }
 
 // RunGrid validates, expands and runs a grid.
@@ -228,25 +275,6 @@ func (r Runner) RunGrid(g Grid) ([]Result, error) {
 		return nil, err
 	}
 	return r.Run(g.Expand())
-}
-
-// execOpts carries the per-attempt execution knobs the retry policy
-// varies without touching the point itself.
-type execOpts struct {
-	// trace puts the metering OCP monitors on the master ports (they keep
-	// no event log: no sweep point records). Curve levels run without them
-	// and read the generators' own meters instead (see runCurveLevel).
-	trace bool
-	// attempt numbers this try (1-based, continuing across a resume).
-	// Fault plans — test stimulus — inject on attempt 1 only, so an
-	// injected transient failure proves the retry path recovers.
-	attempt int
-	// fallback is set on the final attempt of a retried point: strict
-	// kernel, single engine — the most conservative execution mode
-	// available, and result-neutral like every Runner knob.
-	fallback bool
-	// deadline bounds this attempt's wall clock through guard.RunBudget.
-	deadline time.Duration
 }
 
 // Analytic pre-pass confidence bounds: a point is estimated instead of
@@ -290,8 +318,10 @@ func (r Runner) analyticEstimate(p Point, res *Result) bool {
 
 // runPointExec executes one attempt of one configuration on its own
 // engine. A panicking model is recorded as that point's failure rather than
-// aborting the sweep.
-func (r Runner) runPointExec(cache *programCache, p Point, opts execOpts) (res Result) {
+// aborting the sweep. attempt is 1-based (fault plans inject on attempt 1
+// only); fallback runs on the strict kernel and one engine, the most
+// conservative result-neutral mode; deadline bounds the wall clock.
+func (r Runner) runPointExec(cache *programCache, p Point, attempt int, fallback bool, deadline time.Duration) (res Result) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			// Keep the point's identity fields: a panic mid-build must still
@@ -314,7 +344,7 @@ func (r Runner) runPointExec(cache *programCache, p Point, opts execOpts) (res R
 	}
 	ic, _ := p.Fabric.interconnect()
 	kernel, shards := r.Kernel, r.Shards
-	if opts.fallback {
+	if fallback {
 		kernel, shards = platform.KernelStrict, 0
 	}
 	cfg := platform.Config{
@@ -328,9 +358,9 @@ func (r Runner) runPointExec(cache *programCache, p Point, opts execOpts) (res R
 		},
 		MemWaitStates: p.Fabric.MemWaitStates,
 		Clock:         sim.Clock{PeriodNS: p.ClockPeriodNS},
-		Trace:         opts.trace,
 		Kernel:        kernel,
 		Shards:        shards,
+		Trace:         p.Workload.Kind == KindTG, // TG masters carry no meter of their own
 	}
 
 	var (
@@ -369,19 +399,19 @@ func (r Runner) runPointExec(cache *programCache, p Point, opts execOpts) (res R
 	if r.MaxCycles > 0 {
 		maxCycles = r.MaxCycles
 	}
-	if r.Guard != nil || opts.deadline > 0 {
+	if r.Guard != nil || deadline > 0 {
 		var gcfg guard.Config
 		if r.Guard != nil {
 			gcfg = *r.Guard
 		}
-		if opts.deadline > 0 {
+		if deadline > 0 {
 			// The per-point deadline rides the run-budget watchdog, arming
 			// a budget-only guard when the runner has none.
-			gcfg.RunBudget = opts.deadline
+			gcfg.RunBudget = deadline
 		}
 		sys.EnableGuard(gcfg)
 	}
-	if r.Faults != nil && opts.attempt <= 1 {
+	if r.Faults != nil && attempt <= 1 {
 		if plan := r.Faults(p); plan != nil && !plan.Empty() {
 			if err := sys.InjectFaults(*plan); err != nil {
 				res.Err = err.Error()
