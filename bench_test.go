@@ -26,6 +26,7 @@ import (
 	"noctg/internal/platform"
 	"noctg/internal/prog"
 	"noctg/internal/sim"
+	"noctg/internal/simtest"
 	"noctg/internal/stochastic"
 	"noctg/internal/sweep"
 )
@@ -227,8 +228,9 @@ func benchMixedLoad(b *testing.B, sys *platform.System, span uint64) {
 func BenchmarkEngineEventMixedLoad(b *testing.B) {
 	const span = 100_000
 	busy := mixedLoadBusy()
-	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent} {
-		b.Run(kernel.String(), func(b *testing.B) {
+	for _, name := range simtest.Table.Kernels {
+		kernel := kernelOf(b, name)
+		b.Run(name, func(b *testing.B) {
 			benchMixedLoad(b, mixedLoadSystem(b, kernel, busy, 15), span)
 		})
 	}
@@ -241,7 +243,8 @@ func BenchmarkEngineEventIdleScaling(b *testing.B) {
 	const span = 100_000
 	busy := mixedLoadBusy()
 	for _, idle := range []int{3, 15, 63} {
-		for _, kernel := range []platform.KernelMode{platform.KernelSkip, platform.KernelEvent} {
+		for _, name := range simtest.Table.Kernels[1:] { // the tick-eliding kernels
+			kernel := kernelOf(b, name)
 			b.Run(fmt.Sprintf("%didle/%s", idle, kernel), func(b *testing.B) {
 				benchMixedLoad(b, mixedLoadSystem(b, kernel, busy, idle), span)
 			})
@@ -302,8 +305,8 @@ func newShardScalingSystem(tb testing.TB, shards int) *platform.System {
 
 // BenchmarkShardScaling measures the sharded runner's throughput at 1, 2
 // and 4 shards on the 16×16 hotspot scenario. The simulated results are
-// byte-identical across the variants (the shard-determinism gates pin
-// that); only wall time may differ, and the N-shard/1-shard Msimcycles/s
+// byte-identical across the variants (the execution-axis differentials
+// pin that); only wall time may differ, and the N-shard/1-shard Msimcycles/s
 // ratio is the parallel speedup on the host. Steady state allocates
 // nothing (ReportAllocs must show 0).
 func BenchmarkShardScaling(b *testing.B) {

@@ -1,11 +1,12 @@
 package main
 
-// Crash-resume integration test: a real tgsweep subprocess is SIGKILLed at
-// a seeded-random point of a journaled sweep, resumed with -resume, and its
-// final artifacts are byte-compared against an uninterrupted run. This is
-// the end-to-end check of the journal contract — the in-process variants
-// live in internal/sweep (TestResumeTruncateAnywhere cuts the journal at
-// every record boundary; internal/journal truncates at every byte).
+// Crash-resume integration test: a real tgsweep subprocess is SIGKILLed, or
+// SIGTERM-drained, at a seeded-random point of a journaled sweep, resumed
+// with -resume, and its final artifacts are byte-compared against an
+// uninterrupted run. This is the end-to-end check of the journal contract
+// and the CLI signal path — the in-process variants live in internal/sweep
+// (TestResumeTruncateAnywhere cuts the journal at every record boundary;
+// internal/journal truncates at every byte).
 
 import (
 	"bytes"
@@ -15,11 +16,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"syscall"
 	"testing"
 	"time"
 
 	"noctg/internal/journal"
 	"noctg/internal/scenario"
+	"noctg/internal/simtest"
 	"noctg/internal/sweep"
 )
 
@@ -36,20 +41,24 @@ func buildTool(t *testing.T, name string) string {
 
 // crashGrid is sized so a full sweep takes long enough (hundreds of
 // milliseconds) that a randomized kill reliably lands mid-campaign, while
-// staying cheap enough for -race CI.
+// staying cheap enough for -race CI. It holds a TG replay of a paper
+// program as well as stochastic points, so both kinds resume.
 func crashGrid(t *testing.T, dir string) string {
 	t.Helper()
 	g := sweep.Grid{
-		Workloads: []sweep.Workload{{
-			Kind:     sweep.KindStochastic,
-			Dist:     "uniform",
-			Cores:    4,
-			MeanGap:  6,
-			Count:    16000,
-			Pattern:  "transpose",
-			PatternW: 2,
-			PatternH: 2,
-		}},
+		Workloads: []sweep.Workload{
+			{Kind: sweep.KindTG, Bench: "mpmatrix", Cores: 2, Size: 8},
+			{
+				Kind:     sweep.KindStochastic,
+				Dist:     "uniform",
+				Cores:    4,
+				MeanGap:  6,
+				Count:    6000,
+				Pattern:  "transpose",
+				PatternW: 2,
+				PatternH: 2,
+			},
+		},
 		Fabrics: []sweep.Fabric{
 			{Interconnect: sweep.FabricAMBA},
 			{Interconnect: sweep.FabricXPipes},
@@ -113,15 +122,15 @@ func readArtifacts(t *testing.T, base string) (jsonB, csvB []byte) {
 	return jsonB, csvB
 }
 
-// killMidCampaign starts a journaled run and SIGKILLs it at the given delay
-// or, where process start-up and the first point alone outlast that, as
-// soon after as the journal holds a finished point — a kill before then
-// only tests re-running every point. SIGKILL: no handler runs, so
-// whatever the journal holds — torn tail included — is exactly what resume
-// must recover from. The process may legitimately have finished already
-// (timing noise). The child is reaped on every path; its Wait error is
-// returned.
-func killMidCampaign(t *testing.T, bin string, args []string, journalPath string, delay time.Duration) error {
+// interrupt starts a journaled run and sends it sig at the given delay or,
+// where process start-up and the first point alone outlast that, as soon
+// after as the journal holds a finished point — an earlier signal would
+// only test re-running every point. SIGKILL runs no handler, so whatever
+// the journal holds — torn tail included — is exactly what resume must
+// recover from; SIGTERM drains: in-flight points finish and the journal is
+// flushed. The process may legitimately have finished already (timing
+// noise). The child is reaped on every path; its Wait error is returned.
+func interrupt(t *testing.T, bin string, args []string, journalPath string, delay time.Duration, sig os.Signal) error {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
@@ -140,13 +149,25 @@ func killMidCampaign(t *testing.T, bin string, args []string, journalPath string
 				continue
 			}
 			if log, lerr := journal.Load(journalPath); lerr == nil && len(log.Done) > 0 {
-				_ = cmd.Process.Kill()
+				_ = cmd.Process.Signal(sig)
 				return <-exited
 			}
 		}
 	}
 }
 
+// execArgs are the tgsweep flags of one execution row.
+func execArgs(x simtest.Exec) []string {
+	return []string{"-kernel", x.Kernel, "-shards", strconv.Itoa(x.Shards), "-workers", strconv.Itoa(x.Workers)}
+}
+
+// TestCrashResumeByteIdentical interrupts a journaled grid and a journaled
+// adaptive curve campaign, by SIGKILL and by SIGTERM, on the rows of the
+// execution axis table, and resumes each on the next row: the kernel, the
+// shard count and the worker count are execution knobs, not part of a
+// point's journal key, so a campaign may change them across the crash. The
+// kernel only rotates over the sharded and multi-worker rows: journals cut
+// on each kernel alone are internal/sweep TestJournaledMatchesPlain's rows.
 func TestCrashResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills subprocesses")
@@ -157,12 +178,10 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		"grid":  {"-grid", crashGrid(t, dir)},
 		"curve": {"-scenario", crashCurves(t, dir), "-curve", "-curve-mode", "adaptive"},
 	}
+	rows := simtest.Rows(t, simtest.Kernel|simtest.Shards|simtest.Workers|simtest.Rotated)
 
-	// The uninterrupted reference run of each campaign — single engine, no
-	// journal — is the one baseline for its trials: it also cross-checks
-	// that the journaled path, the kernel and the shard count change no
-	// artifact bytes. (It keeps the default kernel so its wall time
-	// calibrates the kill delay.)
+	// The uninterrupted, unjournaled reference run of each campaign is the
+	// one baseline for its trials; its wall time calibrates the delays.
 	type reference struct {
 		json, csv []byte
 		wall      time.Duration
@@ -171,58 +190,41 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	for name, args := range campaigns {
 		base := filepath.Join(dir, "base-"+name)
 		start := time.Now()
-		runSweep(t, bin, append(args, "-workers", "2", "-out", base)...)
+		runSweep(t, bin, slices.Concat(args, execArgs(rows[0]), []string{"-out", base})...)
 		wall := time.Since(start)
 		jsonB, csvB := readArtifacts(t, base)
 		refs[name] = reference{jsonB, csvB, wall}
 	}
 
-	// Seeded, so a failure reproduces; the kill lands somewhere in the
-	// middle 10–90% of the measured uninterrupted wall time.
-	rnd := rand.New(rand.NewSource(9))
-	trials := []struct {
+	// Seeded, so a failure reproduces; the signal lands somewhere in the
+	// middle 10–90% of the reference's wall time. Trial i runs kind i mod 4
+	// on row i and resumes on row i+1, so every kind and every row appears.
+	kinds := []struct {
 		campaign string
-		workers  string
-		kernel   string
-		shards   string
-		// resumeShards is the -shards of the resuming process: the shard
-		// count is a pure execution knob, so a campaign may change it
-		// across the crash.
-		resumeShards string
-	}{
-		{"grid", "2", "event", "0", "0"},
-		{"grid", "1", "strict", "0", "2"},
-		{"grid", "3", "event", "2", "0"},
-		// Every load level is a journaled point; the resume replays the
-		// adaptive rounds and simulates only the missing levels.
-		{"curve", "1", "event", "0", "0"},
-	}
-	for i, tr := range trials {
-		ref := refs[tr.campaign]
-		out := filepath.Join(dir, fmt.Sprintf("crash%d", i))
+		sig      os.Signal
+	}{{"grid", os.Kill}, {"curve", os.Kill}, {"grid", syscall.SIGTERM}, {"curve", syscall.SIGTERM}}
+	rnd := rand.New(rand.NewSource(9))
+	for i := range max(len(rows), len(kinds)) {
+		kind, x, y := kinds[i%len(kinds)], rows[i%len(rows)], rows[(i+1)%len(rows)]
+		ref := refs[kind.campaign]
+		out := filepath.Join(dir, fmt.Sprintf("trial%d", i))
 		journalPath := out + ".journal"
 		delay := ref.wall / 10
 		if span := int64(8 * ref.wall / 10); span > 0 {
 			delay += time.Duration(rnd.Int63n(span))
 		}
+		args := append(slices.Clone(campaigns[kind.campaign]), "-journal", journalPath, "-out", out)
+		err := interrupt(t, bin, slices.Concat(args, execArgs(x)), journalPath, delay, kind.sig)
+		t.Logf("trial %d (%s, %v on %v, resumed on %v): signalled after %v (%v)",
+			i, kind.campaign, kind.sig, x, y, delay, err)
 
-		args := append(append([]string{}, campaigns[tr.campaign]...),
-			"-workers", tr.workers, "-kernel", tr.kernel, "-journal", journalPath, "-out", out)
-		err := killMidCampaign(t, bin, append(args, "-shards", tr.shards), journalPath, delay)
-		t.Logf("trial %d (%s workers=%s kernel=%s shards=%s, resumed at shards=%s): killed after %v (%v)",
-			i, tr.campaign, tr.workers, tr.kernel, tr.shards, tr.resumeShards, delay, err)
-
-		stderr := runSweep(t, bin, append(args, "-shards", tr.resumeShards, "-resume")...)
+		stderr := runSweep(t, bin, slices.Concat(args, execArgs(y), []string{"-resume"})...)
 		if err != nil && !bytes.Contains(stderr, []byte("resumed")) &&
 			!bytes.Contains(stderr, []byte("ran")) {
 			t.Fatalf("trial %d: resume reported nothing:\n%s", i, stderr)
 		}
-		gotJSON, gotCSV := readArtifacts(t, out)
-		if !bytes.Equal(gotJSON, ref.json) {
-			t.Fatalf("trial %d: resumed JSON differs from uninterrupted run", i)
-		}
-		if !bytes.Equal(gotCSV, ref.csv) {
-			t.Fatalf("trial %d: resumed CSV differs from uninterrupted run", i)
+		if gotJSON, gotCSV := readArtifacts(t, out); !bytes.Equal(gotJSON, ref.json) || !bytes.Equal(gotCSV, ref.csv) {
+			t.Fatalf("trial %d: resumed artifacts differ from the uninterrupted run", i)
 		}
 	}
 }

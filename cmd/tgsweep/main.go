@@ -57,8 +57,8 @@
 // -shards N > 1 runs every ×pipes simulation sharded across N engine
 // goroutines (conservative time-window synchronisation, see internal/shard).
 // It is a pure execution knob like -workers and -kernel: artifacts are
-// byte-identical for every N, 0 and 1 (one engine) included — the CI
-// shard-determinism matrix pins this. AMBA points ignore the setting.
+// byte-identical for every N, 0 and 1 (one engine) included — the
+// execution-axis differentials pin this. AMBA points ignore the setting.
 //
 // -journal FILE makes the sweep crash-safe: every completed point is
 // appended to an fsync'd write-ahead journal, and -resume skips completed

@@ -187,9 +187,9 @@
 // timing, and the fabric's flow control and the platform's completion
 // stride are the same on every path, so the shard count is a pure
 // execution knob: every value — 0 (one engine) included — computes
-// byte-identical artifacts under every kernel (the CI shard-determinism
-// job compares kernels {strict,skip,event} × shards {1,2,4,8} against the
-// strict single-engine run).
+// byte-identical artifacts under every kernel (the execution-axis
+// differentials of internal/simtest compare every kernel × shard count
+// against the strict single-engine run).
 //
 // Inside a cycle the ×pipes fabric (internal/noc) pays only for flits that
 // exist. Its one flow-control rule — downstreamSpace reads the downstream

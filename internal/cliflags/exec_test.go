@@ -5,8 +5,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"noctg/internal/platform"
 )
 
 // TestExecFlags pins the one resolution of -workers/-kernel that tgsweep
@@ -17,12 +15,12 @@ func TestExecFlags(t *testing.T) {
 		name    string
 		args    []string
 		workers int
-		kernel  platform.KernelMode
+		kernel  string
 		wantErr string
 	}{
-		{name: "defaults", kernel: platform.KernelEvent},
-		{name: "strict", args: []string{"-kernel", "strict", "-workers", "3"}, workers: 3, kernel: platform.KernelStrict},
-		{name: "skip", args: []string{"-kernel", "skip"}, kernel: platform.KernelSkip},
+		{name: "defaults", kernel: "event"},
+		{name: "strict", args: []string{"-kernel", "strict", "-workers", "3"}, workers: 3, kernel: "strict"},
+		{name: "skip", args: []string{"-kernel", "skip"}, kernel: "skip"},
 		{name: "auto", args: []string{"-kernel", "auto"}, wantErr: `unknown kernel "auto"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,7 +42,7 @@ func TestExecFlags(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if k != tc.kernel || x.Workers() != tc.workers {
+			if k.String() != tc.kernel || x.Workers() != tc.workers {
 				t.Fatalf("Kernel(), Workers() = %v, %d; want %v, %d", k, x.Workers(), tc.kernel, tc.workers)
 			}
 		})

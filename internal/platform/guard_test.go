@@ -2,9 +2,8 @@ package platform_test
 
 import (
 	"fmt"
-	"os"
 	"reflect"
-	"strconv"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,50 +12,38 @@ import (
 	"noctg/internal/noc"
 	"noctg/internal/ocp"
 	"noctg/internal/platform"
+	"noctg/internal/simtest"
 	"noctg/internal/stochastic"
 )
 
 // The guard fault matrix: every watchdog is driven to fire by a seeded
 // guard.FaultPlan, on the single-engine Monitor path (shards=0) and on the
-// SPMD shard-runner path. CI sweeps the matrix via GUARD_KERNEL
-// (strict/skip/event) and GUARD_SHARDS (sharded point; default 2), so one
-// test body covers every kernel x partition combination.
+// SPMD shard-runner path, under every kernel × shard row of the execution
+// axis table.
 
 // sharedNode is where the shared RAM lands on the 4x4/4-core floorplan:
 // masters fill nodes 0..3, privs take 15..12, shared 11, semaphores 10.
 const sharedNode = 11
 
-func guardMatrixKernel(t *testing.T) platform.KernelMode {
-	t.Helper()
-	s := os.Getenv("GUARD_KERNEL")
-	if s == "" {
-		s = "event"
+// eachRow runs f on every kernel × shard row of the table, as
+// shards=<n>/<kernel> subtests.
+func eachRow(t *testing.T, f func(t *testing.T, x simtest.Exec)) {
+	rows := simtest.Rows(t, simtest.Kernel|simtest.Shards)
+	var counts []int
+	for _, x := range rows {
+		if !slices.Contains(counts, x.Shards) {
+			counts = append(counts, x.Shards)
+		}
 	}
-	k, err := platform.ParseKernel(s)
-	if err != nil {
-		t.Fatalf("GUARD_KERNEL: %v", err)
+	for _, n := range counts {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			for _, x := range rows {
+				if x.Shards == n {
+					t.Run(x.Kernel, func(t *testing.T) { f(t, x) })
+				}
+			}
+		})
 	}
-	return k
-}
-
-func guardMatrixShards(t *testing.T) int {
-	t.Helper()
-	s := os.Getenv("GUARD_SHARDS")
-	if s == "" {
-		return 2
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		t.Fatalf("GUARD_SHARDS=%q: want a positive shard count", s)
-	}
-	return n
-}
-
-// guardMatrixPoints is the partition matrix each fault test runs: the
-// single engine (Monitor watchdogs) and the sharded runner (SPMD
-// verdicts).
-func guardMatrixPoints(t *testing.T) []int {
-	return []int{0, guardMatrixShards(t)}
 }
 
 // sharedScenario aims every master at the shared RAM: all four request
@@ -79,15 +66,9 @@ func sharedScenario(count int, seed int64) stochastic.Config {
 	}
 }
 
-func buildGuardedMesh(t *testing.T, kernel platform.KernelMode, shards int,
-	scfg stochastic.Config, cfg guard.Config) *platform.System {
+func buildGuardedMesh(t *testing.T, x simtest.Exec, scfg stochastic.Config, cfg guard.Config) *platform.System {
 	t.Helper()
-	sys, err := platform.Build(platform.Config{
-		Cores: 4, Interconnect: platform.XPipes,
-		NoC:    noc.Config{Width: 4, Height: 4},
-		Kernel: kernel,
-		Shards: shards,
-	}, func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
+	sys, err := platform.Build(execConfig(t, x, platform.Config{Cores: 4, Interconnect: platform.XPipes}), func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
 		return stochastic.New(id, scfg, port)
 	})
 	if err != nil {
@@ -123,44 +104,38 @@ const forever = uint64(1) << 62
 // packets stay in flight, and the no-retire horizon fires with the stuck
 // queues in the dump.
 func TestGuardLinkStallDeadlock(t *testing.T) {
-	kernel := guardMatrixKernel(t)
-	for _, shards := range guardMatrixPoints(t) {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sys := buildGuardedMesh(t, kernel, shards, sharedScenario(30, 1),
-				guard.Config{NoRetireHorizon: 2000})
-			if err := sys.InjectFaults(guard.FaultPlan{
-				LinkStalls: []guard.LinkStall{{Node: 0, Dir: "e", From: 0, To: forever}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			v := mustViolate(t, sys, 300_000, guard.KindDeadlock)
-			if len(v.Diag.Queues) == 0 {
-				t.Fatalf("deadlock dump shows no stuck queues: %+v", v.Diag)
-			}
-		})
-	}
+	eachRow(t, func(t *testing.T, x simtest.Exec) {
+		sys := buildGuardedMesh(t, x, sharedScenario(30, 1),
+			guard.Config{NoRetireHorizon: 2000})
+		if err := sys.InjectFaults(guard.FaultPlan{
+			LinkStalls: []guard.LinkStall{{Node: 0, Dir: "e", From: 0, To: forever}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		v := mustViolate(t, sys, 300_000, guard.KindDeadlock)
+		if len(v.Diag.Queues) == 0 {
+			t.Fatalf("deadlock dump shows no stuck queues: %+v", v.Diag)
+		}
+	})
 }
 
 // TestGuardSlaveFreezeDeadlock: a frozen shared-memory slave stops serving;
 // every master wedges behind it and the horizon fires with the blocked
 // masters in the dump.
 func TestGuardSlaveFreezeDeadlock(t *testing.T) {
-	kernel := guardMatrixKernel(t)
-	for _, shards := range guardMatrixPoints(t) {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sys := buildGuardedMesh(t, kernel, shards, sharedScenario(30, 2),
-				guard.Config{NoRetireHorizon: 2000})
-			if err := sys.InjectFaults(guard.FaultPlan{
-				SlaveFreezes: []guard.SlaveFreeze{{Node: sharedNode, From: 0, To: forever}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			v := mustViolate(t, sys, 300_000, guard.KindDeadlock)
-			if len(v.Diag.Masters) == 0 {
-				t.Fatalf("freeze dump shows no blocked masters: %+v", v.Diag)
-			}
-		})
-	}
+	eachRow(t, func(t *testing.T, x simtest.Exec) {
+		sys := buildGuardedMesh(t, x, sharedScenario(30, 2),
+			guard.Config{NoRetireHorizon: 2000})
+		if err := sys.InjectFaults(guard.FaultPlan{
+			SlaveFreezes: []guard.SlaveFreeze{{Node: sharedNode, From: 0, To: forever}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		v := mustViolate(t, sys, 300_000, guard.KindDeadlock)
+		if len(v.Diag.Masters) == 0 {
+			t.Fatalf("freeze dump shows no blocked masters: %+v", v.Diag)
+		}
+	})
 }
 
 // TestGuardFlitDropConservation: silently discarding forwarded flits makes
@@ -169,56 +144,47 @@ func TestGuardSlaveFreezeDeadlock(t *testing.T) {
 // the test pins the conservation kind specifically (sharded runs scan at
 // segment boundaries, after the horizon would otherwise have fired).
 func TestGuardFlitDropConservation(t *testing.T) {
-	kernel := guardMatrixKernel(t)
-	for _, shards := range guardMatrixPoints(t) {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sys := buildGuardedMesh(t, kernel, shards, sharedScenario(30, 3),
-				guard.Config{Conservation: true, ConservationEvery: 256})
-			if err := sys.InjectFaults(guard.FaultPlan{
-				FlitDrops: []guard.FlitDrop{{Node: 0, Dir: "e", From: 0, To: forever}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			mustViolate(t, sys, 20_000, guard.KindConservation)
-		})
-	}
+	eachRow(t, func(t *testing.T, x simtest.Exec) {
+		sys := buildGuardedMesh(t, x, sharedScenario(30, 3),
+			guard.Config{Conservation: true, ConservationEvery: 256})
+		if err := sys.InjectFaults(guard.FaultPlan{
+			FlitDrops: []guard.FlitDrop{{Node: 0, Dir: "e", From: 0, To: forever}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		mustViolate(t, sys, 20_000, guard.KindConservation)
+	})
 }
 
 // TestGuardPacketLeakPoolMass: a slave NI that forgets to recycle served
 // request packets breaks pool mass — live references no longer cover the
 // pool's outstanding count.
 func TestGuardPacketLeakPoolMass(t *testing.T) {
-	kernel := guardMatrixKernel(t)
-	for _, shards := range guardMatrixPoints(t) {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sys := buildGuardedMesh(t, kernel, shards, sharedScenario(40, 4),
-				guard.Config{Conservation: true, ConservationEvery: 64})
-			if err := sys.InjectFaults(guard.FaultPlan{
-				PacketLeaks: []guard.PacketLeak{{Node: sharedNode, From: 0, To: forever}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			mustViolate(t, sys, 30_000, guard.KindPoolMass)
-		})
-	}
+	eachRow(t, func(t *testing.T, x simtest.Exec) {
+		sys := buildGuardedMesh(t, x, sharedScenario(40, 4),
+			guard.Config{Conservation: true, ConservationEvery: 64})
+		if err := sys.InjectFaults(guard.FaultPlan{
+			PacketLeaks: []guard.PacketLeak{{Node: sharedNode, From: 0, To: forever}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		mustViolate(t, sys, 30_000, guard.KindPoolMass)
+	})
 }
 
 // TestGuardRunBudget: an (absurdly) tight wall-clock budget trips on a
 // healthy long-running workload, on both the Monitor and the SPMD
 // budget-bit path.
 func TestGuardRunBudget(t *testing.T) {
-	kernel := guardMatrixKernel(t)
-	for _, shards := range guardMatrixPoints(t) {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sys := buildGuardedMesh(t, kernel, shards, sharedScenario(1<<30, 5),
-				guard.Config{RunBudget: time.Nanosecond})
-			_, err := sys.Run(10_000_000)
-			v, ok := guard.AsViolation(err)
-			if !ok || v.Kind != guard.KindBudget {
-				t.Fatalf("run returned %v, want a %s violation", err, guard.KindBudget)
-			}
-		})
-	}
+	eachRow(t, func(t *testing.T, x simtest.Exec) {
+		sys := buildGuardedMesh(t, x, sharedScenario(1<<30, 5),
+			guard.Config{RunBudget: time.Nanosecond})
+		_, err := sys.Run(10_000_000)
+		v, ok := guard.AsViolation(err)
+		if !ok || v.Kind != guard.KindBudget {
+			t.Fatalf("run returned %v, want a %s violation", err, guard.KindBudget)
+		}
+	})
 }
 
 // TestGuardShardBarrierStall: a shard put to sleep on the host clock stops
@@ -226,28 +192,32 @@ func TestGuardRunBudget(t *testing.T) {
 // every shard spinning forever, and the dump carries per-shard window
 // state.
 func TestGuardShardBarrierStall(t *testing.T) {
-	kernel := guardMatrixKernel(t)
-	shards := guardMatrixShards(t)
-	if shards < 2 {
-		shards = 2 // a barrier needs a peer to stall against
-	}
-	cfg := guard.Config{BarrierStall: 25 * time.Millisecond}
-	sys := buildGuardedMesh(t, kernel, shards, sharedScenario(1<<30, 6), cfg)
-	if err := sys.InjectFaults(guard.FaultPlan{
-		ShardStalls: []guard.ShardStall{{Shard: 1, AtCycle: 50, Wall: 300 * time.Millisecond}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	v := mustViolate(t, sys, 10_000_000, guard.KindBarrierStall)
-	if v.Shard < 0 || v.Shard >= shards {
-		t.Fatalf("barrier-stall violation names shard %d of %d", v.Shard, shards)
-	}
-	if len(v.Diag.Shards) != shards {
-		t.Fatalf("dump has %d shard windows, want %d", len(v.Diag.Shards), shards)
-	}
-	// The runner is latched dead: later runs fail fast with the violation.
-	if _, err := sys.Run(1000); err == nil {
-		t.Fatal("poisoned runner accepted another run")
+	for _, x := range simtest.Rows(t, simtest.Kernel|simtest.Shards) {
+		if x.Shards < 2 {
+			continue // a barrier needs a peer to stall against
+		}
+		t.Run(x.String(), func(t *testing.T) {
+			t.Parallel() // the stalled shard sleeps; overlap the rows
+			cfg := guard.Config{BarrierStall: 25 * time.Millisecond}
+			sys := buildGuardedMesh(t, x, sharedScenario(1<<30, 6), cfg)
+			shards := sys.Sharded.Shards()
+			if err := sys.InjectFaults(guard.FaultPlan{
+				ShardStalls: []guard.ShardStall{{Shard: 1, AtCycle: 50, Wall: 300 * time.Millisecond}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			v := mustViolate(t, sys, 10_000_000, guard.KindBarrierStall)
+			if v.Shard < 0 || v.Shard >= shards {
+				t.Fatalf("barrier-stall violation names shard %d of %d", v.Shard, shards)
+			}
+			if len(v.Diag.Shards) != shards {
+				t.Fatalf("dump has %d shard windows, want %d", len(v.Diag.Shards), shards)
+			}
+			// The runner is latched dead: later runs fail fast with the violation.
+			if _, err := sys.Run(1000); err == nil {
+				t.Fatal("poisoned runner accepted another run")
+			}
+		})
 	}
 }
 
@@ -256,13 +226,16 @@ func TestGuardShardBarrierStall(t *testing.T) {
 // has a link) — plan determinism is pinned in the guard package, this pins
 // potency end to end.
 func TestGuardRandomPlanFires(t *testing.T) {
-	kernel := guardMatrixKernel(t)
+	for _, x := range simtest.Rows(t, simtest.Kernel) {
+		t.Run(x.Kernel, func(t *testing.T) { randomPlanFires(t, x) })
+	}
+}
+
+func randomPlanFires(t *testing.T, x simtest.Exec) {
 	scfg := sharedScenario(60, 7)
-	sys, err := platform.Build(platform.Config{
-		Cores: 4, Interconnect: platform.XPipes,
-		NoC:    noc.Config{Width: 4, Height: 4, Topology: noc.Torus},
-		Kernel: kernel,
-	}, func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
+	sys, err := platform.Build(execConfig(t, x, platform.Config{
+		Cores: 4, Interconnect: platform.XPipes, NoC: noc.Config{Topology: noc.Torus},
+	}), func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
 		return stochastic.New(id, scfg, port)
 	})
 	if err != nil {
@@ -293,57 +266,20 @@ func TestGuardRandomPlanFires(t *testing.T) {
 	}
 }
 
-// guardObsRun mirrors shardObsRun with a guard configuration applied, so
-// the differential below can compare guarded and unguarded runs on the
-// same observable surface.
-func guardObsRun(t *testing.T, scfg stochastic.Config, kernel platform.KernelMode,
-	shards int, cfg guard.Config) runObs {
-	t.Helper()
-	var gens []*stochastic.Generator
-	sys, err := platform.Build(platform.Config{
-		Cores: 4, Interconnect: platform.XPipes,
-		NoC:    noc.Config{Width: 4, Height: 4},
-		Kernel: kernel,
-		Shards: shards,
-	}, func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
-		g := stochastic.New(id, scfg, port)
-		gens = append(gens, g)
-		return g
-	})
-	if err != nil {
-		t.Fatalf("build shards=%d: %v", shards, err)
-	}
-	sys.EnableGuard(cfg)
-	makespan, err := sys.Run(5_000_000)
-	if err != nil {
-		t.Fatalf("run shards=%d: %v", shards, err)
-	}
-	obs := runObs{makespan: makespan}
-	snap := sys.EngineSnapshot()
-	obs.cycle, obs.devices = snap.Cycles, snap.Devices
-	for _, g := range gens {
-		obs.issued = append(obs.issued, g.Issued())
-		obs.hists = append(obs.hists, g.Latency.Snapshot())
-	}
-	return obs
-}
-
 // TestGuardFaultFreeIdentical: with no faults injected, a fully guarded
 // run is observably identical to an unguarded one — makespan, final
-// cycle, issue counts and latency histograms — on both the single-engine
-// and sharded paths. The watchdogs are purely observational.
+// cycle, issue counts and latency histograms — on every kernel × shard
+// row. The watchdogs are purely observational.
 func TestGuardFaultFreeIdentical(t *testing.T) {
-	kernel := guardMatrixKernel(t)
 	scfg := sharedScenario(150, 9)
-	for _, shards := range guardMatrixPoints(t) {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			plain := guardObsRun(t, scfg, kernel, shards, guard.Config{})
-			guarded := guardObsRun(t, scfg, kernel, shards, guard.Default())
-			if !reflect.DeepEqual(plain, guarded) {
-				t.Fatalf("guarded run diverged from unguarded:\n got %+v\n ref %+v", guarded, plain)
-			}
-		})
-	}
+	dflt := guard.Default()
+	eachRow(t, func(t *testing.T, x simtest.Exec) {
+		cfg := execConfig(t, x, platform.Config{Cores: 4, Interconnect: platform.XPipes})
+		plain, guarded := observe(t, cfg, scfg, nil), observe(t, cfg, scfg, &dflt)
+		if !reflect.DeepEqual(plain, guarded) {
+			t.Fatalf("guarded run diverged from unguarded:\n got %+v\n ref %+v", guarded, plain)
+		}
+	})
 }
 
 // TestGuardedAdvanceAllocFree extends the sharded alloc guard to a guarded
@@ -352,7 +288,7 @@ func TestGuardFaultFreeIdentical(t *testing.T) {
 // in steady state.
 func TestGuardedAdvanceAllocFree(t *testing.T) {
 	scfg := sharedScenario(1<<30, 10)
-	sys := buildGuardedMesh(t, platform.KernelEvent, 2, scfg, guard.Default())
+	sys := buildGuardedMesh(t, simtest.Exec{Kernel: "event", Shards: 2}, scfg, guard.Default())
 	if _, err := sys.Sharded.Advance(5_000); err != nil { // warm pools, rings, scan tally
 		t.Fatal(err)
 	}
@@ -368,8 +304,8 @@ func TestGuardedAdvanceAllocFree(t *testing.T) {
 // shard runner — never silently half-applied.
 func TestInjectFaultsValidation(t *testing.T) {
 	scfg := sharedScenario(10, 12)
-	single := buildGuardedMesh(t, platform.KernelStrict, 0, scfg, guard.Config{})
-	sharded := buildGuardedMesh(t, platform.KernelStrict, 2, scfg, guard.Config{})
+	single := buildGuardedMesh(t, simtest.Reference(), scfg, guard.Config{})
+	sharded := buildGuardedMesh(t, simtest.Exec{Kernel: "strict", Shards: 2}, scfg, guard.Config{})
 	cases := []struct {
 		name string
 		sys  *platform.System

@@ -1,20 +1,22 @@
 package platform_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"noctg/internal/cache"
 	"noctg/internal/core"
+	"noctg/internal/guard"
 	"noctg/internal/layout"
 	"noctg/internal/noc"
 	"noctg/internal/ocp"
 	"noctg/internal/platform"
 	"noctg/internal/prog"
 	"noctg/internal/sim"
+	"noctg/internal/simtest"
 	"noctg/internal/stochastic"
 )
 
@@ -65,9 +67,9 @@ func randomProgram(r *rand.Rand, master, cores int) string {
 	return b.String()
 }
 
-// fabricVariants spans the interconnect configurations the kernel
-// equivalence properties must hold on: the AMBA bus, the ×pipes mesh and
-// the ×pipes torus (wrap links + dateline VCs).
+// fabricVariants spans the interconnect configurations the execution
+// properties must hold on: the AMBA bus (which ignores the shard count),
+// the ×pipes mesh and the ×pipes torus (wrap links + dateline VCs).
 func fabricVariants() []struct {
 	name string
 	ic   platform.Interconnect
@@ -84,89 +86,158 @@ func fabricVariants() []struct {
 	}
 }
 
-// propertyKernels is the kernel matrix the equivalence properties run
-// over: the strict reference plus both tick-eliding kernels.
-func propertyKernels() []platform.KernelMode {
-	return []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent}
+// execConfig is cfg on one execution row. Every xpipes fabric here is 4×4,
+// so 1–4 shards are distinct partitions and 8 clamps to 4.
+func execConfig(t *testing.T, x simtest.Exec, cfg platform.Config) platform.Config {
+	t.Helper()
+	kernel, err := platform.ParseKernel(x.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Kernel, cfg.Shards = kernel, x.Shards
+	if cfg.Interconnect == platform.XPipes {
+		cfg.NoC.Width, cfg.NoC.Height = 4, 4
+	}
+	return cfg
 }
 
-// TestKernelPropertyRandomPrograms is the property half of the equivalence
-// gate: for randomized TG programs on the bus, the mesh and the torus, the
-// strict, skip and event kernels must agree on every master's halt cycle,
-// the makespan, and the final engine cycle count.
+// TestKernelPropertyRandomPrograms: for randomized TG programs on the bus,
+// the mesh and the torus, every kernel on the single engine reproduces
+// every master's halt cycle, the makespan, the final engine cycle and the
+// canonical snapshot device count.
 func TestKernelPropertyRandomPrograms(t *testing.T) {
-	const trials = 25
-	for trial := 0; trial < trials; trial++ {
-		r := rand.New(rand.NewSource(int64(trial) * 1117))
-		cores := 2 + r.Intn(2)
-		progs := make([]*core.Program, cores)
-		for i := range progs {
+	simtest.Differential(t, "random programs", simtest.Kernel, randomProgramsCampaign(t))
+}
+
+// TestShardDeterminismRandomPrograms runs the same campaign as
+// TestKernelPropertyRandomPrograms across every shard count, the kernel
+// rotating; the kernels on the single engine are that test's rows.
+func TestShardDeterminismRandomPrograms(t *testing.T) {
+	simtest.Differential(t, "random programs", simtest.Kernel|simtest.Shards|simtest.Split|simtest.Rotated, randomProgramsCampaign(t))
+}
+
+// randomProgramsCampaign runs 31 seeded random TG program sets on every
+// fabric variant and renders what each run exposes. The first 25 are drawn
+// with 2–3 cores, the last 6 with a seed of their own and 2–4 cores.
+func randomProgramsCampaign(t *testing.T) simtest.Campaign {
+	progs := make([][]*core.Program, 31)
+	for trial := range progs {
+		seed, extra := int64(trial)*1117, 2
+		if trial >= 25 {
+			seed, extra = int64(trial-25)*2003+5, 3
+		}
+		r := rand.New(rand.NewSource(seed))
+		cores := 2 + r.Intn(extra)
+		for i := 0; i < cores; i++ {
 			p, err := core.Assemble(randomProgram(r, i, cores))
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			progs[i] = p
+			progs[trial] = append(progs[trial], p)
 		}
-		for _, fv := range fabricVariants() {
-			run := func(kernel platform.KernelMode) (uint64, uint64, []uint64) {
-				t.Helper()
-				sys, err := platform.BuildTG(platform.Config{
-					Cores: cores, Interconnect: fv.ic,
-					NoC:    noc.Config{Topology: fv.topo},
-					Kernel: kernel,
-				}, progs)
+	}
+	return func(t *testing.T, x simtest.Exec) []byte {
+		var out bytes.Buffer
+		for trial, ps := range simtest.Items(x, progs) {
+			for _, fv := range fabricVariants() {
+				sys, err := platform.BuildTG(execConfig(t, x, platform.Config{
+					Cores: len(ps), Interconnect: fv.ic, NoC: noc.Config{Topology: fv.topo},
+				}), ps)
 				if err != nil {
 					t.Fatalf("trial %d %s: %v", trial, fv.name, err)
 				}
 				makespan, err := sys.Run(5_000_000)
 				if err != nil {
-					t.Fatalf("trial %d %s: %v", trial, fv.name, err)
+					t.Fatalf("trial %d %s %v: %v", trial, fv.name, x, err)
 				}
-				halts := make([]uint64, cores)
+				halts := make([]uint64, len(ps))
 				for i, m := range sys.Masters {
 					halts[i] = m.(*core.Device).HaltCycle()
 				}
-				return makespan, sys.Engine.Cycle(), halts
-			}
-			mkS, cycS, haltS := run(platform.KernelStrict)
-			for _, kernel := range propertyKernels()[1:] {
-				mkK, cycK, haltK := run(kernel)
-				if mkS != mkK || cycS != cycK {
-					t.Fatalf("trial %d %s: strict makespan %d (cycle %d) vs %v %d (cycle %d)",
-						trial, fv.name, mkS, cycS, kernel, mkK, cycK)
-				}
-				for i := range haltS {
-					if haltS[i] != haltK[i] {
-						t.Fatalf("trial %d %s master %d: strict halt %d vs %v halt %d",
-							trial, fv.name, i, haltS[i], kernel, haltK[i])
-					}
-				}
+				snap := sys.EngineSnapshot()
+				fmt.Fprintf(&out, "trial %d %s: makespan %d cycle %d devices %d halts %v\n",
+					trial, fv.name, makespan, snap.Cycles, snap.Devices, halts)
 			}
 		}
+		return out.Bytes()
 	}
 }
 
-// TestKernelPropertyRandomScenarios samples the spatial scenario space:
-// random pattern × distribution × topology stochastic platforms must agree
-// between the kernels on makespan, engine cycle, per-master issue counts
-// and the full read-latency histograms.
-func TestKernelPropertyRandomScenarios(t *testing.T) {
-	const trials = 20
-	patterns := []stochastic.Pattern{
-		stochastic.UniformRandom, stochastic.Transpose, stochastic.BitComplement,
-		stochastic.BitReverse, stochastic.Hotspot, stochastic.NearestNeighbor,
+// runObs captures everything a stochastic run exposes that could diverge.
+type runObs struct {
+	makespan uint64
+	cycle    uint64
+	devices  int
+	issued   []int
+	hists    []sim.HistogramSnapshot
+}
+
+// observe runs a stochastic platform, guarded when gcfg is set, and
+// captures its observable surface.
+func observe(t *testing.T, cfg platform.Config, scfg stochastic.Config, gcfg *guard.Config) runObs {
+	t.Helper()
+	var gens []*stochastic.Generator
+	sys, err := platform.Build(cfg, func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
+		g := stochastic.New(id, scfg, port)
+		gens = append(gens, g)
+		return g
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for trial := 0; trial < trials; trial++ {
-		r := rand.New(rand.NewSource(int64(trial)*313 + 7))
-		// 2x2 keeps every pattern legal (square, power of two).
-		const w, h = 2, 2
-		cores := w * h
-		dests := make([]ocp.AddrRange, cores)
-		for d := range dests {
-			dests[d] = layout.PrivRange(d)
+	if gcfg != nil {
+		sys.EnableGuard(*gcfg)
+	}
+	makespan, err := sys.Run(5_000_000)
+	if err != nil {
+		t.Fatalf("%v/%v shards=%d: %v", cfg.Interconnect, cfg.Kernel, cfg.Shards, err)
+	}
+	snap := sys.EngineSnapshot()
+	obs := runObs{makespan: makespan, cycle: snap.Cycles, devices: snap.Devices}
+	for _, g := range gens {
+		obs.issued = append(obs.issued, g.Issued())
+		obs.hists = append(obs.hists, g.Latency.Snapshot())
+	}
+	return obs
+}
+
+// TestKernelPropertyRandomScenarios samples the spatial scenario space:
+// random pattern × distribution × fabric stochastic platforms agree under
+// every kernel on the single engine on makespan, engine cycle, device
+// count, per-master issue counts and the full read-latency histograms.
+func TestKernelPropertyRandomScenarios(t *testing.T) {
+	simtest.Differential(t, "random scenarios", simtest.Kernel, randomScenariosCampaign())
+}
+
+// TestShardDeterminismRandomScenarios runs the same campaign as
+// TestKernelPropertyRandomScenarios across every shard count, the kernel
+// rotating; the kernels on the single engine are that test's rows.
+func TestShardDeterminismRandomScenarios(t *testing.T) {
+	simtest.Differential(t, "random scenarios", simtest.Kernel|simtest.Shards|simtest.Split|simtest.Rotated, randomScenariosCampaign())
+}
+
+// randomScenariosCampaign runs 32 seeded random spatial stochastic
+// platforms and renders what each run exposes. The first 20 are drawn on
+// any fabric variant, the last 12 with a seed of their own, shorter streams
+// and the ×pipes fabrics only.
+func randomScenariosCampaign() simtest.Campaign {
+	type trial struct {
+		scfg stochastic.Config
+		cfg  platform.Config
+	}
+	// 2x2 keeps every pattern legal (square, power of two).
+	const w, h = 2, 2
+	dests := privDests(w * h)
+	trials := make([]trial, 32)
+	for i := range trials {
+		n, seed, count, span, fabrics := i, int64(i)*313+7, 100, 200, fabricVariants()
+		if i >= 20 {
+			n = i - 20
+			seed, count, span, fabrics = int64(n)*877+11, 80, 160, fabrics[1:]
 		}
+		r := rand.New(rand.NewSource(seed))
 		spatial := &stochastic.Spatial{
-			Pattern:   patterns[r.Intn(len(patterns))],
+			Pattern:   stochastic.Pattern(r.Intn(int(stochastic.NearestNeighbor) + 1)),
 			W:         w,
 			H:         h,
 			Dests:     dests,
@@ -178,54 +249,19 @@ func TestKernelPropertyRandomScenarios(t *testing.T) {
 		scfg := stochastic.Config{
 			Dist:    stochastic.Dist(r.Intn(4)),
 			MeanGap: 2 + 20*r.Float64(),
-			Count:   100 + r.Intn(200),
-			Seed:    int64(trial),
+			Count:   count + r.Intn(span),
+			Seed:    int64(n),
 			Spatial: spatial,
 		}
-		fv := fabricVariants()[r.Intn(3)]
-
-		run := func(kernel platform.KernelMode) (uint64, uint64, []int, []sim.HistogramSnapshot) {
-			t.Helper()
-			var gens []*stochastic.Generator
-			sys, err := platform.Build(platform.Config{
-				Cores: cores, Interconnect: fv.ic,
-				NoC:    noc.Config{Topology: fv.topo},
-				Kernel: kernel,
-			}, func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
-				g := stochastic.New(id, scfg, port)
-				gens = append(gens, g)
-				return g
-			})
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, fv.name, err)
-			}
-			makespan, err := sys.Run(5_000_000)
-			if err != nil {
-				t.Fatalf("trial %d %s (%v/%v): %v", trial, fv.name, scfg.Dist, spatial.Pattern, err)
-			}
-			issued := make([]int, len(gens))
-			hists := make([]sim.HistogramSnapshot, len(gens))
-			for i, g := range gens {
-				issued[i] = g.Issued()
-				hists[i] = g.Latency.Snapshot()
-			}
-			return makespan, sys.Engine.Cycle(), issued, hists
+		fv := fabrics[r.Intn(len(fabrics))]
+		trials[i] = trial{scfg, platform.Config{Cores: w * h, Interconnect: fv.ic, NoC: noc.Config{Topology: fv.topo}}}
+	}
+	return func(t *testing.T, x simtest.Exec) []byte {
+		var out bytes.Buffer
+		for i, tr := range simtest.Items(x, trials) {
+			fmt.Fprintf(&out, "trial %d: %+v\n", i, observe(t, execConfig(t, x, tr.cfg), tr.scfg, nil))
 		}
-		mkS, cycS, issS, histS := run(platform.KernelStrict)
-		for _, kernel := range propertyKernels()[1:] {
-			mkK, cycK, issK, histK := run(kernel)
-			if mkS != mkK || cycS != cycK {
-				t.Fatalf("trial %d %s %v/%v: strict makespan %d (cycle %d) vs %v %d (cycle %d)",
-					trial, fv.name, scfg.Dist, spatial.Pattern, mkS, cycS, kernel, mkK, cycK)
-			}
-			if !reflect.DeepEqual(issS, issK) {
-				t.Fatalf("trial %d %s: %v issue counts diverged: %v vs %v", trial, fv.name, kernel, issS, issK)
-			}
-			if !reflect.DeepEqual(histS, histK) {
-				t.Fatalf("trial %d %s: latency histograms diverged:\nstrict: %+v\n%v: %+v",
-					trial, fv.name, histS, kernel, histK)
-			}
-		}
+		return out.Bytes()
 	}
 }
 
@@ -242,29 +278,24 @@ func TestARMAlwaysTicksStrictly(t *testing.T) {
 		t.Fatal(err)
 	}
 	caches := cache.Config{Lines: 64, WordsPerLine: 4}
-	for _, ic := range []platform.Interconnect{platform.AMBA, platform.XPipes} {
-		run := func(kernel platform.KernelMode) uint64 {
-			t.Helper()
-			sys, err := platform.BuildARM(platform.Config{Cores: spec.Cores, Interconnect: ic, Kernel: kernel},
+	simtest.Differential(t, "ARM platforms", simtest.Kernel, func(t *testing.T, x simtest.Exec) []byte {
+		var out bytes.Buffer
+		for _, ic := range []platform.Interconnect{platform.AMBA, platform.XPipes} {
+			sys, err := platform.BuildARM(execConfig(t, x, platform.Config{Cores: spec.Cores, Interconnect: ic}),
 				progs, caches, caches)
 			if err != nil {
-				t.Fatalf("%v %v: %v", ic, kernel, err)
+				t.Fatalf("%v %v: %v", ic, x, err)
 			}
 			makespan, err := sys.Run(spec.MaxCycles)
 			if err != nil {
-				t.Fatalf("%v %v: %v", ic, kernel, err)
+				t.Fatalf("%v %v: %v", ic, x, err)
 			}
 			if sys.Engine.CanSkip() || sys.Engine.SkippedCycles != 0 {
 				t.Errorf("%v %v: ARM engine CanSkip=%v, skipped %d cycles; want strict ticking",
-					ic, kernel, sys.Engine.CanSkip(), sys.Engine.SkippedCycles)
+					ic, x, sys.Engine.CanSkip(), sys.Engine.SkippedCycles)
 			}
-			return makespan
+			fmt.Fprintf(&out, "%v: makespan %d\n", ic, makespan)
 		}
-		want := run(platform.KernelStrict)
-		for _, kernel := range []platform.KernelMode{platform.KernelEvent, platform.KernelSkip} {
-			if got := run(kernel); got != want {
-				t.Errorf("%v: %v makespan %d, strict %d", ic, kernel, got, want)
-			}
-		}
-	}
+		return out.Bytes()
+	})
 }

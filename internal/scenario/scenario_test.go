@@ -1,11 +1,12 @@
 package scenario
 
 import (
-	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"noctg/internal/platform"
+	"noctg/internal/simtest"
 	"noctg/internal/sweep"
 )
 
@@ -157,47 +158,63 @@ func TestLibraryCompiles(t *testing.T) {
 	libraryScenario(t, "transpose-torus")
 }
 
-// TestLibraryKernelDifferential is the scenario half of the equivalence
-// gate: every library scenario — all six spatial patterns on mesh, torus
-// and the AMBA bus — must produce byte-identical sweep artifacts under the
-// strict and the idle-skipping kernel.
-func TestLibraryKernelDifferential(t *testing.T) {
+// execRunner is the sweep Runner of one execution row.
+func execRunner(t *testing.T, x simtest.Exec) sweep.Runner {
+	t.Helper()
+	kernel, err := platform.ParseKernel(x.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweep.Runner{Kernel: kernel, Shards: x.Shards, Workers: x.Workers}
+}
+
+// libraryPoints is the library as one sweep grid.
+func libraryPoints(t *testing.T) []sweep.Point {
+	t.Helper()
 	pts, err := Points(Library())
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := sweep.Runner{Kernel: platform.KernelStrict}.Run(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skip, err := sweep.Runner{Kernel: platform.KernelSkip}.Run(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range strict {
-		if strict[i].Err != "" {
-			t.Fatalf("strict point %d (%s @ %s): %s", i, strict[i].Workload, strict[i].Fabric, strict[i].Err)
+	return pts
+}
+
+// TestLibraryKernelDifferential: every library scenario — all six spatial
+// patterns on mesh, torus and the AMBA bus, and the arrival-process ones —
+// serialises the same sweep artifact under every kernel, shard count and
+// worker count.
+func TestLibraryKernelDifferential(t *testing.T) {
+	all := libraryPoints(t)
+	simtest.Differential(t, "library", simtest.Kernel|simtest.Shards|simtest.Workers|simtest.Split, func(t *testing.T, x simtest.Exec) []byte {
+		results, err := execRunner(t, x).Run(simtest.Items(x, all))
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, r := range results {
+			if r.Err != "" {
+				t.Fatalf("%v point %d (%s @ %s): %s", x, r.ID, r.Workload, r.Fabric, r.Err)
+			}
+		}
+		return simtest.Render(t, func(w io.Writer) error { return sweep.WriteJSON(w, results) })
+	})
+}
+
+// TestLibraryPrePassDifferential: with the analytic pre-pass armed, which
+// library points are estimated is a pure function of the point, so the
+// artifact and the pre-pass report are the same for every worker count.
+func TestLibraryPrePassDifferential(t *testing.T) {
+	pts := libraryPoints(t)
+	for i := range pts {
+		pts[i].Analytic = true
 	}
-	var js, jk, cs, ck bytes.Buffer
-	if err := sweep.WriteJSON(&js, strict); err != nil {
-		t.Fatal(err)
-	}
-	if err := sweep.WriteJSON(&jk, skip); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(js.Bytes(), jk.Bytes()) {
-		t.Fatal("scenario JSON artifacts differ between strict and skip kernels")
-	}
-	if err := sweep.WriteCSV(&cs, strict); err != nil {
-		t.Fatal(err)
-	}
-	if err := sweep.WriteCSV(&ck, skip); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cs.Bytes(), ck.Bytes()) {
-		t.Fatal("scenario CSV artifacts differ between strict and skip kernels")
-	}
+	simtest.Differential(t, "library pre-pass", simtest.Workers, func(t *testing.T, x simtest.Exec) []byte {
+		results, err := execRunner(t, x).Run(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := sweep.AnalyticReport(pts)
+		return append(simtest.Render(t, func(w io.Writer) error { return sweep.WriteJSON(w, results) }),
+			simtest.Render(t, rep.WriteJSON)...)
+	})
 }
 
 // TestSpecGridRoundTrip: a parsed scenario compiles into a grid whose
@@ -394,4 +411,24 @@ func TestLibraryCurveSaturation(t *testing.T) {
 				c.Name, c.Points[sat.Index].LatencyMean, c.Points[0].LatencyMean)
 		}
 	}
+}
+
+// TestLibraryCurveDifferential: the library's adaptive load-latency curves
+// — estimator-seeded, refined in lockstep rounds — serialise the same
+// artifact under every kernel, shard count and worker count.
+func TestLibraryCurveDifferential(t *testing.T) {
+	css, err := Curves(Library())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range css {
+		css[i].Mode = sweep.CurveModeAdaptive
+	}
+	simtest.Differential(t, "library adaptive curves", simtest.Kernel|simtest.Shards|simtest.Workers|simtest.Split, func(t *testing.T, x simtest.Exec) []byte {
+		curves, err := execRunner(t, x).RunCurves(simtest.Items(x, css))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return simtest.Render(t, func(w io.Writer) error { return sweep.WriteCurvesJSON(w, curves) })
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"noctg/internal/sim"
+	"noctg/internal/simtest"
 )
 
 // ticker counts its ticks; the strict kernel keeps its shard's horizon at
@@ -109,7 +110,8 @@ func TestRunnerStopsTogether(t *testing.T) {
 // on exactly the cycle sim.Engine.RunEvery stops a single engine on, with
 // the same verdict.
 func TestRunnerStopRuleMatchesEngine(t *testing.T) {
-	for _, kernel := range []sim.Kernel{sim.KernelStrict, sim.KernelSkip, sim.KernelEvent} {
+	for _, x := range simtest.Rows(t, simtest.Kernel) {
+		kernel := x.SimKernel()
 		for _, doneAt := range []uint64{0, 1, 31, 32, 33, 64, 100} {
 			for _, stride := range []uint64{1, 7, 32} {
 				for _, budget := range []uint64{1, 32, 40, 64, 96, 1000} {

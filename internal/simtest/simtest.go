@@ -1,5 +1,6 @@
-// Package simtest provides small test doubles shared by the interconnect,
-// cache and TG test suites: a scripted OCP master that issues a fixed
+// Package simtest holds what the test suites share: the one table of
+// execution axes with the differential oracle that runs every campaign
+// over it (axes.go), and a scripted OCP master that issues a fixed
 // sequence of transactions separated by idle gaps, recording accept and
 // response cycles.
 package simtest

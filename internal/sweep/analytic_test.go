@@ -6,7 +6,7 @@ import (
 	"os"
 	"testing"
 
-	"noctg/internal/platform"
+	"noctg/internal/simtest"
 )
 
 // adaptiveCurveSpec is the adaptive twin of the golden curve, on the
@@ -182,42 +182,19 @@ func TestAdaptiveCurveContract(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCurveMatrixDeterminism extends the determinism matrix to
-// adaptive curves: byte-identical JSON and CSV artifacts across the
-// strict/skip/event kernels and worker counts. (Shard counts ride the
-// same guarantee through the xpipes differential below.)
+// TestAdaptiveCurveMatrixDeterminism: adaptive traversal consults the
+// estimator and refines in lockstep rounds, yet its artifact is the same
+// under every kernel and worker count (AMBA ignores shards).
 func TestAdaptiveCurveMatrixDeterminism(t *testing.T) {
-	render := func(r Runner) ([]byte, []byte) {
-		t.Helper()
-		curves, err := r.RunCurves([]CurveSpec{adaptiveCurveSpec()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var js, cs bytes.Buffer
-		if err := WriteCurvesJSON(&js, curves); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteCurvesCSV(&cs, curves); err != nil {
-			t.Fatal(err)
-		}
-		return js.Bytes(), cs.Bytes()
-	}
-	wantJS, wantCS := render(Runner{Kernel: platform.KernelStrict, Workers: 1})
-	for _, kernel := range diffKernels() {
-		for _, workers := range []int{1, 4} {
-			js, cs := render(Runner{Kernel: kernel, Workers: workers})
-			if !bytes.Equal(wantJS, js) || !bytes.Equal(wantCS, cs) {
-				t.Fatalf("adaptive curve artifacts differ at kernel %v workers %d", kernel, workers)
-			}
-		}
-	}
+	simtest.Differential(t, "adaptive AMBA curve", simtest.Kernel|simtest.Workers, curvesCampaign(adaptiveCurveSpec()))
 }
 
-// TestAdaptiveCurveShardDeterminism covers the shard axis of the matrix
-// on a ×pipes adaptive curve (AMBA ignores shards): byte-identical
-// artifacts for every shard count.
+// TestAdaptiveCurveShardDeterminism: a ×pipes adaptive curve serialises the
+// same artifact under every shard count, the kernel rotating; the library's
+// adaptive ×pipes curves run every kernel on one engine
+// (scenario.TestLibraryCurveDifferential).
 func TestAdaptiveCurveShardDeterminism(t *testing.T) {
-	cs := CurveSpec{
+	simtest.Differential(t, "adaptive xpipes curve", simtest.Kernel|simtest.Shards|simtest.Rotated, curvesCampaign(CurveSpec{
 		Name: "uniform-xpipes-adaptive",
 		Workload: Workload{
 			Kind: KindStochastic, Dist: "poisson", Cores: 4,
@@ -231,25 +208,7 @@ func TestAdaptiveCurveShardDeterminism(t *testing.T) {
 			EpochCycles:  2000,
 			CITarget:     0.05,
 		},
-	}
-	render := func(shards int) []byte {
-		t.Helper()
-		curves, err := Runner{Shards: shards}.RunCurves([]CurveSpec{cs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteCurvesJSON(&buf, curves); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := render(0)
-	for _, shards := range []int{2, 3} {
-		if got := render(shards); !bytes.Equal(want, got) {
-			t.Fatalf("adaptive curve artifacts differ between 0 and %d shards", shards)
-		}
-	}
+	}))
 }
 
 // TestPredictSaturationIndex sanity-checks the operational knee on the
@@ -316,8 +275,8 @@ func TestAnalyticReportCoversStochasticPoints(t *testing.T) {
 }
 
 // TestPrePassWorkerDeterminism: the pre-pass decision is a pure function
-// of the point, so mixed estimated/simulated grids stay byte-identical
-// across worker counts.
+// of the point, so a mixed estimated/simulated grid serialises the same
+// artifact under every kernel and worker count.
 func TestPrePassWorkerDeterminism(t *testing.T) {
 	var ws []Workload
 	for _, gap := range []float64{48, 24, 12, 6, 3} {
@@ -327,24 +286,8 @@ func TestPrePassWorkerDeterminism(t *testing.T) {
 			Hotspot: []float64{0, 0, 0.6}, MeanGap: gap, Count: 300,
 		})
 	}
-	g := Grid{Workloads: ws, Fabrics: []Fabric{{Interconnect: FabricAMBA}}, Analytic: true}
-	points := g.Expand()
-	render := func(workers int) []byte {
-		t.Helper()
-		results, err := Runner{Workers: workers}.Run(points)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := render(1)
-	if !bytes.Equal(want, render(4)) {
-		t.Fatal("pre-pass artifacts depend on worker count")
-	}
+	points := Grid{Workloads: ws, Fabrics: []Fabric{{Interconnect: FabricAMBA}}, Analytic: true}.Expand()
+	want := simtest.Differential(t, "pre-pass grid", simtest.Kernel|simtest.Workers, pointsCampaign(points))
 	estimated := bytes.Count(want, []byte(`"estimated": true`))
 	if estimated == 0 {
 		t.Fatal("no point was estimated; the light end of the ladder must be")
@@ -352,7 +295,6 @@ func TestPrePassWorkerDeterminism(t *testing.T) {
 	if estimated == len(points) {
 		t.Fatal("every point was estimated; the knee region must simulate")
 	}
-	t.Logf("%d/%d points estimated", estimated, len(points))
 }
 
 // TestJournalResumeWithAnalyticPoints: estimated results round-trip the

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"noctg/internal/simtest"
 )
 
 func TestArrivalWorkloadValidation(t *testing.T) {
@@ -71,12 +73,12 @@ func TestArrivalWorkloadLabels(t *testing.T) {
 	}
 }
 
-// TestKernelDifferentialBursty pins the stock bursty/self-similar/priority
-// grid into the kernel-equivalence gate: every BurstyGrid point must
-// produce byte-identical JSON and CSV artifacts under the strict, skip and
-// event kernels.
+// TestKernelDifferentialBursty: every point of the stock
+// bursty/self-similar/priority grid serialises the same artifact under
+// every kernel, and the reference is the committed golden.
 func TestKernelDifferentialBursty(t *testing.T) {
-	assertKernelDifferential(t, BurstyGrid().Expand())
+	ref := simtest.Differential(t, "bursty grid", simtest.Kernel, pointsCampaign(BurstyGrid().Expand()))
+	goldenBytes(t, "bursty", ref)
 }
 
 // randomArrivalPoints draws a randomized-but-seeded set of MMPP and
@@ -138,17 +140,16 @@ func randomArrivalPoints(seed int64, n int) []Point {
 }
 
 // TestArrivalPropertyDifferential is the randomized half of the arrival
-// determinism gate: seeded-random MMPP and self-similar configurations ×
-// the full kernel matrix × shard counts {1, 4} must serialise
-// byte-identical artifacts. The draw is seeded, so a failure reproduces.
+// determinism gate: seeded-random MMPP and self-similar configurations
+// serialise the same artifact under every kernel and shard count. The draw
+// is seeded, so a failure reproduces.
 func TestArrivalPropertyDifferential(t *testing.T) {
 	points := randomArrivalPoints(20250808, 4)
 	if err := (Grid{Workloads: []Workload{points[0].Workload},
 		Fabrics: []Fabric{points[0].Fabric}}).Validate(); err != nil {
 		t.Fatalf("random workload invalid: %v", err)
 	}
-	assertKernelDifferential(t, points)
-	assertShardDifferential(t, points, diffKernels(), []int{4})
+	simtest.Differential(t, "random arrival points", simtest.Kernel|simtest.Shards, pointsCampaign(points))
 }
 
 // TestGoldenBurstyScenarios snapshots the stock bursty grid under

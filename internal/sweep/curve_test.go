@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"noctg/internal/guard"
-	"noctg/internal/platform"
+	"noctg/internal/simtest"
 )
 
 // goldenCurveSpec is the stock curve the golden-file harness locks: the
@@ -56,55 +56,18 @@ func TestGoldenCurve(t *testing.T) {
 	golden(t, "curve", []Curve{c})
 }
 
-// TestKernelDifferentialCurve extends the kernel-equivalence gate over the
-// curve runner: the same curve must serialise to byte-identical JSON and
-// CSV artifacts under the strict, skip and event kernels.
+// TestKernelDifferentialCurve: the golden curve serialises the same
+// artifact under every kernel, and the reference is the committed golden.
 func TestKernelDifferentialCurve(t *testing.T) {
-	marshal := func(kernel platform.KernelMode) ([]byte, []byte) {
-		t.Helper()
-		curves, err := Runner{Kernel: kernel}.RunCurves([]CurveSpec{goldenCurveSpec()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var js, cs bytes.Buffer
-		if err := WriteCurvesJSON(&js, curves); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteCurvesCSV(&cs, curves); err != nil {
-			t.Fatal(err)
-		}
-		return js.Bytes(), cs.Bytes()
-	}
-	wantJS, wantCS := marshal(platform.KernelStrict)
-	for _, kernel := range diffKernels()[1:] {
-		js, cs := marshal(kernel)
-		if !bytes.Equal(wantJS, js) {
-			t.Fatalf("curve JSON differs between strict and %v kernels", kernel)
-		}
-		if !bytes.Equal(wantCS, cs) {
-			t.Fatalf("curve CSV differs between strict and %v kernels", kernel)
-		}
-	}
+	ref := simtest.Differential(t, "golden curve", simtest.Kernel, curvesCampaign(goldenCurveSpec()))
+	goldenBytes(t, "curve", ref)
 }
 
-// TestCurveWorkerDeterminism pins the sweep package's core contract for
-// the new runner: curve artifacts are byte-identical for any worker count.
+// TestCurveWorkerDeterminism: the golden curve serialises the same artifact
+// under every worker count, the kernel rotating; the kernels on one worker
+// are TestKernelDifferentialCurve's rows.
 func TestCurveWorkerDeterminism(t *testing.T) {
-	run := func(workers int) []byte {
-		t.Helper()
-		curves, err := Runner{Workers: workers}.RunCurves([]CurveSpec{goldenCurveSpec()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteCurvesJSON(&buf, curves); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if !bytes.Equal(run(1), run(4)) {
-		t.Fatal("curve artifacts depend on worker count")
-	}
+	simtest.Differential(t, "golden curve", simtest.Kernel|simtest.Workers|simtest.Rotated, curvesCampaign(goldenCurveSpec()))
 }
 
 func TestCurveSpecValidate(t *testing.T) {

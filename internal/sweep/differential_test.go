@@ -1,149 +1,115 @@
 package sweep
 
 import (
-	"bytes"
+	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
 
 	"noctg/internal/exp"
 	"noctg/internal/platform"
+	"noctg/internal/simtest"
 )
 
-// diffKernels is the kernel matrix every differential gate runs: the strict
-// reference, the whole-cycle skip kernel, and the event-driven active-set
-// kernel.
-func diffKernels() []platform.KernelMode {
-	return []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent}
-}
-
-// assertKernelDifferential runs points under every kernel and asserts the
-// Results — and the JSON/CSV artifacts serialised from them — are
-// byte-identical to the strict reference.
-func assertKernelDifferential(t *testing.T, points []Point) {
+// execRunner is the Runner of one execution row.
+func execRunner(t *testing.T, x simtest.Exec) Runner {
 	t.Helper()
-	strict, err := Runner{Kernel: platform.KernelStrict}.Run(points)
+	kernel, err := platform.ParseKernel(x.Kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range strict {
-		if strict[i].Err != "" {
-			t.Fatalf("strict point %d (%s @ %s): %s", i, strict[i].Workload, strict[i].Fabric, strict[i].Err)
+	return Runner{Kernel: kernel, Shards: x.Shards, Workers: x.Workers}
+}
+
+// runPoints runs points on one row and requires every point to succeed.
+func runPoints(t *testing.T, r Runner, points []Point) []Result {
+	t.Helper()
+	results, err := r.Run(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results {
+		if res.Err != "" {
+			t.Fatalf("point %d (%s @ %s): %s", res.ID, res.Workload, res.Fabric, res.Err)
 		}
 	}
-	var js, cs bytes.Buffer
-	if err := WriteJSON(&js, strict); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCSV(&cs, strict); err != nil {
-		t.Fatal(err)
-	}
+	return results
+}
 
-	for _, kernel := range diffKernels()[1:] {
-		got, err := Runner{Kernel: kernel}.Run(points)
+// pointsCampaign renders the JSON artifact of the points each row runs.
+// The CSV artifact is a projection of the same Result fields, so equal
+// JSON means equal CSV.
+func pointsCampaign(points []Point) simtest.Campaign {
+	return func(t *testing.T, x simtest.Exec) []byte {
+		return renderResults(t, runPoints(t, execRunner(t, x), simtest.Items(x, points)))
+	}
+}
+
+// curvesCampaign renders the JSON artifact of specs on each row.
+func curvesCampaign(specs ...CurveSpec) simtest.Campaign {
+	return func(t *testing.T, x simtest.Exec) []byte {
+		curves, err := execRunner(t, x).RunCurves(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(strict) != len(got) {
-			t.Fatalf("strict produced %d results, %v %d", len(strict), kernel, len(got))
-		}
-		for i := range strict {
-			if !reflect.DeepEqual(strict[i], got[i]) {
-				t.Fatalf("point %d (%s @ %s) diverged:\nstrict: %+v\n%v: %+v",
-					i, strict[i].Workload, strict[i].Fabric, strict[i], kernel, got[i])
-			}
-		}
-		var jk, ck bytes.Buffer
-		if err := WriteJSON(&jk, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(js.Bytes(), jk.Bytes()) {
-			t.Fatalf("JSON artifacts differ between strict and %v kernels", kernel)
-		}
-		if err := WriteCSV(&ck, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(cs.Bytes(), ck.Bytes()) {
-			t.Fatalf("CSV artifacts differ between strict and %v kernels", kernel)
-		}
+		return simtest.Render(t, func(w io.Writer) error { return WriteCurvesJSON(w, curves) })
 	}
 }
 
-// TestKernelDifferentialGrid is the tentpole equivalence gate for the grid
-// sweep: every DefaultGrid point must produce an identical Result under the
-// strict, skip and event kernels, down to byte-identical JSON and CSV
-// artifacts.
+// TestKernelDifferentialGrid: every DefaultGrid point — the TG replays of
+// the paper's programs among them — serialises the same artifact under
+// every kernel and shard count.
 func TestKernelDifferentialGrid(t *testing.T) {
-	assertKernelDifferential(t, DefaultGrid().Expand())
+	simtest.Differential(t, "default grid", simtest.Kernel|simtest.Shards|simtest.Split, pointsCampaign(DefaultGrid().Expand()))
 }
 
-// TestKernelDifferentialScenarios extends the equivalence gate over the
-// scenario space: every spatial pattern × fabric topology point of
-// ScenarioGrid must produce byte-identical JSON and CSV artifacts under
-// the strict, skip and event kernels.
+// TestKernelDifferentialScenarios: every spatial pattern × fabric topology
+// point of ScenarioGrid serialises the same artifact under every kernel,
+// and the reference is the committed golden.
 func TestKernelDifferentialScenarios(t *testing.T) {
-	assertKernelDifferential(t, ScenarioGrid().Expand())
+	ref := simtest.Differential(t, "scenario grid", simtest.Kernel, pointsCampaign(ScenarioGrid().Expand()))
+	goldenBytes(t, "scenarios", ref)
 }
 
-// TestKernelDifferentialPaper runs every paper experiment family under both
-// kernels and asserts the simulated-state results (makespans, poll counts,
-// program equality — everything except host wall-clock) are identical.
+// TestShardDifferentialScenarios: the same grid serialises the same
+// artifact under every shard count, the kernel rotating. AMBA points
+// ignore the shard count, which is part of the property. The kernels on
+// the single engine are TestKernelDifferentialScenarios' rows.
+func TestShardDifferentialScenarios(t *testing.T) {
+	simtest.Differential(t, "scenario grid", simtest.Kernel|simtest.Shards|simtest.Split|simtest.Rotated, pointsCampaign(ScenarioGrid().Expand()))
+}
+
+// TestKernelDifferentialPaper: every paper experiment family reports the
+// same simulated state — makespans, poll counts, program equality,
+// everything but host wall-clock — under every kernel.
 func TestKernelDifferentialPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper differential is a long test")
 	}
-	sizes := tinySizes()
 	sel := PaperSelect{Table2: true, CrossCheck: true, Overhead: true, Ablation: true, Fig2: true}
-
-	run := func(kernel platform.KernelMode) *PaperResults {
-		t.Helper()
+	simtest.Differential(t, "paper", simtest.Kernel, func(t *testing.T, x simtest.Exec) []byte {
 		opt := exp.DefaultOptions()
-		opt.Platform.Kernel = kernel
-		res, err := RunPaperSelect(sizes, opt, 0, sel)
+		opt.Platform.Kernel = execRunner(t, x).Kernel
+		res, err := RunPaperSelect(tinySizes(), opt, 0, sel)
 		if err != nil {
-			t.Fatalf("kernel %v: %v", kernel, err)
+			t.Fatal(err)
 		}
-		return res
-	}
-	strict := run(platform.KernelStrict)
-	for _, kernel := range diffKernels()[1:] {
-		assertPaperEqual(t, strict, run(kernel))
-	}
-}
-
-// assertPaperEqual compares every simulated-state field of two full paper
-// evaluations.
-func assertPaperEqual(t *testing.T, strict, skip *PaperResults) {
-	t.Helper()
-	if len(strict.Table2) != len(skip.Table2) {
-		t.Fatalf("table2 rows: strict %d, skip %d", len(strict.Table2), len(skip.Table2))
-	}
-	for i := range strict.Table2 {
-		s, k := strict.Table2[i], skip.Table2[i]
-		if s.Bench != k.Bench || s.Cores != k.Cores ||
-			s.CyclesARM != k.CyclesARM || s.CyclesTG != k.CyclesTG ||
-			s.ErrorPct != k.ErrorPct || s.TraceBytes != k.TraceBytes {
-			t.Fatalf("table2 row %d diverged:\nstrict: %+v\nskip:   %+v", i, s, k)
+		state := struct {
+			Table2      []goldenRow
+			CrossChecks []*exp.CrossCheckResult
+			Overhead    [2]int
+			Fidelity    []*exp.FidelityRow
+			Arbitration []*exp.ArbitrationRow
+			Fig2a       *exp.Fig2aResult
+			Fig2b       *exp.Fig2bResult
+		}{table2Rows(res.Table2), res.CrossChecks, [2]int{res.Overhead.TraceBytes, res.Overhead.Events},
+			res.Fidelity, res.Arbitration, res.Fig2a, res.Fig2b}
+		data, err := json.Marshal(state)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !reflect.DeepEqual(strict.CrossChecks, skip.CrossChecks) {
-		t.Fatalf("cross-checks diverged:\nstrict: %+v\nskip:   %+v", strict.CrossChecks, skip.CrossChecks)
-	}
-	if strict.Overhead.TraceBytes != skip.Overhead.TraceBytes ||
-		strict.Overhead.Events != skip.Overhead.Events {
-		t.Fatalf("overhead diverged:\nstrict: %+v\nskip:   %+v", strict.Overhead, skip.Overhead)
-	}
-	if !reflect.DeepEqual(strict.Fidelity, skip.Fidelity) {
-		t.Fatalf("fidelity ablation diverged:\nstrict: %+v\nskip:   %+v", strict.Fidelity, skip.Fidelity)
-	}
-	if !reflect.DeepEqual(strict.Arbitration, skip.Arbitration) {
-		t.Fatalf("arbitration ablation diverged:\nstrict: %+v\nskip:   %+v", strict.Arbitration, skip.Arbitration)
-	}
-	if !reflect.DeepEqual(strict.Fig2a, skip.Fig2a) {
-		t.Fatalf("fig2a diverged:\nstrict: %+v\nskip:   %+v", strict.Fig2a, skip.Fig2a)
-	}
-	if !reflect.DeepEqual(strict.Fig2b, skip.Fig2b) {
-		t.Fatalf("fig2b diverged:\nstrict: %+v\nskip:   %+v", strict.Fig2b, skip.Fig2b)
-	}
+		return data
+	})
 }
 
 // TestKernelDefaultIsEvent pins the default: the zero KernelMode is the

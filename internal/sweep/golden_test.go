@@ -30,7 +30,13 @@ func golden(t *testing.T, name string, v any) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
+	goldenBytes(t, name, append(got, '\n'))
+}
+
+// goldenBytes compares an artifact with testdata/golden/<name>.json, or
+// rewrites the file under -update.
+func goldenBytes(t *testing.T, name string, got []byte) {
+	t.Helper()
 	path := filepath.Join("testdata", "golden", name+".json")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -65,8 +71,8 @@ func clip(b []byte) []byte {
 
 // TestGoldenScenarioGrid locks the full spatial-pattern × topology scenario
 // sweep: every pattern on AMBA, mesh and torus, byte-identical to the
-// committed snapshot (and, via TestKernelDifferentialScenarios, identical
-// under all three kernels).
+// committed snapshot (TestKernelDifferentialScenarios pins every
+// execution row to the same file).
 func TestGoldenScenarioGrid(t *testing.T) {
 	results, err := Runner{}.Run(ScenarioGrid().Expand())
 	if err != nil {
@@ -98,8 +104,13 @@ func TestGoldenTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]goldenRow, len(res.Table2))
-	for i, r := range res.Table2 {
+	golden(t, "table2", table2Rows(res.Table2))
+}
+
+// table2Rows projects Table 2 onto its deterministic fields.
+func table2Rows(table2 []*exp.Row) []goldenRow {
+	rows := make([]goldenRow, len(table2))
+	for i, r := range table2 {
 		rows[i] = goldenRow{
 			Bench:      r.Bench,
 			Cores:      r.Cores,
@@ -109,7 +120,7 @@ func TestGoldenTable2(t *testing.T) {
 			TraceBytes: r.TraceBytes,
 		}
 	}
-	golden(t, "table2", rows)
+	return rows
 }
 
 // TestGoldenCrossCheck locks the cross-interconnect .tgp equality

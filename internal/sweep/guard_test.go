@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"noctg/internal/guard"
+	"noctg/internal/simtest"
 )
 
 // guardTestPoints is a three-seed stochastic grid on a 4x4 mesh; every
@@ -68,69 +69,45 @@ func TestGuardGridContinuesPastViolation(t *testing.T) {
 }
 
 // TestGuardViolationArtifactDeterministic: the partial artifact of a
-// violating sweep — failed point, diagnostic dump and all — is
-// byte-identical across runs and worker counts. A violation is data, not
-// nondeterminism (panic stacks are excluded from JSON for exactly this
-// reason).
+// violating sweep — failed point, diagnostic dump and all — is the same
+// whatever the worker count. A violation is data, not nondeterminism
+// (panic stacks are excluded from JSON for exactly this reason).
 func TestGuardViolationArtifactDeterministic(t *testing.T) {
-	run := func(workers int) []byte {
-		cfg := guard.Config{NoRetireHorizon: 2000}
-		r := Runner{
-			Workers: workers,
-			Guard:   &cfg,
-			Faults: func(p Point) *guard.FaultPlan {
-				if p.Seed != 2 {
-					return nil
-				}
-				return &guard.FaultPlan{LinkStalls: []guard.LinkStall{
-					{Node: 0, Dir: "e", From: 0, To: 1 << 62}}}
-			},
+	cfg := guard.Config{NoRetireHorizon: 2000}
+	want := simtest.Differential(t, "violating grid", simtest.Workers, func(t *testing.T, x simtest.Exec) []byte {
+		r := execRunner(t, x)
+		r.Guard = &cfg
+		r.Faults = func(p Point) *guard.FaultPlan {
+			if p.Seed != 2 {
+				return nil
+			}
+			return &guard.FaultPlan{LinkStalls: []guard.LinkStall{
+				{Node: 0, Dir: "e", From: 0, To: 1 << 62}}}
 		}
 		results, err := r.Run(guardTestPoints())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a, b := run(1), run(3)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("violating artifact differs across runs/workers:\n%s\nvs\n%s", a, b)
-	}
-	if !bytes.Contains(a, []byte(`"violation"`)) || !bytes.Contains(a, []byte(`"diag"`)) {
-		t.Fatalf("artifact lacks the structured violation: %s", a)
+		return renderResults(t, results)
+	})
+	if !bytes.Contains(want, []byte(`"violation"`)) || !bytes.Contains(want, []byte(`"diag"`)) {
+		t.Fatalf("artifact lacks the structured violation: %s", want)
 	}
 }
 
 // TestGuardFaultFreeArtifactsIdentical: arming the full watchdog set on a
-// healthy sweep changes nothing — JSON and CSV artifacts are byte-identical
-// to the unguarded run's.
+// healthy sweep changes nothing — the guarded artifact is the same under
+// every kernel, shard count and worker count, and equals the unguarded
+// one.
 func TestGuardFaultFreeArtifactsIdentical(t *testing.T) {
-	render := func(gcfg *guard.Config) (string, string) {
-		results, err := Runner{Workers: 2, Guard: gcfg}.Run(guardTestPoints())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var j, c bytes.Buffer
-		if err := WriteJSON(&j, results); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteCSV(&c, results); err != nil {
-			t.Fatal(err)
-		}
-		return j.String(), c.String()
-	}
 	dflt := guard.Default()
-	plainJSON, plainCSV := render(nil)
-	guardJSON, guardCSV := render(&dflt)
-	if plainJSON != guardJSON {
-		t.Fatalf("guarded JSON artifact diverged:\n%s\nvs\n%s", guardJSON, plainJSON)
-	}
-	if plainCSV != guardCSV {
-		t.Fatal("guarded CSV artifact diverged")
+	guarded := simtest.Differential(t, "guarded grid", simtest.Kernel|simtest.Shards|simtest.Workers, func(t *testing.T, x simtest.Exec) []byte {
+		r := execRunner(t, x)
+		r.Guard = &dflt
+		return renderResults(t, runPoints(t, r, guardTestPoints()))
+	})
+	if plain := pointsCampaign(guardTestPoints())(t, simtest.Reference()); !bytes.Equal(plain, guarded) {
+		t.Fatalf("guarded artifact diverged from the unguarded one:\n%s\nvs\n%s", guarded, plain)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"noctg/internal/guard"
 	"noctg/internal/journal"
 	"noctg/internal/platform"
+	"noctg/internal/simtest"
 )
 
 // journalTestPoints is a cheap three-seed stochastic grid on the AMBA bus
@@ -30,12 +32,7 @@ func journalTestPoints() []Point {
 // renderResults is the byte-identity yardstick: the exact JSON artifact a
 // result set serialises to.
 func renderResults(t *testing.T, results []Result) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return simtest.Render(t, func(w io.Writer) error { return WriteJSON(w, results) })
 }
 
 // journalTestCurve is a small adaptive curve on the AMBA bus: its knee
@@ -63,18 +60,9 @@ type journalCampaign struct {
 	rounds bool
 }
 
-func journalCampaigns() []journalCampaign {
-	pts := journalTestPoints()
-	specs := []CurveSpec{journalTestCurve()}
-	renderCurves := func(t *testing.T, curves []Curve) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := WriteCurvesJSON(&buf, curves); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	return []journalCampaign{{
+// gridCampaign journals a grid of points.
+func gridCampaign(pts []Point) journalCampaign {
+	return journalCampaign{
 		name: "grid",
 		plain: func(t *testing.T, r Runner) ([]byte, int) {
 			res, err := r.Run(pts)
@@ -87,7 +75,16 @@ func journalCampaigns() []journalCampaign {
 			res, status, err := r.RunJournaled(pts, jc)
 			return renderResults(t, res), status, err
 		},
-	}, {
+	}
+}
+
+func journalCampaigns() []journalCampaign {
+	pts := journalTestPoints()
+	specs := []CurveSpec{journalTestCurve()}
+	renderCurves := func(t *testing.T, curves []Curve) []byte {
+		return simtest.Render(t, func(w io.Writer) error { return WriteCurvesJSON(w, curves) })
+	}
+	return []journalCampaign{gridCampaign(pts), {
 		name: "adaptive curve",
 		plain: func(t *testing.T, r Runner) ([]byte, int) {
 			curves, err := r.RunCurves(specs)
@@ -104,39 +101,77 @@ func journalCampaigns() []journalCampaign {
 	}}
 }
 
-// TestJournaledMatchesPlain: a fault-free journaled run — grid or curves —
-// produces the same artifact bytes as an unjournaled one: the journal is
-// pure bookkeeping.
+// resumed is c as a campaign: at cut 0 one uninterrupted, unjournaled run;
+// otherwise the journal crosses rows both ways — written on row x and
+// resumed on the reference row, then written on the reference row and
+// resumed on row x — and both must render the same bytes.
+func (c journalCampaign) resumed() simtest.Campaign {
+	return func(t *testing.T, x simtest.Exec) []byte {
+		r, ref := execRunner(t, x), execRunner(t, simtest.Reference())
+		if x.Cut == 0 {
+			plain, _ := c.plain(t, r)
+			return plain
+		}
+		got := c.crossResume(t, r, ref, x.Cut)
+		if back := c.crossResume(t, ref, r, x.Cut); !bytes.Equal(got, back) {
+			t.Fatalf("%v: resuming the reference row's journal diverged from resuming the row's own", x)
+		}
+		return got
+	}
+}
+
+// crossResume journals c on writer, cuts the journal at cut percent of its
+// bytes (mid-record: a torn tail) and resumes it on resumer. The writer
+// then resumes the finished journal, which must find every point done and
+// render the same bytes; a torn tail left behind would surface there as
+// mid-file corruption.
+func (c journalCampaign) crossResume(t *testing.T, writer, resumer Runner, cut int) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	_, full, err := c.journaled(t, writer, JournalConfig{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Resumed != 0 || full.Skipped != 0 {
+		t.Fatalf("fresh journaled run status %+v", full)
+	}
+	if _, _, err := c.journaled(t, writer, JournalConfig{Path: path}); err == nil {
+		t.Fatal("fresh journaled run clobbered an existing journal")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)*cut/100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, status, err := c.journaled(t, resumer, JournalConfig{Path: path, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.Resumed+status.Ran < full.Ran {
+		t.Fatalf("resume %+v does not cover the %d points", status, full.Ran)
+	}
+	again, status, err := c.journaled(t, writer, JournalConfig{Path: path, Resume: true})
+	if err != nil {
+		t.Fatalf("resuming the finished journal: %v", err)
+	}
+	if status.Ran != 0 || status.Resumed != full.Ran {
+		t.Fatalf("finished-journal resume status %+v, want all %d points resumed", status, full.Ran)
+	}
+	if !bytes.Equal(got, again) {
+		t.Fatal("finished-journal resume diverged from the resumed run")
+	}
+	return got
+}
+
+// TestJournaledMatchesPlain: the journal is pure bookkeeping. A grid or an
+// adaptive curve, journaled, cut anywhere and resumed, serialises the same
+// artifact as an unjournaled run under every kernel and worker count.
 func TestJournaledMatchesPlain(t *testing.T) {
 	for _, c := range journalCampaigns() {
 		t.Run(c.name, func(t *testing.T) {
-			plain, n := c.plain(t, Runner{Workers: 2})
-			path := filepath.Join(t.TempDir(), "sweep.journal")
-			journaled, status, err := c.journaled(t, Runner{Workers: 2}, JournalConfig{Path: path})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if status.Ran != n || status.Resumed != 0 || status.Skipped != 0 {
-				t.Fatalf("status %+v, want all %d points ran", status, n)
-			}
-			if !bytes.Equal(plain, journaled) {
-				t.Fatalf("journaled artifact diverged:\n%s\nvs\n%s", journaled, plain)
-			}
-			// A second fresh run must refuse the existing journal.
-			if _, _, err := c.journaled(t, Runner{}, JournalConfig{Path: path}); err == nil {
-				t.Fatal("fresh journaled run clobbered an existing journal")
-			}
-			// A full resume re-runs nothing and matches again.
-			resumed, status, err := c.journaled(t, Runner{Workers: 2}, JournalConfig{Path: path, Resume: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if status.Ran != 0 || status.Resumed != n {
-				t.Fatalf("complete-journal resume status %+v", status)
-			}
-			if !bytes.Equal(plain, resumed) {
-				t.Fatal("resumed artifact diverged from the plain run")
-			}
+			simtest.Differential(t, c.name, simtest.Kernel|simtest.Workers|simtest.Resume, c.resumed())
 		})
 	}
 }
@@ -144,8 +179,8 @@ func TestJournaledMatchesPlain(t *testing.T) {
 // TestResumeTruncateAnywhere is the kill-anywhere property in-process:
 // truncating the journal at every record boundary (and mid-record, the
 // torn-write case) then resuming yields artifacts byte-identical to the
-// uninterrupted run, across worker counts and kernels — for a grid, and
-// for adaptive curves, whose resume replays the lockstep rounds.
+// uninterrupted run — for a grid, and for adaptive curves, whose resume
+// replays the lockstep rounds.
 func TestResumeTruncateAnywhere(t *testing.T) {
 	for _, c := range journalCampaigns() {
 		t.Run(c.name, func(t *testing.T) {
@@ -171,17 +206,12 @@ func TestResumeTruncateAnywhere(t *testing.T) {
 					}
 				}
 			}
-			runners := []Runner{
-				{Workers: 1},
-				{Workers: 3, Kernel: platform.KernelStrict},
-			}
-			for ci, cut := range cuts {
-				r := runners[ci%len(runners)]
+			for _, cut := range cuts {
 				path := filepath.Join(dir, "cut.journal")
 				if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 					t.Fatal(err)
 				}
-				got, status, err := c.journaled(t, r, JournalConfig{Path: path, Resume: true})
+				got, status, err := c.journaled(t, Runner{Workers: 1}, JournalConfig{Path: path, Resume: true})
 				if err != nil {
 					t.Fatalf("cut at %d: %v", cut, err)
 				}
@@ -288,51 +318,21 @@ func TestPointKeyExecutionOnlyKnobs(t *testing.T) {
 }
 
 // TestResumeAcrossShardCounts: the shard count is a Runner knob like the
-// worker count, so a campaign journaled under one count and cut at any
-// record boundary must resume under another — 0 (one engine) and 2, in
-// both directions — into artifacts byte-identical to an uninterrupted run.
+// worker count, so a ×pipes campaign — a TG replay of a paper program and
+// stochastic points — journaled under one kernel, shard count and worker
+// count, cut and resumed under another, serialises the same artifact as an
+// uninterrupted run.
 func TestResumeAcrossShardCounts(t *testing.T) {
 	pts := Grid{
-		Workloads: []Workload{{Kind: KindStochastic, Dist: "poisson", Cores: 4, MeanGap: 5, Count: 40,
-			Pattern: "transpose", PatternW: 2, PatternH: 2}},
+		Workloads: []Workload{
+			{Kind: KindTG, Bench: "mpmatrix", Cores: 2, Size: 2},
+			{Kind: KindStochastic, Dist: "poisson", Cores: 4, MeanGap: 5, Count: 40,
+				Pattern: "transpose", PatternW: 2, PatternH: 2},
+		},
 		Fabrics: []Fabric{{Interconnect: FabricXPipes, MeshWidth: 4, MeshHeight: 3, BufferFlits: 2}},
 		Seeds:   []int64{1, 2, 3},
 	}.Expand()
-	plain, err := Runner{Workers: 2}.Run(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := renderResults(t, plain)
-	dir := t.TempDir()
-	for _, tc := range []struct{ from, to int }{{0, 2}, {2, 0}} {
-		full := filepath.Join(dir, "full.journal")
-		if _, _, err := (Runner{Workers: 1, Shards: tc.from}).RunJournaled(pts, JournalConfig{Path: full}); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Remove(full)
-		for i, b := range data {
-			if b != '\n' {
-				continue
-			}
-			path := filepath.Join(dir, "cut.journal")
-			if err := os.WriteFile(path, data[:i+1], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			res, _, err := Runner{Workers: 2, Shards: tc.to}.Resume(pts, path)
-			if err != nil {
-				t.Fatalf("shards %d -> %d, cut at %d: %v", tc.from, tc.to, i+1, err)
-			}
-			if got := renderResults(t, res); !bytes.Equal(baseline, got) {
-				t.Fatalf("shards %d -> %d, cut at %d: resumed artifact diverged:\n%s\nvs\n%s",
-					tc.from, tc.to, i+1, got, baseline)
-			}
-			os.Remove(path)
-		}
-	}
+	simtest.Differential(t, "xpipes grid", simtest.Kernel|simtest.Shards|simtest.Workers|simtest.Resume, gridCampaign(pts).resumed())
 }
 
 // TestRetryTransientPanicRecovers: a worker panic on the first attempt

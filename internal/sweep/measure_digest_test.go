@@ -1,19 +1,19 @@
 package sweep_test
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"noctg/internal/journal"
 	"noctg/internal/platform"
 	"noctg/internal/scenario"
+	"noctg/internal/simtest"
 	"noctg/internal/sweep"
 )
 
@@ -29,8 +29,9 @@ import (
 //
 //	go test ./internal/sweep -run TestMeasureDigest -update
 
-// phasedGridJSON is the phased, back-pressured grid of the CI
-// shard-determinism job (.github/workflows/ci.yml), verbatim.
+// phasedGridJSON is a phased, back-pressured grid (1-2 flit buffers) whose
+// closed workloads complete mid-epoch or in the drain, where the
+// flow-control and stop rules decide every byte.
 const phasedGridJSON = `{
   "workloads": [
     {"kind": "stochastic", "dist": "poisson", "cores": 4, "mean_gap": 3, "count": 300,
@@ -73,18 +74,29 @@ type artifactDigest struct {
 
 func digestResults(t *testing.T, results []sweep.Result) artifactDigest {
 	t.Helper()
-	sum := func(write func(*bytes.Buffer) error) string {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.Sum256(buf.Bytes())
-		return hex.EncodeToString(h[:])
+	csv := simtest.Render(t, func(w io.Writer) error { return sweep.WriteCSV(w, results) })
+	return artifactDigest{JSON: sha256Hex(render(t, results)), CSV: sha256Hex(csv)}
+}
+
+func sha256Hex(b []byte) string {
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
+}
+
+const digestPath = "testdata/measure_digest.json"
+
+// pinnedDigests reads the committed digest file.
+func pinnedDigests(t *testing.T) map[string]artifactDigest {
+	t.Helper()
+	data, err := os.ReadFile(digestPath)
+	if err != nil {
+		t.Fatalf("missing digest file (run with -update to create it): %v", err)
 	}
-	return artifactDigest{
-		JSON: sum(func(b *bytes.Buffer) error { return sweep.WriteJSON(b, results) }),
-		CSV:  sum(func(b *bytes.Buffer) error { return sweep.WriteCSV(b, results) }),
+	var want map[string]artifactDigest
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
 	}
+	return want
 }
 
 func TestMeasureDigest(t *testing.T) {
@@ -128,26 +140,18 @@ func TestMeasureDigest(t *testing.T) {
 		got[c.name] = digestResults(t, results)
 	}
 
-	path := filepath.Join("testdata", "measure_digest.json")
 	if flag.Lookup("update").Value.String() == "true" {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := journal.AtomicWrite(path, append(data, '\n')); err != nil {
+		if err := journal.AtomicWrite(digestPath, append(data, '\n')); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s", path)
+		t.Logf("rewrote %s", digestPath)
 		return
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing digest file (run with -update to create it): %v", err)
-	}
-	var want map[string]artifactDigest
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := pinnedDigests(t)
 	if len(want) != len(got) {
 		t.Errorf("digest file holds %d campaigns, the test runs %d", len(want), len(got))
 	}
@@ -158,33 +162,72 @@ func TestMeasureDigest(t *testing.T) {
 	}
 }
 
+// execRunner is the Runner of one execution row.
+func execRunner(t *testing.T, x simtest.Exec) sweep.Runner {
+	t.Helper()
+	kernel, err := platform.ParseKernel(x.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweep.Runner{Kernel: kernel, Shards: x.Shards, Workers: x.Workers}
+}
+
+// render is the JSON artifact of a result set.
+func render(t *testing.T, results []sweep.Result) []byte {
+	return simtest.Render(t, func(w io.Writer) error { return sweep.WriteJSON(w, results) })
+}
+
+// TestShardDifferentialGrid: the phased, back-pressured grid serialises the
+// same artifact under every kernel and shard count, and the reference is
+// the pinned digest.
+func TestShardDifferentialGrid(t *testing.T) {
+	all := phasedGrid(t).Expand()
+	ref := simtest.Differential(t, "phased grid", simtest.Kernel|simtest.Shards|simtest.Split, func(t *testing.T, x simtest.Exec) []byte {
+		results, err := execRunner(t, x).Run(simtest.Items(x, all))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return render(t, results)
+	})
+	if got, want := sha256Hex(ref), pinnedDigests(t)["phased_grid"].JSON; got != want {
+		t.Errorf("phased grid reference drifted from the pinned digest: sha256 %s, want %s", got, want)
+	}
+}
+
 // TestTruncatedPhasedPointAcrossShards pins that a point's recorded failure
-// is a function of the point, not of how it was executed: the phased point
-// a 500-cycle budget cuts short serialises identically under every kernel
-// and shard count (the single engine and the shard runner execute one plan,
-// sim.Phases.Run, which words the error once).
+// is a function of the point, not of how it was executed: points a cycle
+// budget cuts short serialise the same failure under every kernel and
+// shard count (the single engine and the shard runner execute one plan,
+// sim.Phases.Run, which words the error once). Two budgets: 500 cycles on
+// the digest's truncated phased point, and 1 500 cycles on the whole phased
+// grid, which ends inside the third epoch of every point.
 func TestTruncatedPhasedPointAcrossShards(t *testing.T) {
-	points := truncatedPoints(t)[1:]
-	var want []byte
-	for _, kernel := range []platform.KernelMode{platform.KernelStrict, platform.KernelSkip, platform.KernelEvent} {
-		for _, shards := range []int{0, 1, 2} {
-			results, err := sweep.Runner{Kernel: kernel, Shards: shards, MaxCycles: 500}.Run(points)
+	short := truncatedPoints(t)[1:]
+	all := phasedGrid(t).Expand()
+	simtest.Differential(t, "truncated phased points", simtest.Kernel|simtest.Shards|simtest.Split, func(t *testing.T, x simtest.Exec) []byte {
+		grid := simtest.Items(x, all)
+		r := execRunner(t, x)
+		var out []byte
+		for _, c := range []struct {
+			budget uint64
+			points []sweep.Point
+			err    string
+		}{
+			{500, short, "phased measurement truncated"},
+			{1500, grid, "phased measurement truncated after 3 epochs"},
+		} {
+			r.MaxCycles = c.budget
+			results, err := r.Run(c.points)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(results[0].Err, "phased measurement truncated") {
-				t.Fatalf("kernel %v shards %d: err %q, want a truncated plan", kernel, shards, results[0].Err)
+			for _, res := range results {
+				if !strings.Contains(res.Err, c.err) {
+					t.Fatalf("%v budget %d point %d: err %q, want %q", x, c.budget, res.ID, res.Err, c.err)
+				}
 			}
-			var buf bytes.Buffer
-			if err := sweep.WriteJSON(&buf, results); err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = buf.Bytes()
-			} else if !bytes.Equal(want, buf.Bytes()) {
-				t.Errorf("kernel %v shards %d: truncated point differs from strict on one engine\n got %s\nwant %s",
-					kernel, shards, buf.Bytes(), want)
-			}
+			out = append(out, render(t, results)...)
 		}
-	}
+		return out
+	})
 }

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"noctg/internal/platform"
+	"noctg/internal/simtest"
 )
 
 // zeroPlanMeasure is the zero plan written out: no warmup, one open epoch
@@ -20,15 +20,6 @@ func stripPhases(results []Result) []Result {
 		out[i].Phases = nil
 	}
 	return out
-}
-
-func marshalResults(t *testing.T, results []Result) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // randomPoint draws one randomized stochastic scenario point.
@@ -63,55 +54,43 @@ func randomPoint(rng *rand.Rand) Point {
 }
 
 // TestPhasedLegacyEquivalenceProperty pins what a nil Measure means: for
-// randomized scenarios, under all three kernels, nil Measure ≡
-// Measure{Epochs: 1} minus the Phases block — the same Result and the same
-// serialised bytes once the purely additive block is stripped. Both go
-// through the one accounting (measure); the nil point merely runs its single
-// window through System.Run.
+// randomized scenarios, on every kernel, nil Measure ≡ Measure{Epochs: 1}
+// minus the Phases block — the same Result and the same serialised bytes
+// once the purely additive block is stripped. Both go through the one
+// accounting (measure); the nil point merely runs its single window
+// through System.Run.
 func TestPhasedLegacyEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260727))
-	const trials = 6
-	for trial := 0; trial < trials; trial++ {
-		base := randomPoint(rng)
-		phased := base
-		phased.Measure = zeroPlanMeasure()
-		for _, kernel := range diffKernels() {
-			r := Runner{Kernel: kernel}
-			whole, err := r.Run([]Point{base})
-			if err != nil {
-				t.Fatal(err)
+	var whole, phased []Point
+	for trial := 0; trial < 6; trial++ {
+		p := randomPoint(rng)
+		p.ID = trial
+		whole = append(whole, p)
+		p.Measure = zeroPlanMeasure()
+		phased = append(phased, p)
+	}
+	simtest.Differential(t, "nil versus one-epoch measure", simtest.Kernel, func(t *testing.T, x simtest.Exec) []byte {
+		r := execRunner(t, x)
+		plain, ph := runPoints(t, r, whole), runPoints(t, r, phased)
+		for i := range ph {
+			if plain[i].Phases != nil {
+				t.Fatalf("trial %d %v: a point without a Measure reported phase stats", i, x)
 			}
-			ph, err := r.Run([]Point{phased})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if whole[0].Err != "" || ph[0].Err != "" {
-				t.Fatalf("trial %d kernel %v: errs %q / %q (point %+v)",
-					trial, kernel, whole[0].Err, ph[0].Err, base)
-			}
-			if whole[0].Phases != nil {
-				t.Fatalf("trial %d kernel %v: a point without a Measure reported phase stats", trial, kernel)
-			}
-			if ph[0].Phases == nil {
-				t.Fatalf("trial %d kernel %v: phased run reported no phase stats", trial, kernel)
-			}
-			if !ph[0].Phases.Completed || ph[0].Phases.WarmupCycles != 0 || len(ph[0].Phases.Epochs) != 1 {
-				t.Fatalf("trial %d kernel %v: phase stats %+v", trial, kernel, ph[0].Phases)
-			}
-			want := marshalResults(t, whole)
-			got := marshalResults(t, stripPhases(ph))
-			if !bytes.Equal(want, got) {
-				t.Fatalf("trial %d kernel %v (%s @ %s): Measure{Epochs: 1} diverged from nil Measure\nnil:    %s\nphased: %s",
-					trial, kernel, whole[0].Workload, whole[0].Fabric, want, got)
+			if ps := ph[i].Phases; ps == nil || !ps.Completed || ps.WarmupCycles != 0 || len(ps.Epochs) != 1 {
+				t.Fatalf("trial %d %v: phase stats %+v", i, x, ps)
 			}
 		}
-	}
+		want := renderResults(t, plain)
+		if got := renderResults(t, stripPhases(ph)); !bytes.Equal(want, got) {
+			t.Fatalf("%v: Measure{Epochs: 1} diverged from nil Measure\nnil:    %s\nphased: %s", x, want, got)
+		}
+		return want
+	})
 }
 
-// TestPhasedKernelDifferential asserts the second half of the invariant:
-// a genuinely phased run (warmup, fixed epochs, drain) is byte-identical —
-// including every epoch's counter breakdown — across the strict, skip and
-// event kernels.
+// TestPhasedKernelDifferential: a genuinely phased run (warmup, fixed
+// epochs, drain) serialises the same artifact — every epoch's counter
+// breakdown included — under every kernel and shard count.
 func TestPhasedKernelDifferential(t *testing.T) {
 	m := &Measure{WarmupCycles: 300, EpochCycles: 400, Epochs: 3, DrainCycles: 10_000}
 	var points []Point
@@ -122,28 +101,15 @@ func TestPhasedKernelDifferential(t *testing.T) {
 		p.Measure = m
 		points = append(points, p)
 	}
-	strict, err := Runner{Kernel: platform.KernelStrict}.Run(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range strict {
-		if r.Err != "" {
-			t.Fatalf("strict point %d: %s", r.ID, r.Err)
+	simtest.Differential(t, "random phased points", simtest.Kernel|simtest.Shards, func(t *testing.T, x simtest.Exec) []byte {
+		results := runPoints(t, execRunner(t, x), points)
+		for _, r := range results {
+			if r.Phases == nil || len(r.Phases.Epochs) == 0 {
+				t.Fatalf("%v point %d: no phase stats", x, r.ID)
+			}
 		}
-		if r.Phases == nil || len(r.Phases.Epochs) == 0 {
-			t.Fatalf("strict point %d: no phase stats", r.ID)
-		}
-	}
-	want := marshalResults(t, strict)
-	for _, kernel := range diffKernels()[1:] {
-		got, err := Runner{Kernel: kernel}.Run(points)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, marshalResults(t, got)) {
-			t.Fatalf("phased artifacts differ between strict and %v kernels", kernel)
-		}
-	}
+		return renderResults(t, results)
+	})
 }
 
 // TestPhasedAdaptiveEpochs exercises the CI-driven stopping mode: the run

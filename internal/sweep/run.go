@@ -88,12 +88,12 @@ type Runner struct {
 	MaxCycles uint64
 	// Kernel selects the simulation kernel for every grid point (default
 	// event); every kernel produces byte-identical artifacts (asserted by
-	// TestKernelDifferential).
+	// the execution-axis differentials, TestKernelDifferential*).
 	Kernel platform.KernelMode
 	// Shards > 1 runs each ×pipes simulation across that many engine
 	// goroutines (the -shards flag; see platform.Config.Shards). Artifacts
-	// are byte-identical for every value, 0 included — the CI
-	// shard-determinism matrix pins this. AMBA points ignore it.
+	// are byte-identical for every value, 0 included — the execution-axis
+	// differentials pin this. AMBA points ignore it.
 	Shards int
 	// Guard arms the guard watchdogs (see internal/guard) on every point's
 	// platform. Fault-free guarded points produce byte-identical artifacts

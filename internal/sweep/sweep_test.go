@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"noctg/internal/simtest"
 )
 
 func TestRunPreservesTaskOrder(t *testing.T) {
@@ -187,33 +189,9 @@ func testGrid() Grid {
 }
 
 // TestSweepDeterministicAcrossWorkerCounts is the package's core contract:
-// the same grid produces byte-identical JSON and CSV artifacts with one
-// worker and with eight.
+// the same grid serialises the same artifact whatever the worker count.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	g := testGrid()
-	render := func(workers int) (string, string) {
-		t.Helper()
-		res, err := Runner{Workers: workers}.RunGrid(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var j, c bytes.Buffer
-		if err := WriteJSON(&j, res); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteCSV(&c, res); err != nil {
-			t.Fatal(err)
-		}
-		return j.String(), c.String()
-	}
-	j1, c1 := render(1)
-	j8, c8 := render(8)
-	if j1 != j8 {
-		t.Fatalf("JSON differs between -workers=1 and -workers=8:\n%s\n---\n%s", j1, j8)
-	}
-	if c1 != c8 {
-		t.Fatalf("CSV differs between -workers=1 and -workers=8:\n%s\n---\n%s", c1, c8)
-	}
+	simtest.Differential(t, "test grid", simtest.Workers, pointsCampaign(testGrid().Expand()))
 }
 
 func TestSweepResultsPopulated(t *testing.T) {

@@ -1,13 +1,17 @@
 package noctg_test
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"noctg/internal/core"
 	"noctg/internal/platform"
+	"noctg/internal/simtest"
 )
 
+// TestBusCounterKernelEquivalence: the bus busy/idle counters are the same
+// under every kernel, across a long idle span the tick-eliding kernels
+// skip.
 func TestBusCounterKernelEquivalence(t *testing.T) {
 	src := `MASTER[0,0]
 REGISTER addr 0x08000000
@@ -18,7 +22,7 @@ BEGIN
 	Write(addr, data)
 	Halt
 END`
-	run := func(kernel platform.KernelMode) (busy, idle uint64) {
+	simtest.Differential(t, "bus counters", simtest.Kernel, func(t *testing.T, x simtest.Exec) []byte {
 		progs := make([]*core.Program, 2)
 		for i := range progs {
 			p, err := core.Assemble(src)
@@ -27,23 +31,25 @@ END`
 			}
 			progs[i] = p
 		}
-		sys, err := platform.BuildTG(platform.Config{Cores: 2, Kernel: kernel}, progs)
+		sys, err := platform.BuildTG(platform.Config{Cores: 2, Kernel: kernelOf(t, x.Kernel)}, progs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sys.Run(100_000); err != nil {
 			t.Fatal(err)
 		}
-		return sys.Bus.BusyCycles(), sys.Bus.IdleCycles()
+		return fmt.Appendf(nil, "busy=%d idle=%d", sys.Bus.BusyCycles(), sys.Bus.IdleCycles())
+	})
+}
+
+// kernelOf is the platform kernel of an axis-table kernel name.
+func kernelOf(t testing.TB, name string) platform.KernelMode {
+	t.Helper()
+	kernel, err := platform.ParseKernel(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sb, si := run(platform.KernelStrict)
-	for _, kernel := range []platform.KernelMode{platform.KernelSkip, platform.KernelEvent} {
-		kb, ki := run(kernel)
-		if sb != kb || si != ki {
-			t.Fatalf("bus counters diverge: strict busy=%d idle=%d, %v busy=%d idle=%d", sb, si, kernel, kb, ki)
-		}
-	}
-	t.Logf("busy=%d idle=%d identical across kernels", sb, si)
+	return kernel
 }
 
 // TestBusWaitCyclesBudgetExhaustTail pins the WaitCycles getter's tail
@@ -67,7 +73,7 @@ BEGIN
 	Write(addr, data)
 	Halt
 END`
-	run := func(kernel platform.KernelMode) []uint64 {
+	simtest.Differential(t, "bus wait cycles", simtest.Kernel, func(t *testing.T, x simtest.Exec) []byte {
 		progs := make([]*core.Program, 2)
 		for i, src := range []string{occupier, waiter} {
 			p, err := core.Assemble(src)
@@ -76,7 +82,7 @@ END`
 			}
 			progs[i] = p
 		}
-		sys, err := platform.BuildTG(platform.Config{Cores: 2, Kernel: kernel}, progs)
+		sys, err := platform.BuildTG(platform.Config{Cores: 2, Kernel: kernelOf(t, x.Kernel)}, progs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,16 +91,10 @@ END`
 		if _, err := sys.Run(10); err == nil {
 			t.Fatal("expected the cycle budget to exhaust mid-transfer")
 		}
-		return append([]uint64(nil), sys.Bus.WaitCycles()...)
-	}
-	want := run(platform.KernelStrict)
-	if want[1] == 0 {
-		t.Fatal("waiter accumulated no wait cycles under strict; the scenario is miswired")
-	}
-	for _, kernel := range []platform.KernelMode{platform.KernelSkip, platform.KernelEvent} {
-		got := run(kernel)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("WaitCycles diverge on budget exhaust: strict %v, %v %v", want, kernel, got)
+		wait := sys.Bus.WaitCycles()
+		if wait[1] == 0 {
+			t.Fatalf("%v: waiter accumulated no wait cycles; the scenario is miswired", x)
 		}
-	}
+		return fmt.Append(nil, wait)
+	})
 }
