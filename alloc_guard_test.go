@@ -203,3 +203,42 @@ func TestZeroAllocAnalyticEstimate(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroAllocGrantWake guards the bus's wake path: on a saturated 8-core
+// AMBA TG platform under the event kernel every blocked master sleeps until
+// the bus grants its request or completes its read, so each transaction
+// takes heap removals and sorted active-list insertions. Steady state must
+// allocate nothing, and the masters must get exactly as far as under strict
+// ticking — a missed wake would park a master for the rest of the run.
+func TestZeroAllocGrantWake(t *testing.T) {
+	const span = 10_000
+	build := func(kernel platform.KernelMode) (*platform.System, func()) {
+		sys := newTransactionSystem(t, platform.Config{Cores: 8, Kernel: kernel})
+		st := &stopper{at: span, span: span}
+		sys.Engine.Add(st)
+		return sys, func() {
+			if _, err := sys.Engine.RunEvery(4*span, 32, st.take); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sys, run := build(platform.KernelEvent)
+	runs := 0
+	counted := func() { run(); runs++ }
+	counted() // warm the schedule storage and reusable buffers
+	if avg := testing.AllocsPerRun(5, counted); avg != 0 {
+		t.Errorf("saturated AMBA TG run allocates %.2f allocs per %d cycles", avg, span)
+	}
+	ref, refRun := build(platform.KernelStrict)
+	for i := 0; i < runs; i++ {
+		refRun()
+	}
+	for i, m := range sys.Masters {
+		got := m.(*core.Device).Transactions.Value()
+		want := ref.Masters[i].(*core.Device).Transactions.Value()
+		if got != want || want == 0 {
+			t.Errorf("master %d issued %d transactions in %d cycles, %d under strict ticking",
+				i, got, sys.Engine.Cycle(), want)
+		}
+	}
+}

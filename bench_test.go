@@ -73,8 +73,8 @@ func BenchmarkTGDeviceIdleTick(b *testing.B) {
 // newTransactionSystem builds the 2-TG platform the transaction-path
 // benchmark and the zero-alloc guard tests drive: an endless loop of
 // single-word writes, blocking reads and bursts, so every hot path of the
-// fabric is exercised. cfg picks the fabric and anything else but the core
-// count.
+// fabric is exercised. cfg picks the fabric, the kernel and the core count
+// (2 when zero).
 func newTransactionSystem(tb testing.TB, cfg platform.Config) *platform.System {
 	tb.Helper()
 	src := `MASTER[0,0]
@@ -88,7 +88,10 @@ start:
 	BurstRead(addr, 4)
 	Jump(start)
 END`
-	progs := make([]*core.Program, 2)
+	if cfg.Cores == 0 {
+		cfg.Cores = 2
+	}
+	progs := make([]*core.Program, cfg.Cores)
 	for i := range progs {
 		p, err := core.Assemble(src)
 		if err != nil {
@@ -96,7 +99,6 @@ END`
 		}
 		progs[i] = p
 	}
-	cfg.Cores = len(progs)
 	sys, err := platform.BuildTG(cfg, progs)
 	if err != nil {
 		tb.Fatal(err)

@@ -160,8 +160,10 @@
 // stimulated from outside their own Tick (interconnects receiving
 // TryRequest) fire an engine wake hook at the moment of stimulus; and
 // ports can bound a blocked master's next possible progress (ocp
-// WakeHinter), letting masters sleep through known transfer occupancy
-// instead of polling. The event kernel is the zero value of
+// WakeHinter), letting masters sleep through a known response delay
+// instead of polling; a blocked AMBA port that holds its master's wake
+// handle (SetWaker) hints WakeNever, and the bus wakes the master at the
+// grant and at read completion. The event kernel is the zero value of
 // platform.KernelMode and so every platform's default; skip remains
 // selectable for cross-checking and as the simpler fallback, and any
 // platform containing a non-Sleeper device (a miniARM core) silently

@@ -112,7 +112,11 @@ type port struct {
 	// transactions: each port has at most one outstanding read, so the
 	// previous response is always consumed before the buffer is refilled.
 	respBuf []uint32
+	waker   sim.Waker // the master's wake handle; nil outside an engine
 }
+
+// SetWaker implements sim.WakeSink for the master's wake handle.
+func (p *port) SetWaker(w sim.Waker) { p.waker = w }
 
 // TryRequest implements ocp.MasterPort.
 func (p *port) TryRequest(req *ocp.Request) bool {
@@ -173,14 +177,11 @@ func (p *port) TakeResponse() (*ocp.Response, bool) {
 func (p *port) Busy() bool { return p.busyRead || p.state != portIdle }
 
 // WakeHint implements ocp.WakeHinter. A delivered response is gated by its
-// scheduled respAt. Otherwise, while a transfer occupies the bus nothing
-// can change for this port before the bus frees at active.done: no grant
-// can be issued (arbitration requires a free bus) and no response can be
-// delivered (the outstanding read, if any, is the active transfer itself).
-// With the bus free the next arbitration tick may grant any cycle, so the
-// hint is now. Horizons inside the nap threshold are not worth the
-// scheduling churn and hint now as well (always allowed — see
-// ocp.WakeHinter).
+// scheduled respAt; horizons inside the nap threshold are not worth the
+// scheduling churn and hint now. A blocked port (requesting, or a read
+// outstanding) holding its master's waker hints WakeNever: the bus wakes
+// the master at the grant and at read completion. Any other port hints now
+// (always allowed — see ocp.WakeHinter).
 func (p *port) WakeHint(now uint64) uint64 {
 	if p.hasResp {
 		if p.respAt > now+napThreshold {
@@ -188,10 +189,8 @@ func (p *port) WakeHint(now uint64) uint64 {
 		}
 		return now
 	}
-	if p.state == portRequesting || p.busyRead {
-		if b := p.bus; b.hasActive && b.active.done > now+napThreshold {
-			return b.active.done
-		}
+	if p.waker != nil && (p.state == portRequesting || p.busyRead) {
+		return sim.WakeNever
 	}
 	return now
 }
@@ -359,6 +358,7 @@ func (b *Bus) Idle() bool {
 // horizons — bursts, deep slave wait states, posted-write drain tails — are
 // still slept through. Returning now instead of a future wake is always
 // allowed by the Sleeper contract, so this is purely a scheduling choice.
+// Masters whose port holds their waker do not nap-poll: the bus wakes them.
 const napThreshold = 8
 
 // NextWake implements sim.Sleeper. A transfer in flight sleeps the bus to
@@ -567,6 +567,9 @@ func (b *Bus) complete(cycle uint64) {
 		t.port.resp = resp
 		t.port.respAt = cycle + b.cfg.RespCycles
 		t.port.hasResp = true
+		if w := t.port.waker; w != nil {
+			w.Wake()
+		}
 	}
 }
 
@@ -596,6 +599,9 @@ func (b *Bus) arbitrate(cycle uint64) {
 	}
 	p := b.ports[winner]
 	p.state = portGranted
+	if p.waker != nil {
+		p.waker.Wake()
+	}
 	b.requesting--
 	b.reqMask[winner>>6] &^= 1 << (uint(winner) & 63)
 	b.Grants[winner]++

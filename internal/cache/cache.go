@@ -7,7 +7,10 @@
 // that trace monitors see.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache. Lines and WordsPerLine must be powers of two;
 // Ways must divide Lines.
@@ -42,12 +45,15 @@ func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // (data storage only — the MemUnit performs the bus transactions).
 type Cache struct {
 	cfg   Config
-	sets  int
 	tags  []uint32 // sets × ways
 	valid []bool
 	data  []uint32 // sets × ways × wordsPerLine, flat
 	used  []uint64 // LRU stamps
 	clock uint64
+
+	// Lines, Ways and WordsPerLine are powers of two, so index splits a
+	// word address with these masks and shifts instead of dividing.
+	wordMask, setMask, setShift, tagShift uint32
 
 	Hits    uint64
 	Misses  uint64
@@ -63,14 +69,18 @@ func New(cfg Config) *Cache {
 	if !isPow2(cfg.Ways) || cfg.Ways > cfg.Lines {
 		panic(fmt.Sprintf("cache: Ways (%d) must be a power of two no larger than Lines (%d)", cfg.Ways, cfg.Lines))
 	}
-	lines := cfg.Lines
+	lines, sets := cfg.Lines, uint32(cfg.Lines/cfg.Ways)
+	wpl := uint32(cfg.WordsPerLine)
 	return &Cache{
-		cfg:   cfg,
-		sets:  lines / cfg.Ways,
-		tags:  make([]uint32, lines),
-		valid: make([]bool, lines),
-		data:  make([]uint32, lines*cfg.WordsPerLine),
-		used:  make([]uint64, lines),
+		cfg:      cfg,
+		wordMask: wpl - 1,
+		setMask:  sets - 1,
+		setShift: uint32(bits.TrailingZeros32(wpl)),
+		tagShift: uint32(bits.TrailingZeros32(wpl * sets)),
+		tags:     make([]uint32, lines),
+		valid:    make([]bool, lines),
+		data:     make([]uint32, lines*cfg.WordsPerLine),
+		used:     make([]uint64, lines),
 	}
 }
 
@@ -85,16 +95,15 @@ func (c *Cache) LineBase(addr uint32) uint32 { return addr &^ (c.LineBytes() - 1
 
 // index decomposes an address into its set, word-in-line and tag.
 func (c *Cache) index(addr uint32) (set int, word int, tag uint32) {
-	w := addr / 4
-	word = int(w) % c.cfg.WordsPerLine
-	set = int(w/uint32(c.cfg.WordsPerLine)) % c.sets
-	tag = w / uint32(c.cfg.WordsPerLine) / uint32(c.sets)
+	w := addr >> 2
+	word = int(w & c.wordMask)
+	set = int(w >> c.setShift & c.setMask)
+	tag = w >> c.tagShift
 	return
 }
 
-// find returns the line index holding addr's tag, or -1.
-func (c *Cache) find(addr uint32) int {
-	set, _, tag := c.index(addr)
+// find returns the line index of set holding tag, or -1.
+func (c *Cache) find(set int, tag uint32) int {
 	base := set * c.cfg.Ways
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.valid[base+w] && c.tags[base+w] == tag {
@@ -106,7 +115,8 @@ func (c *Cache) find(addr uint32) int {
 
 // Lookup probes the cache. On a hit it returns the cached word.
 func (c *Cache) Lookup(addr uint32) (uint32, bool) {
-	line := c.find(addr)
+	set, word, tag := c.index(addr)
+	line := c.find(set, tag)
 	if line < 0 {
 		c.Misses++
 		return 0, false
@@ -114,7 +124,6 @@ func (c *Cache) Lookup(addr uint32) (uint32, bool) {
 	c.Hits++
 	c.clock++
 	c.used[line] = c.clock
-	_, word, _ := c.index(addr)
 	return c.data[line*c.cfg.WordsPerLine+word], true
 }
 
@@ -160,11 +169,11 @@ func (c *Cache) Fill(addr uint32, words []uint32) {
 // Update writes through to a cached word if (and only if) the line is
 // resident; it never allocates (write-through, no-allocate policy).
 func (c *Cache) Update(addr uint32, v uint32) {
-	line := c.find(addr)
+	set, word, tag := c.index(addr)
+	line := c.find(set, tag)
 	if line < 0 {
 		return
 	}
-	_, word, _ := c.index(addr)
 	c.data[line*c.cfg.WordsPerLine+word] = v
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -20,6 +21,34 @@ func TestCacheIndexing(t *testing.T) {
 	l2, w2, t2 := c.index(0x10 + 64)
 	if l1 != l2 || w1 != w2 || t1 == t2 {
 		t.Fatalf("aliasing addresses should share line/word but differ in tag")
+	}
+}
+
+// TestCacheIndexMatchesDivision: the precomputed shifts and masks split
+// every address exactly as word/line/set division does, for direct-mapped,
+// 2-way and 4-way caches of several geometries.
+func TestCacheIndexMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, ways := range []int{1, 2, 4} {
+		for _, cfg := range []Config{{Lines: 4, WordsPerLine: 1}, {Lines: 8, WordsPerLine: 2},
+			{Lines: 64, WordsPerLine: 4}, {Lines: 256, WordsPerLine: 16}} {
+			cfg.Ways = ways
+			c := New(cfg)
+			sets := uint32(cfg.Lines / ways)
+			wpl := uint32(cfg.WordsPerLine)
+			for i := 0; i < 2000; i++ {
+				addr := rng.Uint32()
+				if i < 4 {
+					addr = []uint32{0, 4, 0xfffffffc, 0xffffffff}[i]
+				}
+				set, word, tag := c.index(addr)
+				w := addr / 4
+				if word != int(w%wpl) || set != int(w/wpl%sets) || tag != w/wpl/sets {
+					t.Fatalf("%+v: index(%#x) = (%d, %d, %#x), want (%d, %d, %#x)",
+						cfg, addr, set, word, tag, w/wpl%sets, w%wpl, w/wpl/sets)
+				}
+			}
+		}
 	}
 }
 

@@ -117,9 +117,9 @@ func (d *Device) Idling() bool { return d.state == dIdle }
 
 // NextWake implements sim.Sleeper: a halted TG never wakes, an idling TG
 // wakes when its Idle expires, and a TG blocked on an OCP handshake sleeps
-// to the port's stall horizon (the interconnect's current occupancy or a
-// scheduled response delivery) when the port can bound it, polling every
-// cycle otherwise. The sleeps are strict "will not act before" promises:
+// to the port's stall horizon (a scheduled response delivery, or never
+// while a port holding its waker is blocked) when the port can bound it,
+// polling every cycle otherwise. The sleeps are strict "will not act before" promises:
 // an idling TG is purely self-timed (no external input can shorten an
 // Idle), and a hinted port freezes its answers until the horizon, so the
 // event kernel may drop the TG from the tick loop entirely in between.
@@ -140,6 +140,9 @@ func (d *Device) NextWake(now uint64) uint64 {
 	}
 	return now
 }
+
+// SetWaker implements sim.WakeSink for a port that wakes a blocked TG.
+func (d *Device) SetWaker(w sim.Waker) { ocp.PassWaker(d.port, w) }
 
 // PushWake defers an in-progress Idle wait by delta cycles. Schedulers that
 // freeze suspended tasks (core.MultiTask with RunIdleTimers disabled) call
@@ -287,3 +290,4 @@ func (d *Device) TickWake(cycle uint64) uint64 {
 var _ sim.Device = (*Device)(nil)
 var _ sim.Sleeper = (*Device)(nil)
 var _ sim.TickSleeper = (*Device)(nil)
+var _ sim.WakeSink = (*Device)(nil)

@@ -101,6 +101,9 @@ func Translate(tr *trace.Trace, cfg TranslateConfig) (*Program, *TranslateStats,
 	t.prog.Labels["start"] = 0
 
 	events := tr.Events
+	// About four instructions per event (SetRegisters, an Idle, the
+	// command) sizes the program once; append still grows past it.
+	t.prog.Insts = make([]Inst, 0, 4*len(events)+1)
 	for i := 0; i < len(events); {
 		if cfg.RecognizePolls && t.pollable(events[i].Addr) && events[i].Cmd == ocp.Read {
 			i = t.emitPollCluster(events, i)

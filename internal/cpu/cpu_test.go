@@ -461,3 +461,23 @@ func TestMemOperandForms(t *testing.T) {
 	}
 	_ = prog
 }
+
+// TestExecCyclesTable: the opcode-indexed latency table answers exactly as
+// the opcode map it replaced did, for all 256 values an Op can hold.
+func TestExecCyclesTable(t *testing.T) {
+	legacy := map[Op]int{
+		MUL: 3,
+		BEQ: 2, BNE: 2, BLT: 2, BGE: 2, BLTU: 2, BGEU: 2,
+		JMP: 2, JAL: 2, JR: 2,
+	}
+	for i := 0; i < 256; i++ {
+		op := Op(i)
+		want, ok := legacy[op]
+		if !ok {
+			want = 1
+		}
+		if got := ExecCycles(op); got != want {
+			t.Errorf("ExecCycles(%v) = %d, want %d", op, got, want)
+		}
+	}
+}

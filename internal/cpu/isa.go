@@ -71,20 +71,15 @@ func (o Op) String() string {
 func (o Op) Valid() bool { return o < opCount }
 
 // execCycles is the execute-stage latency per opcode (fetch and memory
-// stages add their own cycles).
-var execCycles = map[Op]int{
+// stages add their own cycles), indexed by any Op value; 0 stands for 1.
+var execCycles = [256]uint8{
 	MUL: 3,
 	BEQ: 2, BNE: 2, BLT: 2, BGE: 2, BLTU: 2, BGEU: 2,
 	JMP: 2, JAL: 2, JR: 2,
 }
 
 // ExecCycles returns the execute-stage latency of op (default 1).
-func ExecCycles(op Op) int {
-	if c, ok := execCycles[op]; ok {
-		return c
-	}
-	return 1
-}
+func ExecCycles(op Op) int { return max(1, int(execCycles[op])) }
 
 // Inst is a decoded instruction.
 type Inst struct {

@@ -173,15 +173,21 @@ func FormatTGP(programs []*core.Program) (string, error) {
 }
 
 // TraceBytes returns the serialised .trc size of all traces (the paper's
-// "20 MB trace file" metric).
+// "20 MB trace file" metric), rendered into a counter.
 func TraceBytes(traces []*trace.Trace) (int, error) {
-	var total int
+	var total byteCounter
 	for _, tr := range traces {
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
+		if err := tr.Write(&total); err != nil {
 			return 0, err
 		}
-		total += buf.Len()
 	}
-	return total, nil
+	return int(total), nil
+}
+
+// byteCounter is an io.Writer that only counts what it is given.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }

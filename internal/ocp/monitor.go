@@ -190,7 +190,11 @@ func (m *Monitor) WakeHint(now uint64) uint64 {
 	return now
 }
 
+// SetWaker implements sim.WakeSink by delegation, like WakeHint.
+func (m *Monitor) SetWaker(w sim.Waker) { PassWaker(m.port, w) }
+
 var _ WakeHinter = (*Monitor)(nil)
+var _ sim.WakeSink = (*Monitor)(nil)
 
 // Events returns the transactions recorded since Record, in issue order
 // (nil on a monitor that only meters). The returned slice is owned by the

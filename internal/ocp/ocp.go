@@ -10,7 +10,11 @@
 // interconnect accepts the request (Figure 2(a) semantics).
 package ocp
 
-import "fmt"
+import (
+	"fmt"
+
+	"noctg/internal/sim"
+)
 
 // Cmd enumerates OCP master commands (Table 1 of the paper issues exactly
 // these four).
@@ -140,9 +144,21 @@ type MasterPort interface {
 // skip its polling ticks entirely under the event-driven kernel. Ports that
 // cannot bound the next transition must return now — the blocked master
 // then simply polls every cycle, as it would on a port without the
-// interface.
+// interface. sim.WakeNever ("no transition without a wake") is allowed only
+// from a port that holds its master's sim.Waker (the port implements
+// sim.WakeSink and the master handed it the engine's handle) and fires it
+// at every transition of its answers.
 type WakeHinter interface {
 	WakeHint(now uint64) uint64
+}
+
+// PassWaker hands a master's engine wake handle to its port when the port
+// can use it (implements sim.WakeSink); masters that read WakeHint call it
+// from their own SetWaker.
+func PassWaker(port MasterPort, w sim.Waker) {
+	if ws, ok := port.(sim.WakeSink); ok {
+		ws.SetWaker(w)
+	}
 }
 
 // Slave is the slave-side target invoked by an interconnect once a

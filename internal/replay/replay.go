@@ -158,6 +158,10 @@ func (c *Clone) TickWake(cycle uint64) uint64 {
 	return c.NextWake(cycle + 1)
 }
 
+// SetWaker implements sim.WakeSink like core.Device.SetWaker.
+func (c *Clone) SetWaker(w sim.Waker) { ocp.PassWaker(c.port, w) }
+
 var _ sim.Device = (*Clone)(nil)
 var _ sim.Sleeper = (*Clone)(nil)
 var _ sim.TickSleeper = (*Clone)(nil)
+var _ sim.WakeSink = (*Clone)(nil)

@@ -390,7 +390,11 @@ func (g *Generator) TickWake(cycle uint64) uint64 {
 	return g.NextWake(cycle + 1)
 }
 
+// SetWaker implements sim.WakeSink like core.Device.SetWaker.
+func (g *Generator) SetWaker(w sim.Waker) { ocp.PassWaker(g.port, w) }
+
 var _ sim.Device = (*Generator)(nil)
+var _ sim.WakeSink = (*Generator)(nil)
 var _ sim.StatsSource = (*Generator)(nil)
 var _ ocp.TrafficMeter = (*Generator)(nil)
 var _ sim.Sleeper = (*Generator)(nil)

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzParse: arbitrary text must never panic the .trc parser, and accepted
-// traces must survive a Write→Parse round trip.
+// FuzzParse: arbitrary text must never panic the .trc parser, accepted
+// traces must render exactly as the fmt oracle renders them, and they must
+// survive a Write→Parse round trip.
 func FuzzParse(f *testing.F) {
 	f.Add("; noctg trace v1\n; master 0 clockns 5\nRD 0x00000104 @55ns acc@55ns\nRSP 0x088000f0 @75ns\n")
 	f.Add("WR 0x00000020 0x00000111 @90ns acc@95ns\n")
@@ -24,6 +25,7 @@ func FuzzParse(f *testing.F) {
 			// violate ordering; Validate rejecting them is fine.
 			return
 		}
+		requireOracle(t, tr)
 		var buf bytes.Buffer
 		if err := tr.Write(&buf); err != nil {
 			t.Fatalf("accepted trace fails to serialise: %v", err)

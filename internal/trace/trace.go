@@ -46,39 +46,54 @@ func (t *Trace) Span() uint64 {
 	return t.Events[len(t.Events)-1].Done()
 }
 
-// Write renders the trace in .trc format.
+// Write renders the trace in .trc format, appending the lines into one
+// reused buffer that is flushed to w every 4 KiB or so.
 func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "; noctg trace v1\n")
-	fmt.Fprintf(bw, "; master %d clockns %d\n", t.MasterID, t.Clock.PeriodNS)
+	b := fmt.Appendf(make([]byte, 0, 8<<10), "; noctg trace v1\n; master %d clockns %d\n", t.MasterID, t.Clock.PeriodNS)
 	ns := t.Clock.NS
 	for i := range t.Events {
 		e := &t.Events[i]
+		b = appendHex(append(b, e.Cmd.String()...), e.Addr)
 		switch e.Cmd {
 		case ocp.Read:
-			fmt.Fprintf(bw, "RD 0x%08x @%dns acc@%dns\n", e.Addr, ns(e.Assert), ns(e.Accept))
-		case ocp.BurstRead:
-			fmt.Fprintf(bw, "BRD 0x%08x +%d @%dns acc@%dns\n", e.Addr, e.Burst, ns(e.Assert), ns(e.Accept))
 		case ocp.Write:
-			fmt.Fprintf(bw, "WR 0x%08x 0x%08x @%dns acc@%dns\n", e.Addr, e.Data[0], ns(e.Assert), ns(e.Accept))
+			b = appendHex(b, e.Data[0])
+		case ocp.BurstRead:
+			b = strconv.AppendInt(append(b, " +"...), int64(e.Burst), 10)
 		case ocp.BurstWrite:
-			fmt.Fprintf(bw, "BWR 0x%08x +%d%s @%dns acc@%dns\n", e.Addr, e.Burst, dataList(e.Data), ns(e.Assert), ns(e.Accept))
+			b = appendHex(strconv.AppendInt(append(b, " +"...), int64(e.Burst), 10), e.Data...)
 		default:
 			return fmt.Errorf("trace: event %d has invalid command %v", i, e.Cmd)
 		}
+		b = appendNS(appendNS(b, " @", ns(e.Assert)), " acc@", ns(e.Accept))
 		if e.HasResp {
-			fmt.Fprintf(bw, "RSP%s @%dns\n", dataList(e.Data), ns(e.Resp))
+			b = appendNS(appendHex(append(b, "\nRSP"...), e.Data...), " @", ns(e.Resp))
+		}
+		if b = append(b, '\n'); len(b) >= 4<<10 {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
-func dataList(data []uint32) string {
-	var b strings.Builder
-	for _, d := range data {
-		fmt.Fprintf(&b, " 0x%08x", d)
+// appendHex appends each word as fmt's " 0x%08x" renders it.
+func appendHex(b []byte, words ...uint32) []byte {
+	for _, v := range words {
+		b = append(b, " 0x"...)
+		for shift := 28; shift >= 0; shift -= 4 {
+			b = append(b, "0123456789abcdef"[v>>shift&0xf])
+		}
 	}
-	return b.String()
+	return b
+}
+
+// appendNS appends prefix and the timestamp v as "<decimal>ns".
+func appendNS(b []byte, prefix string, v uint64) []byte {
+	return append(strconv.AppendUint(append(b, prefix...), v, 10), "ns"...)
 }
 
 // Parse reads a .trc stream.

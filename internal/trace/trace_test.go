@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -169,4 +172,95 @@ func TestRoundTripRandomProperty(t *testing.T) {
 			t.Fatalf("trial %d: events differ", trial)
 		}
 	}
+}
+
+// writeFmt is the fmt-based .trc renderer Write replaced, kept as the
+// oracle Write must match byte for byte.
+func writeFmt(t *Trace, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "; noctg trace v1\n")
+	fmt.Fprintf(bw, "; master %d clockns %d\n", t.MasterID, t.Clock.PeriodNS)
+	ns := t.Clock.NS
+	for i := range t.Events {
+		e := &t.Events[i]
+		switch e.Cmd {
+		case ocp.Read:
+			fmt.Fprintf(bw, "RD 0x%08x @%dns acc@%dns\n", e.Addr, ns(e.Assert), ns(e.Accept))
+		case ocp.BurstRead:
+			fmt.Fprintf(bw, "BRD 0x%08x +%d @%dns acc@%dns\n", e.Addr, e.Burst, ns(e.Assert), ns(e.Accept))
+		case ocp.Write:
+			fmt.Fprintf(bw, "WR 0x%08x 0x%08x @%dns acc@%dns\n", e.Addr, e.Data[0], ns(e.Assert), ns(e.Accept))
+		case ocp.BurstWrite:
+			fmt.Fprintf(bw, "BWR 0x%08x +%d%s @%dns acc@%dns\n", e.Addr, e.Burst, fmtDataList(e.Data), ns(e.Assert), ns(e.Accept))
+		default:
+			return fmt.Errorf("trace: event %d has invalid command %v", i, e.Cmd)
+		}
+		if e.HasResp {
+			fmt.Fprintf(bw, "RSP%s @%dns\n", fmtDataList(e.Data), ns(e.Resp))
+		}
+	}
+	return bw.Flush()
+}
+
+func fmtDataList(data []uint32) string {
+	var b strings.Builder
+	for _, d := range data {
+		fmt.Fprintf(&b, " 0x%08x", d)
+	}
+	return b.String()
+}
+
+// requireOracle fails unless Write renders tr exactly as writeFmt does.
+func requireOracle(t *testing.T, tr *Trace) {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := tr.Write(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFmt(tr, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Write differs from the fmt renderer:\n got %q\nwant %q", got.String(), want.String())
+	}
+}
+
+// TestWriteMatchesFmtOracle: random traces — every command, extreme
+// addresses, data words and timestamps, long bursts, several clocks and
+// master ids — render byte-identically to the fmt oracle, across the
+// encoder's chunk boundaries.
+func TestWriteMatchesFmtOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	word := func() uint32 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return ^uint32(0)
+		}
+		return rng.Uint32() >> uint(rng.Intn(32))
+	}
+	for trial := 0; trial < 200; trial++ {
+		var evs []ocp.Event
+		for i := rng.Intn(400); i > 0; i-- {
+			e := ocp.Event{Cmd: ocp.Cmd(1 + rng.Intn(4)), Addr: word(), Burst: 1,
+				Assert: rng.Uint64() >> uint(rng.Intn(64)), Accept: uint64(rng.Intn(1 << 20))}
+			if e.Cmd == ocp.BurstRead || e.Cmd == ocp.BurstWrite {
+				e.Burst = 1 + rng.Intn(64)
+			}
+			if e.Cmd.IsWrite() || rng.Intn(2) == 0 {
+				for k := 0; k < e.Burst; k++ {
+					e.Data = append(e.Data, word())
+				}
+			}
+			if e.Cmd.IsRead() {
+				e.HasResp, e.Resp = true, rng.Uint64()>>uint(rng.Intn(64))
+			}
+			evs = append(evs, e)
+		}
+		master := rng.Intn(64) - 8
+		requireOracle(t, New(master, sim.Clock{PeriodNS: uint64(1 + rng.Intn(20))}, evs))
+	}
+	requireOracle(t, New(3, sim.DefaultClock, sampleEvents()))
+	requireOracle(t, New(0, sim.DefaultClock, nil))
 }
