@@ -210,10 +210,17 @@ func TestZeroAllocAnalyticEstimate(t *testing.T) {
 // takes heap removals and sorted active-list insertions. Steady state must
 // allocate nothing, and the masters must get exactly as far as under strict
 // ticking — a missed wake would park a master for the rest of the run.
-func TestZeroAllocGrantWake(t *testing.T) {
+func TestZeroAllocGrantWake(t *testing.T) { checkWakeAllocs(t, platform.AMBA) }
+
+// TestZeroAllocNIWake is TestZeroAllocGrantWake on a saturated ×pipes
+// mesh: every blocked master sleeps until its NI wakes it for the accept
+// (the request's tail entered the router) or for the response's delivery.
+func TestZeroAllocNIWake(t *testing.T) { checkWakeAllocs(t, platform.XPipes) }
+
+func checkWakeAllocs(t *testing.T, ic platform.Interconnect) {
 	const span = 10_000
 	build := func(kernel platform.KernelMode) (*platform.System, func()) {
-		sys := newTransactionSystem(t, platform.Config{Cores: 8, Kernel: kernel})
+		sys := newTransactionSystem(t, platform.Config{Cores: 8, Interconnect: ic, Kernel: kernel})
 		st := &stopper{at: span, span: span}
 		sys.Engine.Add(st)
 		return sys, func() {
@@ -227,7 +234,7 @@ func TestZeroAllocGrantWake(t *testing.T) {
 	counted := func() { run(); runs++ }
 	counted() // warm the schedule storage and reusable buffers
 	if avg := testing.AllocsPerRun(5, counted); avg != 0 {
-		t.Errorf("saturated AMBA TG run allocates %.2f allocs per %d cycles", avg, span)
+		t.Errorf("saturated %v TG run allocates %.2f allocs per %d cycles", ic, avg, span)
 	}
 	ref, refRun := build(platform.KernelStrict)
 	for i := 0; i < runs; i++ {
@@ -237,8 +244,8 @@ func TestZeroAllocGrantWake(t *testing.T) {
 		got := m.(*core.Device).Transactions.Value()
 		want := ref.Masters[i].(*core.Device).Transactions.Value()
 		if got != want || want == 0 {
-			t.Errorf("master %d issued %d transactions in %d cycles, %d under strict ticking",
-				i, got, sys.Engine.Cycle(), want)
+			t.Errorf("%v master %d issued %d transactions in %d cycles, %d under strict ticking",
+				ic, i, got, sys.Engine.Cycle(), want)
 		}
 	}
 }

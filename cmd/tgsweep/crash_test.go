@@ -10,8 +10,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -28,12 +30,60 @@ import (
 	"noctg/internal/sweep"
 )
 
+// toolTimeout bounds every child process a test starts: past it the child
+// is SIGKILLed, so a hung tool fails its test instead of outliving it.
+const toolTimeout = 3 * time.Minute
+
+// signalBound is how long a signalled child may take to exit (a SIGTERM
+// drain finishes its in-flight points) before it is SIGKILLed.
+const signalBound = time.Minute
+
+// child is a tool process started by a test.
+type child struct {
+	cmd    *exec.Cmd
+	exited chan struct{} // closed once the child is reaped
+	err    error         // its Wait error, valid once exited is closed
+}
+
+// startTool starts name with args under the toolTimeout deadline, sending
+// its stdout and stderr to out. The test's cleanup SIGKILLs a child still
+// running and reaps it, whichever way the test ends.
+func startTool(t *testing.T, out io.Writer, name string, args ...string) *child {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), toolTimeout)
+	c := &child{cmd: exec.CommandContext(ctx, name, args...), exited: make(chan struct{})}
+	c.cmd.Stdout, c.cmd.Stderr = out, out
+	c.cmd.WaitDelay = time.Second
+	if err := c.cmd.Start(); err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	go func() {
+		c.err = c.cmd.Wait()
+		close(c.exited)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-c.exited
+	})
+	return c
+}
+
+// runTool runs name with args to completion and returns its combined
+// output and exit error.
+func runTool(t *testing.T, name string, args ...string) ([]byte, error) {
+	t.Helper()
+	var out bytes.Buffer
+	c := startTool(t, &out, name, args...)
+	<-c.exited
+	return out.Bytes(), c.err
+}
+
 // buildTool compiles the command cmd/<name> into a temporary directory.
 func buildTool(t *testing.T, name string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), name)
-	cmd := exec.Command("go", "build", "-o", bin, "../"+name)
-	if out, err := cmd.CombinedOutput(); err != nil {
+	if out, err := runTool(t, "go", "build", "-o", bin, "../"+name); err != nil {
 		t.Fatalf("building %s: %v\n%s", name, err, out)
 	}
 	return bin
@@ -101,8 +151,7 @@ func crashCurves(t *testing.T, dir string) string {
 // nonzero exit.
 func runSweep(t *testing.T, bin string, args ...string) []byte {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
-	out, err := cmd.CombinedOutput()
+	out, err := runTool(t, bin, args...)
 	if err != nil {
 		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
 	}
@@ -129,28 +178,31 @@ func readArtifacts(t *testing.T, base string) (jsonB, csvB []byte) {
 // the journal holds — torn tail included — is exactly what resume must
 // recover from; SIGTERM drains: in-flight points finish and the journal is
 // flushed. The process may legitimately have finished already (timing
-// noise). The child is reaped on every path; its Wait error is returned.
+// noise). A child that outlives signalBound after the signal is SIGKILLed
+// and fails the test. The child is reaped on every path; its Wait error is
+// returned.
 func interrupt(t *testing.T, bin string, args []string, journalPath string, delay time.Duration, sig os.Signal) error {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
+	c := startTool(t, os.Stderr, bin, args...)
 	killAt := time.Now().Add(delay)
 	for {
 		select {
-		case err := <-exited:
-			return err
+		case <-c.exited:
+			return c.err
 		case <-time.After(2 * time.Millisecond):
 			if time.Now().Before(killAt) {
 				continue
 			}
 			if log, lerr := journal.Load(journalPath); lerr == nil && len(log.Done) > 0 {
-				_ = cmd.Process.Signal(sig)
-				return <-exited
+				_ = c.cmd.Process.Signal(sig)
+				select {
+				case <-c.exited:
+					return c.err
+				case <-time.After(signalBound):
+					_ = c.cmd.Process.Kill()
+					<-c.exited
+					t.Fatalf("%s still running %v after %v", filepath.Base(bin), signalBound, sig)
+				}
 			}
 		}
 	}

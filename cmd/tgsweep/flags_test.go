@@ -75,7 +75,7 @@ func TestEnumFlagsRejectUnknownValues(t *testing.T) {
 		{"tgsweep", []string{"-scenario", "library", "-curve", "-analytic"}, `-analytic applies to grid/scenario sweeps, not -curve`},
 		{"nocsim", []string{"-on-violation", "ignore"}, `-on-violation "ignore": want record or fail`},
 	} {
-		out, err := exec.Command(bins[tc.tool], tc.args...).CombinedOutput()
+		out, err := runTool(t, bins[tc.tool], tc.args...)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Errorf("%s %v: %v, want exit status 1\n%s", tc.tool, tc.args, err, out)

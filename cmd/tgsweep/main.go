@@ -72,10 +72,10 @@
 //
 // -retries N retries points whose failure classifies as transient (run
 // budget, barrier stall, worker panic) up to N attempts with exponential
-// -retry-backoff, dropping to the strict kernel and a single engine on the
-// final attempt; deterministic failures (deadlock, conservation) are
-// quarantined immediately as failed points. -point-deadline bounds each
-// attempt's wall clock through the guard run budget.
+// -retry-backoff, every attempt on the configured -kernel and -shards;
+// deterministic failures (deadlock, conservation) are quarantined
+// immediately as failed points. -point-deadline bounds each attempt's wall
+// clock through the guard run budget.
 //
 // -workers, -kernel, -cpuprofile/-memprofile and -guard/-run-budget/
 // -on-violation are declared once, in internal/cliflags, and shared with
@@ -117,7 +117,7 @@ func main() {
 		shards    = flag.Int("shards", 0, "shard every ×pipes simulation across N engine goroutines (0 or 1 = one engine); artifacts are byte-identical for every N")
 		journalF  = flag.String("journal", "", "write-ahead journal file: every completed point is fsync'd so a crashed or interrupted sweep resumes with -resume")
 		resume    = flag.Bool("resume", false, "resume the -journal file, skipping completed points (artifacts come out byte-identical to an uninterrupted run)")
-		retries   = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff, falling back to the strict kernel and one engine on the last attempt (0/1 = no retries)")
+		retries   = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff on the same -kernel and -shards (0/1 = no retries)")
 		retryBack = flag.Duration("retry-backoff", 0, "base delay before a retry, doubling per attempt")
 		deadline  = flag.Duration("point-deadline", 0, "wall-clock deadline per point attempt (rides the guard run budget; a blown deadline is transient and retried)")
 	)

@@ -158,12 +158,12 @@
 // behind them: a Sleeper's NextWake is a strict "will not act before"
 // promise that holds even while the device is not being ticked; devices
 // stimulated from outside their own Tick (interconnects receiving
-// TryRequest) fire an engine wake hook at the moment of stimulus; and
-// ports can bound a blocked master's next possible progress (ocp
-// WakeHinter), letting masters sleep through a known response delay
-// instead of polling; a blocked AMBA port that holds its master's wake
-// handle (SetWaker) hints WakeNever, and the bus wakes the master at the
-// grant and at read completion. The event kernel is the zero value of
+// TryRequest) fire an engine wake hook at the moment of stimulus; and a
+// master blocked on its port sleeps with WakeNever because the port wakes
+// it: the AMBA port and the ×pipes master NI hold the master's wake handle
+// (SetWaker, through ocp.PassWaker) and call its WakeAt at the accept and
+// when the response becomes takeable. A master whose port cannot take the
+// handle polls every blocked cycle. The event kernel is the zero value of
 // platform.KernelMode and so every platform's default; skip remains
 // selectable for cross-checking and as the simpler fallback, and any
 // platform containing a non-Sleeper device (a miniARM core) silently
@@ -308,9 +308,9 @@
 // A sweep.RetryPolicy (SweepRunner.Retry, tgsweep
 // -retries/-retry-backoff/-point-deadline) re-attempts transiently failed
 // points — run budget, barrier stall, recovered worker panic — with
-// exponential backoff, falling back to the strict kernel and a single
-// engine on the final attempt, while deterministic failures (deadlock,
-// conservation) quarantine immediately. SIGINT/SIGTERM drain gracefully
+// exponential backoff on the same kernel and shard count, while
+// deterministic failures (deadlock, conservation) quarantine immediately.
+// SIGINT/SIGTERM drain gracefully
 // on the CLIs: in-flight points finish, the journal flushes, and the
 // process exits nonzero with a resume hint (sweep.ErrDrained in the API).
 // All artifact writers go through an atomic temp-file+rename helper, so

@@ -115,7 +115,7 @@ type port struct {
 	waker   sim.Waker // the master's wake handle; nil outside an engine
 }
 
-// SetWaker implements sim.WakeSink for the master's wake handle.
+// SetWaker implements sim.WakeSink for the master's handle (ocp.PassWaker).
 func (p *port) SetWaker(w sim.Waker) { p.waker = w }
 
 // TryRequest implements ocp.MasterPort.
@@ -176,27 +176,7 @@ func (p *port) TakeResponse() (*ocp.Response, bool) {
 // Busy implements ocp.MasterPort.
 func (p *port) Busy() bool { return p.busyRead || p.state != portIdle }
 
-// WakeHint implements ocp.WakeHinter. A delivered response is gated by its
-// scheduled respAt; horizons inside the nap threshold are not worth the
-// scheduling churn and hint now. A blocked port (requesting, or a read
-// outstanding) holding its master's waker hints WakeNever: the bus wakes
-// the master at the grant and at read completion. Any other port hints now
-// (always allowed — see ocp.WakeHinter).
-func (p *port) WakeHint(now uint64) uint64 {
-	if p.hasResp {
-		if p.respAt > now+napThreshold {
-			return p.respAt
-		}
-		return now
-	}
-	if p.waker != nil && (p.state == portRequesting || p.busyRead) {
-		return sim.WakeNever
-	}
-	return now
-}
-
 var _ ocp.MasterPort = (*port)(nil)
-var _ ocp.WakeHinter = (*port)(nil)
 
 type activeTxn struct {
 	port *port
@@ -358,7 +338,6 @@ func (b *Bus) Idle() bool {
 // horizons — bursts, deep slave wait states, posted-write drain tails — are
 // still slept through. Returning now instead of a future wake is always
 // allowed by the Sleeper contract, so this is purely a scheduling choice.
-// Masters whose port holds their waker do not nap-poll: the bus wakes them.
 const napThreshold = 8
 
 // NextWake implements sim.Sleeper. A transfer in flight sleeps the bus to
@@ -568,7 +547,7 @@ func (b *Bus) complete(cycle uint64) {
 		t.port.respAt = cycle + b.cfg.RespCycles
 		t.port.hasResp = true
 		if w := t.port.waker; w != nil {
-			w.Wake()
+			w.WakeAt(t.port.respAt)
 		}
 	}
 }
@@ -600,7 +579,7 @@ func (b *Bus) arbitrate(cycle uint64) {
 	p := b.ports[winner]
 	p.state = portGranted
 	if p.waker != nil {
-		p.waker.Wake()
+		p.waker.WakeAt(cycle + 1) // the master's TryRequest is accepted next cycle
 	}
 	b.requesting--
 	b.reqMask[winner>>6] &^= 1 << (uint(winner) & 63)

@@ -33,10 +33,10 @@ const (
 type Device struct {
 	prog *Program
 	port ocp.MasterPort
-	// hinter is port's optional stall-horizon interface (nil when the port
-	// cannot bound its next transition), letting NextWake sleep through
-	// known interconnect occupancy instead of polling.
-	hinter ocp.WakeHinter
+	// sleeps is set when the port took the engine's wake handle
+	// (ocp.PassWaker): a blocked TG then sleeps until the port wakes it,
+	// instead of polling every cycle.
+	sleeps bool
 	id     int
 
 	regs  [NumRegs]uint32
@@ -74,7 +74,6 @@ func NewDevice(prog *Program, port ocp.MasterPort) (*Device, error) {
 		return nil, fmt.Errorf("core: NewDevice requires a port")
 	}
 	d := &Device{prog: prog, port: port, id: prog.MasterID}
-	d.hinter, _ = port.(ocp.WakeHinter)
 	for i, v := range prog.RegInit {
 		d.regs[i] = v
 	}
@@ -117,12 +116,11 @@ func (d *Device) Idling() bool { return d.state == dIdle }
 
 // NextWake implements sim.Sleeper: a halted TG never wakes, an idling TG
 // wakes when its Idle expires, and a TG blocked on an OCP handshake sleeps
-// to the port's stall horizon (a scheduled response delivery, or never
-// while a port holding its waker is blocked) when the port can bound it,
-// polling every cycle otherwise. The sleeps are strict "will not act before" promises:
-// an idling TG is purely self-timed (no external input can shorten an
-// Idle), and a hinted port freezes its answers until the horizon, so the
-// event kernel may drop the TG from the tick loop entirely in between.
+// until its port wakes it, or polls every cycle on a port that cannot. The
+// sleeps are strict "will not act before" promises: an idling TG is purely
+// self-timed (no external input can shorten an Idle), and a port holding
+// the TG's waker fires it at every change of its answers, so the event
+// kernel may drop the TG from the tick loop entirely in between.
 func (d *Device) NextWake(now uint64) uint64 {
 	switch d.state {
 	case dHalt:
@@ -132,17 +130,15 @@ func (d *Device) NextWake(now uint64) uint64 {
 			return d.wakeAt
 		}
 	case dIssue, dWait:
-		if d.hinter != nil {
-			if w := d.hinter.WakeHint(now); w > now {
-				return w
-			}
+		if d.sleeps {
+			return sim.WakeNever
 		}
 	}
 	return now
 }
 
-// SetWaker implements sim.WakeSink for a port that wakes a blocked TG.
-func (d *Device) SetWaker(w sim.Waker) { ocp.PassWaker(d.port, w) }
+// SetWaker implements sim.WakeSink: the engine's handle goes to the port.
+func (d *Device) SetWaker(w sim.Waker) { d.sleeps = ocp.PassWaker(d.port, w) }
 
 // PushWake defers an in-progress Idle wait by delta cycles. Schedulers that
 // freeze suspended tasks (core.MultiTask with RunIdleTimers disabled) call

@@ -65,11 +65,10 @@ const (
 // artifact of the host rather than the configuration: wall-clock budget
 // and barrier-stall violations depend on machine load, and a recovered
 // worker panic may be a scheduling-sensitive bug. Transient failures are
-// worth retrying (sweep's retry policy re-runs them, falling back to the
-// strict kernel on the final attempt); the remaining kinds — deadlock,
-// flit conservation, pool mass — are deterministic properties of the
-// point and retrying can only waste the campaign's wall clock, so sweep
-// quarantines them immediately.
+// worth retrying (sweep's retry policy re-runs them on the same kernel and
+// shard count); the remaining kinds — deadlock, flit conservation, pool
+// mass — are deterministic properties of the point and retrying can only
+// waste the campaign's wall clock, so sweep quarantines them immediately.
 func (k Kind) Transient() bool {
 	switch k {
 	case KindBudget, KindBarrierStall, KindPanic:

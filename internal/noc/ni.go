@@ -56,6 +56,8 @@ type masterNI struct {
 	// backpressure (registered via Network.RegisterStats).
 	reqStart uint64
 	lat      *sim.Histogram
+
+	waker sim.Waker // the master's wake handle; nil outside an engine
 }
 
 // TryRequest implements ocp.MasterPort.
@@ -86,6 +88,7 @@ func (m *masterNI) TryRequest(req *ocp.Request) bool {
 				m.hasResp = true
 			}
 			m.noteBusy()
+			m.wakeMaster(m.now() + 1)
 			return false
 		}
 		pkt := m.st.getPacket()
@@ -112,6 +115,11 @@ func (m *masterNI) TryRequest(req *ocp.Request) bool {
 			m.busyRead = true
 		}
 		m.noteBusy()
+		if m.hasResp {
+			// A decode error's response came before the accept: the
+			// master first asks for it on its next tick.
+			m.wakeMaster(max(m.respAt, m.now()+1))
+		}
 		return true
 	}
 	return false
@@ -134,24 +142,16 @@ func (m *masterNI) TakeResponse() (*ocp.Response, bool) {
 // Busy implements ocp.MasterPort.
 func (m *masterNI) Busy() bool { return m.busyRead || m.state != niIdle }
 
-// niNapThreshold mirrors the bus's nap threshold: delivery horizons this
-// short cost more in wake-schedule churn than they save in elided polls.
-const niNapThreshold = 8
+// SetWaker implements sim.WakeSink for the master's handle (ocp.PassWaker).
+func (m *masterNI) SetWaker(w sim.Waker) { m.waker = w }
 
-// WakeHint implements ocp.WakeHinter. Only the delivered-response delay is
-// a known horizon on the NoC — injection and in-flight progress depend on
-// per-cycle contention — so everything else hints now. The respAt horizon
-// is trusted only with the NI back in its idle state: a decode-error read
-// sets hasResp while the accept handshake (niInjected) is still pending,
-// and the master must keep polling to take that accept on the next cycle.
-func (m *masterNI) WakeHint(now uint64) uint64 {
-	if m.state == niIdle && m.hasResp && m.respAt > now+niNapThreshold {
-		return m.respAt
+// wakeMaster schedules the master's tick at cycle at; a master that did not
+// hand over its waker polls instead.
+func (m *masterNI) wakeMaster(at uint64) {
+	if m.waker != nil {
+		m.waker.WakeAt(at)
 	}
-	return now
 }
-
-var _ ocp.WakeHinter = (*masterNI)(nil)
 
 // wakeUp ends a fabric sleep at this NI's node: the owning region's on a
 // partitioned network, the network's otherwise.
@@ -175,6 +175,7 @@ func (m *masterNI) inject(cycle uint64) {
 	if m.nextFlit == m.pkt.length {
 		m.pkt = nil // the network owns the packet from here on
 		m.state = niInjected
+		m.wakeMaster(cycle + 1)
 	}
 }
 
@@ -192,6 +193,7 @@ func (m *masterNI) acceptFlit(fl flit, cycle uint64) {
 		}
 		m.respAt = cycle + m.net.cfg.RespCycles
 		m.hasResp = true
+		m.wakeMaster(m.respAt)
 		m.rxFlits = 0
 		m.st.putPacket(fl.pkt)
 	}
@@ -221,6 +223,7 @@ func (st *shardState) noteBusy(flag *bool, busy bool) {
 }
 
 var _ ocp.MasterPort = (*masterNI)(nil)
+var _ sim.WakeSink = (*masterNI)(nil)
 var _ localSink = (*masterNI)(nil)
 
 // slaveNI terminates request packets at a slave, applies the access after

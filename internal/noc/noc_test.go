@@ -297,54 +297,57 @@ func TestAttachErrors(t *testing.T) {
 	n.AttachMaster(0)
 }
 
-// hintedProbe is a minimal Sleeper master that consumes the port's
-// WakeHint the way core.Device does: it polls unless the port promises a
-// frozen horizon.
-type hintedProbe struct {
+// wakeProbe is a minimal master that sleeps the way core.Device does: it
+// hands its waker to the port and, once the port took it, reports WakeNever
+// while blocked, so only the port's wakes tick it.
+type wakeProbe struct {
 	port     ocp.MasterPort
-	hinter   ocp.WakeHinter
+	sleeps   bool
 	state    int
+	ticks    int
 	acceptAt uint64
 	respAt   uint64
 }
 
-func (p *hintedProbe) Tick(c uint64) {
+func (p *wakeProbe) SetWaker(w sim.Waker) { p.sleeps = ocp.PassWaker(p.port, w) }
+
+// Tick asserts an unmapped read (state 0), waits for its accept (1) and
+// its error response (2), then stops (3).
+func (p *wakeProbe) Tick(c uint64) {
+	p.ticks++
 	switch p.state {
-	case 0:
+	case 0, 1:
+		p.state = 1
 		req := ocp.Request{Cmd: ocp.Read, Addr: 0xdead0000, Burst: 1}
 		if p.port.TryRequest(&req) {
 			p.acceptAt = c
-			p.state = 1
+			p.state = 2
 		}
-	case 1:
+	case 2:
 		if r, ok := p.port.TakeResponse(); ok {
 			if !r.Err {
 				panic("expected an error response for the unmapped read")
 			}
 			p.respAt = c
-			p.state = 2
+			p.state = 3
 		}
 	}
 }
 
-func (p *hintedProbe) NextWake(now uint64) uint64 {
-	if p.state == 2 {
+func (p *wakeProbe) NextWake(now uint64) uint64 {
+	if p.state == 3 || (p.state > 0 && p.sleeps) {
 		return sim.WakeNever
-	}
-	if p.hinter != nil {
-		if w := p.hinter.WakeHint(now); w > now {
-			return w
-		}
 	}
 	return now
 }
 
-// TestDecodeErrorHintTiming pins the WakeHint/accept interaction: a
-// decode-error read synthesises its response (hasResp, respAt) while the
-// accept handshake is still pending, and a hinted master must keep polling
-// through the accept rather than sleeping to respAt — the event kernel
-// must reproduce the strict kernel's accept and response cycles even with
-// RespCycles far beyond the nap threshold.
+// TestDecodeErrorHintTiming pins the wakes of a decode-error read. The NI
+// synthesises the error response (hasResp, respAt) inside the master's own
+// TryRequest, while the accept handshake is still pending: the accept wake
+// lands on a master that is mid-tick, and the response wake must wait for
+// the accept. With RespCycles at 16 every kernel must reproduce the strict
+// kernel's accept and response cycles, and the sleeping probe is ticked
+// only for the assert, the accept and the response.
 func TestDecodeErrorHintTiming(t *testing.T) {
 	simtest.Differential(t, "decode-error timing", simtest.Kernel, func(t *testing.T, x simtest.Exec) []byte {
 		e := sim.NewEngine(sim.Clock{})
@@ -354,16 +357,95 @@ func TestDecodeErrorHintTiming(t *testing.T) {
 		if err := n.AttachSlave(n.Nodes()-1, ram, ram.Range()); err != nil {
 			t.Fatal(err)
 		}
-		p := &hintedProbe{port: n.AttachMaster(0)}
-		p.hinter, _ = p.port.(ocp.WakeHinter)
+		p := &wakeProbe{port: n.AttachMaster(0)}
 		e.Add(p)
 		e.Add(n)
-		if _, err := e.Run(10_000, func() bool { return p.state == 2 }); err != nil {
+		if _, err := e.Run(10_000, func() bool { return p.state == 3 }); err != nil {
 			t.Fatal(err)
 		}
 		if p.respAt == 0 {
 			t.Fatalf("%v: probe never took the error response", x)
 		}
+		if !p.sleeps || (x.Kernel == "event" && p.ticks != 3) {
+			t.Fatalf("%v: sleeps %v, ticked %d times, want 3", x, p.sleeps, p.ticks)
+		}
 		return fmt.Appendf(nil, "accept %d resp %d", p.acceptAt, p.respAt)
 	})
+}
+
+// countWaker records the wakes an NI fires at its master.
+type countWaker struct{ at []uint64 }
+
+func (w *countWaker) Wake()            { panic("an NI wakes its master with WakeAt") }
+func (w *countWaker) WakeAt(at uint64) { w.at = append(w.at, at) }
+
+// TestNIWakesAtAcceptAndDelivery: an NI holding its master's waker fires it
+// once when the request's tail enters the router, for the next cycle, when
+// the accept is ready, and once when the read's response arrives, for the
+// cycle it becomes takeable. A posted write wakes only for its accept. The
+// network is driven by hand, without an engine.
+func TestNIWakesAtAcceptAndDelivery(t *testing.T) {
+	var cycle uint64
+	n := New(Config{RespCycles: 3}, func() uint64 { return cycle })
+	ram := mem.NewRAM("ram", 0x1000, 0x1000, 1)
+	if err := n.AttachSlave(n.Nodes()-1, ram, ram.Range()); err != nil {
+		t.Fatal(err)
+	}
+	w := &countWaker{}
+	port := n.AttachMaster(0)
+	if !ocp.PassWaker(port, w) {
+		t.Fatal("the NI did not take its master's waker")
+	}
+	// present asserts req at cycle, then ticks the network until it wakes
+	// the master, checks the wake is for the next cycle, and has the
+	// master take the accept there.
+	present := func(req ocp.Request) {
+		t.Helper()
+		woken := len(w.at)
+		for ; len(w.at) == woken; cycle++ {
+			if cycle > 1000 {
+				t.Fatal("no accept wake")
+			}
+			if port.TryRequest(&req) {
+				t.Fatalf("accepted at %d before any wake", cycle)
+			}
+			n.Tick(cycle)
+		}
+		if w.at[woken] != cycle {
+			t.Fatalf("accept wake for cycle %d, fired at %d", w.at[woken], cycle-1)
+		}
+		if !port.TryRequest(&req) {
+			t.Fatalf("woken for the accept at %d, but TryRequest refused", cycle)
+		}
+	}
+
+	present(ocp.Request{Cmd: ocp.Read, Addr: 0x1008, Burst: 1})
+	for n.Tick(cycle); len(w.at) == 1; n.Tick(cycle) {
+		if _, ok := port.TakeResponse(); ok {
+			t.Fatalf("response taken at %d before its wake", cycle)
+		}
+		if cycle++; cycle > 1000 {
+			t.Fatal("no delivery wake")
+		}
+	}
+	if want := cycle + 3; len(w.at) != 2 || w.at[1] != want {
+		t.Fatalf("wakes %v after the delivery at %d, want the second for %d", w.at, cycle, want)
+	}
+	for cycle++; cycle < w.at[1]; cycle++ {
+		if _, ok := port.TakeResponse(); ok {
+			t.Fatalf("response takeable at %d, before its wake at %d", cycle, w.at[1])
+		}
+		n.Tick(cycle)
+	}
+	if _, ok := port.TakeResponse(); !ok {
+		t.Fatalf("no response at its wake, cycle %d", cycle)
+	}
+
+	present(ocp.Request{Cmd: ocp.Write, Addr: 0x1010, Burst: 1, Data: []uint32{7}})
+	for ; !n.Idle(); cycle++ {
+		n.Tick(cycle)
+	}
+	if len(w.at) != 3 {
+		t.Fatalf("wakes %v: a posted write must wake only for its accept", w.at)
+	}
 }

@@ -179,23 +179,6 @@ func (m *Monitor) TakeResponse() (*Response, bool) {
 // Busy implements MasterPort.
 func (m *Monitor) Busy() bool { return m.port.Busy() }
 
-// WakeHint implements WakeHinter by delegation, so tracing a port does not
-// cost the master its ability to sleep through known stall horizons.
-// Monitors observe only TryRequest/TakeResponse transitions, which a
-// hinted sleep by definition does not skip.
-func (m *Monitor) WakeHint(now uint64) uint64 {
-	if h, ok := m.port.(WakeHinter); ok {
-		return h.WakeHint(now)
-	}
-	return now
-}
-
-// SetWaker implements sim.WakeSink by delegation, like WakeHint.
-func (m *Monitor) SetWaker(w sim.Waker) { PassWaker(m.port, w) }
-
-var _ WakeHinter = (*Monitor)(nil)
-var _ sim.WakeSink = (*Monitor)(nil)
-
 // Events returns the transactions recorded since Record, in issue order
 // (nil on a monitor that only meters). The returned slice is owned by the
 // monitor; callers must not modify it.

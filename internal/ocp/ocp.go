@@ -135,30 +135,28 @@ type MasterPort interface {
 	Busy() bool
 }
 
-// WakeHinter is optionally implemented by master ports that can bound when
-// a blocked master could next make progress: WakeHint(now) returns the
-// earliest cycle at which a pending TryRequest could be accepted or a
-// pending TakeResponse could deliver. The hint carries the sim.Sleeper
-// strictness: a returned w > now is a promise that the port's answers are
-// frozen for every cycle in [now, w), so a master blocked on the port may
-// skip its polling ticks entirely under the event-driven kernel. Ports that
-// cannot bound the next transition must return now — the blocked master
-// then simply polls every cycle, as it would on a port without the
-// interface. sim.WakeNever ("no transition without a wake") is allowed only
-// from a port that holds its master's sim.Waker (the port implements
-// sim.WakeSink and the master handed it the engine's handle) and fires it
-// at every transition of its answers.
+// Deprecated: WakeHinter is implemented by no port and read by no master:
+// ports wake their blocked masters instead (see PassWaker). It remains
+// only because the benchmark's trace shim still names it.
 type WakeHinter interface {
 	WakeHint(now uint64) uint64
 }
 
-// PassWaker hands a master's engine wake handle to its port when the port
-// can use it (implements sim.WakeSink); masters that read WakeHint call it
-// from their own SetWaker.
-func PassWaker(port MasterPort, w sim.Waker) {
-	if ws, ok := port.(sim.WakeSink); ok {
+// PassWaker hands a master's engine wake handle to the fabric port behind
+// port, looking through Monitors, and reports whether the port took it. A
+// port that takes it (implements sim.WakeSink) calls WakeAt at every change
+// of its answers — the accept and the response becoming takeable — so its
+// blocked master may sleep with sim.WakeNever. Any other port leaves its
+// master to poll every blocked cycle. Masters call it from their SetWaker.
+func PassWaker(port MasterPort, w sim.Waker) bool {
+	for m, ok := port.(*Monitor); ok; m, ok = port.(*Monitor) {
+		port = m.port
+	}
+	ws, ok := port.(sim.WakeSink)
+	if ok {
 		ws.SetWaker(w)
 	}
+	return ok
 }
 
 // Slave is the slave-side target invoked by an interconnect once a

@@ -36,7 +36,7 @@ const (
 type Clone struct {
 	events []ocp.Event
 	port   ocp.MasterPort
-	hinter ocp.WakeHinter // port's optional stall-horizon interface
+	sleeps bool // the port wakes the blocked clone (see core.Device)
 	id     int
 
 	i       int
@@ -59,9 +59,7 @@ func NewClone(id int, events []ocp.Event, port ocp.MasterPort) *Clone {
 	if port == nil {
 		panic("replay: NewClone requires a port")
 	}
-	c := &Clone{events: events, port: port, id: id}
-	c.hinter, _ = port.(ocp.WakeHinter)
-	return c
+	return &Clone{events: events, port: port, id: id}
 }
 
 // Name implements sim.Named.
@@ -126,10 +124,11 @@ func (c *Clone) Tick(cycle uint64) {
 }
 
 // NextWake implements sim.Sleeper: between transactions the clone sleeps
-// until the next event's recorded assert cycle; mid-handshake it must be
-// ticked every cycle. The recorded schedule is fixed and responses are
-// ignored, so the sleep is a strict "will not act before" promise and the
-// event kernel may omit every tick until the assert cycle.
+// until the next event's recorded assert cycle; mid-handshake it sleeps
+// until its port wakes it, or polls on a port that cannot. The recorded
+// schedule is fixed and responses are ignored, so the sleep is a strict
+// "will not act before" promise and the event kernel may omit every tick
+// until the assert cycle.
 func (c *Clone) NextWake(now uint64) uint64 {
 	switch c.state {
 	case cDone:
@@ -141,12 +140,8 @@ func (c *Clone) NextWake(now uint64) uint64 {
 			}
 		}
 	case cIssue, cResp:
-		// Blocked on the interconnect: sleep to the port's stall horizon
-		// when it can bound one (see ocp.WakeHinter).
-		if c.hinter != nil {
-			if w := c.hinter.WakeHint(now); w > now {
-				return w
-			}
+		if c.sleeps {
+			return sim.WakeNever
 		}
 	}
 	return now
@@ -159,7 +154,7 @@ func (c *Clone) TickWake(cycle uint64) uint64 {
 }
 
 // SetWaker implements sim.WakeSink like core.Device.SetWaker.
-func (c *Clone) SetWaker(w sim.Waker) { ocp.PassWaker(c.port, w) }
+func (c *Clone) SetWaker(w sim.Waker) { c.sleeps = ocp.PassWaker(c.port, w) }
 
 var _ sim.Device = (*Clone)(nil)
 var _ sim.Sleeper = (*Clone)(nil)

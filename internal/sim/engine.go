@@ -145,6 +145,9 @@ type Engine struct {
 	// it instead of re-querying the device; wakeDevice (the WakeSink hook)
 	// invalidates the entry when external input arrives early.
 	wakeMemo []uint64
+	// due holds, per device, the cycle of its latest scheduled wake
+	// (Waker.WakeAt); entries before the current cycle are spent.
+	due []uint64
 	// SkippedCycles counts cycles the skip and event kernels fast-forwarded
 	// over (diagnostics only; strict runs keep it at zero).
 	SkippedCycles uint64
@@ -205,6 +208,7 @@ func (e *Engine) Add(d Device) {
 		panic("sim: Add(nil) device")
 	}
 	e.devices = append(e.devices, d)
+	e.due = append(e.due, WakeNever)
 	if e.sleepers != nil || len(e.devices) == 1 {
 		if s, ok := d.(Sleeper); ok {
 			e.sleepers = append(e.sleepers, s)
@@ -274,8 +278,11 @@ func (e *Engine) nextWake() uint64 {
 		nw := memo[i]
 		if nw <= now {
 			nw = sl[i].NextWake(now)
-			memo[i] = nw
 		}
+		if d := e.due[i]; d >= now && d < nw {
+			nw = d
+		}
+		memo[i] = nw
 		if nw <= now {
 			e.blocker = i
 			return now

@@ -30,20 +30,29 @@ package sim
 // that has nothing to do is a no-op by construction, so a conservative wake
 // can never diverge from strict semantics.
 
-// Waker is the engine-provided wake handle for one registered device. Wake
-// never blocks and never allocates; outside an event-kernel run it only
-// invalidates the skip kernel's wake memo (a no-op under strict ticking).
+// Waker is the engine-provided wake handle for one registered device. Its
+// calls never block and never allocate. Wake reports that the device's own
+// state changed under it (a fabric receiving a request): the engine
+// re-queries its NextWake and puts it back into the tick set at once.
+// WakeAt(at) schedules a tick at cycle at, after the executing one,
+// whatever NextWake then reports: a master blocked on its port sleeps with
+// WakeNever, and the port calls WakeAt for each change of its answers. The
+// engine keeps the wake until cycle at executes, across Run calls, on every
+// kernel; a later one scheduled meanwhile is dropped, as a port has one
+// change outstanding at a time.
 type Waker interface {
 	Wake()
+	WakeAt(at uint64)
 }
 
 // WakeSink is implemented by devices whose earliest action can be moved
-// earlier by another device's Tick — the canonical case is an interconnect
-// whose ports are poked by masters via TryRequest. The engine calls
-// SetWaker once at registration; the device must call Wake whenever such
-// external input arrives while it may be sleeping. Purely self-timed
-// devices (absolute idle deadlines, recorded replay schedules) and devices
-// that never report future wakes need not implement it.
+// earlier by another device's Tick — an interconnect whose ports are poked
+// by masters via TryRequest, or a master blocked on such a port. The engine
+// calls SetWaker once at registration; the device, or the port a master
+// hands the handle to, must call Wake or WakeAt whenever such external
+// input arrives while it may be sleeping. Purely self-timed devices
+// (absolute idle deadlines, recorded replay schedules) and devices that
+// never report future wakes need not implement it.
 type WakeSink interface {
 	SetWaker(Waker)
 }
@@ -67,6 +76,9 @@ type engineWaker struct {
 // Wake implements Waker.
 func (w *engineWaker) Wake() { w.e.wakeDevice(w.idx) }
 
+// WakeAt implements Waker.
+func (w *engineWaker) WakeAt(at uint64) { w.e.wakeDeviceAt(w.idx, at) }
+
 // notInHeap marks a device that is on the active list rather than in the
 // sleep heap.
 const notInHeap = int32(-1)
@@ -83,6 +95,29 @@ func (e *Engine) wakeDevice(idx int32) {
 	}
 	e.heapRemove(idx)
 	e.activeInsert(idx)
+}
+
+// wakeDeviceAt records a scheduled wake in e.due, which every kernel reads.
+// An event run also wakes a sleeper due next cycle at once, as Wake does,
+// or moves a later one's heap entry forward.
+func (e *Engine) wakeDeviceAt(idx int32, at uint64) {
+	if d := e.due[idx]; d > e.cycle && d <= at {
+		return
+	}
+	e.due[idx] = at
+	if int(idx) < len(e.wakeMemo) && at < e.wakeMemo[idx] {
+		e.wakeMemo[idx] = at
+	}
+	if !e.evLive || e.evPos[idx] == notInHeap {
+		return
+	}
+	if at <= e.cycle+1 {
+		e.heapRemove(idx)
+		e.activeInsert(idx)
+	} else if at < e.evWake[idx] {
+		e.evWake[idx] = at
+		e.evUp(e.evPos[idx])
+	}
 }
 
 // initEventSchedule (re)builds the active list and sleep heap from every
@@ -105,6 +140,9 @@ func (e *Engine) initEventSchedule() {
 	now := e.cycle
 	for i := 0; i < n; i++ {
 		w := e.sleepers[i].NextWake(now)
+		if d := e.due[i]; d >= now && d < w {
+			w = d
+		}
 		if w <= now {
 			// Ascending i keeps the active list sorted by construction.
 			e.evPos[i] = notInHeap
@@ -140,6 +178,11 @@ func (e *Engine) stepEvent() {
 		} else {
 			devices[idx].Tick(c)
 			nw = sleepers[idx].NextWake(c + 1)
+		}
+		if nw > c+1 {
+			if d := e.due[idx]; d > c && d < nw {
+				nw = d // a wake scheduled while the device was awake
+			}
 		}
 		if nw <= c+1 {
 			e.evSweep++

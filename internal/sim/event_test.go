@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -318,5 +319,80 @@ func TestEventKernelResumesAcrossRuns(t *testing.T) {
 	}
 	if p.work != 2 || p.ticks != 2 {
 		t.Fatalf("work %d ticks %d, want 2 and 2", p.work, p.ticks)
+	}
+}
+
+// blindSink never reports a wake of its own, like a master blocked on its
+// port: it does its work only because WakeAt schedules it. Work k is due at
+// due[k] and done at seen[k]; the first piece also schedules the next cycle
+// from inside the sink's own tick.
+type blindSink struct {
+	waker     Waker
+	due, seen []uint64
+}
+
+func (b *blindSink) SetWaker(w Waker)       { b.waker = w }
+func (b *blindSink) NextWake(uint64) uint64 { return WakeNever }
+
+func (b *blindSink) Tick(c uint64) {
+	if k := len(b.seen); k < len(b.due) && c >= b.due[k] {
+		b.seen = append(b.seen, c)
+		if k == 0 {
+			b.due = append(b.due, c+1)
+			b.waker.WakeAt(c + 1)
+		}
+	}
+}
+
+// scheduler gives the sink work due delay[i] cycles after cycle at[i].
+type scheduler struct {
+	at, delay []uint64
+	i         int
+	sink      *blindSink
+}
+
+func (s *scheduler) Tick(c uint64) {
+	if s.i < len(s.at) && c == s.at[s.i] {
+		d := c + s.delay[s.i]
+		s.sink.due = append(s.sink.due, d)
+		s.sink.waker.WakeAt(d)
+		s.i++
+	}
+}
+
+func (s *scheduler) NextWake(now uint64) uint64 {
+	if s.i >= len(s.at) {
+		return WakeNever
+	}
+	return max(s.at[s.i], now)
+}
+
+// TestWakeAtTicksTheSleeperAtItsCycle: a scheduled wake ticks a device
+// that reports WakeNever exactly at the scheduled cycle on every kernel —
+// scheduled from another device or from its own tick, one cycle or
+// thousands ahead, and across Run calls that end while it is pending.
+func TestWakeAtTicksTheSleeperAtItsCycle(t *testing.T) {
+	want := []uint64{50, 51, 61, 5200}
+	for _, k := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+		e := NewEngine(Clock{})
+		e.SetKernel(k)
+		sink := &blindSink{}
+		e.Add(sink)
+		e.Add(&scheduler{at: []uint64{10, 60, 200}, delay: []uint64{40, 1, 5000}, sink: sink})
+		done := func() bool { return len(sink.seen) == len(want) }
+		for _, span := range []uint64{45, 3000} {
+			if _, err := e.Run(span, done); !errors.Is(err, ErrMaxCycles) {
+				t.Fatalf("%v: run of %d cycles: %v", k, span, err)
+			}
+		}
+		if _, err := e.Run(10_000, done); err != nil {
+			t.Fatalf("%v: %v (work done at %v)", k, err, sink.seen)
+		}
+		if fmt.Sprint(sink.seen) != fmt.Sprint(want) {
+			t.Errorf("%v: work done at %v, want %v", k, sink.seen, want)
+		}
+		if k != KernelStrict && e.SkippedCycles == 0 {
+			t.Errorf("%v: never skipped a cycle", k)
+		}
 	}
 }

@@ -9,9 +9,9 @@ package sim
 // window and erase the event kernel's advantage under one-cycle windows.
 //
 // A session is single-use and exclusive: between BeginWindowed and Close,
-// advance the engine only through RunTo. External wakes (Waker.Wake) are
-// honoured between windows exactly as they are mid-run — the event
-// schedule stays live for the whole session.
+// advance the engine only through RunTo. External wakes (Waker.Wake and
+// WakeAt) are honoured between windows exactly as they are mid-run — the
+// event schedule stays live for the whole session.
 type WindowedRun struct {
 	e     *Engine
 	event bool

@@ -126,7 +126,7 @@ type Generator struct {
 	cfg     Config
 	rng     *rand.Rand
 	port    ocp.MasterPort
-	hinter  ocp.WakeHinter // port's optional stall-horizon interface
+	sleeps  bool // the port wakes the blocked generator (see core.Device)
 	id      int
 	sampler *Sampler // non-nil when cfg.Spatial is set
 
@@ -200,7 +200,6 @@ func New(id int, cfg Config, port ocp.MasterPort) *Generator {
 		Latency:    sim.NewLatencyHistogram(),
 		ReqLatency: sim.NewLatencyHistogram(),
 	}
-	g.hinter, _ = port.(ocp.WakeHinter)
 	g.arrival = newArrival(cfg, g.rng)
 	if len(cfg.Classes) > 0 {
 		if err := ValidateClasses(cfg.Classes); err != nil {
@@ -359,7 +358,8 @@ func (g *Generator) Tick(cycle uint64) {
 
 // NextWake implements sim.Sleeper: a finished generator never wakes, an
 // idle one wakes at its next scheduled injection, and one mid-handshake
-// must be ticked every cycle. A generator that has issued its full count
+// sleeps until its port wakes it, or polls on a port that cannot. A
+// generator that has issued its full count
 // also asks for one more tick, in which it records its halt. The
 // inter-injection sleep is a strict "will not act before" promise — the
 // schedule is drawn up front and no external input can advance it — so the
@@ -373,12 +373,8 @@ func (g *Generator) NextWake(now uint64) uint64 {
 			return g.wakeAt
 		}
 	case gIssue, gResp:
-		// Blocked on the interconnect: sleep to the port's stall horizon
-		// when it can bound one (see ocp.WakeHinter).
-		if g.hinter != nil {
-			if w := g.hinter.WakeHint(now); w > now {
-				return w
-			}
+		if g.sleeps {
+			return sim.WakeNever
 		}
 	}
 	return now
@@ -391,7 +387,7 @@ func (g *Generator) TickWake(cycle uint64) uint64 {
 }
 
 // SetWaker implements sim.WakeSink like core.Device.SetWaker.
-func (g *Generator) SetWaker(w sim.Waker) { ocp.PassWaker(g.port, w) }
+func (g *Generator) SetWaker(w sim.Waker) { g.sleeps = ocp.PassWaker(g.port, w) }
 
 var _ sim.Device = (*Generator)(nil)
 var _ sim.WakeSink = (*Generator)(nil)

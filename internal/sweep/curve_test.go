@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"noctg/internal/guard"
+	"noctg/internal/platform"
 	"noctg/internal/simtest"
 )
 
@@ -139,27 +140,34 @@ func TestCurvePanicKeepsPointContext(t *testing.T) {
 }
 
 // TestCurveRetryRecovers: a transient first-attempt failure on a curve
-// level retries under the runner's policy and the final artifact is
-// byte-identical to a fault-free run.
+// level retries under the runner's policy, on the runner's own kernel, and
+// the final artifact is byte-identical to a fault-free run.
 func TestCurveRetryRecovers(t *testing.T) {
 	spec := goldenCurveSpec()
 	spec.Gaps = []float64{24, 6}
-	clean := runCurve(t, Runner{}, spec)
-	r := Runner{
-		Retry:  &RetryPolicy{MaxAttempts: 2},
-		Faults: func(Point) *guard.FaultPlan { panic("transient curve panic") },
-	}
-	retried := runCurve(t, r, spec)
-	render := func(c Curve) []byte {
-		var buf bytes.Buffer
-		if err := WriteCurvesJSON(&buf, []Curve{c}); err != nil {
+	simtest.Differential(t, "curve retry", simtest.Kernel, func(t *testing.T, x simtest.Exec) []byte {
+		kernel, err := platform.ParseKernel(x.Kernel)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
-	}
-	if a, b := render(clean), render(retried); !bytes.Equal(a, b) {
-		t.Fatalf("retried curve diverged from the clean run:\n%s\nvs\n%s", b, a)
-	}
+		render := func(c Curve) []byte {
+			var buf bytes.Buffer
+			if err := WriteCurvesJSON(&buf, []Curve{c}); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		clean := render(runCurve(t, Runner{Kernel: kernel}, spec))
+		retried := render(runCurve(t, Runner{
+			Kernel: kernel,
+			Retry:  &RetryPolicy{MaxAttempts: 2},
+			Faults: func(Point) *guard.FaultPlan { panic("transient curve panic") },
+		}, spec))
+		if !bytes.Equal(clean, retried) {
+			t.Fatalf("%v: retried curve diverged from the clean run:\n%s\nvs\n%s", x, retried, clean)
+		}
+		return retried
+	})
 }
 
 // TestDetectSaturation exercises the knee detector on synthetic curves.

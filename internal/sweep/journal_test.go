@@ -408,33 +408,38 @@ func TestRetryQuarantinesDeterministic(t *testing.T) {
 
 // TestRetryDeadlineBudget: the per-point deadline rides guard.RunBudget
 // (arming a budget-only guard when the runner has none), classifies
-// transient, and the fault-free retry under the strict-kernel fallback
-// succeeds.
+// transient, and the fault-free retry on the runner's own kernel succeeds.
 func TestRetryDeadlineBudget(t *testing.T) {
 	pts := guardTestPoints()[:1]
-	r := Runner{
-		Kernel:    platform.KernelStrict,
-		MaxCycles: 1 << 40,
-		Retry:     &RetryPolicy{MaxAttempts: 2, DeadlineMS: 300},
-		Faults: func(Point) *guard.FaultPlan {
-			return &guard.FaultPlan{SlaveFreezes: []guard.SlaveFreeze{
-				{Node: guardSharedNode, From: 0, To: 1 << 62}}}
-		},
-	}
-	cache := &programCache{}
-	res, last, err := r.runPointRetry(cache, pts[0], 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first attempt is wedged by the frozen slave until the deadline
-	// fires; assert the end state: recovered within two attempts, no
-	// residual violation.
-	if res.Err != "" || res.Violation != nil {
-		t.Fatalf("deadline retry did not recover: err=%q violation=%+v", res.Err, res.Violation)
-	}
-	if last != 2 {
-		t.Fatalf("recovered on attempt %d, want 2", last)
-	}
+	simtest.Differential(t, "deadline retry", simtest.Kernel, func(t *testing.T, x simtest.Exec) []byte {
+		kernel, err := platform.ParseKernel(x.Kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Runner{
+			Kernel:    kernel,
+			MaxCycles: 1 << 40,
+			Retry:     &RetryPolicy{MaxAttempts: 2, DeadlineMS: 300},
+			Faults: func(Point) *guard.FaultPlan {
+				return &guard.FaultPlan{SlaveFreezes: []guard.SlaveFreeze{
+					{Node: guardSharedNode, From: 0, To: 1 << 62}}}
+			},
+		}
+		res, last, err := r.runPointRetry(&programCache{}, pts[0], 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first attempt is wedged by the frozen slave until the deadline
+		// fires; assert the end state: recovered within two attempts, no
+		// residual violation.
+		if res.Err != "" || res.Violation != nil {
+			t.Fatalf("%v: deadline retry did not recover: err=%q violation=%+v", x, res.Err, res.Violation)
+		}
+		if last != 2 {
+			t.Fatalf("%v: recovered on attempt %d, want 2", x, last)
+		}
+		return simtest.Render(t, func(w io.Writer) error { return WriteJSON(w, []Result{res}) })
+	})
 }
 
 // TestWriteArtifactsNoPartialOnFailure: a renderer failing mid-stream (a

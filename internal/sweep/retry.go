@@ -115,7 +115,7 @@ func (r Runner) runPointRetry(cache *programCache, p Point, prior int, onAttempt
 				return res, a, err
 			}
 		}
-		res = r.runPointExec(cache, p, a, a == last && last > 1, policy.deadline())
+		res = r.runPointExec(cache, p, a, policy.deadline())
 		if res.Err == "" || a >= last || !transientFailure(res) {
 			return res, a, nil
 		}

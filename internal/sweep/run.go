@@ -319,9 +319,10 @@ func (r Runner) analyticEstimate(p Point, res *Result) bool {
 // runPointExec executes one attempt of one configuration on its own
 // engine. A panicking model is recorded as that point's failure rather than
 // aborting the sweep. attempt is 1-based (fault plans inject on attempt 1
-// only); fallback runs on the strict kernel and one engine, the most
-// conservative result-neutral mode; deadline bounds the wall clock.
-func (r Runner) runPointExec(cache *programCache, p Point, attempt int, fallback bool, deadline time.Duration) (res Result) {
+// only); deadline bounds the wall clock. Every attempt runs the runner's
+// own kernel and shard count: every row of them computes the same bytes,
+// so a point that passed only on another would hide a kernel bug.
+func (r Runner) runPointExec(cache *programCache, p Point, attempt int, deadline time.Duration) (res Result) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			// Keep the point's identity fields: a panic mid-build must still
@@ -343,10 +344,6 @@ func (r Runner) runPointExec(cache *programCache, p Point, attempt int, fallback
 		return res
 	}
 	ic, _ := p.Fabric.interconnect()
-	kernel, shards := r.Kernel, r.Shards
-	if fallback {
-		kernel, shards = platform.KernelStrict, 0
-	}
 	cfg := platform.Config{
 		Cores:        p.Workload.Cores,
 		Interconnect: ic,
@@ -358,8 +355,8 @@ func (r Runner) runPointExec(cache *programCache, p Point, attempt int, fallback
 		},
 		MemWaitStates: p.Fabric.MemWaitStates,
 		Clock:         sim.Clock{PeriodNS: p.ClockPeriodNS},
-		Kernel:        kernel,
-		Shards:        shards,
+		Kernel:        r.Kernel,
+		Shards:        r.Shards,
 		Trace:         p.Workload.Kind == KindTG, // TG masters carry no meter of their own
 	}
 
