@@ -136,11 +136,10 @@ func TestZeroAllocPhasedTransactionPath(t *testing.T) {
 }
 
 // TestZeroAllocBurstyInjection guards the arrival-process injection hot
-// path: the MMPP and self-similar state machines and the priority class
-// draw run per injection, so any allocation there scales with offered
-// load. All state (Pareto station arrays, class cumulative weights) is
-// preallocated at construction; steady state must be exactly
-// allocation-free under every arrival model.
+// path: the MMPP and self-similar state machines run per injection, so
+// any allocation there scales with offered load. All state (the Pareto
+// station arrays) is preallocated at construction; steady state must be
+// exactly allocation-free under every arrival model.
 func TestZeroAllocBurstyInjection(t *testing.T) {
 	for name, cfg := range burstyArrivalConfigs() {
 		g := burstyGenerator(cfg)

@@ -361,15 +361,14 @@ func burstyGenerator(cfg stochastic.Config) *stochastic.Generator {
 
 // burstyArrivalConfigs are the arrival models the injection benchmark and
 // alloc guard sweep: the MMPP on/off chain, the superposed-Pareto
-// self-similar source, and a priority-classed Poisson baseline.
+// self-similar source, and a Poisson baseline.
 func burstyArrivalConfigs() map[string]stochastic.Config {
 	return map[string]stochastic.Config{
 		"mmpp": {Seed: 1, MMPP: &stochastic.MMPP{
 			StateGaps: []float64{3, 0}, StateDwells: []float64{80, 160}}},
 		"selfsim": {Seed: 2, SelfSimilar: &stochastic.SelfSimilar{
 			Sources: 16, Hurst: 0.8, OnMean: 50, OffMean: 100, PeakGap: 4}},
-		"priority": {Seed: 3, Dist: stochastic.Poisson, MeanGap: 4,
-			Classes: []float64{0.5, 0.3, 0.2}},
+		"poisson": {Seed: 3, Dist: stochastic.Poisson, MeanGap: 4},
 	}
 }
 
@@ -378,7 +377,7 @@ func burstyArrivalConfigs() map[string]stochastic.Config {
 // instantly-accepting port. The Msimcycles/s metric tracks the per-cycle
 // cost of the arrival state machines; allocs/op must stay at zero.
 func BenchmarkBurstyInjection(b *testing.B) {
-	for _, name := range []string{"mmpp", "selfsim", "priority"} {
+	for _, name := range []string{"mmpp", "selfsim", "poisson"} {
 		cfg := burstyArrivalConfigs()[name]
 		b.Run(name, func(b *testing.B) {
 			const span = 100_000

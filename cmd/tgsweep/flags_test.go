@@ -73,6 +73,7 @@ func TestEnumFlagsRejectUnknownValues(t *testing.T) {
 		// Flags a mode never reads are refused, not silently ignored.
 		{"tgsweep", []string{"-scenario", "library", "-curve-mode", "adaptive"}, `-curve-mode requires -curve`},
 		{"tgsweep", []string{"-scenario", "library", "-curve", "-analytic"}, `-analytic applies to grid/scenario sweeps, not -curve`},
+		{"tgsweep", []string{"-retry-backoff", "1s"}, `-retry-backoff requires -retries N >= 2`},
 		{"nocsim", []string{"-on-violation", "ignore"}, `-on-violation "ignore": want record or fail`},
 	} {
 		out, err := runTool(t, bins[tc.tool], tc.args...)

@@ -8,8 +8,8 @@
 //
 //	tgsweep [-workers N] [-grid FILE|default] [-out BASE|-] [-maxcycles N]
 //	        [-kernel event|strict|skip] [-shards N]
-//	        [-journal FILE [-resume]] [-retries N] [-retry-backoff D]
-//	        [-point-deadline D] [-cpuprofile FILE] [-memprofile FILE]
+//	        [-journal FILE [-resume]] [-retries N [-retry-backoff D]]
+//	        [-run-budget D] [-cpuprofile FILE] [-memprofile FILE]
 //	tgsweep -scenario FILE|library # run declarative traffic scenarios
 //	tgsweep -scenario FILE|library -curve [-curve-mode uniform|adaptive]
 //	        [-journal FILE [-resume]] # load-latency curves per scenario
@@ -37,7 +37,7 @@
 // traffic source executes open-loop against the generator-validation
 // harness (internal/valid) and the fidelity report — offered load vs. the
 // analytic rate, inter-injection CDFs, index of dispersion, Hurst
-// estimates, class shares — lands in <out>.json. The default suite is the
+// estimates — lands in <out>.json. The default suite is the
 // stock source set; with -scenario, sources derive from the scenario
 // file's stochastic workloads. A failed fidelity check exits nonzero.
 // -validate reads -scenario, -workers and -out and nothing else: the
@@ -74,8 +74,9 @@
 // budget, barrier stall, worker panic) up to N attempts with exponential
 // -retry-backoff, every attempt on the configured -kernel and -shards;
 // deterministic failures (deadlock, conservation) are quarantined
-// immediately as failed points. -point-deadline bounds each attempt's wall
-// clock through the guard run budget.
+// immediately as failed points. -retry-backoff without -retries N (N ≥ 2)
+// is refused. -run-budget bounds each attempt's wall clock; alone it arms
+// only that budget, with -guard the full watchdog set too.
 //
 // -workers, -kernel, -cpuprofile/-memprofile and -guard/-run-budget/
 // -on-violation are declared once, in internal/cliflags, and shared with
@@ -118,8 +119,7 @@ func main() {
 		journalF  = flag.String("journal", "", "write-ahead journal file: every completed point is fsync'd so a crashed or interrupted sweep resumes with -resume")
 		resume    = flag.Bool("resume", false, "resume the -journal file, skipping completed points (artifacts come out byte-identical to an uninterrupted run)")
 		retries   = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff on the same -kernel and -shards (0/1 = no retries)")
-		retryBack = flag.Duration("retry-backoff", 0, "base delay before a retry, doubling per attempt")
-		deadline  = flag.Duration("point-deadline", 0, "wall-clock deadline per point attempt (rides the guard run budget; a blown deadline is transient and retried)")
+		retryBack = flag.Duration("retry-backoff", 0, "base delay before a retry, doubling per attempt (requires -retries N >= 2)")
 	)
 	execs := cliflags.RegisterExec()
 	profiles := cliflags.RegisterProfile()
@@ -133,7 +133,7 @@ func main() {
 	tool.Fail(sweep.ValidateShards(*shards))
 	gcfg, err := guards.Config()
 	tool.Fail(err)
-	rpol, err := retryPolicy(*retries, *retryBack, *deadline)
+	rpol, err := retryPolicy(*retries, *retryBack)
 	tool.Fail(err)
 	if *resume && *journalF == "" {
 		tool.Fail(errors.New("-resume requires -journal FILE"))
@@ -322,16 +322,19 @@ func printPredictions(specs []scenario.Spec) {
 	tw.Flush()
 }
 
-// retryPolicy resolves the -retries/-retry-backoff/-point-deadline flags
-// into a runner retry policy (nil = single attempt, no deadline).
-func retryPolicy(retries int, backoff, deadline time.Duration) (*sweep.RetryPolicy, error) {
-	if retries == 0 && backoff == 0 && deadline == 0 {
+// retryPolicy resolves the -retries/-retry-backoff flags into a runner
+// retry policy (nil = single attempt). A backoff without a second attempt
+// to delay is refused rather than ignored.
+func retryPolicy(retries int, backoff time.Duration) (*sweep.RetryPolicy, error) {
+	if backoff != 0 && retries < 2 {
+		return nil, errors.New("-retry-backoff requires -retries N >= 2")
+	}
+	if retries == 0 {
 		return nil, nil
 	}
 	p := &sweep.RetryPolicy{
 		MaxAttempts: retries,
 		BackoffMS:   int(backoff / time.Millisecond),
-		DeadlineMS:  int(deadline / time.Millisecond),
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

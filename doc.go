@@ -73,9 +73,7 @@
 // gap (0 = silent) and exponential or deterministic dwell time, the classic
 // on/off burst model — or a stochastic.SelfSimilar, which superposes Pareto
 // on/off stations (shape α = 3 − 2H) into long-range-dependent traffic with
-// a target Hurst exponent. Orthogonally, Classes weights draw a per-transaction message
-// class: the request carries the tag, fabrics forward it untouched and
-// arbitrate class-blind, and completed transactions are counted per class.
+// a target Hurst exponent.
 //
 // Arrival-process semantics worth knowing: processes evolve on an exact
 // float64 virtual clock and discretize by flooring event epochs, so
@@ -83,9 +81,7 @@
 // of rate λ injects at exactly λ/(1+λ) transactions per cycle once the
 // one-cycle acceptance handshake is counted. Draws come from the
 // generator's seeded stream only (determinism class: same seed, same
-// schedule, on every kernel and shard count), and classless configurations
-// consume the exact legacy stream, so adding the feature changed no
-// golden artifact. In grids and scenarios the process rides the "arrival"
+// schedule, on every kernel and shard count). In grids and scenarios the process rides the "arrival"
 // axis (mutually exclusive with dist/mean_gap, and without a mean-gap load
 // axis: the load lives in the process parameters).
 //
@@ -95,8 +91,8 @@
 // analytic expectations — offered load within the 95% Student-t CI of the
 // spec rate, inter-injection times against exact discretized CDFs
 // (Kolmogorov–Smirnov), index of dispersion against the finite-window
-// MMPP variance-time curve, aggregate-variance Hurst estimates, and χ²
-// class shares. The fidelity report (valid.Report JSON) is
+// MMPP variance-time curve, and aggregate-variance Hurst estimates. The
+// fidelity report (valid.Report JSON) is
 // byte-identical across kernels and worker counts, so the whole suite
 // runs as deterministic CI tests rather than flaky statistics.
 //
@@ -120,11 +116,7 @@
 // structural error bars (KneeRelErr, LatencyRelErr) that widen with
 // burstiness and skew, and a validity floor (ValidMinGap) below which
 // LatencyAt returns the closed-loop asymptote rather than a steady-state
-// mean. Like the fabrics themselves, the model is class-blind: message
-// classes shape injection only, Request.Class is forwarded untouched and
-// never arbitrated on (see ROADMAP, class-aware arbitration), so every
-// class shares one predicted latency and the per-class split is an
-// injection-mix share.
+// mean.
 //
 // The sweep layer spends these predictions in three places. Curve runs
 // (sweep.CurveModeAdaptive, tgsweep -curve-mode adaptive) seed their load axis
@@ -273,7 +265,8 @@
 // -run-budget CLI flags) arms runtime invariant watchdogs on any run: a
 // deadlock horizon (live packets but no retirement for NoRetireHorizon
 // cycles), flit/credit and packet-pool conservation scans every
-// ConservationEvery cycles, a wall-clock RunBudget for the whole run, and
+// ConservationEvery cycles, a wall-clock RunBudget for the whole run
+// (-run-budget alone arms only this one), and
 // a BarrierStall watchdog on the sharded SPMD barrier. A tripped watchdog
 // aborts the run with a typed *guard.Violation — kind, cycle, shard and a
 // guard.Diagnostic dump of the wedged fabric (stuck queues, blocked
@@ -305,9 +298,8 @@
 // refused via the campaign key. Torn journal tails (the crash signature)
 // truncate cleanly on resume; mid-file corruption is a hard error.
 //
-// A sweep.RetryPolicy (SweepRunner.Retry, tgsweep
-// -retries/-retry-backoff/-point-deadline) re-attempts transiently failed
-// points — run budget, barrier stall, recovered worker panic — with
+// A sweep.RetryPolicy (SweepRunner.Retry, tgsweep -retries/-retry-backoff)
+// re-attempts transiently failed points — run budget, barrier stall, recovered worker panic — with
 // exponential backoff on the same kernel and shard count, while
 // deterministic failures (deadlock, conservation) quarantine immediately.
 // SIGINT/SIGTERM drain gracefully

@@ -1,15 +1,14 @@
 // Package analytic is the closed-form queueing estimator behind the
 // sweep layer's analytical fast-path: it maps a sweep point (fabric
-// topology, spatial traffic pattern, arrival process, message classes)
-// onto a predicted zero-load latency, per-load-level mean latency and
-// saturation-knee load without running a single simulated cycle.
+// topology, spatial traffic pattern, arrival process) onto a predicted
+// zero-load latency, per-load-level mean latency and saturation-knee load
+// without running a single simulated cycle.
 //
 // The model follows the per-router channel-load construction of Mandal et
-// al., "Analytical Performance Models for NoCs with Multiple Priority
-// Traffic Classes" (arXiv 1908.02408), adapted to this repository's
-// closed-loop generators: every master keeps one outstanding transaction,
-// so the system is a closed queueing network with N customers and the
-// drawn inter-transaction gap as think time. Spatial patterns become a
+// al.'s analytical NoC performance models (arXiv 1908.02408), adapted to
+// this repository's closed-loop generators: every master keeps one
+// outstanding transaction, so the system is a closed queueing network
+// with N customers and the drawn inter-transaction gap as think time. Spatial patterns become a
 // per-source destination distribution; dimension-ordered route enumeration
 // (noc.Config.Route — pinned to the live router's decision by test) turns
 // that distribution into per-channel flit loads; the per-transaction
@@ -29,10 +28,6 @@
 //   - Symmetric progress: every master injects at the same rate, so
 //     per-resource utilization is rate × summed demand. Asymmetric
 //     patterns (hotspot) stress this least-well near saturation.
-//   - Class-blind fabrics: Request.Class is forwarded untouched by both
-//     interconnects (see the ROADMAP's class-aware arbitration item), so
-//     priority terms apply to the injection mix only — every class sees
-//     the same predicted latency.
 //
 // The estimator's hot path (Estimate, LatencyAt) performs no allocation;
 // compile-time work happens once in New.
@@ -92,8 +87,6 @@ type Traffic struct {
 	// sources (MMPP/self-similar arrival processes); 0 for gap-swept
 	// workloads, whose load is supplied per call (LatencyAt).
 	MeanGap float64 `json:"mean_gap,omitempty"`
-	// Classes are the relative per-class injection weights (may be nil).
-	Classes []float64 `json:"classes,omitempty"`
 }
 
 // Spec is one fully-described estimation point.
@@ -160,9 +153,6 @@ type Estimator struct {
 	// exponential AMVA baseline: the clamped arrival-gap SCV (service is
 	// deterministic, so arrivals carry all the variability).
 	cb float64
-
-	classes []ClassEstimate
-	note    string
 }
 
 // New validates and compiles a spec.
@@ -196,17 +186,6 @@ func New(spec Spec) (*Estimator, error) {
 		if r.demand > e.resources[e.bottleneck].demand {
 			e.bottleneck = i
 		}
-	}
-	if w := spec.Traffic.Classes; len(w) > 0 {
-		var sum float64
-		for _, v := range w {
-			sum += v
-		}
-		e.classes = make([]ClassEstimate, len(w))
-		for i, v := range w {
-			e.classes[i] = ClassEstimate{Class: i, Share: v / sum}
-		}
-		e.note = "classes shape the injection mix only: both fabrics forward Request.Class untouched (class-blind arbitration), so every class sees the same predicted latency"
 	}
 	return e, nil
 }

@@ -166,24 +166,6 @@ func TestAMBAHand(t *testing.T) {
 	}
 }
 
-// TestClasses checks the class-blind view: shares follow the weights,
-// the note says why latency is shared.
-func TestClasses(t *testing.T) {
-	spec := oneMaster()
-	spec.Traffic.Classes = []float64{3, 1}
-	e, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := e.Estimate()
-	if len(est.Classes) != 2 || est.Classes[0].Share != 0.75 || est.Classes[1].Share != 0.25 {
-		t.Fatalf("class shares = %+v, want 0.75/0.25", est.Classes)
-	}
-	if est.Note == "" {
-		t.Error("class-blind note missing")
-	}
-}
-
 // TestValidation exercises the rejection paths.
 func TestValidation(t *testing.T) {
 	bad := []func(*Spec){

@@ -2,14 +2,6 @@ package analytic
 
 import "math"
 
-// ClassEstimate is the per-class slice of a prediction. Until class-aware
-// arbitration lands, every class shares the fabric's latency; Share is
-// the class's fraction of the injection mix.
-type ClassEstimate struct {
-	Class int     `json:"class"`
-	Share float64 `json:"share"`
-}
-
 // Estimate is the closed-form prediction for one point: the zero-load
 // operating corner, the saturation knee, and structural error bars.
 type Estimate struct {
@@ -50,14 +42,9 @@ type Estimate struct {
 	// asymptote rather than a steady-state mean (open-loop latency would
 	// be unbounded there).
 	ValidMinGap float64 `json:"valid_min_gap"`
-	// Classes is the per-class view (nil without message classes).
-	Classes []ClassEstimate `json:"classes,omitempty"`
-	// Note records modelling caveats (class-blind forwarding, SCV clamp).
-	Note string `json:"note,omitempty"`
 }
 
-// Estimate computes the point prediction. It allocates nothing beyond
-// the slices compiled in New (Classes aliases the compiled slice).
+// Estimate computes the point prediction. It allocates nothing.
 func (e *Estimator) Estimate() Estimate {
 	bott := e.resources[e.bottleneck]
 	n := float64(e.spec.Traffic.Masters)
@@ -68,8 +55,6 @@ func (e *Estimator) Estimate() Estimate {
 		Bottleneck:       bott.name,
 		BottleneckDemand: bott.demand,
 		GapSCV:           e.spec.Traffic.GapSCV,
-		Classes:          e.classes,
-		Note:             e.note,
 	}
 	// Closed-loop period at gap g is g+1+T0 plus queueing; the bottleneck
 	// saturates where demand-per-period hits 1: g* = S - T0 - 1.

@@ -23,7 +23,7 @@ type Guard struct {
 func RegisterGuard(defaultOnViolation string) *Guard {
 	return &Guard{
 		on:     flag.Bool("guard", false, "arm the guard watchdogs (deadlock horizon, conservation scans, barrier-stall bound) on every simulation"),
-		budget: flag.Duration("run-budget", 0, "wall-clock budget per simulation (implies -guard); an exceeded run fails with a run-budget violation"),
+		budget: flag.Duration("run-budget", 0, "wall-clock budget per simulation; an exceeded run fails with a run-budget violation (alone it arms only this budget; with -guard, the full watchdog set too)"),
 		onViol: flag.String("on-violation", defaultOnViolation, "guard violation handling: record (print diagnostics, exit 0) or fail (same output, exit 1)"),
 	}
 }
@@ -38,8 +38,11 @@ func (g *Guard) Config() (*guard.Config, error) {
 	if *g.budget < 0 {
 		return nil, fmt.Errorf("-run-budget %v: want a non-negative duration", *g.budget)
 	}
-	if !*g.on && *g.budget == 0 {
-		return nil, nil
+	if !*g.on {
+		if *g.budget == 0 {
+			return nil, nil
+		}
+		return &guard.Config{RunBudget: *g.budget}, nil
 	}
 	c := guard.Default()
 	c.RunBudget = *g.budget

@@ -13,10 +13,13 @@ import (
 // TestGuardFlags pins the one resolution of -guard/-run-budget/-on-violation
 // that nocsim, tgrepro and tgsweep share: a negative budget and an unknown
 // -on-violation mode are rejected by every tool, not by one of three.
+// -run-budget alone arms a budget-only guard; with -guard it joins the
+// full watchdog set.
 func TestGuardFlags(t *testing.T) {
 	armed := guard.Default()
-	budgeted := guard.Default()
-	budgeted.RunBudget = 2 * time.Second
+	budgetOnly := guard.Config{RunBudget: 2 * time.Second}
+	armedBudget := guard.Default()
+	armedBudget.RunBudget = 2 * time.Second
 	for _, tc := range []struct {
 		name    string
 		def     string
@@ -27,7 +30,8 @@ func TestGuardFlags(t *testing.T) {
 	}{
 		{name: "off", def: "record", onViol: "record"},
 		{name: "guard", def: "fail", args: []string{"-guard"}, want: &armed, onViol: "fail"},
-		{name: "budget only", def: "fail", args: []string{"-run-budget", "2s", "-on-violation", "record"}, want: &budgeted, onViol: "record"},
+		{name: "budget only", def: "fail", args: []string{"-run-budget", "2s", "-on-violation", "record"}, want: &budgetOnly, onViol: "record"},
+		{name: "guard and budget", def: "fail", args: []string{"-guard", "-run-budget", "2s"}, want: &armedBudget, onViol: "fail"},
 		{name: "negative budget", def: "fail", args: []string{"-run-budget", "-1s"}, wantErr: "-run-budget -1s"},
 		{name: "bad on-violation", def: "record", args: []string{"-guard", "-on-violation", "ignore"}, wantErr: `-on-violation "ignore"`},
 	} {

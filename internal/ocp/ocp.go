@@ -70,11 +70,6 @@ type Request struct {
 	Data []uint32
 	// MasterID identifies the issuing master (for arbitration and tracing).
 	MasterID int
-	// Class is the message's priority class (0 when unclassified). The
-	// fabrics forward the tag untouched and arbitrate class-blind; it
-	// exists so class-aware masters and meters can attribute traffic
-	// (see stochastic.Config.Classes).
-	Class int
 }
 
 // Validate checks structural invariants of the request.

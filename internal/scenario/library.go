@@ -52,10 +52,9 @@ func Library() []Spec {
 		MeanGaps: []float64{12, 4},
 		Count:    300,
 	})
-	// The arrival-process band: an on/off MMPP burst aimed at a hotspot,
-	// a self-similar uniform-random load, and a priority-tagged Poisson
-	// load. Arrival scenarios carry no mean-gap axis (one point each);
-	// the priority scenario keeps the classic two-load axis.
+	// The arrival-process band: an on/off MMPP burst aimed at a hotspot
+	// and a self-similar uniform-random load. Arrival scenarios carry no
+	// mean-gap axis (one point each).
 	specs = append(specs,
 		Spec{
 			Name:   "bursty-hotspot-mesh",
@@ -77,17 +76,6 @@ func Library() []Spec {
 			Arrival: &sweep.Arrival{Process: sweep.ProcessSelfSimilar,
 				Sources: 8, Hurst: 0.8, OnMean: 50, OffMean: 100, PeakGap: 4},
 			Count: 300,
-		},
-		Spec{
-			Name:   "priority-transpose-mesh",
-			Fabric: "xpipes",
-			Width:  2, Height: 2,
-			MeshWidth: 4, MeshHeight: 3,
-			Pattern:  "transpose",
-			Dist:     "poisson",
-			Classes:  []float64{0.5, 0.3, 0.2},
-			MeanGaps: []float64{12, 4},
-			Count:    300,
 		},
 	)
 	return specs

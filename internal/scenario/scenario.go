@@ -67,9 +67,6 @@ type Spec struct {
 	// parameters, so the mean_gaps and curve_gaps load axes must be
 	// empty.
 	Arrival *sweep.Arrival `json:"arrival,omitempty"`
-	// Classes are relative per-message-class injection weights (priority
-	// traffic; see stochastic.Config.Classes).
-	Classes []float64 `json:"classes,omitempty"`
 	// MeanGaps is the load axis: one grid point per mean
 	// inter-transaction gap in cycles (smaller gap = higher load).
 	MeanGaps []float64 `json:"mean_gaps,omitempty"`
@@ -135,7 +132,6 @@ func (s Spec) workloads() []sweep.Workload {
 		Hotspot:   s.Hotspot,
 		AllowSelf: s.AllowSelf,
 		Arrival:   s.Arrival,
-		Classes:   s.Classes,
 	}
 	if s.Arrival != nil {
 		return []sweep.Workload{base}

@@ -1,8 +1,8 @@
 // Arrival processes beyond the memoryless Dist set: Markov-modulated
 // (MMPP/on-off) bursty sources and a self-similar source built from
 // superposed Pareto on/off stations. Both are pure temporal models — they
-// replace nextGap, and compose with any Spatial pattern and the Classes
-// priority axis exactly like the legacy distributions.
+// replace nextGap, and compose with any Spatial pattern exactly like the
+// legacy distributions.
 //
 // Discretization. The processes are defined on a continuous virtual clock
 // and quantized by flooring the absolute event time, not the individual
@@ -33,9 +33,6 @@ const MaxStates = 8
 
 // MaxSources bounds the self-similar on/off superposition.
 const MaxSources = 64
-
-// MaxClasses bounds the priority class axis.
-const MaxClasses = 8
 
 // maxArrivalParam bounds every rate/dwell parameter, mirroring the
 // scenario loader's hostile-input bounds.
@@ -307,43 +304,4 @@ func newArrival(cfg Config, rng *rand.Rand) arrival {
 		return newSelfSimArrival(*cfg.SelfSimilar, rng)
 	}
 	return nil
-}
-
-// ValidateClasses checks a priority-class weight vector: 1..MaxClasses
-// non-negative finite weights with a positive sum.
-func ValidateClasses(weights []float64) error {
-	if len(weights) == 0 {
-		return nil
-	}
-	if len(weights) > MaxClasses {
-		return fmt.Errorf("stochastic: %d classes exceed %d", len(weights), MaxClasses)
-	}
-	var sum float64
-	for i, w := range weights {
-		if math.IsNaN(w) || w < 0 || w > maxArrivalParam {
-			return fmt.Errorf("stochastic: class %d weight %v outside [0, %g]", i, w, maxArrivalParam)
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		return fmt.Errorf("stochastic: class weights sum to %v, need > 0", sum)
-	}
-	return nil
-}
-
-// classCum folds validated weights into a cumulative distribution whose
-// final entry is exactly 1, so the class draw can never fall off the end.
-func classCum(weights []float64) []float64 {
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	cum := make([]float64, len(weights))
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		cum[i] = acc / sum
-	}
-	cum[len(cum)-1] = 1
-	return cum
 }

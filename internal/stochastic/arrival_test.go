@@ -28,9 +28,6 @@ func TestArrivalValidation(t *testing.T) {
 		{"both processes", Config{
 			MMPP:        &MMPP{StateGaps: []float64{4, 0}, StateDwells: []float64{100, 100}},
 			SelfSimilar: &SelfSimilar{Sources: 4, Hurst: 0.8, OnMean: 10, OffMean: 10, PeakGap: 2}}},
-		{"negative class weight", Config{Classes: []float64{1, -1}}},
-		{"zero-sum classes", Config{Classes: []float64{0, 0}}},
-		{"too many classes", Config{Classes: make([]float64, MaxClasses+1)}},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,32 +154,5 @@ func TestArrivalDeterministicWithSeed(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestClassWeightsShapeTraffic(t *testing.T) {
-	g, _ := run(t, Config{Dist: Poisson, MeanGap: 4, Count: 2000, Seed: 9,
-		Classes: []float64{3, 1}})
-	c0, c1 := g.classTxns[0].Value(), g.classTxns[1].Value()
-	if c0+c1 != g.txns.Value() {
-		t.Fatalf("class counts %d+%d != transactions %d", c0, c1, g.txns.Value())
-	}
-	ratio := float64(c0) / float64(c1)
-	if ratio < 2.4 || ratio > 3.6 {
-		t.Fatalf("class ratio %.2f, want ≈ 3", ratio)
-	}
-}
-
-func TestClasslessRunUnchangedByClassField(t *testing.T) {
-	// Adding the Classes axis must not disturb the rng stream of legacy
-	// configs: a classless run reproduces the exact pre-axis schedule.
-	base := Config{Dist: Poisson, MeanGap: 10, Count: 200, Seed: 42}
-	g1, e1 := run(t, base)
-	g2, e2 := run(t, base)
-	if e1.Cycle() != e2.Cycle() || g1.HaltCycle() != g2.HaltCycle() {
-		t.Fatal("classless runs must stay reproducible")
-	}
-	if g1.classTxns != nil {
-		t.Fatal("classless generator must not allocate class counters")
 	}
 }

@@ -83,14 +83,6 @@ type Config struct {
 	// SelfSimilar selects the superposed Pareto on/off arrival process;
 	// mutually exclusive with MMPP.
 	SelfSimilar *SelfSimilar
-	// Classes are relative per-message-class injection weights. When set,
-	// every transaction draws a class c with probability
-	// Classes[c]/sum(Classes), tags the request's Class field, and
-	// completed transactions are counted per class in the stats registry
-	// ("classN/transactions"). The fabrics forward the tag untouched —
-	// arbitration stays class-blind — so classes shape the offered mix,
-	// not the service order.
-	Classes []float64
 }
 
 func (c Config) withDefaults() Config {
@@ -133,10 +125,6 @@ type Generator struct {
 	// arrival is non-nil when an MMPP or self-similar process replaces
 	// the Dist gap draw.
 	arrival arrival
-	// classCum is the cumulative class-weight distribution (nil without
-	// Classes); classTxns counts completed transactions per class.
-	classCum  []float64
-	classTxns []sim.Counter
 
 	issued int
 	// wakeAt is the absolute cycle at which the next transaction is built
@@ -201,13 +189,6 @@ func New(id int, cfg Config, port ocp.MasterPort) *Generator {
 		ReqLatency: sim.NewLatencyHistogram(),
 	}
 	g.arrival = newArrival(cfg, g.rng)
-	if len(cfg.Classes) > 0 {
-		if err := ValidateClasses(cfg.Classes); err != nil {
-			panic(err.Error())
-		}
-		g.classCum = classCum(cfg.Classes)
-		g.classTxns = make([]sim.Counter, len(cfg.Classes))
-	}
 	return g
 }
 
@@ -240,9 +221,6 @@ func (g *Generator) RequestLatencyHist() *sim.Histogram { return g.ReqLatency }
 func (g *Generator) RegisterStats(r *sim.Registry) {
 	r.RegisterCounter("transactions", &g.txns)
 	r.RegisterCounter("reads", &g.reads)
-	for i := range g.classTxns {
-		r.RegisterCounter(fmt.Sprintf("class%d/transactions", i), &g.classTxns[i])
-	}
 	r.RegisterHistogram("latency", g.Latency)
 	r.RegisterHistogram("req_latency", g.ReqLatency)
 }
@@ -288,23 +266,12 @@ func (g *Generator) nextRequest() ocp.Request {
 	}
 	words := r.Size / 4
 	addr := r.Base + uint32(g.rng.Intn(int(words)))*4
-	read := g.rng.Float64() < g.cfg.ReadFraction
-	// The class draw comes after the legacy draws and only when classes
-	// are configured, so classless generators consume the exact rng
-	// stream they always did (the goldens pin this).
-	class := 0
-	if len(g.classCum) > 0 {
-		u := g.rng.Float64()
-		for u > g.classCum[class] {
-			class++
-		}
-	}
-	if read {
-		return ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1, MasterID: g.id, Class: class}
+	if g.rng.Float64() < g.cfg.ReadFraction {
+		return ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1, MasterID: g.id}
 	}
 	g.wbuf[0] = g.rng.Uint32()
 	return ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1,
-		Data: g.wbuf[:], MasterID: g.id, Class: class}
+		Data: g.wbuf[:], MasterID: g.id}
 }
 
 // Tick implements sim.Device.
@@ -334,9 +301,6 @@ func (g *Generator) Tick(cycle uint64) {
 				g.state = gResp
 			} else {
 				g.txns.Inc()
-				if g.classTxns != nil {
-					g.classTxns[g.req.Class].Inc()
-				}
 				g.wakeAt = cycle + g.nextGap() + 1
 				g.state = gIdle
 			}
@@ -346,9 +310,6 @@ func (g *Generator) Tick(cycle uint64) {
 			g.Latency.Observe(cycle - g.reqStart)
 			g.ReqLatency.Observe(cycle - g.assertAt)
 			g.txns.Inc()
-			if g.classTxns != nil {
-				g.classTxns[g.req.Class].Inc()
-			}
 			g.reads.Inc()
 			g.wakeAt = cycle + g.nextGap() + 1
 			g.state = gIdle

@@ -38,7 +38,6 @@ func AnalyticSpec(w Workload, f Fabric) (analytic.Spec, error) {
 		ReadFraction: rcfg.ReadFraction,
 		Burst:        1, // generators issue single-beat transactions
 		GapSCV:       rcfg.GapSCV(),
-		Classes:      w.Classes,
 	}
 	if g := rcfg.MeanGapCycles(); !math.IsInf(g, 0) {
 		traffic.MeanGap = g

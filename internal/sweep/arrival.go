@@ -118,7 +118,6 @@ func (w Workload) StochasticConfig(seed int64) (stochastic.Config, error) {
 		MeanGap: w.MeanGap,
 		Count:   w.Count,
 		Seed:    seed,
-		Classes: w.Classes,
 	}
 	if w.Arrival != nil {
 		switch w.Arrival.Process {
@@ -150,10 +149,10 @@ func (w Workload) StochasticConfig(seed int64) (stochastic.Config, error) {
 	return cfg, nil
 }
 
-// BurstyGrid is the stock bursty/self-similar/priority scenario sweep:
-// an on/off MMPP hotspot, a deterministic-dwell two-rate MMPP, a
-// self-similar uniform-random workload and a priority-tagged Poisson
-// workload, on the AMBA bus and a ×pipes mesh. Like ScenarioGrid it is
+// BurstyGrid is the stock bursty/self-similar scenario sweep: an on/off
+// MMPP hotspot, a deterministic-dwell two-rate MMPP, a self-similar
+// uniform-random workload and a Poisson transpose baseline, on the AMBA
+// bus and a ×pipes mesh. Like ScenarioGrid it is
 // pinned by the kernel-differential matrix and a golden artifact
 // (testdata/golden/bursty.json).
 func BurstyGrid() Grid {
@@ -175,8 +174,7 @@ func BurstyGrid() Grid {
 					Sources: 8, Hurst: 0.8, OnMean: 50, OffMean: 100, PeakGap: 4}},
 			{Kind: KindStochastic, Cores: 4, Count: 300,
 				Pattern: "transpose", PatternW: 2, PatternH: 2,
-				Dist: "poisson", MeanGap: 6,
-				Classes: []float64{0.5, 0.3, 0.2}},
+				Dist: "poisson", MeanGap: 6},
 		},
 		Fabrics: []Fabric{
 			{Interconnect: FabricAMBA},

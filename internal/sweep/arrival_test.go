@@ -27,20 +27,15 @@ func TestArrivalWorkloadValidation(t *testing.T) {
 		{"bad dwell dist", Workload{Kind: KindStochastic, Cores: 2,
 			Arrival: &Arrival{Process: ProcessMMPP, Gaps: []float64{3, 0},
 				Dwells: []float64{80, 160}, DwellDist: "weibull"}}},
-		{"bad classes", Workload{Kind: KindStochastic, Cores: 2, Dist: "poisson",
-			Classes: []float64{-1, 1}}},
 		{"tg with arrival", Workload{Kind: KindTG, Bench: "mpmatrix", Cores: 2, Size: 8,
 			Arrival: mmpp}},
-		{"tg with classes", Workload{Kind: KindTG, Bench: "mpmatrix", Cores: 2, Size: 8,
-			Classes: []float64{1, 1}}},
 	}
 	for _, tc := range bad {
 		if err := tc.w.validate(); err == nil {
 			t.Errorf("%s: validate accepted %+v", tc.name, tc.w)
 		}
 	}
-	good := Workload{Kind: KindStochastic, Cores: 2, Count: 100, Arrival: mmpp,
-		Classes: []float64{2, 1}}
+	good := Workload{Kind: KindStochastic, Cores: 2, Count: 100, Arrival: mmpp}
 	if err := good.validate(); err != nil {
 		t.Fatalf("valid arrival workload rejected: %v", err)
 	}
@@ -48,7 +43,7 @@ func TestArrivalWorkloadValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.MMPP == nil || cfg.Seed != 7 || len(cfg.Classes) != 2 {
+	if cfg.MMPP == nil || cfg.Seed != 7 {
 		t.Fatalf("compiled config = %+v", cfg)
 	}
 }
@@ -63,8 +58,8 @@ func TestArrivalWorkloadLabels(t *testing.T) {
 		"stochastic-selfsimH0.8x8/4P/300": {Kind: KindStochastic, Cores: 4, Count: 300,
 			Arrival: &Arrival{Process: ProcessSelfSimilar, Sources: 8, Hurst: 0.8,
 				OnMean: 50, OffMean: 100, PeakGap: 4}},
-		"stochastic-poisson-prio3/4P/300": {Kind: KindStochastic, Cores: 4, Count: 300,
-			Dist: "poisson", Classes: []float64{0.5, 0.3, 0.2}},
+		"stochastic-poisson/4P/300": {Kind: KindStochastic, Cores: 4, Count: 300,
+			Dist: "poisson"},
 	}
 	for want, w := range labels {
 		if got := w.Label(); got != want {
@@ -74,7 +69,7 @@ func TestArrivalWorkloadLabels(t *testing.T) {
 }
 
 // TestKernelDifferentialBursty: every point of the stock
-// bursty/self-similar/priority grid serialises the same artifact under
+// bursty/self-similar grid serialises the same artifact under
 // every kernel, and the reference is the committed golden.
 func TestKernelDifferentialBursty(t *testing.T) {
 	ref := simtest.Differential(t, "bursty grid", simtest.Kernel, pointsCampaign(BurstyGrid().Expand()))
@@ -97,9 +92,6 @@ func randomArrivalPoints(seed int64, n int) []Point {
 		}
 		if w.Pattern == "hotspot" {
 			w.Hotspot = []float64{0, 0.2 + 0.6*rng.Float64()}
-		}
-		if rng.Intn(4) > 0 {
-			w.Classes = []float64{1 + rng.Float64(), rng.Float64(), 0.5}
 		}
 		if i%2 == 0 {
 			states := 2 + rng.Intn(3)
@@ -154,7 +146,7 @@ func TestArrivalPropertyDifferential(t *testing.T) {
 
 // TestGoldenBurstyScenarios snapshots the stock bursty grid under
 // testdata/golden/bursty.json: any drift in the arrival-process state
-// machines, the class draw or their discretization fails CI with a
+// machines or their discretization fails CI with a
 // diffable artifact. Regenerate deliberately with -update.
 func TestGoldenBurstyScenarios(t *testing.T) {
 	results, err := Runner{}.Run(BurstyGrid().Expand())

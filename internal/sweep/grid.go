@@ -62,9 +62,6 @@ type Workload struct {
 	// KindStochastic, replacing Dist/MeanGap (the offered load lives in
 	// the process parameters).
 	Arrival *Arrival `json:"arrival,omitempty"`
-	// Classes are relative per-message-class injection weights for
-	// KindStochastic (see stochastic.Config.Classes).
-	Classes []float64 `json:"classes,omitempty"`
 }
 
 // Label is a compact human-readable workload name, stable across runs.
@@ -73,9 +70,6 @@ func (w Workload) Label() string {
 		temporal := w.Dist
 		if w.Arrival != nil {
 			temporal = w.Arrival.label()
-		}
-		if len(w.Classes) > 0 {
-			temporal += fmt.Sprintf("-prio%d", len(w.Classes))
 		}
 		if w.Pattern != "" {
 			return fmt.Sprintf("stochastic-%s-%s%dx%d/%dP/%d",
@@ -165,8 +159,8 @@ func (w Workload) dist() (stochastic.Dist, error) {
 func (w Workload) validate() error {
 	switch w.Kind {
 	case KindTG:
-		if w.Arrival != nil || len(w.Classes) != 0 {
-			return fmt.Errorf("sweep: arrival/classes are stochastic workload knobs")
+		if w.Arrival != nil {
+			return fmt.Errorf("sweep: arrival is a stochastic workload knob")
 		}
 		if w.Size <= 0 {
 			return fmt.Errorf("sweep: workload %s needs a positive size", w.Bench)
@@ -188,9 +182,6 @@ func (w Workload) validate() error {
 				return err
 			}
 		} else if _, err := w.dist(); err != nil {
-			return err
-		}
-		if err := stochastic.ValidateClasses(w.Classes); err != nil {
 			return err
 		}
 		if w.Cores <= 0 {

@@ -152,6 +152,8 @@ func TestParseGridRejects(t *testing.T) {
 		{"not json", "workloads: none", ""},
 		{"unknown field", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
 			`"fabrics":[{"interconnect":"amba"}],"bandwidth":9}`, `unknown field "bandwidth"`},
+		{"classes field", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2,"classes":[1,1]}],` +
+			`"fabrics":[{"interconnect":"amba"}]}`, `unknown field "classes"`},
 		{"no fabrics", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}]}`, ""},
 		// Execution knobs are Runner-only: a grid file cannot carry them,
 		// whatever the value.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"noctg/internal/guard"
 	"noctg/internal/journal"
@@ -406,9 +407,10 @@ func TestRetryQuarantinesDeterministic(t *testing.T) {
 	}
 }
 
-// TestRetryDeadlineBudget: the per-point deadline rides guard.RunBudget
-// (arming a budget-only guard when the runner has none), classifies
-// transient, and the fault-free retry on the runner's own kernel succeeds.
+// TestRetryDeadlineBudget: a budget-only guard (what -run-budget arms
+// without -guard) bounds each attempt's wall clock, the blown budget
+// classifies transient, and the fault-free retry on the runner's own
+// kernel succeeds.
 func TestRetryDeadlineBudget(t *testing.T) {
 	pts := guardTestPoints()[:1]
 	simtest.Differential(t, "deadline retry", simtest.Kernel, func(t *testing.T, x simtest.Exec) []byte {
@@ -419,7 +421,8 @@ func TestRetryDeadlineBudget(t *testing.T) {
 		r := Runner{
 			Kernel:    kernel,
 			MaxCycles: 1 << 40,
-			Retry:     &RetryPolicy{MaxAttempts: 2, DeadlineMS: 300},
+			Guard:     &guard.Config{RunBudget: 300 * time.Millisecond},
+			Retry:     &RetryPolicy{MaxAttempts: 2},
 			Faults: func(Point) *guard.FaultPlan {
 				return &guard.FaultPlan{SlaveFreezes: []guard.SlaveFreeze{
 					{Node: guardSharedNode, From: 0, To: 1 << 62}}}
@@ -429,7 +432,7 @@ func TestRetryDeadlineBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The first attempt is wedged by the frozen slave until the deadline
+		// The first attempt is wedged by the frozen slave until the budget
 		// fires; assert the end state: recovered within two attempts, no
 		// residual violation.
 		if res.Err != "" || res.Violation != nil {

@@ -14,9 +14,6 @@ const MaxRetryAttempts = 8
 // growth across attempts is bounded by MaxRetryAttempts.
 const maxRetryBackoffMS = 60_000
 
-// maxPointDeadlineMS bounds the per-point wall-clock deadline (one hour).
-const maxPointDeadlineMS = 3_600_000
-
 // RetryPolicy governs how the runner treats a failing point. Only
 // transiently classified failures — wall-clock budget, barrier stall,
 // recovered worker panic (guard.Kind.Transient) — are retried; failures
@@ -25,7 +22,8 @@ const maxPointDeadlineMS = 3_600_000
 // first attempt so the grid keeps draining.
 //
 // The policy is execution-only: it never changes what a passing point
-// computes, so artifacts stay byte-identical with or without one.
+// computes, so artifacts stay byte-identical with or without one. The
+// per-attempt wall-clock bound is the guard's RunBudget (Runner.Guard).
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per point, first run
 	// included. 0 and 1 both mean no retries.
@@ -33,10 +31,6 @@ type RetryPolicy struct {
 	// BackoffMS is the base delay before the second attempt; each further
 	// attempt doubles it (exponential backoff).
 	BackoffMS int `json:"backoff_ms,omitempty"`
-	// DeadlineMS bounds one attempt's wall-clock time, threaded through
-	// guard.Config.RunBudget (arming a budget-only guard when the runner
-	// has none). A blown deadline is a transient failure. 0 disables.
-	DeadlineMS int `json:"deadline_ms,omitempty"`
 }
 
 // Validate bounds the policy.
@@ -50,9 +44,6 @@ func (p *RetryPolicy) Validate() error {
 	if p.BackoffMS < 0 || p.BackoffMS > maxRetryBackoffMS {
 		return fmt.Errorf("sweep: retry backoff_ms %d out of range [0,%d]", p.BackoffMS, maxRetryBackoffMS)
 	}
-	if p.DeadlineMS < 0 || p.DeadlineMS > maxPointDeadlineMS {
-		return fmt.Errorf("sweep: retry deadline_ms %d out of range [0,%d]", p.DeadlineMS, maxPointDeadlineMS)
-	}
 	return nil
 }
 
@@ -62,14 +53,6 @@ func (p *RetryPolicy) attempts() int {
 		return 1
 	}
 	return p.MaxAttempts
-}
-
-// deadline returns the per-attempt wall-clock bound (0 disables).
-func (p *RetryPolicy) deadline() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return time.Duration(p.DeadlineMS) * time.Millisecond
 }
 
 // backoff returns the sleep before retry attempt a (a >= 2), doubling
@@ -115,7 +98,7 @@ func (r Runner) runPointRetry(cache *programCache, p Point, prior int, onAttempt
 				return res, a, err
 			}
 		}
-		res = r.runPointExec(cache, p, a, policy.deadline())
+		res = r.runPointExec(cache, p, a)
 		if res.Err == "" || a >= last || !transientFailure(res) {
 			return res, a, nil
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"noctg/internal/analytic"
 	"noctg/internal/core"
@@ -106,8 +105,8 @@ type Runner struct {
 	// injects nothing. Plans are injected on a point's first attempt only,
 	// so a transient injected failure proves the retry path recovers.
 	Faults func(Point) *guard.FaultPlan
-	// Retry is the retry/deadline policy of every point and curve level
-	// (the -retries flags). Nil means one attempt and no deadline.
+	// Retry is the retry policy of every point and curve level (the
+	// -retries flags). Nil means one attempt.
 	Retry *RetryPolicy
 	// Interrupted, when set, is polled by the one point executor before
 	// each point starts — grid, journaled and curve runs alike. Once it
@@ -319,10 +318,10 @@ func (r Runner) analyticEstimate(p Point, res *Result) bool {
 // runPointExec executes one attempt of one configuration on its own
 // engine. A panicking model is recorded as that point's failure rather than
 // aborting the sweep. attempt is 1-based (fault plans inject on attempt 1
-// only); deadline bounds the wall clock. Every attempt runs the runner's
-// own kernel and shard count: every row of them computes the same bytes,
-// so a point that passed only on another would hide a kernel bug.
-func (r Runner) runPointExec(cache *programCache, p Point, attempt int, deadline time.Duration) (res Result) {
+// only). Every attempt runs the runner's own kernel and shard count:
+// every row of them computes the same bytes, so a point that passed only
+// on another would hide a kernel bug.
+func (r Runner) runPointExec(cache *programCache, p Point, attempt int) (res Result) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			// Keep the point's identity fields: a panic mid-build must still
@@ -396,17 +395,8 @@ func (r Runner) runPointExec(cache *programCache, p Point, attempt int, deadline
 	if r.MaxCycles > 0 {
 		maxCycles = r.MaxCycles
 	}
-	if r.Guard != nil || deadline > 0 {
-		var gcfg guard.Config
-		if r.Guard != nil {
-			gcfg = *r.Guard
-		}
-		if deadline > 0 {
-			// The per-point deadline rides the run-budget watchdog, arming
-			// a budget-only guard when the runner has none.
-			gcfg.RunBudget = deadline
-		}
-		sys.EnableGuard(gcfg)
+	if r.Guard != nil {
+		sys.EnableGuard(*r.Guard)
 	}
 	if r.Faults != nil && attempt <= 1 {
 		if plan := r.Faults(p); plan != nil && !plan.Empty() {

@@ -8,18 +8,17 @@ import (
 )
 
 // deriveDraws is the capture size for scenario-derived sources: enough for
-// the CI and χ² checks without dominating a -validate run's wall clock.
+// the CI and KS checks without dominating a -validate run's wall clock.
 const deriveDraws = 25000
 
 // FromPoint derives a validation source from a sweep point's workload,
 // attaching every analytic expectation the configuration supports: the
 // offered-load CI always, the exact gap CDF for Poisson and integral-width
-// Uniform draws, the finite-window IDC band for two-state exponential
-// MMPPs, and class shares when priorities are configured. It reports false
-// for workloads the harness has no analytic spec for (TG replays, Gaussian
-// and legacy-bursty gaps, fractional uniform widths); validation is
-// open-loop, so the point's fabric is irrelevant and points differing only
-// by fabric derive the same source.
+// Uniform draws, and the finite-window IDC band for two-state exponential
+// MMPPs. It reports false for workloads the harness has no analytic spec
+// for (TG replays, Gaussian and legacy-bursty gaps, fractional uniform
+// widths); validation is open-loop, so the point's fabric is irrelevant
+// and points differing only by fabric derive the same source.
 func FromPoint(p sweep.Point) (Source, bool) {
 	w := p.Workload
 	if w.Kind != sweep.KindStochastic {
@@ -34,17 +33,6 @@ func FromPoint(p sweep.Point) (Source, bool) {
 		Name:   fmt.Sprintf("%s/s%d", w.Label(), p.Seed),
 		Config: cfg,
 		Draws:  deriveDraws,
-	}
-	if len(w.Classes) > 0 {
-		var sum float64
-		for _, c := range w.Classes {
-			sum += c
-		}
-		probs := make([]float64, len(w.Classes))
-		for i, c := range w.Classes {
-			probs[i] = c / sum
-		}
-		src.ClassProbs = probs
 	}
 	switch {
 	case cfg.MMPP != nil:

@@ -166,30 +166,3 @@ func aggVarHurst(counts []float64, minBlocks int) float64 {
 	}
 	return 1 + linregSlope(lx, ly)/2
 }
-
-// chiSquareStat returns the Pearson χ² statistic of observed category
-// counts against expected probabilities.
-func chiSquareStat(obs []float64, probs []float64) float64 {
-	var total float64
-	for _, o := range obs {
-		total += o
-	}
-	var x2 float64
-	for i, o := range obs {
-		e := total * probs[i]
-		if e == 0 {
-			if o > 0 {
-				return math.Inf(1)
-			}
-			continue
-		}
-		d := o - e
-		x2 += d * d / e
-	}
-	return x2
-}
-
-// chiSquareCrit95 holds the 95th-percentile χ² critical values for
-// df = 1..7; message-class draws are capped at 8 classes so 7 degrees of
-// freedom suffice.
-var chiSquareCrit95 = [...]float64{3.841, 5.991, 7.815, 9.488, 11.070, 12.592, 14.067}

@@ -141,13 +141,5 @@ func StockSources() []Source {
 			IDCWindow: 256, IDCLow: 1.2, IDCHigh: 400,
 			HurstBase: 32, HurstLow: 0.65, HurstHigh: 1.0,
 		},
-		{
-			Name: "priority-poisson",
-			Config: stochastic.Config{Dist: stochastic.Poisson, MeanGap: 6, Seed: 7,
-				Classes: []float64{5, 3, 2}},
-			Draws:      20000,
-			Rate:       expGapRate(6),
-			ClassProbs: []float64{0.5, 0.3, 0.2},
-		},
 	}
 }

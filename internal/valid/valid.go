@@ -4,8 +4,8 @@
 // analytic spec — offered load inside a 95% Student-t confidence
 // interval, inter-injection times against the exact discretized CDF
 // (Kolmogorov–Smirnov), index of dispersion against the finite-window
-// MMPP analytic, aggregate-variance Hurst estimates for self-similar
-// sources, and χ² message-class shares.
+// MMPP analytic, and aggregate-variance Hurst estimates for self-similar
+// sources.
 //
 // Every check is deterministic: the capture device is registered before
 // the generator and stays permanently awake, which pins the engine to a
@@ -53,19 +53,17 @@ func (c *cycleProbe) Tick(cycle uint64)          { c.now = cycle }
 func (c *cycleProbe) NextWake(now uint64) uint64 { return now }
 
 // capturePort accepts every request on first presentation and records its
-// injection cycle and class tag. The harness drives sources with
+// injection cycle. The harness drives sources with
 // ReadFraction = -1 (pure posted writes), so TakeResponse is never
 // consulted and inter-injection times equal the drawn gap plus the
 // one-cycle handshake exactly.
 type capturePort struct {
-	probe   *cycleProbe
-	times   []uint64
-	classes []int
+	probe *cycleProbe
+	times []uint64
 }
 
 func (p *capturePort) TryRequest(req *ocp.Request) bool {
 	p.times = append(p.times, p.probe.now)
-	p.classes = append(p.classes, req.Class)
 	return true
 }
 
@@ -99,9 +97,6 @@ type Source struct {
 	// windows of HurstBase cycles, asserting H ∈ [HurstLow, HurstHigh].
 	HurstBase           uint64
 	HurstLow, HurstHigh float64
-	// ClassProbs, when set, enables the χ² check of captured class tags
-	// against these probabilities (must sum to 1).
-	ClassProbs []float64
 }
 
 // Check is one fidelity assertion: the measured Value must lie in
@@ -142,9 +137,8 @@ func (r Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// collect runs one generator open-loop and returns its injection cycles
-// and class tags.
-func collect(cfg stochastic.Config) ([]uint64, []int) {
+// collect runs one generator open-loop and returns its injection cycles.
+func collect(cfg stochastic.Config) []uint64 {
 	eng := sim.NewEngine(sim.Clock{})
 	probe := &cycleProbe{}
 	port := &capturePort{probe: probe}
@@ -154,7 +148,7 @@ func collect(cfg stochastic.Config) ([]uint64, []int) {
 	if _, err := eng.Run(collectMaxCycles, g.Done); err != nil {
 		panic(fmt.Sprintf("valid: open-loop capture did not converge: %v", err))
 	}
-	return port.times, port.classes
+	return port.times
 }
 
 func boundCheck(name string, value, target, low, high float64) Check {
@@ -170,12 +164,11 @@ func CheckSource(src Source) SourceReport {
 	if len(cfg.Ranges) == 0 && cfg.Spatial == nil {
 		cfg.Ranges = []ocp.AddrRange{{Base: 0, Size: 0x400}}
 	}
-	times, classes := collect(cfg)
+	times := collect(cfg)
 	// Drop the leading eighth as warmup: arrival state machines start from
 	// their stationary draw but the phase of the virtual clock does not.
 	skip := len(times) / 8
 	times = times[skip:]
-	classes = classes[skip:]
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 
 	rep := SourceReport{Source: src.Name, Draws: src.Draws, Pass: true}
@@ -216,16 +209,6 @@ func CheckSource(src Source) SourceReport {
 		h := aggVarHurst(windowCounts(times, src.HurstBase), 16)
 		add(boundCheck("hurst-aggvar", h, (src.HurstLow+src.HurstHigh)/2,
 			src.HurstLow, src.HurstHigh))
-	}
-
-	if len(src.ClassProbs) > 0 {
-		obs := make([]float64, len(src.ClassProbs))
-		for _, c := range classes {
-			obs[c]++
-		}
-		x2 := chiSquareStat(obs, src.ClassProbs)
-		df := len(src.ClassProbs) - 1
-		add(boundCheck("class-share-chi2", x2, 0, 0, chiSquareCrit95[df-1]))
 	}
 	return rep
 }

@@ -42,8 +42,8 @@ func TestReportWorkerByteIdentical(t *testing.T) {
 
 // TestHarnessDetectsDrift is the negative control: a source whose spec
 // deliberately misstates the analytic rate (2× too high) must fail the
-// offered-load CI, and one with wrong class shares must fail the χ² check.
-// A harness that cannot fail validates nothing.
+// offered-load CI, and uniform gaps must fail a KS test against the
+// exponential CDF. A harness that cannot fail validates nothing.
 func TestHarnessDetectsDrift(t *testing.T) {
 	wrongRate := Source{
 		Name:   "wrong-rate",
@@ -54,18 +54,6 @@ func TestHarnessDetectsDrift(t *testing.T) {
 	rep := CheckSource(wrongRate)
 	if rep.Pass {
 		t.Error("2x-wrong rate spec passed the offered-load CI")
-	}
-	wrongClasses := Source{
-		Name: "wrong-classes",
-		Config: stochastic.Config{Dist: stochastic.Poisson, MeanGap: 6, Seed: 7,
-			Classes: []float64{5, 3, 2}},
-		Draws:      8000,
-		Rate:       expGapRate(6),
-		ClassProbs: []float64{0.2, 0.3, 0.5},
-	}
-	rep = CheckSource(wrongClasses)
-	if rep.Pass {
-		t.Error("mis-stated class shares passed the chi-square check")
 	}
 	wrongCDF := Source{
 		Name:   "wrong-cdf",
