@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +60,22 @@ func TestEnumFlagsRejectUnknownValues(t *testing.T) {
 	for _, name := range []string{"tgsweep", "tgrepro", "nocsim"} {
 		bins[name] = buildTool(t, name)
 	}
+	// The mode table covers every flag tgsweep declares: a flag no mode
+	// reads could never be set.
+	usage, _ := runTool(t, bins["tgsweep"], "-h")
+	flags := regexp.MustCompile(`(?m)^  -(\S+)`).FindAllSubmatch(usage, -1)
+	if len(flags) == 0 {
+		t.Fatalf("tgsweep -h lists no flags:\n%s", usage)
+	}
+	for _, m := range flags {
+		read := false
+		for mode := range reads {
+			read = read || readBy(mode, string(m[1]))
+		}
+		if !read {
+			t.Errorf("tgsweep -%s is read by no mode", m[1])
+		}
+	}
 	for _, tc := range []struct {
 		tool string
 		args []string
@@ -74,6 +91,14 @@ func TestEnumFlagsRejectUnknownValues(t *testing.T) {
 		{"tgsweep", []string{"-scenario", "library", "-curve-mode", "adaptive"}, `-curve-mode requires -curve`},
 		{"tgsweep", []string{"-scenario", "library", "-curve", "-analytic"}, `-analytic applies to grid/scenario sweeps, not -curve`},
 		{"tgsweep", []string{"-retry-backoff", "1s"}, `-retry-backoff requires -retries N >= 2`},
+		{"tgsweep", []string{"-resume"}, `-resume requires -journal`},
+		{"tgsweep", []string{"-curve"}, `-curve requires -scenario`},
+		{"tgsweep", []string{"-scenario", "library", "-grid", "g.json"}, `-grid applies to grid sweeps, not -scenario`},
+		{"tgsweep", []string{"-validate", "-journal", "v.journal"}, `-journal applies to curve/grid/scenario sweeps, not -validate`},
+		{"tgsweep", []string{"-validate", "-scenario", "library", "-curve"}, `-curve applies to curve sweeps, not -validate`},
+		{"tgsweep", []string{"-validate", "-analytic"}, `-analytic applies to grid/scenario sweeps, not -validate`},
+		{"tgsweep", []string{"-validate", "-shards", "2"}, `-shards applies to curve/grid/scenario sweeps, not -validate`},
+		{"tgsweep", []string{"-print-grid", "-scenario", "library"}, `-scenario applies to curve/scenario/validate sweeps, not -print-grid`},
 		{"nocsim", []string{"-on-violation", "ignore"}, `-on-violation "ignore": want record or fail`},
 	} {
 		out, err := runTool(t, bins[tc.tool], tc.args...)

@@ -30,8 +30,7 @@
 // With -curve (requires -scenario), each scenario's injection load is
 // swept over its curve_gaps axis (or the stock ladder) and measured with
 // the phased methodology at every level; the artifacts are load-latency
-// curves with the detected saturation point per scenario. -curve-mode
-// without -curve, and -analytic with it, are refused by name.
+// curves with the detected saturation point per scenario.
 //
 // With -validate, no simulation sweep runs: instead each stochastic
 // traffic source executes open-loop against the generator-validation
@@ -40,9 +39,16 @@
 // estimates — lands in <out>.json. The default suite is the
 // stock source set; with -scenario, sources derive from the scenario
 // file's stochastic workloads. A failed fidelity check exits nonzero.
-// -validate reads -scenario, -workers and -out and nothing else: the
-// harness pins every kernel to one cycle schedule, so -kernel (still
-// checked) and the sweep flags do not apply.
+// -validate reads -scenario, -workers and -out (and, like every mode, the
+// profile flags) and refuses the rest: the harness pins every kernel to
+// one cycle schedule, so -kernel and the sweep flags do not apply.
+//
+// Each mode (grid, -scenario, -curve, -validate, -print-grid,
+// -print-scenarios) reads the flags one table lists for it; a flag set
+// that the mode never reads is refused by name, never ignored. Grid and
+// scenario files share one validator and one set of bounds: cores in
+// [1, 112], count in [0, 10 000 000], a mean gap of 0 (the default) or in
+// (0, 1e9], mesh sides and buffer_flits in [0, 64].
 //
 // The paper's own evaluation (Table 2, the cross-interconnect check, the
 // overhead measurement, the ablations, Figure 2) is cmd/tgrepro's job.
@@ -90,7 +96,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -109,24 +118,27 @@ func main() {
 		scenPath  = flag.String("scenario", "", "scenario JSON file, or \"library\" for the stock pattern×topology set")
 		out       = flag.String("out", "results", "output basename (<out>.json and <out>.csv), or \"-\" for JSON on stdout")
 		maxCycles = flag.Uint64("maxcycles", 0, "override the per-run simulated-cycle budget")
-		printGrid = flag.Bool("print-grid", false, "print the default grid JSON and exit")
-		printScen = flag.Bool("print-scenarios", false, "print the scenario library JSON and exit")
-		curve     = flag.Bool("curve", false, "sweep injection load per scenario and emit load-latency curves (requires -scenario)")
 		curveMode = flag.String("curve-mode", "", "curve traversal for every -curve scenario: uniform (simulate every level) or adaptive (seed from the analytic knee, simulate only around it); empty keeps each scenario's curve_mode")
 		analyticF = flag.Bool("analytic", false, "analytic pre-pass: stochastic points the closed-form model brackets confidently are estimated instead of simulated (recorded with \"estimated\": true), and the predictions land in <out>.analytic.json")
-		validate  = flag.Bool("validate", false, "run the generator-validation harness and write a fidelity report instead of sweeping (reads only -scenario, -workers and -out)")
 		shards    = flag.Int("shards", 0, "shard every ×pipes simulation across N engine goroutines (0 or 1 = one engine); artifacts are byte-identical for every N")
 		journalF  = flag.String("journal", "", "write-ahead journal file: every completed point is fsync'd so a crashed or interrupted sweep resumes with -resume")
 		resume    = flag.Bool("resume", false, "resume the -journal file, skipping completed points (artifacts come out byte-identical to an uninterrupted run)")
 		retries   = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff on the same -kernel and -shards (0/1 = no retries)")
 		retryBack = flag.Duration("retry-backoff", 0, "base delay before a retry, doubling per attempt (requires -retries N >= 2)")
 	)
+	// The mode flags are read through modeOf.
+	flag.Bool("print-grid", false, "print the default grid JSON and exit")
+	flag.Bool("print-scenarios", false, "print the scenario library JSON and exit")
+	flag.Bool("curve", false, "sweep injection load per scenario and emit load-latency curves (requires -scenario)")
+	flag.Bool("validate", false, "run the generator-validation harness and write a fidelity report instead of sweeping (reads only -scenario, -workers and -out)")
 	execs := cliflags.RegisterExec()
 	profiles := cliflags.RegisterProfile()
 	// A violated point is a failed point of the artifact and the grid
 	// continues either way; -on-violation only picks the exit status.
 	guards := cliflags.RegisterGuard("record")
 	flag.Parse()
+	m := modeOf()
+	tool.Fail(checkFlags(m))
 
 	kernel, err := execs.Kernel()
 	tool.Fail(err)
@@ -135,17 +147,8 @@ func main() {
 	tool.Fail(err)
 	rpol, err := retryPolicy(*retries, *retryBack)
 	tool.Fail(err)
-	if *resume && *journalF == "" {
-		tool.Fail(errors.New("-resume requires -journal FILE"))
-	}
 	if *curveMode != "" {
-		if !*curve {
-			tool.Fail(errors.New("-curve-mode requires -curve"))
-		}
 		tool.Fail(cliflags.OneOf("curve-mode", *curveMode, sweep.CurveModeUniform, sweep.CurveModeAdaptive))
-	}
-	if *analyticF && *curve {
-		tool.Fail(errors.New("-analytic applies to grid/scenario sweeps, not -curve"))
 	}
 	r := sweep.Runner{Workers: execs.Workers(), MaxCycles: *maxCycles, Kernel: kernel,
 		Shards: *shards, Guard: gcfg, Retry: rpol}
@@ -154,43 +157,36 @@ func main() {
 	// process without running defers.
 	defer profiles.Start(tool)()
 
-	if *printGrid {
-		g := sweep.DefaultGrid()
-		pts := g.Expand()
-		fmt.Fprintf(os.Stderr, "default grid: %d points\n", len(pts))
-		tool.Fail(writeJSONIndent(os.Stdout, g))
-		return
-	}
-	if *printScen {
-		specs := scenario.Library()
-		printPredictions(specs)
-		tool.Fail(writeJSONIndent(os.Stdout, specs))
-		return
-	}
-	if *validate {
-		runValidate(*scenPath, r.Workers, *out)
-		return
-	}
 	jc := sweep.JournalConfig{Path: *journalF, Resume: *resume}
 	if jc.Path != "" {
 		r.Interrupted = drain.Arm("tgsweep")
 	}
 
 	var points []sweep.Point
-	switch {
-	case *scenPath != "":
+	switch m {
+	case "print-grid":
+		g := sweep.DefaultGrid()
+		pts := g.Expand()
+		fmt.Fprintf(os.Stderr, "default grid: %d points\n", len(pts))
+		tool.Fail(writeJSONIndent(os.Stdout, g))
+		return
+	case "print-scenarios":
+		specs := scenario.Library()
+		printPredictions(specs)
+		tool.Fail(writeJSONIndent(os.Stdout, specs))
+		return
+	case "validate":
+		runValidate(*scenPath, r.Workers, *out)
+		return
+	case "curve":
+		guards.Exit(tool, runCurves(r, jc, loadScenarios(*scenPath), *curveMode, *out))
+		return
+	case "scenario":
 		specs := loadScenarios(*scenPath)
-		if *curve {
-			guards.Exit(tool, runCurves(r, jc, specs, *curveMode, *out))
-			return
-		}
 		points, err = scenario.Points(specs)
 		tool.Fail(err)
 		fmt.Fprintf(os.Stderr, "tgsweep: %d scenarios\n", len(specs))
 	default:
-		if *curve {
-			tool.Fail(errors.New("-curve requires -scenario FILE|library"))
-		}
 		grid := sweep.DefaultGrid()
 		if *gridPath != "default" {
 			f, err := os.Open(*gridPath)
@@ -265,6 +261,62 @@ func main() {
 	// Artifacts are on disk by now: a failing sweep still leaves its
 	// (deterministic) partial results behind.
 	guards.Exit(tool, violated)
+}
+
+// sweepFlags are the flags every simulating mode reads.
+const sweepFlags = " out maxcycles shards journal resume retries retry-backoff workers kernel guard run-budget on-violation"
+
+// reads is the one table of the flags each mode reads, besides the flag
+// that names the mode and -cpuprofile/-memprofile, which every mode reads.
+// A flag set on the command line that the mode does not read is refused,
+// never ignored; needs names the flags read only beside another one.
+var (
+	reads = map[string]string{
+		"grid":            "analytic" + sweepFlags,
+		"scenario":        "analytic" + sweepFlags,
+		"curve":           "scenario curve-mode" + sweepFlags,
+		"validate":        "scenario workers out",
+		"print-grid":      "",
+		"print-scenarios": "",
+	}
+	needs = map[string]string{"resume": "journal", "curve": "scenario", "curve-mode": "curve"}
+)
+
+// modeOf is the first mode, printing first, whose flag holds a value; the
+// grid sweep when none does.
+func modeOf() string {
+	for _, m := range []string{"print-grid", "print-scenarios", "validate", "curve", "scenario"} {
+		if v := flag.Lookup(m).Value.String(); v != "" && v != "false" {
+			return m
+		}
+	}
+	return "grid"
+}
+
+func readBy(mode, name string) bool {
+	return name == mode || slices.Contains(strings.Fields(reads[mode]+" cpuprofile memprofile"), name)
+}
+
+// checkFlags refuses, by name, the first explicitly set flag that mode
+// does not read or that lacks the flag it needs.
+func checkFlags(mode string) error {
+	var set []string // in lexical order
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	for _, name := range set {
+		if need, ok := needs[name]; ok && !slices.Contains(set, need) {
+			return fmt.Errorf("-%s requires -%s", name, need)
+		}
+		if !readBy(mode, name) {
+			var by []string
+			for _, m := range slices.Sorted(maps.Keys(reads)) {
+				if readBy(m, name) {
+					by = append(by, m)
+				}
+			}
+			return fmt.Errorf("-%s applies to %s sweeps, not -%s", name, strings.Join(by, "/"), mode)
+		}
+	}
+	return nil
 }
 
 // loadScenarios reads the -scenario file, or the stock library for

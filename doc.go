@@ -41,7 +41,10 @@
 //
 // The cmd/tgsweep CLI wraps the same flow (-grid, -workers, -out), and
 // cmd/tgrepro regenerates the paper's whole evaluation as one parallel
-// invocation.
+// invocation. A grid file and a scenario file share one validator
+// (SweepGrid.Validate) and one set of bounds — cores in [1, 112], count in
+// [0, 10 000 000], a mean gap in (0, 1e9], mesh sides and buffer depth in
+// [0, 64] — so both fail by field name before any platform is built.
 //
 // # Spatial traffic patterns and scenarios
 //

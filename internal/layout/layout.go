@@ -24,6 +24,9 @@ const (
 	SemBase uint32 = 0x0900_0000
 	// SemCount is the number of semaphores in the bank.
 	SemCount = 32
+	// MaxCores is the number of private regions that fit below the shared
+	// RAM: core MaxCores's region would overlap SharedBase.
+	MaxCores = int((SharedBase - PrivBase) / PrivStride)
 )
 
 // PrivBaseFor returns core id's private memory base address.

@@ -43,3 +43,17 @@ func TestPrivBaseStride(t *testing.T) {
 		t.Fatal("private size exceeds stride")
 	}
 }
+
+// TestMaxCores: MaxCores private regions fit below the shared RAM, and one
+// more would overlap it.
+func TestMaxCores(t *testing.T) {
+	if MaxCores != 112 {
+		t.Fatalf("MaxCores = %d, want 112", MaxCores)
+	}
+	if PrivRange(MaxCores - 1).Overlaps(SharedRange()) {
+		t.Fatal("the last allowed core's region overlaps the shared RAM")
+	}
+	if !PrivRange(MaxCores).Overlaps(SharedRange()) {
+		t.Fatal("core MaxCores's region fits: MaxCores is too small")
+	}
+}

@@ -118,6 +118,13 @@ func ParseTopology(s string) (Topology, error) {
 	return 0, fmt.Errorf("noc: unknown topology %q (want mesh or torus)", s)
 }
 
+// Bounds on a Config a run description may ask for: the largest accepted
+// fabric, 64×64 routers at 64 flits per FIFO, builds in about 190 MB.
+const (
+	MaxMeshDim     = 64
+	MaxBufferFlits = 64
+)
+
 // Config holds the NoC parameters. Zero values take defaults.
 type Config struct {
 	// Width and Height give the grid dimensions (default 4×3).

@@ -236,21 +236,11 @@ func Build(cfg Config, factory MasterFactory) (*System, error) {
 		s.Bus = bus
 		s.fabric = bus
 	case XPipes:
-		ncfg := cfg.NoC
-		if ncfg.Width == 0 && ncfg.Height == 0 {
-			// Auto-size only the dimensions: topology and buffer depth are
-			// orthogonal knobs and must survive the sizing.
-			m := autoMesh(cfg.Cores)
-			ncfg.Width, ncfg.Height = m.Width, m.Height
-		}
-		// Masters fill from the front, slaves from the back, and one spare
-		// node keeps them apart — verify the *effective* geometry (partial
-		// zero dimensions default inside noc) before attaching anything,
-		// because the mesh itself panics on a double-occupied node.
-		ncfg = ncfg.WithDefaults()
-		if ncfg.Width*ncfg.Height < cfg.Cores*2+3 {
-			return nil, fmt.Errorf("platform: mesh %dx%d too small for %d cores and %d slaves",
-				ncfg.Width, ncfg.Height, cfg.Cores, cfg.Cores+2)
+		// Verify the effective geometry before attaching anything: the
+		// mesh itself panics on a double-occupied node.
+		ncfg, err := AutoMesh(cfg.Cores, cfg.NoC)
+		if err != nil {
+			return nil, err
 		}
 		net := noc.New(ncfg, e.Cycle)
 		// Placement: masters fill nodes from the start, slaves from the end
@@ -383,25 +373,28 @@ func Build(cfg Config, factory MasterFactory) (*System, error) {
 	return s, nil
 }
 
-// AutoMesh returns the mesh dimensions Build auto-sizes for the given
-// core count when Config.NoC leaves both Width and Height zero. Exported
-// so the analytic estimator can reproduce the exact floorplan of an
-// auto-sized point without building it.
-func AutoMesh(cores int) (w, h int) {
-	c := autoMesh(cores)
-	return c.Width, c.Height
-}
-
-// autoMesh returns the smallest of the stock mesh sizes that fits
-// cores masters + cores+2 slaves.
-func autoMesh(cores int) noc.Config {
-	need := cores*2 + 2
-	for _, d := range []struct{ w, h int }{{3, 2}, {4, 2}, {4, 3}, {4, 4}, {5, 4}, {5, 5}, {6, 5}, {6, 6}} {
-		if d.w*d.h >= need+1 { // one spare node keeps masters/slaves apart
-			return noc.Config{Width: d.w, Height: d.h}
+// AutoMesh resolves the ×pipes geometry Build gives cores masters under c
+// (when both dimensions are zero, the smallest stock mesh that fits), so
+// the analytic estimator reproduces a floorplan without building it.
+// Masters fill nodes from the front, slaves from the back and one spare
+// node keeps them apart: the mesh needs 2·cores+3 nodes.
+func AutoMesh(cores int, c noc.Config) (noc.Config, error) {
+	need := cores*2 + 3
+	if c.Width == 0 && c.Height == 0 {
+		c.Width, c.Height = 7, 6
+		for _, d := range []struct{ w, h int }{{3, 2}, {4, 2}, {4, 3}, {4, 4}, {5, 4}, {5, 5}, {6, 5}, {6, 6}} {
+			if d.w*d.h >= need {
+				c.Width, c.Height = d.w, d.h
+				break
+			}
 		}
 	}
-	return noc.Config{Width: 7, Height: 6}
+	c = c.WithDefaults()
+	if c.Width*c.Height < need {
+		return c, fmt.Errorf("platform: mesh %dx%d too small for %d cores and %d slaves",
+			c.Width, c.Height, cores, cores+2)
+	}
+	return c, nil
 }
 
 // Done reports whether every master has finished.

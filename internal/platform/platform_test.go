@@ -7,6 +7,7 @@ import (
 	"noctg/internal/core"
 	"noctg/internal/cpu"
 	"noctg/internal/layout"
+	"noctg/internal/noc"
 	"noctg/internal/ocp"
 	"noctg/internal/sim"
 )
@@ -122,9 +123,9 @@ func TestXPipesPlatformPlacement(t *testing.T) {
 
 func TestAutoMeshSizes(t *testing.T) {
 	for cores := 1; cores <= 12; cores++ {
-		cfg := autoMesh(cores)
-		if cfg.Width*cfg.Height < cores*2+3 {
-			t.Fatalf("%d cores: mesh %dx%d too small", cores, cfg.Width, cfg.Height)
+		cfg, err := AutoMesh(cores, noc.Config{})
+		if err != nil || cfg.Width*cfg.Height < cores*2+3 {
+			t.Fatalf("%d cores: mesh %dx%d too small (%v)", cores, cfg.Width, cfg.Height, err)
 		}
 	}
 }

@@ -3,12 +3,16 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"noctg/internal/guard"
+	"noctg/internal/sweep"
 )
 
 // FuzzParse: arbitrary bytes must never panic the scenario loader —
 // malformed topology sizes, unknown patterns and hotspot weights past unit
 // mass are errors, and every accepted scenario must survive validation and
-// grid compilation.
+// grid compilation, and run: each of its points, built and run for one
+// cycle, may fail with an error but never with a panic.
 func FuzzParse(f *testing.F) {
 	f.Add(validSpecJSON())
 	f.Add("[" + validSpecJSON() + "]")
@@ -33,6 +37,12 @@ func FuzzParse(f *testing.F) {
 	f.Add(`{"name":"x","fabric":"amba","width":2,"height":2,"pattern":"uniform","arrival":{"process":"mmpp","gaps":[1e308,0],"dwells":[80,1e-9]}}`)
 	f.Add(`{"name":"x","fabric":"amba","width":2,"height":2,"pattern":"uniform","arrival":{"process":"mmpp","gaps":[1,2,3,4,5,6,7,8,9],"dwells":[1,2,3,4,5,6,7,8,9]}}`)
 	f.Add(`{"name":"x","fabric":"amba","width":2,"height":2,"pattern":"uniform","classes":[1e308,1e308]}`)
+	// Bounds shared with the grid loader: over the core, mesh and buffer
+	// limits, and negative fabric geometry.
+	f.Add(`{"name":"x","fabric":"xpipes","width":16,"height":8,"pattern":"uniform"}`)
+	f.Add(`{"name":"x","fabric":"xpipes","width":2,"height":2,"pattern":"uniform","mesh_width":1024,"mesh_height":1024}`)
+	f.Add(`{"name":"x","fabric":"xpipes","width":2,"height":2,"pattern":"uniform","buffer_flits":100000000}`)
+	f.Add(`{"name":"x","fabric":"xpipes","width":2,"height":2,"pattern":"uniform","buffer_flits":-3,"mesh_width":-2}`)
 	f.Fuzz(func(t *testing.T, src string) {
 		specs, err := Parse(strings.NewReader(src))
 		if err != nil {
@@ -46,6 +56,15 @@ func FuzzParse(f *testing.F) {
 		}
 		if len(pts) == 0 {
 			t.Fatalf("accepted scenarios expand to no points:\n%s", src)
+		}
+		res, err := sweep.Runner{Workers: 1, MaxCycles: 1}.Run(pts)
+		if err != nil {
+			t.Fatalf("accepted scenarios fail to run: %v\n%s", err, src)
+		}
+		for _, r := range res {
+			if r.Violation != nil && r.Violation.Kind == guard.KindPanic {
+				t.Fatalf("accepted scenarios panic point %d: %s\n%s", r.ID, r.Err, src)
+			}
 		}
 	})
 }

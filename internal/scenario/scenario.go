@@ -6,9 +6,12 @@
 // deterministic JSON/CSV artifacts.
 //
 // Scenario files are JSON: either one Spec object or an array of them.
-// Unknown fields, malformed grids, unknown patterns and over-unit hotspot
-// weights are rejected at load time (never a panic — the fuzz target feeds
-// the loader garbage), so a bad scenario fails before any engine is built.
+// Unknown fields are rejected; every other value is checked by
+// sweep.Grid.Validate on the grid the spec compiles to, so a scenario and
+// the equivalent grid file accept the same values within one set of
+// bounds. A scenario adds only its name and its load axes (each entry a
+// sweep.ValidateGap load, none beside an arrival process). A bad file
+// fails at load time, before any platform is built, never with a panic.
 //
 // The Library holds the classic evaluation set — every spatial pattern
 // crossed with the mesh and torus fabrics — as ready-to-run specs.
@@ -20,8 +23,6 @@ import (
 	"fmt"
 	"io"
 
-	"noctg/internal/noc"
-	"noctg/internal/stochastic"
 	"noctg/internal/sweep"
 )
 
@@ -100,27 +101,12 @@ type Spec struct {
 	CurveMode string `json:"curve_mode,omitempty"`
 }
 
-// withDefaults resolves the optional fields. An arrival-process scenario
-// keeps Dist and MeanGaps empty: its load lives in the process parameters
-// and defaulting either would silently contradict the declared model.
-func (s Spec) withDefaults() Spec {
-	if s.Arrival != nil {
-		return s
-	}
-	if s.Dist == "" {
-		s.Dist = "poisson"
-	}
-	if len(s.MeanGaps) == 0 {
-		s.MeanGaps = []float64{10}
-	}
-	return s
-}
-
-// workloads expands the load axis into sweep workloads. An
-// arrival-process scenario has no mean-gap axis and expands to exactly
-// one workload.
+// workloads expands the load axis into sweep workloads, resolving the
+// optional dist (poisson) and mean_gaps ([10]). An arrival-process
+// scenario keeps both empty — its load lives in the process parameters,
+// and defaulting either would contradict the declared model — and expands
+// to exactly one workload.
 func (s Spec) workloads() []sweep.Workload {
-	s = s.withDefaults()
 	base := sweep.Workload{
 		Kind:      sweep.KindStochastic,
 		Dist:      s.Dist,
@@ -136,8 +122,15 @@ func (s Spec) workloads() []sweep.Workload {
 	if s.Arrival != nil {
 		return []sweep.Workload{base}
 	}
-	ws := make([]sweep.Workload, len(s.MeanGaps))
-	for i, gap := range s.MeanGaps {
+	if base.Dist == "" {
+		base.Dist = "poisson"
+	}
+	gaps := s.MeanGaps
+	if len(gaps) == 0 {
+		gaps = []float64{10}
+	}
+	ws := make([]sweep.Workload, len(gaps))
+	for i, gap := range gaps {
 		ws[i] = base
 		ws[i].MeanGap = gap
 	}
@@ -175,10 +168,27 @@ func (s Spec) Measure() *sweep.Measure {
 }
 
 // Grid compiles the scenario into a validated sweep grid (loads × one
-// fabric × clocks × seeds).
+// fabric × clocks × seeds). Grid.Validate checks every field the two
+// formats share.
 func (s Spec) Grid() (sweep.Grid, error) {
-	if err := s.Validate(); err != nil {
-		return sweep.Grid{}, err
+	if s.Name == "" {
+		return sweep.Grid{}, fmt.Errorf("scenario: missing name")
+	}
+	// The load axes are what a grid does not have: an arrival process
+	// carries its own load, and a listed gap must be a load, not the zero
+	// a generator would silently replace with its default.
+	if s.Arrival != nil && (len(s.MeanGaps) != 0 || len(s.CurveGaps) != 0) {
+		return sweep.Grid{}, fmt.Errorf("scenario %q: arrival-process scenarios have no mean-gap load axis (the load lives in the process parameters)", s.Name)
+	}
+	for _, axis := range []struct {
+		name string
+		gaps []float64
+	}{{"mean_gaps", s.MeanGaps}, {"curve_gaps", s.CurveGaps}} {
+		for i, gap := range axis.gaps {
+			if err := sweep.ValidateGap(gap); err != nil {
+				return sweep.Grid{}, fmt.Errorf("scenario %q: %s[%d] %w", s.Name, axis.name, i, err)
+			}
+		}
 	}
 	g := sweep.Grid{
 		Workloads:      s.workloads(),
@@ -193,86 +203,13 @@ func (s Spec) Grid() (sweep.Grid, error) {
 	return g, nil
 }
 
-// maxCount bounds the per-master transaction count a scenario file may
-// request, so a hostile file cannot lock a sweep worker into a
-// multi-billion-transaction run.
-const maxCount = 10_000_000
-
-// Validate checks the scenario without building anything. All structural
-// pattern errors (non-square transpose, non-power-of-two bit patterns,
-// hotspot weights past unit mass) surface here through the stochastic
-// validator.
+// Validate checks the scenario without building any platform. All
+// structural pattern errors (non-square transpose, non-power-of-two bit
+// patterns, hotspot weights past unit mass) surface here through the
+// stochastic validator.
 func (s Spec) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("scenario: missing name")
-	}
-	d := s.withDefaults()
-	if s.Width < 1 || s.Height < 1 {
-		return fmt.Errorf("scenario %q: core grid %dx%d must be at least 1x1", s.Name, s.Width, s.Height)
-	}
-	if s.Width > stochastic.MaxGridDim || s.Height > stochastic.MaxGridDim {
-		return fmt.Errorf("scenario %q: core grid %dx%d exceeds %dx%d",
-			s.Name, s.Width, s.Height, stochastic.MaxGridDim, stochastic.MaxGridDim)
-	}
-	if s.MeshWidth > stochastic.MaxGridDim || s.MeshHeight > stochastic.MaxGridDim {
-		return fmt.Errorf("scenario %q: mesh %dx%d exceeds %dx%d",
-			s.Name, s.MeshWidth, s.MeshHeight, stochastic.MaxGridDim, stochastic.MaxGridDim)
-	}
-	if _, err := stochastic.ParsePattern(d.Pattern); err != nil {
-		return fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	switch s.Fabric {
-	case sweep.FabricAMBA, sweep.FabricXPipes:
-	default:
-		return fmt.Errorf("scenario %q: unknown fabric %q", s.Name, s.Fabric)
-	}
-	if _, err := noc.ParseTopology(s.Topology); err != nil {
-		return fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	if s.Fabric == sweep.FabricAMBA && s.Topology != "" {
-		return fmt.Errorf("scenario %q: topology %q needs the xpipes fabric", s.Name, s.Topology)
-	}
-	if s.MeshWidth < 0 || s.MeshHeight < 0 {
-		return fmt.Errorf("scenario %q: negative mesh dimensions %dx%d", s.Name, s.MeshWidth, s.MeshHeight)
-	}
-	if s.BufferFlits < 0 {
-		return fmt.Errorf("scenario %q: negative buffer depth %d", s.Name, s.BufferFlits)
-	}
-	if s.Count < 0 || s.Count > maxCount {
-		return fmt.Errorf("scenario %q: count %d outside [0, %d]", s.Name, s.Count, maxCount)
-	}
-	if s.Arrival != nil {
-		if s.Dist != "" {
-			return fmt.Errorf("scenario %q: arrival and dist are mutually exclusive", s.Name)
-		}
-		if len(s.MeanGaps) != 0 || len(s.CurveGaps) != 0 {
-			return fmt.Errorf("scenario %q: arrival-process scenarios have no mean-gap load axis (the load lives in the process parameters)", s.Name)
-		}
-	}
-	for i, gap := range d.MeanGaps {
-		// The generator treats gap <= 0 as "use the default", which would
-		// silently change the declared load; demand explicit sane loads.
-		if gap <= 0 || gap > 1e9 || gap != gap {
-			return fmt.Errorf("scenario %q: mean gap %d is %g, want (0, 1e9]", s.Name, i, gap)
-		}
-	}
-	if m := s.Measure(); m != nil {
-		if err := m.Validate(); err != nil {
-			return fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-	}
-	for i, gap := range s.CurveGaps {
-		if gap <= 0 || gap > 1e9 || gap != gap {
-			return fmt.Errorf("scenario %q: curve gap %d is %g, want (0, 1e9]", s.Name, i, gap)
-		}
-	}
-	for _, w := range d.workloads() {
-		if err := (sweep.Grid{Workloads: []sweep.Workload{w},
-			Fabrics: []sweep.Fabric{d.fabric()}}).Validate(); err != nil {
-			return fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-	}
-	return nil
+	_, err := s.Grid()
+	return err
 }
 
 // DefaultCurveMeasure is the phased methodology a curve run uses when the
@@ -288,11 +225,9 @@ var DefaultCurveMeasure = sweep.Measure{
 // the scenario's traffic template swept over CurveGaps (or the stock
 // axis) with phased measurement at every load level. Multi-valued clock
 // and seed axes collapse to their first entry — a curve is one
-// fabric/clock/seed trajectory by definition.
+// fabric/clock/seed trajectory by definition. CurveSpec.Validate is its one
+// check.
 func (s Spec) Curve() (sweep.CurveSpec, error) {
-	if err := s.Validate(); err != nil {
-		return sweep.CurveSpec{}, err
-	}
 	if s.Arrival != nil {
 		return sweep.CurveSpec{}, fmt.Errorf("scenario %q: curve runs sweep mean_gap, which arrival-process scenarios don't use", s.Name)
 	}
@@ -305,7 +240,7 @@ func (s Spec) Curve() (sweep.CurveSpec, error) {
 	}
 	cs := sweep.CurveSpec{
 		Name:     s.Name,
-		Workload: s.withDefaults().workloads()[0],
+		Workload: s.workloads()[0],
 		Fabric:   s.fabric(),
 		Gaps:     s.CurveGaps,
 		Mode:     s.CurveMode,
@@ -323,13 +258,6 @@ func (s Spec) Curve() (sweep.CurveSpec, error) {
 	return cs, nil
 }
 
-// Curveable reports whether the scenario can compile into a load-latency
-// curve: arrival-process scenarios cannot, because their load lives in
-// the process parameters rather than a mean-gap axis.
-func (s Spec) Curveable() bool {
-	return s.Arrival == nil
-}
-
 // Curves compiles a scenario list into curve specifications, in order.
 // Arrival-process scenarios have no mean-gap load axis to sweep, so they
 // are skipped rather than failing the whole list — a library run curves
@@ -337,7 +265,7 @@ func (s Spec) Curveable() bool {
 func Curves(specs []Spec) ([]sweep.CurveSpec, error) {
 	out := make([]sweep.CurveSpec, 0, len(specs))
 	for i, s := range specs {
-		if !s.Curveable() {
+		if s.Arrival != nil {
 			continue
 		}
 		cs, err := s.Curve()

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -56,57 +57,63 @@ func TestParseRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
+		want string // substring the error must carry ("" = any error)
 	}{
-		{"empty", ""},
-		{"not json", "pattern: uniform"},
-		{"empty array", "[]"},
-		{"unknown field", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","bandwidth":9}`},
-		{"unknown pattern", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"zipf"}`},
-		{"unknown fabric", `{"name":"x","fabric":"crossbar","width":2,"height":1,"pattern":"uniform"}`},
-		{"unknown topology", `{"name":"x","fabric":"xpipes","topology":"ring","width":2,"height":1,"pattern":"uniform"}`},
-		{"amba topology", `{"name":"x","fabric":"amba","topology":"torus","width":2,"height":1,"pattern":"uniform"}`},
-		{"zero grid", `{"name":"x","fabric":"amba","width":0,"height":0,"pattern":"uniform"}`},
-		{"negative width", `{"name":"x","fabric":"amba","width":-4,"height":2,"pattern":"uniform"}`},
-		{"huge grid", `{"name":"x","fabric":"amba","width":100000,"height":100000,"pattern":"uniform"}`},
-		{"one node", `{"name":"x","fabric":"amba","width":1,"height":1,"pattern":"uniform"}`},
-		{"transpose rectangular", `{"name":"x","fabric":"amba","width":4,"height":2,"pattern":"transpose"}`},
-		{"bitcomp non-pow2", `{"name":"x","fabric":"amba","width":3,"height":2,"pattern":"bitcomp"}`},
-		{"hotspot past unit", `{"name":"x","fabric":"amba","width":2,"height":2,"pattern":"hotspot","hotspot":[0.7,0.7]}`},
-		{"hotspot negative", `{"name":"x","fabric":"amba","width":2,"height":2,"pattern":"hotspot","hotspot":[-1,0.5]}`},
-		{"bad dist", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","dist":"cauchy"}`},
-		{"zero gap", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","mean_gaps":[0]}`},
-		{"negative gap", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","mean_gaps":[-3]}`},
-		{"huge count", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","count":99999999999}`},
-		{"missing name", `{"fabric":"amba","width":2,"height":1,"pattern":"uniform"}`},
-		{"trailing garbage", validSpecJSON() + "tail"},
+		{"empty", "", ""},
+		{"not json", "pattern: uniform", ""},
+		{"empty array", "[]", ""},
+		{"unknown field", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","bandwidth":9}`, "unknown field"},
+		{"unknown pattern", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"zipf"}`, ""},
+		{"unknown fabric", `{"name":"x","fabric":"crossbar","width":2,"height":1,"pattern":"uniform"}`, ""},
+		{"unknown topology", `{"name":"x","fabric":"xpipes","topology":"ring","width":2,"height":1,"pattern":"uniform"}`, ""},
+		{"amba topology", `{"name":"x","fabric":"amba","topology":"torus","width":2,"height":1,"pattern":"uniform"}`, ""},
+		{"zero grid", `{"name":"x","fabric":"amba","width":0,"height":0,"pattern":"uniform"}`, ""},
+		{"negative width", `{"name":"x","fabric":"amba","width":-4,"height":2,"pattern":"uniform"}`, ""},
+		{"huge grid", `{"name":"x","fabric":"amba","width":100000,"height":100000,"pattern":"uniform"}`, ""},
+		{"one node", `{"name":"x","fabric":"amba","width":1,"height":1,"pattern":"uniform"}`, ""},
+		{"transpose rectangular", `{"name":"x","fabric":"amba","width":4,"height":2,"pattern":"transpose"}`, ""},
+		{"bitcomp non-pow2", `{"name":"x","fabric":"amba","width":3,"height":2,"pattern":"bitcomp"}`, ""},
+		{"hotspot past unit", `{"name":"x","fabric":"amba","width":2,"height":2,"pattern":"hotspot","hotspot":[0.7,0.7]}`, ""},
+		{"hotspot negative", `{"name":"x","fabric":"amba","width":2,"height":2,"pattern":"hotspot","hotspot":[-1,0.5]}`, ""},
+		{"bad dist", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","dist":"cauchy"}`, ""},
+		{"zero gap", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","mean_gaps":[0]}`, ""},
+		{"negative gap", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","mean_gaps":[-3]}`, ""},
+		{"huge count", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","count":99999999999}`, ""},
+		{"missing name", `{"fabric":"amba","width":2,"height":1,"pattern":"uniform"}`, ""},
+		{"trailing garbage", validSpecJSON() + "tail", ""},
 		// The strict decoder must catch every misspelled top-level key —
 		// a typo'd arrival axis silently running the Poisson default
 		// would invalidate a whole study.
-		{"typo arival", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arival":{"process":"mmpp"}}`},
-		{"typo clases", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","clases":[1,2]}`},
-		{"typo patern", `{"name":"x","fabric":"amba","width":2,"height":1,"patern":"uniform"}`},
-		{"typo mean_gap", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","mean_gap":[8]}`},
-		{"typo disto", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","disto":"poisson"}`},
-		{"unknown arrival process", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"weibull"}}`},
-		{"unknown arrival subfield", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"mmpp","gapz":[3,0]}}`},
-		{"arrival with dist", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","dist":"poisson","arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80,160]}}`},
-		{"arrival with mean_gaps", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","mean_gaps":[8],"arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80,160]}}`},
-		{"arrival with curve_gaps", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","curve_gaps":[8],"arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80,160]}}`},
-		{"mmpp gap/dwell mismatch", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80]}}`},
-		{"mmpp all silent", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"mmpp","gaps":[0,0],"dwells":[80,160]}}`},
-		{"mmpp bad dwell_dist", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80,160],"dwell_dist":"weibull"}}`},
-		{"mmpp with selfsim fields", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80,160],"hurst":0.8}}`},
-		{"selfsim hurst out of range", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"selfsim","sources":8,"hurst":0.3,"on_mean":50,"off_mean":100,"peak_gap":4}}`},
-		{"selfsim with mmpp fields", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"selfsim","sources":8,"hurst":0.8,"on_mean":50,"off_mean":100,"peak_gap":4,"gaps":[3,0]}}`},
-		{"unknown field classes", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","classes":[1,-2]}`},
+		{"typo arival", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arival":{"process":"mmpp"}}`, ""},
+		{"typo clases", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","clases":[1,2]}`, ""},
+		{"typo patern", `{"name":"x","fabric":"amba","width":2,"height":1,"patern":"uniform"}`, ""},
+		{"typo mean_gap", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","mean_gap":[8]}`, ""},
+		{"typo disto", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","disto":"poisson"}`, ""},
+		{"unknown arrival process", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"weibull"}}`, ""},
+		{"unknown arrival subfield", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"mmpp","gapz":[3,0]}}`, ""},
+		{"arrival with dist", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","dist":"poisson","arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80,160]}}`, ""},
+		{"arrival with mean_gaps", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","mean_gaps":[8],"arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80,160]}}`, ""},
+		{"arrival with curve_gaps", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","curve_gaps":[8],"arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80,160]}}`, ""},
+		{"mmpp gap/dwell mismatch", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80]}}`, ""},
+		{"mmpp all silent", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"mmpp","gaps":[0,0],"dwells":[80,160]}}`, ""},
+		{"mmpp bad dwell_dist", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80,160],"dwell_dist":"weibull"}}`, ""},
+		{"mmpp with selfsim fields", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"mmpp","gaps":[3,0],"dwells":[80,160],"hurst":0.8}}`, ""},
+		{"selfsim hurst out of range", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"selfsim","sources":8,"hurst":0.3,"on_mean":50,"off_mean":100,"peak_gap":4}}`, ""},
+		{"selfsim with mmpp fields", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","arrival":{"process":"selfsim","sources":8,"hurst":0.8,"on_mean":50,"off_mean":100,"peak_gap":4,"gaps":[3,0]}}`, ""},
+		{"unknown field classes", `{"name":"x","fabric":"amba","width":2,"height":1,"pattern":"uniform","classes":[1,-2]}`, "unknown field"},
+		// The grid's bounds hold for a scenario too: these used to overlap
+		// the shared RAM at bus attach or exhaust memory at platform build.
+		{"16x8 cores", `{"name":"x","fabric":"xpipes","width":16,"height":8,"pattern":"uniform"}`, "cores"},
+		{"1024x1024 mesh", `{"name":"x","fabric":"xpipes","width":2,"height":2,"pattern":"uniform","mesh_width":1024,"mesh_height":1024}`, "mesh_width"},
+		{"huge buffer", `{"name":"x","fabric":"xpipes","width":2,"height":2,"pattern":"uniform","buffer_flits":100000000}`, "buffer_flits"},
 	}
 	for _, tc := range cases {
 		_, err := Parse(strings.NewReader(tc.src))
 		if err == nil {
 			t.Fatalf("%s: Parse accepted %q", tc.name, tc.src)
 		}
-		if strings.HasPrefix(tc.name, "unknown field") && !strings.Contains(err.Error(), "unknown field") {
-			t.Errorf("%s: error %q does not name the unknown field", tc.name, err)
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
 		}
 	}
 }
@@ -434,4 +441,81 @@ func TestLibraryCurveDifferential(t *testing.T) {
 		}
 		return simtest.Render(t, func(w io.Writer) error { return sweep.WriteCurvesJSON(w, curves) })
 	})
+}
+
+// TestScenarioGridParity pins "one validator": each row's field values,
+// written once as a scenario file and once as the equivalent grid file,
+// are accepted by both loaders or refused by both.
+func TestScenarioGridParity(t *testing.T) {
+	type row struct {
+		name         string
+		w, h         int // logical core grid: cores = w·h
+		count        int
+		gap          float64 // 0 = omitted: both formats take the default
+		fabric, topo string
+		meshW, meshH int
+		buffer       int
+		pattern      string
+		ok           bool
+	}
+	base := row{w: 2, h: 2, count: 100, gap: 8, fabric: "xpipes", pattern: "uniform", ok: true}
+	with := func(name string, ok bool, edit func(*row)) row {
+		r := base
+		r.name, r.ok = name, ok
+		edit(&r)
+		return r
+	}
+	rows := []row{
+		with("baseline", true, func(*row) {}),
+		with("112 cores", true, func(r *row) { r.w, r.h = 16, 7 }),
+		with("128 cores", false, func(r *row) { r.w, r.h = 16, 8 }),
+		with("count at cap", true, func(r *row) { r.count = 10_000_000 }),
+		with("count over cap", false, func(r *row) { r.count = 10_000_001 }),
+		with("negative count", false, func(r *row) { r.count = -7 }),
+		with("default gap", true, func(r *row) { r.gap = 0 }),
+		with("fractional gap", true, func(r *row) { r.gap = 0.5 }),
+		with("gap at cap", true, func(r *row) { r.gap = 1e9 }),
+		with("gap over cap", false, func(r *row) { r.gap = 2e9 }),
+		with("negative gap", false, func(r *row) { r.gap = -4 }),
+		with("64x64 mesh", true, func(r *row) { r.meshW, r.meshH = 64, 64 }),
+		with("65-wide mesh", false, func(r *row) { r.meshW, r.meshH = 65, 2 }),
+		with("negative mesh", false, func(r *row) { r.meshW, r.meshH = -2, 4 }),
+		with("1024x1024 mesh", false, func(r *row) { r.meshW, r.meshH = 1024, 1024 }),
+		with("64-flit buffer", true, func(r *row) { r.buffer = 64 }),
+		with("65-flit buffer", false, func(r *row) { r.buffer = 65 }),
+		with("negative buffer", false, func(r *row) { r.buffer = -3 }),
+		with("torus", true, func(r *row) { r.topo = "torus" }),
+		with("ring topology", false, func(r *row) { r.topo = "ring" }),
+		with("amba", true, func(r *row) { r.fabric = "amba" }),
+		with("amba with topology", false, func(r *row) { r.fabric, r.topo = "amba", "torus" }),
+		with("unknown pattern", false, func(r *row) { r.pattern = "zipf" }),
+	}
+	for _, r := range rows {
+		scen := map[string]any{"name": "p", "fabric": r.fabric, "topology": r.topo,
+			"width": r.w, "height": r.h, "pattern": r.pattern, "count": r.count,
+			"mesh_width": r.meshW, "mesh_height": r.meshH, "buffer_flits": r.buffer}
+		work := map[string]any{"kind": "stochastic", "dist": "poisson", "cores": r.w * r.h,
+			"count": r.count, "pattern": r.pattern, "pattern_w": r.w, "pattern_h": r.h}
+		if r.gap != 0 {
+			scen["mean_gaps"] = []float64{r.gap}
+			work["mean_gap"] = r.gap
+		}
+		grid := map[string]any{"workloads": []any{work}, "fabrics": []any{map[string]any{
+			"interconnect": r.fabric, "topology": r.topo,
+			"mesh_width": r.meshW, "mesh_height": r.meshH, "buffer_flits": r.buffer}}}
+		_, scenErr := Parse(strings.NewReader(mustJSON(t, scen)))
+		_, gridErr := sweep.ParseGrid(strings.NewReader(mustJSON(t, grid)))
+		if (scenErr == nil) != r.ok || (gridErr == nil) != r.ok {
+			t.Errorf("%s: scenario error %v, grid error %v; want both accepted = %v", r.name, scenErr, gridErr, r.ok)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -25,7 +25,10 @@ func AnalyticSpec(w Workload, f Fabric) (analytic.Spec, error) {
 	if w.Kind != KindStochastic {
 		return analytic.Spec{}, fmt.Errorf("sweep: analytic estimation needs a stochastic workload, got %q", w.Kind)
 	}
-	if err := w.validate(); err != nil {
+	if err := w.validate(curveOpenCount); err != nil {
+		return analytic.Spec{}, err
+	}
+	if err := f.validate(); err != nil {
 		return analytic.Spec{}, err
 	}
 	scfg, err := w.StochasticConfig(1)
@@ -44,27 +47,17 @@ func AnalyticSpec(w Workload, f Fabric) (analytic.Spec, error) {
 	}
 
 	spec := analytic.Spec{Traffic: traffic}
-	switch f.Interconnect {
-	case FabricAMBA:
+	if f.Interconnect == FabricAMBA {
 		spec.Fabric = analytic.Fabric{Kind: analytic.KindAMBA, WaitStates: waitStates(f)}
 		return spec, nil
-	case FabricXPipes:
-	default:
-		return analytic.Spec{}, fmt.Errorf("sweep: unknown interconnect %q", f.Interconnect)
 	}
 
-	// Resolve the grid exactly as the platform does: auto-size only when
-	// both dimensions are zero, then apply the NoC defaults.
-	ncfg := noc.Config{Width: f.MeshWidth, Height: f.MeshHeight, Topology: f.topology()}
-	if ncfg.Width == 0 && ncfg.Height == 0 {
-		ncfg.Width, ncfg.Height = platform.AutoMesh(w.Cores)
+	// Resolve the grid exactly as the platform does.
+	ncfg, err := platform.AutoMesh(w.Cores, noc.Config{Width: f.MeshWidth, Height: f.MeshHeight, Topology: f.topology()})
+	if err != nil {
+		return analytic.Spec{}, err
 	}
-	ncfg = ncfg.WithDefaults()
 	nodes := ncfg.Width * ncfg.Height
-	if nodes < w.Cores*2+3 {
-		return analytic.Spec{}, fmt.Errorf("sweep: mesh %dx%d too small for %d cores and %d slaves",
-			ncfg.Width, ncfg.Height, w.Cores, w.Cores+2)
-	}
 	spec.Fabric = analytic.Fabric{
 		Kind:       analytic.KindXPipes,
 		Torus:      ncfg.Topology == noc.Torus,

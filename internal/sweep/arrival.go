@@ -81,20 +81,6 @@ func (a *Arrival) selfSimilar() (*stochastic.SelfSimilar, error) {
 	return s, nil
 }
 
-// validate checks the axis without instantiating a generator.
-func (a *Arrival) validate() error {
-	switch a.Process {
-	case ProcessMMPP:
-		_, err := a.mmpp()
-		return err
-	case ProcessSelfSimilar:
-		_, err := a.selfSimilar()
-		return err
-	}
-	return fmt.Errorf("sweep: unknown arrival process %q (want %q or %q)",
-		a.Process, ProcessMMPP, ProcessSelfSimilar)
-}
-
 // label is the workload-label fragment of the axis, stable across runs.
 func (a *Arrival) label() string {
 	switch a.Process {
@@ -134,7 +120,8 @@ func (w Workload) StochasticConfig(seed int64) (stochastic.Config, error) {
 			}
 			cfg.SelfSimilar = s
 		default:
-			return stochastic.Config{}, fmt.Errorf("sweep: unknown arrival process %q", w.Arrival.Process)
+			return stochastic.Config{}, fmt.Errorf("sweep: unknown arrival process %q (want %q or %q)",
+				w.Arrival.Process, ProcessMMPP, ProcessSelfSimilar)
 		}
 	} else {
 		var err error

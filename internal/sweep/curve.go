@@ -110,15 +110,16 @@ func (cs CurveSpec) Validate() error {
 	if d.Workload.Kind != KindStochastic {
 		return fmt.Errorf("sweep: curve %q needs a stochastic workload (TG replay has a fixed load)", cs.Name)
 	}
-	if err := d.Workload.validate(); err != nil {
+	// Every level replaces the template's count with curveOpenCount.
+	if err := d.Workload.validate(curveOpenCount); err != nil {
 		return fmt.Errorf("sweep: curve %q: %w", cs.Name, err)
 	}
-	if _, err := d.Fabric.interconnect(); err != nil {
+	if err := d.Fabric.validate(); err != nil {
 		return fmt.Errorf("sweep: curve %q: %w", cs.Name, err)
 	}
 	for i, g := range d.Gaps {
-		if g <= 0 || g > 1e9 || g != g {
-			return fmt.Errorf("sweep: curve %q: gap %d is %g, want (0, 1e9]", cs.Name, i, g)
+		if err := ValidateGap(g); err != nil {
+			return fmt.Errorf("sweep: curve %q: gaps[%d] %w", cs.Name, i, err)
 		}
 	}
 	if err := d.Measure.Validate(); err != nil {

@@ -8,7 +8,6 @@ import (
 	"noctg/internal/layout"
 	"noctg/internal/noc"
 	"noctg/internal/ocp"
-	"noctg/internal/platform"
 	"noctg/internal/prog"
 	"noctg/internal/stochastic"
 )
@@ -91,15 +90,8 @@ func (w Workload) spatial() (*stochastic.Spatial, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.PatternW < 1 || w.PatternH < 1 {
-		return nil, fmt.Errorf("sweep: pattern grid %dx%d must be at least 1x1", w.PatternW, w.PatternH)
-	}
-	// Bound the dimensions before the product check and the destination
-	// table: a hostile grid file must fail fast, not allocate.
-	if w.PatternW > stochastic.MaxGridDim || w.PatternH > stochastic.MaxGridDim {
-		return nil, fmt.Errorf("sweep: pattern grid %dx%d exceeds %dx%d",
-			w.PatternW, w.PatternH, stochastic.MaxGridDim, stochastic.MaxGridDim)
-	}
+	// Each side is bounded by the core count before the product, so the
+	// product cannot wrap; Spatial.Validate refuses sides below 1.
 	if w.PatternW > w.Cores || w.PatternH > w.Cores || w.PatternW*w.PatternH != w.Cores {
 		return nil, fmt.Errorf("sweep: pattern grid %dx%d does not tile %d cores",
 			w.PatternW, w.PatternH, w.Cores)
@@ -156,7 +148,31 @@ func (w Workload) dist() (stochastic.Dist, error) {
 	return 0, fmt.Errorf("sweep: unknown distribution %q", w.Dist)
 }
 
-func (w Workload) validate() error {
+// fileMaxCount caps a file's per-master transaction count, so a hostile
+// file cannot lock a worker into a multi-billion-transaction run; points
+// built in code (a curve level) may ask for up to curveOpenCount.
+const fileMaxCount = 10_000_000
+
+// ValidateGap is the one rule for a mean gap that declares a load: cycles
+// in (0, 1e9]. Zero is not a load (a generator reads it as "use the
+// default"); NaN fails too. Callers prefix the field's name to the error.
+func ValidateGap(gap float64) error {
+	if !(gap > 0 && gap <= 1e9) {
+		return fmt.Errorf("%g outside (0, 1e9]", gap)
+	}
+	return nil
+}
+
+// validate checks the workload with its transaction count capped at
+// maxCount.
+func (w Workload) validate(maxCount int) error {
+	// A TG workload may leave cores (0) to its benchmark.
+	if w.Cores < 0 || w.Cores > layout.MaxCores || w.Cores == 0 && w.Kind == KindStochastic {
+		return fmt.Errorf("sweep: cores %d outside [1, %d]", w.Cores, layout.MaxCores)
+	}
+	if w.Count < 0 || w.Count > maxCount {
+		return fmt.Errorf("sweep: count %d outside [0, %d]", w.Count, maxCount)
+	}
 	switch w.Kind {
 	case KindTG:
 		if w.Arrival != nil {
@@ -174,24 +190,21 @@ func (w Workload) validate() error {
 				w.Bench, spec.Cores, w.Cores)
 		}
 	case KindStochastic:
-		if w.Arrival != nil {
-			if w.Dist != "" || w.MeanGap != 0 {
-				return fmt.Errorf("sweep: arrival process and dist/mean_gap are mutually exclusive")
-			}
-			if err := w.Arrival.validate(); err != nil {
-				return err
-			}
-		} else if _, err := w.dist(); err != nil {
-			return err
+		if w.Arrival != nil && (w.Dist != "" || w.MeanGap != 0) {
+			return fmt.Errorf("sweep: arrival process and dist/mean_gap are mutually exclusive")
 		}
-		if w.Cores <= 0 {
-			return fmt.Errorf("sweep: stochastic workload needs cores > 0")
-		}
-		if _, err := w.spatial(); err != nil {
-			return err
+		if w.MeanGap != 0 {
+			if err := ValidateGap(w.MeanGap); err != nil {
+				return fmt.Errorf("sweep: mean_gap %w", err)
+			}
 		}
 		if w.Pattern == "" && (w.PatternW != 0 || w.PatternH != 0 || len(w.Hotspot) != 0) {
 			return fmt.Errorf("sweep: pattern grid/weights set without a pattern")
+		}
+		// Compiling the generator configuration checks the arrival
+		// process, the distribution and the spatial pattern.
+		if _, err := w.StochasticConfig(1); err != nil {
+			return err
 		}
 	default:
 		return fmt.Errorf("sweep: unknown workload kind %q", w.Kind)
@@ -242,20 +255,29 @@ func (f Fabric) Label() string {
 	return s
 }
 
-func (f Fabric) interconnect() (platform.Interconnect, error) {
+// validate checks the fabric: interconnect, topology and the ×pipes
+// geometry within the bounds the noc package sets.
+func (f Fabric) validate() error {
 	switch f.Interconnect {
 	case FabricAMBA:
 		if f.Topology != "" {
-			return 0, fmt.Errorf("sweep: topology %q is a ×pipes knob, not an AMBA one", f.Topology)
+			return fmt.Errorf("sweep: topology %q is a ×pipes knob, not an AMBA one", f.Topology)
 		}
-		return platform.AMBA, nil
 	case FabricXPipes:
 		if _, err := noc.ParseTopology(f.Topology); err != nil {
-			return 0, err
+			return err
 		}
-		return platform.XPipes, nil
+	default:
+		return fmt.Errorf("sweep: unknown interconnect %q", f.Interconnect)
 	}
-	return 0, fmt.Errorf("sweep: unknown interconnect %q", f.Interconnect)
+	if f.MeshWidth < 0 || f.MeshHeight < 0 || f.MeshWidth > noc.MaxMeshDim || f.MeshHeight > noc.MaxMeshDim {
+		return fmt.Errorf("sweep: mesh_width %d, mesh_height %d outside [0, %d]",
+			f.MeshWidth, f.MeshHeight, noc.MaxMeshDim)
+	}
+	if f.BufferFlits < 0 || f.BufferFlits > noc.MaxBufferFlits {
+		return fmt.Errorf("sweep: buffer_flits %d outside [0, %d]", f.BufferFlits, noc.MaxBufferFlits)
+	}
+	return nil
 }
 
 // topology resolves the ×pipes topology (mesh unless set).
@@ -340,7 +362,11 @@ func (g Grid) Expand() []Point {
 }
 
 // Validate checks every axis value so a bad grid fails before any engine is
-// built, deterministically.
+// built, deterministically. It is the one validator of a run description
+// (a scenario compiles to a Grid), so both file formats accept the same
+// values: cores in [1, layout.MaxCores], count in [0, 10 000 000],
+// mean_gap 0 (the default) or in (0, 1e9], mesh sides in [0,
+// noc.MaxMeshDim], buffer_flits in [0, noc.MaxBufferFlits].
 func (g Grid) Validate() error {
 	if len(g.Workloads) == 0 {
 		return fmt.Errorf("sweep: grid has no workloads")
@@ -349,12 +375,12 @@ func (g Grid) Validate() error {
 		return fmt.Errorf("sweep: grid has no fabrics")
 	}
 	for i, w := range g.Workloads {
-		if err := w.validate(); err != nil {
+		if err := w.validate(fileMaxCount); err != nil {
 			return fmt.Errorf("workload %d: %w", i, err)
 		}
 	}
 	for i, f := range g.Fabrics {
-		if _, err := f.interconnect(); err != nil {
+		if err := f.validate(); err != nil {
 			return fmt.Errorf("fabric %d: %w", i, err)
 		}
 	}

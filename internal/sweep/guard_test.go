@@ -168,6 +168,27 @@ func TestParseGridRejects(t *testing.T) {
 			`"cores":4,"pattern_w":2,"pattern_h":2}],"fabrics":[{"interconnect":"amba"}]}`, ""},
 		{"zero clock", `{"workloads":[{"kind":"stochastic","dist":"uniform","cores":2}],` +
 			`"fabrics":[{"interconnect":"amba"}],"clock_periods_ns":[0]}`, ""},
+		// Each of these used to run wrongly or crash: a negative gap ran
+		// at the default load, a negative count reported an ok point with
+		// no transactions, a negative buffer panicked a worker, a negative
+		// mesh failed at platform build, 113 cores overlapped the shared
+		// RAM at bus attach, and the oversized fabrics exhausted memory.
+		{"negative mean_gap", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2,"mean_gap":-4}],` +
+			`"fabrics":[{"interconnect":"amba"}]}`, "mean_gap"},
+		{"negative count", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2,"count":-7}],` +
+			`"fabrics":[{"interconnect":"amba"}]}`, "count"},
+		{"count over the file cap", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2,"count":10000001}],` +
+			`"fabrics":[{"interconnect":"amba"}]}`, "count"},
+		{"negative buffer_flits", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2}],` +
+			`"fabrics":[{"interconnect":"xpipes","buffer_flits":-3}]}`, "buffer_flits"},
+		{"negative mesh", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2}],` +
+			`"fabrics":[{"interconnect":"xpipes","mesh_width":-2,"mesh_height":4}]}`, "mesh_width"},
+		{"113 cores", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":113}],` +
+			`"fabrics":[{"interconnect":"amba"}]}`, "cores"},
+		{"mesh over bound", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2}],` +
+			`"fabrics":[{"interconnect":"xpipes","mesh_width":1024,"mesh_height":1024}]}`, "mesh_width"},
+		{"buffer over bound", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2}],` +
+			`"fabrics":[{"interconnect":"xpipes","buffer_flits":100000000}]}`, "buffer_flits"},
 	}
 	for _, tc := range cases {
 		_, err := ParseGrid(strings.NewReader(tc.src))

@@ -185,13 +185,14 @@ func translate(w Workload) ([]*core.Program, error) {
 }
 
 // validatePoints rejects invalid points up front so a sweep (journaled or
-// not) never records half a campaign before discovering a bad grid.
+// not) never records half a campaign before discovering a bad grid. A point
+// built in code may ask for up to curveOpenCount transactions.
 func (r Runner) validatePoints(points []Point) error {
 	for _, p := range points {
-		if err := p.Workload.validate(); err != nil {
+		if err := p.Workload.validate(curveOpenCount); err != nil {
 			return fmt.Errorf("sweep: point %d: %w", p.ID, err)
 		}
-		if _, err := p.Fabric.interconnect(); err != nil {
+		if err := p.Fabric.validate(); err != nil {
 			return fmt.Errorf("sweep: point %d: %w", p.ID, err)
 		}
 		if p.ClockPeriodNS == 0 {
@@ -342,10 +343,9 @@ func (r Runner) runPointExec(cache *programCache, p Point, attempt int) (res Res
 	if p.Analytic && r.analyticEstimate(p, &res) {
 		return res
 	}
-	ic, _ := p.Fabric.interconnect()
 	cfg := platform.Config{
 		Cores:        p.Workload.Cores,
-		Interconnect: ic,
+		Interconnect: platform.XPipes,
 		NoC: noc.Config{
 			Width:       p.Fabric.MeshWidth,
 			Height:      p.Fabric.MeshHeight,
@@ -357,6 +357,9 @@ func (r Runner) runPointExec(cache *programCache, p Point, attempt int) (res Res
 		Kernel:        r.Kernel,
 		Shards:        r.Shards,
 		Trace:         p.Workload.Kind == KindTG, // TG masters carry no meter of their own
+	}
+	if p.Fabric.Interconnect == FabricAMBA {
+		cfg.Interconnect = platform.AMBA
 	}
 
 	var (

@@ -116,6 +116,10 @@ func TestGridValidateRejectsBadAxes(t *testing.T) {
 			Fabrics: []Fabric{{Interconnect: FabricAMBA}}},
 		{Workloads: []Workload{{Kind: KindTG, Bench: "spmatrix", Cores: 1, Size: 1}},
 			Fabrics: []Fabric{{Interconnect: FabricAMBA}}},
+		// A single-core benchmark ignores cores, but a negative count is
+		// still not a core count.
+		{Workloads: []Workload{{Kind: KindTG, Bench: "spmatrix", Cores: -2, Size: 8}},
+			Fabrics: []Fabric{{Interconnect: FabricAMBA}}},
 		// A zero clock period would silently fall back to 5 ns inside the
 		// engine while the artifact still reports 0.
 		{Workloads: []Workload{{Kind: KindStochastic, Dist: "uniform", Cores: 2}},
