@@ -13,10 +13,14 @@
 package noctg_test
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"noctg/internal/core"
+	"noctg/internal/exp"
 	"noctg/internal/platform"
+	"noctg/internal/prog"
 	"noctg/internal/sim"
 	"noctg/internal/sweep"
 )
@@ -246,5 +250,37 @@ func checkWakeAllocs(t *testing.T, ic platform.Interconnect) {
 			t.Errorf("%v master %d issued %d transactions in %d cycles, %d under strict ticking",
 				ic, i, got, sys.Engine.Cycle(), want)
 		}
+	}
+}
+
+// TestAllocBudgetPaperRow bounds the bytes one Table 2 row of the paper
+// flow allocates: a traced reference run, its translation and one TG
+// replay. Memories take only the pages a run writes, the monitor's event
+// log grows in chunks without re-copying, and a TG instruction takes 12
+// bytes; undoing any of them breaks the budget.
+func TestAllocBudgetPaperRow(t *testing.T) {
+	if size := unsafe.Sizeof(core.Inst{}); size > 12 {
+		t.Fatalf("core.Inst takes %d bytes, want at most 12", size)
+	}
+	spec := prog.MPMatrix(4, 16)
+	opt := exp.DefaultOptions()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ref, err := exp.RunReference(spec, opt, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, _, _, err := exp.TranslateAll(spec, ref.Traces, core.DefaultTranslateConfig(exp.PollRangesFor(spec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exp.RunTG(spec, progs, opt); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	// Measured 3 550 208 bytes (go1.24, linux/amd64), plus 15 %.
+	const budget = 4_083_000
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("%s/%dP paper row allocates %d bytes, budget %d", spec.Name, spec.Cores, got, budget)
 	}
 }

@@ -211,13 +211,14 @@
 // against the FIFOs and owner tables, and the exhaustive schedule survives
 // as a test-only reference that production must match cycle for cycle.
 //
-// Between points a campaign recycles its platforms' memories. A RAM takes
-// its backing store on the first write and reads as zeros until then;
-// Clear wipes the store and pools it, and the sweep runner clears the
-// memories of every point that ran to completion. Building one platform
-// per point no longer allocates, and collects, hundreds of KiB that
-// nothing wrote: with the fabric cheap, those collections had become the
-// largest source of run-to-run variation in a sweep's wall time.
+// Between points a campaign recycles its platforms' memories. A RAM is
+// paged: it takes a page table on the first write and a 4 KiB page per
+// page written, and reads as zeros elsewhere; Clear wipes the pages and
+// pools the table with its pages attached, and the sweep runner clears
+// the memories of every point that ran to completion. Building one
+// platform per point no longer allocates, and collects, hundreds of KiB
+// that nothing wrote: with the fabric cheap, those collections had become
+// the largest source of run-to-run variation in a sweep's wall time.
 //
 // # Phased measurement
 //

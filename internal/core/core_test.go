@@ -15,7 +15,7 @@ func TestInstEncodeDecodeRoundTripProperty(t *testing.T) {
 	f := func(op, rd, ra, rb uint8, imm uint32) bool {
 		in := Inst{
 			Op: Op(op % uint8(opCount)),
-			Rd: int(rd % NumRegs), Ra: int(ra % NumRegs), Rb: int(rb % NumRegs),
+			Rd: rd % NumRegs, Ra: ra % NumRegs, Rb: rb % NumRegs,
 			Imm: imm,
 		}
 		if in.Op == If {

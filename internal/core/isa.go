@@ -107,11 +107,14 @@ const RdReg = 0
 //	SetRegister Rd=destination, Imm=value
 //	Idle        Imm=cycles, or Ra=register holding cycles when Rb==1
 //	Halt        —
+//
+// Registers are bytes (NumRegs is 16), so an instruction takes 12 bytes
+// in memory; a translated reference run holds hundreds of thousands.
 type Inst struct {
 	Op  Op
-	Rd  int
-	Ra  int
-	Rb  int
+	Rd  uint8
+	Ra  uint8
+	Rb  uint8
 	Cnd Cond
 	Imm uint32
 }
@@ -128,10 +131,10 @@ func (i Inst) Encode() [InstBytes]byte {
 	if i.Op == If {
 		b[1] = byte(i.Cnd)
 	} else {
-		b[1] = byte(i.Rd)
+		b[1] = i.Rd
 	}
-	b[2] = byte(i.Ra)
-	b[3] = byte(i.Rb)
+	b[2] = i.Ra
+	b[3] = i.Rb
 	b[4] = byte(i.Imm)
 	b[5] = byte(i.Imm >> 8)
 	b[6] = byte(i.Imm >> 16)
@@ -144,8 +147,8 @@ func (i Inst) Encode() [InstBytes]byte {
 func DecodeInst(b [InstBytes]byte) (Inst, bool) {
 	i := Inst{
 		Op:  Op(b[0]),
-		Ra:  int(b[2]),
-		Rb:  int(b[3]),
+		Ra:  b[2],
+		Rb:  b[3],
 		Imm: uint32(b[4]) | uint32(b[5])<<8 | uint32(b[6])<<16 | uint32(b[7])<<24,
 	}
 	if i.Op == If {
@@ -154,7 +157,7 @@ func DecodeInst(b [InstBytes]byte) (Inst, bool) {
 			return i, false
 		}
 	} else {
-		i.Rd = int(b[1])
+		i.Rd = b[1]
 	}
 	if !i.Op.Valid() || i.Rd >= NumRegs || i.Ra >= NumRegs || i.Rb >= NumRegs {
 		return i, false

@@ -72,7 +72,7 @@ func (p *Program) Validate() error {
 		if !in.Op.Valid() {
 			return fmt.Errorf("core: inst %d: invalid opcode", idx)
 		}
-		if in.Rd >= regs || in.Ra >= regs || in.Rb >= regs {
+		if int(in.Rd) >= regs || int(in.Ra) >= regs || int(in.Rb) >= regs {
 			return fmt.Errorf("core: inst %d (%v): register out of range", idx, in.Op)
 		}
 		switch in.Op {

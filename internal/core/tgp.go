@@ -33,7 +33,7 @@ func (p *Program) Format(w io.Writer) error {
 	for _, names := range byIndex {
 		sort.Strings(names)
 	}
-	reg := func(i int) string { return p.RegNames[i] }
+	reg := func(i uint8) string { return p.RegNames[i] }
 	target := func(imm uint32) string {
 		if names, ok := byIndex[int(imm)]; ok {
 			return names[0]
@@ -195,10 +195,10 @@ func Assemble(src string) (*Program, error) {
 // parseTgpInst parses one instruction line; it returns a pending label name
 // for branch instructions.
 func parseTgpInst(p *Program, line string, lineNo int) (Inst, string, error) {
-	reg := func(name string) (int, error) {
+	reg := func(name string) (uint8, error) {
 		name = strings.TrimSpace(name)
 		if i, ok := p.RegIndex(name); ok {
-			return i, nil
+			return uint8(i), nil
 		}
 		return 0, &TgpError{lineNo, fmt.Sprintf("undeclared register %q", name)}
 	}

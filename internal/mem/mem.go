@@ -6,7 +6,6 @@ package mem
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"noctg/internal/ocp"
@@ -16,21 +15,39 @@ import (
 // Private memories and the shared memory differ only in the address range
 // the platform maps them at and in cacheability.
 //
-// The backing store is taken on the first write and every word reads as
-// zero until then; Clear hands it back, wiped, for the next memory to
-// take. A platform maps 128 KiB per core plus the shared memory, and a
-// campaign builds one platform per point: allocating and collecting that
-// store afresh each time was most of a sweep's allocation volume and,
-// through it, of its garbage collections.
+// The store is paged: 4 KiB pages behind a page table, both taken on the
+// first write that needs them, so a memory costs only the pages a run
+// touches and every other word reads as zero. A platform maps 128 KiB per
+// core plus the shared memory, and a traced reference run or a TG replay
+// writes a few pages of each. Clear wipes the pages and hands the table,
+// pages still attached, to the next memory to take one: a campaign builds
+// one platform per point, and allocating and collecting the stores afresh
+// each time was most of a sweep's allocation volume and, through it, of
+// its garbage collections.
 type RAM struct {
 	base  uint32
-	size  int      // words
-	words []uint32 // nil until the first write
+	size  int    // words
+	table *table // nil until the first write
 	// waitStates is the intrinsic per-access service time in cycles
 	// (the paper's "slave access time"). Bursts pay it once per beat.
 	waitStates uint64
 	name       string
 }
+
+// pageWords is the page size in words (4 KiB).
+const pageWords = 1024
+
+type page [pageWords]uint32
+
+// table is a RAM's page table: entry i holds words [i·pageWords,
+// (i+1)·pageWords), nil until written. A recycled table may hold wiped
+// pages in any entry up to its capacity.
+type table struct{ pages []*page }
+
+// tables holds the wiped page tables Clear hands back, each with its pages
+// attached, so taking a table takes its pages too. It pools *table, not
+// pages: putting a slice would allocate its header each time.
+var tables = sync.Pool{New: func() any { return new(table) }}
 
 // NewRAM builds a RAM of size bytes mapped at base. Size and base must be
 // word aligned.
@@ -41,23 +58,59 @@ func NewRAM(name string, base, size uint32, waitStates uint64) *RAM {
 	return &RAM{base: base, size: int(size / 4), waitStates: waitStates, name: name}
 }
 
-// stores holds wiped backing stores by capacity class: class c keeps
-// slices of at least 1<<c words. Everything in a pool is all zeros.
-var stores [33]sync.Pool
-
-// store returns the backing store, taking a pooled or a fresh one on first
-// use. A request looks in the class that covers it and a returned store
-// goes to the class it fills, so power-of-two sizes — all the platform
-// maps — are reused exactly and others only by smaller requests.
-func (r *RAM) store() []uint32 {
-	if r.words == nil {
-		if w, ok := stores[bits.Len(uint(r.size-1))].Get().(*[]uint32); ok {
-			r.words = (*w)[:r.size]
-		} else {
-			r.words = make([]uint32, r.size)
+// takePage gives the RAM page p, taking a table first if it has none: a
+// pooled table's attached page if it has one, else a fresh page.
+func (r *RAM) takePage(p int) *page {
+	if r.table == nil {
+		n := (r.size + pageWords - 1) / pageWords
+		t := tables.Get().(*table)
+		if cap(t.pages) < n {
+			t.pages = append(t.pages[:cap(t.pages)], make([]*page, n-cap(t.pages))...)
 		}
+		t.pages = t.pages[:n]
+		r.table = t
 	}
-	return r.words
+	pg := r.table.pages[p]
+	if pg == nil {
+		pg = new(page)
+		r.table.pages[p] = pg
+	}
+	return pg
+}
+
+// read appends n words from word index idx to dst; unwritten pages read
+// as zeros.
+func (r *RAM) read(dst []uint32, idx, n int) []uint32 {
+	for n > 0 {
+		p, off := idx/pageWords, idx%pageWords
+		k := min(n, pageWords-off)
+		if r.table == nil || r.table.pages[p] == nil {
+			for range k {
+				dst = append(dst, 0)
+			}
+		} else {
+			dst = append(dst, r.table.pages[p][off:off+k]...)
+		}
+		idx, n = idx+k, n-k
+	}
+	return dst
+}
+
+// write copies words to word index idx onward, taking the pages they land
+// on.
+func (r *RAM) write(idx int, words []uint32) {
+	for len(words) > 0 {
+		p := idx / pageWords
+		var pg *page
+		if r.table != nil {
+			pg = r.table.pages[p]
+		}
+		if pg == nil {
+			pg = r.takePage(p)
+		}
+		k := copy(pg[idx%pageWords:], words)
+		idx, words = idx+k, words[k:]
+	}
 }
 
 // Name returns the memory's diagnostic name.
@@ -88,15 +141,9 @@ func (r *RAM) PerformInto(req *ocp.Request, dst []uint32) ocp.Response {
 	}
 	switch {
 	case req.Cmd.IsRead():
-		if r.words == nil {
-			for range req.Burst {
-				dst = append(dst, 0)
-			}
-			return ocp.Response{Data: dst}
-		}
-		return ocp.Response{Data: append(dst, r.words[idx:idx+req.Burst]...)}
+		return ocp.Response{Data: r.read(dst, idx, req.Burst)}
 	case req.Cmd.IsWrite():
-		copy(r.store()[idx:idx+req.Burst], req.Data)
+		r.write(idx, req.Data[:min(len(req.Data), req.Burst)])
 		return ocp.Response{}
 	}
 	return ocp.Response{Err: true}
@@ -120,10 +167,10 @@ func (r *RAM) PeekWord(addr uint32) uint32 {
 	if !ok {
 		panic(fmt.Sprintf("mem: PeekWord %#08x outside %s %v", addr, r.name, r.Range()))
 	}
-	if r.words == nil {
+	if r.table == nil || r.table.pages[idx/pageWords] == nil {
 		return 0
 	}
-	return r.words[idx]
+	return r.table.pages[idx/pageWords][idx%pageWords]
 }
 
 // PokeWord writes a word directly, bypassing timing.
@@ -132,7 +179,7 @@ func (r *RAM) PokeWord(addr uint32, v uint32) {
 	if !ok {
 		panic(fmt.Sprintf("mem: PokeWord %#08x outside %s %v", addr, r.name, r.Range()))
 	}
-	r.store()[idx] = v
+	r.write(idx, []uint32{v})
 }
 
 // LoadWords copies words into memory starting at addr (loader path).
@@ -141,21 +188,27 @@ func (r *RAM) LoadWords(addr uint32, words []uint32) {
 	if !ok || idx+len(words) > r.size {
 		panic(fmt.Sprintf("mem: LoadWords %#08x+%d outside %s %v", addr, len(words), r.name, r.Range()))
 	}
-	copy(r.store()[idx:], words)
+	r.write(idx, words)
 }
 
-// Clear zeroes the whole memory: the backing store is wiped and handed
-// back for the next memory to take, and the RAM reads as zeros until it is
-// written again. A runner that is done with a platform clears its memories
-// so the next platform it builds reuses their stores.
+// Clear zeroes the whole memory: the pages are wiped and the table, pages
+// attached, is handed back for the next memory to take, and the RAM reads
+// as zeros until it is written again. A runner that is done with a
+// platform clears its memories so the next platform it builds reuses
+// their pages.
 func (r *RAM) Clear() {
-	if r.words == nil {
+	t := r.table
+	if t == nil {
 		return
 	}
-	w := r.words[:cap(r.words)]
-	clear(w)
-	stores[bits.Len(uint(len(w)))-1].Put(&w)
-	r.words = nil
+	for _, pg := range t.pages {
+		if pg != nil {
+			clear(pg[:])
+		}
+	}
+	t.pages = t.pages[:cap(t.pages)]
+	tables.Put(t)
+	r.table = nil
 }
 
 func (r *RAM) index(addr uint32) (int, bool) {

@@ -77,12 +77,12 @@ func TestRAMPeekPokeLoad(t *testing.T) {
 }
 
 // An unwritten RAM reads as zeros through every read path and takes no
-// backing store to do so; reads stay bounds-checked.
+// page table to do so; reads stay bounds-checked.
 func TestRAMUnwrittenReadsZeroWithoutStore(t *testing.T) {
 	r := NewRAM("priv", 0x1000, 1<<20, 0)
 	dst := make([]uint32, 0, 4)
 	if avg := testing.AllocsPerRun(10, func() {
-		resp := r.PerformInto(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x1ff0, Burst: 4}, dst)
+		resp := r.PerformInto(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x1ff8, Burst: 4}, dst)
 		if resp.Err || len(resp.Data) != 4 || resp.Data[0]|resp.Data[1]|resp.Data[2]|resp.Data[3] != 0 {
 			t.Fatalf("unwritten burst read = %+v", resp)
 		}
@@ -90,49 +90,112 @@ func TestRAMUnwrittenReadsZeroWithoutStore(t *testing.T) {
 			t.Fatal("unwritten peek is not zero")
 		}
 		r.Clear()
-	}); avg != 0 || r.words != nil {
-		t.Fatalf("reading an unwritten RAM allocates %.0f times, store taken: %v", avg, r.words != nil)
+	}); avg != 0 || r.table != nil {
+		t.Fatalf("reading an unwritten RAM allocates %.0f times, table taken: %v", avg, r.table != nil)
 	}
 	if resp := r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x1000 + 1<<20, Burst: 1}); !resp.Err {
 		t.Fatal("past-end read of an unwritten RAM should fail")
 	}
-	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: 0x1000 + 1<<20 - 8, Burst: 4, Data: make([]uint32, 4)}); !resp.Err || r.words != nil {
-		t.Fatal("straddling write should fail before taking a store")
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: 0x1000 + 1<<20 - 8, Burst: 4, Data: make([]uint32, 4)}); !resp.Err || r.table != nil {
+		t.Fatal("straddling write should fail before taking a table")
 	}
 }
 
-// A store handed back by Clear comes out wiped, whoever takes it next: a
-// RAM of the same size, or a smaller one the store's class covers. The
-// round trips repeat because a sync.Pool may drop what it is given.
+// A touched RAM still reads zeros from every page nobody wrote, whether
+// the read stays inside an untouched page or straddles into one from a
+// written page.
+func TestRAMUntouchedPagesReadZero(t *testing.T) {
+	const pageBytes = 4 * pageWords
+	r := NewRAM("priv", 0, 8*pageBytes, 0)
+	r.PokeWord(3*pageBytes+8, 7)
+	if len(r.table.pages) != 8 || r.table.pages[3] == nil {
+		t.Fatalf("a poke into page 3 left a table of %d pages", len(r.table.pages))
+	}
+	if r.PeekWord(5*pageBytes) != 0 || r.PeekWord(3*pageBytes+8) != 7 {
+		t.Fatal("untouched page or poked word reads wrong")
+	}
+	resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 3*pageBytes - 8, Burst: 4})
+	if resp.Err || len(resp.Data) != 4 || resp.Data[0]|resp.Data[1]|resp.Data[2]|resp.Data[3] != 0 {
+		t.Fatalf("burst from an untouched into a touched page = %+v", resp)
+	}
+	resp = r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 4*pageBytes - 8, Burst: 4})
+	if resp.Err || len(resp.Data) != 4 || resp.Data[0]|resp.Data[1]|resp.Data[2]|resp.Data[3] != 0 {
+		t.Fatalf("burst from a touched into an untouched page = %+v", resp)
+	}
+}
+
+// Bursts, LoadWords and PokeWord that cross a page boundary land word for
+// word, and every path reads them back the same way.
+func TestRAMAccessesCrossPages(t *testing.T) {
+	const pageBytes = 4 * pageWords
+	r := NewRAM("priv", 0x10000, 4*pageBytes, 0)
+	edge := uint32(0x10000 + pageBytes)
+	payload := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: edge - 12, Burst: 8, Data: payload}); resp.Err {
+		t.Fatal("page-crossing burst write failed")
+	}
+	resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: edge - 12, Burst: 8})
+	if resp.Err || len(resp.Data) != 8 {
+		t.Fatalf("page-crossing burst read = %+v", resp)
+	}
+	for i, v := range payload {
+		if resp.Data[i] != v || r.PeekWord(edge-12+uint32(4*i)) != v {
+			t.Fatalf("beat %d = %#x / peek %#x, want %#x", i, resp.Data[i], r.PeekWord(edge-12+uint32(4*i)), v)
+		}
+	}
+
+	// A loader image spanning three pages, and pokes on both sides of the
+	// next boundary.
+	image := make([]uint32, pageWords+10)
+	for i := range image {
+		image[i] = uint32(i) ^ 0xa5a5
+	}
+	r.LoadWords(edge-20, image)
+	for i, v := range image {
+		if got := r.PeekWord(edge - 20 + uint32(4*i)); got != v {
+			t.Fatalf("LoadWords word %d = %#x, want %#x", i, got, v)
+		}
+	}
+	far := uint32(0x10000 + 3*pageBytes)
+	r.PokeWord(far-4, 11)
+	r.PokeWord(far, 12)
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: far - 4, Burst: 2}); resp.Err || resp.Data[0] != 11 || resp.Data[1] != 12 {
+		t.Fatalf("read across poked boundary = %+v", resp)
+	}
+}
+
+// A table handed back by Clear comes out wiped, whoever takes it next: the
+// same RAM, a RAM of the same size, or a smaller or larger one. The round
+// trips repeat because a sync.Pool may drop what it is given.
 func TestRAMClearRecyclesWipedStore(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		a := NewRAM("a", 0, 4096, 0)
-		for addr := uint32(0); addr < 4096; addr += 4 {
+		a := NewRAM("a", 0, 4*4096, 0)
+		for addr := uint32(0); addr < 4*4096; addr += 4 {
 			a.PokeWord(addr, ^addr)
 		}
 		a.Clear()
 		if a.PeekWord(8) != 0 {
 			t.Fatal("cleared RAM does not read zero")
 		}
-		a.PokeWord(8, 5) // still usable: takes a store again
-		if a.PeekWord(8) != 5 || a.PeekWord(12) != 0 {
-			t.Fatal("cleared RAM is not writable")
+		a.PokeWord(8, 5) // still usable: takes a table again
+		if a.PeekWord(8) != 5 || a.PeekWord(12) != 0 || a.PeekWord(3*4096) != 0 {
+			t.Fatal("cleared RAM is not writable or reads stale words")
 		}
 		a.Clear()
 
-		for _, size := range []uint32{4096, 4096 - 40, 2052} {
-			b := NewRAM("b", 0x8000, size, 0)
-			b.PokeWord(0x8000, 1)
+		for _, size := range []uint32{4 * 4096, 4*4096 - 40, 2052, 8 * 4096} {
+			b := NewRAM("b", 0x80000, size, 0)
+			b.PokeWord(0x80000, 1)
 			if got := (b.Range()); got.Size != size {
 				t.Fatalf("Range().Size = %#x, want %#x", got.Size, size)
 			}
 			for addr := uint32(4); addr < size; addr += 4 {
-				if v := b.PeekWord(0x8000 + addr); v != 0 {
-					t.Fatalf("round %d size %d: word %#x = %#x leaked from a recycled store", round, size, addr, v)
+				if v := b.PeekWord(0x80000 + addr); v != 0 {
+					t.Fatalf("round %d size %d: word %#x = %#x leaked from a recycled table", round, size, addr, v)
 				}
 			}
-			if resp := b.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x8000 + size, Burst: 1}); !resp.Err {
-				t.Fatalf("size %d: read past the end of a RAM on a larger store should fail", size)
+			if resp := b.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x80000 + size, Burst: 1}); !resp.Err {
+				t.Fatalf("size %d: read past the end of a RAM on a larger table should fail", size)
 			}
 			b.Clear()
 		}

@@ -72,7 +72,11 @@ type Monitor struct {
 	port   MasterPort
 	now    func() uint64
 	record bool
-	events []Event
+	// log holds the recorded events in chunks, every chunk full but the
+	// last, so recording never re-copies an event; logged counts them.
+	// Events joins the chunks once.
+	log    [][]Event
+	logged int
 
 	cur       Event
 	asserting bool // a request has been presented but not yet accepted
@@ -149,12 +153,28 @@ func (m *Monitor) TryRequest(req *Request) bool {
 	return ok
 }
 
+// A new log chunk holds as many events as were logged before it, clamped
+// to [minChunk, maxChunk].
+const (
+	minChunk = 16
+	maxChunk = 512
+)
+
 // complete counts the current transaction and, when recording, logs it.
+// A reference run logs hundreds of thousands of events: grown by append,
+// which enlarges a large slice by about a quarter and copies it each time,
+// the log cost several times its own size.
 func (m *Monitor) complete() {
 	m.txns.Inc()
-	if m.record {
-		m.events = append(m.events, m.cur)
+	if !m.record {
+		return
 	}
+	if k := len(m.log) - 1; k < 0 || len(m.log[k]) == cap(m.log[k]) {
+		m.log = append(m.log, make([]Event, 0, min(max(m.logged, minChunk), maxChunk)))
+	}
+	k := len(m.log) - 1
+	m.log[k] = append(m.log[k], m.cur)
+	m.logged++
 }
 
 // TakeResponse implements MasterPort, noting the response cycle (and, when
@@ -182,7 +202,19 @@ func (m *Monitor) Busy() bool { return m.port.Busy() }
 // Events returns the transactions recorded since Record, in issue order
 // (nil on a monitor that only meters). The returned slice is owned by the
 // monitor; callers must not modify it.
-func (m *Monitor) Events() []Event { return m.events }
+func (m *Monitor) Events() []Event {
+	if len(m.log) > 1 {
+		all := make([]Event, 0, m.logged)
+		for _, c := range m.log {
+			all = append(all, c...)
+		}
+		m.log = append(m.log[:0], all)
+	}
+	if len(m.log) == 0 {
+		return nil
+	}
+	return m.log[0]
+}
 
 var _ MasterPort = (*Monitor)(nil)
 var _ TrafficMeter = (*Monitor)(nil)

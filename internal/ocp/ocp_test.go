@@ -229,22 +229,34 @@ func TestMonitorMetersWithoutRecording(t *testing.T) {
 	}
 }
 
+// The log keeps issue order within one chunk and across many, and a read
+// of Events part-way through (which joins the chunks) neither loses nor
+// reorders anything logged before or after it.
 func TestMonitorMultipleTransactionsInOrder(t *testing.T) {
-	var cycle uint64
-	p := &scriptPort{}
-	m := NewMonitor(p, func() uint64 { return cycle })
-	m.Record()
-	for i := 0; i < 5; i++ {
-		cycle = uint64(10 * i)
-		m.TryRequest(&Request{Cmd: Write, Addr: uint32(i * 4), Burst: 1, Data: []uint32{uint32(i)}})
-	}
-	evs := m.Events()
-	if len(evs) != 5 {
-		t.Fatalf("got %d events", len(evs))
-	}
-	for i, e := range evs {
-		if e.Addr != uint32(i*4) || e.Assert != uint64(10*i) {
-			t.Fatalf("event %d out of order: %+v", i, e)
+	for _, n := range []int{5, 3000} {
+		var cycle uint64
+		p := &scriptPort{}
+		m := NewMonitor(p, func() uint64 { return cycle })
+		m.Record()
+		var early []Event
+		for i := 0; i < n; i++ {
+			if i == n/2 {
+				early = m.Events()
+			}
+			cycle = uint64(10 * i)
+			m.TryRequest(&Request{Cmd: Write, Addr: uint32(i * 4), Burst: 1, Data: []uint32{uint32(i)}})
+		}
+		evs := m.Events()
+		if len(evs) != n || len(early) != n/2 {
+			t.Fatalf("n=%d: got %d events, %d part-way", n, len(evs), len(early))
+		}
+		for i, e := range evs {
+			if e.Addr != uint32(i*4) || e.Assert != uint64(10*i) || e.Data[0] != uint32(i) {
+				t.Fatalf("n=%d: event %d out of order: %+v", n, i, e)
+			}
+			if i < len(early) && early[i].Addr != e.Addr {
+				t.Fatalf("n=%d: part-way event %d = %+v, later %+v", n, i, early[i], e)
+			}
 		}
 	}
 }

@@ -2,13 +2,17 @@ package prog
 
 import "fmt"
 
+// maxCacheloopIters bounds Cacheloop's iteration count: 33 times the
+// paper's 30 000, 14 M cycles of reference run per core.
+const maxCacheloopIters = 1_000_000
+
 // Cacheloop is the paper's cache-resident scaling benchmark: every core
 // spins an idle loop that executes entirely from its instruction cache, so
 // the interconnect sees only the initial refills. The paper uses it to show
 // TG speedup growing with the number of processors, because replaced cores
 // dominate simulation cost while the bus stays idle (Table 2, "Cacheloop").
 func Cacheloop(cores, iters int) *Spec {
-	if cores < 1 || iters < 1 {
+	if cores < 1 || iters < 1 || iters > maxCacheloopIters {
 		panic(fmt.Sprintf("prog: Cacheloop cores=%d iters=%d invalid", cores, iters))
 	}
 	src := fmt.Sprintf(`

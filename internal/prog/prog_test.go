@@ -200,10 +200,11 @@ func TestRefDESChangesData(t *testing.T) {
 
 func TestInvalidSpecParamsPanic(t *testing.T) {
 	for name, f := range map[string]func(){
-		"spmatrix n": func() { SPMatrix(1) },
-		"cacheloop":  func() { Cacheloop(0, 1) },
-		"mpmatrix":   func() { MPMatrix(4, 2) },
-		"des blocks": func() { DES(1, 0) },
+		"spmatrix n":      func() { SPMatrix(1) },
+		"cacheloop":       func() { Cacheloop(0, 1) },
+		"cacheloop iters": func() { Cacheloop(2, maxCacheloopIters+1) },
+		"mpmatrix":        func() { MPMatrix(4, 2) },
+		"des blocks":      func() { DES(1, 0) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

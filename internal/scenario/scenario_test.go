@@ -455,6 +455,7 @@ func TestScenarioGridParity(t *testing.T) {
 		fabric, topo string
 		meshW, meshH int
 		buffer       int
+		waitStates   uint64
 		pattern      string
 		ok           bool
 	}
@@ -489,11 +490,15 @@ func TestScenarioGridParity(t *testing.T) {
 		with("amba", true, func(r *row) { r.fabric = "amba" }),
 		with("amba with topology", false, func(r *row) { r.fabric, r.topo = "amba", "torus" }),
 		with("unknown pattern", false, func(r *row) { r.pattern = "zipf" }),
+		with("wait states at cap", true, func(r *row) { r.waitStates = 1 << 16 }),
+		with("wait states over cap", false, func(r *row) { r.waitStates = 1<<16 + 1 }),
+		with("wrapping wait states", false, func(r *row) { r.fabric, r.waitStates = "amba", 1<<64-1 }),
 	}
 	for _, r := range rows {
 		scen := map[string]any{"name": "p", "fabric": r.fabric, "topology": r.topo,
 			"width": r.w, "height": r.h, "pattern": r.pattern, "count": r.count,
-			"mesh_width": r.meshW, "mesh_height": r.meshH, "buffer_flits": r.buffer}
+			"mesh_width": r.meshW, "mesh_height": r.meshH, "buffer_flits": r.buffer,
+			"mem_wait_states": r.waitStates}
 		work := map[string]any{"kind": "stochastic", "dist": "poisson", "cores": r.w * r.h,
 			"count": r.count, "pattern": r.pattern, "pattern_w": r.w, "pattern_h": r.h}
 		if r.gap != 0 {
@@ -502,7 +507,8 @@ func TestScenarioGridParity(t *testing.T) {
 		}
 		grid := map[string]any{"workloads": []any{work}, "fabrics": []any{map[string]any{
 			"interconnect": r.fabric, "topology": r.topo,
-			"mesh_width": r.meshW, "mesh_height": r.meshH, "buffer_flits": r.buffer}}}
+			"mesh_width": r.meshW, "mesh_height": r.meshH, "buffer_flits": r.buffer,
+			"mem_wait_states": r.waitStates}}}
 		_, scenErr := Parse(strings.NewReader(mustJSON(t, scen)))
 		_, gridErr := sweep.ParseGrid(strings.NewReader(mustJSON(t, grid)))
 		if (scenErr == nil) != r.ok || (gridErr == nil) != r.ok {

@@ -146,7 +146,8 @@ type Engine struct {
 	// invalidates the entry when external input arrives early.
 	wakeMemo []uint64
 	// due holds, per device, the cycle of its latest scheduled wake
-	// (Waker.WakeAt); entries before the current cycle are spent.
+	// (Waker.WakeAt); entries before the current cycle are spent. sizeDue
+	// extends it to the device count where it is read.
 	due []uint64
 	// SkippedCycles counts cycles the skip and event kernels fast-forwarded
 	// over (diagnostics only; strict runs keep it at zero).
@@ -208,7 +209,6 @@ func (e *Engine) Add(d Device) {
 		panic("sim: Add(nil) device")
 	}
 	e.devices = append(e.devices, d)
-	e.due = append(e.due, WakeNever)
 	if e.sleepers != nil || len(e.devices) == 1 {
 		if s, ok := d.(Sleeper); ok {
 			e.sleepers = append(e.sleepers, s)
@@ -298,6 +298,7 @@ func (e *Engine) nextWake() uint64 {
 // (stale entries could date from before direct device manipulation between
 // runs, which bypasses the WakeSink hooks).
 func (e *Engine) resetWakeMemo() {
+	e.sizeDue()
 	n := len(e.sleepers)
 	if cap(e.wakeMemo) < n {
 		e.wakeMemo = make([]uint64, n)
@@ -305,6 +306,21 @@ func (e *Engine) resetWakeMemo() {
 	}
 	e.wakeMemo = e.wakeMemo[:n]
 	clear(e.wakeMemo)
+}
+
+// sizeDue gives every device a due entry, WakeNever for the new ones. The
+// skip and event kernels call it as a run or session starts, and WakeAt
+// before it records a wake, so an engine sizes it once, not once per Add.
+func (e *Engine) sizeDue() {
+	n := len(e.devices)
+	if len(e.due) >= n {
+		return
+	}
+	due := make([]uint64, n)
+	for i := copy(due, e.due); i < n; i++ {
+		due[i] = WakeNever
+	}
+	e.due = due
 }
 
 // Run steps the simulation until done() reports true (checked after each

@@ -101,6 +101,9 @@ func (e *Engine) wakeDevice(idx int32) {
 // An event run also wakes a sleeper due next cycle at once, as Wake does,
 // or moves a later one's heap entry forward.
 func (e *Engine) wakeDeviceAt(idx int32, at uint64) {
+	if int(idx) >= len(e.due) {
+		e.sizeDue()
+	}
 	if d := e.due[idx]; d > e.cycle && d <= at {
 		return
 	}
@@ -126,6 +129,7 @@ func (e *Engine) wakeDeviceAt(idx int32, at uint64) {
 // programs loaded after a previous run) are always picked up. Storage is
 // reused across runs; steady-state event runs allocate nothing.
 func (e *Engine) initEventSchedule() {
+	e.sizeDue()
 	n := len(e.devices)
 	if cap(e.evWake) < n {
 		e.evWake = make([]uint64, n)

@@ -120,7 +120,7 @@ func (w Workload) spatial() (*stochastic.Spatial, error) {
 func (w Workload) spec() (s *prog.Spec, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s, err = nil, fmt.Errorf("sweep: invalid workload %s: %v", w.Label(), r)
+			s, err = nil, fmt.Errorf("sweep: invalid workload %s (cores %d, size %d): %v", w.Label(), w.Cores, w.Size, r)
 		}
 	}()
 	switch w.Bench {
@@ -255,8 +255,8 @@ func (f Fabric) Label() string {
 	return s
 }
 
-// validate checks the fabric: interconnect, topology and the ×pipes
-// geometry within the bounds the noc package sets.
+// validate checks the fabric: interconnect, topology, the ×pipes geometry
+// within the bounds the noc package sets, and the memory wait states.
 func (f Fabric) validate() error {
 	switch f.Interconnect {
 	case FabricAMBA:
@@ -277,8 +277,16 @@ func (f Fabric) validate() error {
 	if f.BufferFlits < 0 || f.BufferFlits > noc.MaxBufferFlits {
 		return fmt.Errorf("sweep: buffer_flits %d outside [0, %d]", f.BufferFlits, noc.MaxBufferFlits)
 	}
+	if f.MemWaitStates > maxWaitStates {
+		return fmt.Errorf("sweep: mem_wait_states %d outside [0, %d]", f.MemWaitStates, maxWaitStates)
+	}
 	return nil
 }
+
+// maxWaitStates bounds mem_wait_states. A memory charges its wait states
+// once per beat and a beat count is below 2^32 (a TG burst's immediate),
+// so an access takes under 2^48 cycles and its completion cannot wrap.
+const maxWaitStates = 1 << 16
 
 // topology resolves the ×pipes topology (mesh unless set).
 func (f Fabric) topology() noc.Topology {

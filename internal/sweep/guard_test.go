@@ -189,6 +189,14 @@ func TestParseGridRejects(t *testing.T) {
 			`"fabrics":[{"interconnect":"xpipes","mesh_width":1024,"mesh_height":1024}]}`, "mesh_width"},
 		{"buffer over bound", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2}],` +
 			`"fabrics":[{"interconnect":"xpipes","buffer_flits":100000000}]}`, "buffer_flits"},
+		// These two used to be accepted: the wait states wrapped the access
+		// time into a 1-cycle "ok" point, and the size ran for minutes.
+		{"wrapping wait states", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2}],` +
+			`"fabrics":[{"interconnect":"amba","mem_wait_states":18446744073709551615}]}`, "mem_wait_states"},
+		{"wait states over bound", `{"workloads":[{"kind":"stochastic","dist":"poisson","cores":2}],` +
+			`"fabrics":[{"interconnect":"xpipes","mem_wait_states":65537}]}`, "mem_wait_states"},
+		{"tg size over bound", `{"workloads":[{"kind":"tg","bench":"cacheloop","cores":2,"size":2000000000}],` +
+			`"fabrics":[{"interconnect":"amba"}]}`, "size"},
 	}
 	for _, tc := range cases {
 		_, err := ParseGrid(strings.NewReader(tc.src))
