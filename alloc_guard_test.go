@@ -19,9 +19,11 @@ import (
 
 	"noctg/internal/core"
 	"noctg/internal/exp"
+	"noctg/internal/ocp"
 	"noctg/internal/platform"
 	"noctg/internal/prog"
 	"noctg/internal/sim"
+	"noctg/internal/stochastic"
 	"noctg/internal/sweep"
 )
 
@@ -282,5 +284,60 @@ func TestAllocBudgetPaperRow(t *testing.T) {
 	const budget = 4_083_000
 	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 		t.Fatalf("%s/%dP paper row allocates %d bytes, budget %d", spec.Name, spec.Cores, got, budget)
+	}
+}
+
+// TestZeroAllocCloneReplay guards the cloning baseline's steady state: a
+// clone replaying recorded writes into a sink port copies each payload
+// into its one reusable buffer, so replaying allocates nothing.
+func TestZeroAllocCloneReplay(t *testing.T) {
+	const n = 100_000
+	events := make([]ocp.Event, n)
+	for i := range events {
+		events[i] = ocp.Event{Cmd: ocp.Write, Addr: uint32(i%64) * 4, Burst: 1,
+			Assert: uint64(2 * i), Data: []uint32{uint32(i)}}
+	}
+	c := stochastic.NewClone(0, events, sinkPort{})
+	cycle := uint64(0)
+	tick := func() {
+		for i := 0; i < 1000; i++ {
+			c.Tick(cycle)
+			cycle++
+		}
+	}
+	tick() // warm the payload buffer
+	if avg := testing.AllocsPerRun(10, tick); avg != 0 {
+		t.Fatalf("clone replay allocates %.2f allocs per 1000 cycles", avg)
+	}
+	if c.Done() {
+		t.Fatal("clone ran out of recorded events before the measurement ended")
+	}
+}
+
+// TestAllocBudgetGenerator holds a stochastic generator to the size class
+// and the per-construction allocations it had when the recorded-trace
+// source joined the drawn model: the sweep builds one per master per
+// point, so a larger struct shows up as campaign allocation volume.
+func TestAllocBudgetGenerator(t *testing.T) {
+	if size := unsafe.Sizeof(stochastic.Generator{}); size > 320 {
+		t.Fatalf("stochastic.Generator takes %d bytes, want at most 320", size)
+	}
+	cfg := stochastic.Config{Dist: stochastic.Poisson, MeanGap: 8, Count: 100, Seed: 1,
+		Ranges: []ocp.AddrRange{{Base: 0, Size: 0x1000}}}
+	var g *stochastic.Generator
+	var before, after runtime.MemStats
+	const runs = 100
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		g = stochastic.New(i, cfg, sinkPort{})
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(g)
+	// Integer means, like testing.AllocsPerRun: a stray allocation by
+	// another goroutine must not tip the budget, one more per New must.
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if allocs > 7 || bytes > 6032 {
+		t.Fatalf("stochastic.New takes %d allocs and %d bytes, want at most 7 and 6032", allocs, bytes)
 	}
 }

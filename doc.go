@@ -22,8 +22,9 @@
 // hardware semaphores (mem), AMBA AHB-style bus (amba), ×pipes-style
 // wormhole NoC (noc), caches (cache), the miniARM ISS and its assembler
 // (cpu), the Table 2 benchmarks (prog), the .trc trace format (trace), the
-// TG instruction set / translator / device (core), baseline generators
-// (replay, stochastic), platform assembly (platform), the experiment
+// TG instruction set / translator / device (core), the open-loop baseline
+// generators — drawn traffic models and the cloning replay (stochastic) —,
+// platform assembly (platform), the experiment
 // harness (exp) and the parallel sweep runner (sweep). Qualified names
 // below (sweep.Measure, guard.Config) are those packages' own. README.md's
 // "Repository tour" is the system inventory; cmd/tgrepro -all prints the
@@ -155,10 +156,11 @@
 // stimulated from outside their own Tick (interconnects receiving
 // TryRequest) fire an engine wake hook at the moment of stimulus; and a
 // master blocked on its port sleeps with WakeNever because the port wakes
-// it: the AMBA port and the ×pipes master NI hold the master's wake handle
-// (SetWaker, through ocp.PassWaker) and call its WakeAt at the accept and
-// when the response becomes takeable. A master whose port cannot take the
-// handle polls every blocked cycle. The event kernel is the zero value of
+// it: every master drives its port through an embedded ocp.Handshake,
+// whose SetWaker hands the master's wake handle to the port (through
+// ocp.PassWaker), and the AMBA port and the ×pipes master NI call its
+// WakeAt at the accept and when the response becomes takeable. A master
+// whose port cannot take the handle polls every blocked cycle. The event kernel is the zero value of
 // platform.KernelMode and so every platform's default; skip remains
 // selectable for cross-checking and as the simpler fallback, and any
 // platform containing a non-Sleeper device (a miniARM core) silently

@@ -27,36 +27,25 @@ func rig(t *testing.T, cfg Config, scripts ...[]simtest.Step) (*sim.Engine, *Bus
 	return e, bus, masters, ram
 }
 
-func runAll(t *testing.T, e *sim.Engine, masters []*simtest.Master, max uint64) {
+func runAll(t *testing.T, e *sim.Engine, bus *Bus, masters []*simtest.Master, max uint64) {
 	t.Helper()
-	bus := findBus(e, masters)
 	_, err := e.Run(max, func() bool {
 		for _, m := range masters {
 			if !m.Done() {
 				return false
 			}
 		}
-		return bus == nil || bus.Idle()
+		return bus.Idle()
 	})
 	if err != nil {
 		t.Fatalf("simulation did not finish: %v", err)
 	}
 }
 
-// findBus extracts the bus from the masters' ports (all tests share one).
-func findBus(e *sim.Engine, masters []*simtest.Master) *Bus {
-	for _, m := range masters {
-		if p, ok := m.Port.(*port); ok {
-			return p.bus
-		}
-	}
-	return nil
-}
-
 func TestSingleWriteAcceptTiming(t *testing.T) {
 	script := []simtest.Step{{Gap: 3, Req: ocp.Request{Cmd: ocp.Write, Addr: 0x1004, Burst: 1, Data: []uint32{7}}}}
-	e, _, ms, ram := rig(t, Config{}, script)
-	runAll(t, e, ms, 100)
+	e, bus, ms, ram := rig(t, Config{}, script)
+	runAll(t, e, bus, ms, 100)
 	m := ms[0]
 	// Gap 3 → assert at cycle 3, grant at bus tick 3, accept at cycle 4.
 	if m.AssertCycles[0] != 3 || m.AcceptCycles[0] != 4 {
@@ -69,9 +58,9 @@ func TestSingleWriteAcceptTiming(t *testing.T) {
 
 func TestSingleReadLatency(t *testing.T) {
 	script := []simtest.Step{{Gap: 0, Req: ocp.Request{Cmd: ocp.Read, Addr: 0x1008, Burst: 1}}}
-	e, _, ms, ram := rig(t, Config{}, script)
+	e, bus, ms, ram := rig(t, Config{}, script)
 	ram.PokeWord(0x1008, 0xcafe)
-	runAll(t, e, ms, 100)
+	runAll(t, e, bus, ms, 100)
 	m := ms[0]
 	// assert 0, grant at bus tick 0, occupancy = addr(1)+beat(1)+wait(1) → done
 	// at 3, resp delivered at 4.
@@ -91,11 +80,11 @@ func TestBurstReadDataAndOccupancy(t *testing.T) {
 		{Gap: 0, Req: ocp.Request{Cmd: ocp.BurstRead, Addr: 0x1010, Burst: 4}},
 		{Gap: 0, Req: ocp.Request{Cmd: ocp.Read, Addr: 0x1010, Burst: 1}},
 	}
-	e, _, ms, ram := rig(t, Config{}, script)
+	e, bus, ms, ram := rig(t, Config{}, script)
 	for i := 0; i < 4; i++ {
 		ram.PokeWord(0x1010+uint32(i*4), uint32(100+i))
 	}
-	runAll(t, e, ms, 100)
+	runAll(t, e, bus, ms, 100)
 	m := ms[0]
 	for i := 0; i < 4; i++ {
 		if m.RespData[0][i] != uint32(100+i) {
@@ -119,8 +108,8 @@ func TestPostedWriteThenReadOrdering(t *testing.T) {
 		{Gap: 0, Req: ocp.Request{Cmd: ocp.Write, Addr: 0x1020, Burst: 1, Data: []uint32{0x77}}},
 		{Gap: 0, Req: ocp.Request{Cmd: ocp.Read, Addr: 0x1020, Burst: 1}},
 	}
-	e, _, ms, _ := rig(t, Config{}, script)
-	runAll(t, e, ms, 100)
+	e, bus, ms, _ := rig(t, Config{}, script)
+	runAll(t, e, bus, ms, 100)
 	if ms[0].RespData[1][0] != 0x77 {
 		t.Fatalf("read after write = %#x, want 0x77", ms[0].RespData[1][0])
 	}
@@ -135,7 +124,7 @@ func TestRoundRobinFairness(t *testing.T) {
 		return s
 	}
 	e, bus, ms, _ := rig(t, Config{Arbitration: RoundRobin}, mk(), mk(), mk())
-	runAll(t, e, ms, 2000)
+	runAll(t, e, bus, ms, 2000)
 	for i := 1; i < 3; i++ {
 		if bus.Grants[i] != bus.Grants[0] {
 			t.Fatalf("grants not fair: %v", bus.Grants)
@@ -153,7 +142,7 @@ func TestFixedPriorityStarvation(t *testing.T) {
 	}
 	polite := []simtest.Step{{Gap: 0, Req: ocp.Request{Cmd: ocp.Write, Addr: 0x1004, Burst: 1, Data: []uint32{2}}}}
 	e, bus, ms, _ := rig(t, Config{Arbitration: FixedPriority}, spam, polite)
-	runAll(t, e, ms, 2000)
+	runAll(t, e, bus, ms, 2000)
 	if bus.WaitCycles()[1] == 0 {
 		t.Fatal("low-priority master should have waited")
 	}
@@ -168,8 +157,8 @@ func TestContentionDelaysSecondMaster(t *testing.T) {
 	// Two masters assert reads at the same cycle: the loser's response is
 	// delayed by at least the winner's occupancy.
 	script := []simtest.Step{{Gap: 0, Req: ocp.Request{Cmd: ocp.Read, Addr: 0x1000, Burst: 1}}}
-	e, _, ms, _ := rig(t, Config{}, script, script)
-	runAll(t, e, ms, 100)
+	e, bus, ms, _ := rig(t, Config{}, script, script)
+	runAll(t, e, bus, ms, 100)
 	d := int64(ms[1].RespCycles[0]) - int64(ms[0].RespCycles[0])
 	if d < 3 {
 		t.Fatalf("second master delayed by %d cycles, want >= occupancy 3", d)
@@ -218,7 +207,7 @@ func TestBusSaturation(t *testing.T) {
 		scripts[i] = script
 	}
 	e, bus, ms, _ := rig(t, Config{}, scripts...)
-	runAll(t, e, ms, 10_000)
+	runAll(t, e, bus, ms, 10_000)
 	total := e.Cycle()
 	if float64(bus.BusyCycles())/float64(total) < 0.9 {
 		t.Fatalf("bus busy %d of %d cycles; expected saturation", bus.BusyCycles(), total)

@@ -16,7 +16,7 @@ func TestTDMAGrantsOnlyInSlot(t *testing.T) {
 		return s
 	}
 	e, bus, ms, _ := rig(t, Config{Arbitration: TDMA, SlotCycles: 8}, spam(), spam())
-	runAll(t, e, ms, 10_000)
+	runAll(t, e, bus, ms, 10_000)
 	// Every acceptance must fall in the accepting master's slot. The grant
 	// happens on the bus tick before acceptance, so check the grant cycle.
 	for id, m := range ms {
@@ -41,8 +41,8 @@ func TestTDMAIsolatesBandwidth(t *testing.T) {
 		spam[i] = simtest.Step{Req: ocp.Request{Cmd: ocp.Write, Addr: 0x1000, Burst: 1, Data: []uint32{1}}}
 	}
 	polite := []simtest.Step{{Gap: 13, Req: ocp.Request{Cmd: ocp.Read, Addr: 0x1004, Burst: 1}}}
-	e, _, ms, _ := rig(t, Config{Arbitration: TDMA, SlotCycles: 8}, spam, polite)
-	runAll(t, e, ms, 10_000)
+	e, bus, ms, _ := rig(t, Config{Arbitration: TDMA, SlotCycles: 8}, spam, polite)
+	runAll(t, e, bus, ms, 10_000)
 	wait := ms[1].AcceptCycles[0] - ms[1].AssertCycles[0]
 	if wait > 2*8+2 {
 		t.Fatalf("TDMA wait %d exceeds one frame bound", wait)
@@ -60,8 +60,8 @@ func TestTDMAIdleSlotsWaste(t *testing.T) {
 		return s
 	}
 	span := func(pol Policy) uint64 {
-		e, _, ms, _ := rig(t, Config{Arbitration: pol, SlotCycles: 8}, work(), nil)
-		runAll(t, e, ms, 100_000)
+		e, bus, ms, _ := rig(t, Config{Arbitration: pol, SlotCycles: 8}, work(), nil)
+		runAll(t, e, bus, ms, 100_000)
 		return e.Cycle()
 	}
 	if tdma, rr := span(TDMA), span(RoundRobin); tdma <= rr {

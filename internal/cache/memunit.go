@@ -23,8 +23,7 @@ type muState int
 const (
 	muIdle muState = iota
 	muHit          // resolves on the next tick (1-cycle cache access)
-	muIssue
-	muWait
+	muBus          // an OCP transaction in flight
 )
 
 // MemUnit funnels a core's instruction fetches and data accesses onto its
@@ -37,9 +36,10 @@ const (
 //
 // The unit handles one operation at a time (the cores are in-order,
 // single-pipeline, exactly like the paper's ARM masters). It is driven by
-// the owning core's Tick, not registered with the engine directly.
+// the owning core's Tick, not registered with the engine directly, and the
+// core holds it in a named field so that the core is no sim.WakeSink.
 type MemUnit struct {
-	port      ocp.MasterPort
+	ocp.Handshake
 	icache    *Cache
 	dcache    *Cache
 	cacheable []ocp.AddrRange
@@ -49,7 +49,6 @@ type MemUnit struct {
 	addr    uint32
 	stData  uint32
 	cached  bool
-	req     ocp.Request
 	stBuf   [1]uint32 // reusable posted-write payload (copied at acceptance)
 	result  uint32
 	done    bool
@@ -62,7 +61,7 @@ func NewMemUnit(port ocp.MasterPort, icache, dcache *Cache, cacheable []ocp.Addr
 	if port == nil {
 		panic("cache: NewMemUnit requires a port")
 	}
-	return &MemUnit{port: port, icache: icache, dcache: dcache, cacheable: cacheable}
+	return &MemUnit{Handshake: ocp.NewHandshake(port), icache: icache, dcache: dcache, cacheable: cacheable}
 }
 
 // ICache returns the instruction cache (may be nil).
@@ -111,19 +110,19 @@ func (m *MemUnit) Begin(op OpKind, addr uint32, data uint32) {
 				return
 			}
 			// Miss: burst refill of the whole line.
-			m.req = ocp.Request{Cmd: ocp.BurstRead, Addr: c.LineBase(addr), Burst: c.Config().WordsPerLine}
-			m.state = muIssue
+			m.Start(ocp.Request{Cmd: ocp.BurstRead, Addr: c.LineBase(addr), Burst: c.Config().WordsPerLine})
+			m.state = muBus
 			return
 		}
-		m.req = ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1}
-		m.state = muIssue
+		m.Start(ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1})
+		m.state = muBus
 	case OpStore:
 		if m.cached && m.dcache != nil {
 			m.dcache.Update(addr, data)
 		}
 		m.stBuf[0] = data
-		m.req = ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1, Data: m.stBuf[:1]}
-		m.state = muIssue
+		m.Start(ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1, Data: m.stBuf[:1]})
+		m.state = muBus
 	}
 }
 
@@ -141,37 +140,26 @@ func (m *MemUnit) Tick(cycle uint64) {
 	case muHit:
 		m.done = true
 		m.state = muIdle
-	case muIssue:
-		if m.port.TryRequest(&m.req) {
-			if m.req.Cmd.IsRead() {
-				m.state = muWait
-			} else {
-				// Posted write: complete at acceptance.
-				m.done = true
-				m.state = muIdle
-			}
-		}
-	case muWait:
-		resp, ok := m.port.TakeResponse()
-		if !ok {
+	case muBus:
+		_, resp, done := m.Step()
+		if !done {
 			return
-		}
-		if resp.Err {
-			m.faulted = true
-			m.done = true
-			m.state = muIdle
-			return
-		}
-		if m.req.Cmd == ocp.BurstRead {
-			c := m.cacheFor(m.op)
-			c.Fill(m.req.Addr, resp.Data)
-			_, word, _ := c.index(m.addr)
-			m.result = resp.Data[word]
-		} else {
-			m.result = resp.Data[0]
 		}
 		m.done = true
 		m.state = muIdle
+		switch c := m.cacheFor(m.op); {
+		case resp == nil:
+			// Posted write: complete at acceptance.
+		case resp.Err:
+			m.faulted = true
+		case m.cached && c != nil:
+			// A line refill: only a cacheable miss goes to the bus.
+			c.Fill(c.LineBase(m.addr), resp.Data)
+			_, word, _ := c.index(m.addr)
+			m.result = resp.Data[word]
+		default:
+			m.result = resp.Data[0]
+		}
 	}
 }
 

@@ -12,8 +12,7 @@ type devState int
 const (
 	dRun devState = iota
 	dIdle
-	dIssue
-	dWait
+	dBus // an OCP transaction in flight
 	dHalt
 )
 
@@ -31,13 +30,9 @@ const (
 //	Write/BurstWrite            : asserts on its first cycle, completes the
 //	                              cycle the interconnect accepts it
 type Device struct {
+	ocp.Handshake
 	prog *Program
-	port ocp.MasterPort
-	// sleeps is set when the port took the engine's wake handle
-	// (ocp.PassWaker): a blocked TG then sleeps until the port wakes it,
-	// instead of polling every cycle.
-	sleeps bool
-	id     int
+	id   int
 
 	regs  [NumRegs]uint32
 	pc    int
@@ -47,7 +42,6 @@ type Device struct {
 	// Keeping the deadline absolute (instead of a per-tick countdown) is
 	// what lets the skip kernel jump over the whole wait without ticking.
 	wakeAt uint64
-	req    ocp.Request
 	// burstBuf is the reusable BurstWrite payload buffer. Interconnects
 	// copy the payload no later than acceptance (see ocp.MasterPort), so
 	// one buffer per device is safe.
@@ -73,7 +67,7 @@ func NewDevice(prog *Program, port ocp.MasterPort) (*Device, error) {
 	if port == nil {
 		return nil, fmt.Errorf("core: NewDevice requires a port")
 	}
-	d := &Device{prog: prog, port: port, id: prog.MasterID}
+	d := &Device{Handshake: ocp.NewHandshake(port), prog: prog, id: prog.MasterID}
 	for i, v := range prog.RegInit {
 		d.regs[i] = v
 	}
@@ -129,16 +123,11 @@ func (d *Device) NextWake(now uint64) uint64 {
 		if d.wakeAt > now {
 			return d.wakeAt
 		}
-	case dIssue, dWait:
-		if d.sleeps {
-			return sim.WakeNever
-		}
+	case dBus:
+		return d.BlockedWake(now)
 	}
 	return now
 }
-
-// SetWaker implements sim.WakeSink: the engine's handle goes to the port.
-func (d *Device) SetWaker(w sim.Waker) { d.sleeps = ocp.PassWaker(d.port, w) }
 
 // PushWake defers an in-progress Idle wait by delta cycles. Schedulers that
 // freeze suspended tasks (core.MultiTask with RunIdleTimers disabled) call
@@ -163,21 +152,78 @@ func (d *Device) Tick(cycle uint64) {
 		// The wait expired: fall through to execute this cycle's
 		// instruction, exactly as the strict per-cycle countdown did.
 		d.state = dRun
-	case dIssue:
-		if d.port.TryRequest(&d.req) {
-			d.Transactions++
-			if d.req.Cmd.IsRead() {
-				d.state = dWait
-			} else {
-				d.advance()
-			}
-		}
-		return
-	case dWait:
-		resp, ok := d.port.TakeResponse()
-		if !ok {
+		fallthrough
+	case dRun:
+		// Execute the instruction at pc (one per cycle). A bus instruction
+		// starts its transaction and presents it on this cycle below.
+		if d.pc >= len(d.prog.Insts) {
+			d.halt(cycle)
 			return
 		}
+		in := d.prog.Insts[d.pc]
+		d.InstRet++
+		switch in.Op {
+		case SetRegister:
+			d.regs[in.Rd] = in.Imm
+			d.pc++
+			return
+		case If:
+			if in.Cnd.Eval(d.regs[in.Ra], d.regs[in.Rb]) {
+				d.pc = int(in.Imm)
+			} else {
+				d.pc++
+			}
+			return
+		case Jump:
+			d.pc = int(in.Imm)
+			return
+		case Idle:
+			n := in.Imm
+			if in.Rb == 1 {
+				n = d.regs[in.Ra]
+			}
+			d.pc++
+			if n > 1 {
+				// Idle(n) executed at this cycle occupies n cycles total:
+				// execution resumes at cycle+n.
+				d.wakeAt = cycle + uint64(n)
+				d.state = dIdle
+			}
+			return
+		case Halt:
+			d.halt(cycle)
+			return
+		case Read:
+			d.Start(ocp.Request{Cmd: ocp.Read, Addr: d.regs[in.Ra], Burst: 1, MasterID: d.id})
+		case BurstRead:
+			d.Start(ocp.Request{Cmd: ocp.BurstRead, Addr: d.regs[in.Ra], Burst: int(in.Imm), MasterID: d.id})
+		case Write:
+			d.burstBuf = append(d.burstBuf[:0], d.regs[in.Rb])
+			d.Start(ocp.Request{Cmd: ocp.Write, Addr: d.regs[in.Ra], Burst: 1,
+				Data: d.burstBuf, MasterID: d.id})
+		case BurstWrite:
+			// Reuse the device-owned payload buffer: the previous burst was
+			// copied by the interconnect at acceptance, and this device
+			// blocks until each request is accepted.
+			d.burstBuf = d.burstBuf[:0]
+			for i := uint32(0); i < in.Imm; i++ {
+				d.burstBuf = append(d.burstBuf, d.regs[in.Rb])
+			}
+			d.Start(ocp.Request{Cmd: ocp.BurstWrite, Addr: d.regs[in.Ra], Burst: int(in.Imm),
+				Data: d.burstBuf, MasterID: d.id})
+		}
+		d.state = dBus
+	}
+	// dBus: a read's response lands in RdReg, an error response faults
+	// the TG, and completion moves on to the next instruction.
+	accepted, resp, done := d.Step()
+	if accepted {
+		d.Transactions++
+	}
+	if !done {
+		return
+	}
+	if resp != nil {
 		if resp.Err {
 			d.fault(cycle)
 			return
@@ -185,82 +231,7 @@ func (d *Device) Tick(cycle uint64) {
 		if len(resp.Data) > 0 {
 			d.regs[RdReg] = resp.Data[0]
 		}
-		d.advance()
-		return
 	}
-	// dRun: execute the instruction at pc (one per cycle).
-	if d.pc >= len(d.prog.Insts) {
-		d.halt(cycle)
-		return
-	}
-	in := d.prog.Insts[d.pc]
-	d.InstRet++
-	switch in.Op {
-	case SetRegister:
-		d.regs[in.Rd] = in.Imm
-		d.pc++
-	case If:
-		if in.Cnd.Eval(d.regs[in.Ra], d.regs[in.Rb]) {
-			d.pc = int(in.Imm)
-		} else {
-			d.pc++
-		}
-	case Jump:
-		d.pc = int(in.Imm)
-	case Idle:
-		n := in.Imm
-		if in.Rb == 1 {
-			n = d.regs[in.Ra]
-		}
-		d.pc++
-		if n <= 1 {
-			return
-		}
-		// Idle(n) executed at this cycle occupies n cycles total: execution
-		// resumes at cycle+n.
-		d.wakeAt = cycle + uint64(n)
-		d.state = dIdle
-	case Halt:
-		d.halt(cycle)
-	case Read:
-		d.issue(ocp.Request{Cmd: ocp.Read, Addr: d.regs[in.Ra], Burst: 1, MasterID: d.id})
-	case BurstRead:
-		d.issue(ocp.Request{Cmd: ocp.BurstRead, Addr: d.regs[in.Ra], Burst: int(in.Imm), MasterID: d.id})
-	case Write:
-		d.burstBuf = append(d.burstBuf[:0], d.regs[in.Rb])
-		d.issue(ocp.Request{Cmd: ocp.Write, Addr: d.regs[in.Ra], Burst: 1,
-			Data: d.burstBuf, MasterID: d.id})
-	case BurstWrite:
-		// Reuse the device-owned payload buffer: the previous burst was
-		// copied by the interconnect at acceptance, and this device blocks
-		// until each request is accepted.
-		d.burstBuf = d.burstBuf[:0]
-		for i := uint32(0); i < in.Imm; i++ {
-			d.burstBuf = append(d.burstBuf, d.regs[in.Rb])
-		}
-		d.issue(ocp.Request{Cmd: ocp.BurstWrite, Addr: d.regs[in.Ra], Burst: int(in.Imm),
-			Data: d.burstBuf, MasterID: d.id})
-	}
-}
-
-// issue asserts the request this cycle (TryRequest is expected to reject
-// until the interconnect latches it on a later cycle).
-func (d *Device) issue(req ocp.Request) {
-	d.req = req
-	if d.port.TryRequest(&d.req) {
-		// Some fabrics could accept immediately; handle it uniformly.
-		d.Transactions++
-		if req.Cmd.IsRead() {
-			d.state = dWait
-		} else {
-			d.advance()
-		}
-		return
-	}
-	d.state = dIssue
-}
-
-func (d *Device) advance() {
 	d.pc++
 	d.state = dRun
 }

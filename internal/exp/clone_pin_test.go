@@ -7,8 +7,8 @@ import (
 	"noctg/internal/ocp"
 	"noctg/internal/platform"
 	"noctg/internal/prog"
-	"noctg/internal/replay"
 	"noctg/internal/simtest"
+	"noctg/internal/stochastic"
 )
 
 // TestClonePin pins the cloning baseline of Section 3 end to end: traces
@@ -64,7 +64,7 @@ func TestClonePin(t *testing.T) {
 				got := want{makespan: makespan}
 				counters := sys.Stats.CounterSnapshot()
 				for i, m := range sys.Masters {
-					got.drift += m.(*replay.Clone).Drift
+					got.drift += m.(*stochastic.Generator).Drift
 					got.txns += counters[fmt.Sprintf("master%d/transactions", i)]
 				}
 				if got != r.want {

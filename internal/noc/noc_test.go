@@ -297,48 +297,50 @@ func TestAttachErrors(t *testing.T) {
 	n.AttachMaster(0)
 }
 
-// wakeProbe is a minimal master that sleeps the way core.Device does: it
-// hands its waker to the port and, once the port took it, reports WakeNever
-// while blocked, so only the port's wakes tick it.
+// wakeProbe is a minimal master that sleeps the way core.Device does: its
+// handshake hands the waker to the port and, once the port took it,
+// reports WakeNever while blocked, so only the port's wakes tick it.
 type wakeProbe struct {
-	port     ocp.MasterPort
-	sleeps   bool
+	ocp.Handshake
 	state    int
 	ticks    int
 	acceptAt uint64
 	respAt   uint64
 }
 
-func (p *wakeProbe) SetWaker(w sim.Waker) { p.sleeps = ocp.PassWaker(p.port, w) }
-
 // Tick asserts an unmapped read (state 0), waits for its accept (1) and
 // its error response (2), then stops (3).
 func (p *wakeProbe) Tick(c uint64) {
 	p.ticks++
-	switch p.state {
-	case 0, 1:
+	if p.state == 3 {
+		return
+	}
+	if p.state == 0 {
 		p.state = 1
-		req := ocp.Request{Cmd: ocp.Read, Addr: 0xdead0000, Burst: 1}
-		if p.port.TryRequest(&req) {
-			p.acceptAt = c
-			p.state = 2
+		p.Start(ocp.Request{Cmd: ocp.Read, Addr: 0xdead0000, Burst: 1})
+	}
+	accepted, r, done := p.Step()
+	if accepted {
+		p.acceptAt = c
+		p.state = 2
+	}
+	if done {
+		if !r.Err {
+			panic("expected an error response for the unmapped read")
 		}
-	case 2:
-		if r, ok := p.port.TakeResponse(); ok {
-			if !r.Err {
-				panic("expected an error response for the unmapped read")
-			}
-			p.respAt = c
-			p.state = 3
-		}
+		p.respAt = c
+		p.state = 3
 	}
 }
 
 func (p *wakeProbe) NextWake(now uint64) uint64 {
-	if p.state == 3 || (p.state > 0 && p.sleeps) {
+	switch p.state {
+	case 0:
+		return now
+	case 3:
 		return sim.WakeNever
 	}
-	return now
+	return p.BlockedWake(now)
 }
 
 // TestDecodeErrorHintTiming pins the wakes of a decode-error read. The NI
@@ -357,7 +359,7 @@ func TestDecodeErrorHintTiming(t *testing.T) {
 		if err := n.AttachSlave(n.Nodes()-1, ram, ram.Range()); err != nil {
 			t.Fatal(err)
 		}
-		p := &wakeProbe{port: n.AttachMaster(0)}
+		p := &wakeProbe{Handshake: ocp.NewHandshake(n.AttachMaster(0))}
 		e.Add(p)
 		e.Add(n)
 		if _, err := e.Run(10_000, func() bool { return p.state == 3 }); err != nil {
@@ -366,8 +368,8 @@ func TestDecodeErrorHintTiming(t *testing.T) {
 		if p.respAt == 0 {
 			t.Fatalf("%v: probe never took the error response", x)
 		}
-		if !p.sleeps || (x.Kernel == "event" && p.ticks != 3) {
-			t.Fatalf("%v: sleeps %v, ticked %d times, want 3", x, p.sleeps, p.ticks)
+		if sleeps := p.BlockedWake(0) == sim.WakeNever; !sleeps || (x.Kernel == "event" && p.ticks != 3) {
+			t.Fatalf("%v: sleeps %v, ticked %d times, want 3", x, sleeps, p.ticks)
 		}
 		return fmt.Appendf(nil, "accept %d resp %d", p.acceptAt, p.respAt)
 	})

@@ -18,7 +18,7 @@ type Step struct {
 // Master replays a script of Steps against an ocp.MasterPort. It implements
 // sim.Device.
 type Master struct {
-	Port  ocp.MasterPort
+	ocp.Handshake
 	Steps []Step
 
 	// Recorded observations, one entry per completed step.
@@ -27,17 +27,16 @@ type Master struct {
 	RespCycles   []uint64 // reads only; writes record 0
 	RespData     [][]uint32
 
-	i         int
-	idleLeft  uint64
-	asserting bool
-	waitResp  bool
-	finished  bool
-	started   bool
+	i        int
+	idleLeft uint64
+	inFlight bool
+	finished bool
+	started  bool
 }
 
 // NewMaster builds a scripted master over port.
 func NewMaster(port ocp.MasterPort, steps []Step) *Master {
-	return &Master{Port: port, Steps: steps}
+	return &Master{Handshake: ocp.NewHandshake(port), Steps: steps}
 }
 
 // Done reports whether the whole script has completed.
@@ -56,38 +55,30 @@ func (m *Master) Tick(cycle uint64) {
 		}
 		m.idleLeft = m.Steps[0].Gap
 	}
-	if m.waitResp {
-		if resp, ok := m.Port.TakeResponse(); ok {
-			m.RespCycles[len(m.RespCycles)-1] = cycle
-			m.RespData = append(m.RespData, append([]uint32(nil), resp.Data...))
-			m.waitResp = false
-			m.advance()
+	if !m.inFlight {
+		if m.idleLeft > 0 {
+			m.idleLeft--
+			return
 		}
-		return
-	}
-	if m.idleLeft > 0 {
-		m.idleLeft--
-		return
-	}
-	st := &m.Steps[m.i]
-	if !m.asserting {
-		m.asserting = true
+		m.inFlight = true
 		m.AssertCycles = append(m.AssertCycles, cycle)
+		m.Start(m.Steps[m.i].Req)
 	}
-	if m.Port.TryRequest(&st.Req) {
-		m.asserting = false
+	accepted, resp, done := m.Step()
+	if accepted {
 		m.AcceptCycles = append(m.AcceptCycles, cycle)
 		m.RespCycles = append(m.RespCycles, 0)
-		if st.Req.Cmd.IsRead() {
-			m.waitResp = true
-		} else {
-			m.RespData = append(m.RespData, nil)
-			m.advance()
-		}
 	}
-}
-
-func (m *Master) advance() {
+	if !done {
+		return
+	}
+	if resp != nil {
+		m.RespCycles[len(m.RespCycles)-1] = cycle
+		m.RespData = append(m.RespData, append([]uint32(nil), resp.Data...))
+	} else {
+		m.RespData = append(m.RespData, nil)
+	}
+	m.inFlight = false
 	m.i++
 	if m.i >= len(m.Steps) {
 		m.finished = true

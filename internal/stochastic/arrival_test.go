@@ -65,6 +65,12 @@ func TestArrivalSourcesComplete(t *testing.T) {
 	}
 }
 
+// drawGap draws one inter-transaction gap from g's model.
+func drawGap(g *Generator) uint64 {
+	at, _ := g.drawn.due(1, 0)
+	return at - 1
+}
+
 // openLoopRate sums N open-loop inter-injection times (gap + the 1-cycle
 // handshake) and returns injections per cycle.
 func openLoopRate(t *testing.T, cfg Config, n int) float64 {
@@ -73,7 +79,7 @@ func openLoopRate(t *testing.T, cfg Config, n int) float64 {
 	g := New(0, cfg, nopPort{})
 	var total uint64
 	for i := 0; i < n; i++ {
-		total += g.nextGap() + 1
+		total += drawGap(g) + 1
 	}
 	return float64(n) / float64(total)
 }
@@ -116,7 +122,7 @@ func TestMMPPBurstierThanPoisson(t *testing.T) {
 		g := New(0, cfg, nopPort{})
 		zeros := 0
 		for i := 0; i < 20_000; i++ {
-			if g.nextGap() == 0 {
+			if drawGap(g) == 0 {
 				zeros++
 			}
 		}
@@ -143,7 +149,7 @@ func TestArrivalDeterministicWithSeed(t *testing.T) {
 				g := New(0, c, nopPort{})
 				out := make([]uint64, 500)
 				for i := range out {
-					out[i] = g.nextGap()
+					out[i] = drawGap(g)
 				}
 				return out
 			}

@@ -1,4 +1,4 @@
-package replay
+package stochastic
 
 import (
 	"testing"
@@ -9,7 +9,7 @@ import (
 	"noctg/internal/sim"
 )
 
-func rig(t *testing.T) (*sim.Engine, *amba.Bus, *mem.RAM) {
+func cloneRig(t *testing.T) (*sim.Engine, *amba.Bus, *mem.RAM) {
 	t.Helper()
 	e := sim.NewEngine(sim.Clock{})
 	bus := amba.New(amba.Config{}, e.Cycle)
@@ -21,7 +21,7 @@ func rig(t *testing.T) (*sim.Engine, *amba.Bus, *mem.RAM) {
 }
 
 func TestCloneReplaysAtRecordedTimes(t *testing.T) {
-	e, bus, ram := rig(t)
+	e, bus, ram := cloneRig(t)
 	events := []ocp.Event{
 		{Cmd: ocp.Write, Addr: 0x1004, Burst: 1, Assert: 10, Accept: 11, Data: []uint32{7}},
 		{Cmd: ocp.Read, Addr: 0x1004, Burst: 1, Assert: 30, Accept: 31, Resp: 35,
@@ -39,8 +39,8 @@ func TestCloneReplaysAtRecordedTimes(t *testing.T) {
 	if c.Drift != 0 {
 		t.Fatalf("unexpected drift %d on the reference-like fabric", c.Drift)
 	}
-	if c.Transactions != 2 {
-		t.Fatalf("transactions = %d", c.Transactions)
+	if c.Transactions() != 2 {
+		t.Fatalf("transactions = %d", c.Transactions())
 	}
 }
 
@@ -97,7 +97,7 @@ func TestCloneIgnoresResponses(t *testing.T) {
 }
 
 func TestCloneEmpty(t *testing.T) {
-	e, bus, _ := rig(t)
+	e, bus, _ := cloneRig(t)
 	c := NewClone(0, nil, bus.NewMasterPort())
 	e.Add(c)
 	e.Add(bus)

@@ -12,6 +12,10 @@
 // logical grid of masters, with each logical destination mapped onto a
 // slave address range through the platform's address map. Dist × Pattern
 // spans the synthetic scenario space of internal/scenario.
+//
+// The Generator is an open-loop master over a source of requests: the
+// drawn model above, or a recorded trace replayed at its timestamps
+// (NewClone, the paper's cloning baseline).
 package stochastic
 
 import (
@@ -107,45 +111,50 @@ func (c Config) withDefaults() Config {
 type genState int
 
 const (
-	gIdle genState = iota
-	gIssue
-	gResp
+	gIdle genState = iota // waiting for the next request's due cycle
+	gBusy                 // a transaction in flight
+	gLast                 // the source is exhausted: halt at the next tick
 	gDone
 )
 
-// Generator is a stochastic OCP master. It implements platform.Master.
+// source is where an open-loop master's requests come from: a model that
+// draws them (drawn) or a recorded trace (recorded, see NewClone).
+type source interface {
+	// due returns the cycle request n is due, given that request n-1
+	// completed at cycle prev; ok is false when the source holds no
+	// request n. It is called for n = 0 at construction and for each
+	// later n once request n-1 completed.
+	due(n int, prev uint64) (at uint64, ok bool)
+	// request builds request n of master id, at the cycle it is first
+	// presented.
+	request(id, n int) ocp.Request
+}
+
+// Generator is an open-loop OCP master: it issues each request its
+// source makes due, whatever the fabric answers. It implements
+// platform.Master.
 type Generator struct {
-	cfg     Config
-	rng     *rand.Rand
-	port    ocp.MasterPort
-	sleeps  bool // the port wakes the blocked generator (see core.Device)
-	id      int
-	sampler *Sampler // non-nil when cfg.Spatial is set
-
-	// arrival is non-nil when an MMPP or self-similar process replaces
-	// the Dist gap draw.
-	arrival arrival
-
+	ocp.Handshake
+	src source
+	// drawn is the source of a stochastic generator, held by value so that
+	// New allocates no more than the generator itself.
+	drawn drawn
+	id    int
+	state genState
+	// issued counts accepted requests: the next request's index.
 	issued int
-	// wakeAt is the absolute cycle at which the next transaction is built
-	// and presented; absolute deadlines let the skip kernel jump the whole
-	// inter-transaction gap.
-	wakeAt   uint64
-	burstPos int
-	state    genState
-	req      ocp.Request
-	reqStart uint64
-	// wbuf is the reusable one-word write payload. Both fabrics copy the
-	// payload into their own storage at accept (the ocp.MasterPort
-	// contract), and nextRequest only runs after the previous request was
-	// accepted, so one scratch word keeps the issue path allocation-free.
-	wbuf [1]uint32
-	// assertAt is the cycle the current request was first presented,
-	// anchoring the assert-to-response ReqLatency samples.
-	assertAt uint64
-
-	halted    bool
+	// due is the cycle the next request is due and, once it is presented,
+	// the cycle it was first presented (the assert cycle): absolute
+	// deadlines let the event kernel sleep through the whole gap.
+	due uint64
+	// acceptAt is the cycle the read in flight was accepted.
+	acceptAt  uint64
 	haltCycle uint64
+	// Drift is the accumulated lateness (cycles) of issue against the
+	// source's due cycles — the cloning failure metric. A drawn source
+	// never drifts: its next due cycle lies after the completion it
+	// follows.
+	Drift uint64
 	// Latency accumulates accept-to-response read latencies for reporting;
 	// ReqLatency accumulates assert-to-response latencies (service plus
 	// source queueing — the load-latency curve metric).
@@ -156,6 +165,24 @@ type Generator struct {
 	// when no trace monitor wraps the port (open-loop curve runs).
 	txns  sim.Counter
 	reads sim.Counter
+}
+
+// drawn is the stochastic traffic model: Config's arrival process decides
+// when, its spatial pattern (or range pick) and read/write coin decide
+// what.
+type drawn struct {
+	cfg     Config
+	rng     *rand.Rand
+	sampler *Sampler // non-nil when cfg.Spatial is set
+	// arrival is non-nil when an MMPP or self-similar process replaces
+	// the Dist gap draw.
+	arrival  arrival
+	burstPos int32
+	// wbuf is the reusable one-word write payload. Both fabrics copy the
+	// payload into their own storage at accept (the ocp.MasterPort
+	// contract), and request only runs after the previous request was
+	// accepted, so one scratch word keeps the issue path allocation-free.
+	wbuf [1]uint32
 }
 
 // New builds a stochastic master with the given id over port. With a
@@ -179,24 +206,33 @@ func New(id int, cfg Config, port ocp.MasterPort) *Generator {
 		panic("stochastic: Config.Ranges must not be empty")
 	}
 	cfg = cfg.withDefaults()
-	g := &Generator{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
-		port:       port,
-		id:         id,
-		sampler:    sampler,
-		Latency:    sim.NewLatencyHistogram(),
-		ReqLatency: sim.NewLatencyHistogram(),
-	}
-	g.arrival = newArrival(cfg, g.rng)
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
+	g := &Generator{drawn: drawn{cfg: cfg, rng: rng, sampler: sampler, arrival: newArrival(cfg, rng)}}
+	g.start(id, &g.drawn, port)
 	return g
 }
 
+// start binds the generator to its source and port and schedules the
+// first request.
+func (g *Generator) start(id int, src source, port ocp.MasterPort) {
+	g.Handshake = ocp.NewHandshake(port)
+	g.src = src
+	g.id = id
+	g.Latency = sim.NewLatencyHistogram()
+	g.ReqLatency = sim.NewLatencyHistogram()
+	g.next(0)
+}
+
 // Name implements sim.Named.
-func (g *Generator) Name() string { return fmt.Sprintf("stoch%d", g.id) }
+func (g *Generator) Name() string {
+	if _, ok := g.src.(*recorded); ok {
+		return fmt.Sprintf("clone%d", g.id)
+	}
+	return fmt.Sprintf("stoch%d", g.id)
+}
 
 // Done reports whether all transactions have been issued and completed.
-func (g *Generator) Done() bool { return g.halted }
+func (g *Generator) Done() bool { return g.state == gDone }
 
 // HaltCycle returns the completion cycle.
 func (g *Generator) HaltCycle() uint64 { return g.haltCycle }
@@ -225,53 +261,62 @@ func (g *Generator) RegisterStats(r *sim.Registry) {
 	r.RegisterHistogram("req_latency", g.ReqLatency)
 }
 
-// nextGap draws the next inter-transaction gap.
-func (g *Generator) nextGap() uint64 {
-	if g.arrival != nil {
-		return g.arrival.nextGap(g.rng)
+// due implements source: the first request is due at once, every later
+// one a drawn gap after its predecessor completed.
+func (m *drawn) due(n int, prev uint64) (uint64, bool) {
+	if n == 0 {
+		return 0, m.cfg.Count > 0
 	}
-	switch g.cfg.Dist {
-	case Uniform:
-		return uint64(g.rng.Float64() * 2 * g.cfg.MeanGap)
-	case Gaussian:
-		v := g.rng.NormFloat64()*g.cfg.StdDev + g.cfg.MeanGap
-		if v < 0 {
-			v = 0
-		}
-		return uint64(v)
-	case Poisson:
-		return uint64(g.rng.ExpFloat64() * g.cfg.MeanGap)
-	case Bursty:
+	var gap uint64
+	switch {
+	case m.arrival != nil:
+		gap = m.arrival.nextGap(m.rng)
+	case m.cfg.Dist == Uniform:
+		gap = uint64(m.rng.Float64() * 2 * m.cfg.MeanGap)
+	case m.cfg.Dist == Gaussian:
+		gap = uint64(max(m.rng.NormFloat64()*m.cfg.StdDev+m.cfg.MeanGap, 0))
+	case m.cfg.Dist == Poisson:
+		gap = uint64(m.rng.ExpFloat64() * m.cfg.MeanGap)
+	case m.cfg.Dist == Bursty:
 		// Within a burst: back-to-back. Between bursts: a gap long enough
 		// to preserve the mean rate.
-		g.burstPos++
-		if g.burstPos < g.cfg.BurstLen {
-			return 0
+		if m.burstPos++; int(m.burstPos) >= m.cfg.BurstLen {
+			m.burstPos = 0
+			gap = uint64(m.rng.ExpFloat64() * m.cfg.MeanGap * float64(m.cfg.BurstLen))
 		}
-		g.burstPos = 0
-		return uint64(g.rng.ExpFloat64() * g.cfg.MeanGap * float64(g.cfg.BurstLen))
+	default:
+		gap = uint64(m.cfg.MeanGap)
 	}
-	return uint64(g.cfg.MeanGap)
+	return prev + gap + 1, n < m.cfg.Count
 }
 
-// nextRequest draws the next transaction: the spatial pattern (or the
-// uniform range pick) chooses where, then a word inside that range and the
-// read/write coin choose what.
-func (g *Generator) nextRequest() ocp.Request {
+// request implements source: the spatial pattern (or the uniform range
+// pick) chooses where, then a word inside that range and the read/write
+// coin choose what.
+func (m *drawn) request(id, _ int) ocp.Request {
 	var r ocp.AddrRange
-	if g.sampler != nil {
-		r = g.sampler.Range(g.sampler.Dest(g.id, g.rng))
+	if m.sampler != nil {
+		r = m.sampler.Range(m.sampler.Dest(id, m.rng))
 	} else {
-		r = g.cfg.Ranges[g.rng.Intn(len(g.cfg.Ranges))]
+		r = m.cfg.Ranges[m.rng.Intn(len(m.cfg.Ranges))]
 	}
 	words := r.Size / 4
-	addr := r.Base + uint32(g.rng.Intn(int(words)))*4
-	if g.rng.Float64() < g.cfg.ReadFraction {
-		return ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1, MasterID: g.id}
+	addr := r.Base + uint32(m.rng.Intn(int(words)))*4
+	if m.rng.Float64() < m.cfg.ReadFraction {
+		return ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1, MasterID: id}
 	}
-	g.wbuf[0] = g.rng.Uint32()
+	m.wbuf[0] = m.rng.Uint32()
 	return ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1,
-		Data: g.wbuf[:], MasterID: g.id}
+		Data: m.wbuf[:], MasterID: id}
+}
+
+// next asks the source when the next request is due, after the previous
+// one completed at cycle prev; the generator is idle until then.
+func (g *Generator) next(prev uint64) {
+	var ok bool
+	if g.due, ok = g.src.due(g.issued, prev); !ok {
+		g.state = gLast
+	}
 }
 
 // Tick implements sim.Device.
@@ -279,64 +324,57 @@ func (g *Generator) Tick(cycle uint64) {
 	switch g.state {
 	case gDone:
 		return
+	case gLast:
+		g.haltCycle = cycle
+		g.state = gDone
+		return
 	case gIdle:
-		if g.issued >= g.cfg.Count {
-			g.halted = true
-			g.haltCycle = cycle
-			g.state = gDone
+		if cycle < g.due {
 			return
 		}
-		if cycle < g.wakeAt {
-			return
-		}
-		g.req = g.nextRequest()
-		g.assertAt = cycle
-		g.state = gIssue
+		g.Drift += cycle - g.due
+		g.due = cycle
+		g.Start(g.src.request(g.id, g.issued))
+		g.state = gBusy
 		fallthrough
-	case gIssue:
-		if g.port.TryRequest(&g.req) {
+	case gBusy:
+		accepted, resp, done := g.Step()
+		if accepted {
 			g.issued++
-			if g.req.Cmd.IsRead() {
-				g.reqStart = cycle
-				g.state = gResp
-			} else {
-				g.txns.Inc()
-				g.wakeAt = cycle + g.nextGap() + 1
-				g.state = gIdle
-			}
+			g.acceptAt = cycle
 		}
-	case gResp:
-		if _, ok := g.port.TakeResponse(); ok {
-			g.Latency.Observe(cycle - g.reqStart)
-			g.ReqLatency.Observe(cycle - g.assertAt)
-			g.txns.Inc()
+		if !done {
+			return
+		}
+		if resp != nil {
+			g.Latency.Observe(cycle - g.acceptAt)
+			g.ReqLatency.Observe(cycle - g.due)
 			g.reads.Inc()
-			g.wakeAt = cycle + g.nextGap() + 1
-			g.state = gIdle
 		}
+		g.txns.Inc()
+		g.state = gIdle
+		g.next(cycle)
 	}
 }
 
 // NextWake implements sim.Sleeper: a finished generator never wakes, an
-// idle one wakes at its next scheduled injection, and one mid-handshake
+// idle one wakes at its next request's due cycle, and one mid-handshake
 // sleeps until its port wakes it, or polls on a port that cannot. A
-// generator that has issued its full count
-// also asks for one more tick, in which it records its halt. The
-// inter-injection sleep is a strict "will not act before" promise — the
-// schedule is drawn up front and no external input can advance it — so the
-// event kernel may drop the generator from the tick loop until wakeAt.
+// generator whose source is exhausted asks for one more tick, in which it
+// records its halt. The sleep to the due cycle is a strict "will not act
+// before" promise — neither a drawn nor a recorded schedule depends on
+// any response — so the event kernel may drop the generator from the tick
+// loop until then.
 func (g *Generator) NextWake(now uint64) uint64 {
 	switch g.state {
 	case gDone:
 		return sim.WakeNever
 	case gIdle:
-		if g.issued < g.cfg.Count && g.wakeAt > now {
-			return g.wakeAt
+		if g.due > now {
+			return g.due
 		}
-	case gIssue, gResp:
-		if g.sleeps {
-			return sim.WakeNever
-		}
+	case gBusy:
+		return g.BlockedWake(now)
 	}
 	return now
 }
@@ -346,9 +384,6 @@ func (g *Generator) TickWake(cycle uint64) uint64 {
 	g.Tick(cycle)
 	return g.NextWake(cycle + 1)
 }
-
-// SetWaker implements sim.WakeSink like core.Device.SetWaker.
-func (g *Generator) SetWaker(w sim.Waker) { g.sleeps = ocp.PassWaker(g.port, w) }
 
 var _ sim.Device = (*Generator)(nil)
 var _ sim.WakeSink = (*Generator)(nil)

@@ -76,7 +76,7 @@ func TestBurstyClustersTransactions(t *testing.T) {
 			Ranges: []ocp.AddrRange{{Base: 0, Size: 0x100}}}, nopPort{})
 		zeros := 0
 		for i := 0; i < 400; i++ {
-			if g.nextGap() == 0 {
+			if drawGap(g) == 0 {
 				zeros++
 			}
 		}
