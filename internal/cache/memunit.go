@@ -141,25 +141,31 @@ func (m *MemUnit) Tick(cycle uint64) {
 		m.done = true
 		m.state = muIdle
 	case muBus:
-		_, resp, done := m.Step()
-		if !done {
-			return
-		}
-		m.done = true
-		m.state = muIdle
-		switch c := m.cacheFor(m.op); {
-		case resp == nil:
-			// Posted write: complete at acceptance.
-		case resp.Err:
-			m.faulted = true
-		case m.cached && c != nil:
-			// A line refill: only a cacheable miss goes to the bus.
-			c.Fill(c.LineBase(m.addr), resp.Data)
-			_, word, _ := c.index(m.addr)
-			m.result = resp.Data[word]
-		default:
-			m.result = resp.Data[0]
-		}
+		m.step()
+	}
+}
+
+// step advances the transaction in flight; Tick stays small enough to
+// inline into the core's, so only a cycle with the bus in use pays a call.
+func (m *MemUnit) step() {
+	_, resp, done := m.Step()
+	if !done {
+		return
+	}
+	m.done = true
+	m.state = muIdle
+	switch c := m.cacheFor(m.op); {
+	case resp == nil:
+		// Posted write: complete at acceptance.
+	case resp.Err:
+		m.faulted = true
+	case m.cached && c != nil:
+		// A line refill: only a cacheable miss goes to the bus.
+		c.Fill(c.LineBase(m.addr), resp.Data)
+		_, word, _ := c.index(m.addr)
+		m.result = resp.Data[word]
+	default:
+		m.result = resp.Data[0]
 	}
 }
 
