@@ -314,10 +314,11 @@ func TestZeroAllocCloneReplay(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetGenerator holds a stochastic generator to the size class
-// and the per-construction allocations it had when the recorded-trace
-// source joined the drawn model: the sweep builds one per master per
-// point, so a larger struct shows up as campaign allocation volume.
+// TestAllocBudgetGenerator holds a stochastic generator, drawn model
+// included, to the 320-byte size class and stochastic.New to 7
+// allocations of 6 032 bytes (go1.24, linux/amd64): the sweep builds one
+// per master per point, so one more allocation or size class shows up as
+// campaign allocation volume (alloc_mb).
 func TestAllocBudgetGenerator(t *testing.T) {
 	if size := unsafe.Sizeof(stochastic.Generator{}); size > 320 {
 		t.Fatalf("stochastic.Generator takes %d bytes, want at most 320", size)

@@ -2,13 +2,13 @@ package ocp
 
 import "noctg/internal/sim"
 
-// Handshake is the master side of the socket, written once: it presents
-// a request until the port accepts it and, for a read, takes the
-// response. Every master embeds one and keeps only its own decisions —
-// what to issue, when, and what to do with the answer. Embedding also
-// gives the master its SetWaker, so it is a sim.WakeSink; a master that
-// is driven by another device's Tick must sit in a named field of that
-// device, or the engine would hand the port the wrong waker.
+// Handshake is the master side of the socket: it presents a request
+// until the port accepts it and, for a read, takes the response. Every
+// master embeds one and keeps only its own decisions — what to issue,
+// when, and what to do with the answer. Embedding also gives the master
+// its SetWaker, so it is a sim.WakeSink; a master that is driven by
+// another device's Tick must sit in a named field of that device, or the
+// engine would hand the port the wrong waker.
 type Handshake struct {
 	port MasterPort
 	req  Request

@@ -142,7 +142,7 @@ type WakeHinter interface {
 // port that takes it (implements sim.WakeSink) calls WakeAt at every change
 // of its answers — the accept and the response becoming takeable — so its
 // blocked master may sleep with sim.WakeNever. Any other port leaves its
-// master to poll every blocked cycle. Masters call it from their SetWaker.
+// master to poll every blocked cycle. Handshake.SetWaker calls it.
 func PassWaker(port MasterPort, w sim.Waker) bool {
 	for m, ok := port.(*Monitor); ok; m, ok = port.(*Monitor) {
 		port = m.port

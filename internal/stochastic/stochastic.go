@@ -176,7 +176,9 @@ type drawn struct {
 	sampler *Sampler // non-nil when cfg.Spatial is set
 	// arrival is non-nil when an MMPP or self-similar process replaces
 	// the Dist gap draw.
-	arrival  arrival
+	arrival arrival
+	// burstPos is an int32 to share a word with wbuf, which keeps the
+	// Generator in its 320-byte size class.
 	burstPos int32
 	// wbuf is the reusable one-word write payload. Both fabrics copy the
 	// payload into their own storage at accept (the ocp.MasterPort
