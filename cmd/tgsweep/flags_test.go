@@ -19,6 +19,18 @@ import (
 // "panic: ..." level nor a watchdog's "platform(<fabric>): guard: ..."
 // level has, so a violated curve campaign always exited 0.
 func TestCurveViolationsFailTheRun(t *testing.T) {
+	watchdog := &guard.Violation{Kind: guard.KindBudget, Cycle: 8, Shard: -1, Msg: "wall-clock budget exceeded"}
+	levels := []sweep.CurvePoint{
+		{MeanGap: 24},
+		{MeanGap: 12, Err: "panic: injected curve panic",
+			Violation: &guard.Violation{Kind: guard.KindPanic, Shard: -1, Msg: "curve c gap 12: injected curve panic"}},
+		{MeanGap: 6, Err: "platform(amba): " + watchdog.Error(), Violation: watchdog},
+	}
+	if got := curveViolations([]sweep.Curve{{Name: "c", Points: levels}}); got != 2 {
+		t.Errorf("hand-built curve: curveViolations = %d, want 2 (the panic and the watchdog level)", got)
+	}
+
+	// End to end: a nanosecond run budget fails every level of a real run.
 	spec := sweep.CurveSpec{
 		Name: "hotspot-amba",
 		Workload: sweep.Workload{Kind: sweep.KindStochastic, Dist: "poisson", Cores: 4,
@@ -29,22 +41,17 @@ func TestCurveViolationsFailTheRun(t *testing.T) {
 	}
 	budget := guard.Default()
 	budget.RunBudget = time.Nanosecond
-	for name, r := range map[string]sweep.Runner{
-		"panic":    {Faults: func(sweep.Point) *guard.FaultPlan { panic("injected curve panic") }},
-		"watchdog": {Guard: &budget},
-	} {
-		curves, err := r.RunCurves([]sweep.CurveSpec{spec})
-		if err != nil {
-			t.Fatal(err)
+	curves, err := sweep.Runner{Guard: &budget}.RunCurves([]sweep.CurveSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range curves[0].Points {
+		if !strings.HasPrefix(p.Err, "platform(amba): guard: ") {
+			t.Fatalf("watchdog: gap %g failed with %q, want a guard error", p.MeanGap, p.Err)
 		}
-		for _, p := range curves[0].Points {
-			if p.Err == "" {
-				t.Fatalf("%s: gap %g did not fail", name, p.MeanGap)
-			}
-		}
-		if got, want := curveViolations(curves), len(spec.Gaps); got != want {
-			t.Errorf("%s: curveViolations = %d, want %d (one per failed level)", name, got, want)
-		}
+	}
+	if got, want := curveViolations(curves), len(spec.Gaps); got != want {
+		t.Errorf("watchdog: curveViolations = %d, want %d (one per failed level)", got, want)
 	}
 }
 

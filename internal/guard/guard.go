@@ -1,6 +1,5 @@
 // Package guard is the simulator's hardening layer: runtime invariant
-// watchdogs, structured violation diagnostics, and deterministic fault
-// injection.
+// watchdogs and structured violation diagnostics.
 //
 // The watchdogs cover the failure modes a wormhole NoC simulator can
 // otherwise only express as a silent infinite loop or a process-killing
@@ -24,11 +23,10 @@
 // violation the run stops with a typed *Violation error carrying a
 // Diagnostic dump of the stuck state instead of a panic or a hang.
 //
-// Fault injection (FaultPlan) is the test stimulus that proves the
-// watchdogs fire: seeded, deterministic faults — stall a link for a cycle
-// window, freeze a slave, drop flits, leak packets, stall a shard — are
-// threaded into the NoC and shard runner purely to manufacture each
-// violation class on demand.
+// Nothing in the simulator exists to make a watchdog fire. The tests that
+// prove each one does use real inputs (memories slower than the deadlock
+// horizon) or stimulus that lives in tests (a master that sleeps on the
+// host clock, a fabric account skewed between runs).
 package guard
 
 import (
@@ -56,8 +54,8 @@ const (
 	// KindBarrierStall fires when a shard stops arriving at window
 	// barriers.
 	KindBarrierStall Kind = "barrier-stall"
-	// KindPanic wraps a recovered panic (a device bug surfacing under
-	// fault injection or otherwise) as a structured violation.
+	// KindPanic wraps a recovered panic (a device or model bug) as a
+	// structured violation.
 	KindPanic Kind = "panic"
 )
 

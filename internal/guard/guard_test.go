@@ -213,40 +213,6 @@ func TestMonitorCheckAllocFree(t *testing.T) {
 	}
 }
 
-func TestFaultPlanEmpty(t *testing.T) {
-	var p FaultPlan
-	if !p.Empty() {
-		t.Fatal("zero plan not empty")
-	}
-	p.SlaveFreezes = append(p.SlaveFreezes, SlaveFreeze{Node: 1, From: 0, To: 10})
-	if p.Empty() {
-		t.Fatal("populated plan reports empty")
-	}
-}
-
-// TestRandomPlanDeterministic pins the seeded generator: same inputs, same
-// plan, serialised identically.
-func TestRandomPlanDeterministic(t *testing.T) {
-	a, _ := json.Marshal(RandomPlan(7, 16, 10_000))
-	b, _ := json.Marshal(RandomPlan(7, 16, 10_000))
-	if string(a) != string(b) {
-		t.Fatalf("same seed, different plans:\n%s\n%s", a, b)
-	}
-	c, _ := json.Marshal(RandomPlan(8, 16, 10_000))
-	if string(a) == string(c) {
-		t.Fatal("different seeds produced identical plans")
-	}
-	p := RandomPlan(7, 16, 10_000)
-	if p.Empty() {
-		t.Fatal("random plan injects nothing")
-	}
-	for _, ls := range p.LinkStalls {
-		if ls.Node < 0 || ls.Node >= 16 || ls.From >= ls.To {
-			t.Fatalf("malformed link stall %+v", ls)
-		}
-	}
-}
-
 func TestDiagnosticSummaryCaps(t *testing.T) {
 	d := &Diagnostic{Cycle: 5, LivePackets: 3}
 	for i := 0; i < 20; i++ {

@@ -18,6 +18,10 @@ import (
 // quiescent segment boundary (workers joined, import rings drained) —
 // exactly where the shard runner calls it.
 
+// portNames names router ports in violation messages and diagnostic dumps
+// (the lower-case form of PortName).
+var portNames = [numPorts]string{portN: "n", portE: "e", portS: "s", portW: "w", portL: "local"}
+
 // RetiredPackets returns the monotone count of packets retired to their
 // pools since construction — the guard layer's progress signal. Unlike the
 // registry stats it is never reset. Valid at quiescent points.

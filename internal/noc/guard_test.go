@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -112,5 +113,33 @@ func TestCheckInvariantsCatchesScheduleCorruption(t *testing.T) {
 				t.Fatalf("violation %q does not mention %q", v.Msg, tc.names)
 			}
 		})
+	}
+}
+
+// TestGuardDiagnoseQueues: the dump lists exactly the non-empty input
+// FIFOs, in router and port order, each with its occupancy and its head
+// flit's source, destination and age — on an unpartitioned network and
+// on two row bands, with the stuck flits in different bands.
+func TestGuardDiagnoseQueues(t *testing.T) {
+	for _, parts := range []int{0, 2} {
+		tr := newTrap(t, parts, 5)
+		east, north := tr.packet(0, 5), tr.packet(7, 5)
+		tr.put(1, portW, east, 0, 10)  // a whole packet, its head arrived at 10
+		tr.put(8, portW, north, 1, 12) // two body flits, the head gone ahead
+		d := tr.prod.Diagnose(40)
+		want := []guard.QueueDiag{
+			{Node: 1, Port: "w", VC: "req", Flits: 3, HeadSrc: 0, HeadDst: 5, HeadAge: 30},
+			{Node: 8, Port: "w", VC: "req", Flits: 2, HeadSrc: 7, HeadDst: 5, HeadAge: 28},
+		}
+		if !reflect.DeepEqual(d.Queues, want) {
+			t.Fatalf("parts=%d: dump queues\n%+v\nwant\n%+v", parts, d.Queues, want)
+		}
+		if d.ResidentFlits != 5 || d.LivePackets != 2 {
+			t.Fatalf("parts=%d: dump accounts %d resident flits and %d live packets, want 5 and 2",
+				parts, d.ResidentFlits, d.LivePackets)
+		}
+		if parts > 0 && tr.prod.RegionOf(1) == tr.prod.RegionOf(8) {
+			t.Fatalf("nodes 1 and 8 share band %d", tr.prod.RegionOf(1))
+		}
 	}
 }

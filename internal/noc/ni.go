@@ -270,9 +270,6 @@ func (s *slaveNI) acceptFlit(fl flit, cycle uint64) {
 // tick advances a busy slave NI by one cycle; Network.tick skips the idle
 // ones, which have nothing queued, in service or draining.
 func (s *slaveNI) tick(cycle uint64) {
-	if fa := s.net.faults; fa != nil && fa.frozen(s.node, cycle) {
-		return // injected fault: the slave serves and drains nothing
-	}
 	// Drain the outgoing response packet first: one flit per cycle.
 	if s.out != nil {
 		if s.r.in[portL][vcResp].len() < s.net.cfg.BufferFlits {
@@ -313,13 +310,7 @@ func (s *slaveNI) tick(cycle uint64) {
 				s.st.slaveErrors.Inc()
 			}
 		}
-		if fa := s.net.faults; fa != nil && fa.leaked(s.node, cycle) {
-			// Injected fault: the served request packet is forgotten
-			// instead of recycled, so the pool-mass watchdog has a real
-			// leak to catch.
-		} else {
-			s.st.putPacket(s.current)
-		}
+		s.st.putPacket(s.current)
 		s.current = nil
 	}
 	if s.current == nil && s.qhead < len(s.queue) {

@@ -518,9 +518,6 @@ func (r *router) tick(cycle uint64) {
 // the dateline bit, wrap links set it); the allocation fixes one (input
 // port, input VC) owner until the packet's tail passes.
 func (r *router) tryForward(o, ovc int, cycle uint64) (from int, ok bool) {
-	if fa := r.n.faults; fa != nil && fa.stalled(r.id, o, cycle) {
-		return 0, false
-	}
 	if r.alloc[o][ovc].in < 0 {
 		r.allocate(o, ovc, cycle)
 	}
@@ -594,12 +591,6 @@ func (r *router) forward(o, ovc int, cycle uint64) (from int, ok bool) {
 	r.rrVC[o] = uint8(ovc+1) & (numVC - 1)
 	r.st.flitsRouted++
 	r.st.flitsVC[ovc].Inc()
-	if fa := r.n.faults; fa != nil && fa.dropped(r.id, o, cycle) {
-		// Injected fault: the flit vanishes with its bookkeeping
-		// deliberately left inconsistent, so the conservation (and, for a
-		// tail, pool-mass) watchdogs have something real to catch.
-		return from, true
-	}
 	r.deliver(o, ovc, moved, cycle)
 	return from, true
 }
@@ -688,10 +679,6 @@ type Network struct {
 	// network is driven outside an engine.
 	waker sim.Waker
 
-	// faults holds the compiled fault-injection tables (nil on an
-	// uninjected network — the hot-path hooks are a single nil check); see
-	// fault.go.
-	faults *faultSet
 	// guardTally is the conservation scan's cached per-domain scratch so
 	// repeated scans allocate nothing; see guard.go.
 	guardTally []domainTally

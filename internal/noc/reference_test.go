@@ -48,9 +48,6 @@ func (r *router) referenceTick(cycle uint64) {
 // referenceTryForward is router.tryForward with the exhaustive allocation
 // scan.
 func (r *router) referenceTryForward(o, ovc int, cycle uint64) bool {
-	if fa := r.n.faults; fa != nil && fa.stalled(r.id, o, cycle) {
-		return false
-	}
 	if r.alloc[o][ovc].in < 0 {
 	scan:
 		for k := 0; k < numPorts; k++ {
@@ -114,8 +111,7 @@ func describeWord(n *Network, i int) string {
 // lockstep runs spec on two identically built rigs — prod through the
 // production schedule, ref through the reference — comparing the complete
 // fabric state after every cycle and the production rig's invariants now
-// and then. Drop faults break conservation by design, so a faulted spec
-// skips the invariant scan.
+// and then.
 func lockstep(t testing.TB, spec fabricSpec, parts int, schedule []byte, cycles uint64) {
 	t.Helper()
 	prod, ref := newFabricRig(t, spec, parts), newFabricRig(t, spec, parts)
@@ -135,7 +131,7 @@ func lockstep(t testing.TB, spec fabricSpec, parts int, schedule []byte, cycles 
 					spec, parts, prod.cycle-1, describeWord(ref.net, i), pw[i], rw[i])
 			}
 		}
-		if spec.faults == nil && prod.cycle%61 == 0 {
+		if prod.cycle%61 == 0 {
 			if v := prod.net.CheckInvariants(); v != nil {
 				t.Fatalf("%v parts=%d cycle %d: %v", spec, parts, prod.cycle-1, v)
 			}

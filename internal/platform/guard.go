@@ -1,10 +1,6 @@
 package platform
 
-import (
-	"fmt"
-
-	"noctg/internal/guard"
-)
+import "noctg/internal/guard"
 
 // EnableGuard arms the guard layer (see internal/guard) on the system,
 // routing each watchdog to the layer that can observe it:
@@ -44,29 +40,4 @@ func (s *System) EnableGuard(cfg guard.Config) {
 	}
 	m := guard.NewMonitor(cfg, p)
 	s.Engine.SetWatchdog(m.Check)
-}
-
-// InjectFaults installs a deterministic fault plan (test stimulus for the
-// guard watchdogs): fabric faults go to the NoC, shard stalls to the shard
-// runner. It errors on any fault the platform cannot host — fabric faults
-// without an XPipes fabric, shard stalls without a sharded runner — so a
-// plan never silently half-applies.
-func (s *System) InjectFaults(plan guard.FaultPlan) error {
-	if len(plan.ShardStalls) > 0 {
-		if s.Sharded == nil {
-			return fmt.Errorf("platform: fault plan stalls a shard but the platform is not sharded")
-		}
-		if err := s.Sharded.InjectStalls(plan.ShardStalls); err != nil {
-			return err
-		}
-	}
-	fabric := plan
-	fabric.ShardStalls = nil
-	if fabric.Empty() {
-		return nil
-	}
-	if s.Net == nil {
-		return fmt.Errorf("platform: fault plan targets the fabric but the platform has no NoC")
-	}
-	return s.Net.InjectFaults(fabric)
 }

@@ -9,21 +9,18 @@ import (
 
 	"noctg/internal/guard"
 	"noctg/internal/layout"
-	"noctg/internal/noc"
 	"noctg/internal/ocp"
 	"noctg/internal/platform"
 	"noctg/internal/simtest"
 	"noctg/internal/stochastic"
 )
 
-// The guard fault matrix: every watchdog is driven to fire by a seeded
-// guard.FaultPlan, on the single-engine Monitor path (shards=0) and on the
-// SPMD shard-runner path, under every kernel × shard row of the execution
-// axis table.
-
-// sharedNode is where the shared RAM lands on the 4x4/4-core floorplan:
-// masters fill nodes 0..3, privs take 15..12, shared 11, semaphores 10.
-const sharedNode = 11
+// The platform's watchdog matrix: the deadlock horizon, run budget and
+// barrier stall are driven to fire by real inputs or test-side masters, on
+// the single-engine Monitor path (shards=0) and on the SPMD shard-runner
+// path, under every kernel × shard row of the execution axis table. The
+// conservation and pool-mass scans, which only a fabric bug can trip, are
+// proven in internal/noc.
 
 // eachRow runs f on every kernel × shard row of the table, as
 // shards=<n>/<kernel> subtests.
@@ -47,8 +44,7 @@ func eachRow(t *testing.T, f func(t *testing.T, x simtest.Exec)) {
 }
 
 // sharedScenario aims every master at the shared RAM: all four request
-// streams funnel into sharedNode, so a fault anywhere on master 0's
-// east-bound path or at the shared slave is guaranteed traffic.
+// streams funnel into one slave.
 func sharedScenario(count int, seed int64) stochastic.Config {
 	dests := make([]ocp.AddrRange, 4)
 	for d := range dests {
@@ -68,7 +64,12 @@ func sharedScenario(count int, seed int64) stochastic.Config {
 
 func buildGuardedMesh(t *testing.T, x simtest.Exec, scfg stochastic.Config, cfg guard.Config) *platform.System {
 	t.Helper()
-	sys, err := platform.Build(execConfig(t, x, platform.Config{Cores: 4, Interconnect: platform.XPipes}), func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
+	return buildGuarded(t, execConfig(t, x, platform.Config{Cores: 4, Interconnect: platform.XPipes}), scfg, cfg)
+}
+
+func buildGuarded(t *testing.T, pcfg platform.Config, scfg stochastic.Config, cfg guard.Config) *platform.System {
+	t.Helper()
+	sys, err := platform.Build(pcfg, func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
 		return stochastic.New(id, scfg, port)
 	})
 	if err != nil {
@@ -96,79 +97,18 @@ func mustViolate(t *testing.T, sys *platform.System, maxCycles uint64, kind guar
 	return v
 }
 
-// forever is the fault window that outlasts any test run.
-const forever = uint64(1) << 62
-
-// TestGuardLinkStallDeadlock: a permanently stalled router output wedges
-// master 0's traffic; once the other masters drain, nothing retires while
-// packets stay in flight, and the no-retire horizon fires with the stuck
-// queues in the dump.
-func TestGuardLinkStallDeadlock(t *testing.T) {
-	eachRow(t, func(t *testing.T, x simtest.Exec) {
-		sys := buildGuardedMesh(t, x, sharedScenario(30, 1),
-			guard.Config{NoRetireHorizon: 2000})
-		if err := sys.InjectFaults(guard.FaultPlan{
-			LinkStalls: []guard.LinkStall{{Node: 0, Dir: "e", From: 0, To: forever}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		v := mustViolate(t, sys, 300_000, guard.KindDeadlock)
-		if len(v.Diag.Queues) == 0 {
-			t.Fatalf("deadlock dump shows no stuck queues: %+v", v.Diag)
-		}
-	})
-}
-
-// TestGuardSlaveFreezeDeadlock: a frozen shared-memory slave stops serving;
-// every master wedges behind it and the horizon fires with the blocked
-// masters in the dump.
+// TestGuardSlaveFreezeDeadlock: with 2^16 wait states every memory
+// freezes for longer than the no-retire horizon. Every master's first
+// request wedges behind the shared RAM, nothing retires while packets stay
+// in flight, and the horizon fires with the blocked masters in the dump.
 func TestGuardSlaveFreezeDeadlock(t *testing.T) {
 	eachRow(t, func(t *testing.T, x simtest.Exec) {
-		sys := buildGuardedMesh(t, x, sharedScenario(30, 2),
-			guard.Config{NoRetireHorizon: 2000})
-		if err := sys.InjectFaults(guard.FaultPlan{
-			SlaveFreezes: []guard.SlaveFreeze{{Node: sharedNode, From: 0, To: forever}},
-		}); err != nil {
-			t.Fatal(err)
-		}
+		cfg := execConfig(t, x, platform.Config{Cores: 4, Interconnect: platform.XPipes, MemWaitStates: 1 << 16})
+		sys := buildGuarded(t, cfg, sharedScenario(30, 2), guard.Config{NoRetireHorizon: 2000})
 		v := mustViolate(t, sys, 300_000, guard.KindDeadlock)
-		if len(v.Diag.Masters) == 0 {
-			t.Fatalf("freeze dump shows no blocked masters: %+v", v.Diag)
+		if len(v.Diag.Masters) != 4 {
+			t.Fatalf("freeze dump shows %d blocked masters, want 4: %+v", len(v.Diag.Masters), v.Diag)
 		}
-	})
-}
-
-// TestGuardFlitDropConservation: silently discarding forwarded flits makes
-// a domain's resident-flit account disagree with its FIFO occupancy — the
-// conservation scan catches it. The deadlock horizon is left disabled so
-// the test pins the conservation kind specifically (sharded runs scan at
-// segment boundaries, after the horizon would otherwise have fired).
-func TestGuardFlitDropConservation(t *testing.T) {
-	eachRow(t, func(t *testing.T, x simtest.Exec) {
-		sys := buildGuardedMesh(t, x, sharedScenario(30, 3),
-			guard.Config{Conservation: true, ConservationEvery: 256})
-		if err := sys.InjectFaults(guard.FaultPlan{
-			FlitDrops: []guard.FlitDrop{{Node: 0, Dir: "e", From: 0, To: forever}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		mustViolate(t, sys, 20_000, guard.KindConservation)
-	})
-}
-
-// TestGuardPacketLeakPoolMass: a slave NI that forgets to recycle served
-// request packets breaks pool mass — live references no longer cover the
-// pool's outstanding count.
-func TestGuardPacketLeakPoolMass(t *testing.T) {
-	eachRow(t, func(t *testing.T, x simtest.Exec) {
-		sys := buildGuardedMesh(t, x, sharedScenario(40, 4),
-			guard.Config{Conservation: true, ConservationEvery: 64})
-		if err := sys.InjectFaults(guard.FaultPlan{
-			PacketLeaks: []guard.PacketLeak{{Node: sharedNode, From: 0, To: forever}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		mustViolate(t, sys, 30_000, guard.KindPoolMass)
 	})
 }
 
@@ -187,25 +127,49 @@ func TestGuardRunBudget(t *testing.T) {
 	})
 }
 
-// TestGuardShardBarrierStall: a shard put to sleep on the host clock stops
-// arriving at window barriers; a peer's stall watchdog fires instead of
-// every shard spinning forever, and the dump carries per-shard window
-// state.
+// napper wraps a master and sleeps on the host clock the first time it
+// ticks at or after cycle at. Embedding only the platform.Master interface
+// hides the generator's wake hints, so its engine ticks it every cycle.
+type napper struct {
+	platform.Master
+	at    uint64
+	nap   time.Duration
+	slept bool
+}
+
+func (m *napper) Tick(cycle uint64) {
+	if !m.slept && cycle >= m.at {
+		m.slept = true
+		time.Sleep(m.nap)
+	}
+	m.Master.Tick(cycle)
+}
+
+// TestGuardShardBarrierStall: master 0 naps for 300 ms of host time at
+// cycle 50, so its shard (the first band) stops arriving at window
+// barriers; a peer's stall watchdog fires instead of every shard spinning
+// forever, and the dump carries per-shard window state.
 func TestGuardShardBarrierStall(t *testing.T) {
 	for _, x := range simtest.Rows(t, simtest.Kernel|simtest.Shards) {
 		if x.Shards < 2 {
 			continue // a barrier needs a peer to stall against
 		}
 		t.Run(x.String(), func(t *testing.T) {
-			t.Parallel() // the stalled shard sleeps; overlap the rows
-			cfg := guard.Config{BarrierStall: 25 * time.Millisecond}
-			sys := buildGuardedMesh(t, x, sharedScenario(1<<30, 6), cfg)
-			shards := sys.Sharded.Shards()
-			if err := sys.InjectFaults(guard.FaultPlan{
-				ShardStalls: []guard.ShardStall{{Shard: 1, AtCycle: 50, Wall: 300 * time.Millisecond}},
-			}); err != nil {
+			t.Parallel() // the napping shard sleeps; overlap the rows
+			scfg := sharedScenario(1<<30, 6)
+			sys, err := platform.Build(execConfig(t, x, platform.Config{Cores: 4, Interconnect: platform.XPipes}),
+				func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
+					m := platform.Master(stochastic.New(id, scfg, port))
+					if id == 0 {
+						m = &napper{Master: m, at: 50, nap: 300 * time.Millisecond}
+					}
+					return m
+				})
+			if err != nil {
 				t.Fatal(err)
 			}
+			sys.EnableGuard(guard.Config{BarrierStall: 25 * time.Millisecond})
+			shards := sys.Sharded.Shards()
 			v := mustViolate(t, sys, 10_000_000, guard.KindBarrierStall)
 			if v.Shard < 0 || v.Shard >= shards {
 				t.Fatalf("barrier-stall violation names shard %d of %d", v.Shard, shards)
@@ -221,52 +185,7 @@ func TestGuardShardBarrierStall(t *testing.T) {
 	}
 }
 
-// TestGuardRandomPlanFires: the seeded random plan generator produces
-// faults that actually trip a watchdog on the torus (where every direction
-// has a link) — plan determinism is pinned in the guard package, this pins
-// potency end to end.
-func TestGuardRandomPlanFires(t *testing.T) {
-	for _, x := range simtest.Rows(t, simtest.Kernel) {
-		t.Run(x.Kernel, func(t *testing.T) { randomPlanFires(t, x) })
-	}
-}
-
-func randomPlanFires(t *testing.T, x simtest.Exec) {
-	scfg := sharedScenario(60, 7)
-	sys, err := platform.Build(execConfig(t, x, platform.Config{
-		Cores: 4, Interconnect: platform.XPipes, NoC: noc.Config{Topology: noc.Torus},
-	}), func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
-		return stochastic.New(id, scfg, port)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.EnableGuard(guard.Config{NoRetireHorizon: 2000, Conservation: true, ConservationEvery: 256})
-	plan := guard.RandomPlan(11, 16, 4000)
-	// Stretch the windows to the whole run so the plan is guaranteed to
-	// intersect live traffic whatever the seed drew.
-	for i := range plan.LinkStalls {
-		plan.LinkStalls[i].To = forever
-	}
-	for i := range plan.SlaveFreezes {
-		plan.SlaveFreezes[i].Node = sharedNode
-		plan.SlaveFreezes[i].To = forever
-	}
-	for i := range plan.FlitDrops {
-		plan.FlitDrops[i].To = forever
-	}
-	if err := sys.InjectFaults(plan); err != nil {
-		t.Fatal(err)
-	}
-	_, err = sys.Run(300_000)
-	if v, ok := guard.AsViolation(err); !ok {
-		t.Fatalf("random plan tripped nothing: %v", err)
-	} else if v.Kind != guard.KindDeadlock && v.Kind != guard.KindConservation && v.Kind != guard.KindPoolMass {
-		t.Fatalf("random plan tripped unexpected kind %s", v.Kind)
-	}
-}
-
-// TestGuardFaultFreeIdentical: with no faults injected, a fully guarded
+// TestGuardFaultFreeIdentical: on a healthy workload, a fully guarded
 // run is observably identical to an unguarded one — makespan, final
 // cycle, issue counts and latency histograms — on every kernel × shard
 // row. The watchdogs are purely observational.
@@ -296,43 +215,5 @@ func TestGuardedAdvanceAllocFree(t *testing.T) {
 		sys.Sharded.Advance(200)
 	}); avg != 0 {
 		t.Fatalf("guarded sharded advance allocates %.1f times per segment, want 0", avg)
-	}
-}
-
-// TestInjectFaultsValidation: a plan that targets anything the platform
-// cannot host is rejected whole — wrong node, missing link, no slave, no
-// shard runner — never silently half-applied.
-func TestInjectFaultsValidation(t *testing.T) {
-	scfg := sharedScenario(10, 12)
-	single := buildGuardedMesh(t, simtest.Reference(), scfg, guard.Config{})
-	sharded := buildGuardedMesh(t, simtest.Exec{Kernel: "strict", Shards: 2}, scfg, guard.Config{})
-	cases := []struct {
-		name string
-		sys  *platform.System
-		plan guard.FaultPlan
-	}{
-		{"node out of range", single, guard.FaultPlan{
-			LinkStalls: []guard.LinkStall{{Node: 99, Dir: "e"}}}},
-		{"negative node", single, guard.FaultPlan{
-			FlitDrops: []guard.FlitDrop{{Node: -1, Dir: "e"}}}},
-		{"bad direction", single, guard.FaultPlan{
-			LinkStalls: []guard.LinkStall{{Node: 0, Dir: "x"}}}},
-		{"missing mesh link", single, guard.FaultPlan{
-			LinkStalls: []guard.LinkStall{{Node: 0, Dir: "n"}}}},
-		{"freeze without slave", single, guard.FaultPlan{
-			SlaveFreezes: []guard.SlaveFreeze{{Node: 0}}}},
-		{"leak without slave", single, guard.FaultPlan{
-			PacketLeaks: []guard.PacketLeak{{Node: 5}}}},
-		{"shard stall on single engine", single, guard.FaultPlan{
-			ShardStalls: []guard.ShardStall{{Shard: 0, Wall: time.Second}}}},
-		{"shard stall out of range", sharded, guard.FaultPlan{
-			ShardStalls: []guard.ShardStall{{Shard: 7, Wall: time.Second}}}},
-		{"shard stall without wall", sharded, guard.FaultPlan{
-			ShardStalls: []guard.ShardStall{{Shard: 0}}}},
-	}
-	for _, tc := range cases {
-		if err := tc.sys.InjectFaults(tc.plan); err == nil {
-			t.Errorf("%s: plan accepted", tc.name)
-		}
 	}
 }

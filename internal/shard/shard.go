@@ -179,12 +179,6 @@ type Runner struct {
 	guard *guardState
 	gv    *guard.Violation
 	dead  error
-
-	// stalls are injected shard-stall faults (test stimulus for the
-	// barrier watchdog); stallArmed[i] is written only by the goroutine of
-	// the shard stalls[i] targets.
-	stalls     []guard.ShardStall
-	stallArmed []bool
 }
 
 // New builds a runner over the shards. The shards' engines must be fully
@@ -225,23 +219,6 @@ func (r *Runner) Cycle() uint64 { return r.shards[0].Engine.Cycle() }
 // per-shard window state). Call before the first segment.
 func (r *Runner) EnableGuard(cfg guard.Config, scan func() *guard.Violation, diag func() *guard.Diagnostic) {
 	r.guard = &guardState{cfg: cfg, scan: scan, diag: diag, states: make([]gshard, len(r.shards))}
-}
-
-// InjectStalls arms shard-stall faults (guard.FaultPlan test stimulus):
-// the targeted shard sleeps Wall of host time at its first round boundary
-// at or after AtCycle, which the peers' barrier-stall watchdog must catch.
-func (r *Runner) InjectStalls(stalls []guard.ShardStall) error {
-	for _, f := range stalls {
-		if f.Shard < 0 || f.Shard >= len(r.shards) {
-			return fmt.Errorf("shard: stall fault targets shard %d of a %d-shard runner", f.Shard, len(r.shards))
-		}
-		if f.Wall <= 0 {
-			return fmt.Errorf("shard: stall fault on shard %d needs a positive wall duration", f.Shard)
-		}
-	}
-	r.stalls = append(r.stalls, stalls...)
-	r.stallArmed = make([]bool, len(r.stalls))
-	return nil
 }
 
 // barrierSpin bounds the busy-wait before yielding the thread. On hosts
@@ -412,18 +389,6 @@ func (r *Runner) guardVerdict(s int, c uint64) *guard.Violation {
 	return nil
 }
 
-// maybeStall fires any injected stall fault targeting shard s that is due
-// at cycle c (once each).
-func (r *Runner) maybeStall(s int, c uint64) {
-	for i := range r.stalls {
-		f := &r.stalls[i]
-		if f.Shard == s && !r.stallArmed[i] && c >= f.AtCycle {
-			r.stallArmed[i] = true
-			time.Sleep(f.Wall)
-		}
-	}
-}
-
 // shardLoop is the SPMD body every shard runs for one segment: publish the
 // entry state, then rounds of compute / exchange until the shared stop
 // condition (the segment target, completion, or a guard verdict) fires —
@@ -464,9 +429,6 @@ func (r *Runner) shardLoop(s int, target, stride uint64) {
 				}
 				return
 			}
-		}
-		if r.stalls != nil {
-			r.maybeStall(s, c)
 		}
 		t := c + 1
 		if w := r.minHorizon(); w > t {

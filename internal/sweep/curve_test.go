@@ -105,9 +105,7 @@ func TestCurveSpecValidate(t *testing.T) {
 func TestCurvePanicKeepsPointContext(t *testing.T) {
 	spec := goldenCurveSpec()
 	spec.Gaps = []float64{24, 6}
-	r := Runner{
-		Faults: func(Point) *guard.FaultPlan { panic("injected curve panic") },
-	}
+	r := Runner{wrap: func(Point, int, platform.Master) platform.Master { panic("injected curve panic") }}
 	c := runCurve(t, r, spec)
 	for _, p := range c.Points {
 		if p.Err == "" || !strings.Contains(p.Err, "injected curve panic") {
@@ -161,7 +159,12 @@ func TestCurveRetryRecovers(t *testing.T) {
 		retried := render(runCurve(t, Runner{
 			Kernel: kernel,
 			Retry:  &RetryPolicy{MaxAttempts: 2},
-			Faults: func(Point) *guard.FaultPlan { panic("transient curve panic") },
+			wrap: func(_ Point, attempt int, m platform.Master) platform.Master {
+				if attempt == 1 {
+					panic("transient curve panic")
+				}
+				return m
+			},
 		}, spec))
 		if !bytes.Equal(clean, retried) {
 			t.Fatalf("%v: retried curve diverged from the clean run:\n%s\nvs\n%s", x, retried, clean)

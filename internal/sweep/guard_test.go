@@ -22,26 +22,22 @@ func guardTestPoints() []Point {
 	return g.Expand()
 }
 
-const guardSharedNode = 11
+// frozen makes point i of pts wait 2^16 cycles per memory access — far
+// past the 2000-cycle no-retire horizon the tests arm, so the deadlock
+// watchdog fires on a real input.
+func frozen(pts []Point, i int) []Point {
+	pts[i].Fabric.MemWaitStates = 1 << 16
+	return pts
+}
 
-// TestGuardGridContinuesPastViolation: a fault plan wedges exactly one
+// TestGuardGridContinuesPastViolation: frozen memories wedge exactly one
 // point; that point is recorded as failed with the typed violation and its
 // diagnostic, and every other point completes normally — graceful
 // degradation, not a lost sweep.
 func TestGuardGridContinuesPastViolation(t *testing.T) {
 	cfg := guard.Config{NoRetireHorizon: 2000}
-	r := Runner{
-		Workers: 2,
-		Guard:   &cfg,
-		Faults: func(p Point) *guard.FaultPlan {
-			if p.Seed != 1 {
-				return nil
-			}
-			return &guard.FaultPlan{SlaveFreezes: []guard.SlaveFreeze{
-				{Node: guardSharedNode, From: 0, To: 1 << 62}}}
-		},
-	}
-	results, err := r.Run(guardTestPoints())
+	r := Runner{Workers: 2, Guard: &cfg}
+	results, err := r.Run(frozen(guardTestPoints(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +73,7 @@ func TestGuardViolationArtifactDeterministic(t *testing.T) {
 	want := simtest.Differential(t, "violating grid", simtest.Workers, func(t *testing.T, x simtest.Exec) []byte {
 		r := execRunner(t, x)
 		r.Guard = &cfg
-		r.Faults = func(p Point) *guard.FaultPlan {
-			if p.Seed != 2 {
-				return nil
-			}
-			return &guard.FaultPlan{LinkStalls: []guard.LinkStall{
-				{Node: 0, Dir: "e", From: 0, To: 1 << 62}}}
-		}
-		results, err := r.Run(guardTestPoints())
+		results, err := r.Run(frozen(guardTestPoints(), 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,34 +97,6 @@ func TestGuardFaultFreeArtifactsIdentical(t *testing.T) {
 	})
 	if plain := pointsCampaign(guardTestPoints())(t, simtest.Reference()); !bytes.Equal(plain, guarded) {
 		t.Fatalf("guarded artifact diverged from the unguarded one:\n%s\nvs\n%s", guarded, plain)
-	}
-}
-
-// TestGuardInvalidFaultPlanRecorded: a fault plan the platform rejects
-// (missing link) fails that point cleanly and leaves the rest of the grid
-// running.
-func TestGuardInvalidFaultPlanRecorded(t *testing.T) {
-	cfg := guard.Default()
-	r := Runner{
-		Workers: 2,
-		Guard:   &cfg,
-		Faults: func(p Point) *guard.FaultPlan {
-			if p.Seed != 3 {
-				return nil
-			}
-			// Node 0 sits on the mesh corner: no north link exists.
-			return &guard.FaultPlan{LinkStalls: []guard.LinkStall{{Node: 0, Dir: "n", From: 0, To: 100}}}
-		},
-	}
-	results, err := r.Run(guardTestPoints())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[2].Err == "" || !strings.Contains(results[2].Err, "missing link") {
-		t.Fatalf("rejected plan not recorded: %q", results[2].Err)
-	}
-	if results[0].Err != "" || results[1].Err != "" {
-		t.Fatalf("healthy points failed: %q, %q", results[0].Err, results[1].Err)
 	}
 }
 

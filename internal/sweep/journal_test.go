@@ -14,6 +14,7 @@ import (
 
 	"noctg/internal/guard"
 	"noctg/internal/journal"
+	"noctg/internal/ocp"
 	"noctg/internal/platform"
 	"noctg/internal/simtest"
 )
@@ -337,8 +338,8 @@ func TestResumeAcrossShardCounts(t *testing.T) {
 }
 
 // TestRetryTransientPanicRecovers: a worker panic on the first attempt
-// (injected via a panicking fault hook) classifies transient, retries
-// without the fault stimulus, and ends byte-identical to a clean run.
+// (a master wrapper that panics while the point is built) classifies
+// transient, retries without it, and ends byte-identical to a clean run.
 func TestRetryTransientPanicRecovers(t *testing.T) {
 	pts := journalTestPoints()[:1]
 	clean, err := Runner{}.Run(pts)
@@ -347,8 +348,14 @@ func TestRetryTransientPanicRecovers(t *testing.T) {
 	}
 	var calls atomic.Int32
 	r := Runner{
-		Retry:  &RetryPolicy{MaxAttempts: 2},
-		Faults: func(Point) *guard.FaultPlan { calls.Add(1); panic("injected worker panic") },
+		Retry: &RetryPolicy{MaxAttempts: 2},
+		wrap: func(_ Point, attempt int, m platform.Master) platform.Master {
+			if attempt == 1 {
+				calls.Add(1)
+				panic("injected worker panic")
+			}
+			return m
+		},
 	}
 	var attempts []int
 	res, last, err := r.runPointRetry(&programCache{}, pts[0], 0, func(a int) error {
@@ -365,7 +372,7 @@ func TestRetryTransientPanicRecovers(t *testing.T) {
 		t.Fatalf("attempts %v (last %d), want [1 2]", attempts, last)
 	}
 	if calls.Load() != 1 {
-		t.Fatalf("fault hook called %d times, want 1 (first attempt only)", calls.Load())
+		t.Fatalf("wrapper panicked %d times, want 1 (first attempt only)", calls.Load())
 	}
 	a, _ := json.Marshal(clean[0])
 	b, _ := json.Marshal(res)
@@ -375,19 +382,12 @@ func TestRetryTransientPanicRecovers(t *testing.T) {
 }
 
 // TestRetryQuarantinesDeterministic: a deadlock violation is a property
-// of the configuration — one attempt, immediate quarantine, no matter the
-// retry budget.
+// of the configuration (here, frozen memories) — one attempt, immediate
+// quarantine, no matter the retry budget.
 func TestRetryQuarantinesDeterministic(t *testing.T) {
-	pts := guardTestPoints()[:1]
+	pts := frozen(guardTestPoints()[:1], 0)
 	cfg := guard.Config{NoRetireHorizon: 2000}
-	r := Runner{
-		Guard: &cfg,
-		Retry: &RetryPolicy{MaxAttempts: 3},
-		Faults: func(Point) *guard.FaultPlan {
-			return &guard.FaultPlan{SlaveFreezes: []guard.SlaveFreeze{
-				{Node: guardSharedNode, From: 0, To: 1 << 62}}}
-		},
-	}
+	r := Runner{Guard: &cfg, Retry: &RetryPolicy{MaxAttempts: 3}}
 	var attempts int
 	res, last, err := r.runPointRetry(&programCache{}, pts[0], 0, func(int) error {
 		attempts++
@@ -407,9 +407,20 @@ func TestRetryQuarantinesDeterministic(t *testing.T) {
 	}
 }
 
+// endless wraps a master so that it never reports done. Embedding the
+// platform.Master interface hides the generator's wake hints, so every
+// kernel ticks it each cycle instead of jumping to the cycle budget; the
+// embedded meter keeps the point measurable.
+type endless struct {
+	platform.Master
+	ocp.TrafficMeter
+}
+
+func (endless) Done() bool { return false }
+
 // TestRetryDeadlineBudget: a budget-only guard (what -run-budget arms
 // without -guard) bounds each attempt's wall clock, the blown budget
-// classifies transient, and the fault-free retry on the runner's own
+// classifies transient, and the unwrapped retry on the runner's own
 // kernel succeeds.
 func TestRetryDeadlineBudget(t *testing.T) {
 	pts := guardTestPoints()[:1]
@@ -423,18 +434,19 @@ func TestRetryDeadlineBudget(t *testing.T) {
 			MaxCycles: 1 << 40,
 			Guard:     &guard.Config{RunBudget: 300 * time.Millisecond},
 			Retry:     &RetryPolicy{MaxAttempts: 2},
-			Faults: func(Point) *guard.FaultPlan {
-				return &guard.FaultPlan{SlaveFreezes: []guard.SlaveFreeze{
-					{Node: guardSharedNode, From: 0, To: 1 << 62}}}
+			wrap: func(_ Point, attempt int, m platform.Master) platform.Master {
+				if attempt == 1 {
+					return endless{m, m.(ocp.TrafficMeter)}
+				}
+				return m
 			},
 		}
 		res, last, err := r.runPointRetry(&programCache{}, pts[0], 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The first attempt is wedged by the frozen slave until the budget
-		// fires; assert the end state: recovered within two attempts, no
-		// residual violation.
+		// The first attempt never finishes, so the budget fires; assert the
+		// end state: recovered within two attempts, no residual violation.
 		if res.Err != "" || res.Violation != nil {
 			t.Fatalf("%v: deadline retry did not recover: err=%q violation=%+v", x, res.Err, res.Violation)
 		}

@@ -100,11 +100,6 @@ type Runner struct {
 	// as a failed Result (Err + Violation) and the rest of the grid
 	// completes.
 	Guard *guard.Config
-	// Faults derives an optional deterministic fault plan per point (test
-	// stimulus for the guard watchdogs); nil — or a nil/empty return —
-	// injects nothing. Plans are injected on a point's first attempt only,
-	// so a transient injected failure proves the retry path recovers.
-	Faults func(Point) *guard.FaultPlan
 	// Retry is the retry policy of every point and curve level (the
 	// -retries flags). Nil means one attempt.
 	Retry *RetryPolicy
@@ -114,6 +109,12 @@ type Runner struct {
 	// the run returns ErrDrained. tgsweep wires it to SIGINT/SIGTERM under
 	// -journal, where a drained campaign can resume.
 	Interrupted func() bool
+
+	// wrap, when set, replaces every stochastic master a point builds with
+	// wrap(point, attempt, master): the seam through which package tests
+	// put a hostile device (one that panics, sleeps or never finishes)
+	// into the platform a point runs on. attempt is 1-based.
+	wrap func(p Point, attempt int, m platform.Master) platform.Master
 }
 
 const stochasticMaxCycles = 2_000_000
@@ -318,10 +319,9 @@ func (r Runner) analyticEstimate(p Point, res *Result) bool {
 
 // runPointExec executes one attempt of one configuration on its own
 // engine. A panicking model is recorded as that point's failure rather than
-// aborting the sweep. attempt is 1-based (fault plans inject on attempt 1
-// only). Every attempt runs the runner's own kernel and shard count:
-// every row of them computes the same bytes, so a point that passed only
-// on another would hide a kernel bug.
+// aborting the sweep. attempt is 1-based. Every attempt runs the runner's
+// own kernel and shard count: every row of them computes the same bytes,
+// so a point that passed only on another would hide a kernel bug.
 func (r Runner) runPointExec(cache *programCache, p Point, attempt int) (res Result) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -388,6 +388,9 @@ func (r Runner) runPointExec(cache *programCache, p Point, attempt int) (res Res
 		}
 		scfg.Ranges = []ocp.AddrRange{layout.SharedRange()}
 		sys, err = platform.Build(cfg, func(_ *platform.System, id int, port ocp.MasterPort) platform.Master {
+			if r.wrap != nil {
+				return r.wrap(p, attempt, stochastic.New(id, scfg, port))
+			}
 			return stochastic.New(id, scfg, port)
 		})
 	}
@@ -400,14 +403,6 @@ func (r Runner) runPointExec(cache *programCache, p Point, attempt int) (res Res
 	}
 	if r.Guard != nil {
 		sys.EnableGuard(*r.Guard)
-	}
-	if r.Faults != nil && attempt <= 1 {
-		if plan := r.Faults(p); plan != nil && !plan.Empty() {
-			if err := sys.InjectFaults(*plan); err != nil {
-				res.Err = err.Error()
-				return res
-			}
-		}
 	}
 
 	if err := measure(sys, p.Measure, maxCycles, &res); err != nil {
