@@ -265,7 +265,7 @@
 // point detected from the marginal-throughput knee, request-latency
 // blow-up versus zero-load, or unbounded epoch-over-epoch latency growth.
 //
-// # Guard layer: watchdogs and fault injection
+// # Guard layer: watchdogs
 //
 // A guard.Config (Options.Guard, SweepRunner.Guard, the -guard and
 // -run-budget CLI flags) arms runtime invariant watchdogs on any run: a
@@ -280,11 +280,11 @@
 // guard.AsViolation. Fault-free guarded runs are byte-identical to
 // unguarded ones at every kernel and shard count, and the guarded hot
 // paths stay allocation-free; guard.Default enables everything but the
-// wall-clock budget. The watchdogs are themselves pinned by deterministic
-// fault injection: a guard.FaultPlan (or seeded RandomPlan) wedges links,
-// drops flits, freezes slaves, leaks packets or stalls shards inside cycle
-// windows, and the guard test matrix proves each fault class trips its
-// watchdog under every kernel and shard count. In sweeps, a violating
+// wall-clock budget. Each watchdog is proven to fire under every kernel
+// and shard count without a hook in the simulator: frozen memories (2^16
+// wait states) trip the deadlock horizon, a napping test master the
+// barrier stall, and tests that skew a fabric account between runs the
+// conservation and pool-mass scans. In sweeps, a violating
 // point is recorded as a failed Result carrying the violation while the
 // rest of the grid completes (tgsweep -on-violation record|fail).
 //
