@@ -17,8 +17,10 @@
 //
 // -workers, -kernel, the profile pair and the guard trio are the flag
 // groups tgrepro shares with tgsweep (and the guard trio with nocsim)
-// through internal/cliflags; -kernel picks the TG-replay kernel, and ARM
-// reference runs always tick strictly.
+// through internal/cliflags; -kernel picks the kernel of the reference and
+// TG runs alike, and -table2 also times both on the strict kernel: its
+// gain column is the selected kernel's, its gain strict column the
+// paper's like-for-like comparison.
 package main
 
 import (

@@ -21,9 +21,10 @@ const (
 type muState int
 
 const (
-	muIdle muState = iota
-	muHit          // resolves on the next tick (1-cycle cache access)
-	muBus          // an OCP transaction in flight
+	muIdle  muState = iota
+	muHit           // resolves on the next tick (1-cycle cache access)
+	muIssue         // an OCP request begun, first presented on the next tick
+	muBus           // an OCP transaction in flight
 )
 
 // MemUnit funnels a core's instruction fetches and data accesses onto its
@@ -37,7 +38,7 @@ const (
 // The unit handles one operation at a time (the cores are in-order,
 // single-pipeline, exactly like the paper's ARM masters). It is driven by
 // the owning core's Tick, not registered with the engine directly, and the
-// core holds it in a named field so that the core is no sim.WakeSink.
+// core holds it in a named field and hands it the engine's waker itself.
 type MemUnit struct {
 	ocp.Handshake
 	icache    *Cache
@@ -83,6 +84,21 @@ func (m *MemUnit) Cacheable(addr uint32) bool {
 // Busy reports whether an operation is in progress.
 func (m *MemUnit) Busy() bool { return m.state != muIdle }
 
+// Local reports whether the next Tick stays off the port: the unit is idle
+// or resolving a cache hit.
+func (m *MemUnit) Local() bool { return m.state < muIssue }
+
+// NextWake reports the first cycle from now at which the unit needs its
+// Tick. A request the port has seen sleeps as the handshake does; any
+// other state, a request begun but not yet presented included, needs the
+// tick at now.
+func (m *MemUnit) NextWake(now uint64) uint64 {
+	if m.state == muBus {
+		return m.BlockedWake(now)
+	}
+	return now
+}
+
 // Faulted reports whether a bus error terminated an operation.
 func (m *MemUnit) Faulted() bool { return m.faulted }
 
@@ -111,18 +127,18 @@ func (m *MemUnit) Begin(op OpKind, addr uint32, data uint32) {
 			}
 			// Miss: burst refill of the whole line.
 			m.Start(ocp.Request{Cmd: ocp.BurstRead, Addr: c.LineBase(addr), Burst: c.Config().WordsPerLine})
-			m.state = muBus
+			m.state = muIssue
 			return
 		}
 		m.Start(ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1})
-		m.state = muBus
+		m.state = muIssue
 	case OpStore:
 		if m.cached && m.dcache != nil {
 			m.dcache.Update(addr, data)
 		}
 		m.stBuf[0] = data
 		m.Start(ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1, Data: m.stBuf[:1]})
-		m.state = muBus
+		m.state = muIssue
 	}
 }
 
@@ -140,7 +156,7 @@ func (m *MemUnit) Tick(cycle uint64) {
 	case muHit:
 		m.done = true
 		m.state = muIdle
-	case muBus:
+	case muIssue, muBus:
 		m.step()
 	}
 }
@@ -148,6 +164,7 @@ func (m *MemUnit) Tick(cycle uint64) {
 // step advances the transaction in flight; Tick stays small enough to
 // inline into the core's, so only a cycle with the bus in use pays a call.
 func (m *MemUnit) step() {
+	m.state = muBus
 	_, resp, done := m.Step()
 	if !done {
 		return

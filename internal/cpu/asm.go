@@ -61,10 +61,11 @@ func Assemble(src string, base uint32) (*Program, error) {
 		return nil, fmt.Errorf("asm: base %#x not word aligned", base)
 	}
 	syms := map[string]uint32{}
-	var items []asmItem
 	loc := base
 
 	lines := strings.Split(src, "\n")
+	// At most one item per line: one allocation instead of a doubling chain.
+	items := make([]asmItem, 0, len(lines))
 	for ln, raw := range lines {
 		line := stripComment(raw)
 		line = strings.TrimSpace(line)

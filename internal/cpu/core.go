@@ -22,6 +22,15 @@ const (
 // MemUnit (and through it, its single OCP master port) itself, so platform
 // code only registers the core.
 //
+// The core is also a sim.Sleeper and a sim.WakeSink, so it runs on the
+// event kernel like every other master. After each clock that steps the
+// bus, Tick goes on executing the clocks that touch nothing outside the
+// core (cache hits, ALU operations and branches) up to the first one that
+// steps the bus again, or that would halt it: the core has then simulated
+// ahead of the engine, and the engine's ticks of those cycles are no-ops.
+// A core blocked on its port sleeps until the port wakes it, and counts
+// the cycles it slept as stalls.
+//
 // Reset state: all registers zero except r15, which holds the core ID (the
 // benchmarks use it for work partitioning, standing in for MPARM's
 // per-processor identification).
@@ -40,6 +49,8 @@ type Core struct {
 	halted    bool
 	faulted   bool
 	haltCycle uint64
+	// next is the first cycle the core has not simulated yet.
+	next uint64
 
 	// InstRet counts retired instructions.
 	InstRet uint64
@@ -75,11 +86,76 @@ func (c *Core) Reg(n int) uint32 { return c.regs[n] }
 // PC returns the current program counter.
 func (c *Core) PC() uint32 { return c.pc }
 
-// Tick implements sim.Device: one processor clock.
+// MemUnit returns the core's memory unit, which holds its caches.
+func (c *Core) MemUnit() *cache.MemUnit { return c.mu }
+
+// aheadMax bounds how many cycles one Tick simulates ahead of the engine,
+// so a program that loops forever without touching the bus still returns
+// control to the engine, which stops it at its cycle budget.
+const aheadMax = 1 << 12
+
+// Tick implements sim.Device: the clock at cycle, then every following
+// clock that touches nothing outside the core (see local). A tick of a
+// cycle the core already simulated is a no-op, so strict ticking computes
+// exactly what the sleeping kernels do.
 func (c *Core) Tick(cycle uint64) {
-	if c.halted {
+	if c.halted || cycle < c.next {
 		return
 	}
+	if cycle > c.next && !c.mu.Local() {
+		// The cycles slept blocked on the port were stalls.
+		c.StallCycles += cycle - c.next
+	}
+	c.step(cycle)
+	end := cycle + aheadMax
+	for cycle++; cycle < end && c.local(); cycle++ {
+		c.step(cycle)
+	}
+	c.next = cycle
+}
+
+// local reports whether the core's next clock touches nothing outside the
+// core: its memory unit stays off the port, and the clock neither retires
+// HALT nor decodes a faulting instruction, because Halted feeds the run's
+// completion predicate.
+func (c *Core) local() bool {
+	if c.halted || !c.mu.Local() {
+		return false
+	}
+	switch c.state {
+	case sFetch1:
+		return decodes(c.w0)
+	case sExec:
+		return c.execLeft > 1 || c.inst.Op != HALT
+	}
+	return true
+}
+
+// NextWake implements sim.Sleeper: a halted core never wakes, one that
+// ran ahead wakes at the first cycle it has not simulated, and one whose
+// memory unit waits on the port sleeps as that unit does.
+func (c *Core) NextWake(now uint64) uint64 {
+	switch {
+	case c.halted:
+		return sim.WakeNever
+	case c.next > now:
+		return c.next
+	}
+	return c.mu.NextWake(now)
+}
+
+// TickWake implements sim.TickSleeper (Tick then NextWake in one dispatch).
+func (c *Core) TickWake(cycle uint64) uint64 {
+	c.Tick(cycle)
+	return c.NextWake(cycle + 1)
+}
+
+// SetWaker implements sim.WakeSink: the engine's handle goes to the memory
+// unit's handshake, and through it to the port.
+func (c *Core) SetWaker(w sim.Waker) { c.mu.SetWaker(w) }
+
+// step is one processor clock.
+func (c *Core) step(cycle uint64) {
 	c.mu.Tick(cycle)
 	if c.mu.Faulted() {
 		c.fault(cycle)
@@ -105,13 +181,11 @@ func (c *Core) Tick(cycle uint64) {
 			return
 		}
 		c.w1 = v
-		inst, ok := Decode(c.w0, c.w1)
-		if !ok {
+		if !c.inst.decode(c.w0, c.w1) {
 			c.fault(cycle)
 			return
 		}
-		c.inst = inst
-		c.execLeft = ExecCycles(inst.Op)
+		c.execLeft = ExecCycles(c.inst.Op)
 		c.state = sExec
 	case sExec:
 		c.execLeft--
@@ -242,3 +316,5 @@ func (c *Core) fault(cycle uint64) {
 }
 
 var _ sim.Device = (*Core)(nil)
+var _ sim.TickSleeper = (*Core)(nil)
+var _ sim.WakeSink = (*Core)(nil)

@@ -98,17 +98,23 @@ func (i Inst) Encode() (w0, w1 uint32) {
 
 // Decode unpacks an instruction; it reports whether the opcode is valid.
 func Decode(w0, w1 uint32) (Inst, bool) {
-	i := Inst{
-		Op:  Op(w0 >> 24),
-		Rd:  int(w0 >> 16 & 0xff),
-		Ra:  int(w0 >> 8 & 0xff),
-		Rb:  int(w0 & 0xff),
-		Imm: w1,
-	}
-	if !i.Op.Valid() || i.Rd > 15 || i.Ra > 15 || i.Rb > 15 {
-		return i, false
-	}
-	return i, true
+	var i Inst
+	ok := i.decode(w0, w1)
+	return i, ok
+}
+
+// decode unpacks an instruction into i field by field: the core decodes
+// into its own Inst, and a whole-struct copy through the stack would stall
+// on reading back the opcode byte as a word.
+func (i *Inst) decode(w0, w1 uint32) bool {
+	i.Op, i.Rd, i.Ra, i.Rb, i.Imm = Op(w0>>24), int(w0>>16&0xff), int(w0>>8&0xff), int(w0&0xff), w1
+	return decodes(w0)
+}
+
+// decodes reports whether an instruction whose first word is w0 decodes:
+// a valid opcode and three valid register numbers.
+func decodes(w0 uint32) bool {
+	return Op(w0>>24).Valid() && w0>>16&0xff <= 15 && w0>>8&0xff <= 15 && w0&0xff <= 15
 }
 
 // String renders the instruction in assembler syntax.

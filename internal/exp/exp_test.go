@@ -213,7 +213,7 @@ func TestQuickTable2Formats(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = FormatTable2(rows)
-	for _, want := range []string{"spmatrix", "cacheloop", "mpmatrix", "des", "gain"} {
+	for _, want := range []string{"spmatrix", "cacheloop", "mpmatrix", "des", "gain", "gain strict"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table output missing %q:\n%s", want, out)
 		}
@@ -221,6 +221,9 @@ func TestQuickTable2Formats(t *testing.T) {
 	for _, r := range rows {
 		if r.ErrorPct > 5 {
 			t.Fatalf("row %s/%dP error %.2f%% too high\n%s", r.Bench, r.Cores, r.ErrorPct, out)
+		}
+		if r.Gain <= 0 || r.GainStrict <= 0 {
+			t.Fatalf("row %s/%dP: gain %.2f, strict gain %.2f not measured\n%s", r.Bench, r.Cores, r.Gain, r.GainStrict, out)
 		}
 	}
 }

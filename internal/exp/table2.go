@@ -7,11 +7,15 @@ import (
 	"time"
 
 	"noctg/internal/core"
+	"noctg/internal/platform"
 	"noctg/internal/prog"
 )
 
 // Row is one Table 2 line: simulated-cycle accuracy and host-time speedup
-// of the TG platform versus the ARM platform.
+// of the TG platform versus the ARM platform. The speedup is measured
+// twice: both sides on the selected kernel (Gain), and both sides on the
+// strict kernel (GainStrict), which ticks every device every cycle, as the
+// paper's simulator did.
 type Row struct {
 	Bench     string
 	Cores     int
@@ -21,6 +25,11 @@ type Row struct {
 	WallARM   time.Duration
 	WallTG    time.Duration
 	Gain      float64
+	// WallARMStrict, WallTGStrict and GainStrict are the same runs on the
+	// strict kernel.
+	WallARMStrict time.Duration
+	WallTGStrict  time.Duration
+	GainStrict    float64
 	// TracedWall is the reference run with tracing enabled (overhead exp).
 	TracedWall time.Duration
 	// TranslateWall is the trace→program conversion time.
@@ -33,10 +42,17 @@ type Row struct {
 //
 //  1. plain reference run (ARM wall time and cycle count),
 //  2. traced reference run (trace collection + overhead metrics),
-//  3. translation, and
-//  4. TG run (TG wall time and cycle count).
+//  3. translation,
+//  4. TG run (TG wall time and cycle count), and
+//  5. the plain reference and TG runs again on the strict kernel.
 func MeasureRow(spec *prog.Spec, opt Options) (*Row, error) {
 	plain, err := RunReference(spec, opt, false)
+	if err != nil {
+		return nil, err
+	}
+	strict := opt
+	strict.Platform.Kernel = platform.KernelStrict
+	plainStrict, err := RunReference(spec, strict, false)
 	if err != nil {
 		return nil, err
 	}
@@ -53,6 +69,14 @@ func MeasureRow(spec *prog.Spec, opt Options) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	tgStrict, err := RunTG(spec, progs, strict)
+	if err != nil {
+		return nil, err
+	}
+	if plainStrict.Makespan != plain.Makespan || tgStrict.Makespan != tg.Makespan {
+		return nil, fmt.Errorf("exp: %s/%dP: the %v kernel disagrees with strict (ARM %d vs %d, TG %d vs %d cycles)",
+			spec.Name, spec.Cores, opt.Platform.Kernel, plain.Makespan, plainStrict.Makespan, tg.Makespan, tgStrict.Makespan)
+	}
 	tbytes, err := TraceBytes(traced.Traces)
 	if err != nil {
 		return nil, err
@@ -65,14 +89,23 @@ func MeasureRow(spec *prog.Spec, opt Options) (*Row, error) {
 		ErrorPct:      100 * math.Abs(float64(tg.Makespan)-float64(plain.Makespan)) / float64(plain.Makespan),
 		WallARM:       plain.Wall,
 		WallTG:        tg.Wall,
+		WallARMStrict: plainStrict.Wall,
+		WallTGStrict:  tgStrict.Wall,
 		TracedWall:    traced.Wall,
 		TranslateWall: twall,
 		TraceBytes:    tbytes,
 	}
-	if tg.Wall > 0 {
-		row.Gain = float64(plain.Wall) / float64(tg.Wall)
-	}
+	row.Gain = gain(plain.Wall, tg.Wall)
+	row.GainStrict = gain(plainStrict.Wall, tgStrict.Wall)
 	return row, nil
+}
+
+// gain is the speedup of a TG run over an ARM run, 0 when unmeasurable.
+func gain(arm, tg time.Duration) float64 {
+	if tg <= 0 {
+		return 0
+	}
+	return float64(arm) / float64(tg)
 }
 
 // Sizes parameterises the Table 2 benchmark set. The defaults give
@@ -142,12 +175,14 @@ func Table2(sizes Sizes, opt Options) ([]*Row, error) {
 	return rows, nil
 }
 
-// FormatTable2 renders rows in the paper's Table 2 layout.
+// FormatTable2 renders rows in the paper's Table 2 layout, with the gain
+// on the selected kernel beside the gain with both sides on the strict
+// kernel, the paper's like-for-like comparison.
 func FormatTable2(rows []*Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %4s | %12s %12s %7s | %10s %10s %6s\n",
-		"benchmark", "#IPs", "cycles ARM", "cycles TG", "error", "time ARM", "time TG", "gain")
-	fmt.Fprintln(&b, strings.Repeat("-", 88))
+	fmt.Fprintf(&b, "%-10s %4s | %12s %12s %7s | %10s %10s %6s %11s\n",
+		"benchmark", "#IPs", "cycles ARM", "cycles TG", "error", "time ARM", "time TG", "gain", "gain strict")
+	fmt.Fprintln(&b, strings.Repeat("-", 100))
 	last := ""
 	for _, r := range rows {
 		name := r.Bench
@@ -156,9 +191,9 @@ func FormatTable2(rows []*Row) string {
 		} else {
 			last = r.Bench
 		}
-		fmt.Fprintf(&b, "%-10s %3dP | %12d %12d %6.2f%% | %10s %10s %5.2fx\n",
+		fmt.Fprintf(&b, "%-10s %3dP | %12d %12d %6.2f%% | %10s %10s %5.2fx %10.2fx\n",
 			name, r.Cores, r.CyclesARM, r.CyclesTG, r.ErrorPct,
-			roundWall(r.WallARM), roundWall(r.WallTG), r.Gain)
+			roundWall(r.WallARM), roundWall(r.WallTG), r.Gain, r.GainStrict)
 	}
 	return b.String()
 }

@@ -1,5 +1,5 @@
-// The pool guard is skipped under the race detector, whose sync.Pool drops
-// a share of what it is given on purpose.
+// The guard is skipped under the race detector, whose instrumentation
+// allocates on its own.
 
 //go:build !race
 

@@ -44,10 +44,16 @@ type page [pageWords]uint32
 // pages in any entry up to its capacity.
 type table struct{ pages []*page }
 
-// tables holds the wiped page tables Clear hands back, each with its pages
-// attached, so taking a table takes its pages too. It pools *table, not
-// pages: putting a slice would allocate its header each time.
-var tables = sync.Pool{New: func() any { return new(table) }}
+// freeTables holds the wiped page tables Clear hands back, each with its
+// pages attached, so taking a table takes its pages too. Unlike a
+// sync.Pool, which every garbage collection empties, it keeps them, so
+// what a run allocates does not depend on when the collector last ran. A
+// table is owned by one RAM or by the list, never both, and the list never
+// holds more tables than were once in use together.
+var freeTables struct {
+	sync.Mutex
+	list []*table
+}
 
 // NewRAM builds a RAM of size bytes mapped at base. Size and base must be
 // word aligned.
@@ -59,11 +65,19 @@ func NewRAM(name string, base, size uint32, waitStates uint64) *RAM {
 }
 
 // takePage gives the RAM page p, taking a table first if it has none: a
-// pooled table's attached page if it has one, else a fresh page.
+// recycled table's attached page if it has one, else a fresh page.
 func (r *RAM) takePage(p int) *page {
 	if r.table == nil {
 		n := (r.size + pageWords - 1) / pageWords
-		t := tables.Get().(*table)
+		var t *table
+		freeTables.Lock()
+		if k := len(freeTables.list) - 1; k >= 0 {
+			t, freeTables.list = freeTables.list[k], freeTables.list[:k]
+		}
+		freeTables.Unlock()
+		if t == nil {
+			t = new(table)
+		}
 		if cap(t.pages) < n {
 			t.pages = append(t.pages[:cap(t.pages)], make([]*page, n-cap(t.pages))...)
 		}
@@ -207,7 +221,9 @@ func (r *RAM) Clear() {
 		}
 	}
 	t.pages = t.pages[:cap(t.pages)]
-	tables.Put(t)
+	freeTables.Lock()
+	freeTables.list = append(freeTables.list, t)
+	freeTables.Unlock()
 	r.table = nil
 }
 

@@ -165,8 +165,8 @@ func TestRAMAccessesCrossPages(t *testing.T) {
 }
 
 // A table handed back by Clear comes out wiped, whoever takes it next: the
-// same RAM, a RAM of the same size, or a smaller or larger one. The round
-// trips repeat because a sync.Pool may drop what it is given.
+// same RAM, a RAM of the same size, or a smaller or larger one, round
+// after round.
 func TestRAMClearRecyclesWipedStore(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		a := NewRAM("a", 0, 4*4096, 0)

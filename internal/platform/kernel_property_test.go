@@ -2,6 +2,7 @@ package platform_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"noctg/internal/sim"
 	"noctg/internal/simtest"
 	"noctg/internal/stochastic"
+	"noctg/internal/trace"
 )
 
 // randomProgram emits a random but well-formed TGP program: bursts of
@@ -265,36 +267,63 @@ func randomScenariosCampaign() simtest.Campaign {
 	}
 }
 
-// TestARMAlwaysTicksStrictly pins the property the kernel default rests
-// on: a miniARM core is not a sim.Sleeper, so on an ARM platform the event
-// and skip kernels elide nothing — the engine reports it cannot skip,
-// skips no cycle, and lands on the strict run's makespan. ARM reference
-// runs therefore need no kernel of their own, and the Table 2 gain
-// measures the TG model against a reference that ticked every cycle.
-func TestARMAlwaysTicksStrictly(t *testing.T) {
-	spec := prog.MPMatrix(2, 4)
-	progs, err := spec.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestARMKernelIndependent: miniARM platforms compute the same bytes on
+// every kernel, on the bus and on the mesh. A core sleeps while blocked on
+// its port and runs cache-hit spans ahead of the engine, so the rows
+// compare everything a reference run exposes: makespan, final engine
+// cycle, fabric work, each core's retired instructions, stalls, halt
+// cycle, PC and registers, its caches' counters, and each master's
+// serialised trace. The sleeping kernels must also skip cycles, or the
+// sleep path would go untested.
+func TestARMKernelIndependent(t *testing.T) {
+	specs := []*prog.Spec{prog.MPMatrix(2, 4), prog.Cacheloop(2, 50), prog.DES(3, 1)}
 	caches := cache.Config{Lines: 64, WordsPerLine: 4}
 	simtest.Differential(t, "ARM platforms", simtest.Kernel, func(t *testing.T, x simtest.Exec) []byte {
 		var out bytes.Buffer
-		for _, ic := range []platform.Interconnect{platform.AMBA, platform.XPipes} {
-			sys, err := platform.BuildARM(execConfig(t, x, platform.Config{Cores: spec.Cores, Interconnect: ic}),
-				progs, caches, caches)
+		for _, spec := range specs {
+			progs, err := spec.Assemble()
 			if err != nil {
-				t.Fatalf("%v %v: %v", ic, x, err)
+				t.Fatal(err)
 			}
-			makespan, err := sys.Run(spec.MaxCycles)
-			if err != nil {
-				t.Fatalf("%v %v: %v", ic, x, err)
+			for _, ic := range []platform.Interconnect{platform.AMBA, platform.XPipes} {
+				cfg := execConfig(t, x, platform.Config{Cores: spec.Cores, Interconnect: ic, Trace: true})
+				sys, err := platform.BuildARM(cfg, progs, caches, caches)
+				if err != nil {
+					t.Fatalf("%s %v %v: %v", spec.Name, ic, x, err)
+				}
+				for _, mon := range sys.Monitors {
+					mon.Record()
+				}
+				makespan, err := sys.Run(spec.MaxCycles)
+				if err != nil {
+					t.Fatalf("%s %v %v: %v", spec.Name, ic, x, err)
+				}
+				if x.Kernel != "strict" && sys.Engine.SkippedCycles == 0 {
+					t.Errorf("%s %v %v: no cycle skipped; the cores never slept", spec.Name, ic, x)
+				}
+				fmt.Fprintf(&out, "%s/%dP %v: makespan %d cycle %d", spec.Name, spec.Cores, ic, makespan, sys.Engine.Cycle())
+				if sys.Bus != nil {
+					fmt.Fprintf(&out, " busy %d", sys.Bus.BusyCycles())
+				} else {
+					fmt.Fprintf(&out, " flits %d", sys.Net.FlitsRouted())
+				}
+				out.WriteString("\n")
+				for i, m := range sys.Masters {
+					c := platform.ARMCore(m)
+					fmt.Fprintf(&out, "  core %d: inst %d stall %d halt %d pc %#x regs", i, c.InstRet, c.StallCycles, c.HaltCycle(), c.PC())
+					for r := 0; r < 16; r++ {
+						fmt.Fprintf(&out, " %#x", c.Reg(r))
+					}
+					var trc bytes.Buffer
+					if err := trace.New(i, sys.Engine.Clock(), sys.Monitors[i].Events()).Write(&trc); err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&out, " trc %x\n", sha256.Sum256(trc.Bytes()))
+					for _, ch := range []*cache.Cache{c.MemUnit().ICache(), c.MemUnit().DCache()} {
+						fmt.Fprintf(&out, "    cache hits %d misses %d refills %d\n", ch.Hits, ch.Misses, ch.Refills)
+					}
+				}
 			}
-			if sys.Engine.CanSkip() || sys.Engine.SkippedCycles != 0 {
-				t.Errorf("%v %v: ARM engine CanSkip=%v, skipped %d cycles; want strict ticking",
-					ic, x, sys.Engine.CanSkip(), sys.Engine.SkippedCycles)
-			}
-			fmt.Fprintf(&out, "%v: makespan %d\n", ic, makespan)
 		}
 		return out.Bytes()
 	})

@@ -50,11 +50,10 @@ type Master interface {
 
 // KernelMode selects the simulation kernel for a platform. Every mode
 // computes byte-identical simulated state; they differ only in host time.
-// Neither KernelEvent nor KernelSkip elides anything on an engine holding
-// a device that does not implement sim.Sleeper — the engine ticks it
-// strictly — and miniARM cores are such devices, so ARM reference runs
-// always tick strictly and the reported ARM-vs-TG speedups carry no kernel
-// tricks.
+// Every master, the miniARM core included, is a sim.Sleeper, so ARM
+// reference runs sleep on KernelEvent and KernelSkip like TG runs do; the
+// paper's like-for-like speedup, both sides ticked every cycle, is both
+// sides on KernelStrict (exp.Row.GainStrict).
 type KernelMode int
 
 const (

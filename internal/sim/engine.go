@@ -2,33 +2,31 @@
 // other package in the repository. It stands in for the SystemC kernel that
 // the paper's MPARM platform runs on.
 //
-// The default kernel is deliberately simple and strict: every registered
-// device is ticked once per simulated clock cycle, in registration order, on
-// a single goroutine. There is no event queue and no time-warping — the
-// paper's speedup comes from traffic generators doing less work per cycle
-// than the processor models they replace, and the strict kernel is what the
-// paper's reported ARM-vs-TG speedups are measured on.
+// The strict kernel is deliberately simple: every registered device is
+// ticked once per simulated clock cycle, in registration order, on a
+// single goroutine. It is the oracle the other two kernels are held to,
+// and, with both the ARM reference and the TG replay on it, the paper's
+// like-for-like speedup: the gain comes from traffic generators doing less
+// work per cycle than the processor models they replace.
 //
-// An opt-in idle-skipping kernel (KernelSkip) accelerates pure TG-replay
-// runs: when every registered device implements Sleeper and reports a future
-// wake cycle — a TG deep inside an Idle(100000), a quiescent interconnect —
-// the engine advances the cycle counter straight to the earliest wake cycle
-// instead of spinning through no-op ticks. Skipping never changes simulated
-// state: a cycle is skipped only when no device could have done work in it,
-// so makespans, histograms and per-device counters are identical to a strict
-// run (the sweep differential tests assert byte-identical artifacts). ARM
-// reference runs stay on the strict kernel so the paper's speedup numbers
-// are not inflated by kernel tricks; see the package README's Performance
-// section for the fidelity argument.
+// An idle-skipping kernel (KernelSkip) accelerates runs whose devices all
+// sleep at once: when every registered device implements Sleeper and
+// reports a future wake cycle — a TG deep inside an Idle(100000), a core
+// stalled on a quiescent interconnect — the engine advances the cycle
+// counter straight to the earliest wake cycle instead of spinning through
+// no-op ticks. Skipping never changes simulated state: a cycle is skipped
+// only when no device could have done work in it, so makespans, histograms
+// and per-device counters are identical to a strict run (the sweep
+// differential tests assert byte-identical artifacts).
 //
 // The event-driven kernel (KernelEvent, event.go) goes one step further:
 // instead of requiring every device to sleep before any cycle can be
-// elided, it keeps a per-device wake schedule and ticks only the devices
-// that are due each cycle. Its per-cycle cost scales with the number of
-// awake devices, not the device count, so one saturated master among many
-// idle ones no longer drags the whole platform back to strict-ticking
-// speed. The all-asleep case degenerates to exactly the skip kernel's
-// cycle jump.
+// elided, it keeps a calendar of per-device wakes and ticks only the
+// devices that are due each cycle. Its per-cycle cost scales with the
+// number of awake devices, not the device count, so one saturated master
+// among many idle ones no longer drags the whole platform back to
+// strict-ticking speed. The all-asleep case degenerates to exactly the
+// skip kernel's cycle jump.
 package sim
 
 import (
@@ -153,18 +151,18 @@ type Engine struct {
 	// over (diagnostics only; strict runs keep it at zero).
 	SkippedCycles uint64
 
-	// Event-kernel schedule (event.go): evActive is the sorted list of
-	// awake device indices swept each cycle; evHeap is an indexed min-heap
-	// of sleeping devices ordered by (evWake, index), with evPos tracking
-	// each device's heap slot (notInHeap while active). evSweep is the
-	// in-cycle sweep position (mid-sweep wakes adjust it to keep the
-	// strict tick ordering); evLive is true while an event-kernel run is
-	// in progress.
-	evActive []int32
-	evHeap   []int32
-	evPos    []int32
+	// Event-kernel schedule (event.go): evBits holds evWords words of
+	// active set (evActive), then evWords of far set, then the ring of
+	// evSlots per-cycle due sets; evRing marks the ring slots that may hold
+	// a sleeper, evWake is each sleeping device's wake and evFarMin a lower
+	// bound on the far set's wakes. evLive is true while an event-kernel
+	// run is in progress.
+	evBits   []uint64
+	evActive []uint64
 	evWake   []uint64
-	evSweep  int32
+	evWords  int
+	evRing   uint16
+	evFarMin uint64
 	evLive   bool
 	// evFused mirrors devices with their TickSleeper fast path (nil where
 	// unimplemented).
@@ -367,7 +365,7 @@ func (e *Engine) RunEvery(maxCycles, stride uint64, done func() bool) (uint64, e
 // The three kernels share this loop. Strict executes every cycle with a
 // full-device Step. Skip does the same but fast-forwards over all-asleep
 // spans. Event replaces Step with stepEvent (ticking only due devices) and
-// reads the next wake straight off the schedule's heap top; its jump logic
+// reads the next wake straight off the schedule's calendar; its jump logic
 // is the skip kernel's, so the all-asleep case is byte-for-byte the same.
 func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error) {
 	if done == nil {

@@ -1,17 +1,22 @@
 package sim
 
-// The event-driven kernel. The engine partitions devices into an active
-// list (sorted by registration index) and a sleep heap (an indexed binary
-// min-heap ordered by (wake cycle, registration index)). Each executed
-// cycle first admits every sleeper whose wake is due into the active list,
-// then sweeps the list in index order, ticking each device and asking its
-// post-tick NextWake: a device that stays active costs no data-structure
-// work at all, and one that goes back to sleep moves to the heap. The
-// per-cycle cost therefore scales with the number of awake devices — a
-// steady active set touches the heap zero times per cycle — and when the
-// active list empties, run's shared jump logic advances the cycle counter
-// straight to the heap's earliest wake, which is exactly the skip kernel's
-// all-asleep fast-forward.
+import "math/bits"
+
+// The event-driven kernel. The engine keeps its devices in bitsets over
+// registration index: an active set, swept word by word in index order
+// each executed cycle, and a calendar of sleepers. Each cycle first admits
+// the calendar's slot for that cycle into the active set, then sweeps it,
+// ticking each device and asking its post-tick NextWake: a device that
+// stays active costs no schedule work at all, and one that goes back to
+// sleep is filed under its wake cycle. A wake fewer than evSlots cycles
+// out sets a bit in that cycle's slot of a ring of per-cycle due sets; a
+// later one sets a bit in the far set, which is re-filed into the ring as
+// the ring turns; a device sleeping with WakeNever is parked in neither,
+// and only a Waker brings it back. Wake, sleep and admit are therefore
+// bit operations, the per-cycle cost scales with the number of awake
+// devices, and when the active set empties, run's shared jump logic
+// advances the cycle counter straight to the earliest filed wake, which
+// is exactly the skip kernel's all-asleep fast-forward.
 //
 // Correctness leans on two properties. First, the Sleeper contract (see
 // engine.go) makes a reported wake w a promise that every omitted Tick in
@@ -19,16 +24,15 @@ package sim
 // simulated state. Second, a device that can be stimulated by another
 // device outside its own Tick — an interconnect whose master ports receive
 // TryRequest calls — implements WakeSink and calls its Waker at the moment
-// of stimulus; the engine then moves it back to the active list. The sorted
-// sweep makes the timing come out exactly as under strict ticking: a sink
-// with a higher registration index than the stimulating device is inserted
-// ahead of the sweep position and ticks in the same cycle (under strict
-// ticking its slot runs after the stimulator's), while a lower-indexed sink
-// is inserted behind the sweep position and first ticks next cycle (under
-// strict ticking its slot this cycle already ran, before the stimulus
-// existed, and was a no-op). Early wakes are always safe: ticking a device
-// that has nothing to do is a no-op by construction, so a conservative wake
-// can never diverge from strict semantics.
+// of stimulus; the engine then sets its active bit. The index-ordered
+// sweep makes the timing come out exactly as under strict ticking: a bit
+// set ahead of the sweep cursor (a sink registered after the stimulating
+// device) ticks in the same cycle, as its strict slot runs after the
+// stimulator's, while a bit set behind the cursor first ticks next cycle
+// (under strict ticking its slot this cycle already ran, before the
+// stimulus existed, and was a no-op). Early wakes are always safe: ticking
+// a device that has nothing to do is a no-op by construction, so a
+// conservative wake can never diverge from strict semantics.
 
 // Waker is the engine-provided wake handle for one registered device. Its
 // calls never block and never allocate. Wake reports that the device's own
@@ -79,27 +83,28 @@ func (w *engineWaker) Wake() { w.e.wakeDevice(w.idx) }
 // WakeAt implements Waker.
 func (w *engineWaker) WakeAt(at uint64) { w.e.wakeDeviceAt(w.idx, at) }
 
-// notInHeap marks a device that is on the active list rather than in the
-// sleep heap.
-const notInHeap = int32(-1)
+// evSlots is the calendar ring's length in cycles, a power of two. A
+// bus transfer or a short idle fits in the ring; a longer sleep waits in
+// the far set. Sixteen slots keep a small platform's whole schedule to one
+// allocation of about 20 bytes a device: a 4-core AMBA platform's eleven
+// devices take 232 bytes.
+const evSlots = 16
 
 // wakeDevice handles an external-stimulus wake for device idx: it drops the
 // skip kernel's memoized wake (forcing a re-query) and, inside an event
-// run, moves a sleeping device back to the active list.
+// run, moves a sleeping device into the active set.
 func (e *Engine) wakeDevice(idx int32) {
 	if int(idx) < len(e.wakeMemo) {
 		e.wakeMemo[idx] = 0
 	}
-	if !e.evLive || e.evPos[idx] == notInHeap {
-		return
+	if e.evLive && !e.evAwake(idx) {
+		e.evActivate(idx)
 	}
-	e.heapRemove(idx)
-	e.activeInsert(idx)
 }
 
 // wakeDeviceAt records a scheduled wake in e.due, which every kernel reads.
 // An event run also wakes a sleeper due next cycle at once, as Wake does,
-// or moves a later one's heap entry forward.
+// or files a later one under the earlier wake.
 func (e *Engine) wakeDeviceAt(idx int32, at uint64) {
 	if int(idx) >= len(e.due) {
 		e.sizeDue()
@@ -111,36 +116,34 @@ func (e *Engine) wakeDeviceAt(idx int32, at uint64) {
 	if int(idx) < len(e.wakeMemo) && at < e.wakeMemo[idx] {
 		e.wakeMemo[idx] = at
 	}
-	if !e.evLive || e.evPos[idx] == notInHeap {
+	if !e.evLive || e.evAwake(idx) {
 		return
 	}
 	if at <= e.cycle+1 {
-		e.heapRemove(idx)
-		e.activeInsert(idx)
+		e.evActivate(idx)
 	} else if at < e.evWake[idx] {
-		e.evWake[idx] = at
-		e.evUp(e.evPos[idx])
+		e.evUnfile(idx)
+		e.evFile(idx, at)
 	}
 }
 
-// initEventSchedule (re)builds the active list and sleep heap from every
-// device's current NextWake. It runs at the start of each event-kernel Run,
-// so state changes made between runs (direct device manipulation in tests,
-// programs loaded after a previous run) are always picked up. Storage is
-// reused across runs; steady-state event runs allocate nothing.
+// initEventSchedule (re)builds the schedule from every device's current
+// NextWake. It runs at the start of each event-kernel Run, so state
+// changes made between runs (direct device manipulation in tests, programs
+// loaded after a previous run) are always picked up. evWake and the
+// bitsets share one allocation, reused across runs; steady-state event
+// runs allocate nothing.
 func (e *Engine) initEventSchedule() {
 	e.sizeDue()
 	n := len(e.devices)
-	if cap(e.evWake) < n {
-		e.evWake = make([]uint64, n)
-		e.evPos = make([]int32, n)
-		e.evHeap = make([]int32, 0, n)
-		e.evActive = make([]int32, 0, n)
+	words := (n + 63) >> 6
+	if len(e.evWake) != n {
+		buf := make([]uint64, n+(2+evSlots)*words)
+		e.evWake, e.evBits, e.evWords = buf[:n], buf[n:], words
+		e.evActive = e.evBits[:words]
 	}
-	e.evWake = e.evWake[:n]
-	e.evPos = e.evPos[:n]
-	e.evHeap = e.evHeap[:0]
-	e.evActive = e.evActive[:0]
+	clear(e.evBits)
+	e.evRing, e.evFarMin = 0, WakeNever
 	now := e.cycle
 	for i := 0; i < n; i++ {
 		w := e.sleepers[i].NextWake(now)
@@ -148,181 +151,156 @@ func (e *Engine) initEventSchedule() {
 			w = d
 		}
 		if w <= now {
-			// Ascending i keeps the active list sorted by construction.
-			e.evPos[i] = notInHeap
-			e.evActive = append(e.evActive, int32(i))
-			continue
+			e.evActive[i>>6] |= 1 << (uint(i) & 63)
+		} else {
+			e.evFile(int32(i), w)
 		}
-		e.evWake[i] = w
-		e.evHeap = append(e.evHeap, int32(i))
-		e.evPos[i] = int32(len(e.evHeap) - 1)
 	}
-	for i := int32(len(e.evHeap))/2 - 1; i >= 0; i-- {
-		e.evDown(i)
-	}
-	e.evSweep = 0
 }
 
-// stepEvent executes one cycle under the event kernel: it admits every due
-// sleeper, then ticks the active list in registration order, re-sorting
-// each device into active/sleeping from its post-tick horizon. A device
-// woken mid-cycle by a lower-indexed device lands ahead of the sweep and is
-// picked up before the cycle ends.
-func (e *Engine) stepEvent() {
-	c := e.cycle
-	if h := e.evHeap; len(h) != 0 && e.evWake[h[0]] <= c {
-		e.admitDue(c)
+// evAwake reports whether device idx is in the active set.
+func (e *Engine) evAwake(idx int32) bool {
+	return e.evActive[idx>>6]&(1<<(uint(idx)&63)) != 0
+}
+
+// evSlot returns the ring's due set for cycle c.
+func (e *Engine) evSlot(c uint64) []uint64 {
+	k := e.evWords
+	return e.evBits[(2+int(c&(evSlots-1)))*k:][:k]
+}
+
+// evFile files sleeping device idx under wake w > e.cycle: in the ring
+// while w is fewer than evSlots cycles out, else in the far set, and
+// nowhere for WakeNever.
+func (e *Engine) evFile(idx int32, w uint64) {
+	e.evWake[idx] = w
+	word, bit := idx>>6, uint64(1)<<(uint(idx)&63)
+	switch {
+	case w == WakeNever:
+	case w-e.cycle < evSlots:
+		e.evSlot(w)[word] |= bit
+		e.evRing |= 1 << (w & (evSlots - 1))
+	default:
+		e.evBits[e.evWords+int(word)] |= bit
+		e.evFarMin = min(e.evFarMin, w)
 	}
-	devices, sleepers, fused := e.devices, e.sleepers, e.evFused
-	for e.evSweep = 0; int(e.evSweep) < len(e.evActive); {
-		idx := e.evActive[e.evSweep]
-		var nw uint64
-		if f := fused[idx]; f != nil {
-			nw = f.TickWake(c)
-		} else {
-			devices[idx].Tick(c)
-			nw = sleepers[idx].NextWake(c + 1)
-		}
-		if nw > c+1 {
-			if d := e.due[idx]; d > c && d < nw {
-				nw = d // a wake scheduled while the device was awake
+}
+
+// evUnfile takes sleeping device idx off the calendar. evFarMin stays a
+// lower bound; evRefile recomputes it.
+func (e *Engine) evUnfile(idx int32) {
+	w := e.evWake[idx]
+	if w == WakeNever {
+		return
+	}
+	word, bit := idx>>6, uint64(1)<<(uint(idx)&63)
+	e.evSlot(w)[word] &^= bit
+	e.evBits[e.evWords+int(word)] &^= bit
+}
+
+// evActivate moves sleeping device idx into the active set.
+func (e *Engine) evActivate(idx int32) {
+	e.evUnfile(idx)
+	e.evActive[idx>>6] |= 1 << (uint(idx) & 63)
+}
+
+// evRefile moves every far sleeper due within evSlots cycles into the
+// ring, leaves evFarMin at the earliest wake still far, and returns the
+// earliest far wake it found, moved or not. Far wakes are never behind the
+// current cycle: the refile runs before the cycle that would pass one.
+func (e *Engine) evRefile() uint64 {
+	far := e.evBits[e.evWords : 2*e.evWords]
+	first, least := WakeNever, WakeNever
+	for word, m := range far {
+		for ; m != 0; m &= m - 1 {
+			i := word<<6 | bits.TrailingZeros64(m)
+			w := e.evWake[i]
+			first = min(first, w)
+			if w-e.cycle < evSlots {
+				far[word] &^= m & -m
+				e.evFile(int32(i), w)
+			} else {
+				least = min(least, w)
 			}
 		}
-		if nw <= c+1 {
-			e.evSweep++
-			continue
+	}
+	e.evFarMin = least
+	return first
+}
+
+// stepEvent executes one cycle under the event kernel: it admits the
+// cycle's due sleepers, then sweeps the active set in registration order,
+// filing each device that goes back to sleep under its post-tick wake. A
+// device woken mid-cycle by a lower-indexed device sets its bit ahead of
+// the sweep and is picked up before the cycle ends.
+func (e *Engine) stepEvent() {
+	c := e.cycle
+	if e.evFarMin < c+evSlots {
+		e.evRefile()
+	}
+	active := e.evActive
+	if s := uint16(1) << (c & (evSlots - 1)); e.evRing&s != 0 {
+		e.evRing &^= s
+		slot := e.evSlot(c)
+		for word, due := range slot {
+			active[word] |= due
+			slot[word] = 0
 		}
-		e.activeRemoveAt(e.evSweep)
-		e.heapPush(idx, nw)
+	}
+	fused := e.evFused
+	for word := range active {
+		for m := active[word]; m != 0; {
+			bit := m & -m
+			i := word<<6 | bits.TrailingZeros64(m)
+			var nw uint64
+			if f := fused[i]; f != nil {
+				nw = f.TickWake(c)
+			} else {
+				e.devices[i].Tick(c)
+				nw = e.sleepers[i].NextWake(c + 1)
+			}
+			if nw > c+1 {
+				if d := e.due[i]; d > c && d < nw {
+					nw = d // a wake scheduled while the device was awake
+				}
+			}
+			if nw > c+1 {
+				active[word] &^= bit
+				e.evFile(int32(i), nw)
+			}
+			// Reloading the word above the cursor picks up the bits this
+			// tick set ahead of it.
+			m = active[word] &^ (bit<<1 - 1)
+		}
 	}
 	e.cycle++
 }
 
-// admitDue moves every sleeper whose wake is due into the active list
-// (out of line: the common cycle pays only the heap-top check).
-func (e *Engine) admitDue(c uint64) {
-	for len(e.evHeap) > 0 {
-		root := e.evHeap[0]
-		if e.evWake[root] > c {
-			return
-		}
-		e.heapRemove(root)
-		e.activeInsert(root)
-	}
-}
-
 // eventNextWake returns the earliest cycle at which any device acts: the
-// current cycle while the active list is non-empty, else the heap top (or
-// WakeNever on a fully quiescent engine).
+// current cycle while the active set is non-empty, else the first
+// non-empty ring slot, else the far set's earliest wake (WakeNever on a
+// fully quiescent engine).
 func (e *Engine) eventNextWake() uint64 {
-	if len(e.evActive) > 0 {
-		return e.cycle
-	}
-	if len(e.evHeap) == 0 {
-		return WakeNever
-	}
-	return e.evWake[e.evHeap[0]]
-}
-
-// activeInsert places idx into the sorted active list, keeping an in-flight
-// sweep consistent: an insertion at or before the sweep position shifts the
-// position up so the current cycle neither skips nor re-ticks a device.
-func (e *Engine) activeInsert(idx int32) {
-	a := e.evActive
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a[mid] < idx {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for _, m := range e.evActive {
+		if m != 0 {
+			return e.cycle
 		}
 	}
-	e.evActive = append(a, 0)
-	copy(e.evActive[lo+1:], e.evActive[lo:])
-	e.evActive[lo] = idx
-	if int32(lo) <= e.evSweep {
-		e.evSweep++
-	}
+	return e.calendarWake()
 }
 
-// activeRemoveAt drops the active-list entry at position i (the sweep
-// position stays put, now pointing at the next entry).
-func (e *Engine) activeRemoveAt(i int32) {
-	a := e.evActive
-	copy(a[i:], a[i+1:])
-	e.evActive = a[:len(a)-1]
-}
-
-// heapPush files a sleeping device under its wake cycle.
-func (e *Engine) heapPush(idx int32, w uint64) {
-	e.evWake[idx] = w
-	e.evHeap = append(e.evHeap, idx)
-	p := int32(len(e.evHeap) - 1)
-	e.evPos[idx] = p
-	e.evUp(p)
-}
-
-// heapRemove detaches device idx from the sleep heap (marking it active).
-func (e *Engine) heapRemove(idx int32) {
-	p := e.evPos[idx]
-	last := int32(len(e.evHeap) - 1)
-	if p != last {
-		e.evSwap(p, last)
-	}
-	e.evHeap = e.evHeap[:last]
-	e.evPos[idx] = notInHeap
-	if p != last {
-		moved := e.evHeap[p]
-		e.evUp(p)
-		if e.evPos[moved] == p {
-			e.evDown(p)
+// calendarWake is eventNextWake with the active set empty. evRing, rotated
+// to start at the current cycle, names the ring slots to look at in cycle
+// order; a slot a woken sleeper left empty is passed over.
+func (e *Engine) calendarWake() uint64 {
+	c := e.cycle
+	for r := bits.RotateLeft16(e.evRing, -int(c&(evSlots-1))); r != 0; r &= r - 1 {
+		at := c + uint64(bits.TrailingZeros16(r))
+		for _, m := range e.evSlot(at) {
+			if m != 0 {
+				return at
+			}
 		}
 	}
-}
-
-// evLess orders heap entries by (wake, registration index): the index
-// tie-break is what keeps same-cycle admissions in registration order.
-func (e *Engine) evLess(a, b int32) bool {
-	wa, wb := e.evWake[a], e.evWake[b]
-	return wa < wb || (wa == wb && a < b)
-}
-
-func (e *Engine) evSwap(i, j int32) {
-	h := e.evHeap
-	h[i], h[j] = h[j], h[i]
-	e.evPos[h[i]] = i
-	e.evPos[h[j]] = j
-}
-
-func (e *Engine) evUp(i int32) {
-	h := e.evHeap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.evLess(h[i], h[p]) {
-			break
-		}
-		e.evSwap(i, p)
-		i = p
-	}
-}
-
-func (e *Engine) evDown(i int32) {
-	h := e.evHeap
-	n := int32(len(h))
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		c := l
-		if r := l + 1; r < n && e.evLess(h[r], h[l]) {
-			c = r
-		}
-		if !e.evLess(h[c], h[i]) {
-			return
-		}
-		e.evSwap(i, c)
-		i = c
-	}
+	return e.evRefile()
 }

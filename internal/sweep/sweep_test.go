@@ -271,11 +271,11 @@ func TestRunnerClockPlumbing(t *testing.T) {
 // next platform takes their backing stores instead of allocating its own.
 // These points write only the 256 KiB shared memory (the private ones are
 // never backed at all), so a point that allocates less than that is running
-// on a recycled store: 71 KiB with recycling and 327 KiB without, or 170
-// and 328 under the race detector, whose sync.Pool drops a quarter of the
-// stores — the bound is that larger figure plus a quarter. A recycled store
-// must also read as a fresh one: the same points give the same bytes the
-// second time through.
+// on a recycled store: 71 KiB with recycling and 327 KiB without. The bound
+// is 170 KiB plus a quarter, from when the stores recycled through a
+// sync.Pool that the race detector drained; they no longer do, and the race
+// run reads about 70 KiB as well. A recycled store must also read as a
+// fresh one: the same points give the same bytes the second time through.
 func TestRunRecyclesPlatformMemories(t *testing.T) {
 	g := Grid{
 		Workloads: []Workload{{Kind: KindStochastic, Dist: "poisson", Cores: 4, MeanGap: 6, Count: 40}},
