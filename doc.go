@@ -171,7 +171,13 @@
 // ARM reference runs sleep like every other platform: a miniARM core
 // blocked on its port sleeps until the port wakes it, and its Tick runs on
 // over the clocks that touch nothing outside the core, so the engine skips
-// them (TestARMKernelIndependent holds every kernel to the same bytes). A
+// them (TestARMKernelIndependent holds every kernel to the same bytes).
+// Where an instruction's fetch hits, the core runs it ahead whole, with
+// the per-clock path's cycles and cache probes
+// (TestARMWholeInstructionMatchesPerClock holds it to that path). The
+// AMBA bus likewise sleeps through every transfer: it is ticked at grants
+// and completions only, and a request arriving during a transfer waits
+// for the completion tick instead of waking it. A
 // faster reference lowers the TG's gain, and that is the honest number;
 // the paper's like-for-like comparison, a simulator that ticks every
 // device every cycle, is both sides on the strict kernel (where a core's

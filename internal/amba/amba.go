@@ -113,6 +113,15 @@ type port struct {
 	// previous response is always consumed before the buffer is refilled.
 	respBuf []uint32
 	waker   sim.Waker // the master's wake handle; nil outside an engine
+	// since is, while the port requests, the first cycle not yet credited
+	// to its WaitCycles: the grant credits the cycles from there to the
+	// grant's, so a wait costs no bus work per cycle.
+	since uint64
+	// lastBind caches the binding this port's latest request decoded to:
+	// each master shows strong address-range locality, so the common case
+	// skips the linear range scan whose cost grows with the core count
+	// (one private memory each), whichever masters interleave on the bus.
+	lastBind int
 }
 
 // SetWaker implements sim.WakeSink for the master's handle (ocp.PassWaker).
@@ -130,19 +139,16 @@ func (p *port) TryRequest(req *ocp.Request) bool {
 		}
 		p.req = *req
 		p.req.MasterID = p.id
-		// Requester-set changes bound the bulk wait credit: settle the old
-		// set through the previous cycle before this port joins it.
-		if now := p.bus.now(); now > 0 {
-			p.bus.creditWait(now - 1)
-		}
+		p.since = p.bus.now()
 		p.state = portRequesting
 		p.bus.requesting++
 		p.bus.openPorts++
 		p.bus.reqMask[p.id>>6] |= 1 << (uint(p.id) & 63)
-		// A new request is the external stimulus that ends a bus sleep
-		// (idle quiescence or an in-flight transfer horizon): tell the
-		// event kernel to put the bus back into the tick set.
-		if w := p.bus.waker; w != nil {
+		// A new request ends an idle bus's sleep: tell the event kernel to
+		// put the bus back into the tick set. A bus sleeping through a
+		// transfer sleeps on: it arbitrates at the transfer's completion
+		// anyway, and the request's wait is credited at its grant.
+		if w := p.bus.waker; w != nil && !p.bus.hasActive {
 			w.Wake()
 		}
 		return false
@@ -219,9 +225,9 @@ type Bus struct {
 	decodeErrors sim.Counter
 	slaveErrors  sim.Counter
 	// waits counts, per master, the cycles spent requesting without a
-	// grant. It is accounted lazily in bulk (see creditWait); the
-	// WaitCycles getter settles the tail of a run that ended while the bus
-	// slept, so readers always see the strict kernel's values.
+	// grant. It is credited at the grant (see port.since); the WaitCycles
+	// getter and syncStats settle the cycles of requests still waiting, so
+	// readers always see the strict kernel's per-cycle values.
 	waits      []sim.Counter
 	Grants     []sim.Counter // per master: accepted transactions
 	busyCycles sim.Counter
@@ -233,19 +239,9 @@ type Bus struct {
 	// Idle is O(1) instead of a port scan.
 	openPorts int
 	// reqMask mirrors the portRequesting states, one bit per port id, so
-	// arbitration and wait accounting scan requesters instead of every
+	// arbitration and wait settlement scan requesters instead of every
 	// port: cost scales with contention, not with the core count.
 	reqMask []uint64
-	// waitCredited is the number of leading cycles already folded into
-	// WaitCycles. The requesting set is frozen while the bus sleeps (any
-	// new requester wakes it via the port hook), so crediting
-	// requesters × elapsed at the next tick reproduces the strict kernel's
-	// per-cycle increments exactly.
-	waitCredited uint64
-	// lastBind caches the most recent decode hit: masters show strong
-	// address-range locality, so the common case skips the linear range
-	// scan whose cost grows with the core count (one private memory each).
-	lastBind int
 }
 
 // New builds a bus with the given timing configuration; now supplies the
@@ -330,40 +326,25 @@ func (b *Bus) Idle() bool {
 	return !b.hasActive && b.openPorts == 0
 }
 
-// napThreshold is the shortest in-flight horizon the bus reports as a
-// sleep. Under back-to-back traffic a transfer completes within a few
-// cycles and the next request arrives immediately, so scheduling such a nap
-// just churns the event kernel's wake heap (every nap is a new minimum);
-// staying nominally awake for a handful of no-op ticks is cheaper. Long
-// horizons — bursts, deep slave wait states, posted-write drain tails — are
-// still slept through. Returning now instead of a future wake is always
-// allowed by the Sleeper contract, so this is purely a scheduling choice.
-const napThreshold = 8
-
 // NextWake implements sim.Sleeper. A transfer in flight sleeps the bus to
-// its completion cycle (beyond the nap threshold) even while other masters
-// queue behind it: nothing can be granted before the bus frees, and the
-// waiters' WaitCycles are credited in bulk at the wake (the requesting set
-// is frozen during the sleep — see creditWait). With no transfer, a
+// its completion cycle, however short, even while other masters queue
+// behind it or join the queue: nothing can be granted before the bus
+// frees, the cycles in between change no bus state, and each waiter's
+// WaitCycles are credited at its grant (see port.since). With no transfer, a
 // requesting master needs per-cycle arbitration ticks (TDMA slots are
-// cycle-timed), and a fully idle bus is quiescent until a master presents a
-// request. Every sleep is ended early by the port's TryRequest wake hook,
-// which is what makes these safe promises rather than mere hints (see
-// sim.Sleeper).
+// cycle-timed); otherwise the bus is quiescent until a master presents a
+// request, even while a port holds a response or an accept its master has
+// yet to take, because taking either is the port's business alone. That
+// idle sleep is ended early by the port's TryRequest wake hook, which is
+// what makes it a safe promise rather than a mere hint (see sim.Sleeper).
 func (b *Bus) NextWake(now uint64) uint64 {
-	if b.hasActive {
-		if b.active.done > now+napThreshold {
-			return b.active.done
-		}
+	switch {
+	case b.hasActive:
+		return max(b.active.done, now)
+	case b.requesting > 0:
 		return now
 	}
-	if b.requesting > 0 {
-		return now
-	}
-	if b.openPorts == 0 {
-		return sim.WakeNever
-	}
-	return now
+	return sim.WakeNever
 }
 
 // SetWaker implements sim.WakeSink: the engine hands the bus its wake
@@ -411,18 +392,18 @@ func (b *Bus) syncStats(now uint64) {
 		}
 		b.lastTick = last
 	}
-	b.creditWait(last)
+	b.settleWaits(now)
 }
 
 var _ sim.StatsSource = (*Bus)(nil)
 
-func (b *Bus) decode(addr uint32) *binding {
-	if b.lastBind < len(b.bindings) && b.bindings[b.lastBind].rng.Contains(addr) {
-		return &b.bindings[b.lastBind]
+func (b *Bus) decode(p *port, addr uint32) *binding {
+	if p.lastBind < len(b.bindings) && b.bindings[p.lastBind].rng.Contains(addr) {
+		return &b.bindings[p.lastBind]
 	}
 	for i := range b.bindings {
 		if b.bindings[i].rng.Contains(addr) {
-			b.lastBind = i
+			p.lastBind = i
 			return &b.bindings[i]
 		}
 	}
@@ -443,11 +424,6 @@ func (b *Bus) Tick(cycle uint64) {
 			b.idleCycles.Add(gap)
 		}
 	}
-	// Settle the sleep gap's wait credit with the pre-arbitration
-	// requesting set before this cycle's grant can change it.
-	if cycle > 0 {
-		b.creditWait(cycle - 1)
-	}
 	b.lastTick = cycle
 	b.ticked = true
 
@@ -464,43 +440,27 @@ func (b *Bus) Tick(cycle uint64) {
 			b.idleCycles.Inc()
 		}
 	}
-	// Account this cycle's arbitration waiting (post-grant set, exactly as
-	// the per-cycle accounting did).
-	b.creditWait(cycle)
 }
 
-// creditWait folds the cycles [waitCredited, upTo] into WaitCycles for
-// every currently requesting port. Bulk crediting is exact because the
-// requesting set only changes at bus ticks (grants) and at TryRequest
-// asserts, and both settle the credit through the previous cycle first —
-// so between settlements the set is frozen and requesters × elapsed equals
-// the strict kernel's per-cycle increments.
-func (b *Bus) creditWait(upTo uint64) {
-	if upTo < b.waitCredited {
-		return
-	}
-	delta := upTo + 1 - b.waitCredited
-	b.waitCredited = upTo + 1
-	if b.requesting == 0 {
-		return
-	}
+// settleWaits credits every requesting port's WaitCycles through cycle
+// now-1, the cycles it requested without a grant so far.
+func (b *Bus) settleWaits(now uint64) {
 	for wi, w := range b.reqMask {
 		for w != 0 {
-			b.waits[wi<<6+bits.TrailingZeros64(w)].Add(delta)
+			p := b.ports[wi<<6+bits.TrailingZeros64(w)]
+			b.waits[p.id].Add(now - p.since)
+			p.since = now
 			w &= w - 1
 		}
 	}
 }
 
 // WaitCycles returns, per master, the cycles spent requesting without a
-// grant — exactly the strict kernel's per-cycle counts. Like the
-// busy/idle getters it settles the lazily credited tail on the fly: a run
-// that ended while the bus slept through a transfer with masters queued
-// has those frozen-set cycles folded in here.
+// grant — exactly the strict kernel's per-cycle counts. It settles the
+// requests still waiting on the fly, so a run that ended with masters
+// queued has their cycles folded in.
 func (b *Bus) WaitCycles() []uint64 {
-	if now := b.now(); now > 0 {
-		b.creditWait(now - 1)
-	}
+	b.settleWaits(b.now())
 	out := make([]uint64, len(b.waits))
 	for i := range b.waits {
 		out[i] = b.waits[i].Value()
@@ -577,6 +537,7 @@ func (b *Bus) arbitrate(cycle uint64) {
 		return
 	}
 	p := b.ports[winner]
+	b.waits[winner].Add(cycle - p.since)
 	p.state = portGranted
 	if p.waker != nil {
 		p.waker.WakeAt(cycle + 1) // the master's TryRequest is accepted next cycle
@@ -594,7 +555,7 @@ func (b *Bus) arbitrate(cycle uint64) {
 		b.activeData = append(b.activeData[:0], p.req.Data...)
 		b.active.req.Data = b.activeData
 	}
-	bind := b.decode(b.active.req.Addr)
+	bind := b.decode(p, b.active.req.Addr)
 	b.active.bind = bind
 	var access uint64
 	if bind != nil {

@@ -1,10 +1,14 @@
 package amba
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"noctg/internal/mem"
 	"noctg/internal/ocp"
+	"noctg/internal/sim"
 )
 
 // countWaker counts the wakes a port fires at its master and keeps the
@@ -100,5 +104,107 @@ func TestPortWakesAtGrantAndReadCompletion(t *testing.T) {
 	}
 	if w.n != 3 {
 		t.Fatalf("%d wakes after the posted write completed, want 3", w.n)
+	}
+}
+
+// blockedReader presents one read at cycle at and then sleeps blocked in
+// its handshake: the port wakes it at the grant and at the response.
+type blockedReader struct {
+	ocp.Handshake
+	at            uint64
+	started, done bool
+}
+
+func (m *blockedReader) Tick(cycle uint64) {
+	if m.done || cycle < m.at {
+		return
+	}
+	if !m.started {
+		m.started = true
+		m.Start(ocp.Request{Cmd: ocp.Read, Addr: 0x1008, Burst: 1})
+	}
+	_, _, m.done = m.Step()
+}
+
+func (m *blockedReader) NextWake(now uint64) uint64 {
+	switch {
+	case !m.started:
+		return max(m.at, now)
+	case m.done:
+		return sim.WakeNever
+	}
+	return m.BlockedWake(now)
+}
+
+// tickLog records the cycles the engine ticks the bus in.
+type tickLog struct {
+	*Bus
+	ticks []uint64
+}
+
+func (b *tickLog) Tick(cycle uint64) {
+	b.ticks = append(b.ticks, cycle)
+	b.Bus.Tick(cycle)
+}
+
+func (b *tickLog) TickWake(cycle uint64) uint64 {
+	b.Tick(cycle)
+	return b.NextWake(cycle + 1)
+}
+
+// TestBusSleepsThroughShortTransfers: three blocked masters read, two
+// presenting in cycle 0 and one in cycle 2, while the first transfer is in
+// flight and the bus has slept a cycle; each transfer takes 3 cycles
+// (address, beat, one wait state).
+// On the event kernel the bus is ticked only where a transfer is granted
+// or completes — cycles 0, 3, 6 and 9 — not in the cycles a transfer is in
+// flight, not for the request that joins the queue during one, and not
+// while a response waits to be taken; and its busy, idle and wait
+// counters equal the strict kernel's, which ticks it every cycle, read
+// mid-run as well as at the end.
+func TestBusSleepsThroughShortTransfers(t *testing.T) {
+	run := func(k sim.Kernel) (*tickLog, uint64) {
+		e := sim.NewEngine(sim.Clock{})
+		e.SetKernel(k)
+		bus := New(Config{}, e.Cycle)
+		ram := mem.NewRAM("ram", 0x1000, 0x1000, 1)
+		if err := bus.MapSlave(ram, ram.Range()); err != nil {
+			t.Fatal(err)
+		}
+		var ms []*blockedReader
+		for _, at := range []uint64{0, 0, 2} {
+			m := &blockedReader{Handshake: ocp.NewHandshake(bus.NewMasterPort()), at: at}
+			ms = append(ms, m)
+			e.Add(m)
+		}
+		log := &tickLog{Bus: bus}
+		e.Add(log)
+		// Read the wait counters mid-run, with the third master queued: the
+		// getter settles its cycles so far, and they are not counted again
+		// at its grant.
+		if _, err := e.Run(5, func() bool { return false }); !errors.Is(err, sim.ErrMaxCycles) {
+			t.Fatalf("%v: Run(5) = %v", k, err)
+		}
+		if w := fmt.Sprint(bus.WaitCycles()); w != "[0 3 3]" {
+			t.Fatalf("%v: wait cycles %s after cycle 4, want [0 3 3]", k, w)
+		}
+		done := func() bool { return ms[0].done && ms[1].done && ms[2].done && bus.Idle() }
+		if _, err := e.Run(100, done); err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		return log, e.Cycle()
+	}
+	strict, strictEnd := run(sim.KernelStrict)
+	event, eventEnd := run(sim.KernelEvent)
+	if want := []uint64{0, 3, 6, 9}; !slices.Equal(event.ticks, want) {
+		t.Fatalf("event kernel ticked the bus at %v, want %v", event.ticks, want)
+	}
+	if uint64(len(strict.ticks)) != strictEnd || eventEnd != strictEnd {
+		t.Fatalf("strict kernel ticked the bus %d times and ended at %d, event at %d", len(strict.ticks), strictEnd, eventEnd)
+	}
+	got := fmt.Sprint(event.BusyCycles(), event.IdleCycles(), event.WaitCycles())
+	want := fmt.Sprint(strict.BusyCycles(), strict.IdleCycles(), strict.WaitCycles())
+	if got != want || want != "9 2 [0 3 4]" {
+		t.Fatalf("busy, idle, wait: event %s, strict %s, want 9 2 [0 3 4]", got, want)
 	}
 }

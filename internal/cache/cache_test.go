@@ -74,6 +74,59 @@ func TestCacheFillLookupEvict(t *testing.T) {
 	}
 }
 
+// TestLookupMatchesProbe: whatever came before — sequential walks,
+// jumps, refills that evict the line a walk is in, write-throughs and
+// invalidation — every Lookup reports exactly what probing the set would:
+// hit or miss, the word, the hit line's LRU stamp and the counters. The
+// word after the last hit is found without a probe, so this holds that
+// shortcut to the probe.
+func TestLookupMatchesProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, cfg := range []Config{{Lines: 4, WordsPerLine: 1}, {Lines: 8, WordsPerLine: 2, Ways: 2},
+		{Lines: 16, WordsPerLine: 4}, {Lines: 16, WordsPerLine: 4, Ways: 4}, {Lines: 8, WordsPerLine: 8, Ways: 2}} {
+		c := New(cfg)
+		line := make([]uint32, cfg.WordsPerLine)
+		addr := uint32(0)
+		for i := 0; i < 20000; i++ {
+			switch r := rng.Intn(20); {
+			case r < 12:
+				addr += 4 // a sequential walk
+			case r < 15:
+				addr = uint32(rng.Intn(512)) * 4
+			case r < 18:
+				for w := range line {
+					line[w] = rng.Uint32()
+				}
+				c.Fill(uint32(rng.Intn(512))*4, line)
+				continue
+			case r < 19:
+				c.Update(uint32(rng.Intn(512))*4, rng.Uint32())
+				continue
+			default:
+				if rng.Intn(20) == 0 {
+					c.InvalidateAll()
+				}
+				continue
+			}
+			set, word, tag := c.index(addr)
+			want := c.find(set, tag)
+			hits, misses := c.Hits, c.Misses
+			v, ok := c.Lookup(addr)
+			switch {
+			case ok != (want >= 0):
+				t.Fatalf("%+v op %d: Lookup(%#x) hit %v, the probe says %v", cfg, i, addr, ok, want >= 0)
+			case ok && (v != c.data[want*cfg.WordsPerLine+word] || c.used[want] != c.clock || c.Hits != hits+1 || c.Misses != misses):
+				t.Fatalf("%+v op %d: Lookup(%#x) hit with the wrong word, stamp or counters", cfg, i, addr)
+			case !ok && (c.Misses != misses+1 || c.Hits != hits):
+				t.Fatalf("%+v op %d: Lookup(%#x) missed with the wrong counters", cfg, i, addr)
+			}
+		}
+		if c.Hits == 0 || c.Misses == 0 {
+			t.Fatalf("%+v: %d hits, %d misses; the walk must see both", cfg, c.Hits, c.Misses)
+		}
+	}
+}
+
 func TestCacheUpdateOnlyIfResident(t *testing.T) {
 	c := New(Config{Lines: 2, WordsPerLine: 2})
 	c.Update(0x00, 99) // not resident: no-allocate

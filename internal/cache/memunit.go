@@ -44,11 +44,15 @@ type MemUnit struct {
 	icache    *Cache
 	dcache    *Cache
 	cacheable []ocp.AddrRange
+	// lastRange is the cacheable range that matched last (empty until one
+	// has): a core's fetches and loads stay in its private memory, so the
+	// common case skips the scan, as amba.Bus.decode does with its
+	// lastBind.
+	lastRange ocp.AddrRange
 
 	state   muState
 	op      OpKind
 	addr    uint32
-	stData  uint32
 	cached  bool
 	stBuf   [1]uint32 // reusable posted-write payload (copied at acceptance)
 	result  uint32
@@ -73,8 +77,12 @@ func (m *MemUnit) DCache() *Cache { return m.dcache }
 
 // Cacheable reports whether addr falls in a cacheable range.
 func (m *MemUnit) Cacheable(addr uint32) bool {
+	if m.lastRange.Contains(addr) {
+		return true
+	}
 	for _, r := range m.cacheable {
 		if r.Contains(addr) {
+			m.lastRange = r
 			return true
 		}
 	}
@@ -112,34 +120,60 @@ func (m *MemUnit) Begin(op OpKind, addr uint32, data uint32) {
 	}
 	m.op = op
 	m.addr = addr
-	m.stData = data
 	m.done = false
 	m.cached = m.Cacheable(addr)
-
-	c := m.cacheFor(op)
-	switch op {
-	case OpFetch, OpLoad:
-		if m.cached && c != nil {
-			if v, ok := c.Lookup(addr); ok {
-				m.result = v
-				m.state = muHit
-				return
-			}
-			// Miss: burst refill of the whole line.
-			m.Start(ocp.Request{Cmd: ocp.BurstRead, Addr: c.LineBase(addr), Burst: c.Config().WordsPerLine})
-			m.state = muIssue
-			return
-		}
-		m.Start(ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1})
-		m.state = muIssue
-	case OpStore:
+	if op == OpStore {
 		if m.cached && m.dcache != nil {
 			m.dcache.Update(addr, data)
 		}
 		m.stBuf[0] = data
 		m.Start(ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1, Data: m.stBuf[:1]})
 		m.state = muIssue
+		return
 	}
+	m.read(m.cacheFor(op))
+}
+
+// Fetch begins an instruction fetch at addr, exactly as Begin(OpFetch,
+// addr, 0) does, and reports whether it hit (TakeHit then takes the word
+// in the next cycle). A fetch from the cacheable range that matched last,
+// on an idle unit, skips Begin's checks and goes straight to the I-cache.
+func (m *MemUnit) Fetch(addr uint32) bool {
+	if m.state == muIdle && m.lastRange.Contains(addr) && addr%4 == 0 {
+		m.op, m.addr, m.done, m.cached = OpFetch, addr, false, true
+		m.read(m.icache)
+	} else {
+		m.Begin(OpFetch, addr, 0)
+	}
+	return m.state == muHit
+}
+
+// TakeHit takes the word of a cache hit begun in the previous cycle,
+// exactly as that cycle's Tick and TakeResult would; it reports false,
+// changing nothing, when no hit is pending.
+func (m *MemUnit) TakeHit() (uint32, bool) {
+	if m.state != muHit {
+		return 0, false
+	}
+	m.state = muIdle
+	return m.result, true
+}
+
+// read starts the fetch or load latched in m: a one-cycle hit, a burst
+// refill of the line on a cacheable miss, or a single-word read.
+func (m *MemUnit) read(c *Cache) {
+	if m.cached && c != nil {
+		if v, ok := c.Lookup(m.addr); ok {
+			m.result = v
+			m.state = muHit
+			return
+		}
+		// Miss: burst refill of the whole line.
+		m.Start(ocp.Request{Cmd: ocp.BurstRead, Addr: c.LineBase(m.addr), Burst: c.Config().WordsPerLine})
+	} else {
+		m.Start(ocp.Request{Cmd: ocp.Read, Addr: m.addr, Burst: 1})
+	}
+	m.state = muIssue
 }
 
 func (m *MemUnit) cacheFor(op OpKind) *Cache {

@@ -28,8 +28,11 @@ const (
 // core (cache hits, ALU operations and branches) up to the first one that
 // steps the bus again, or that would halt it: the core has then simulated
 // ahead of the engine, and the engine's ticks of those cycles are no-ops.
-// A core blocked on its port sleeps until the port wakes it, and counts
-// the cycles it slept as stalls.
+// It runs ahead a whole instruction per call where the instruction's
+// fetch hits — the clocks, cache probes and counts of step, without
+// step's per-clock dispatch — and a clock at a time through step
+// elsewhere. A core blocked on its port sleeps until the port wakes it,
+// and counts the cycles it slept as stalls.
 //
 // Reset state: all registers zero except r15, which holds the core ID (the
 // benchmarks use it for work partitioning, standing in for MPARM's
@@ -51,6 +54,10 @@ type Core struct {
 	haltCycle uint64
 	// next is the first cycle the core has not simulated yet.
 	next uint64
+	// perClock sends the run-ahead loop through step alone, one clock per
+	// call: the oracle the whole-instruction path is tested against. Only
+	// tests set it.
+	perClock bool
 
 	// InstRet counts retired instructions.
 	InstRet uint64
@@ -95,7 +102,8 @@ func (c *Core) MemUnit() *cache.MemUnit { return c.mu }
 const aheadMax = 1 << 12
 
 // Tick implements sim.Device: the clock at cycle, then every following
-// clock that touches nothing outside the core (see local). A tick of a
+// clock that touches nothing outside the core (see local), a whole
+// instruction at a time where its fetch hits (see whole). A tick of a
 // cycle the core already simulated is a no-op, so strict ticking computes
 // exactly what the sleeping kernels do.
 func (c *Core) Tick(cycle uint64) {
@@ -109,9 +117,47 @@ func (c *Core) Tick(cycle uint64) {
 	c.step(cycle)
 	end := cycle + aheadMax
 	for cycle++; cycle < end && c.local(); cycle++ {
-		c.step(cycle)
+		if c.state == sFetch0 && !c.perClock {
+			cycle = c.whole(cycle, end)
+		} else {
+			c.step(cycle)
+		}
 	}
 	c.next = cycle
+}
+
+// whole simulates, from the clock at cycle that takes an instruction's
+// first word, the clocks of that instruction through its execution, and
+// returns the last cycle it simulated. The clocks are step's, with the
+// same cache probes in the same order; whole only skips the per-clock
+// dispatch. It stops after the first clock wherever local would stop the
+// run-ahead — at a second word that misses, before decoding a faulting
+// instruction, before retiring HALT — and also when the instruction's
+// clocks do not all fit before end, leaving the core as step leaves it.
+func (c *Core) whole(cycle, end uint64) uint64 {
+	w0, ok := c.mu.TakeHit()
+	if !ok {
+		c.step(cycle)
+		return cycle
+	}
+	// The first word's clock, which fetches the second word.
+	c.w0 = w0
+	c.state = sFetch1
+	if !c.mu.Fetch(c.pc+4) || !decodes(w0) {
+		return cycle
+	}
+	op := Op(w0 >> 24)
+	last := cycle + 1 + uint64(ExecCycles(op))
+	if op == HALT || last >= end {
+		return cycle
+	}
+	// The second word's clock, the execute-stage clocks, and the last of
+	// them, which executes.
+	c.w1, _ = c.mu.TakeHit()
+	c.inst.decode(w0, c.w1)
+	c.execLeft = 0
+	c.execute(last)
+	return last
 }
 
 // local reports whether the core's next clock touches nothing outside the
@@ -163,7 +209,7 @@ func (c *Core) step(cycle uint64) {
 	}
 	switch c.state {
 	case sReset:
-		c.mu.Begin(cache.OpFetch, c.pc, 0)
+		c.mu.Fetch(c.pc)
 		c.state = sFetch0
 	case sFetch0:
 		v, ok := c.mu.TakeResult()
@@ -172,7 +218,7 @@ func (c *Core) step(cycle uint64) {
 			return
 		}
 		c.w0 = v
-		c.mu.Begin(cache.OpFetch, c.pc+4, 0)
+		c.mu.Fetch(c.pc + 4)
 		c.state = sFetch1
 	case sFetch1:
 		v, ok := c.mu.TakeResult()
@@ -208,7 +254,7 @@ func (c *Core) step(cycle uint64) {
 
 // execute applies the decoded instruction on its final execute cycle.
 func (c *Core) execute(cycle uint64) {
-	i := c.inst
+	i := &c.inst
 	next := c.pc + InstBytes
 	r := &c.regs
 	switch i.Op {
@@ -305,7 +351,7 @@ func (c *Core) execute(cycle uint64) {
 func (c *Core) retire(next uint32) {
 	c.InstRet++
 	c.pc = next
-	c.mu.Begin(cache.OpFetch, c.pc, 0)
+	c.mu.Fetch(next)
 	c.state = sFetch0
 }
 

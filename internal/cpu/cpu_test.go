@@ -28,6 +28,12 @@ type testRig struct {
 
 func buildRig(t *testing.T, src string) *testRig {
 	t.Helper()
+	return buildRigICache(t, src, cache.Config{Lines: 64, WordsPerLine: 4})
+}
+
+// buildRigICache is buildRig with the given I-cache.
+func buildRigICache(t *testing.T, src string, icache cache.Config) *testRig {
+	t.Helper()
 	prog, err := Assemble(src, privBase)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
@@ -47,7 +53,7 @@ func buildRig(t *testing.T, src string) *testRig {
 	}
 	priv.LoadWords(prog.Base, prog.Words)
 	mu := cache.NewMemUnit(bus.NewMasterPort(),
-		cache.New(cache.Config{Lines: 64, WordsPerLine: 4}),
+		cache.New(icache),
 		cache.New(cache.Config{Lines: 64, WordsPerLine: 4}),
 		[]ocp.AddrRange{priv.Range()})
 	core := NewCore(0, mu, prog.Entry)

@@ -173,21 +173,16 @@ func FormatTGP(programs []*core.Program) (string, error) {
 }
 
 // TraceBytes returns the serialised .trc size of all traces (the paper's
-// "20 MB trace file" metric), rendered into a counter.
+// "20 MB trace file" metric), summed from each trace's Size without
+// rendering any text.
 func TraceBytes(traces []*trace.Trace) (int, error) {
-	var total byteCounter
+	total := 0
 	for _, tr := range traces {
-		if err := tr.Write(&total); err != nil {
+		n, err := tr.Size()
+		if err != nil {
 			return 0, err
 		}
+		total += n
 	}
-	return int(total), nil
-}
-
-// byteCounter is an io.Writer that only counts what it is given.
-type byteCounter int
-
-func (c *byteCounter) Write(p []byte) (int, error) {
-	*c += byteCounter(len(p))
-	return len(p), nil
+	return total, nil
 }

@@ -63,7 +63,12 @@ func digestRow(t *testing.T, spec *prog.Spec) paperRowDigest {
 		sum := sha256.Sum256(buf.Bytes())
 		d.Traces = append(d.Traces, traceDigest{SHA256: hex.EncodeToString(sum[:]), Bytes: buf.Len()})
 		total += buf.Len()
+		if n, err := tr.Size(); err != nil || n != buf.Len() {
+			t.Fatalf("master %d: Size = %d, %v; Write rendered %d bytes", tr.MasterID, n, err, buf.Len())
+		}
 	}
+	// TraceBytes sums the sizes without rendering: it must count exactly
+	// the bytes the rendered traces hold.
 	if n, err := TraceBytes(ref.Traces); err != nil || n != total {
 		t.Fatalf("TraceBytes = %d, %v; the traces serialise to %d bytes", n, err, total)
 	}

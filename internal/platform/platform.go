@@ -285,6 +285,9 @@ func Build(cfg Config, factory MasterFactory) (*System, error) {
 		return nil, fmt.Errorf("platform: unknown interconnect %v", cfg.Interconnect)
 	}
 
+	if shardEngines == nil {
+		e.Reserve(cfg.Cores + 1) // the masters, then the fabric
+	}
 	// shardOf maps master i to its region's engine: masters occupy fabric
 	// nodes 0..Cores-1 in id order (the placement loop above).
 	shardOf := func(i int) int {

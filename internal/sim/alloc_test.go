@@ -48,3 +48,41 @@ func TestZeroAllocCalendar(t *testing.T) {
 		t.Fatal("the devices never all slept")
 	}
 }
+
+// TestZeroAllocReservedAdd: registering as many devices as Reserve sized
+// an engine for allocates nothing, their wake handles included, where
+// registering them on an engine left to grow does allocate.
+func TestZeroAllocReservedAdd(t *testing.T) {
+	const devices, runs = 12, 10
+	devs := make([]Device, devices)
+	for i := range devs {
+		if i%2 == 0 {
+			devs[i] = &alarm{} // a WakeSink: it takes a wake handle
+		} else {
+			devs[i] = &metronome{period: 7}
+		}
+	}
+	register := func(reserve bool) float64 {
+		// AllocsPerRun makes one warm-up run before the counted ones.
+		engines := make([]*Engine, runs+1)
+		for i := range engines {
+			engines[i] = NewEngine(Clock{})
+			if reserve {
+				engines[i].Reserve(devices)
+			}
+		}
+		k := 0
+		return testing.AllocsPerRun(runs, func() {
+			for _, d := range devs {
+				engines[k].Add(d)
+			}
+			k++
+		})
+	}
+	if avg := register(true); avg != 0 {
+		t.Fatalf("registering %d reserved devices allocates %.2f times", devices, avg)
+	}
+	if avg := register(false); avg == 0 {
+		t.Fatal("registering without Reserve allocated nothing; the test measures nothing")
+	}
+}

@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzParse: arbitrary text must never panic the .trc parser, accepted
-// traces must render exactly as the fmt oracle renders them, and they must
-// survive a Write→Parse round trip.
+// traces must render exactly as the fmt oracle renders them, in as many
+// bytes as Size counts, and they must survive a Write→Parse round trip.
 func FuzzParse(f *testing.F) {
 	f.Add("; noctg trace v1\n; master 0 clockns 5\nRD 0x00000104 @55ns acc@55ns\nRSP 0x088000f0 @75ns\n")
 	f.Add("WR 0x00000020 0x00000111 @90ns acc@95ns\n")

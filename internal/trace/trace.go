@@ -80,6 +80,52 @@ func (t *Trace) Write(w io.Writer) error {
 	return err
 }
 
+// Size returns the number of bytes Write renders, computed without
+// rendering: hex words are fixed width, and each decimal's width is its
+// digit count.
+func (t *Trace) Size() (int, error) {
+	n := len("; noctg trace v1\n; master  clockns \n") + intLen(int64(t.MasterID)) + uintLen(t.Clock.PeriodNS)
+	const hex = len(" 0x00000000")
+	ns := t.Clock.NS
+	for i := range t.Events {
+		e := &t.Events[i]
+		n += len(e.Cmd.String()) + hex
+		switch e.Cmd {
+		case ocp.Read:
+		case ocp.Write:
+			n += hex
+		case ocp.BurstRead:
+			n += len(" +") + intLen(int64(e.Burst))
+		case ocp.BurstWrite:
+			n += len(" +") + intLen(int64(e.Burst)) + hex*len(e.Data)
+		default:
+			return 0, fmt.Errorf("trace: event %d has invalid command %v", i, e.Cmd)
+		}
+		n += len(" @ns acc@ns\n") + uintLen(ns(e.Assert)) + uintLen(ns(e.Accept))
+		if e.HasResp {
+			n += len("\nRSP @ns") + hex*len(e.Data) + uintLen(ns(e.Resp))
+		}
+	}
+	return n, nil
+}
+
+// uintLen is the number of decimal digits of v.
+func uintLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// intLen is the width of v in decimal, sign included.
+func intLen(v int64) int {
+	if v < 0 {
+		return 1 + uintLen(uint64(-v))
+	}
+	return uintLen(uint64(v))
+}
+
 // appendHex appends each word as fmt's " 0x%08x" renders it.
 func appendHex(b []byte, words ...uint32) []byte {
 	for _, v := range words {

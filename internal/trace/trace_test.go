@@ -210,7 +210,8 @@ func fmtDataList(data []uint32) string {
 	return b.String()
 }
 
-// requireOracle fails unless Write renders tr exactly as writeFmt does.
+// requireOracle fails unless Write renders tr exactly as writeFmt does, in
+// as many bytes as Size counts.
 func requireOracle(t *testing.T, tr *Trace) {
 	t.Helper()
 	var got, want bytes.Buffer
@@ -222,6 +223,9 @@ func requireOracle(t *testing.T, tr *Trace) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("Write differs from the fmt renderer:\n got %q\nwant %q", got.String(), want.String())
+	}
+	if n, err := tr.Size(); err != nil || n != got.Len() {
+		t.Fatalf("Size = %d, %v; Write rendered %d bytes", n, err, got.Len())
 	}
 }
 
