@@ -115,7 +115,12 @@ type port struct {
 	waker   sim.Waker // the master's wake handle; nil outside an engine
 	// since is, while the port requests, the first cycle not yet credited
 	// to its WaitCycles: the grant credits the cycles from there to the
-	// grant's, so a wait costs no bus work per cycle.
+	// grant's, so a wait costs no bus work per cycle. TryRequest stamps it
+	// with the current cycle, which counts that cycle as waited: right
+	// only because the bus is ticked after its masters (see Bus), so it
+	// arbitrates in the cycle a request is presented. A master ticked
+	// after the bus would be counted one cycle more per request than a
+	// per-cycle count (TestBusSleepsThroughShortTransfers pins that order).
 	since uint64
 	// lastBind caches the binding this port's latest request decoded to:
 	// each master shows strong address-range locality, so the common case
@@ -192,7 +197,8 @@ type activeTxn struct {
 }
 
 // Bus is the AHB-style interconnect. It implements sim.Device and must be
-// ticked after all masters each cycle.
+// ticked after all masters each cycle: its grant timing and its wait
+// accounting (see port.since) both assume that order.
 type Bus struct {
 	cfg      Config
 	now      func() uint64
@@ -208,12 +214,13 @@ type Bus struct {
 	hasActive  bool
 	activeData []uint32
 
-	// lastTick supports the skip and event kernels' elided ticks: a gap
-	// between consecutive Tick cycles is credited to the busy/idle counters
-	// in bulk (a cycle the bus was not ticked in is, by the Sleeper
-	// contract, one in which its occupancy state could not change).
-	lastTick uint64
-	ticked   bool
+	// counted is the first cycle not yet credited to the busy/idle
+	// counters. It supports the skip and event kernels' elided ticks: the
+	// cycles from counted to the next Tick, those before the first Tick
+	// included, are credited in bulk (a cycle the bus was not ticked in
+	// is, by the Sleeper contract, one in which its occupancy state could
+	// not change).
+	counted uint64
 
 	// waker is the engine's wake handle (sim.WakeSink); nil when the bus is
 	// driven outside an engine.
@@ -285,33 +292,31 @@ func (b *Bus) Masters() int { return len(b.ports) }
 
 // BusyCycles returns how many cycles the bus spent occupied by a transfer.
 func (b *Bus) BusyCycles() uint64 {
-	busy, _ := b.pendingGap()
+	busy, _ := b.gap(b.now())
 	return b.busyCycles.Value() + busy
 }
 
 // IdleCycles returns how many cycles the bus had no requester.
 func (b *Bus) IdleCycles() uint64 {
-	_, idle := b.pendingGap()
+	_, idle := b.gap(b.now())
 	return b.idleCycles.Value() + idle
 }
 
-// pendingGap returns the busy/idle credit for cycles in which the bus was
-// not ticked (skip-kernel jumps, event-kernel sleeps) since its last Tick.
-// Tick folds such gaps into the counters itself, but a run that ends inside
-// a gap is never followed by another Tick, so the getters account the tail
-// on the fly (the bus state was frozen across the gap, making the
-// attribution unambiguous).
-func (b *Bus) pendingGap() (busy, idle uint64) {
-	if !b.ticked {
+// gap returns the busy/idle credit for the cycles from counted up to, not
+// including, end, in which the bus was not ticked (skip-kernel jumps,
+// event-kernel sleeps, the cycles before its first tick). Tick folds such
+// gaps into the counters itself, but a run that ends inside a gap is never
+// followed by another Tick, so the getters account the tail on the fly
+// (the bus state was frozen across the gap, making the attribution
+// unambiguous).
+func (b *Bus) gap(end uint64) (busy, idle uint64) {
+	switch {
+	case end <= b.counted:
 		return 0, 0
+	case b.hasActive:
+		return end - b.counted, 0
 	}
-	if last := b.now() - 1; last > b.lastTick {
-		if b.hasActive {
-			return last - b.lastTick, 0
-		}
-		return 0, last - b.lastTick
-	}
-	return 0, 0
+	return 0, end - b.counted
 }
 
 // TotalGrants returns the number of accepted transactions.
@@ -376,21 +381,14 @@ func (b *Bus) RegisterStats(r *sim.Registry) {
 // syncStats folds the lazily credited busy/idle gap and wait-cycle tail
 // into the counters through cycle now-1, so a phase-boundary snapshot or
 // reset attributes every cycle to the epoch it belongs to. Advancing
-// lastTick here is safe: the next Tick's gap credit starts from the new
+// counted here is safe: the next Tick's gap credit starts from the new
 // value, so no cycle is counted twice.
 func (b *Bus) syncStats(now uint64) {
-	if now == 0 {
-		return
-	}
-	last := now - 1
-	if b.ticked && last > b.lastTick {
-		gap := last - b.lastTick
-		if b.hasActive {
-			b.busyCycles.Add(gap)
-		} else {
-			b.idleCycles.Add(gap)
-		}
-		b.lastTick = last
+	if now > b.counted {
+		busy, idle := b.gap(now)
+		b.busyCycles.Add(busy)
+		b.idleCycles.Add(idle)
+		b.counted = now
 	}
 	b.settleWaits(now)
 }
@@ -416,16 +414,12 @@ func (b *Bus) Tick(cycle uint64) {
 	// occupancy counters: a tick is only omitted while the bus state is
 	// frozen, so the whole gap was uniformly busy (posted-write drain) or
 	// uniformly idle.
-	if b.ticked && cycle > b.lastTick+1 {
-		gap := cycle - b.lastTick - 1
-		if b.hasActive {
-			b.busyCycles.Add(gap)
-		} else {
-			b.idleCycles.Add(gap)
-		}
+	if cycle > b.counted {
+		busy, idle := b.gap(cycle)
+		b.busyCycles.Add(busy)
+		b.idleCycles.Add(idle)
 	}
-	b.lastTick = cycle
-	b.ticked = true
+	b.counted = cycle + 1
 
 	if b.hasActive {
 		b.busyCycles.Inc()
@@ -537,6 +531,8 @@ func (b *Bus) arbitrate(cycle uint64) {
 		return
 	}
 	p := b.ports[winner]
+	// The cycles from the request's stamp to this one, excluded, are its
+	// wait: exact when the masters tick before the bus (see port.since).
 	b.waits[winner].Add(cycle - p.since)
 	p.state = portGranted
 	if p.waker != nil {

@@ -162,8 +162,16 @@ func (b *tickLog) TickWake(cycle uint64) uint64 {
 // while a response waits to be taken; and its busy, idle and wait
 // counters equal the strict kernel's, which ticks it every cycle, read
 // mid-run as well as at the end.
+//
+// The bus must be ticked after its masters (see Bus). The "bus first" row
+// registers it before them and pins what that order yields, the same on
+// both kernels: every grant a cycle later, the cycles before the bus's
+// first tick counted idle on the event kernel too, and each wait counted
+// from the cycle its request was presented — one cycle more per request
+// than a per-cycle count, which cannot see a request in the cycle the bus
+// has already been ticked in, would read ([0 3 4] at the end).
 func TestBusSleepsThroughShortTransfers(t *testing.T) {
-	run := func(k sim.Kernel) (*tickLog, uint64) {
+	run := func(k sim.Kernel, busFirst bool) (*tickLog, uint64, string) {
 		e := sim.NewEngine(sim.Clock{})
 		e.SetKernel(k)
 		bus := New(Config{}, e.Cycle)
@@ -171,40 +179,56 @@ func TestBusSleepsThroughShortTransfers(t *testing.T) {
 		if err := bus.MapSlave(ram, ram.Range()); err != nil {
 			t.Fatal(err)
 		}
+		log := &tickLog{Bus: bus}
+		if busFirst {
+			e.Add(log)
+		}
 		var ms []*blockedReader
 		for _, at := range []uint64{0, 0, 2} {
 			m := &blockedReader{Handshake: ocp.NewHandshake(bus.NewMasterPort()), at: at}
 			ms = append(ms, m)
 			e.Add(m)
 		}
-		log := &tickLog{Bus: bus}
-		e.Add(log)
+		if !busFirst {
+			e.Add(log)
+		}
 		// Read the wait counters mid-run, with the third master queued: the
 		// getter settles its cycles so far, and they are not counted again
 		// at its grant.
 		if _, err := e.Run(5, func() bool { return false }); !errors.Is(err, sim.ErrMaxCycles) {
 			t.Fatalf("%v: Run(5) = %v", k, err)
 		}
-		if w := fmt.Sprint(bus.WaitCycles()); w != "[0 3 3]" {
-			t.Fatalf("%v: wait cycles %s after cycle 4, want [0 3 3]", k, w)
-		}
+		mid := fmt.Sprint(bus.WaitCycles())
 		done := func() bool { return ms[0].done && ms[1].done && ms[2].done && bus.Idle() }
 		if _, err := e.Run(100, done); err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		return log, e.Cycle()
+		return log, e.Cycle(), mid
 	}
-	strict, strictEnd := run(sim.KernelStrict)
-	event, eventEnd := run(sim.KernelEvent)
-	if want := []uint64{0, 3, 6, 9}; !slices.Equal(event.ticks, want) {
-		t.Fatalf("event kernel ticked the bus at %v, want %v", event.ticks, want)
-	}
-	if uint64(len(strict.ticks)) != strictEnd || eventEnd != strictEnd {
-		t.Fatalf("strict kernel ticked the bus %d times and ended at %d, event at %d", len(strict.ticks), strictEnd, eventEnd)
-	}
-	got := fmt.Sprint(event.BusyCycles(), event.IdleCycles(), event.WaitCycles())
-	want := fmt.Sprint(strict.BusyCycles(), strict.IdleCycles(), strict.WaitCycles())
-	if got != want || want != "9 2 [0 3 4]" {
-		t.Fatalf("busy, idle, wait: event %s, strict %s, want 9 2 [0 3 4]", got, want)
+	for _, c := range []struct {
+		name                    string
+		busFirst                bool
+		eventTicks              []uint64
+		midWaits, busyIdleWaits string
+	}{
+		{"masters first", false, []uint64{0, 3, 6, 9}, "[0 3 3]", "9 2 [0 3 4]"},
+		{"bus first", true, []uint64{1, 4, 7, 10}, "[1 4 3]", "9 3 [1 4 5]"},
+	} {
+		strict, strictEnd, strictMid := run(sim.KernelStrict, c.busFirst)
+		event, eventEnd, eventMid := run(sim.KernelEvent, c.busFirst)
+		if !slices.Equal(event.ticks, c.eventTicks) {
+			t.Fatalf("%s: event kernel ticked the bus at %v, want %v", c.name, event.ticks, c.eventTicks)
+		}
+		if uint64(len(strict.ticks)) != strictEnd || eventEnd != strictEnd {
+			t.Fatalf("%s: strict kernel ticked the bus %d times and ended at %d, event at %d", c.name, len(strict.ticks), strictEnd, eventEnd)
+		}
+		if strictMid != c.midWaits || eventMid != c.midWaits {
+			t.Fatalf("%s: wait cycles after cycle 4: strict %s, event %s, want %s", c.name, strictMid, eventMid, c.midWaits)
+		}
+		got := fmt.Sprint(event.BusyCycles(), event.IdleCycles(), event.WaitCycles())
+		want := fmt.Sprint(strict.BusyCycles(), strict.IdleCycles(), strict.WaitCycles())
+		if got != want || want != c.busyIdleWaits {
+			t.Fatalf("%s: busy, idle, wait: event %s, strict %s, want %s", c.name, got, want, c.busyIdleWaits)
+		}
 	}
 }

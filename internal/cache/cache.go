@@ -55,14 +55,6 @@ type Cache struct {
 	// word address with these masks and shifts instead of dividing.
 	wordMask, setMask, setShift, tagShift uint32
 
-	// next is the address after the last hit, and nextAt its word's index
-	// in data, while that word lies in the same line and no Fill has run
-	// since (hasNext): sequential fetches walk a line this way without
-	// splitting the address again.
-	next    uint32
-	nextAt  int
-	hasNext bool
-
 	Hits    uint64
 	Misses  uint64
 	Refills uint64
@@ -121,29 +113,23 @@ func (c *Cache) find(set int, tag uint32) int {
 	return -1
 }
 
-// Lookup probes the cache. On a hit it returns the cached word. The word
-// after the last hit, in the same line, is found without a probe; else the
-// set's first way is compared before find runs, which on a direct-mapped
-// cache is the whole probe.
+// Lookup probes the cache. On a hit it returns the cached word. The set's
+// first way is compared before find runs, which on a direct-mapped cache
+// is the whole probe.
 func (c *Cache) Lookup(addr uint32) (uint32, bool) {
-	at := c.nextAt
-	if !c.hasNext || addr != c.next {
-		set, word, tag := c.index(addr)
-		line := set * c.cfg.Ways
-		if !c.valid[line] || c.tags[line] != tag {
-			line = c.find(set, tag)
-		}
-		if line < 0 {
-			c.Misses++
-			return 0, false
-		}
-		at = line*c.cfg.WordsPerLine + word
+	set, word, tag := c.index(addr)
+	line := set * c.cfg.Ways
+	if !c.valid[line] || c.tags[line] != tag {
+		line = c.find(set, tag)
+	}
+	if line < 0 {
+		c.Misses++
+		return 0, false
 	}
 	c.Hits++
 	c.clock++
-	c.used[at>>c.setShift] = c.clock
-	c.next, c.nextAt, c.hasNext = addr+4, at+1, (addr>>2+1)&c.wordMask != 0
-	return c.data[at], true
+	c.used[line] = c.clock
+	return c.data[line*c.cfg.WordsPerLine+word], true
 }
 
 // Fill installs a refilled line (words must cover the whole line starting
@@ -183,7 +169,6 @@ func (c *Cache) Fill(addr uint32, words []uint32) {
 	c.used[victim] = c.clock
 	copy(c.data[victim*c.cfg.WordsPerLine:], words)
 	c.Refills++
-	c.hasNext = false
 }
 
 // Update writes through to a cached word if (and only if) the line is
@@ -202,5 +187,4 @@ func (c *Cache) InvalidateAll() {
 	for i := range c.valid {
 		c.valid[i] = false
 	}
-	c.hasNext = false
 }

@@ -75,11 +75,10 @@ func TestCacheFillLookupEvict(t *testing.T) {
 }
 
 // TestLookupMatchesProbe: whatever came before — sequential walks,
-// jumps, refills that evict the line a walk is in, write-throughs and
-// invalidation — every Lookup reports exactly what probing the set would:
-// hit or miss, the word, the hit line's LRU stamp and the counters. The
-// word after the last hit is found without a probe, so this holds that
-// shortcut to the probe.
+// jumps, refills that evict, write-throughs and invalidation — every
+// Lookup reports exactly what probing the set would: hit or miss, the
+// word, the hit line's LRU stamp and the counters. Lookup compares a set's
+// first way before probing, so this holds that shortcut to the probe.
 func TestLookupMatchesProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, cfg := range []Config{{Lines: 4, WordsPerLine: 1}, {Lines: 8, WordsPerLine: 2, Ways: 2},

@@ -122,30 +122,31 @@ func (m *MemUnit) Begin(op OpKind, addr uint32, data uint32) {
 	m.addr = addr
 	m.done = false
 	m.cached = m.Cacheable(addr)
-	if op == OpStore {
+
+	c := m.cacheFor(op)
+	switch op {
+	case OpFetch, OpLoad:
+		if m.cached && c != nil {
+			if v, ok := c.Lookup(addr); ok {
+				m.result = v
+				m.state = muHit
+				return
+			}
+			// Miss: burst refill of the whole line.
+			m.Start(ocp.Request{Cmd: ocp.BurstRead, Addr: c.LineBase(addr), Burst: c.Config().WordsPerLine})
+			m.state = muIssue
+			return
+		}
+		m.Start(ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1})
+		m.state = muIssue
+	case OpStore:
 		if m.cached && m.dcache != nil {
 			m.dcache.Update(addr, data)
 		}
 		m.stBuf[0] = data
 		m.Start(ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1, Data: m.stBuf[:1]})
 		m.state = muIssue
-		return
 	}
-	m.read(m.cacheFor(op))
-}
-
-// Fetch begins an instruction fetch at addr, exactly as Begin(OpFetch,
-// addr, 0) does, and reports whether it hit (TakeHit then takes the word
-// in the next cycle). A fetch from the cacheable range that matched last,
-// on an idle unit, skips Begin's checks and goes straight to the I-cache.
-func (m *MemUnit) Fetch(addr uint32) bool {
-	if m.state == muIdle && m.lastRange.Contains(addr) && addr%4 == 0 {
-		m.op, m.addr, m.done, m.cached = OpFetch, addr, false, true
-		m.read(m.icache)
-	} else {
-		m.Begin(OpFetch, addr, 0)
-	}
-	return m.state == muHit
 }
 
 // TakeHit takes the word of a cache hit begun in the previous cycle,
@@ -157,23 +158,6 @@ func (m *MemUnit) TakeHit() (uint32, bool) {
 	}
 	m.state = muIdle
 	return m.result, true
-}
-
-// read starts the fetch or load latched in m: a one-cycle hit, a burst
-// refill of the line on a cacheable miss, or a single-word read.
-func (m *MemUnit) read(c *Cache) {
-	if m.cached && c != nil {
-		if v, ok := c.Lookup(m.addr); ok {
-			m.result = v
-			m.state = muHit
-			return
-		}
-		// Miss: burst refill of the whole line.
-		m.Start(ocp.Request{Cmd: ocp.BurstRead, Addr: c.LineBase(m.addr), Burst: c.Config().WordsPerLine})
-	} else {
-		m.Start(ocp.Request{Cmd: ocp.Read, Addr: m.addr, Burst: 1})
-	}
-	m.state = muIssue
 }
 
 func (m *MemUnit) cacheFor(op OpKind) *Cache {

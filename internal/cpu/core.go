@@ -143,7 +143,8 @@ func (c *Core) whole(cycle, end uint64) uint64 {
 	// The first word's clock, which fetches the second word.
 	c.w0 = w0
 	c.state = sFetch1
-	if !c.mu.Fetch(c.pc+4) || !decodes(w0) {
+	c.mu.Begin(cache.OpFetch, c.pc+4, 0)
+	if !c.mu.Local() || !decodes(w0) { // a miss puts the unit on the port
 		return cycle
 	}
 	op := Op(w0 >> 24)
@@ -209,7 +210,7 @@ func (c *Core) step(cycle uint64) {
 	}
 	switch c.state {
 	case sReset:
-		c.mu.Fetch(c.pc)
+		c.mu.Begin(cache.OpFetch, c.pc, 0)
 		c.state = sFetch0
 	case sFetch0:
 		v, ok := c.mu.TakeResult()
@@ -218,7 +219,7 @@ func (c *Core) step(cycle uint64) {
 			return
 		}
 		c.w0 = v
-		c.mu.Fetch(c.pc + 4)
+		c.mu.Begin(cache.OpFetch, c.pc+4, 0)
 		c.state = sFetch1
 	case sFetch1:
 		v, ok := c.mu.TakeResult()
@@ -351,7 +352,7 @@ func (c *Core) execute(cycle uint64) {
 func (c *Core) retire(next uint32) {
 	c.InstRet++
 	c.pc = next
-	c.mu.Fetch(next)
+	c.mu.Begin(cache.OpFetch, c.pc, 0)
 	c.state = sFetch0
 }
 

@@ -168,9 +168,6 @@ type Engine struct {
 	// evFused mirrors devices with their TickSleeper fast path (nil where
 	// unimplemented).
 	evFused []TickSleeper
-	// wakers is the slab Reserve sets aside for the WakeSink handles of
-	// the devices it sized for; Add takes from it while it has room.
-	wakers []engineWaker
 
 	// watchdog, when set, runs at every completion-predicate evaluation
 	// point (after done() reports false); a non-nil error aborts the run.
@@ -220,36 +217,22 @@ func (e *Engine) Add(d Device) {
 		}
 	}
 	if ws, ok := d.(WakeSink); ok {
-		ws.SetWaker(e.newWaker(int32(len(e.devices) - 1)))
+		ws.SetWaker(&engineWaker{e: e, idx: int32(len(e.devices) - 1)})
 	}
 	f, _ := d.(TickSleeper)
 	e.evFused = append(e.evFused, f)
 }
 
-// newWaker returns device idx's wake handle, from the slab Reserve set
-// aside while it has room.
-func (e *Engine) newWaker(idx int32) *engineWaker {
-	if n := len(e.wakers); n < cap(e.wakers) {
-		e.wakers = append(e.wakers, engineWaker{e: e, idx: idx})
-		return &e.wakers[n]
-	}
-	return &engineWaker{e: e, idx: idx}
-}
-
-// Reserve sizes the engine for n more devices, so that registering them
-// allocates nothing: code that knows its device count up front
-// (platform.Build) calls it once instead of letting every Add grow the
-// device tables.
+// Reserve sizes the device tables for n more devices, so that registering
+// them grows none: code that knows its device count up front
+// (platform.Build) calls it once instead of letting every Add double the
+// tables.
 func (e *Engine) Reserve(n int) {
 	e.devices = slices.Grow(e.devices, n)
 	if e.sleepers != nil {
 		e.sleepers = slices.Grow(e.sleepers, n)
 	}
 	e.evFused = slices.Grow(e.evFused, n)
-	if cap(e.wakers)-len(e.wakers) < n {
-		// Handles already given out keep pointing into the old slab.
-		e.wakers = make([]engineWaker, 0, n)
-	}
 }
 
 // Devices returns the number of registered devices.
