@@ -202,7 +202,7 @@ func TestZeroAllocAnalyticEstimate(t *testing.T) {
 			e := est.Estimate()
 			_ = est.LatencyAt(e.KneeGap + 4)
 			_ = est.ThroughputAt(e.KneeGap + 4)
-			_ = est.UtilizationAt(e.KneeGap + 4)
+			_ = est.DemandRatioAt(e.KneeGap + 4)
 		}); avg != 0 {
 			t.Errorf("%s: estimator hot path allocates %.2f allocs per prediction", f.Label(), avg)
 		}

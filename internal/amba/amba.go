@@ -357,9 +357,6 @@ func (b *Bus) NextWake(now uint64) uint64 {
 // arrives while the bus may be sleeping.
 func (b *Bus) SetWaker(w sim.Waker) { b.waker = w }
 
-// DecodeErrors returns the number of requests that decoded to no slave.
-func (b *Bus) DecodeErrors() uint64 { return b.decodeErrors.Value() }
-
 // RegisterStats implements sim.StatsSource: the full counter set —
 // occupancy, total and per-master grants, per-master wait cycles, decode
 // and slave errors — joins the registry so phased measurement can reset

@@ -59,7 +59,7 @@ func TestSingleWriteAcceptTiming(t *testing.T) {
 func TestSingleReadLatency(t *testing.T) {
 	script := []simtest.Step{{Gap: 0, Req: ocp.Request{Cmd: ocp.Read, Addr: 0x1008, Burst: 1}}}
 	e, bus, ms, ram := rig(t, Config{}, script)
-	ram.PokeWord(0x1008, 0xcafe)
+	ram.LoadWords(0x1008, []uint32{0xcafe})
 	runAll(t, e, bus, ms, 100)
 	m := ms[0]
 	// assert 0, grant at bus tick 0, occupancy = addr(1)+beat(1)+wait(1) → done
@@ -82,7 +82,7 @@ func TestBurstReadDataAndOccupancy(t *testing.T) {
 	}
 	e, bus, ms, ram := rig(t, Config{}, script)
 	for i := 0; i < 4; i++ {
-		ram.PokeWord(0x1010+uint32(i*4), uint32(100+i))
+		ram.LoadWords(0x1010+uint32(i*4), []uint32{uint32(100 + i)})
 	}
 	runAll(t, e, bus, ms, 100)
 	m := ms[0]
@@ -176,7 +176,7 @@ func TestDecodeErrorRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bus.DecodeErrors() != 1 {
+	if bus.decodeErrors.Value() != 1 {
 		t.Fatal("decode error not counted")
 	}
 	if len(m.RespData[0]) != 0 {

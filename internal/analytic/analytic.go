@@ -134,7 +134,7 @@ type resource struct {
 }
 
 // Estimator is a compiled estimation point. Compile once with New; the
-// per-load queries (Estimate, LatencyAt, ThroughputAt, UtilizationAt)
+// per-load queries (Estimate, LatencyAt, ThroughputAt, DemandRatioAt)
 // allocate nothing.
 type Estimator struct {
 	spec Spec

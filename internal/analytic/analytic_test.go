@@ -61,8 +61,8 @@ func TestXPipesHand(t *testing.T) {
 	}
 	// A single master far apart from its own service never stresses the
 	// bottleneck: utilization vanishes with the gap.
-	if u := e.UtilizationAt(1e6); !(u > 0 && u < 0.01) {
-		t.Errorf("UtilizationAt(1e6) = %v, want a vanishing utilization", u)
+	if u := e.DemandRatioAt(1e6); !(u > 0 && u < 0.01) {
+		t.Errorf("DemandRatioAt(1e6) = %v, want a vanishing utilization", u)
 	}
 }
 
@@ -120,11 +120,7 @@ func TestXPipesConverging(t *testing.T) {
 			prev = lat
 		}
 	}
-	// Past the knee, utilization clamps to 1 while the uncapped demand
-	// ratio keeps measuring the overload depth.
-	if u := e.UtilizationAt(0); u != 1 {
-		t.Errorf("UtilizationAt(0) = %v, want clamp to 1 past the knee", u)
-	}
+	// Past the knee the demand ratio keeps measuring the overload depth.
 	if ratio := e.DemandRatioAt(0); ratio <= 1 {
 		t.Errorf("DemandRatioAt(0) = %v, want > 1 past the knee", ratio)
 	}

@@ -100,19 +100,10 @@ func (e *Estimator) destSkew() float64 {
 	return s
 }
 
-// UtilizationAt returns the predicted bottleneck utilization at the given
-// mean drawn gap, clamped to 1.
-func (e *Estimator) UtilizationAt(gap float64) float64 {
-	u := e.resources[e.bottleneck].demand / (gap + 1 + e.t0)
-	if u > 1 {
-		return 1
-	}
-	return u
-}
-
-// DemandRatioAt is UtilizationAt without the cap: values above 1 measure
-// how deep past saturation a point sits, which the pre-pass uses to
-// decide whether the model brackets a point confidently.
+// DemandRatioAt returns the predicted bottleneck demand ratio at the given
+// mean drawn gap: below 1 it is the bottleneck's utilization, and values
+// above 1 measure how deep past saturation a point sits, which the
+// pre-pass uses to decide whether the model brackets a point confidently.
 func (e *Estimator) DemandRatioAt(gap float64) float64 {
 	return e.resources[e.bottleneck].demand / (gap + 1 + e.t0)
 }

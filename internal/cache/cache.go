@@ -181,10 +181,3 @@ func (c *Cache) Update(addr uint32, v uint32) {
 	}
 	c.data[line*c.cfg.WordsPerLine+word] = v
 }
-
-// InvalidateAll empties the cache (cold reset).
-func (c *Cache) InvalidateAll() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-}

@@ -103,7 +103,7 @@ func TestLookupMatchesProbe(t *testing.T) {
 				continue
 			default:
 				if rng.Intn(20) == 0 {
-					c.InvalidateAll()
+					clear(c.valid)
 				}
 				continue
 			}
@@ -196,8 +196,8 @@ func doOp(t *testing.T, e *sim.Engine, mu *MemUnit, op OpKind, addr, data uint32
 
 func TestLoadMissThenHit(t *testing.T) {
 	e, mu, mon, ram := rigMU(t, Config{}, Config{Lines: 8, WordsPerLine: 4})
-	ram.PokeWord(0x1100, 7)
-	ram.PokeWord(0x1104, 8)
+	ram.LoadWords(0x1100, []uint32{7})
+	ram.LoadWords(0x1104, []uint32{8})
 
 	v, missCycles := doOp(t, e, mu, OpLoad, 0x1100, 0)
 	if v != 7 {
@@ -224,7 +224,7 @@ func TestLoadMissThenHit(t *testing.T) {
 
 func TestStoreWriteThrough(t *testing.T) {
 	e, mu, mon, ram := rigMU(t, Config{}, Config{Lines: 8, WordsPerLine: 4})
-	ram.PokeWord(0x1200, 1)
+	ram.LoadWords(0x1200, []uint32{1})
 	doOp(t, e, mu, OpLoad, 0x1200, 0) // bring line in
 	doOp(t, e, mu, OpStore, 0x1200, 55)
 	// Let the posted write drain through the bus.
@@ -267,7 +267,7 @@ func TestUncachedAccessBypasses(t *testing.T) {
 
 func TestFetchThroughICache(t *testing.T) {
 	e, mu, mon, ram := rigMU(t, Config{Lines: 4, WordsPerLine: 4}, Config{})
-	ram.PokeWord(0x1000, 0xfeed)
+	ram.LoadWords(0x1000, []uint32{0xfeed})
 	v, _ := doOp(t, e, mu, OpFetch, 0x1000, 0)
 	if v != 0xfeed {
 		t.Fatalf("fetch = %#x", v)
@@ -307,7 +307,7 @@ func TestMemUnitVersusFlatMemoryProperty(t *testing.T) {
 	model := map[uint32]uint32{}
 	base := uint32(0x1000)
 	for i := uint32(0); i < 64; i++ {
-		ram.PokeWord(base+i*4, i*3)
+		ram.LoadWords(base+i*4, []uint32{i * 3})
 		model[base+i*4] = i * 3
 	}
 	f := func(idx uint8, val uint32, store bool) bool {
@@ -329,14 +329,5 @@ func TestMemUnitVersusFlatMemoryProperty(t *testing.T) {
 		if got := ram.PeekWord(addr); got != want {
 			t.Fatalf("mem[%#x] = %d, want %d", addr, got, want)
 		}
-	}
-}
-
-func TestCacheColdResetInvalidate(t *testing.T) {
-	c := New(Config{Lines: 2, WordsPerLine: 2})
-	c.Fill(0, []uint32{1, 2})
-	c.InvalidateAll()
-	if _, ok := c.Lookup(0); ok {
-		t.Fatal("invalidated cache should miss")
 	}
 }

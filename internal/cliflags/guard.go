@@ -29,8 +29,7 @@ func RegisterGuard(defaultOnViolation string) *Guard {
 }
 
 // Config validates the three flags and resolves them into a guard
-// configuration (nil = unguarded). Call after flag.Parse and before
-// OnViolation.
+// configuration (nil = unguarded). Call after flag.Parse.
 func (g *Guard) Config() (*guard.Config, error) {
 	if err := OneOf("on-violation", *g.onViol, "record", "fail"); err != nil {
 		return nil, err
@@ -48,10 +47,6 @@ func (g *Guard) Config() (*guard.Config, error) {
 	c.RunBudget = *g.budget
 	return &c, nil
 }
-
-// OnViolation returns the -on-violation mode, "record" or "fail" once
-// Config has accepted it.
-func (g *Guard) OnViolation() string { return *g.onViol }
 
 // Exit is every tool's one guard-violation exit, called once the run's
 // output and diagnostics are out. A run that recorded violations exits 1

@@ -57,8 +57,8 @@ func TestGuardFlags(t *testing.T) {
 			if (got == nil) != (tc.want == nil) || (got != nil && *got != *tc.want) {
 				t.Fatalf("Config() = %+v, want %+v", got, tc.want)
 			}
-			if g.OnViolation() != tc.onViol {
-				t.Fatalf("OnViolation() = %q, want %q", g.OnViolation(), tc.onViol)
+			if *g.onViol != tc.onViol {
+				t.Fatalf("-on-violation = %q, want %q", *g.onViol, tc.onViol)
 			}
 		})
 	}

@@ -11,6 +11,13 @@ import (
 	"noctg/internal/trace"
 )
 
+// tgpText renders p's .tgp text through Format.
+func tgpText(p *Program) (string, error) {
+	var b strings.Builder
+	err := p.Format(&b)
+	return b.String(), err
+}
+
 func TestInstEncodeDecodeRoundTripProperty(t *testing.T) {
 	f := func(op, rd, ra, rb uint8, imm uint32) bool {
 		in := Inst{
@@ -113,7 +120,7 @@ func TestTgpAssembleBasics(t *testing.T) {
 
 func TestTgpFormatRoundTrip(t *testing.T) {
 	p := fig3Program(t)
-	text, err := p.FormatString()
+	text, err := tgpText(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +137,7 @@ func TestTgpFormatRoundTrip(t *testing.T) {
 		}
 	}
 	// Formatting again must be a fixed point.
-	text2, err := p2.FormatString()
+	text2, err := tgpText(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +296,7 @@ func runDevice(t *testing.T, p *Program, port ocp.MasterPort, max uint64) (*Devi
 			return d, cycle
 		}
 	}
-	t.Fatalf("device did not halt in %d cycles (pc=%d)", max, d.PC())
+	t.Fatalf("device did not halt in %d cycles (pc=%d)", max, d.pc)
 	return nil, 0
 }
 
@@ -363,8 +370,8 @@ END`)
 	if d.HaltCycle() != 5 {
 		t.Fatalf("halt at %d, want 5", d.HaltCycle())
 	}
-	if d.Reg(RdReg) != 42 {
-		t.Fatalf("rdreg = %d", d.Reg(RdReg))
+	if d.regs[RdReg] != 42 {
+		t.Fatalf("rdreg = %d", d.regs[RdReg])
 	}
 }
 
@@ -511,12 +518,12 @@ func TestTranslateSimpleGapArithmetic(t *testing.T) {
 	// then Write at 18 → no Idle needed.
 	want := []Op{SetRegister, Idle, Read, SetRegister, SetRegister, Write, Halt}
 	if len(p.Insts) != len(want) {
-		text, _ := p.FormatString()
+		text, _ := tgpText(p)
 		t.Fatalf("got %d instructions:\n%s", len(p.Insts), text)
 	}
 	for i, op := range want {
 		if p.Insts[i].Op != op {
-			text, _ := p.FormatString()
+			text, _ := tgpText(p)
 			t.Fatalf("inst %d is %v, want %v:\n%s", i, p.Insts[i].Op, op, text)
 		}
 	}
@@ -546,7 +553,7 @@ func TestTranslateSetRegisterElision(t *testing.T) {
 		}
 	}
 	if setregs != 2 { // addr + data once only
-		text, _ := p.FormatString()
+		text, _ := tgpText(p)
 		t.Fatalf("want 2 SetRegisters, got %d:\n%s", setregs, text)
 	}
 }
@@ -637,7 +644,7 @@ func TestTranslatePollCollapse(t *testing.T) {
 		}
 	}
 	if reads != 1 || ifs != 1 {
-		text, _ := p.FormatString()
+		text, _ := tgpText(p)
 		t.Fatalf("loop shape wrong (%d reads, %d ifs):\n%s", reads, ifs, text)
 	}
 	// Poll gap 8 → inner idle 6.
@@ -711,7 +718,7 @@ func TestTranslatePollClusterHoistsRefill(t *testing.T) {
 		}
 	}
 	if brdIdx < 0 || readIdx < 0 || brdIdx > readIdx {
-		text, _ := p.FormatString()
+		text, _ := tgpText(p)
 		t.Fatalf("refill not hoisted before loop:\n%s", text)
 	}
 	// Exit value must be the successful 1, not the failed 0.

@@ -92,21 +92,12 @@ func (d *Device) Faulted() bool { return d.faulted }
 // HaltCycle returns the cycle Halt executed.
 func (d *Device) HaltCycle() uint64 { return d.haltCycle }
 
-// Reg returns register i (diagnostics).
-func (d *Device) Reg(i int) uint32 { return d.regs[i] }
-
-// PC returns the current instruction index.
-func (d *Device) PC() int { return d.pc }
-
 // Preemptible reports whether the device is at a safe point for a
 // multitasking scheduler to suspend it: between instructions or inside an
 // Idle wait, but never with an OCP transaction in flight.
 func (d *Device) Preemptible() bool {
 	return d.state == dRun || d.state == dIdle || d.state == dHalt
 }
-
-// Idling reports whether the device is inside an Idle wait.
-func (d *Device) Idling() bool { return d.state == dIdle }
 
 // NextWake implements sim.Sleeper: a halted TG never wakes, an idling TG
 // wakes when its Idle expires, and a TG blocked on an OCP handshake sleeps

@@ -5,101 +5,10 @@ import (
 	"testing"
 
 	"noctg/internal/amba"
+	"noctg/internal/mem"
 	"noctg/internal/ocp"
 	"noctg/internal/sim"
 )
-
-// --- SlaveTG (paper §4: slave-side traffic generators) ---
-
-func TestSlaveTGDummyResponds(t *testing.T) {
-	s := NewSlaveTG(DummySlave, 1, 0xabcd)
-	r1 := s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x100, Burst: 1})
-	r2 := s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x100, Burst: 1})
-	r3 := s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x104, Burst: 1})
-	if r1.Err || len(r1.Data) != 1 {
-		t.Fatal("dummy read failed")
-	}
-	if r1.Data[0] != r2.Data[0] {
-		t.Fatal("dummy values must be deterministic per address")
-	}
-	if r1.Data[0] == r3.Data[0] {
-		t.Fatal("dummy values should vary by address")
-	}
-	// Writes are accepted and discarded.
-	if resp := s.Perform(&ocp.Request{Cmd: ocp.Write, Addr: 0x100, Burst: 1, Data: []uint32{7}}); resp.Err {
-		t.Fatal("dummy write rejected")
-	}
-	r4 := s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x100, Burst: 1})
-	if r4.Data[0] != r1.Data[0] {
-		t.Fatal("dummy slave must not store writes")
-	}
-	if s.Reads != 3+1 || s.Writes != 1 {
-		t.Fatalf("stats reads=%d writes=%d", s.Reads, s.Writes)
-	}
-}
-
-func TestSlaveTGMemoryStores(t *testing.T) {
-	s := NewSlaveTG(MemorySlave, 2, 0)
-	s.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: 0x200, Burst: 2, Data: []uint32{5, 6}})
-	resp := s.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x200, Burst: 2})
-	if resp.Data[0] != 5 || resp.Data[1] != 6 {
-		t.Fatalf("memory slave read back %v", resp.Data)
-	}
-	if s.Peek(0x204) != 6 {
-		t.Fatal("Peek")
-	}
-	// Unwritten words read as zero.
-	resp = s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x300, Burst: 1})
-	if resp.Data[0] != 0 {
-		t.Fatal("unwritten word should be zero")
-	}
-}
-
-func TestSlaveTGAccessCycles(t *testing.T) {
-	s := NewSlaveTG(DummySlave, 3, 0)
-	if s.AccessCycles(&ocp.Request{Cmd: ocp.BurstRead, Burst: 4}) != 12 {
-		t.Fatal("access cycles must scale with burst")
-	}
-	if s.Mode() != DummySlave || s.Mode().String() != "dummy" {
-		t.Fatal("mode")
-	}
-	if MemorySlave.String() != "memory" {
-		t.Fatal("mode string")
-	}
-}
-
-func TestAllTGPlatform(t *testing.T) {
-	// The silicon-test-chip scenario: master TGs and slave TGs only, no
-	// real cores or memories anywhere.
-	e := sim.NewEngine(sim.Clock{})
-	bus := amba.New(amba.Config{}, e.Cycle)
-	slave := NewSlaveTG(MemorySlave, 1, 0)
-	if err := bus.MapSlave(slave, ocp.AddrRange{Base: 0x1000, Size: 0x1000}); err != nil {
-		t.Fatal(err)
-	}
-	prog := mustAssemble(t, `MASTER[0,0]
-REGISTER addr 0x1000
-REGISTER data 0
-BEGIN
-	SetRegister(data, 0x77)
-	Write(addr, data)
-	Idle(3)
-	Read(addr)
-	Halt
-END`)
-	d, err := NewDevice(prog, bus.NewMasterPort())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Add(d)
-	e.Add(bus)
-	if _, err := e.Run(1000, func() bool { return d.Done() && bus.Idle() }); err != nil {
-		t.Fatal(err)
-	}
-	if d.Reg(RdReg) != 0x77 {
-		t.Fatalf("TG read back %#x through slave TG", d.Reg(RdReg))
-	}
-}
 
 // --- MultiTask (paper §7: OS-scheduled tasks on one processor) ---
 
@@ -128,8 +37,8 @@ END`, addr, val, 10+idle, 5+idle)
 func TestMultiTaskCompletesAllTasks(t *testing.T) {
 	e := sim.NewEngine(sim.Clock{})
 	bus := amba.New(amba.Config{}, e.Cycle)
-	slave := NewSlaveTG(MemorySlave, 1, 0)
-	if err := bus.MapSlave(slave, ocp.AddrRange{Base: 0x1000, Size: 0x1000}); err != nil {
+	slave := mem.NewRAM("ram", 0x1000, 0x1000, 1)
+	if err := bus.MapSlave(slave, slave.Range()); err != nil {
 		t.Fatal(err)
 	}
 	progs := []*Program{
@@ -146,7 +55,7 @@ func TestMultiTaskCompletesAllTasks(t *testing.T) {
 	if _, err := e.Run(100_000, func() bool { return mt.Done() && bus.Idle() }); err != nil {
 		t.Fatal(err)
 	}
-	if slave.Peek(0x1000) != 0xaaaa || slave.Peek(0x1004) != 0xbbbb || slave.Peek(0x1008) != 0xcccc {
+	if slave.PeekWord(0x1000) != 0xaaaa || slave.PeekWord(0x1004) != 0xbbbb || slave.PeekWord(0x1008) != 0xcccc {
 		t.Fatal("not all tasks' writes landed")
 	}
 	if mt.Switches == 0 {
@@ -158,8 +67,8 @@ func TestMultiTaskSwitchPenaltyCosts(t *testing.T) {
 	run := func(penalty uint64) uint64 {
 		e := sim.NewEngine(sim.Clock{})
 		bus := amba.New(amba.Config{}, e.Cycle)
-		slave := NewSlaveTG(MemorySlave, 1, 0)
-		if err := bus.MapSlave(slave, ocp.AddrRange{Base: 0x1000, Size: 0x1000}); err != nil {
+		slave := mem.NewRAM("ram", 0x1000, 0x1000, 1)
+		if err := bus.MapSlave(slave, slave.Range()); err != nil {
 			t.Fatal(err)
 		}
 		progs := []*Program{
@@ -189,8 +98,8 @@ func TestMultiTaskNeverPreemptsMidTransaction(t *testing.T) {
 	// mid-transaction. Completing correctly is the proof.
 	e := sim.NewEngine(sim.Clock{})
 	bus := amba.New(amba.Config{}, e.Cycle)
-	slave := NewSlaveTG(MemorySlave, 4, 0) // slow: transactions span slices
-	if err := bus.MapSlave(slave, ocp.AddrRange{Base: 0x1000, Size: 0x1000}); err != nil {
+	slave := mem.NewRAM("ram", 0x1000, 0x1000, 4) // slow: transactions span slices
+	if err := bus.MapSlave(slave, slave.Range()); err != nil {
 		t.Fatal(err)
 	}
 	progs := []*Program{
@@ -206,7 +115,7 @@ func TestMultiTaskNeverPreemptsMidTransaction(t *testing.T) {
 	if _, err := e.Run(100_000, func() bool { return mt.Done() && bus.Idle() }); err != nil {
 		t.Fatal(err)
 	}
-	if slave.Peek(0x1000) != 11 || slave.Peek(0x1004) != 22 {
+	if slave.PeekWord(0x1000) != 11 || slave.PeekWord(0x1004) != 22 {
 		t.Fatal("interleaved tasks corrupted each other")
 	}
 }
@@ -218,8 +127,8 @@ func TestMultiTaskIdleTimersRun(t *testing.T) {
 	build := func(runTimers bool) uint64 {
 		e := sim.NewEngine(sim.Clock{})
 		bus := amba.New(amba.Config{}, e.Cycle)
-		slave := NewSlaveTG(MemorySlave, 1, 0)
-		if err := bus.MapSlave(slave, ocp.AddrRange{Base: 0x1000, Size: 0x100}); err != nil {
+		slave := mem.NewRAM("ram", 0x1000, 0x100, 1)
+		if err := bus.MapSlave(slave, slave.Range()); err != nil {
 			t.Fatal(err)
 		}
 		sleeper := mustAssemble(t, "MASTER[0,0]\nBEGIN\nIdle(2000)\nHalt\nEND")
@@ -283,7 +192,7 @@ END`)
 	sawIdle, sawBlocked := false, false
 	for ; !d.Done(); cycle++ {
 		d.Tick(cycle)
-		if d.Idling() {
+		if d.state == dIdle {
 			sawIdle = true
 			if !d.Preemptible() {
 				t.Fatal("idling device must be preemptible")

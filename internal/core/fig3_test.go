@@ -70,13 +70,13 @@ func TestFig3GoldenTranslation(t *testing.T) {
 		{SetRegister, 1},    // tempreg = unblocked value
 	}
 	if len(prog.Insts) < len(want) {
-		text, _ := prog.FormatString()
+		text, _ := tgpText(prog)
 		t.Fatalf("program too short:\n%s", text)
 	}
 	for i, w := range want {
 		in := prog.Insts[i]
 		if in.Op != w.op {
-			text, _ := prog.FormatString()
+			text, _ := tgpText(prog)
 			t.Fatalf("inst %d is %v, want %v:\n%s", i, in.Op, w.op, text)
 		}
 		if w.op == SetRegister && in.Imm != w.imm {
@@ -90,7 +90,7 @@ func TestFig3GoldenTranslation(t *testing.T) {
 	if stats.PollLoops != 1 || stats.PollReadsCollapsed != 2 {
 		t.Fatalf("poll stats %+v", stats)
 	}
-	text, err := prog.FormatString()
+	text, err := tgpText(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestFig3GoldenTranslation(t *testing.T) {
 	if !d.Done() {
 		t.Fatal("Fig 3 program did not run to completion")
 	}
-	if d.Reg(RdReg) != 1 {
-		t.Fatalf("rdreg = %d after semaphore grant, want 1", d.Reg(RdReg))
+	if d.regs[RdReg] != 1 {
+		t.Fatalf("rdreg = %d after semaphore grant, want 1", d.regs[RdReg])
 	}
 }
 
@@ -135,8 +135,8 @@ func TestTranslateDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, _ := p1.FormatString()
-	t2, _ := p2.FormatString()
+	t1, _ := tgpText(p1)
+	t2, _ := tgpText(p2)
 	if t1 != t2 {
 		t.Fatal("translation is not deterministic")
 	}

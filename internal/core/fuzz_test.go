@@ -26,7 +26,7 @@ END`)
 		if err != nil {
 			return
 		}
-		text, err := p.FormatString()
+		text, err := tgpText(p)
 		if err != nil {
 			t.Fatalf("accepted program fails to format: %v", err)
 		}

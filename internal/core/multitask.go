@@ -90,9 +90,6 @@ func (m *MultiTask) Done() bool { return m.halted }
 // HaltCycle returns the cycle the last task halted.
 func (m *MultiTask) HaltCycle() uint64 { return m.haltCycle }
 
-// Task returns task i's device (diagnostics).
-func (m *MultiTask) Task(i int) *Device { return m.tasks[i] }
-
 // Tick implements sim.Device.
 func (m *MultiTask) Tick(cycle uint64) {
 	if m.halted {

@@ -73,15 +73,6 @@ func (p *Program) Format(w io.Writer) error {
 	return bw.Flush()
 }
 
-// FormatString is Format into a string.
-func (p *Program) FormatString() (string, error) {
-	var b strings.Builder
-	if err := p.Format(&b); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
 // TgpError reports a .tgp parse failure.
 type TgpError struct {
 	Line int

@@ -96,13 +96,6 @@ func (i Inst) Encode() (w0, w1 uint32) {
 	return uint32(i.Op)<<24 | uint32(i.Rd&0xff)<<16 | uint32(i.Ra&0xff)<<8 | uint32(i.Rb&0xff), i.Imm
 }
 
-// Decode unpacks an instruction; it reports whether the opcode is valid.
-func Decode(w0, w1 uint32) (Inst, bool) {
-	var i Inst
-	ok := i.decode(w0, w1)
-	return i, ok
-}
-
 // decode unpacks an instruction into i field by field: the core decodes
 // into its own Inst, and a whole-struct copy through the stack would stall
 // on reading back the opcode byte as a word.

@@ -207,10 +207,13 @@ func TestQuickTable2Formats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table sweep in -short mode")
 	}
-	sizes := QuickSizes()
-	rows, err := Table2(sizes, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	var rows []*Row
+	for _, spec := range QuickSizes().Specs() {
+		row, err := MeasureRow(spec, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s/%dP: %v", spec.Name, spec.Cores, err)
+		}
+		rows = append(rows, row)
 	}
 	out = FormatTable2(rows)
 	for _, want := range []string{"spmatrix", "cacheloop", "mpmatrix", "des", "gain", "gain strict"} {

@@ -16,10 +16,6 @@ type Fig2aResult struct {
 	ReadCycles  uint64
 }
 
-// ReadsSlower reports whether the blocking reads took longer, as the figure
-// requires.
-func (r *Fig2aResult) ReadsSlower() bool { return r.ReadCycles > r.WriteCycles }
-
 // Fig2a measures the posted-write vs blocking-read makespans of Figure 2(a).
 func Fig2a(opt Options) (*Fig2aResult, error) {
 	run := func(name, body string) (uint64, error) {

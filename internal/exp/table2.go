@@ -162,19 +162,6 @@ func (s Sizes) Specs() []*prog.Spec {
 	return specs
 }
 
-// Table2 measures every row.
-func Table2(sizes Sizes, opt Options) ([]*Row, error) {
-	var rows []*Row
-	for _, spec := range sizes.Specs() {
-		row, err := MeasureRow(spec, opt)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s/%dP: %w", spec.Name, spec.Cores, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // FormatTable2 renders rows in the paper's Table 2 layout, with the gain
 // on the selected kernel beside the gain with both sides on the strict
 // kernel, the paper's like-for-like comparison.

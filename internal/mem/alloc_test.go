@@ -19,7 +19,7 @@ func TestZeroAllocRAMRecycledTable(t *testing.T) {
 	run := func() {
 		r := RAM{size: 16 * pageWords}
 		r.PerformInto(w, nil)
-		r.PokeWord(12*4096, 9)
+		r.LoadWords(12*4096, []uint32{9})
 		r.LoadWords(5*4096-4, data)
 		r.Clear()
 	}

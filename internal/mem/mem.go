@@ -187,15 +187,6 @@ func (r *RAM) PeekWord(addr uint32) uint32 {
 	return r.table.pages[idx/pageWords][idx%pageWords]
 }
 
-// PokeWord writes a word directly, bypassing timing.
-func (r *RAM) PokeWord(addr uint32, v uint32) {
-	idx, ok := r.index(addr)
-	if !ok {
-		panic(fmt.Sprintf("mem: PokeWord %#08x outside %s %v", addr, r.name, r.Range()))
-	}
-	r.write(idx, []uint32{v})
-}
-
 // LoadWords copies words into memory starting at addr (loader path).
 func (r *RAM) LoadWords(addr uint32, words []uint32) {
 	idx, ok := r.index(addr)

@@ -62,7 +62,7 @@ func TestRAMAccessCyclesScaleWithBurst(t *testing.T) {
 
 func TestRAMPeekPokeLoad(t *testing.T) {
 	r := NewRAM("priv", 0x100, 32, 0)
-	r.PokeWord(0x104, 42)
+	r.LoadWords(0x104, []uint32{42})
 	if r.PeekWord(0x104) != 42 {
 		t.Fatal("peek/poke mismatch")
 	}
@@ -107,7 +107,7 @@ func TestRAMUnwrittenReadsZeroWithoutStore(t *testing.T) {
 func TestRAMUntouchedPagesReadZero(t *testing.T) {
 	const pageBytes = 4 * pageWords
 	r := NewRAM("priv", 0, 8*pageBytes, 0)
-	r.PokeWord(3*pageBytes+8, 7)
+	r.LoadWords(3*pageBytes+8, []uint32{7})
 	if len(r.table.pages) != 8 || r.table.pages[3] == nil {
 		t.Fatalf("a poke into page 3 left a table of %d pages", len(r.table.pages))
 	}
@@ -124,7 +124,7 @@ func TestRAMUntouchedPagesReadZero(t *testing.T) {
 	}
 }
 
-// Bursts, LoadWords and PokeWord that cross a page boundary land word for
+// Bursts and LoadWords that cross a page boundary land word for
 // word, and every path reads them back the same way.
 func TestRAMAccessesCrossPages(t *testing.T) {
 	const pageBytes = 4 * pageWords
@@ -157,8 +157,8 @@ func TestRAMAccessesCrossPages(t *testing.T) {
 		}
 	}
 	far := uint32(0x10000 + 3*pageBytes)
-	r.PokeWord(far-4, 11)
-	r.PokeWord(far, 12)
+	r.LoadWords(far-4, []uint32{11})
+	r.LoadWords(far, []uint32{12})
 	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: far - 4, Burst: 2}); resp.Err || resp.Data[0] != 11 || resp.Data[1] != 12 {
 		t.Fatalf("read across poked boundary = %+v", resp)
 	}
@@ -171,13 +171,13 @@ func TestRAMClearRecyclesWipedStore(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		a := NewRAM("a", 0, 4*4096, 0)
 		for addr := uint32(0); addr < 4*4096; addr += 4 {
-			a.PokeWord(addr, ^addr)
+			a.LoadWords(addr, []uint32{^addr})
 		}
 		a.Clear()
 		if a.PeekWord(8) != 0 {
 			t.Fatal("cleared RAM does not read zero")
 		}
-		a.PokeWord(8, 5) // still usable: takes a table again
+		a.LoadWords(8, []uint32{5}) // still usable: takes a table again
 		if a.PeekWord(8) != 5 || a.PeekWord(12) != 0 || a.PeekWord(3*4096) != 0 {
 			t.Fatal("cleared RAM is not writable or reads stale words")
 		}
@@ -185,7 +185,7 @@ func TestRAMClearRecyclesWipedStore(t *testing.T) {
 
 		for _, size := range []uint32{4 * 4096, 4*4096 - 40, 2052, 8 * 4096} {
 			b := NewRAM("b", 0x80000, size, 0)
-			b.PokeWord(0x80000, 1)
+			b.LoadWords(0x80000, []uint32{1})
 			if got := (b.Range()); got.Size != size {
 				t.Fatalf("Range().Size = %#x, want %#x", got.Size, size)
 			}
@@ -241,7 +241,7 @@ func TestSemBankTestAndSet(t *testing.T) {
 	if resp.Err || resp.Data[0] != 1 {
 		t.Fatalf("first read = %v, want 1", resp.Data)
 	}
-	if s.Free(1) {
+	if s.free[1] {
 		t.Fatal("semaphore should now be held")
 	}
 	// Subsequent reads fail with 0.
@@ -253,7 +253,7 @@ func TestSemBankTestAndSet(t *testing.T) {
 	}
 	// Unlock with WR 1, then it can be taken again.
 	s.Perform(&ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1, Data: []uint32{1}})
-	if !s.Free(1) {
+	if !s.free[1] {
 		t.Fatal("write 1 should unlock")
 	}
 	resp = s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1})
@@ -269,7 +269,7 @@ func TestSemBankTestAndSet(t *testing.T) {
 func TestSemBankIndependentSemaphores(t *testing.T) {
 	s := NewSemBank("sem", 0, 8, 0)
 	s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: s.Addr(2), Burst: 1})
-	if !s.Free(3) || s.Free(2) {
+	if !s.free[3] || s.free[2] {
 		t.Fatal("acquiring one semaphore must not affect others")
 	}
 }
@@ -277,7 +277,7 @@ func TestSemBankIndependentSemaphores(t *testing.T) {
 func TestSemBankWriteZeroLocks(t *testing.T) {
 	s := NewSemBank("sem", 0, 1, 0)
 	s.Perform(&ocp.Request{Cmd: ocp.Write, Addr: 0, Burst: 1, Data: []uint32{0}})
-	if s.Free(0) {
+	if s.free[0] {
 		t.Fatal("write 0 should lock")
 	}
 }

@@ -97,9 +97,6 @@ func (s *SemBank) PerformInto(req *ocp.Request, dst []uint32) ocp.Response {
 // needs a clock tick of its own.
 func (s *SemBank) NextWake(uint64) uint64 { return wakeNever }
 
-// Free reports whether semaphore i is currently free (test hook).
-func (s *SemBank) Free(i int) bool { return s.free[i] }
-
 // Stats returns (successful acquires, failed polls, releases).
 func (s *SemBank) Stats() (acquires, fails, releases uint64) {
 	return s.acquires, s.fails, s.releases

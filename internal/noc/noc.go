@@ -790,15 +790,6 @@ func (n *Network) FlitsRouted() uint64 {
 	return v
 }
 
-// DecodeErrors returns the number of requests that decoded to no slave.
-func (n *Network) DecodeErrors() uint64 {
-	v := n.st.decodeErrors.Value()
-	for _, rg := range n.regions {
-		v += rg.st.decodeErrors.Value()
-	}
-	return v
-}
-
 // vcNames labels the virtual channels in flit-counter metric names.
 var vcNames = [numVC]string{vcReq: "req", vcResp: "resp", vcReqDL: "req_dl", vcRespDL: "resp_dl"}
 

@@ -47,7 +47,7 @@ func runAll(t *testing.T, e *sim.Engine, n *Network, masters []*simtest.Master, 
 func TestReadOverMesh(t *testing.T) {
 	script := [][]simtest.Step{{{Gap: 0, Req: ocp.Request{Cmd: ocp.Read, Addr: 0x1004, Burst: 1}}}}
 	e, n, ms, ram := rig(t, Config{}, []int{0}, script)
-	ram.PokeWord(0x1004, 0xabcd)
+	ram.LoadWords(0x1004, []uint32{0xabcd})
 	runAll(t, e, n, ms, 1000)
 	if ms[0].RespData[0][0] != 0xabcd {
 		t.Fatalf("read = %#x, want 0xabcd", ms[0].RespData[0][0])
@@ -95,7 +95,7 @@ func TestBurstReadOverMesh(t *testing.T) {
 	script := [][]simtest.Step{{{Gap: 0, Req: ocp.Request{Cmd: ocp.BurstRead, Addr: 0x1020, Burst: 4}}}}
 	e, n, ms, ram := rig(t, Config{}, []int{2}, script)
 	for i := 0; i < 4; i++ {
-		ram.PokeWord(0x1020+uint32(i*4), uint32(i+1))
+		ram.LoadWords(0x1020+uint32(i*4), []uint32{uint32(i + 1)})
 	}
 	runAll(t, e, n, ms, 1000)
 	for i := 0; i < 4; i++ {
@@ -122,7 +122,7 @@ func TestLatencyGrowsWithDistance(t *testing.T) {
 func TestTwoMastersSerializedAtSlave(t *testing.T) {
 	read := []simtest.Step{{Gap: 0, Req: ocp.Request{Cmd: ocp.Read, Addr: 0x1000, Burst: 1}}}
 	e, n, ms, ram := rig(t, Config{}, []int{0, 1}, [][]simtest.Step{read, read})
-	ram.PokeWord(0x1000, 9)
+	ram.LoadWords(0x1000, []uint32{9})
 	runAll(t, e, n, ms, 1000)
 	if ms[0].RespData[0][0] != 9 || ms[1].RespData[0][0] != 9 {
 		t.Fatal("both masters should read the value")
@@ -136,7 +136,7 @@ func TestDecodeErrorLocalResponse(t *testing.T) {
 	script := [][]simtest.Step{{{Gap: 0, Req: ocp.Request{Cmd: ocp.Read, Addr: 0x9f00_0000, Burst: 1}}}}
 	e, n, ms, _ := rig(t, Config{}, []int{0}, script)
 	runAll(t, e, n, ms, 1000)
-	if n.DecodeErrors() != 1 {
+	if n.st.decodeErrors.Value() != 1 {
 		t.Fatal("decode error not counted")
 	}
 	if len(ms[0].RespData[0]) != 0 {
@@ -182,8 +182,8 @@ func TestHeavyCrossTrafficAllDelivered(t *testing.T) {
 	// Pre-fill with known values; masters only read, plus write to their own
 	// exclusive words (so the model stays simple under concurrency).
 	for i := uint32(0); i < 0x100; i += 4 {
-		ramA.PokeWord(0x1000+i, 0xA000+i)
-		ramB.PokeWord(0x2000+i, 0xB000+i)
+		ramA.LoadWords(0x1000+i, []uint32{0xA000 + i})
+		ramB.LoadWords(0x2000+i, []uint32{0xB000 + i})
 	}
 	var masters []*simtest.Master
 	nodes := []int{0, 1, 2, 4, 8, 12, 13, 14}

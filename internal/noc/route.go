@@ -2,18 +2,9 @@ package noc
 
 import "fmt"
 
-// Exported port directions for route enumeration. They alias the internal
-// router port constants, so a Hop's Port can be compared against these and
-// printed with PortName.
-const (
-	PortN = portN
-	PortE = portE
-	PortS = portS
-	PortW = portW
-	PortL = portL
-	// NumPorts is the per-router port count (N, E, S, W, local).
-	NumPorts = numPorts
-)
+// NumPorts is the per-router port count (N, E, S, W, local): a Hop's Port
+// is below it and prints with PortName.
+const NumPorts = numPorts
 
 // PortName returns the compass name of a router output port.
 func PortName(p int) string {
@@ -105,13 +96,6 @@ func dorStep(topo Topology, w, h, dx, dy int) int {
 // nextPort is dorPort from a node index, on an already-defaulted Config.
 func (c Config) nextPort(cur, dst int) int {
 	return dorPort(c.Topology, c.Width, c.Height, cur%c.Width, cur/c.Width, dst)
-}
-
-// NextPort returns the output port a packet at router cur takes toward dst
-// under the fabric's dimension-ordered routing (see dorPort); PortL when
-// cur == dst.
-func (c Config) NextPort(cur, dst int) int {
-	return c.WithDefaults().nextPort(cur, dst)
 }
 
 // step returns the router one hop from cur through port p (wrap-aware).

@@ -5,7 +5,7 @@ import "testing"
 // TestRouteMatchesRouter is the table test of dorPort, the one routing
 // decision behind both the live router and the exported route enumerator:
 // hand-computed ports on open grids and on even and odd rings, each also
-// read back through router.route and Config.NextPort so neither caller can
+// read back through router.route and Config.nextPort so neither caller can
 // grow logic of its own.
 func TestRouteMatchesRouter(t *testing.T) {
 	cases := []struct {
@@ -49,8 +49,8 @@ func TestRouteMatchesRouter(t *testing.T) {
 				tc.topo, tc.w, tc.h, tc.cur, tc.dst, PortName(got), PortName(tc.want))
 		}
 		cfg := Config{Width: tc.w, Height: tc.h, Topology: tc.topo}
-		if got := cfg.NextPort(tc.cur, tc.dst); got != tc.want {
-			t.Errorf("%v %dx%d: NextPort(%d, %d) = %s, want %s",
+		if got := cfg.WithDefaults().nextPort(tc.cur, tc.dst); got != tc.want {
+			t.Errorf("%v %dx%d: nextPort(%d, %d) = %s, want %s",
 				tc.topo, tc.w, tc.h, tc.cur, tc.dst, PortName(got), PortName(tc.want))
 		}
 		if nets[cfg] == nil {
@@ -62,8 +62,8 @@ func TestRouteMatchesRouter(t *testing.T) {
 		}
 	}
 	// The zero Config routes on its 4x3 default grid.
-	if got := (Config{}).NextPort(0, 11); got != portE {
-		t.Errorf("zero Config NextPort(0, 11) = %s, want E", PortName(got))
+	if got := (Config{}).WithDefaults().nextPort(0, 11); got != portE {
+		t.Errorf("zero Config nextPort(0, 11) = %s, want E", PortName(got))
 	}
 }
 
@@ -81,7 +81,7 @@ func TestRouteTerminates(t *testing.T) {
 					t.Fatalf("%v: route %d->%d has %d hops", topo, src, dst, len(path))
 				}
 				last := path[len(path)-1]
-				if last.Node != dst || last.Port != PortL {
+				if last.Node != dst || last.Port != portL {
 					t.Fatalf("%v: route %d->%d ends at node %d port %s",
 						topo, src, dst, last.Node, PortName(last.Port))
 				}

@@ -56,7 +56,7 @@ func TestWormholePacketsStayContiguous(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint32(0); i < 0x1000; i += 4 {
-		ram.PokeWord(0x1000+i, i)
+		ram.LoadWords(0x1000+i, []uint32{i})
 	}
 	var masters []*simtest.Master
 	for mi, node := range []int{0, 1, 2, 3} {

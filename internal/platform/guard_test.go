@@ -128,14 +128,17 @@ func TestGuardRunBudget(t *testing.T) {
 }
 
 // napper wraps a master and sleeps on the host clock the first time it
-// ticks at or after cycle at. Embedding only the platform.Master interface
-// hides the generator's wake hints, so its engine ticks it every cycle.
+// ticks at or after cycle at. It declares itself always awake on purpose,
+// rather than forwarding the generator's NextWake, so that every kernel
+// ticks it each cycle and the nap lands at cycle at on all of them.
 type napper struct {
 	platform.Master
 	at    uint64
 	nap   time.Duration
 	slept bool
 }
+
+func (m *napper) NextWake(now uint64) uint64 { return now }
 
 func (m *napper) Tick(cycle uint64) {
 	if !m.slept && cycle >= m.at {

@@ -512,29 +512,23 @@ func (s *System) Peek(addr uint32) uint32 {
 	panic(fmt.Sprintf("platform: Peek(%#08x) outside all memories", addr))
 }
 
-// ARMFactory returns a MasterFactory producing miniARM cores: core i runs
-// programs[i] (loaded into its private memory) behind I/D caches of the
-// given configuration.
-func ARMFactory(programs []*cpu.Program, icache, dcache cache.Config) MasterFactory {
-	return func(s *System, id int, port ocp.MasterPort) Master {
-		prog := programs[id]
-		s.Privs[id].LoadWords(prog.Base, prog.Words)
-		mu := cache.NewMemUnit(port, cache.New(icache), cache.New(dcache),
-			[]ocp.AddrRange{layout.PrivRange(id)})
-		return &armMaster{Core: cpu.NewCore(id, mu, prog.Entry)}
-	}
-}
-
 // armMaster adapts cpu.Core to the Master interface.
 type armMaster struct{ *cpu.Core }
 
 func (a *armMaster) Done() bool { return a.Halted() }
 
-// BuildARM is the common case: an ARM platform running one assembled
-// program per core.
+// BuildARM builds an ARM platform running one assembled program per core:
+// core i runs programs[i] (loaded into its private memory) behind I/D
+// caches of the given configuration.
 func BuildARM(cfg Config, programs []*cpu.Program, icache, dcache cache.Config) (*System, error) {
 	if len(programs) != cfg.Cores {
 		return nil, fmt.Errorf("platform: %d programs for %d cores", len(programs), cfg.Cores)
 	}
-	return Build(cfg, ARMFactory(programs, icache, dcache))
+	return Build(cfg, func(s *System, id int, port ocp.MasterPort) Master {
+		prog := programs[id]
+		s.Privs[id].LoadWords(prog.Base, prog.Words)
+		mu := cache.NewMemUnit(port, cache.New(icache), cache.New(dcache),
+			[]ocp.AddrRange{layout.PrivRange(id)})
+		return &armMaster{Core: cpu.NewCore(id, mu, prog.Entry)}
+	})
 }

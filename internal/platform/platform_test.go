@@ -94,8 +94,8 @@ func TestPeekAcrossMemories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Shared.PokeWord(layout.SharedBase+8, 42)
-	sys.Privs[1].PokeWord(layout.PrivBaseFor(1)+4, 43)
+	sys.Shared.LoadWords(layout.SharedBase+8, []uint32{42})
+	sys.Privs[1].LoadWords(layout.PrivBaseFor(1)+4, []uint32{43})
 	if sys.Peek(layout.SharedBase+8) != 42 || sys.Peek(layout.PrivBaseFor(1)+4) != 43 {
 		t.Fatal("Peek misrouted")
 	}

@@ -10,11 +10,14 @@ import (
 )
 
 // dozer sleeps on the host clock when it ticks its fuse cycle, so its
-// shard stops arriving at window barriers for that long.
+// shard stops arriving at window barriers for that long. It is always
+// awake, so every kernel ticks it there.
 type dozer struct {
 	fuse uint64
 	nap  time.Duration
 }
+
+func (d *dozer) NextWake(now uint64) uint64 { return now }
 
 func (d *dozer) Tick(cycle uint64) {
 	if cycle == d.fuse {

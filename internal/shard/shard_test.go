@@ -9,11 +9,13 @@ import (
 	"noctg/internal/simtest"
 )
 
-// ticker counts its ticks; the strict kernel keeps its shard's horizon at
-// the current cycle, forcing one-cycle lockstep windows.
+// ticker counts its ticks. It is always awake, which keeps its shard's
+// horizon at the current cycle and forces one-cycle lockstep windows.
 type ticker struct{ ticks uint64 }
 
 func (d *ticker) Tick(cycle uint64) { d.ticks++ }
+
+func (d *ticker) NextWake(now uint64) uint64 { return now }
 
 // napper sleeps until each of its scheduled wake cycles, letting the
 // runner's window bound grow across globally quiescent spans.
@@ -215,8 +217,11 @@ func TestRunnerWindowsSkipQuiescence(t *testing.T) {
 	}
 }
 
-// bomb panics at its fuse cycle.
+// bomb panics at its fuse cycle. It is always awake, so every kernel
+// ticks it there.
 type bomb struct{ fuse uint64 }
+
+func (d *bomb) NextWake(now uint64) uint64 { return now }
 
 func (d *bomb) Tick(cycle uint64) {
 	if cycle == d.fuse {

@@ -9,12 +9,12 @@
 // like-for-like speedup: the gain comes from traffic generators doing less
 // work per cycle than the processor models they replace.
 //
-// An idle-skipping kernel (KernelSkip) accelerates runs whose devices all
-// sleep at once: when every registered device implements Sleeper and
-// reports a future wake cycle — a TG deep inside an Idle(100000), a core
-// stalled on a quiescent interconnect — the engine advances the cycle
-// counter straight to the earliest wake cycle instead of spinning through
-// no-op ticks. Skipping never changes simulated state: a cycle is skipped
+// Every device states its next wake (Device embeds Sleeper). An
+// idle-skipping kernel (KernelSkip) accelerates runs whose devices all
+// sleep at once: when every registered device reports a future wake cycle
+// — a TG deep inside an Idle(100000), a core stalled on a quiescent
+// interconnect — the engine advances the cycle counter straight to the
+// earliest wake cycle instead of spinning through no-op ticks. Skipping never changes simulated state: a cycle is skipped
 // only when no device could have done work in it, so makespans, histograms
 // and per-device counters are identical to a strict run (the sweep
 // differential tests assert byte-identical artifacts).
@@ -36,19 +36,26 @@ import (
 )
 
 // Device is anything driven by the simulation clock. Tick is called exactly
-// once per executed cycle, in the order devices were registered. Under the
-// skip kernel, cycles in which every device slept are not executed at all;
-// the cycle argument always carries the absolute cycle number, so devices
-// that keep deadlines in absolute cycles observe no difference.
+// once per executed cycle, in the order devices were registered, except
+// where the device's own NextWake (the embedded Sleeper) has promised the
+// tick a no-op: the skip and event kernels omit those. The cycle argument
+// always carries the absolute cycle number, so devices that keep deadlines
+// in absolute cycles observe no difference. A device that cannot bound its
+// next activity reports NextWake(now) = now and is ticked every cycle.
 type Device interface {
 	Tick(cycle uint64)
+	Sleeper
 }
 
-// DeviceFunc adapts a plain function to the Device interface.
+// DeviceFunc adapts a plain function to the Device interface. A function
+// cannot state a future wake, so it counts as always awake.
 type DeviceFunc func(cycle uint64)
 
 // Tick calls f(cycle).
 func (f DeviceFunc) Tick(cycle uint64) { f(cycle) }
+
+// NextWake implements Sleeper: a DeviceFunc is always awake.
+func (f DeviceFunc) NextWake(now uint64) uint64 { return now }
 
 // Named is optionally implemented by devices that want to appear with a
 // readable name in diagnostics.
@@ -60,9 +67,9 @@ type Named interface {
 // again without external stimulus (a halted TG, a fully drained bus).
 const WakeNever = ^uint64(0)
 
-// Sleeper is optionally implemented by devices that can declare future
-// idleness to the skip and event kernels. NextWake(now) returns the
-// earliest cycle at which the device might change state or perform work:
+// Sleeper is how a device declares future idleness to the skip and event
+// kernels; every Device embeds it. NextWake(now) returns the earliest
+// cycle at which the device might change state or perform work:
 //
 //   - now:        the device needs its Tick at cycle now (it is active);
 //   - w > now:    the device will not act before cycle w — its Ticks are
@@ -81,9 +88,10 @@ const WakeNever = ^uint64(0)
 // nothing extra.
 //
 // The contract is also conservative: a device that cannot cheaply bound
-// its next activity must return now. One conservative device merely keeps
+// its next activity must return now. A conservative device merely keeps
 // itself in the per-cycle tick set (event kernel) or disables whole-cycle
-// skipping (skip kernel) without affecting correctness.
+// skipping (skip kernel) without affecting correctness; the other devices
+// still sleep through their own promises under the event kernel.
 type Sleeper interface {
 	NextWake(now uint64) uint64
 }
@@ -96,14 +104,10 @@ const (
 	// reference semantics the paper's speedups are reported against).
 	KernelStrict Kernel = iota
 	// KernelSkip fast-forwards over cycles in which every device sleeps.
-	// It requires every registered device to implement Sleeper; if any does
-	// not, the engine silently degrades to strict ticking.
 	KernelSkip
 	// KernelEvent ticks only devices whose scheduled wake is due, using a
 	// per-device wake schedule (see event.go); when every device sleeps it
-	// jumps the cycle counter like KernelSkip. It requires every registered
-	// device to implement Sleeper; if any does not, the engine silently
-	// degrades to strict ticking.
+	// jumps the cycle counter like KernelSkip.
 	KernelEvent
 )
 
@@ -131,15 +135,12 @@ type Engine struct {
 	clock   Clock
 	kernel  Kernel
 
-	// sleepers mirrors devices; it is non-nil only while every registered
-	// device implements Sleeper (the precondition for skipping).
-	sleepers []Sleeper
-	// blocker is the index of the sleeper that most recently refused to
+	// blocker is the index of the device that most recently refused to
 	// sleep. Scans start there: an active device tends to stay active, so
 	// contended phases cost one NextWake call per cycle instead of a full
 	// scan.
 	blocker int
-	// wakeMemo caches, per sleeper, the last reported wake cycle. While the
+	// wakeMemo caches, per device, the last reported wake cycle. While the
 	// cached value is in the future the skip kernel's nextWake scan trusts
 	// it instead of re-querying the device; wakeDevice (the WakeSink hook)
 	// invalidates the entry when external input arrives early.
@@ -183,7 +184,7 @@ func NewEngine(clock Clock) *Engine {
 	if clock.PeriodNS == 0 {
 		clock = DefaultClock
 	}
-	return &Engine{clock: clock, sleepers: []Sleeper{}}
+	return &Engine{clock: clock}
 }
 
 // Clock returns the engine's clock definition.
@@ -208,14 +209,6 @@ func (e *Engine) Add(d Device) {
 		panic("sim: Add(nil) device")
 	}
 	e.devices = append(e.devices, d)
-	if e.sleepers != nil || len(e.devices) == 1 {
-		if s, ok := d.(Sleeper); ok {
-			e.sleepers = append(e.sleepers, s)
-		} else {
-			// One non-Sleeper device disables skipping for the whole engine.
-			e.sleepers = nil
-		}
-	}
 	if ws, ok := d.(WakeSink); ok {
 		ws.SetWaker(&engineWaker{e: e, idx: int32(len(e.devices) - 1)})
 	}
@@ -229,19 +222,11 @@ func (e *Engine) Add(d Device) {
 // tables.
 func (e *Engine) Reserve(n int) {
 	e.devices = slices.Grow(e.devices, n)
-	if e.sleepers != nil {
-		e.sleepers = slices.Grow(e.sleepers, n)
-	}
 	e.evFused = slices.Grow(e.evFused, n)
 }
 
 // Devices returns the number of registered devices.
 func (e *Engine) Devices() int { return len(e.devices) }
-
-// CanSkip reports whether every registered device implements Sleeper, i.e.
-// whether the skip and event kernels can actually elide ticks on this
-// engine (both degrade to strict ticking otherwise).
-func (e *Engine) CanSkip() bool { return e.sleepers != nil }
 
 // Cycle returns the current cycle number, i.e. the number of completed
 // (executed or skipped) cycles since construction.
@@ -265,16 +250,16 @@ func (e *Engine) Step() {
 }
 
 // nextWake returns the earliest cycle at which any device might act, asking
-// every Sleeper with now = e.cycle (the next cycle to execute). The scan
+// every device with now = e.cycle (the next cycle to execute). The scan
 // rotates, starting from the last blocking device, and exits at the first
-// device that needs a tick now. Sleepers whose previously reported wake is
+// device that needs a tick now. Devices whose previously reported wake is
 // still in the future are not re-queried: the Sleeper contract makes the
 // cached value binding until then, and wakeDevice invalidates the memo when
-// external input arrives early. The caller guarantees e.sleepers and
-// e.wakeMemo are non-nil and sized alike.
+// external input arrives early. The caller guarantees e.wakeMemo is sized
+// to the device count.
 func (e *Engine) nextWake() uint64 {
 	now := e.cycle
-	sl := e.sleepers
+	sl := e.devices
 	memo := e.wakeMemo
 	n := len(sl)
 	if e.blocker >= n {
@@ -305,12 +290,12 @@ func (e *Engine) nextWake() uint64 {
 	return w
 }
 
-// resetWakeMemo sizes and clears the skip kernel's per-sleeper wake cache
+// resetWakeMemo sizes and clears the skip kernel's per-device wake cache
 // (stale entries could date from before direct device manipulation between
 // runs, which bypasses the WakeSink hooks).
 func (e *Engine) resetWakeMemo() {
 	e.sizeDue()
-	n := len(e.sleepers)
+	n := len(e.devices)
 	if cap(e.wakeMemo) < n {
 		e.wakeMemo = make([]uint64, n)
 		return
@@ -347,10 +332,10 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	return e.run(maxCycles, 1, done)
 }
 
-// RunFor steps the simulation for exactly n cycles. It always ticks
-// strictly, regardless of the selected kernel: callers use it to reach a
-// precise cycle count, which skipping would not change, and per-cycle side
-// effects of non-Sleeper devices (test instrumentation) are often the point.
+// RunFor steps the simulation for exactly n cycles. It always ticks every
+// device strictly, regardless of the selected kernel and of any device's
+// NextWake: callers use it to reach a precise cycle count, which skipping
+// would not change.
 func (e *Engine) RunFor(n uint64) {
 	for i := uint64(0); i < n; i++ {
 		e.Step()
@@ -384,8 +369,8 @@ func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error)
 	if done == nil {
 		return 0, errors.New("sim: Run requires a completion predicate")
 	}
-	event := e.kernel == KernelEvent && e.sleepers != nil
-	skip := event || (e.kernel == KernelSkip && e.sleepers != nil)
+	event := e.kernel == KernelEvent
+	skip := event || e.kernel == KernelSkip
 	if skip && !event {
 		e.resetWakeMemo()
 	}

@@ -146,7 +146,7 @@ func (e *Engine) initEventSchedule() {
 	e.evRing, e.evFarMin = 0, WakeNever
 	now := e.cycle
 	for i := 0; i < n; i++ {
-		w := e.sleepers[i].NextWake(now)
+		w := e.devices[i].NextWake(now)
 		if d := e.due[i]; d >= now && d < w {
 			w = d
 		}
@@ -256,8 +256,9 @@ func (e *Engine) stepEvent() {
 			if f := fused[i]; f != nil {
 				nw = f.TickWake(c)
 			} else {
-				e.devices[i].Tick(c)
-				nw = e.sleepers[i].NextWake(c + 1)
+				d := e.devices[i]
+				d.Tick(c)
+				nw = d.NextWake(c + 1)
 			}
 			if nw > c+1 {
 				if d := e.due[i]; d > c && d < nw {

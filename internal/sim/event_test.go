@@ -231,21 +231,6 @@ func (o *orderedSleeper) NextWake(now uint64) uint64 {
 	return now
 }
 
-func TestEventKernelDegradesToStrict(t *testing.T) {
-	e := NewEngine(Clock{})
-	p := &pulser{times: []uint64{50}}
-	e.Add(p)
-	n := 0
-	e.Add(DeviceFunc(func(uint64) { n++ })) // non-Sleeper disables the schedule
-	e.SetKernel(KernelEvent)
-	if _, err := e.Run(1000, p.done); err != nil {
-		t.Fatal(err)
-	}
-	if n != 51 {
-		t.Fatalf("plain device ticked %d times, want 51 (strict fallback)", n)
-	}
-}
-
 func TestEventKernelLimitAndWakeNever(t *testing.T) {
 	// Budget exhaustion and the frozen-forever case must land on exactly
 	// the strict kernel's final cycle, for every kernel.

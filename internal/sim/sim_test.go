@@ -17,6 +17,9 @@ func (r *recorder) Tick(cycle uint64) {
 	r.ticks++
 }
 
+// NextWake implements Sleeper: a recorder wants every tick.
+func (r *recorder) NextWake(now uint64) uint64 { return now }
+
 func TestEngineTickOrderIsRegistrationOrder(t *testing.T) {
 	e := NewEngine(Clock{})
 	var order []int

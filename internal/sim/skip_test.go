@@ -100,25 +100,54 @@ func TestSkipKernelFiniteWakeBeyondBudget(t *testing.T) {
 	}
 }
 
-func TestSkipRequiresAllSleepers(t *testing.T) {
-	e := NewEngine(Clock{})
-	p := &pulser{times: []uint64{50}}
-	e.Add(p)
-	if !e.CanSkip() {
-		t.Fatal("all-Sleeper engine should be skippable")
+// TestAlwaysAwakeDeviceAmongSleepers: a DeviceFunc states NextWake(now) =
+// now, so it is ticked every cycle on every kernel, while the sleepers
+// beside it keep their own promises. Skip and event must reach strict's
+// simulated state and final cycle; on event the sleepers are ticked only
+// at their wakes, never inside their sleep.
+func TestAlwaysAwakeDeviceAmongSleepers(t *testing.T) {
+	type run struct {
+		cycle, ticks uint64
+		a, b         pulser
 	}
-	n := 0
-	e.Add(DeviceFunc(func(uint64) { n++ }))
-	if e.CanSkip() {
-		t.Fatal("non-Sleeper device should disable skipping")
+	exec := func(k Kernel) run {
+		var r run
+		r.a.times = []uint64{0, 3, 50, 120}
+		r.b.times = []uint64{7, 80}
+		e := NewEngine(Clock{})
+		e.Add(&r.a)
+		e.Add(DeviceFunc(func(uint64) { r.ticks++ }))
+		e.Add(&r.b)
+		e.SetKernel(k)
+		if _, err := e.RunEvery(1000, 8, func() bool { return r.a.done() && r.b.done() }); err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		r.cycle = e.Cycle()
+		return r
 	}
-	e.SetKernel(KernelSkip)
-	if _, err := e.Run(1000, p.done); err != nil {
-		t.Fatal(err)
+	ref := exec(KernelStrict)
+	if ref.ticks != ref.cycle {
+		t.Fatalf("strict: always-awake device ticked %d times in %d cycles", ref.ticks, ref.cycle)
 	}
-	// Strict fallback: the plain device saw every cycle.
-	if n != 51 {
-		t.Fatalf("plain device ticked %d times, want 51 (strict fallback)", n)
+	for _, k := range []Kernel{KernelSkip, KernelEvent} {
+		t.Run(k.String(), func(t *testing.T) {
+			got := exec(k)
+			if got.cycle != ref.cycle || got.a.work != ref.a.work || got.b.work != ref.b.work {
+				t.Fatalf("cycle %d, work %d/%d; strict: cycle %d, work %d/%d",
+					got.cycle, got.a.work, got.b.work, ref.cycle, ref.a.work, ref.b.work)
+			}
+			if got.ticks != ref.ticks {
+				t.Fatalf("always-awake device ticked %d times, strict %d", got.ticks, ref.ticks)
+			}
+			if k != KernelEvent {
+				return
+			}
+			for _, p := range []pulser{got.a, got.b} {
+				if p.ticks != p.work {
+					t.Fatalf("sleeper ticked %d times for %d wakes: ticked inside its sleep", p.ticks, p.work)
+				}
+			}
+		})
 	}
 }
 

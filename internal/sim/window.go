@@ -19,12 +19,10 @@ type WindowedRun struct {
 }
 
 // BeginWindowed opens a windowed session on the engine's selected kernel.
-// Like Run, the skip and event kernels require every device to implement
-// Sleeper and degrade to strict ticking otherwise.
 func (e *Engine) BeginWindowed() *WindowedRun {
 	w := &WindowedRun{e: e}
-	w.event = e.kernel == KernelEvent && e.sleepers != nil
-	w.skip = w.event || (e.kernel == KernelSkip && e.sleepers != nil)
+	w.event = e.kernel == KernelEvent
+	w.skip = w.event || e.kernel == KernelSkip
 	if w.skip && !w.event {
 		e.resetWakeMemo()
 	}

@@ -42,6 +42,10 @@ func NewMaster(port ocp.MasterPort, steps []Step) *Master {
 // Done reports whether the whole script has completed.
 func (m *Master) Done() bool { return m.finished }
 
+// NextWake implements sim.Sleeper: the script counts its gaps down one
+// tick at a time, so the master is always awake.
+func (m *Master) NextWake(now uint64) uint64 { return now }
+
 // Tick implements sim.Device.
 func (m *Master) Tick(cycle uint64) {
 	if m.finished {

@@ -135,37 +135,3 @@ func (w Workload) StochasticConfig(seed int64) (stochastic.Config, error) {
 	}
 	return cfg, nil
 }
-
-// BurstyGrid is the stock bursty/self-similar scenario sweep: an on/off
-// MMPP hotspot, a deterministic-dwell two-rate MMPP, a self-similar
-// uniform-random workload and a Poisson transpose baseline, on the AMBA
-// bus and a ×pipes mesh. Like ScenarioGrid it is
-// pinned by the kernel-differential matrix and a golden artifact
-// (testdata/golden/bursty.json).
-func BurstyGrid() Grid {
-	return Grid{
-		Workloads: []Workload{
-			{Kind: KindStochastic, Cores: 4, Count: 300,
-				Pattern: "hotspot", PatternW: 2, PatternH: 2,
-				Hotspot: []float64{0, 0, 0.6},
-				Arrival: &Arrival{Process: ProcessMMPP,
-					Gaps: []float64{3, 0}, Dwells: []float64{80, 160}}},
-			{Kind: KindStochastic, Cores: 4, Count: 300,
-				Pattern: "uniform", PatternW: 2, PatternH: 2,
-				Arrival: &Arrival{Process: ProcessMMPP,
-					Gaps: []float64{4, 16}, Dwells: []float64{100, 200},
-					DwellDist: DwellDet}},
-			{Kind: KindStochastic, Cores: 4, Count: 300,
-				Pattern: "uniform", PatternW: 2, PatternH: 2,
-				Arrival: &Arrival{Process: ProcessSelfSimilar,
-					Sources: 8, Hurst: 0.8, OnMean: 50, OffMean: 100, PeakGap: 4}},
-			{Kind: KindStochastic, Cores: 4, Count: 300,
-				Pattern: "transpose", PatternW: 2, PatternH: 2,
-				Dist: "poisson", MeanGap: 6},
-		},
-		Fabrics: []Fabric{
-			{Interconnect: FabricAMBA},
-			{Interconnect: FabricXPipes, MeshWidth: 4, MeshHeight: 3},
-		},
-	}
-}

@@ -450,38 +450,3 @@ func DefaultGrid() Grid {
 		},
 	}
 }
-
-// ScenarioGrid is the spatial-pattern × topology scenario sweep: every
-// spatial pattern on a 2×2 logical core grid (square and power-of-two, so
-// transpose and the bit patterns are all legal), crossed with the AMBA
-// bus, a ×pipes mesh and a ×pipes torus. It is the grid the scenario
-// differential test and the golden-file harness lock down.
-func ScenarioGrid() Grid {
-	// The workload set iterates the stochastic Pattern enum, so a newly
-	// added pattern automatically joins the differential and golden-file
-	// corpus (the goldens then need a deliberate -update).
-	var ws []Workload
-	for pat := stochastic.UniformRandom; pat <= stochastic.NearestNeighbor; pat++ {
-		w := Workload{
-			Kind:     KindStochastic,
-			Dist:     "poisson",
-			Cores:    4,
-			Pattern:  pat.String(),
-			PatternW: 2, PatternH: 2,
-			MeanGap: 6,
-			Count:   300,
-		}
-		if pat == stochastic.Hotspot {
-			w.Hotspot = []float64{0, 0, 0.6}
-		}
-		ws = append(ws, w)
-	}
-	return Grid{
-		Workloads: ws,
-		Fabrics: []Fabric{
-			{Interconnect: FabricAMBA},
-			{Interconnect: FabricXPipes, MeshWidth: 4, MeshHeight: 3},
-			{Interconnect: FabricXPipes, Topology: "torus", MeshWidth: 4, MeshHeight: 3},
-		},
-	}
-}

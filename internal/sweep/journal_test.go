@@ -407,16 +407,20 @@ func TestRetryQuarantinesDeterministic(t *testing.T) {
 	}
 }
 
-// endless wraps a master so that it never reports done. Embedding the
-// platform.Master interface hides the generator's wake hints, so every
-// kernel ticks it each cycle instead of jumping to the cycle budget; the
-// embedded meter keeps the point measurable.
+// endless wraps a master so that it never reports done. It declares
+// itself always awake on purpose: with the generator's own NextWake the
+// event and skip kernels would see a finished generator sleep forever and
+// jump straight to the cycle budget, so the run would end on the cycle
+// limit, not on the wall-clock budget this test exercises. The embedded
+// meter keeps the point measurable.
 type endless struct {
 	platform.Master
 	ocp.TrafficMeter
 }
 
 func (endless) Done() bool { return false }
+
+func (endless) NextWake(now uint64) uint64 { return now }
 
 // TestRetryDeadlineBudget: a budget-only guard (what -run-budget arms
 // without -guard) bounds each attempt's wall clock, the blown budget

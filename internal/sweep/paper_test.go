@@ -30,17 +30,18 @@ func TestRunPaperMatchesSequentialHarness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seq, err := exp.Table2(sizes, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Table2) != len(seq) {
-		t.Fatalf("parallel produced %d rows, sequential %d", len(res.Table2), len(seq))
+	specs := sizes.Specs()
+	if len(res.Table2) != len(specs) {
+		t.Fatalf("parallel produced %d rows, sequential %d", len(res.Table2), len(specs))
 	}
 	for i, row := range res.Table2 {
-		if row.Bench != seq[i].Bench || row.Cores != seq[i].Cores ||
-			row.CyclesARM != seq[i].CyclesARM || row.CyclesTG != seq[i].CyclesTG {
-			t.Fatalf("row %d diverged: parallel %+v vs sequential %+v", i, row, seq[i])
+		seq, err := exp.MeasureRow(specs[i], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Bench != seq.Bench || row.Cores != seq.Cores ||
+			row.CyclesARM != seq.CyclesARM || row.CyclesTG != seq.CyclesTG {
+			t.Fatalf("row %d diverged: parallel %+v vs sequential %+v", i, row, seq)
 		}
 	}
 
@@ -53,7 +54,7 @@ func TestRunPaperMatchesSequentialHarness(t *testing.T) {
 		}
 	}
 
-	if res.Fig2a == nil || !res.Fig2a.ReadsSlower() {
+	if res.Fig2a == nil || res.Fig2a.ReadCycles <= res.Fig2a.WriteCycles {
 		t.Fatalf("fig2a: blocking reads must be slower than posted writes: %+v", res.Fig2a)
 	}
 	if res.Fig2b == nil || !res.Fig2b.Reactive() {

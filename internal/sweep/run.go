@@ -270,14 +270,6 @@ func (r Runner) execPoints(cache *programCache, points []Point, j *campaignJourn
 	return results, err
 }
 
-// RunGrid validates, expands and runs a grid.
-func (r Runner) RunGrid(g Grid) ([]Result, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return r.Run(g.Expand())
-}
-
 // Analytic pre-pass confidence bounds: a point is estimated instead of
 // simulated only when the predicted bottleneck demand ratio — widened by
 // the model's own knee error bar — puts it deep in the linear region or

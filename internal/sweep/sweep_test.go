@@ -12,6 +12,14 @@ import (
 	"noctg/internal/simtest"
 )
 
+// runGrid validates, expands and runs g, as the CLIs do.
+func runGrid(r Runner, g Grid) ([]Result, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return r.Run(g.Expand())
+}
+
 func TestRunPreservesTaskOrder(t *testing.T) {
 	// Later tasks finish first on purpose; errors must still land at their
 	// own indices.
@@ -141,7 +149,7 @@ func TestPartialMeshDimensionFailsCleanly(t *testing.T) {
 		Workloads: []Workload{{Kind: KindStochastic, Dist: "uniform", Cores: 5, Count: 50}},
 		Fabrics:   []Fabric{{Interconnect: FabricXPipes, MeshWidth: 4}},
 	}
-	res, err := Runner{Workers: 1}.RunGrid(g)
+	res, err := runGrid(Runner{Workers: 1}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +207,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestSweepResultsPopulated(t *testing.T) {
-	res, err := Runner{Workers: 8}.RunGrid(testGrid())
+	res, err := runGrid(Runner{Workers: 8}, testGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +256,7 @@ func TestRunnerClockPlumbing(t *testing.T) {
 		Fabrics:        []Fabric{{Interconnect: FabricAMBA}},
 		ClockPeriodsNS: []uint64{5, 10},
 	}
-	res, err := Runner{Workers: 2}.RunGrid(g)
+	res, err := runGrid(Runner{Workers: 2}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +374,7 @@ func TestRunRecordsPointFailure(t *testing.T) {
 		},
 		Fabrics: []Fabric{{Interconnect: FabricXPipes, MeshWidth: 4, MeshHeight: 2}},
 	}
-	res, err := Runner{Workers: 2}.RunGrid(g)
+	res, err := runGrid(Runner{Workers: 2}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
