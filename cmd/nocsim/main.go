@@ -7,6 +7,10 @@
 //	nocsim -bench mpmatrix -cores 4 -n 16
 //	nocsim -bench des -cores 3 -blocks 16 -interconnect xpipes
 //	nocsim -bench spmatrix -mode tg -trace-dir /tmp/trc -tgp-dir /tmp/tgp
+//
+// A flag set on the command line that the selected run never reads (-n
+// outside spmatrix/mpmatrix, -tgp-dir under -mode arm, ...) is refused by
+// name, never ignored.
 package main
 
 import (
@@ -14,6 +18,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"noctg/internal/cliflags"
 	"noctg/internal/core"
@@ -56,6 +62,7 @@ func main() {
 	default:
 		tool.Fail(fmt.Errorf("unknown benchmark %q", *bench))
 	}
+	tool.Fail(checkFlags())
 
 	opt := exp.DefaultOptions()
 	switch *ic {
@@ -132,4 +139,34 @@ func main() {
 		acq, fails, rel := sys.Sems.Stats()
 		fmt.Printf("semaphores: %d acquires, %d failed polls, %d releases\n", acq, fails, rel)
 	}
+}
+
+// reads is the one table of the flags only some runs read: the flag that
+// selects the run (-bench or -mode) and the values of it that read the
+// flag. Every other flag is read by every run.
+var reads = map[string]struct {
+	by     string
+	values []string
+}{
+	"n":       {"bench", []string{"spmatrix", "mpmatrix"}},
+	"iters":   {"bench", []string{"cacheloop"}},
+	"blocks":  {"bench", []string{"des"}},
+	"cores":   {"bench", []string{"cacheloop", "mpmatrix", "des"}},
+	"tgp-dir": {"mode", []string{"tg"}},
+}
+
+// checkFlags refuses, by name, the first explicitly set flag (in lexical
+// order) that the selected run does not read.
+func checkFlags() error {
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		r, ok := reads[f.Name]
+		if !ok || err != nil {
+			return
+		}
+		if v := flag.Lookup(r.by).Value.String(); !slices.Contains(r.values, v) {
+			err = fmt.Errorf("-%s applies to %s runs, not -%s %s", f.Name, strings.Join(r.values, "/"), r.by, v)
+		}
+	})
+	return err
 }

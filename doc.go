@@ -151,8 +151,11 @@
 // ticks only the devices that are due, so its per-cycle cost scales with
 // the awake set rather than the core count (one saturated master among
 // many idle ones no longer forces full-platform ticking). The contracts
-// behind them: a Sleeper's NextWake is a strict "will not act before"
-// promise that holds even while the device is not being ticked; devices
+// behind them: every device states its next wake (sim.Device embeds
+// sim.Sleeper), and NextWake is a strict "will not act before" promise
+// that holds even while the device is not being ticked, while a device
+// that cannot bound its next action says NextWake(now) = now and is
+// ticked every cycle (sim.DeviceFunc is such a device); devices
 // stimulated from outside their own Tick (interconnects receiving
 // TryRequest) fire an engine wake hook at the moment of stimulus; and a
 // master blocked on its port sleeps with WakeNever because the port wakes
@@ -160,11 +163,11 @@
 // whose SetWaker hands the master's wake handle to the port (through
 // ocp.PassWaker), and the AMBA port and the ×pipes master NI call its
 // WakeAt at the accept and when the response becomes takeable. A master
-// whose port cannot take the handle polls every blocked cycle. The event kernel is the zero value of
-// platform.KernelMode and so every platform's default; skip remains
-// selectable for cross-checking and as the simpler fallback, and any
-// platform containing a non-Sleeper device silently degrades to strict
-// ticking under either.
+// whose port cannot take the handle polls every blocked cycle. The event
+// kernel is the zero value of platform.KernelMode and so every platform's
+// default; skip remains selectable for cross-checking and as the simpler
+// fallback. No device type switches an engine to another kernel: an
+// always-awake device keeps only itself in the per-cycle tick set.
 //
 // All three produce identical simulated results — the differential tests
 // assert byte-identical sweep artifacts across the full kernel matrix.

@@ -27,7 +27,9 @@ const (
 	// BurstRead issues a blocking burst read of Imm beats.
 	BurstRead
 	// BurstWrite issues a posted burst write of Imm beats, replaying the
-	// data register for every beat (see DESIGN.md §3 on burst payloads).
+	// data register for every beat: the translator loads it with the
+	// burst's first recorded beat, as no payload changes a transfer's
+	// timing.
 	BurstWrite
 	// If branches to Imm (instruction index) when the condition holds.
 	If

@@ -123,7 +123,8 @@ type ArbitrationRow struct {
 }
 
 // AblationArbitration compares bus arbitration policies on a contended
-// benchmark (a design choice DESIGN.md calls out: MPARM's AHB arbiter).
+// benchmark: the arbiter is a design choice of MPARM's AHB bus, whose
+// round-robin policy is amba.DefaultConfig's.
 func AblationArbitration(spec *prog.Spec, opt Options, policies []amba.Policy) ([]*ArbitrationRow, error) {
 	var rows []*ArbitrationRow
 	for _, p := range policies {

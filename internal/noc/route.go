@@ -44,7 +44,7 @@ type Hop struct {
 }
 
 // dorPort is the fabric's one routing decision, shared by the live routers
-// (router.route) and the route enumeration below (NextPort, Route,
+// (router.route) and the route enumeration below (nextPort, Route,
 // RouteLen), so analytic channel loads always come from the paths the
 // simulated fabric uses. A packet at router (x, y) of a w×h grid headed to
 // node dst takes dimension-ordered routing: X first then Y on the mesh,

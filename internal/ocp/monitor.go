@@ -28,7 +28,7 @@ type TrafficMeter interface {
 
 // Event is one traced OCP transaction as observed at a master interface.
 // The three timestamps are what the translator needs to compute
-// interconnect-independent idle gaps (see DESIGN.md §5):
+// interconnect-independent idle gaps (see core.Translate):
 //
 //   - Assert: the first cycle the master presented the request,
 //   - Accept: the cycle the interconnect latched it (posted writes complete

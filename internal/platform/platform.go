@@ -316,7 +316,8 @@ func Build(cfg Config, factory MasterFactory) (*System, error) {
 			shardMasters[shardOf(i)] = append(shardMasters[shardOf(i)], m)
 		}
 	}
-	// Fabric ticks after all masters (see DESIGN.md tick order); in a
+	// Fabric ticks after all masters, so a request presented in cycle t is
+	// arbitrated in cycle t (the amba package's timing model); in a
 	// sharded build each region is its engine's fabric device.
 	switch {
 	case s.Bus != nil:

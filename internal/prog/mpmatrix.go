@@ -75,7 +75,7 @@ ib:	ldi r3, 5
 	jmp compute
 	; Poll loops are exactly one I-cache line (two instructions, aligned)
 	; so their refill always precedes the first poll on every fabric —
-	; required for cross-interconnect .tgp equality (DESIGN.md §5).
+	; required for cross-interconnect .tgp equality (exp.CrossCheck).
 	.align 16
 wait_ready:
 	ldr r3, [r1+0]

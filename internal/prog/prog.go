@@ -4,7 +4,7 @@
 // to validate the simulated results functionally.
 //
 // Every program follows two rules that the paper's TG methodology depends
-// on (see DESIGN.md §3):
+// on (core.Translate's doc says how the translator uses them):
 //
 //  1. values written to memory are functions of the writing core's own
 //     deterministic computation (so recorded write-data is

@@ -56,7 +56,7 @@ func ror(v uint32, sh int) uint32 {
 // desTables generates the synthetic SP-tables and round keys. Real FIPS
 // S-box constants cannot be verified offline, so deterministic pseudo-random
 // tables are used instead; the access pattern and computation structure are
-// identical to table-driven DES (see DESIGN.md §3).
+// identical to table-driven DES: only the constants differ.
 func desTables() (sptab [8][64]uint32, ks [16][8]uint32) {
 	state := uint32(0x2545F491)
 	next := func() uint32 {

@@ -202,8 +202,9 @@ func (e *Engine) SetKernel(k Kernel) { e.kernel = k }
 func (e *Engine) Kernel() Kernel { return e.kernel }
 
 // Add registers a device. Devices are ticked in registration order; the
-// platform packages rely on this to implement the fixed
-// masters→interconnect ordering described in DESIGN.md.
+// platform packages rely on this to tick every master before the fabric,
+// so that a request a master presents in cycle t is arbitrated in cycle t
+// (the amba package's timing model).
 func (e *Engine) Add(d Device) {
 	if d == nil {
 		panic("sim: Add(nil) device")
