@@ -33,8 +33,9 @@ var testOnlyAllowed = map[string]string{
 // as used when any non-test file names it at all (a call, a method value
 // or an interface's method list). internal/simtest is the test-support
 // package and is exempt. A name that only tests need belongs in a
-// _test.go file (export_test.go for another package's tests) or in
-// testOnlyAllowed with its reason.
+// _test.go file (a package's export_test.go serves its external tests)
+// or, when tests in other packages need it, in testOnlyAllowed with its
+// reason.
 func TestNoTestOnlyExports(t *testing.T) {
 	const module = "noctg"
 	type decl struct {
@@ -82,16 +83,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 						continue
 					}
 					recv := dl.Recv.List[0].Type
-					for {
-						switch r := recv.(type) {
-						case *ast.StarExpr:
-							recv = r.X
-							continue
-						case *ast.IndexExpr:
-							recv = r.X
-							continue
-						}
-						break
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
 					}
 					if r, ok := recv.(*ast.Ident); ok && r.IsExported() {
 						add(dl.Name, r.Name+"."+dl.Name.Name, true)

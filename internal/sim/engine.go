@@ -14,10 +14,11 @@
 // sleep at once: when every registered device reports a future wake cycle
 // — a TG deep inside an Idle(100000), a core stalled on a quiescent
 // interconnect — the engine advances the cycle counter straight to the
-// earliest wake cycle instead of spinning through no-op ticks. Skipping never changes simulated state: a cycle is skipped
-// only when no device could have done work in it, so makespans, histograms
-// and per-device counters are identical to a strict run (the sweep
-// differential tests assert byte-identical artifacts).
+// earliest wake cycle instead of spinning through no-op ticks. Skipping
+// never changes simulated state: a cycle is skipped only when no device
+// could have done work in it, so makespans, histograms and per-device
+// counters are identical to a strict run (the sweep differential tests
+// assert byte-identical artifacts).
 //
 // The event-driven kernel (KernelEvent, event.go) goes one step further:
 // instead of requiring every device to sleep before any cycle can be
@@ -260,9 +261,9 @@ func (e *Engine) Step() {
 // to the device count.
 func (e *Engine) nextWake() uint64 {
 	now := e.cycle
-	sl := e.devices
+	ds := e.devices
 	memo := e.wakeMemo
-	n := len(sl)
+	n := len(ds)
 	if e.blocker >= n {
 		e.blocker = 0
 	}
@@ -274,7 +275,7 @@ func (e *Engine) nextWake() uint64 {
 		}
 		nw := memo[i]
 		if nw <= now {
-			nw = sl[i].NextWake(now)
+			nw = ds[i].NextWake(now)
 		}
 		if d := e.due[i]; d >= now && d < nw {
 			nw = d

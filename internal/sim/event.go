@@ -256,9 +256,8 @@ func (e *Engine) stepEvent() {
 			if f := fused[i]; f != nil {
 				nw = f.TickWake(c)
 			} else {
-				d := e.devices[i]
-				d.Tick(c)
-				nw = d.NextWake(c + 1)
+				e.devices[i].Tick(c)
+				nw = e.devices[i].NextWake(c + 1)
 			}
 			if nw > c+1 {
 				if d := e.due[i]; d > c && d < nw {
