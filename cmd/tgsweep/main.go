@@ -67,11 +67,14 @@
 // execution-axis differentials pin this. AMBA points ignore the setting.
 //
 // -journal FILE makes the sweep crash-safe: every completed point is
-// appended to an fsync'd write-ahead journal, and -resume skips completed
-// points and re-runs only in-flight or unstarted ones — final artifacts
-// are byte-identical to an uninterrupted run at any kill point, and the
-// resume may use a different worker count, kernel or shard count. With
-// -curve, every load level is a journaled point.
+// appended to a write-ahead journal before its worker moves on, and a
+// background fsync makes the records durable in groups, so a killed
+// process loses no completed point and an OS crash at most those finished
+// since the last sync. -resume skips completed points and re-runs only
+// in-flight or unstarted ones — final artifacts are byte-identical to an
+// uninterrupted run at any kill point, and the resume may use a different
+// worker count, kernel or shard count. With -curve, every load level is a
+// journaled point.
 // Under -journal, SIGINT/SIGTERM drain gracefully: in-flight points
 // finish, the journal is flushed, and the process exits nonzero with a
 // resume hint. Without -journal a signal stops the process at once.
@@ -121,7 +124,7 @@ func main() {
 		curveMode = flag.String("curve-mode", "", "curve traversal for every -curve scenario: uniform (simulate every level) or adaptive (seed from the analytic knee, simulate only around it); empty keeps each scenario's curve_mode")
 		analyticF = flag.Bool("analytic", false, "analytic pre-pass: stochastic points the closed-form model brackets confidently are estimated instead of simulated (recorded with \"estimated\": true), and the predictions land in <out>.analytic.json")
 		shards    = flag.Int("shards", 0, "shard every ×pipes simulation across N engine goroutines (0 or 1 = one engine); artifacts are byte-identical for every N")
-		journalF  = flag.String("journal", "", "write-ahead journal file: every completed point is fsync'd so a crashed or interrupted sweep resumes with -resume")
+		journalF  = flag.String("journal", "", "write-ahead journal file: every completed point is appended (fsync'd in background groups; a killed process loses none, an OS crash at most those since the last sync) so a crashed or interrupted sweep resumes with -resume")
 		resume    = flag.Bool("resume", false, "resume the -journal file, skipping completed points (artifacts come out byte-identical to an uninterrupted run)")
 		retries   = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff on the same -kernel and -shards (0/1 = no retries)")
 		retryBack = flag.Duration("retry-backoff", 0, "base delay before a retry, doubling per attempt (requires -retries N >= 2)")

@@ -304,8 +304,8 @@
 //
 // A sweep can run journaled (SweepRunner.RunJournaled, tgsweep -journal;
 // RunCurvesJournaled, whose points are the curves' axis levels): every
-// completed point appends one fsync'd, CRC-framed record — stable point
-// key, attempt count, outcome and the full serialized result — to a
+// completed point appends one CRC-framed record — stable point key,
+// attempt count, outcome and the full serialized result — to a
 // write-ahead journal, and a resumed campaign (SweepRunner.Resume, tgsweep
 // -resume) skips completed points and re-serializes their stored results,
 // so the final artifacts are byte-identical to an uninterrupted run at any
@@ -314,7 +314,14 @@
 // (workers, kernel, shards, guard, retries) live on the runner, so
 // campaigns resume across any change to them. A different grid is
 // refused via the campaign key. Torn journal tails (the crash signature)
-// truncate cleanly on resume; mid-file corruption is a hard error.
+// truncate cleanly on resume; mid-file corruption is a hard error. The
+// journal commits in groups: each record is written before its point's
+// worker moves on, and one background fsync at a time makes durable every
+// record written before it began. A killed process therefore loses no
+// completed point; an OS crash or power loss loses at most the points
+// finished since the last completed sync, which re-run on resume with
+// byte-identical results. A journaled run returns only once every record
+// is synced.
 //
 // A sweep.RetryPolicy (SweepRunner.Retry, tgsweep -retries/-retry-backoff)
 // re-attempts transiently failed points — run budget, barrier stall, recovered worker panic — with

@@ -9,15 +9,22 @@
 //	j1 <crc32c-hex8> <record-json>\n
 //
 // Records are appended in execution order: one campaign header naming the
-// point set, then a start record per attempt and one fsync'd done record
-// per finished point carrying the point's full serialised result and its
-// SHA-256 outcome hash. Because every record is self-framed and done
-// records are durable before the next point is dispatched, a process
-// killed at ANY byte offset leaves a journal whose valid prefix is exactly
-// the set of completed points — the half-written last record is the normal
-// crash signature, not corruption, and Load drops it silently. A framing
-// or checksum failure anywhere before the tail IS corruption and comes
-// back as an error.
+// point set, then a start record per attempt and one done record per
+// finished point carrying the point's full serialised result and its
+// SHA-256 outcome hash. Because every record is self-framed and written
+// before the call that appends it returns, a process killed at ANY byte
+// offset leaves a journal whose valid prefix is exactly the set of
+// completed points — the half-written last record is the normal crash
+// signature, not corruption, and Load drops it silently. A framing or
+// checksum failure anywhere before the tail IS corruption and comes back
+// as an error.
+//
+// Records are made durable by group commit (see Writer): one background
+// fsync at a time covers every record written before it started. So a
+// process kill loses nothing, and an OS crash or power loss loses at most
+// the done records written since the last completed sync; those points
+// re-run on resume and come out byte-identical. Writer.Close returns only
+// once everything written is synced.
 //
 // The journal deliberately stores results, not just outcome hashes: a
 // resumed campaign re-serialises completed points from their journal
@@ -279,11 +286,47 @@ func Load(path string) (*Log, error) {
 	return log, nil
 }
 
-// Writer appends records to a journal file. Append and Done are safe for
-// concurrent use by sweep workers.
+// Writer appends records to a journal file under group commit.
+//
+// Every record is written with write(2) before Campaign, Start or Done
+// returns, so a killed process leaves exactly the records whose calls
+// returned. Durability is one background syncer's job: at most one fsync
+// is in flight, and every record written while it runs is covered by the
+// next one. That batch is as large as the disk is slow, so it needs no
+// size or time constant. Close returns only once every written record is
+// synced.
+//
+// The first failed write or sync is sticky: the writer writes no further
+// record, and every later Campaign, Start, Done and Close returns that
+// error, so a short write can never be followed by records that would
+// leave a torn line mid-file.
+//
+// The methods are safe for concurrent use by sweep workers. Close must be
+// called once; it stops the syncer.
 type Writer struct {
 	mu sync.Mutex
-	f  *os.File
+	// cond is broadcast whenever written, due, synced, err or closing
+	// changes; the syncer waits on it.
+	cond *sync.Cond
+	f    *os.File
+	// fsync makes the written records durable: f.Sync, or a test's stand-in.
+	fsync func() error
+	// written counts records written; the first due of them must be
+	// synced (through the last campaign or done record, or all of them
+	// once Close is called); synced counts those a completed sync covers.
+	written, due, synced int
+	err                  error // the first write or sync failure
+	closing              bool
+	stopped              chan struct{} // closed when the syncer exits
+}
+
+// newWriter starts the syncer of a journal open for appending at f's
+// offset.
+func newWriter(f *os.File, fsync func() error) *Writer {
+	w := &Writer{f: f, fsync: fsync, stopped: make(chan struct{})}
+	w.cond = sync.NewCond(&w.mu)
+	go w.syncer()
+	return w
 }
 
 // Create opens a fresh journal, refusing to overwrite one that already
@@ -297,7 +340,7 @@ func Create(path string) (*Writer, error) {
 		}
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Writer{f: f}, nil
+	return newWriter(f, f.Sync), nil
 }
 
 // Resume opens an existing journal for appending, first truncating the
@@ -315,42 +358,78 @@ func Resume(path string, log *Log) (*Writer, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Writer{f: f}, nil
+	return newWriter(f, f.Sync), nil
 }
 
-// append frames and writes one record, optionally fsyncing it.
-func (w *Writer) append(rec Record, sync bool) error {
+// syncer is the writer's one goroutine: while written records are due
+// and not yet synced, it syncs everything written so far. It exits on the
+// first failure, or once Close is called and nothing is left to sync.
+func (w *Writer) syncer() {
+	defer close(w.stopped)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.err == nil {
+		if w.synced >= w.due {
+			if w.closing {
+				return
+			}
+			w.cond.Wait()
+			continue
+		}
+		batch := w.written
+		w.mu.Unlock()
+		err := w.fsync()
+		w.mu.Lock()
+		if err != nil {
+			w.err = fmt.Errorf("journal: sync: %w", err)
+		} else {
+			w.synced = batch
+		}
+		w.cond.Broadcast()
+	}
+}
+
+// append frames and writes one record; a durable one is due for the next
+// sync, the others ride along with it.
+func (w *Writer) append(rec Record, durable bool) error {
 	line, err := frame(rec)
 	if err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.f.Write(line); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
+	if w.err != nil {
+		return w.err
 	}
-	if sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
-		}
+	if _, err := w.f.Write(line); err != nil {
+		w.err = fmt.Errorf("journal: append: %w", err)
+		w.cond.Broadcast()
+		return w.err
+	}
+	w.written++
+	if durable {
+		w.due = w.written
+		w.cond.Broadcast()
 	}
 	return nil
 }
 
-// Campaign writes the fsync'd journal header.
+// Campaign writes the journal header, due for the next sync.
 func (w *Writer) Campaign(key string, points int) error {
 	return w.append(Record{Op: OpCampaign, Key: key, Points: points}, true)
 }
 
 // Start marks one point attempt as in flight. Start records are advisory
-// (a point without a done record re-runs either way), so they are not
-// individually fsync'd; the next Done flushes them.
+// (a point without a done record re-runs either way), so they only ride
+// along with the sync a later record or Close makes due.
 func (w *Writer) Start(key string, attempt int) error {
 	return w.append(Record{Op: OpStart, Key: key, Attempt: attempt}, false)
 }
 
-// Done writes one point's durable outcome: the record is fsync'd before
-// Done returns, so a completed point can never be lost to a crash.
+// Done writes one point's outcome and returns without waiting for its
+// sync: a killed process never loses it, and an OS crash or power loss
+// loses it only if it came after the last completed sync, in which case
+// the point re-runs on resume.
 func (w *Writer) Done(key string, attempt int, outcome Outcome, kind string, result []byte) error {
 	return w.append(Record{
 		Op: OpDone, Key: key, Attempt: attempt, Outcome: outcome, Kind: kind,
@@ -358,13 +437,22 @@ func (w *Writer) Done(key string, attempt int, outcome Outcome, kind string, res
 	}, true)
 }
 
-// Close flushes and closes the journal.
+// Close syncs every record written, stops the syncer and closes the
+// file. It returns the writer's first write or sync failure, if any.
 func (w *Writer) Close() error {
 	w.mu.Lock()
+	w.closing, w.due = true, w.written
+	w.cond.Broadcast()
+	w.mu.Unlock()
+	<-w.stopped
+	cerr := w.f.Close()
+	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return fmt.Errorf("journal: sync: %w", err)
+	if w.err != nil {
+		return w.err
 	}
-	return w.f.Close()
+	if cerr != nil {
+		return fmt.Errorf("journal: %w", cerr)
+	}
+	return nil
 }

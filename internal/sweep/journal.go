@@ -29,9 +29,9 @@ func PointKey(p Point) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// CampaignKey identifies the whole point set (order included), so a
+// campaignKey identifies the whole point set (order included), so a
 // journal can refuse to resume a different campaign.
-func CampaignKey(keys []string) string {
+func campaignKey(keys []string) string {
 	h := sha256.New()
 	for _, k := range keys {
 		h.Write([]byte(k))
@@ -101,7 +101,7 @@ func openJournal(jc JournalConfig, points []Point) (j *campaignJournal, err erro
 	for i, p := range points {
 		keys[i] = PointKey(p)
 	}
-	camp := CampaignKey(keys)
+	camp := campaignKey(keys)
 	j = &campaignJournal{log: &journal.Log{}}
 	if jc.Resume {
 		if j.log, err = journal.Load(jc.Path); err != nil {
@@ -150,14 +150,19 @@ func (j *campaignJournal) close(err error) error {
 	return err
 }
 
-// RunJournaled executes the points under a write-ahead journal: one
-// fsync'd done record per finished point carrying the full serialised
-// Result, so any later resume reproduces final artifacts byte-identical
-// to an uninterrupted run without re-simulating completed points — at
-// any kill point, worker count, kernel or shard count. Failed points are
-// completed points too (their Result carries Err); only in-flight and
-// never-started points re-run on resume. ErrDrained is returned when
-// Interrupted stopped the run before every point completed.
+// RunJournaled executes the points under a write-ahead journal: one done
+// record per finished point carrying the full serialised Result, so any
+// later resume reproduces final artifacts byte-identical to an
+// uninterrupted run without re-simulating completed points — at any kill
+// point, worker count, kernel or shard count. The journal commits in
+// groups: a record is written before the point's worker moves on and made
+// durable by the next background fsync, so a process kill loses no
+// completed point, and an OS crash or power loss loses at most the points
+// finished since the last completed sync (they re-run on resume). Every
+// record is synced before RunJournaled returns, a drained run included.
+// Failed points are completed points too (their Result carries Err); only
+// in-flight and never-started points re-run on resume. ErrDrained is
+// returned when Interrupted stopped the run before every point completed.
 func (r Runner) RunJournaled(points []Point, jc JournalConfig) ([]Result, JournalStatus, error) {
 	if err := r.validatePoints(points); err != nil {
 		return nil, JournalStatus{}, err
