@@ -46,10 +46,10 @@ analytic:
 	$(GO) test -run 'TestAnalytic|TestAdaptive|TestPredictSaturation|TestGridAnalytic|TestPrePass|TestJournalResumeWithAnalytic|TestCurveCSVEstimated' ./internal/sweep
 	$(GO) test -run TestAnalyticCrossValidation -v .
 
-# make golden regenerates the golden regression snapshots after an
-# intentional model change.
+# make golden regenerates every stored artifact (goldens, digests, pins)
+# after an intentional model change.
 golden:
-	$(GO) test ./internal/sweep -run TestGolden -update
+	NOCTG_ARTIFACTS=update $(GO) test -count=1 -run '^TestArtifacts' ./...
 
 # make paper regenerates the paper's evaluation in parallel.
 paper:

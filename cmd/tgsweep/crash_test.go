@@ -280,3 +280,15 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedJournalReportedOnce: after the journal's first failed write,
+// every later point's record meets the same sticky error, and the run
+// reports it once. The file-size limit is the child's alone.
+func TestFailedJournalReportedOnce(t *testing.T) {
+	dir := t.TempDir()
+	out, err := runTool(t, "sh", "-c", `ulimit -f 8; exec "$0" "$@"`, buildTool(t, "tgsweep"),
+		"-workers", "2", "-journal", filepath.Join(dir, "journal"), "-out", filepath.Join(dir, "out"))
+	if n := bytes.Count(out, []byte("file too large")); err == nil || n != 1 {
+		t.Errorf("with its journal limited to 8 blocks the run exits %v and reports the journal error %d times, want a failure reported once:\n%s", err, n, out)
+	}
+}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"noctg/internal/ocp"
@@ -11,66 +12,70 @@ import (
 	"noctg/internal/stochastic"
 )
 
-// TestClonePin pins the cloning baseline of Section 3 end to end: traces
-// of MPMatrix recorded on AMBA are replayed at their recorded timestamps
-// by BuildClone, on AMBA and on ×pipes, and the makespan, the summed issue
-// drift and the completed transactions must hold on every kernel (and,
-// on ×pipes, with and without sharding). No golden or digest holds a
-// cloning row, so this is the one check that the baseline replays the
-// same schedule.
-func TestClonePin(t *testing.T) {
-	type want struct{ makespan, drift, txns uint64 }
-	cases := []struct {
-		spec        *prog.Spec
-		amba, xpipe want
-	}{
-		{prog.MPMatrix(4, 8), want{16490, 0, 2647}, want{16594, 1553044, 2647}},
-		{prog.MPMatrix(2, 8), want{25650, 0, 1697}, want{25725, 54948, 1697}},
-	}
-	for _, c := range cases {
-		ref, err := RunReference(c.spec, DefaultOptions(), true)
+// The cloning baseline of Section 3, end to end: traces of MPMatrix
+// recorded on AMBA are replayed at their recorded timestamps by
+// BuildClone, on AMBA and on ×pipes. No other golden or digest holds a
+// cloning row, so this is the one check that the baseline replays the same
+// schedule.
+
+var clonePinPath = filepath.Join("testdata", "clone_pin.json")
+
+// cloneReplay is what one replay pins.
+type cloneReplay struct {
+	Makespan     uint64 `json:"makespan"`
+	Drift        uint64 `json:"drift"` // summed issue drift
+	Transactions uint64 `json:"transactions"`
+}
+
+// cloneCampaign records the traces once and renders, on each row's kernel
+// and shard count, every replay's makespan, drift and completed
+// transactions.
+func cloneCampaign(t *testing.T) simtest.Campaign {
+	specs := []*prog.Spec{prog.MPMatrix(4, 8), prog.MPMatrix(2, 8)}
+	traces := make([][][]ocp.Event, len(specs))
+	for i, spec := range specs {
+		ref, err := RunReference(spec, DefaultOptions(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		events := make([][]ocp.Event, len(ref.Traces))
-		for i, tr := range ref.Traces {
-			events[i] = tr.Events
+		for _, tr := range ref.Traces {
+			traces[i] = append(traces[i], tr.Events)
 		}
-		for _, kernel := range simtest.Table.Kernels {
-			k, err := platform.ParseKernel(kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows := []struct {
-				fabric platform.Interconnect
-				shards int
-				want   want
-			}{
-				{platform.AMBA, 0, c.amba},
-				{platform.XPipes, 0, c.xpipe},
-				{platform.XPipes, 2, c.xpipe},
-			}
-			for _, r := range rows {
-				name := fmt.Sprintf("%s%dP/%s/%s/shards=%d", c.spec.Name, c.spec.Cores, r.fabric, kernel, r.shards)
-				cfg := platform.Config{Cores: c.spec.Cores, Interconnect: r.fabric, Kernel: k, Shards: r.shards}
-				sys, err := platform.BuildClone(cfg, events)
+	}
+	return func(t *testing.T, x simtest.Exec) []byte {
+		k, err := platform.ParseKernel(x.Kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]cloneReplay{}
+		for i, spec := range specs {
+			for _, fabric := range []platform.Interconnect{platform.AMBA, platform.XPipes} {
+				name := fmt.Sprintf("%s%dP/%s", spec.Name, spec.Cores, fabric)
+				cfg := platform.Config{Cores: spec.Cores, Interconnect: fabric, Kernel: k, Shards: x.Shards}
+				sys, err := platform.BuildClone(cfg, traces[i])
 				if err != nil {
 					t.Fatal(err)
 				}
-				makespan, err := sys.Run(c.spec.MaxCycles)
+				makespan, err := sys.Run(spec.MaxCycles)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				got := want{makespan: makespan}
+				r := cloneReplay{Makespan: makespan}
 				counters := sys.Stats.CounterSnapshot()
-				for i, m := range sys.Masters {
-					got.drift += m.(*stochastic.Generator).Drift
-					got.txns += counters[fmt.Sprintf("master%d/transactions", i)]
+				for j, m := range sys.Masters {
+					r.Drift += m.(*stochastic.Generator).Drift
+					r.Transactions += counters[fmt.Sprintf("master%d/transactions", j)]
 				}
-				if got != r.want {
-					t.Errorf("%s: (makespan, drift, transactions) = %v, want %v", name, got, r.want)
-				}
+				got[name] = r
 			}
 		}
+		return simtest.JSON(t, got)
 	}
+}
+
+// TestClonePin: the replays hold on every kernel and shard count (AMBA
+// ignores the shard count), and the reference is the clone pin.
+func TestClonePin(t *testing.T) {
+	ref := simtest.Differential(t, "clone replay", simtest.Kernel|simtest.Shards, cloneCampaign(t))
+	simtest.Pin(t, "clone_pin", clonePinPath, ref)
 }

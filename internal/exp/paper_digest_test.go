@@ -2,18 +2,13 @@ package exp
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"noctg/internal/core"
 	"noctg/internal/prog"
+	"noctg/internal/simtest"
 )
 
 // This file pins the paper pipeline end to end on every DefaultSizes()
@@ -21,12 +16,7 @@ import (
 // and the TG replay's makespan, retired instructions and bus accounting. A
 // change to how the pipeline is computed — the interpreter, the trace
 // encoder, the translator, how the kernel schedules blocked masters — must
-// leave testdata/paper_digest.json byte-unchanged. Regenerate (only on an
-// intentional model change) with
-//
-//	go test ./internal/exp -run TestPaperDigest -update
-
-var update = flag.Bool("update", false, "rewrite testdata/paper_digest.json")
+// leave testdata/paper_digest.json byte-unchanged.
 
 // traceDigest identifies one master's serialised .trc stream.
 type traceDigest struct {
@@ -60,8 +50,7 @@ func digestRow(t *testing.T, spec *prog.Spec) paperRowDigest {
 		if err := tr.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(buf.Bytes())
-		d.Traces = append(d.Traces, traceDigest{SHA256: hex.EncodeToString(sum[:]), Bytes: buf.Len()})
+		d.Traces = append(d.Traces, traceDigest{SHA256: simtest.SHA256(buf.Bytes()), Bytes: buf.Len()})
 		total += buf.Len()
 		if n, err := tr.Size(); err != nil || n != buf.Len() {
 			t.Fatalf("master %d: Size = %d, %v; Write rendered %d bytes", tr.MasterID, n, err, buf.Len())
@@ -89,10 +78,18 @@ func digestRow(t *testing.T, spec *prog.Spec) paperRowDigest {
 	return d
 }
 
-// TestPaperDigest: every DefaultSizes() Table 2 row reproduces its pinned
-// pipeline digest.
-func TestPaperDigest(t *testing.T) {
-	path := filepath.Join("testdata", "paper_digest.json")
+// TestArtifacts is the package's artifact table: the paper pipeline digest
+// and the cloning baseline's reference replays.
+func TestArtifacts(t *testing.T) {
+	simtest.Artifacts(t,
+		simtest.Artifact{Name: "paper_digest", Path: filepath.Join("testdata", "paper_digest.json"), Produce: paperDigest},
+		simtest.Artifact{Name: "clone_pin", Path: clonePinPath, Produce: func(t *testing.T) []byte {
+			return cloneCampaign(t)(t, simtest.Reference())
+		}},
+	)
+}
+
+func paperDigest(t *testing.T) []byte {
 	got := map[string]paperRowDigest{}
 	for _, spec := range DefaultSizes().Specs() {
 		name := fmt.Sprintf("%s/%dP", spec.Name, spec.Cores)
@@ -101,33 +98,5 @@ func TestPaperDigest(t *testing.T) {
 		}
 		got[name] = digestRow(t, spec)
 	}
-	if *update {
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
-	}
-	want := map[string]paperRowDigest{}
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s pins %d rows, the test runs %d", path, len(want), len(got))
-	}
-	for name, g := range got {
-		if w := want[name]; !reflect.DeepEqual(g, w) {
-			t.Errorf("%s:\n got %+v\nwant %+v", name, g, w)
-		}
-	}
+	return simtest.JSON(t, got)
 }

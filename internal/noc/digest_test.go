@@ -1,15 +1,13 @@
 package noc
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"noctg/internal/mem"
 	"noctg/internal/ocp"
+	"noctg/internal/simtest"
 )
 
 // This file pins the fabric's complete per-cycle state. The digests in
@@ -17,11 +15,7 @@ import (
 // fabric (every router ticked every cycle, every (output, VC) pair probed);
 // any schedule that ticks or probes less must reproduce them bit for bit,
 // unpartitioned and under every partition with a boundary exchange each
-// cycle. Regenerate (only on an intentional model change) with
-//
-//	go test ./internal/noc -run TestFabricDigest -update
-
-var update = flag.Bool("update", false, "rewrite testdata/fabric_digest.json")
+// cycle.
 
 // Traffic shapes of the seeded drivers.
 const (
@@ -320,58 +314,37 @@ func runDigest(t *testing.T, spec fabricSpec, parts int) (digest string, g *fabr
 	return fmt.Sprintf("%016x", h), g
 }
 
-// TestFabricDigest: every pinned configuration must reproduce its committed
-// digest — unpartitioned and as 1, 2 and 3 row bands exchanging every cycle
-// — and end with its invariants intact.
+var fabricDigestPath = filepath.Join("testdata", "fabric_digest.json")
+
+// TestArtifacts is the package's artifact table: the fabric digest.
+func TestArtifacts(t *testing.T) {
+	simtest.Artifacts(t, simtest.Artifact{Name: "fabric_digest", Path: fabricDigestPath,
+		Produce: func(t *testing.T) []byte { return fabricDigests(t, 0) }})
+}
+
+// TestFabricDigest: every pinned configuration cut into 1, 2 and 3 row
+// bands (at most its height) that exchange every cycle reproduces the
+// unpartitioned digests.
 func TestFabricDigest(t *testing.T) {
-	path := filepath.Join("testdata", "fabric_digest.json")
-	want := map[string]string{}
-	if !*update {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (generate with -update)", err)
-		}
-		if err := json.Unmarshal(raw, &want); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
+	for parts := 1; parts <= 3; parts++ {
+		simtest.Pin(t, "fabric_digest", fabricDigestPath, fabricDigests(t, parts))
 	}
+}
+
+// fabricDigests runs every pinned configuration under the given partition
+// count, requires each run to move flits and end with its invariants
+// intact, and renders the digests.
+func fabricDigests(t *testing.T, parts int) []byte {
 	got := map[string]string{}
-	routed := uint64(0)
 	for _, spec := range digestSpecs() {
-		name := spec.String()
-		for parts := 0; parts <= 3 && parts <= spec.h; parts++ {
-			d, g := runDigest(t, spec, parts)
-			if parts == 0 {
-				got[name] = d
-				routed += g.net.FlitsRouted()
-				if g.net.FlitsRouted() == 0 {
-					t.Errorf("%s: no flit moved", name)
-				}
-			} else if d != got[name] {
-				t.Errorf("%s: %d-band partition digest %s, unpartitioned %s", name, parts, d, got[name])
-			}
-			if v := g.net.CheckInvariants(); v != nil {
-				t.Errorf("%s parts=%d: %v", name, parts, v)
-			}
+		d, g := runDigest(t, spec, parts)
+		got[spec.String()] = d
+		if g.net.FlitsRouted() == 0 {
+			t.Errorf("%s parts=%d: no flit moved", spec, parts)
 		}
-		if !*update && got[name] != want[name] {
-			t.Errorf("%s: digest %s, pinned %s", name, got[name], want[name])
+		if v := g.net.CheckInvariants(); v != nil {
+			t.Errorf("%s parts=%d: %v", spec, parts, v)
 		}
 	}
-	if !*update && len(want) != len(got) {
-		t.Errorf("%s pins %d configurations, the test runs %d", path, len(want), len(got))
-	}
-	t.Logf("%d configurations, %d flit-hops in the unpartitioned runs", len(got), routed)
-	if *update {
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return simtest.JSON(t, got)
 }

@@ -215,8 +215,8 @@ func Render(t testing.TB, write func(io.Writer) error) []byte {
 // same items. The other rows run as parallel subtests named after the row
 // (go test -run 'TestX/skip/shards=4' picks one), so a campaign must only
 // read what it shares across rows. Differential returns the reference
-// bytes of the whole campaign, so a caller holding a committed digest or
-// golden can pin the oracle itself.
+// bytes of the whole campaign, so a caller can hold the oracle itself to
+// a stored artifact with Pin.
 func Differential(t *testing.T, name string, over Axis, campaign Campaign) []byte {
 	t.Helper()
 	rows := Rows(t, over)

@@ -1,8 +1,9 @@
 // Package simtest holds what the test suites share: the one table of
 // execution axes with the differential oracle that runs every campaign
-// over it (axes.go), and a scripted OCP master that issues a fixed
-// sequence of transactions separated by idle gaps, recording accept and
-// response cycles.
+// over it (axes.go), the one harness that holds every stored golden,
+// digest and pin to its producer (artifact.go), and a scripted OCP master
+// that issues a fixed sequence of transactions separated by idle gaps,
+// recording accept and response cycles.
 package simtest
 
 import "noctg/internal/ocp"

@@ -73,7 +73,7 @@ func TestArrivalWorkloadLabels(t *testing.T) {
 // every kernel, and the reference is the committed golden.
 func TestKernelDifferentialBursty(t *testing.T) {
 	ref := simtest.Differential(t, "bursty grid", simtest.Kernel, pointsCampaign(BurstyGrid().Expand()))
-	goldenBytes(t, "bursty", ref)
+	simtest.Pin(t, "bursty", goldenPath("bursty"), ref)
 }
 
 // randomArrivalPoints draws a randomized-but-seeded set of MMPP and
@@ -142,28 +142,6 @@ func TestArrivalPropertyDifferential(t *testing.T) {
 		t.Fatalf("random workload invalid: %v", err)
 	}
 	simtest.Differential(t, "random arrival points", simtest.Kernel|simtest.Shards, pointsCampaign(points))
-}
-
-// TestGoldenBurstyScenarios snapshots the stock bursty grid under
-// testdata/golden/bursty.json: any drift in the arrival-process state
-// machines or their discretization fails CI with a
-// diffable artifact. Regenerate deliberately with -update.
-func TestGoldenBurstyScenarios(t *testing.T) {
-	results, err := Runner{}.Run(BurstyGrid().Expand())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != "" {
-			t.Fatalf("point %d (%s @ %s): %s", r.ID, r.Workload, r.Fabric, r.Err)
-		}
-	}
-	for _, r := range results {
-		if r.Transactions == 0 {
-			t.Fatalf("point %d (%s) completed no transactions", r.ID, r.Workload)
-		}
-	}
-	golden(t, "bursty", results)
 }
 
 // TestBurstyGridParsesStrict round-trips an arrival workload through the

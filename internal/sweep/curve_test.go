@@ -11,7 +11,7 @@ import (
 	"noctg/internal/simtest"
 )
 
-// goldenCurveSpec is the stock curve the golden-file harness locks: the
+// goldenCurveSpec is the stock curve the curve golden row locks: the
 // AMBA hotspot workload (the sharpest saturation knee in the library
 // corpus) over a short load ladder, adaptive epochs to a ±5% CI.
 func goldenCurveSpec() CurveSpec {
@@ -42,26 +42,11 @@ func runCurve(t *testing.T, r Runner, spec CurveSpec) Curve {
 	return curves[0]
 }
 
-// TestGoldenCurve locks one stock load-latency curve byte-for-byte,
-// wired into the same -update flow as the other golden artifacts.
-func TestGoldenCurve(t *testing.T) {
-	c := runCurve(t, Runner{}, goldenCurveSpec())
-	for _, p := range c.Points {
-		if p.Err != "" {
-			t.Fatalf("gap %g: %s", p.MeanGap, p.Err)
-		}
-	}
-	if c.Saturation == nil {
-		t.Fatal("golden curve must detect a saturation point")
-	}
-	golden(t, "curve", []Curve{c})
-}
-
 // TestKernelDifferentialCurve: the golden curve serialises the same
 // artifact under every kernel, and the reference is the committed golden.
 func TestKernelDifferentialCurve(t *testing.T) {
 	ref := simtest.Differential(t, "golden curve", simtest.Kernel, curvesCampaign(goldenCurveSpec()))
-	goldenBytes(t, "curve", ref)
+	simtest.Pin(t, "curve", goldenPath("curve"), ref)
 }
 
 // TestCurveWorkerDeterminism: the golden curve serialises the same artifact

@@ -68,7 +68,7 @@ func TestKernelDifferentialGrid(t *testing.T) {
 // and the reference is the committed golden.
 func TestKernelDifferentialScenarios(t *testing.T) {
 	ref := simtest.Differential(t, "scenario grid", simtest.Kernel, pointsCampaign(ScenarioGrid().Expand()))
-	goldenBytes(t, "scenarios", ref)
+	simtest.Pin(t, "scenarios", goldenPath("scenarios"), ref)
 }
 
 // TestShardDifferentialScenarios: the same grid serialises the same

@@ -1,89 +1,81 @@
 package sweep
 
 import (
-	"bytes"
-	"encoding/json"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"noctg/internal/exp"
-	"noctg/internal/journal"
+	"noctg/internal/simtest"
 )
 
-// The golden-file regression harness: every deterministic experiment
-// artifact — the paper experiments (Table 2, the cross-interconnect check,
-// the Figure 2 pair) and the spatial-pattern scenario grid — is snapshotted
-// under testdata/golden/ and compared byte-for-byte on every test run, so
-// any behavioural drift in the simulation models fails CI with a diffable
-// artifact. Regenerate after an intentional change with
-//
-//	go test ./internal/sweep -run TestGolden -update
-var update = flag.Bool("update", false, "rewrite the golden files instead of comparing")
+// The golden rows hold every deterministic experiment artifact byte for
+// byte to its file under testdata/golden/ (TestArtifacts, in
+// measure_digest_test.go, runs them).
 
-// golden marshals v and compares it with testdata/golden/<name>.json,
-// or rewrites the file under -update.
-func golden(t *testing.T, name string, v any) {
-	t.Helper()
-	got, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenBytes(t, name, append(got, '\n'))
+// ExecRunner and RenderResults serve the package's external tests.
+var ExecRunner, RenderResults = execRunner, renderResults
+
+// goldenPath is the stored file of golden row name.
+func goldenPath(name string) string { return filepath.Join("testdata", "golden", name+".json") }
+
+func golden(name string, produce func(t *testing.T) []byte) simtest.Artifact {
+	return simtest.Artifact{Name: name, Path: goldenPath(name), Produce: produce}
 }
 
-// goldenBytes compares an artifact with testdata/golden/<name>.json, or
-// rewrites the file under -update.
-func goldenBytes(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", "golden", name+".json")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+// paperGolden runs one paper experiment family on the tiny benchmark sizes
+// and renders the part of its results that project selects.
+func paperGolden(name string, sel PaperSelect, project func(*PaperResults) any) simtest.Artifact {
+	return golden(name, func(t *testing.T) []byte {
+		res, err := RunPaperSelect(tinySizes(), exp.DefaultOptions(), 0, sel)
+		if err != nil {
 			t.Fatal(err)
 		}
-		// Atomic like every other artifact writer: an interrupted -update
-		// must not leave a torn golden masquerading as a real baseline.
-		if err := journal.AtomicWrite(path, got); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create it): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s drifted from its golden file.\nIf the change is intentional, regenerate with:\n  go test ./internal/sweep -run %s -update\ngot:\n%s\nwant:\n%s",
-			name, t.Name(), clip(got), clip(want))
-	}
+		return simtest.JSON(t, project(res))
+	})
 }
 
-// clip bounds a diff dump so a drifted 26-point result set stays readable.
-func clip(b []byte) []byte {
-	const max = 4096
-	if len(b) <= max {
-		return b
+// GoldenArtifacts are the package's golden rows, for TestArtifacts. The
+// differentials of the scenario grid, the bursty grid and the curve pin
+// their reference rows to the same files.
+func GoldenArtifacts() []simtest.Artifact {
+	return []simtest.Artifact{
+		paperGolden("table2", PaperSelect{Table2: true}, func(r *PaperResults) any { return table2Rows(r.Table2) }),
+		// Every field of the cross-interconnect .tgp equality result is
+		// simulation-derived.
+		paperGolden("crosscheck", PaperSelect{CrossCheck: true}, func(r *PaperResults) any { return r.CrossChecks }),
+		paperGolden("fig2", PaperSelect{Fig2: true}, func(r *PaperResults) any {
+			return struct {
+				Fig2a *exp.Fig2aResult `json:"fig2a"`
+				Fig2b *exp.Fig2bResult `json:"fig2b"`
+			}{r.Fig2a, r.Fig2b}
+		}),
+		// Every spatial pattern on AMBA, mesh and torus.
+		golden("scenarios", func(t *testing.T) []byte {
+			return renderResults(t, runPoints(t, Runner{}, ScenarioGrid().Expand()))
+		}),
+		// The arrival-process state machines and their discretization.
+		golden("bursty", func(t *testing.T) []byte {
+			results := runPoints(t, Runner{}, BurstyGrid().Expand())
+			for _, r := range results {
+				if r.Transactions == 0 {
+					t.Fatalf("point %d (%s) completed no transactions", r.ID, r.Workload)
+				}
+			}
+			return renderResults(t, results)
+		}),
+		golden("curve", func(t *testing.T) []byte {
+			c := runCurve(t, Runner{}, goldenCurveSpec())
+			for _, p := range c.Points {
+				if p.Err != "" {
+					t.Fatalf("gap %g: %s", p.MeanGap, p.Err)
+				}
+			}
+			if c.Saturation == nil {
+				t.Fatal("golden curve must detect a saturation point")
+			}
+			return simtest.JSON(t, []Curve{c})
+		}),
 	}
-	return append(append([]byte{}, b[:max]...), []byte("\n... [clipped]")...)
-}
-
-// TestGoldenScenarioGrid locks the full spatial-pattern × topology scenario
-// sweep: every pattern on AMBA, mesh and torus, byte-identical to the
-// committed snapshot (TestKernelDifferentialScenarios pins every
-// execution row to the same file).
-func TestGoldenScenarioGrid(t *testing.T) {
-	results, err := Runner{}.Run(ScenarioGrid().Expand())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != "" {
-			t.Fatalf("point %d (%s @ %s): %s", r.ID, r.Workload, r.Fabric, r.Err)
-		}
-	}
-	golden(t, "scenarios", results)
 }
 
 // goldenRow is the deterministic projection of a Table 2 row: simulated
@@ -95,16 +87,6 @@ type goldenRow struct {
 	CyclesTG   uint64  `json:"cycles_tg"`
 	ErrorPct   float64 `json:"error_pct"`
 	TraceBytes int     `json:"trace_bytes"`
-}
-
-// TestGoldenTable2 locks the Table 2 accuracy numbers for the tiny
-// benchmark sizes.
-func TestGoldenTable2(t *testing.T) {
-	res, err := RunPaperSelect(tinySizes(), exp.DefaultOptions(), 0, PaperSelect{Table2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "table2", table2Rows(res.Table2))
 }
 
 // table2Rows projects Table 2 onto its deterministic fields.
@@ -121,26 +103,4 @@ func table2Rows(table2 []*exp.Row) []goldenRow {
 		}
 	}
 	return rows
-}
-
-// TestGoldenCrossCheck locks the cross-interconnect .tgp equality
-// experiment (every field of the result is simulation-derived).
-func TestGoldenCrossCheck(t *testing.T) {
-	res, err := RunPaperSelect(tinySizes(), exp.DefaultOptions(), 0, PaperSelect{CrossCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "crosscheck", res.CrossChecks)
-}
-
-// TestGoldenFig2 locks both Figure 2 experiments.
-func TestGoldenFig2(t *testing.T) {
-	res, err := RunPaperSelect(tinySizes(), exp.DefaultOptions(), 0, PaperSelect{Fig2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "fig2", struct {
-		Fig2a *exp.Fig2aResult `json:"fig2a"`
-		Fig2b *exp.Fig2bResult `json:"fig2b"`
-	}{res.Fig2a, res.Fig2b})
 }

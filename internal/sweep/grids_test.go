@@ -9,11 +9,11 @@ import "noctg/internal/stochastic"
 // spatial pattern on a 2×2 logical core grid (square and power-of-two, so
 // transpose and the bit patterns are all legal), crossed with the AMBA
 // bus, a ×pipes mesh and a ×pipes torus. It is the grid the scenario
-// differential test and the golden-file harness lock down.
+// differential test and its golden row lock down.
 func ScenarioGrid() Grid {
 	// The workload set iterates the stochastic Pattern enum, so a newly
-	// added pattern automatically joins the differential and golden-file
-	// corpus (the goldens then need a deliberate -update).
+	// added pattern automatically joins the differential and the golden
+	// row (whose file then needs a deliberate NOCTG_ARTIFACTS=update).
 	var ws []Workload
 	for pat := stochastic.UniformRandom; pat <= stochastic.NearestNeighbor; pat++ {
 		w := Workload{

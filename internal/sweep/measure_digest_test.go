@@ -1,33 +1,19 @@
 package sweep_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"flag"
 	"io"
-	"os"
 	"strings"
 	"testing"
 
-	"noctg/internal/journal"
-	"noctg/internal/platform"
 	"noctg/internal/scenario"
 	"noctg/internal/simtest"
 	"noctg/internal/sweep"
 )
 
 // This file pins the bytes of every kind of sweep point the runner can
-// measure. The digests in testdata/measure_digest.json were generated at
-// f6f8854, when grid and journaled points still counted their transactions
-// by walking a monitor event log; a runner that fills the same Result from
-// the traffic meters must reproduce them bit for bit. One hash has changed
-// since: phased_grid's JSON, when stochastic points stopped wrapping their
-// ports in a second meter — its duplicate "port<i>/" keys left the
-// per-epoch counters, and every summary field (its CSV hash) stayed put.
-// Regenerate (only on an intentional model change) with
-//
-//	go test ./internal/sweep -run TestMeasureDigest -update
+// measure: testdata/measure_digest.json holds, per campaign, the sha256 of
+// its JSON and CSV artifacts, which a change to how a point is measured
+// must leave unchanged.
 
 // phasedGridJSON is a phased, back-pressured grid (1-2 flit buffers) whose
 // closed workloads complete mid-epoch or in the drain, where the
@@ -75,31 +61,25 @@ type artifactDigest struct {
 func digestResults(t *testing.T, results []sweep.Result) artifactDigest {
 	t.Helper()
 	csv := simtest.Render(t, func(w io.Writer) error { return sweep.WriteCSV(w, results) })
-	return artifactDigest{JSON: sha256Hex(render(t, results)), CSV: sha256Hex(csv)}
-}
-
-func sha256Hex(b []byte) string {
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:])
+	return artifactDigest{JSON: simtest.SHA256(sweep.RenderResults(t, results)), CSV: simtest.SHA256(csv)}
 }
 
 const digestPath = "testdata/measure_digest.json"
 
-// pinnedDigests reads the committed digest file.
-func pinnedDigests(t *testing.T) map[string]artifactDigest {
-	t.Helper()
-	data, err := os.ReadFile(digestPath)
-	if err != nil {
-		t.Fatalf("missing digest file (run with -update to create it): %v", err)
-	}
-	var want map[string]artifactDigest
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	return want
+// TestArtifacts is the package's artifact table: the golden rows and the
+// measure digest.
+func TestArtifacts(t *testing.T) {
+	simtest.Artifacts(t, append(sweep.GoldenArtifacts(), simtest.Artifact{
+		Name: "measure_digest", Path: digestPath,
+		Produce: func(t *testing.T) []byte { return measureDigest(t, nil) },
+	})...)
 }
 
-func TestMeasureDigest(t *testing.T) {
+// measureDigest renders the digest file: each campaign's artifact digests,
+// checking that exactly the points a budget is meant to cut short fail.
+// phased, when set, stands in for the phased grid's run.
+func measureDigest(t *testing.T, phased []sweep.Result) []byte {
+	t.Helper()
 	defaults := sweep.DefaultGrid()
 	defaults.Seeds = []int64{1, 2, 3}
 	library := scenario.Library()
@@ -124,9 +104,11 @@ func TestMeasureDigest(t *testing.T) {
 	}
 	got := make(map[string]artifactDigest)
 	for _, c := range campaigns {
-		results, err := c.runner.Run(c.points)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		results := phased
+		if c.name != "phased_grid" || phased == nil {
+			if results, err = c.runner.Run(c.points); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
 		}
 		failed := 0
 		for _, r := range results {
@@ -139,59 +121,26 @@ func TestMeasureDigest(t *testing.T) {
 		}
 		got[c.name] = digestResults(t, results)
 	}
-
-	if flag.Lookup("update").Value.String() == "true" {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := journal.AtomicWrite(digestPath, append(data, '\n')); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", digestPath)
-		return
-	}
-	want := pinnedDigests(t)
-	if len(want) != len(got) {
-		t.Errorf("digest file holds %d campaigns, the test runs %d", len(want), len(got))
-	}
-	for _, c := range campaigns {
-		if got[c.name] != want[c.name] {
-			t.Errorf("%s: artifacts drifted from the pinned digest\n got %+v\nwant %+v", c.name, got[c.name], want[c.name])
-		}
-	}
-}
-
-// execRunner is the Runner of one execution row.
-func execRunner(t *testing.T, x simtest.Exec) sweep.Runner {
-	t.Helper()
-	kernel, err := platform.ParseKernel(x.Kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sweep.Runner{Kernel: kernel, Shards: x.Shards, Workers: x.Workers}
-}
-
-// render is the JSON artifact of a result set.
-func render(t *testing.T, results []sweep.Result) []byte {
-	return simtest.Render(t, func(w io.Writer) error { return sweep.WriteJSON(w, results) })
+	return simtest.JSON(t, got)
 }
 
 // TestShardDifferentialGrid: the phased, back-pressured grid serialises the
-// same artifact under every kernel and shard count, and the reference is
-// the pinned digest.
+// same artifact under every kernel and shard count, and the reference's
+// digest is the one the measure digest pins.
 func TestShardDifferentialGrid(t *testing.T) {
 	all := phasedGrid(t).Expand()
-	ref := simtest.Differential(t, "phased grid", simtest.Kernel|simtest.Shards|simtest.Split, func(t *testing.T, x simtest.Exec) []byte {
-		results, err := execRunner(t, x).Run(simtest.Items(x, all))
+	var ref []sweep.Result
+	simtest.Differential(t, "phased grid", simtest.Kernel|simtest.Shards|simtest.Split, func(t *testing.T, x simtest.Exec) []byte {
+		results, err := sweep.ExecRunner(t, x).Run(simtest.Items(x, all))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return render(t, results)
+		if x == simtest.Reference() {
+			ref = results
+		}
+		return sweep.RenderResults(t, results)
 	})
-	if got, want := sha256Hex(ref), pinnedDigests(t)["phased_grid"].JSON; got != want {
-		t.Errorf("phased grid reference drifted from the pinned digest: sha256 %s, want %s", got, want)
-	}
+	simtest.Pin(t, "measure_digest", digestPath, measureDigest(t, ref))
 }
 
 // TestTruncatedPhasedPointAcrossShards pins that a point's recorded failure
@@ -206,7 +155,7 @@ func TestTruncatedPhasedPointAcrossShards(t *testing.T) {
 	all := phasedGrid(t).Expand()
 	simtest.Differential(t, "truncated phased points", simtest.Kernel|simtest.Shards|simtest.Split, func(t *testing.T, x simtest.Exec) []byte {
 		grid := simtest.Items(x, all)
-		r := execRunner(t, x)
+		r := sweep.ExecRunner(t, x)
 		var out []byte
 		for _, c := range []struct {
 			budget uint64
@@ -226,7 +175,7 @@ func TestTruncatedPhasedPointAcrossShards(t *testing.T) {
 					t.Fatalf("%v budget %d point %d: err %q, want %q", x, c.budget, res.ID, res.Err, c.err)
 				}
 			}
-			out = append(out, render(t, results)...)
+			out = append(out, sweep.RenderResults(t, results)...)
 		}
 		return out
 	})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"noctg/internal/analytic"
@@ -255,8 +256,14 @@ func (r Runner) execPoints(cache *programCache, points []Point, j *campaignJourn
 	errs := RunDrained(r.Workers, tasks, r.Interrupted)
 	drained := 0
 	for i, err := range errs {
-		if errors.Is(err, ErrDrained) {
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrDrained):
 			drained, errs[i] = drained+1, nil
+		case slices.ContainsFunc(errs[:i], func(e error) bool { return e != nil && errors.Is(err, e) }):
+			// A failed journal is sticky: every later point's Start and Done
+			// return the same error value. It is reported once.
+			errs[i] = nil
 		}
 	}
 	if j != nil {
