@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -79,14 +80,46 @@ func runTool(t *testing.T, name string, args ...string) ([]byte, error) {
 	return out.Bytes(), c.err
 }
 
-// buildTool compiles the command cmd/<name> into a temporary directory.
+// toolDir holds the tools buildTool links, one build per tool and test
+// binary; TestMain removes it.
+var toolDir string
+
+// toolBuilds maps a tool name to its build.
+var toolBuilds sync.Map
+
+type toolBuild struct {
+	once sync.Once
+	bin  string
+	out  []byte
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "tgsweep-tools-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	toolDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// buildTool compiles the command cmd/<name> on its first call and returns
+// that binary on every call.
 func buildTool(t *testing.T, name string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), name)
-	if out, err := runTool(t, "go", "build", "-o", bin, "../"+name); err != nil {
-		t.Fatalf("building %s: %v\n%s", name, err, out)
+	v, _ := toolBuilds.LoadOrStore(name, &toolBuild{})
+	b := v.(*toolBuild)
+	b.once.Do(func() {
+		b.bin = filepath.Join(toolDir, name)
+		b.out, b.err = runTool(t, "go", "build", "-o", b.bin, "../"+name)
+	})
+	if b.err != nil {
+		t.Fatalf("building %s: %v\n%s", name, b.err, b.out)
 	}
-	return bin
+	return b.bin
 }
 
 // crashGrid is sized so a full sweep takes long enough (hundreds of

@@ -1,8 +1,11 @@
 // Command tgsweep runs a parallel experiment sweep: a parameter grid of
 // workloads × fabrics × clock periods × seeds fans out over a bounded
-// worker pool, one independent simulation engine per configuration, and the
-// per-run latency/throughput/flit metrics land in JSON and CSV artifacts
-// whose bytes are identical for any -workers value.
+// worker pool, and the per-run latency/throughput/flit metrics land in JSON
+// and CSV artifacts whose bytes are identical for any -workers value. Each
+// stochastic point simulates on its own engine; a TG configuration, whose
+// replay is deterministic, simulates once per campaign and its successful
+// result is shared by every seed of the grid (a failure is never shared:
+// each seed simulates and reports its own).
 //
 // Usage:
 //

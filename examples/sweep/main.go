@@ -1,7 +1,8 @@
 // Sweep: the paper's motivating use case at fleet scale — a design-space
 // grid (trace-driven TG and stochastic workloads × bus and mesh fabrics)
-// fanned out over all host cores, one independent simulation engine per
-// configuration.
+// fanned out over all host cores. Each stochastic point simulates on its
+// own engine; a TG configuration simulates once and every seed shares its
+// successful result.
 //
 // The result set is deterministic: rerun with any worker count and the
 // JSON/CSV bytes are identical, so sweep artifacts can be diffed across

@@ -12,7 +12,9 @@ import (
 // process does mid-write. Every sweep artifact writer routes through this
 // helper so a crashed campaign can never leave half a JSON or CSV file
 // where a result set should be. On any failure the temp file is removed —
-// nothing partial is left at or near path.
+// nothing partial is left at or near path. The file lands with mode 0644,
+// what os.WriteFile(path, data, 0o644) gives under the usual umask (a
+// temp file is created 0600).
 func AtomicWrite(path string, data []byte) (err error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {
@@ -34,6 +36,9 @@ func AtomicWrite(path string, data []byte) (err error) {
 		}
 	}()
 	if _, err = tmp.Write(data); err != nil {
+		return err
+	}
+	if err = tmp.Chmod(0o644); err != nil {
 		return err
 	}
 	if err = tmp.Sync(); err != nil {

@@ -25,6 +25,22 @@ func TestAtomicWrite(t *testing.T) {
 	leftover(t, dir, 1)
 }
 
+// TestAtomicWriteMode: an artifact is readable by others, like one
+// os.WriteFile writes with 0o644, not left at the temp file's 0600.
+func TestAtomicWriteMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.csv")
+	if err := AtomicWrite(path, []byte("a,b\n")); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fi.Mode().Perm(); got != 0o644 {
+		t.Errorf("mode %v, want %v", got, os.FileMode(0o644))
+	}
+}
+
 // TestAtomicWriteFailureLeavesNothing is the satellite requirement: a
 // write that fails mid-stream must leave neither a partial target nor a
 // stray temp file.

@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// MaxRetryAttempts bounds a retry policy's attempt count: a point that
+// maxRetryAttempts bounds a retry policy's attempt count: a point that
 // fails transiently eight times in a row is not going to pass on the
 // ninth, and an unbounded policy could stall a campaign on one point.
-const MaxRetryAttempts = 8
+const maxRetryAttempts = 8
 
 // maxRetryBackoffMS bounds the base backoff (one minute); the exponential
-// growth across attempts is bounded by MaxRetryAttempts.
+// growth across attempts is bounded by maxRetryAttempts.
 const maxRetryBackoffMS = 60_000
 
 // RetryPolicy governs how the runner treats a failing point. Only
@@ -38,8 +38,8 @@ func (p *RetryPolicy) Validate() error {
 	if p == nil {
 		return nil
 	}
-	if p.MaxAttempts < 0 || p.MaxAttempts > MaxRetryAttempts {
-		return fmt.Errorf("sweep: retry max_attempts %d out of range [0,%d]", p.MaxAttempts, MaxRetryAttempts)
+	if p.MaxAttempts < 0 || p.MaxAttempts > maxRetryAttempts {
+		return fmt.Errorf("sweep: retry max_attempts %d out of range [0,%d]", p.MaxAttempts, maxRetryAttempts)
 	}
 	if p.BackoffMS < 0 || p.BackoffMS > maxRetryBackoffMS {
 		return fmt.Errorf("sweep: retry backoff_ms %d out of range [0,%d]", p.BackoffMS, maxRetryBackoffMS)

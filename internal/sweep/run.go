@@ -116,6 +116,10 @@ type Runner struct {
 	// put a hostile device (one that panics, sleeps or never finishes)
 	// into the platform a point runs on. attempt is 1-based.
 	wrap func(p Point, attempt int, m platform.Master) platform.Master
+	// simulated, when set, is called with every point that simulates (or
+	// is estimated) rather than copying a shared TG result: the seam
+	// through which package tests count simulations.
+	simulated func(p Point)
 }
 
 const stochasticMaxCycles = 2_000_000
@@ -124,14 +128,23 @@ const stochasticMaxCycles = 2_000_000
 // (deep wait states, small meshes) still finish.
 const tgOverrun = 8
 
-// programCache translates each distinct TG workload once and shares the
-// read-only programs across every point (and worker) that replays them —
-// the paper's trace-once/replay-many exploration flow. Sharing is safe:
-// TG devices keep all mutable state (registers, PC) in the device, never
-// in the program.
+// programCache is a campaign's memory of its TG work. It translates each
+// distinct TG workload once and shares the read-only programs across every
+// point (and worker) that replays them — the paper's trace-once/replay-many
+// exploration flow. Sharing is safe: TG devices keep all mutable state
+// (registers, PC) in the device, never in the program.
+//
+// It also simulates each TG configuration once per campaign. A TG replay
+// is deterministic, so its result depends on program × fabric × clock ×
+// measurement plan and never on the seed: the first point of a seed-free
+// configuration simulates, and every later one copies its result under
+// its own ID and seed. Only a successful result is shared; a failed one
+// never is, so each seed that meets a failure simulates, retries and
+// reports it on its own.
 type programCache struct {
-	mu sync.Mutex
-	m  map[tgKey]*programEntry
+	mu      sync.Mutex
+	m       map[tgKey]*programEntry
+	results map[string]*resultEntry // by PointKey with ID and Seed zeroed
 }
 
 // tgKey identifies a distinct translation: the benchmark spec is fully
@@ -149,20 +162,50 @@ type programEntry struct {
 	err   error
 }
 
-func (c *programCache) get(w Workload) ([]*core.Program, error) {
+type resultEntry struct {
+	once sync.Once
+	res  Result
+}
+
+// entry returns m's entry for k, adding an empty one if there is none.
+func entry[K comparable, E any](c *programCache, m *map[K]*E, k K) *E {
 	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[tgKey]*programEntry)
+	defer c.mu.Unlock()
+	if *m == nil {
+		*m = make(map[K]*E)
 	}
-	k := tgKey{Bench: w.Bench, Cores: w.Cores, Size: w.Size}
-	e, ok := c.m[k]
+	e, ok := (*m)[k]
 	if !ok {
-		e = &programEntry{}
-		c.m[k] = e
+		e = new(E)
+		(*m)[k] = e
 	}
-	c.mu.Unlock()
+	return e
+}
+
+func (c *programCache) get(w Workload) ([]*core.Program, error) {
+	e := entry(c, &c.m, tgKey{Bench: w.Bench, Cores: w.Cores, Size: w.Size})
 	e.once.Do(func() { e.progs, e.err = translate(w) })
 	return e.progs, e.err
+}
+
+// result returns TG point p's result: simulate's when p is the first point
+// of its seed-free configuration or that configuration failed, else a copy
+// of the shared success with p's own ID and seed.
+func (c *programCache) result(p Point, simulate func() Result) Result {
+	k := p
+	k.ID, k.Seed = 0, 0
+	e := entry(c, &c.results, PointKey(k))
+	first := false
+	e.once.Do(func() { e.res, first = simulate(), true })
+	switch {
+	case first:
+		return e.res
+	case e.res.Err != "":
+		return simulate()
+	}
+	res := e.res
+	res.ID, res.Seed = p.ID, p.Seed
+	return res
 }
 
 // translate runs the reference (cycle-true ARM, AMBA) platform traced and
@@ -316,12 +359,26 @@ func (r Runner) analyticEstimate(p Point, res *Result) bool {
 	return true
 }
 
-// runPointExec executes one attempt of one configuration on its own
-// engine. A panicking model is recorded as that point's failure rather than
-// aborting the sweep. attempt is 1-based. Every attempt runs the runner's
-// own kernel and shard count: every row of them computes the same bytes,
-// so a point that passed only on another would hide a kernel bug.
-func (r Runner) runPointExec(cache *programCache, p Point, attempt int) (res Result) {
+// runPointExec executes one attempt of one configuration. A TG point goes
+// through the cache, which simulates each seed-free configuration once per
+// campaign (see programCache); every other point simulates on its own.
+// attempt is 1-based.
+func (r Runner) runPointExec(cache *programCache, p Point, attempt int) Result {
+	if p.Workload.Kind != KindTG {
+		return r.simulate(cache, p, attempt)
+	}
+	return cache.result(p, func() Result { return r.simulate(cache, p, attempt) })
+}
+
+// simulate executes one attempt of one configuration on its own engine. A
+// panicking model is recorded as that point's failure rather than aborting
+// the sweep. Every attempt runs the runner's own kernel and shard count:
+// every row of them computes the same bytes, so a point that passed only
+// on another would hide a kernel bug.
+func (r Runner) simulate(cache *programCache, p Point, attempt int) (res Result) {
+	if r.simulated != nil {
+		r.simulated(p)
+	}
 	defer func() {
 		if rec := recover(); rec != nil {
 			// Keep the point's identity fields: a panic mid-build must still

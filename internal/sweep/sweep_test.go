@@ -3,8 +3,11 @@ package sweep
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -383,5 +386,89 @@ func TestRunRecordsPointFailure(t *testing.T) {
 	}
 	if res[1].Err == "" {
 		t.Fatal("4-core point cannot fit a 4x2 mesh, expected a recorded error")
+	}
+}
+
+// TestSharedTGResultMatchesSolo: a TG configuration simulates once per
+// campaign and every other seed copies its result under its own ID and
+// seed, so each TG point of a mixed grid serialises exactly as the same
+// point run alone. A failure is never shared: with a cycle budget too
+// small for any TG replay, every seed simulates and reports its own.
+func TestSharedTGResultMatchesSolo(t *testing.T) {
+	g := Grid{
+		Workloads: []Workload{
+			{Kind: KindTG, Bench: "mpmatrix", Cores: 2, Size: 8},
+			{Kind: KindStochastic, Dist: "uniform", Cores: 2, MeanGap: 6, Count: 100},
+			{Kind: KindTG, Bench: "cacheloop", Cores: 2, Size: 300},
+		},
+		Fabrics: []Fabric{
+			{Interconnect: FabricAMBA},
+			{Interconnect: FabricXPipes, MeshWidth: 4, MeshHeight: 2, BufferFlits: 2},
+		},
+		Seeds: []int64{3, 1, 7},
+	}
+	points := g.Expand()
+	render := func(t *testing.T, res []Result) string {
+		return string(simtest.Render(t, func(w io.Writer) error { return WriteJSON(w, res) }))
+	}
+	solo := map[int]string{}
+	for _, p := range points {
+		if p.Workload.Kind == KindTG {
+			res, err := Runner{Workers: 1}.Run([]Point{p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			solo[p.ID] = render(t, res)
+		}
+	}
+	// run runs the grid, counting simulations per seed-free configuration.
+	run := func(t *testing.T, r Runner) ([]Result, map[string]int) {
+		t.Helper()
+		var mu sync.Mutex
+		sims := map[string]int{}
+		r.simulated = func(p Point) {
+			p.ID, p.Seed = 0, 0
+			mu.Lock()
+			sims[PointKey(p)]++
+			mu.Unlock()
+		}
+		res, err := r.Run(points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sims
+	}
+	seedFree := func(p Point) string {
+		p.ID, p.Seed = 0, 0
+		return PointKey(p)
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			res, sims := run(t, Runner{Workers: workers})
+			for i, p := range points {
+				want := 1
+				if p.Workload.Kind != KindTG {
+					want = len(g.Seeds)
+				} else if got := render(t, res[i:i+1]); got != solo[p.ID] {
+					t.Errorf("point %d (%s): shared result\n%s\nwant, as run alone,\n%s", p.ID, p.Label(), got, solo[p.ID])
+				}
+				if got := sims[seedFree(p)]; got != want {
+					t.Errorf("point %d (%s): its configuration simulated %d times, want %d", p.ID, p.Label(), got, want)
+				}
+			}
+
+			res, sims = run(t, Runner{Workers: workers, MaxCycles: 50})
+			for i, p := range points {
+				if p.Workload.Kind != KindTG {
+					continue
+				}
+				if r := res[i]; r.Err == "" || r.ID != p.ID || r.Seed != p.Seed {
+					t.Errorf("point %d (%s) under a 50-cycle budget: id %d, seed %d, err %q; want its own failure", p.ID, p.Label(), r.ID, r.Seed, r.Err)
+				}
+				if got := sims[seedFree(p)]; got != len(g.Seeds) {
+					t.Errorf("point %d (%s): failing configuration simulated %d times, want once per seed (%d)", p.ID, p.Label(), got, len(g.Seeds))
+				}
+			}
+		})
 	}
 }
