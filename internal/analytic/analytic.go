@@ -103,11 +103,12 @@ type Spec struct {
 // ×pipes read: assert→flit0 same cycle, one hop per cycle with one
 // ejection cycle each way, slave pick + serve (1 + access), one-cycle
 // response drain start, RespCycles delivery margin — in total
-// 2·dist + reqFlits + respFlits + access + xpReadConst. Measured: 18
+// 2·dist + request flits + response flits (noc.FlitCounts) + access +
+// xpReadConst. Measured: 18
 // cycles at distance 4 with one wait state (16 accept→response + the
 // 2-flit request injection).
 // ×pipes write: accepted the cycle after the tail flit enters the local
-// router: reqFlits cycles after assert.
+// router: as many cycles after assert as the request has flits.
 // AMBA read: request cycle + grant-to-address cycle + one data phase per
 // beat extended by the slave wait states (measured: 4 at ws=1, 7 at
 // ws=4); AMBA writes are posted — accepted one cycle after assert, the

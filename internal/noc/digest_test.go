@@ -205,9 +205,6 @@ func (g *fabricRig) stepWith(tick func(cycle uint64)) {
 	g.cycle++
 }
 
-// fifoFlit returns the i-th flit from the front of a FIFO.
-func fifoFlit(q *fifo, i int) *flit { return &q.buf[(q.head+i)%len(q.buf)] }
-
 func b2u(b bool) uint64 {
 	if b {
 		return 1
@@ -225,15 +222,15 @@ func appendFabricState(dst []uint64, n *Network) []uint64 {
 	for _, r := range n.routers {
 		for p := 0; p < numPorts; p++ {
 			for v := 0; v < numVC; v++ {
-				q := &r.in[p][v]
+				b := p*numVC + v
 				a := r.alloc[p][v]
-				w := uint64(q.len()) | uint64(r.rrIn[p][v])<<24
+				w := uint64(r.queued(b)) | uint64(r.rrIn[p][v])<<24
 				if a.in >= 0 {
 					w |= uint64(a.in+1)<<8 | uint64(a.invc)<<16
 				}
 				dst = append(dst, w)
-				for i := 0; i < q.len(); i++ {
-					fl := fifoFlit(q, i)
+				for i := 0; i < r.queued(b); i++ {
+					fl := r.flitAt(b, i)
 					dst = append(dst,
 						uint64(fl.pkt.src)|uint64(fl.pkt.dst)<<16|b2u(fl.pkt.isResp)<<32|uint64(fl.idx)<<40,
 						fl.arrived)

@@ -62,13 +62,13 @@ type domainTally struct {
 	busy  int // NIs with work in hand (!idle())
 }
 
-// countTails returns the number of tail flits in the FIFO. Each live
+// countTails returns the number of tail flits in input FIFO b. Each live
 // packet is reachable through exactly one tail reference (its other flits
 // ride the same packet pointer), which is what makes pool mass countable.
-func (f *fifo) countTails() int {
+func (r *router) countTails(b int) int {
 	t := 0
-	for i := 0; i < f.n; i++ {
-		if f.buf[(f.head+i)%len(f.buf)].tail() {
+	for i := 0; i < r.queued(b); i++ {
+		if r.flitAt(b, i).tail {
 			t++
 		}
 	}
@@ -107,8 +107,9 @@ func (n *Network) domainIndex(st *shardState) int {
 //   - flit conservation: each domain's residentFlits equals its routers'
 //     total FIFO occupancy;
 //   - schedule state: everything the tick trusts in place of a scan agrees
-//     with what a scan finds — each router's occupancy and held masks and
-//     request cache with its FIFOs and owner table, each domain's
+//     with what a scan finds — each router's occupancy and held masks,
+//     request cache, request counts and mask with its FIFOs and owner
+//     table, its credit views with the FIFOs its links feed, each domain's
 //     active-router set with exactly its occupied routers, each domain's
 //     busy-NI count with its non-idle NIs;
 //   - link counters: each cut link's per-VC pushed/popped/credit counters
@@ -121,12 +122,9 @@ func (n *Network) CheckInvariants() *guard.Violation {
 	tally := n.scanTally()
 	for _, r := range n.routers {
 		d := &tally[n.domainIndex(r.st)]
-		for p := 0; p < numPorts; p++ {
-			for v := 0; v < numVC; v++ {
-				q := &r.in[p][v]
-				d.flits += q.len()
-				d.refs += q.countTails()
-			}
+		for b := 0; b < numFIFOs; b++ {
+			d.flits += r.queued(b)
+			d.refs += r.countTails(b)
 		}
 	}
 	for _, m := range n.masters {
@@ -189,7 +187,7 @@ func (n *Network) CheckInvariants() *guard.Violation {
 						cl.dst.id, portNames[cl.inPort], cl.ringTail-cl.ringHead)}
 			}
 			for vc := 0; vc < numVC; vc++ {
-				inQ := cl.dst.in[cl.inPort][vc].len()
+				inQ := cl.dst.queued(cl.inPort*numVC + vc)
 				switch {
 				case cl.popped[vc] > cl.pushed[vc]:
 					return linkViolation(cl, vc, "more flits popped than pushed")
@@ -241,38 +239,64 @@ func busyViolation(shard, counted, observed int) *guard.Violation {
 }
 
 // routerScheduleViolation checks one router's occupancy mask, held mask,
-// request cache and active-set membership against its FIFOs and owner
-// table.
+// request cache, request counts and mask, credit views and active-set
+// membership against its FIFOs, its owner table and the FIFOs its links
+// feed.
 func (n *Network) routerScheduleViolation(r *router) *guard.Violation {
 	shard := n.domainIndex(r.st) - 1
 	bad := func(p, vc int, format string, args ...any) *guard.Violation {
 		return &guard.Violation{Kind: guard.KindConservation, Shard: shard,
 			Msg: fmt.Sprintf("node %d port %s vc %s: ", r.id, portNames[p], vcNames[vc]) + fmt.Sprintf(format, args...)}
 	}
+	var reqN [numFIFOs]int
 	for p := 0; p < numPorts; p++ {
 		for vc := 0; vc < numVC; vc++ {
 			b := p*numVC + vc
-			q := &r.in[p][vc]
-			if occ := r.occ>>b&1 != 0; occ == q.empty() {
-				return bad(p, vc, "occupancy bit %t but the input FIFO holds %d flits", occ, q.len())
+			queued := r.queued(b)
+			if occ := r.occ>>b&1 != 0; occ == (queued == 0) {
+				return bad(p, vc, "occupancy bit %t but the input FIFO holds %d flits", occ, queued)
 			}
-			switch w := r.want[b]; {
-			case w == wantUnknown:
-			case q.empty():
+			want := wantEmpty
+			if queued > 0 {
+				want = wantNone
+				if fl := r.front(b); fl.head() {
+					o := n.cfg.nextPort(int(r.id), fl.pkt.dst)
+					want = o*numVC + r.outVC(p, vc, o)
+					reqN[want]++
+				}
+			}
+			switch w := int(r.want[b]); {
+			case w == want:
+			case queued == 0:
 				return bad(p, vc, "request cache holds %d for an empty input FIFO", w)
-			case !q.front().head():
-				if w != wantNone {
-					return bad(p, vc, "request cache holds channel %d but the front flit is not a head", w)
-				}
+			case want == wantNone:
+				return bad(p, vc, "request cache holds channel %d but the front flit is not a head", w)
 			default:
-				o := r.route(q.front().pkt.dst)
-				if want := o*numVC + r.outVC(p, vc, o); int(w) != want {
-					return bad(p, vc, "request cache holds %d but the front head flit requests channel %d", w, want)
-				}
+				return bad(p, vc, "request cache holds %d but the front head flit requests channel %d", w, want)
 			}
 			if held := r.held>>b&1 != 0; held != (r.alloc[p][vc].in >= 0) {
 				return bad(p, vc, "held bit %t but the output channel's owner is input %d", held, r.alloc[p][vc].in)
 			}
+		}
+	}
+	for b, want := range reqN {
+		if got := int(r.reqN[b]); got != want {
+			return bad(b/numVC, b%numVC, "request count %d but %d front head flits request the channel", got, want)
+		}
+		if bit := r.reqs>>b&1 != 0; bit != (want > 0) {
+			return bad(b/numVC, b%numVC, "request mask bit %t but %d front head flits request the channel", bit, want)
+		}
+	}
+	// A link channel's credits are the free slots of the FIFO it feeds; a
+	// missing mesh link has none.
+	for k := 0; k < numLinks; k++ {
+		dir, vc := k/numVC, k%numVC
+		free := 0
+		if nb := r.nb[dir]; nb != nil {
+			free = int(r.depth) - nb.queued(opposite(dir)*numVC+vc)
+		}
+		if got := int(r.cred[k]); got != free {
+			return bad(dir, vc, "credit view %d but the downstream FIFO has %d free slots", got, free)
 		}
 	}
 	// The router is in its own domain's active set exactly while it holds
@@ -324,17 +348,17 @@ func (n *Network) Diagnose(cycle uint64) *guard.Diagnostic {
 	for _, r := range n.routers {
 		for p := 0; p < numPorts; p++ {
 			for v := 0; v < numVC; v++ {
-				q := &r.in[p][v]
-				if q.empty() {
+				b := p*numVC + v
+				if r.queued(b) == 0 {
 					continue
 				}
-				head := q.front()
+				head := r.front(b)
 				age := uint64(0)
 				if cycle > head.arrived {
 					age = cycle - head.arrived
 				}
 				d.Queues = append(d.Queues, guard.QueueDiag{
-					Node: r.id, Port: portNames[p], VC: vcNames[v], Flits: q.len(),
+					Node: int(r.id), Port: portNames[p], VC: vcNames[v], Flits: r.queued(b),
 					HeadSrc: head.pkt.src, HeadDst: head.pkt.dst, HeadAge: age,
 				})
 			}
@@ -358,7 +382,7 @@ func (n *Network) Diagnose(cycle uint64) *guard.Diagnostic {
 					continue
 				}
 				d.Links = append(d.Links, guard.LinkDiag{
-					Node: cl.dst.id, Port: portNames[cl.inPort], VC: vcNames[vc],
+					Node: int(cl.dst.id), Port: portNames[cl.inPort], VC: vcNames[vc],
 					Pushed: cl.pushed[vc], Popped: cl.popped[vc], Credit: cl.credit[vc],
 					Ring: cl.ringTail - cl.ringHead,
 				})

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,10 +9,10 @@ import (
 	"noctg/internal/guard"
 )
 
-// TestCheckInvariantsCatchesScheduleCorruption: the masks, caches and
-// counts the tick trusts in place of scans are redundant with the tables
-// they summarise, so CheckInvariants must notice each of them going wrong
-// — as a conservation violation that names the place.
+// TestCheckInvariantsCatchesScheduleCorruption: the masks, caches, counts
+// and credit views the tick trusts in place of scans are redundant with
+// the tables and FIFOs they summarise, so CheckInvariants must notice each
+// of them going wrong — as a conservation violation that names the place.
 func TestCheckInvariantsCatchesScheduleCorruption(t *testing.T) {
 	spec := fabricSpec{topo: Torus, w: 4, h: 3, buf: 2, traffic: trafficHotspot, seed: 99}
 	// busyRouter returns a router holding a flit and one of its occupied
@@ -67,12 +68,36 @@ func TestCheckInvariantsCatchesScheduleCorruption(t *testing.T) {
 		}, "held bit true"},
 		{"request cache points elsewhere", 0, func(n *Network) {
 			r, b := busyRouter(n)
-			r.resolve(b)
-			r.want[b] = (r.want[b] + 3) % (numPorts * numVC)
+			r.want[b] = (r.want[b] + 3) % numFIFOs
 		}, "request cache"},
 		{"request cache on an empty FIFO", 0, func(n *Network) {
 			idleRouter(n).want[portW*numVC+vcReq] = wantNone
 		}, "port w vc req: request cache holds -2 for an empty input FIFO"},
+		{"request count drifts", 0, func(n *Network) {
+			r, _ := busyRouter(n)
+			r.reqN[portL*numVC+vcResp]++
+		}, "port local vc resp: request count"},
+		{"request mask bit cleared", 0, func(n *Network) {
+			for _, r := range n.routers {
+				if r.reqs != 0 {
+					r.reqs &= r.reqs - 1
+					return
+				}
+			}
+			t.Fatal("no front head flit requests a channel")
+		}, "request mask bit false"},
+		{"credit view drifts", 0, func(n *Network) {
+			idleRouter(n).cred[portS*numVC+vcReq]--
+		}, "port s vc req: credit view"},
+		{"credit view of a cut link drifts", 2, func(n *Network) {
+			for _, r := range n.routers {
+				if r.cutOut != 0 {
+					r.cred[bits.TrailingZeros8(r.cutOut)*numVC+vcResp]++
+					return
+				}
+			}
+			t.Fatal("no router exports over a cut link")
+		}, "vc resp: credit view"},
 		{"occupied router missing from the active set", 0, func(n *Network) {
 			r, _ := busyRouter(n)
 			r.st.active[r.id>>6] &^= 1 << (r.id & 63)

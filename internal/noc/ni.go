@@ -92,7 +92,7 @@ func (m *masterNI) TryRequest(req *ocp.Request) bool {
 			return false
 		}
 		pkt := m.st.getPacket()
-		pkt.src, pkt.dst = m.node, dst.node
+		m.net.address(pkt, m.node, dst.node)
 		pkt.req = m.req
 		if len(m.req.Data) > 0 {
 			// Copy the write payload into packet-owned storage: the master
@@ -101,7 +101,7 @@ func (m *masterNI) TryRequest(req *ocp.Request) bool {
 			pkt.dataBuf = append(pkt.dataBuf[:0], m.req.Data...)
 			pkt.req.Data = pkt.dataBuf
 		}
-		pkt.length = reqFlits(&m.req)
+		pkt.length, _ = FlitCounts(m.req.Cmd.IsWrite(), m.req.Burst)
 		m.pkt = pkt
 		m.nextFlit = 0
 		m.state = niInjecting
@@ -166,10 +166,11 @@ func (m *masterNI) wakeUp() {
 // inject moves up to one flit of the pending request packet into the local
 // router; Network.tick calls it each cycle the NI is in niInjecting.
 func (m *masterNI) inject(cycle uint64) {
-	if m.r.in[portL][vcReq].len() >= m.net.cfg.BufferFlits {
+	if m.r.queued(portL*numVC+vcReq) >= m.net.cfg.BufferFlits {
 		return
 	}
-	m.r.pushIn(portL, vcReq, flit{pkt: m.pkt, idx: m.nextFlit, arrived: cycle})
+	fl := m.pkt.flit(m.nextFlit, cycle)
+	m.r.pushIn(portL, vcReq, &fl)
 	m.st.residentFlits++
 	m.nextFlit++
 	if m.nextFlit == m.pkt.length {
@@ -180,12 +181,12 @@ func (m *masterNI) inject(cycle uint64) {
 }
 
 // acceptFlit implements localSink (response delivery).
-func (m *masterNI) acceptFlit(fl flit, cycle uint64) {
+func (m *masterNI) acceptFlit(fl *flit, cycle uint64) {
 	if !fl.pkt.isResp {
 		panic(fmt.Sprintf("noc: master NI at node %d received a request packet", m.node))
 	}
 	m.rxFlits++
-	if fl.tail() {
+	if fl.tail {
 		m.resp = fl.pkt.resp
 		if len(m.resp.Data) > 0 {
 			m.respData = append(m.respData[:0], m.resp.Data...)
@@ -257,11 +258,11 @@ type slaveNI struct {
 }
 
 // acceptFlit implements localSink (request delivery).
-func (s *slaveNI) acceptFlit(fl flit, cycle uint64) {
+func (s *slaveNI) acceptFlit(fl *flit, cycle uint64) {
 	if fl.pkt.isResp {
 		panic(fmt.Sprintf("noc: slave NI at node %d received a response packet", s.node))
 	}
-	if fl.tail() {
+	if fl.tail {
 		s.queue = append(s.queue, fl.pkt)
 		s.noteBusy()
 	}
@@ -272,8 +273,9 @@ func (s *slaveNI) acceptFlit(fl flit, cycle uint64) {
 func (s *slaveNI) tick(cycle uint64) {
 	// Drain the outgoing response packet first: one flit per cycle.
 	if s.out != nil {
-		if s.r.in[portL][vcResp].len() < s.net.cfg.BufferFlits {
-			s.r.pushIn(portL, vcResp, flit{pkt: s.out, idx: s.nextFlit, arrived: cycle})
+		if s.r.queued(portL*numVC+vcResp) < s.net.cfg.BufferFlits {
+			fl := s.out.flit(s.nextFlit, cycle)
+			s.r.pushIn(portL, vcResp, &fl)
 			s.st.residentFlits++
 			s.nextFlit++
 			if s.nextFlit == s.out.length {
@@ -297,10 +299,10 @@ func (s *slaveNI) tick(cycle uint64) {
 			if resp.Err {
 				s.st.slaveErrors.Inc()
 			}
-			out.src, out.dst = s.node, s.current.src
+			s.net.address(out, s.node, s.current.src)
 			out.isResp = true
 			out.resp = resp
-			out.length = respFlits(&s.current.req)
+			_, out.length = FlitCounts(false, s.current.req.Burst)
 			s.out = out
 			s.nextFlit = 0
 		} else {

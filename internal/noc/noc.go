@@ -69,17 +69,10 @@ const (
 )
 
 func opposite(dir int) int {
-	switch dir {
-	case portN:
-		return portS
-	case portS:
-		return portN
-	case portE:
-		return portW
-	case portW:
-		return portE
+	if dir == portL {
+		return portL
 	}
-	return portL
+	return (dir + 2) % portL // N<->S, E<->W
 }
 
 // Topology selects the link structure of the fabric.
@@ -119,7 +112,8 @@ func ParseTopology(s string) (Topology, error) {
 }
 
 // Bounds on a Config a run description may ask for: the largest accepted
-// fabric, 64×64 routers at 64 flits per FIFO, builds in about 190 MB.
+// fabric, 64×64 routers at 64 flits per FIFO, builds in about 190 MB. New
+// panics outside them.
 const (
 	MaxMeshDim     = 64
 	MaxBufferFlits = 64
@@ -165,11 +159,13 @@ func (c Config) WithDefaults() Config {
 type packet struct {
 	src, dst int
 	isResp   bool
-	req      ocp.Request
-	resp     ocp.Response
-	length   int
-	// hops counts the packet's router-to-router link traversals (head
-	// flit), feeding the per-hop histogram at retirement.
+	// dstX, dstY locate the destination router (see Network.address).
+	dstX, dstY uint8
+	req        ocp.Request
+	resp       ocp.Response
+	length     int
+	// hops counts the packet's router-to-router link traversals, copied
+	// from its tail flit at ejection for the per-hop histogram.
 	hops    int
 	dataBuf []uint32
 	// home is the pool domain the packet was allocated from. A packet can
@@ -182,71 +178,35 @@ type packet struct {
 	home *shardState
 }
 
-func (p *packet) vc() int {
-	if p.isResp {
-		return vcResp
-	}
-	return vcReq
-}
-
-// flit is one link-level transfer unit. The packet pointer rides along on
-// every flit so reassembly needs no sequence bookkeeping (wormhole
-// allocation keeps a packet's flits contiguous per VC anyway).
+// flit is one link-level transfer unit, 24 bytes. It carries what a hop
+// reads — its position in the packet, whether it is the tail, the
+// destination's coordinates and its own link count — so routing and
+// switching never dereference the packet; the packet pointer rides along
+// for the NIs, and reassembly needs no sequence bookkeeping (wormhole
+// allocation keeps a packet's flits contiguous per VC anyway). Build flits
+// with packet.flit.
 type flit struct {
 	pkt     *packet
-	idx     int
 	arrived uint64 // cycle the flit entered its current buffer
+	idx     int32
+	// dstX, dstY locate the destination router; hops counts the links the
+	// flit has crossed, the same for every flit of a packet.
+	dstX, dstY, hops uint8
+	tail             bool
 }
 
 func (f *flit) head() bool { return f.idx == 0 }
-func (f *flit) tail() bool { return f.idx == f.pkt.length-1 }
 
-// fifo is a fixed-capacity flit ring buffer. Router input FIFOs are bounded
-// by BufferFlits, so the storage is allocated once at mesh construction and
-// the per-flit path never allocates.
-type fifo struct {
-	buf  []flit
-	head int
-	n    int
-
-	// poppedN counts pops during cycle poppedAt. downstreamSpace uses the
-	// pair to reconstruct a FIFO's cycle-start occupancy (len + pops this
-	// cycle), which makes downstream-space checks independent of router
-	// tick order — the property that lets a cut link behave exactly like a
-	// local one.
-	poppedN  int
-	poppedAt uint64
+// address sets packet p's source and destination nodes.
+func (n *Network) address(p *packet, src, dst int) {
+	d := n.routers[dst]
+	p.src, p.dst, p.dstX, p.dstY = src, dst, d.x, d.y
 }
 
-func (f *fifo) init(capacity int) {
-	f.buf = make([]flit, capacity)
-	f.poppedAt = ^uint64(0)
-}
-
-func (f *fifo) push(fl flit) {
-	if f.n == len(f.buf) {
-		panic("noc: fifo overflow")
-	}
-	i := f.head + f.n
-	if i >= len(f.buf) {
-		i -= len(f.buf)
-	}
-	f.buf[i] = fl
-	f.n++
-}
-
-func (f *fifo) empty() bool  { return f.n == 0 }
-func (f *fifo) len() int     { return f.n }
-func (f *fifo) front() *flit { return &f.buf[f.head] }
-
-func (f *fifo) pop() flit {
-	fl := f.buf[f.head]
-	f.buf[f.head].pkt = nil // drop the packet reference for the pool's sake
-	if f.head++; f.head == len(f.buf) {
-		f.head = 0
-	}
-	f.n--
-	return fl
+// flit builds flit idx of the addressed packet p, entering its first
+// buffer at cycle arrived.
+func (p *packet) flit(idx int, arrived uint64) flit {
+	return flit{pkt: p, arrived: arrived, idx: int32(idx), dstX: p.dstX, dstY: p.dstY, tail: idx == p.length-1}
 }
 
 // hold records the input wormhole owning an (output, out-VC) channel.
@@ -263,63 +223,92 @@ type hold struct {
 
 // Values of router.want other than a channel.
 const (
-	wantUnknown = -1 // the front flit has not been looked at (or there is none)
-	wantNone    = -2 // the front flit is not a head: it requests nothing
+	wantEmpty = -1 // the input FIFO holds no flit
+	wantNone  = -2 // the front flit is not a head: it requests nothing
 )
 
-// router is one fabric node's switch. The switch state proper — owners,
-// round-robin pointers and the masks over them — is kept in small types
-// side by side: a tick reads all of it, and on a large mesh every cache
-// line a router spans is a miss.
+// numFIFOs counts a router's input FIFOs (port, VC) and equally its output
+// channels (output, out-VC); FIFO or channel b is port b/numVC, VC
+// b%numVC. numLinks counts the channels of the four link outputs, which
+// are the first ones.
+const (
+	numFIFOs = numPorts * numVC
+	numLinks = portL * numVC
+)
+
+// router is one fabric node's switch, kept compact: what a hop reads sits
+// in the first five cache lines of this record, in small types, and the
+// flits themselves in one ring slab shared by the network — on a large
+// mesh every line a router tick touches is a miss.
 type router struct {
-	n     *Network
-	id    int
-	x, y  int
-	in    [numPorts][numVC]fifo
-	local localSink // attached NI, or nil
+	// occ has bit b set while input FIFO b holds a flit, held bit b while
+	// channel b has a wormhole owner, and reqs bit b while some FIFO's front
+	// head flit requests channel b. want[b] is the channel FIFO b's front
+	// flit requests (wantEmpty, wantNone), reqN[b] how many front flits
+	// request channel b. pushIn and pop, the only places a front changes,
+	// keep all of it current; CheckInvariants recomputes it from the FIFOs.
+	occ, held, reqs uint32
+	want            [numFIFOs]int8
+	reqN            [numFIFOs]uint8
+	x, y            uint8 // grid coordinates
+	rrVC            [numPorts]uint8
+
+	// Input FIFO b is the depth-slot ring ring[b*depth:], its front at
+	// head[b], holding cnt[b] flits.
+	head, cnt [numFIFOs]uint8
+	ring      []flit
+	depth     uint8
 
 	alloc [numPorts][numVC]hold // wormhole owner per (output, out-VC)
-	rrVC  [numPorts]uint8
 	rrIn  [numPorts][numVC]uint8
 
-	// occ and held summarise in and alloc so a tick visits only what can
-	// move: occ has bit p*numVC+vc set while input FIFO (p, vc) holds a
-	// flit, held has bit o*numVC+ovc set while channel (o, ovc) has a
-	// wormhole owner. want[p*numVC+vc] caches the channel (o*numVC+ovc) the
-	// FIFO's front flit requests, resolved once per front flit (wantUnknown
-	// until then, wantNone for a body or tail flit); a pop — the only way a
-	// non-empty FIFO's front changes — resets it. CheckInvariants verifies
-	// all three against the tables.
-	occ, held uint32
-	want      [numPorts * numVC]int8
-
-	// nb[dir] is the router one hop out of dir (nil where a mesh has no
-	// link) and wrap[dir] whether that hop crosses a torus dateline; both
-	// are fixed at construction.
-	nb   [numPorts]*router
-	wrap [numPorts]bool
+	// cred[k] is link channel k's credits: the free slots of the downstream
+	// FIFO it feeds. Sending takes one; a pop of that FIFO returns it —
+	// at once on a local link, counted in fresh[k] while the cycle credAt
+	// lasts, and at the next Exchange on a cut one. 0 forever where a mesh
+	// has no link.
+	cred   [numLinks]int8
+	fresh  [numLinks]uint8
+	credAt uint64
 
 	// st is the pool/stats domain this router charges: the network's own in
 	// the single-engine configuration, its region's after Partition.
 	st *shardState
-	// cut[dir] is non-nil when output dir crosses a shard boundary (flits
-	// leave through the link's export ring); inCut[port] is non-nil when
-	// input port is fed from another shard (pops are credited back to the
-	// exporter through the link's counters).
-	cut   [numPorts]*cutLink
-	inCut [numPorts]*cutLink
+	n  *Network
+
+	// Bit dir of wrap is set where output dir crosses a torus dateline, of
+	// cutOut where it crosses a shard boundary (cuts.out[dir] is the link
+	// and its export ring), and of cutIn where input port dir is fed from
+	// another shard (cuts.in[dir], whose counters credit pops back to the
+	// exporter). nb[dir] is the router one hop out of dir, nil where a mesh
+	// has no link. All of it is fixed at construction and Partition.
+	wrap, cutOut, cutIn uint8
+	id                  int32
+	nb                  [numPorts]*router
+	local               localSink // attached NI, or nil
+	cuts                *cuts
 }
+
+// cuts are a router's cut links, by port.
+type cuts struct{ out, in [numPorts]*cutLink }
 
 // localSink is the NI side of a router's local port.
 type localSink interface {
-	acceptFlit(fl flit, cycle uint64)
+	acceptFlit(fl *flit, cycle uint64)
 }
 
-// route returns the output port for a flit headed to dst (see dorPort).
-func (r *router) route(dst int) int {
-	c := &r.n.cfg
-	d := r.n.routers[dst]
-	return dorStep(c.Topology, c.Width, c.Height, d.x-r.x, d.y-r.y)
+// queued returns the number of flits in input FIFO b.
+func (r *router) queued(b int) int { return int(r.cnt[b]) }
+
+// front returns input FIFO b's front flit.
+func (r *router) front(b int) *flit { return &r.ring[b*int(r.depth)+int(r.head[b])] }
+
+// flitAt returns the i-th flit from input FIFO b's front.
+func (r *router) flitAt(b, i int) *flit {
+	if i += int(r.head[b]); i >= int(r.depth) {
+		i -= int(r.depth)
+	}
+	return &r.ring[b*int(r.depth)+i]
 }
 
 // wraps reports whether this router's output dir is a torus wrap link (the
@@ -331,25 +320,20 @@ func (r *router) wraps(dir int) bool {
 	}
 	switch dir {
 	case portE:
-		return r.x == r.n.cfg.Width-1
+		return int(r.x) == r.n.cfg.Width-1
 	case portW:
 		return r.x == 0
 	case portS:
-		return r.y == r.n.cfg.Height-1
+		return int(r.y) == r.n.cfg.Height-1
 	case portN:
 		return r.y == 0
 	}
 	return false
 }
 
-// sameDim reports whether two router ports travel the same dimension.
-func sameDim(a, b int) bool {
-	ax := a == portE || a == portW
-	bx := b == portE || b == portW
-	ay := a == portN || a == portS
-	by := b == portN || b == portS
-	return (ax && bx) || (ay && by)
-}
+// sameDim reports whether two router ports travel the same dimension (N
+// and S are even, E and W odd).
+func sameDim(a, b int) bool { return a != portL && b != portL && a%2 == b%2 }
 
 // outVC returns the virtual channel a flit leaves on when it arrived on
 // input port in / VC vc and departs through output o. On a mesh (and into
@@ -361,7 +345,7 @@ func (r *router) outVC(in, vc, o int) int {
 	if r.n.cfg.Topology != Torus || o == portL {
 		return vc
 	}
-	if r.wrap[o] {
+	if r.wrap>>o&1 != 0 {
 		return datelineVC(vc)
 	}
 	if sameDim(in, o) {
@@ -370,107 +354,155 @@ func (r *router) outVC(in, vc, o int) int {
 	return baseVC(vc)
 }
 
-// pushIn is the one way a flit enters a router — from a neighbour's
-// deliver, an NI's injection or a cut-link import. It keeps the occupancy
-// mask and the owning domain's active-router set in step with the FIFOs, so
-// the pusher must be the goroutine ticking r's domain (every caller is: a
-// local link stays inside its domain, and a cut link is imported by the
-// destination's own Exchange).
-func (r *router) pushIn(p, vc int, fl flit) {
-	r.in[p][vc].push(fl)
-	if r.occ == 0 {
-		r.st.active[r.id>>6] |= 1 << (r.id & 63)
+// route returns the output port of head flit fl (see dorPort).
+func (r *router) route(fl *flit) int {
+	c := &r.n.cfg
+	return dorStep(c.Topology, c.Width, c.Height, int(fl.dstX)-int(r.x), int(fl.dstY)-int(r.y))
+}
+
+// atFront files fl, which has just reached the front of input FIFO b, in
+// the request summary: a head flit asks for its route and out-VC
+// (request), any other flit for nothing.
+func (r *router) atFront(b int, fl *flit) {
+	if fl.head() {
+		r.request(b, fl)
+	} else {
+		r.want[b] = wantNone
 	}
-	r.occ |= 1 << (p*numVC + vc)
+}
+
+// request files head flit fl, the new front of input FIFO b, in the
+// request summary: it asks for its route and out-VC, computed this once
+// per router it crosses.
+func (r *router) request(b int, fl *flit) {
+	o := r.route(fl)
+	w := o*numVC + r.outVC(b/numVC, b%numVC, o)
+	r.want[b] = int8(w)
+	r.reqN[w]++
+	r.reqs |= 1 << w
+}
+
+// pushIn is the one way a flit enters a router — a copy of fl, from a
+// neighbour's deliver, an NI's injection or a cut-link import; it returns
+// the copy, whose hop count and arrival the caller may still stamp (the
+// request summary reads neither). It keeps the occupancy mask, the request
+// summary and the owning domain's active-router set in step with the
+// FIFOs, so the pusher must be the goroutine ticking r's domain (every
+// caller is: a local link stays inside its domain, and a cut link is
+// imported by the destination's own Exchange).
+func (r *router) pushIn(p, vc int, fl *flit) *flit {
+	b := p*numVC + vc
+	n := int(r.cnt[b])
+	if n == int(r.depth) {
+		panic("noc: fifo overflow")
+	}
+	slot := r.flitAt(b, n)
+	*slot = *fl
+	r.cnt[b]++
+	if n == 0 {
+		if r.occ == 0 {
+			r.st.active[r.id>>6] |= 1 << (r.id & 63)
+		}
+		r.occ |= 1 << b
+		r.atFront(b, slot)
+	}
+	return slot
+}
+
+// pop drops input FIFO b's front flit during cycle, files the flit behind
+// it in the request summary and returns the slot's credit to whatever
+// feeds the FIFO (an NI reads the occupancy itself).
+func (r *router) pop(b int, cycle uint64) {
+	r.front(b).pkt = nil // drop the packet reference for the pool's sake
+	if r.head[b]++; r.head[b] == r.depth {
+		r.head[b] = 0
+	}
+	if w := r.want[b]; w >= 0 {
+		if r.reqN[w]--; r.reqN[w] == 0 {
+			r.reqs &^= 1 << w
+		}
+	}
+	if r.cnt[b]--; r.cnt[b] == 0 {
+		r.occ &^= 1 << b
+		r.want[b] = wantEmpty
+	} else {
+		r.atFront(b, r.front(b))
+	}
+	p, vc := b/numVC, b%numVC
+	if r.cutIn>>p&1 != 0 {
+		r.cuts.in[p].popped[vc]++
+	} else if p != portL {
+		r.nb[p].refund(opposite(p)*numVC+vc, cycle)
+	}
+}
+
+// refund returns a credit to link channel k for a pop made during cycle.
+func (r *router) refund(k int, cycle uint64) {
+	if r.credAt != cycle {
+		r.credAt, r.fresh = cycle, [numLinks]uint8{}
+	}
+	r.fresh[k]++
+	r.cred[k]++
 }
 
 // downstreamSpace reports whether output dir of this router can accept a
-// flit on vc this cycle. This is the fabric's one flow-control rule: the
-// check is conservative, using the downstream FIFO's occupancy as of the
-// start of the cycle (current length plus pops made this cycle, or the
-// exporter's credit view over a cut link). The answer therefore never
-// depends on which routers happened to tick first, so the outcome of a
-// cycle is a pure function of the state at its start — the invariant that
-// makes the unpartitioned fabric and every partition of it compute the
-// same flit movements, and that lets a cycle skip every router holding no
-// flit (see Network.tick).
+// flit on vc this cycle. This is the fabric's one flow-control rule, the
+// same on local and cut links: a link channel sends while its cycle-start
+// credit view — its credits less those returned during the cycle — holds
+// one. The view never depends on which routers happened to tick first, so
+// the outcome of a cycle is a pure function of the state at its start —
+// the invariant that makes the unpartitioned fabric and every partition of
+// it compute the same flit movements, and that lets a cycle skip every
+// router holding no flit (see Network.tick).
 func (r *router) downstreamSpace(dir, vc int, cycle uint64) bool {
 	if dir == portL {
 		return r.local != nil // NIs always sink delivered flits
 	}
-	if cl := r.cut[dir]; cl != nil {
-		return cl.pushed[vc]-cl.credit[vc] < uint64(r.n.cfg.BufferFlits)
+	k := dir*numVC + vc
+	free := r.cred[k]
+	if r.credAt == cycle {
+		free -= int8(r.fresh[k])
 	}
-	nb := r.nb[dir]
-	if nb == nil {
+	if free <= 0 && r.nb[dir] == nil {
 		panic(fmt.Sprintf("noc: no neighbor %d of node %d", dir, r.id))
 	}
-	q := &nb.in[opposite(dir)][vc]
-	occ := q.len()
-	if q.poppedAt == cycle {
-		occ += q.poppedN
-	}
-	return occ < r.n.cfg.BufferFlits
+	return free > 0
 }
 
-// deliver moves a flit out of output dir.
-func (r *router) deliver(dir, vc int, fl flit, cycle uint64) {
+// deliver copies fl, the front flit of one of the router's input FIFOs,
+// out of output dir, spending one of the link's credits; the caller pops
+// it. The copy is stamped after it is made: rewriting fields of fl just
+// before the copy reads them would stall the copy.
+func (r *router) deliver(dir, vc int, fl *flit, cycle uint64) {
 	if dir == portL {
+		if fl.tail {
+			fl.pkt.hops = int(fl.hops)
+		}
 		r.local.acceptFlit(fl, cycle)
 		r.st.residentFlits--
 		return
 	}
-	if fl.head() {
-		fl.pkt.hops++
-	}
-	fl.arrived = cycle
-	if cl := r.cut[dir]; cl != nil {
+	var out *flit
+	if r.cutOut>>dir&1 != 0 {
 		// Cross-shard hop: park the flit in the link's export ring. The
 		// importing shard moves it into the destination FIFO at the window
 		// boundary, stamped with the same arrival cycle a local push would
 		// have used, so timing is identical to an uncut link.
-		cl.push(vc, fl)
+		out = r.cuts.out[dir].push(vc, fl)
 		r.st.residentFlits--
-		return
+	} else {
+		r.cred[dir*numVC+vc]--
+		out = r.nb[dir].pushIn(opposite(dir), vc, fl)
 	}
-	r.nb[dir].pushIn(opposite(dir), vc, fl)
+	out.hops++
+	out.arrived = cycle
 }
 
-// resolve fills in want[b] from input FIFO b's front flit: the route and
-// out-VC of a head flit, computed this once per router it crosses.
-func (r *router) resolve(b int) int8 {
-	p, vc := b/numVC, b%numVC
-	fl := r.in[p][vc].front()
-	w := int8(wantNone)
-	if fl.head() {
-		o := r.route(fl.pkt.dst)
-		w = int8(o*numVC + r.outVC(p, vc, o))
-	}
-	r.want[b] = w
-	return w
-}
-
-// requests returns the channels the front flits of the given occupied input
-// FIFOs ask for, as candidate bits.
-func (r *router) requests(fifos uint32) (cand uint32) {
-	for ; fifos != 0; fifos &= fifos - 1 {
-		b := bits.TrailingZeros32(fifos)
-		w := r.want[b]
-		if w == wantUnknown {
-			w = r.resolve(b)
-		}
-		if w >= 0 {
-			cand |= 1 << w
-		}
-	}
-	return cand
-}
-
-// allChannels masks a router's numPorts×numVC FIFO (or channel) bits, and
+// allChannels masks a router's numFIFOs FIFO (or channel) bits, and
 // classFIFOs[c] those of the input FIFOs of message class c (its base and
 // dateline VC at every port). The masks below rely on VC numbering: class
 // is the low bit, and a class's base VC sorts before its dateline VC.
-const allChannels = 1<<(numPorts*numVC) - 1
+const allChannels = 1<<numFIFOs - 1
 
 var classFIFOs = func() (m [2]uint32) {
 	for p := 0; p < numPorts; p++ {
@@ -481,30 +513,35 @@ var classFIFOs = func() (m [2]uint32) {
 }()
 
 // tick performs switch allocation and forwards at most one flit per output
-// port (the physical link constraint), choosing among VCs round-robin.
+// port (the physical link constraint), choosing among VCs round-robin. A
+// probe of a channel allocates it if it is free, then forwards through its
+// owner.
 //
 // Only candidate (output, out-VC) channels are probed: those with a
 // wormhole owner plus those a front head flit requests. The set is a
-// superset of the channels on which tryForward could change any state — a
+// superset of the channels on which a probe could change any state — a
 // channel with neither an owner nor a requesting head has nothing to
 // allocate and nothing to forward — so skipping the rest leaves every
 // round-robin pointer, allocation and flit movement exactly as a scan of
-// all numPorts×numVC channels would. A forward can surface the next
-// packet's head in the FIFO it popped, which may ask for a later output in
-// this same tick, so the set is topped up after every forward.
+// all numFIFOs channels would. A forward can surface the next packet's
+// head in the FIFO it popped, which may ask for a later output in this
+// same tick, so the set is topped up after every forward.
 func (r *router) tick(cycle uint64) {
-	cand := r.held | r.requests(r.occ)
+	cand := r.held | r.reqs
 	// Outputs in ascending order, each one's VCs from its round-robin
 	// pointer; rest holds the candidates of the outputs still to visit.
 	for rest := cand; rest != 0; {
 		o := bits.TrailingZeros32(rest) / numVC
-		for k := 0; k < numVC; k++ {
-			vc := (int(r.rrVC[o]) + k) & (numVC - 1)
-			if cand&(1<<(o*numVC+vc)) == 0 {
-				continue
+		// vcs has bit k set when VC rrVC[o]+k is a candidate.
+		rr := uint(r.rrVC[o])
+		vcs := cand >> (o * numVC) & (1<<numVC - 1)
+		for vcs = (vcs>>rr | vcs<<(numVC-rr)) & (1<<numVC - 1); vcs != 0; vcs &= vcs - 1 {
+			vc := (bits.TrailingZeros32(vcs) + int(rr)) & (numVC - 1)
+			if r.alloc[o][vc].in < 0 {
+				r.allocate(o, vc, cycle)
 			}
-			if from, ok := r.tryForward(o, vc, cycle); ok {
-				cand |= r.requests(r.occ & (1 << from))
+			if r.forward(o, vc, cycle) {
+				cand |= r.reqs
 				break
 			}
 		}
@@ -512,33 +549,23 @@ func (r *router) tick(cycle uint64) {
 	}
 }
 
-// tryForward moves one flit through output o on outgoing VC ovc and
-// reports the input FIFO (p*numVC+vc) it came from. The input VC feeding
-// an out-VC can be the same class's base or dateline VC (torus turns reset
-// the dateline bit, wrap links set it); the allocation fixes one (input
-// port, input VC) owner until the packet's tail passes.
-func (r *router) tryForward(o, ovc int, cycle uint64) (from int, ok bool) {
-	if r.alloc[o][ovc].in < 0 {
-		r.allocate(o, ovc, cycle)
-	}
-	return r.forward(o, ovc, cycle)
-}
-
 // allocate grants the free channel (o, ovc) to an input whose head flit
 // requests o and would leave on ovc: input ports round-robin from rrIn,
-// base VC before dateline VC within a port. Rotating the occupied FIFOs of
+// base VC before dateline VC within a port (torus turns reset the dateline
+// bit, wrap links set it, so either can feed an out-VC); the owner holds
+// the channel until the packet's tail passes. Rotating the occupied FIFOs of
 // ovc's class down by the pointer turns that order into ascending bit
 // order.
 func (r *router) allocate(o, ovc int, cycle uint64) {
 	ch := o*numVC + ovc
 	rot := uint(r.rrIn[o][ovc]) * numVC
 	m := r.occ & classFIFOs[ovc&1]
-	for m = (m>>rot | m<<(numPorts*numVC-rot)) & allChannels; m != 0; m &= m - 1 {
+	for m = (m>>rot | m<<(numFIFOs-rot)) & allChannels; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros32(m) + int(rot)
-		if b >= numPorts*numVC {
-			b -= numPorts * numVC
+		if b >= numFIFOs {
+			b -= numFIFOs
 		}
-		if int(r.want[b]) == ch && r.in[b/numVC][b%numVC].front().arrived < cycle {
+		if int(r.want[b]) == ch && r.front(b).arrived < cycle {
 			r.grant(o, ovc, b/numVC, b%numVC)
 			return
 		}
@@ -555,44 +582,29 @@ func (r *router) grant(o, ovc, in, invc int) {
 
 // forward moves the front flit of channel (o, ovc)'s owner, if it has one
 // that may move, one hop on; a tail flit frees the channel behind it.
-func (r *router) forward(o, ovc int, cycle uint64) (from int, ok bool) {
+func (r *router) forward(o, ovc int, cycle uint64) bool {
 	a := r.alloc[o][ovc]
 	if a.in < 0 {
-		return 0, false
+		return false
 	}
-	q := &r.in[a.in][a.invc]
-	if q.empty() {
-		return 0, false
+	b := int(a.in)*numVC + int(a.invc)
+	if r.cnt[b] == 0 {
+		return false
 	}
-	fl := q.front()
-	if fl.arrived >= cycle { // one hop per cycle
-		return 0, false
+	fl := r.front(b)
+	if fl.arrived >= cycle || !r.downstreamSpace(o, ovc, cycle) { // one hop per cycle
+		return false
 	}
-	if !r.downstreamSpace(o, ovc, cycle) {
-		return 0, false
-	}
-	from = int(a.in)*numVC + int(a.invc)
-	moved := q.pop()
-	r.want[from] = wantUnknown
-	if q.empty() {
-		r.occ &^= 1 << from
-	}
-	if q.poppedAt != cycle {
-		q.poppedAt, q.poppedN = cycle, 0
-	}
-	q.poppedN++
-	if cl := r.inCut[a.in]; cl != nil {
-		cl.popped[a.invc]++
-	}
-	if moved.tail() {
+	if fl.tail {
 		r.alloc[o][ovc] = hold{in: -1}
 		r.held &^= 1 << (o*numVC + ovc)
 	}
 	r.rrVC[o] = uint8(ovc+1) & (numVC - 1)
 	r.st.flitsRouted++
 	r.st.flitsVC[ovc].Inc()
-	r.deliver(o, ovc, moved, cycle)
-	return from, true
+	r.deliver(o, ovc, fl, cycle)
+	r.pop(b, cycle)
+	return true
 }
 
 // shardState is the pool/stats domain of one execution shard. The
@@ -691,25 +703,37 @@ func New(cfg Config, now func() uint64) *Network {
 		panic("noc: New requires a cycle source")
 	}
 	n := &Network{cfg: cfg.WithDefaults(), now: now}
-	n.st.hops = newHopsHistogram()
-	total := n.cfg.Width * n.cfg.Height
-	n.st.active = make([]uint64, (total+63)/64)
-	for id := 0; id < total; id++ {
-		r := &router{n: n, id: id, x: id % n.cfg.Width, y: id / n.cfg.Width, st: &n.st}
-		for o := 0; o < numPorts; o++ {
-			for v := 0; v < numVC; v++ {
-				r.alloc[o][v] = hold{in: -1}
-				r.in[o][v].init(n.cfg.BufferFlits)
-				r.want[o*numVC+v] = wantUnknown
-			}
-		}
-		n.routers = append(n.routers, r)
+	w, h, depth := n.cfg.Width, n.cfg.Height, n.cfg.BufferFlits
+	if w < 1 || h < 1 || w > MaxMeshDim || h > MaxMeshDim || depth < 1 || depth > MaxBufferFlits {
+		panic(fmt.Sprintf("noc: %dx%d fabric with %d-flit buffers is outside the bounds", w, h, depth))
 	}
-	for _, r := range n.routers {
+	n.st.hops = newHopsHistogram()
+	// Routers, their pointers and every input ring come from three slabs.
+	slab := make([]router, w*h)
+	ring := make([]flit, len(slab)*numFIFOs*depth)
+	n.st.active = activeSet(len(slab))
+	n.routers = make([]*router, len(slab))
+	for id := range slab {
+		r := &slab[id]
+		r.n, r.st, r.id, r.x, r.y = n, &n.st, int32(id), uint8(id%w), uint8(id/w)
+		r.depth = uint8(depth)
+		r.ring = ring[id*numFIFOs*depth : (id+1)*numFIFOs*depth : (id+1)*numFIFOs*depth]
+		for b := range r.want {
+			r.want[b] = wantEmpty
+			r.alloc[b/numVC][b%numVC] = hold{in: -1}
+		}
+		n.routers[id] = r
+	}
+	for id, r := range n.routers {
 		for dir := portN; dir < portL; dir++ {
 			if n.hasLink(r, dir) {
-				r.nb[dir] = n.neighbor(r.id, dir)
-				r.wrap[dir] = r.wraps(dir)
+				r.nb[dir] = n.neighbor(id, dir)
+				if r.wraps(dir) {
+					r.wrap |= 1 << dir
+				}
+				for vc := 0; vc < numVC; vc++ {
+					r.cred[dir*numVC+vc] = int8(depth)
+				}
 			}
 		}
 	}
@@ -918,9 +942,9 @@ func (n *Network) Tick(cycle uint64) {
 // Region's band of it: the domain's master NIs inject, its slave NIs
 // serve, then its routers switch. Only routers in the active set tick. A
 // router holding no flit can change no state in its tick, and because
-// downstreamSpace reads cycle-start occupancy no router's outcome depends
-// on whether a neighbour has ticked yet, so leaving the empty ones out
-// changes nothing; the set is walked in ascending router id, the order a
+// downstreamSpace reads a cycle-start credit view no router's outcome
+// depends on whether a neighbour has ticked yet, so leaving the empty ones
+// out changes nothing; the set is walked in ascending router id, the order a
 // loop over every router uses, so the shared counters see the same
 // sequence too. A router that receives its first flit while the walk is
 // under way joins the set at once (it ticks this cycle only if the walk
@@ -1000,21 +1024,3 @@ var _ sim.Device = (*Network)(nil)
 var _ sim.Sleeper = (*Network)(nil)
 var _ sim.WakeSink = (*Network)(nil)
 var _ sim.TickSleeper = (*Network)(nil)
-
-// reqFlits returns the request packet length: header + address/meta flit,
-// plus one payload flit per written word.
-func reqFlits(req *ocp.Request) int {
-	if req.Cmd.IsWrite() {
-		return 2 + req.Burst
-	}
-	return 2
-}
-
-// respFlits returns the response packet length: header + status flit, plus
-// one flit per read data word.
-func respFlits(req *ocp.Request) int {
-	if req.Cmd.IsRead() {
-		return 2 + req.Burst
-	}
-	return 2
-}

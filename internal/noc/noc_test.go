@@ -258,6 +258,15 @@ func TestIdleAfterDrain(t *testing.T) {
 	}
 }
 
+// headTo returns the head flit of a packet bound to node dst, built the way
+// the NIs build it.
+func headTo(n *Network, dst int) *flit {
+	p := &packet{length: 2}
+	n.address(p, 0, dst)
+	fl := p.flit(0, 0)
+	return &fl
+}
+
 func TestXYRouteFunction(t *testing.T) {
 	e := sim.NewEngine(sim.Clock{})
 	n := New(Config{Width: 4, Height: 3}, e.Cycle)
@@ -268,12 +277,12 @@ func TestXYRouteFunction(t *testing.T) {
 		0: portW, // (0,0): X first → W
 	}
 	for dst, want := range cases {
-		if got := r5.route(dst); got != want {
+		if got := r5.route(headTo(n, dst)); got != want {
 			t.Errorf("route(5→%d) = %d, want %d", dst, got, want)
 		}
 	}
 	// Dimension order: for dst 2 = (2,0) from 5 = (1,1): dx=+1 → E first.
-	if r5.route(2) != portE {
+	if r5.route(headTo(n, 2)) != portE {
 		t.Error("XY routing must resolve X before Y")
 	}
 }

@@ -44,7 +44,7 @@ func TestPartitionBands(t *testing.T) {
 				t.Fatalf("region %d owns %d routers, want %d", i, len(rg.routers), tc.w*(rg.y1-rg.y0))
 			}
 			for _, r := range rg.routers {
-				if r.y < rg.y0 || r.y >= rg.y1 {
+				if int(r.y) < rg.y0 || int(r.y) >= rg.y1 {
 					t.Fatalf("region %d [%d,%d) owns router at row %d", i, rg.y0, rg.y1, r.y)
 				}
 			}
@@ -128,8 +128,8 @@ func TestPartitionMeshCuts(t *testing.T) {
 	for _, r := range n.routers {
 		for dir := portN; dir < portL; dir++ {
 			crossing := (r.y == 1 && dir == portS) || (r.y == 2 && dir == portN)
-			if (r.cut[dir] != nil) != crossing {
-				t.Fatalf("router (%d,%d) dir %d: cut=%v, want crossing=%v", r.x, r.y, dir, r.cut[dir] != nil, crossing)
+			if cut := r.cutOut>>dir&1 != 0; cut != crossing {
+				t.Fatalf("router (%d,%d) dir %d: cut=%v, want crossing=%v", r.x, r.y, dir, cut, crossing)
 			}
 		}
 	}
@@ -167,6 +167,15 @@ func TestPartitionTorusWrapCuts(t *testing.T) {
 	}
 }
 
+// crossingPacket takes a packet of the given length from rg's pool, bound
+// from cut link cl's exporter to its importer.
+func crossingPacket(rg *Region, cl *cutLink, length int) *packet {
+	p := rg.st.getPacket()
+	rg.net.address(p, int(cl.src.id), int(cl.dst.id))
+	p.length = length
+	return p
+}
+
 // TestExchangeDrainsInOrder: flits parked in an import ring must land in
 // the destination FIFO in push order at the next Exchange, the import count
 // must be reported, and export credits must snapshot the importer's pops.
@@ -174,9 +183,11 @@ func TestExchangeDrainsInOrder(t *testing.T) {
 	n := newNet(Config{Width: 4, Height: 4})
 	regions := n.Partition(2)
 	cl := regions[0].exports[0]
+	pkt := crossingPacket(regions[0], cl, 3)
 
 	for i := 0; i < 3; i++ {
-		cl.push(0, flit{idx: i})
+		fl := pkt.flit(i, 0)
+		cl.push(0, &fl)
 	}
 	if cl.pushed[0] != 3 {
 		t.Fatalf("pushed[0] = %d, want 3", cl.pushed[0])
@@ -184,18 +195,20 @@ func TestExchangeDrainsInOrder(t *testing.T) {
 	if got := regions[1].Exchange(); got != 3 {
 		t.Fatalf("Exchange imported %d, want 3", got)
 	}
-	q := &cl.dst.in[cl.inPort][0]
-	if q.len() != 3 {
-		t.Fatalf("destination FIFO holds %d flits, want 3", q.len())
+	b := cl.inPort*numVC + 0
+	if got := cl.dst.queued(b); got != 3 {
+		t.Fatalf("destination FIFO holds %d flits, want 3", got)
 	}
 	for i := 0; i < 3; i++ {
-		fl := q.pop()
-		if fl.idx != i {
-			t.Fatalf("flit %d popped with idx %d — ring reordered", i, fl.idx)
+		idx := cl.dst.front(b).idx
+		if cl.dst.pop(b, 0); int(idx) != i {
+			t.Fatalf("flit %d popped with idx %d — ring reordered", i, idx)
 		}
 	}
 	// The importer's pops become the exporter's credit at its own boundary.
-	cl.popped[0] = 3
+	if cl.popped[0] != 3 {
+		t.Fatalf("popped[0] = %d after three pops, want 3", cl.popped[0])
+	}
 	regions[0].Exchange()
 	if cl.credit[0] != 3 {
 		t.Fatalf("credit[0] = %d after boundary, want 3", cl.credit[0])
@@ -241,14 +254,16 @@ func TestExchangeAllocFree(t *testing.T) {
 	n := newNet(Config{Width: 4, Height: 4})
 	regions := n.Partition(2)
 	cl := regions[0].exports[0]
+	pkt := crossingPacket(regions[0], cl, 4)
+	b := cl.inPort*numVC + 0
 	if avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 4; i++ {
-			cl.push(0, flit{idx: i})
+			fl := pkt.flit(i, 0)
+			cl.push(0, &fl)
 		}
 		regions[1].Exchange()
-		q := &cl.dst.in[cl.inPort][0]
-		for q.len() > 0 {
-			q.pop()
+		for cl.dst.queued(b) > 0 {
+			cl.dst.pop(b, 0)
 		}
 		regions[0].Exchange()
 		regions[1].st.residentFlits = 0

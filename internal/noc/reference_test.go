@@ -12,8 +12,9 @@ import (
 // learned to skip what cannot move, as a test-only reference: every router
 // ticks every cycle in id order, every (output, VC) pair is probed in
 // round-robin order, and a free channel's allocation looks at every input
-// port and recomputes the route of every head flit it meets. No occupancy
-// mask, candidate set, request cache, active set or busy flag is consulted.
+// port and recomputes the route of every head flit it meets from its
+// packet's destination node. No occupancy mask, candidate set, request
+// summary, active set or busy flag is consulted.
 // Only the primitives that move a flit (grant, forward, deliver, pushIn, the
 // NI state machines, Exchange) are shared with production, so what the
 // tests below compare is the schedule and nothing else.
@@ -45,23 +46,23 @@ func (r *router) referenceTick(cycle uint64) {
 	}
 }
 
-// referenceTryForward is router.tryForward with the exhaustive allocation
-// scan.
+// referenceTryForward is router.tick's probe of one channel, with the
+// exhaustive allocation scan.
 func (r *router) referenceTryForward(o, ovc int, cycle uint64) bool {
 	if r.alloc[o][ovc].in < 0 {
 	scan:
 		for k := 0; k < numPorts; k++ {
 			i := (int(r.rrIn[o][ovc]) + k) % numPorts
 			for _, invc := range [2]int{baseVC(ovc), datelineVC(ovc)} {
-				q := &r.in[i][invc]
-				if q.empty() {
+				b := i*numVC + invc
+				if r.queued(b) == 0 {
 					continue
 				}
-				fl := q.front()
+				fl := r.front(b)
 				if !fl.head() || fl.arrived >= cycle {
 					continue
 				}
-				if r.route(fl.pkt.dst) != o || r.outVC(i, invc, o) != ovc {
+				if r.n.cfg.nextPort(int(r.id), fl.pkt.dst) != o || r.outVC(i, invc, o) != ovc {
 					continue
 				}
 				r.grant(o, ovc, i, invc)
@@ -69,8 +70,7 @@ func (r *router) referenceTryForward(o, ovc int, cycle uint64) bool {
 			}
 		}
 	}
-	_, ok := r.forward(o, ovc, cycle)
-	return ok
+	return r.forward(o, ovc, cycle)
 }
 
 // stepReference advances the rig one cycle through the reference schedule.
@@ -93,7 +93,7 @@ func describeWord(n *Network, i int) string {
 	for _, r := range n.routers {
 		for p := 0; p < numPorts; p++ {
 			for v := 0; v < numVC; v++ {
-				end := at + 1 + 2*r.in[p][v].len()
+				end := at + 1 + 2*r.queued(p*numVC+v)
 				if i < end {
 					return fmt.Sprintf("router %d input %s/%s, word %d of its record", r.id, portNames[p], vcNames[v], i-at)
 				}
@@ -192,7 +192,8 @@ func (tr *trap) packet(src, dst int) [2]*packet {
 	var pair [2]*packet
 	for i, n := range []*Network{tr.prod, tr.ref} {
 		p := n.routers[src].st.getPacket()
-		p.src, p.dst, p.length = src, dst, trapFlits
+		n.address(p, src, dst)
+		p.length = trapFlits
 		p.req = ocp.Request{Cmd: ocp.Write, Addr: slaveBase(tr.slaveAt[dst]), Burst: 1, Data: []uint32{7}}
 		pair[i] = p
 	}
@@ -201,13 +202,18 @@ func (tr *trap) packet(src, dst int) [2]*packet {
 
 // put places flits from..trapFlits-1 of the packet pair into input FIFO
 // (port, vcReq) of the given router on both networks, as if they had
-// arrived one per cycle from cycle arrived on.
+// arrived one per cycle from cycle arrived on: over the link from port's
+// neighbour, which spent a credit on each, or from the local NI.
 func (tr *trap) put(node, port int, pkt [2]*packet, from int, arrived uint64) {
 	for i, n := range []*Network{tr.prod, tr.ref} {
 		r := n.routers[node]
 		for idx := from; idx < trapFlits; idx++ {
-			r.pushIn(port, vcReq, flit{pkt: pkt[i], idx: idx, arrived: arrived + uint64(idx-from)})
+			fl := pkt[i].flit(idx, arrived+uint64(idx-from))
+			r.pushIn(port, vcReq, &fl)
 			r.st.residentFlits++
+			if port != portL {
+				r.nb[port].cred[opposite(port)*numVC+vcReq]--
+			}
 		}
 	}
 }
@@ -272,7 +278,7 @@ func TestTrapSameCycleDoublePop(t *testing.T) {
 	if got := tr.routed(); got != 2 {
 		t.Fatalf("%d flits moved in the tick, want the tail north and the head east", got)
 	}
-	if q := &tr.prod.routers[5].in[portW][vcReq]; q.len() != 1 || !q.front().head() {
+	if r5 := tr.prod.routers[5]; r5.queued(portW*numVC+vcReq) != 1 || !r5.front(portW*numVC+vcReq).head() {
 		t.Fatal("the surfaced head flit did not go east in the same tick")
 	}
 	for i := 0; i < 10; i++ {
@@ -312,8 +318,8 @@ func TestTrapStaleOwnerSuperset(t *testing.T) {
 			found := -1
 			for _, r := range tr.prod.routers {
 				for p := 0; p < numPorts; p++ {
-					if q := &r.in[p][vcReq]; !q.empty() && q.front().head() {
-						found = r.id
+					if b := p*numVC + vcReq; r.queued(b) > 0 && r.front(b).head() {
+						found = int(r.id)
 					}
 				}
 			}
@@ -339,14 +345,14 @@ func TestTrapLateArrivalStaysActive(t *testing.T) {
 	tr.put(1, portE, arriving, 0, 5) // whole packet heading west, into router 0
 	tr.step()
 	r0 := tr.prod.routers[0]
-	if r0.in[portE][vcReq].len() != 1 || !r0.in[portS][vcReq].empty() {
+	if r0.queued(portE*numVC+vcReq) != 1 || r0.queued(portS*numVC+vcReq) != 0 {
 		t.Fatal("the two flits did not swap routers in the first tick")
 	}
 	if tr.prod.st.active[0]&1 == 0 {
 		t.Fatal("router 0 drained, was retired, received a flit later in the sweep and is not active")
 	}
 	tr.step()
-	if q := &r0.in[portE][vcReq]; !q.empty() && q.front().head() {
+	if b := portE*numVC + vcReq; r0.queued(b) > 0 && r0.front(b).head() {
 		t.Fatal("the late arrival never moved: router 0 was not ticked")
 	}
 }

@@ -14,12 +14,12 @@ import (
 // between execution windows, plus credit counters giving the exporter a
 // conservative view of downstream buffer space.
 //
-// Determinism is the design constraint. The fabric's flow control reads
-// cycle-start occupancy (see downstreamSpace): the outcome of a cycle is a
-// pure function of the state at its start, independent of router tick
+// Determinism is the design constraint. The fabric's flow control reads a
+// cycle-start credit view (see downstreamSpace): the outcome of a cycle is
+// a pure function of the state at its start, independent of router tick
 // order, so cutting a link (which delays visibility of a pushed flit until
-// the window boundary, and of a pop until the next credit snapshot)
-// produces exactly the flit movements of the uncut fabric. The
+// the window boundary, and of a pop until the exporter's Exchange returns
+// its credit) produces exactly the flit movements of the uncut fabric. The
 // unpartitioned network and every partition of it compute byte-identical
 // results.
 
@@ -39,14 +39,17 @@ type cutFlit struct {
 // into the ring during its compute step; the importing shard drains it in
 // its exchange step after the window barrier, so the two sides never touch
 // the ring concurrently and no locking is needed. pushed/popped/credit
-// implement conservative flow control: pushed is exporter-owned, popped is
+// account for the link's flow control: pushed is exporter-owned, popped is
 // importer-owned (bumped when the fed FIFO pops), and credit is the
-// exporter's boundary snapshot of popped, giving it the downstream FIFO's
-// occupancy as of the start of the window — the same view an uncut link's
-// cycle-start check provides.
+// exporter's boundary snapshot of popped — each Exchange returns the pops
+// since the last one to the exporting router's credit view, which then
+// holds the downstream FIFO's occupancy as of the start of the window, the
+// view an uncut link's refunds give at the start of a cycle.
 type cutLink struct {
-	dst    *router // importing router
-	inPort int     // dst input port the link feeds
+	src     *router // exporting router
+	outPort int     // src output port the link leaves
+	dst     *router // importing router
+	inPort  int     // dst input port the link feeds
 
 	ring     [cutRingCap]cutFlit
 	ringTail int // exporter-owned
@@ -59,14 +62,18 @@ type cutLink struct {
 	popped [numVC]uint64 // importer-owned cumulative flits popped
 }
 
-// push parks a boundary-crossing flit in the export ring.
-func (cl *cutLink) push(vc int, fl flit) {
+// push parks a copy of a boundary-crossing flit in the export ring,
+// spending one of the exporter's credits, and returns the copy.
+func (cl *cutLink) push(vc int, fl *flit) *flit {
 	if cl.ringTail-cl.ringHead >= cutRingCap {
 		panic("noc: cut-link export ring overflow")
 	}
-	cl.ring[cl.ringTail%cutRingCap] = cutFlit{fl: fl, vc: vc}
+	slot := &cl.ring[cl.ringTail%cutRingCap]
+	slot.fl, slot.vc = *fl, vc
 	cl.ringTail++
 	cl.pushed[vc]++
+	cl.src.cred[cl.outPort*numVC+vc]--
+	return &slot.fl
 }
 
 // Region is one spatial shard: the routers of a contiguous row band plus
@@ -117,7 +124,7 @@ func (n *Network) Partition(k int) []*Region {
 		rg.st.hops = newHopsHistogram()
 		rg.st.index = s
 		rg.st.returns = make([][]*packet, k)
-		rg.st.active = make([]uint64, len(n.st.active))
+		rg.st.active = activeSet(len(n.routers))
 		for y := rg.y0; y < rg.y1; y++ {
 			n.regionOfRow[y] = s
 		}
@@ -148,20 +155,37 @@ func (n *Network) Partition(k int) []*Region {
 			if !n.hasLink(r, dir) {
 				continue
 			}
-			nb := n.neighbor(r.id, dir)
+			nb := n.neighbor(int(r.id), dir)
 			dst := regions[n.regionOfRow[nb.y]]
 			if dst == src {
 				continue
 			}
-			cl := &cutLink{dst: nb, inPort: opposite(dir)}
-			r.cut[dir] = cl
-			nb.inCut[opposite(dir)] = cl
+			cl := &cutLink{src: r, outPort: dir, dst: nb, inPort: opposite(dir)}
+			r.cutLinks().out[dir], r.cutOut = cl, r.cutOut|1<<dir
+			nb.cutLinks().in[cl.inPort], nb.cutIn = cl, nb.cutIn|1<<cl.inPort
 			src.exports = append(src.exports, cl)
 			dst.imports = append(dst.imports, cl)
 		}
 	}
 	n.regions = regions
 	return regions
+}
+
+// cutLinks returns the router's cut-link table, made on first use.
+func (r *router) cutLinks() *cuts {
+	if r.cuts == nil {
+		r.cuts = new(cuts)
+	}
+	return r.cuts
+}
+
+// activeSet returns an empty active-router set for a fabric of the given
+// size, a cache line clear of any other allocation on either side: shards
+// write their sets every cycle, side by side.
+func activeSet(routers int) []uint64 {
+	const pad = 8
+	words := (routers + 63) / 64
+	return make([]uint64, pad+words+pad)[pad : pad+words]
 }
 
 // hasLink reports whether router r has a physical link out of dir: always
@@ -174,9 +198,9 @@ func (n *Network) hasLink(r *router, dir int) bool {
 	case portN:
 		return r.y > 0
 	case portS:
-		return r.y < n.cfg.Height-1
+		return int(r.y) < n.cfg.Height-1
 	case portE:
-		return r.x < n.cfg.Width-1
+		return int(r.x) < n.cfg.Width-1
 	case portW:
 		return r.x > 0
 	}
@@ -244,27 +268,29 @@ func (rg *Region) Wake() {
 
 // Exchange runs the region's import side of a window boundary: drain every
 // import ring into the destination FIFOs (per-link FIFO order; links in
-// fixed construction order) and refresh the credit snapshots of the
-// region's export links. It must run strictly between windows — after the
-// barrier ending the exporters' compute step and before the barrier
-// starting the next one. Returns the number of imported flits; the caller
+// fixed construction order) and return to the region's export links the
+// credits of the pops behind them. It must run strictly between windows —
+// after the barrier ending the exporters' compute step and before the
+// barrier starting the next one. Returns the number of imported flits; the caller
 // wakes the region when it is non-zero.
 func (rg *Region) Exchange() int {
 	imported := 0
 	for _, cl := range rg.imports {
 		for cl.ringHead != cl.ringTail {
 			slot := &cl.ring[cl.ringHead%cutRingCap]
-			cf := *slot
+			cl.dst.pushIn(cl.inPort, slot.vc, &slot.fl)
 			slot.fl.pkt = nil // drop the packet reference for the pool's sake
 			cl.ringHead++
-			cl.dst.pushIn(cl.inPort, cf.vc, cf.fl)
 			imported++
 		}
 	}
 	rg.st.residentFlits += imported
 	for _, cl := range rg.exports {
 		for vc := 0; vc < numVC; vc++ {
-			cl.credit[vc] = cl.popped[vc]
+			if d := cl.popped[vc] - cl.credit[vc]; d != 0 {
+				cl.src.cred[cl.outPort*numVC+vc] += int8(d)
+				cl.credit[vc] = cl.popped[vc]
+			}
 		}
 	}
 	// Reclaim packets that retired in other regions (a posted write's

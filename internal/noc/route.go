@@ -24,10 +24,12 @@ func PortName(p int) string {
 }
 
 // FlitCounts returns the request and response packet lengths in flits for
-// a transaction of the given kind and burst — the exact lengths the live
-// NIs build (reqFlits/respFlits), exported so channel-load enumeration
-// weighs each route by the true flit volume. Writes are posted: their
-// response length is 0 because no response packet crosses the fabric.
+// a transaction of the given kind and burst — the lengths the live NIs
+// build, exported so channel-load enumeration weighs each route by the true
+// flit volume. A request is a header and an address flit plus one payload
+// flit per written word; a read's response a header and a status flit plus
+// one flit per word read. Writes are posted: their response length is 0
+// because no response packet crosses the fabric.
 func FlitCounts(write bool, burst int) (req, resp int) {
 	if write {
 		return 2 + burst, 0

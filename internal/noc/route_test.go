@@ -56,7 +56,7 @@ func TestRouteMatchesRouter(t *testing.T) {
 		if nets[cfg] == nil {
 			nets[cfg] = New(cfg, func() uint64 { return 0 })
 		}
-		if got := nets[cfg].routers[tc.cur].route(tc.dst); got != tc.want {
+		if got := nets[cfg].routers[tc.cur].route(headTo(nets[cfg], tc.dst)); got != tc.want {
 			t.Errorf("%v %dx%d: router %d route(%d) = %s, want %s",
 				tc.topo, tc.w, tc.h, tc.cur, tc.dst, PortName(got), PortName(tc.want))
 		}

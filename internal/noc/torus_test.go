@@ -54,7 +54,7 @@ func TestTorusRouteShortestPath(t *testing.T) {
 		{1, 11, portE}, // X resolved before Y (dimension order)
 	}
 	for _, tc := range cases {
-		got := n.routers[tc.from].route(tc.to)
+		got := n.routers[tc.from].route(headTo(n, tc.to))
 		if got != tc.want {
 			t.Fatalf("route %d->%d = %d, want %d", tc.from, tc.to, got, tc.want)
 		}

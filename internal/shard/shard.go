@@ -23,7 +23,7 @@
 // pushed — the same timing an uncut link provides under the fabric's
 // conservative flow control. Multi-cycle windows only ever span globally
 // quiescent stretches, which carry no cross-shard traffic at all. Together
-// with the fabric's cycle-start-occupancy discipline (see internal/noc)
+// with the fabric's cycle-start credit view (see internal/noc)
 // this makes the simulated state a pure function of the partition-invariant
 // round schedule: any shard count, including one, computes byte-identical
 // results. The sweep harness and CI pin exactly that equivalence.
