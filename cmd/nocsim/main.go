@@ -8,9 +8,7 @@
 //	nocsim -bench des -cores 3 -blocks 16 -interconnect xpipes
 //	nocsim -bench spmatrix -mode tg -trace-dir /tmp/trc -tgp-dir /tmp/tgp
 //
-// A flag set on the command line that the selected run never reads (-n
-// outside spmatrix/mpmatrix, -tgp-dir under -mode arm, ...) is refused by
-// name, never ignored.
+// A flag the selected run never reads is refused (internal/cliflags).
 package main
 
 import (
@@ -19,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 
 	"noctg/internal/cliflags"
 	"noctg/internal/core"
@@ -45,33 +42,27 @@ func main() {
 	)
 	guards := cliflags.RegisterGuard("fail")
 	flag.Parse()
+	_, err := table.Check(flag.CommandLine)
+	tool.Fail(err)
 	gcfg, err := guards.Config()
 	tool.Fail(err)
-	tool.Fail(cliflags.OneOf("mode", *mode, "arm", "tg"))
 
-	var spec *prog.Spec
-	switch *bench {
-	case "spmatrix":
-		spec = prog.SPMatrix(*n)
-	case "cacheloop":
-		spec = prog.Cacheloop(*cores, *iters)
-	case "mpmatrix":
-		spec = prog.MPMatrix(*cores, *n)
-	case "des":
-		spec = prog.DES(*cores, *blocks)
-	default:
-		tool.Fail(fmt.Errorf("unknown benchmark %q", *bench))
+	// The benchmark's size flag is whichever of -n, -iters and -blocks
+	// the table says it reads.
+	var size int
+	for f, v := range map[string]*int{"n": n, "iters": iters, "blocks": blocks} {
+		if slices.Contains(table.Reads[f], *bench) {
+			size = *v
+		}
 	}
-	tool.Fail(checkFlags())
+	spec, err := prog.Bench(*bench, *cores, size)
+	if err != nil {
+		tool.Fail(fmt.Errorf("-bench %s: %w", *bench, err))
+	}
 
 	opt := exp.DefaultOptions()
-	switch *ic {
-	case "amba":
-		opt.Platform.Interconnect = platform.AMBA
-	case "xpipes":
+	if *ic == "xpipes" {
 		opt.Platform.Interconnect = platform.XPipes
-	default:
-		tool.Fail(fmt.Errorf("unknown interconnect %q", *ic))
 	}
 
 	if gcfg != nil {
@@ -141,32 +132,16 @@ func main() {
 	}
 }
 
-// reads is the one table of the flags only some runs read: the flag that
-// selects the run (-bench or -mode) and the values of it that read the
-// flag. Every other flag is read by every run.
-var reads = map[string]struct {
-	by     string
-	values []string
-}{
-	"n":       {"bench", []string{"spmatrix", "mpmatrix"}},
-	"iters":   {"bench", []string{"cacheloop"}},
-	"blocks":  {"bench", []string{"des"}},
-	"cores":   {"bench", []string{"cacheloop", "mpmatrix", "des"}},
-	"tgp-dir": {"mode", []string{"tg"}},
-}
-
-// checkFlags refuses, by name, the first explicitly set flag (in lexical
-// order) that the selected run does not read.
-func checkFlags() error {
-	var err error
-	flag.Visit(func(f *flag.Flag) {
-		r, ok := reads[f.Name]
-		if !ok || err != nil {
-			return
-		}
-		if v := flag.Lookup(r.by).Value.String(); !slices.Contains(r.values, v) {
-			err = fmt.Errorf("-%s applies to %s runs, not -%s %s", f.Name, strings.Join(r.values, "/"), r.by, v)
-		}
-	})
-	return err
+// table maps each flag to the modes -bench, -mode and -interconnect select
+// (internal/cliflags).
+var table = cliflags.Table{
+	Selectors: map[string][]string{
+		"bench": {"spmatrix", "cacheloop", "mpmatrix", "des"}, "mode": {"arm", "tg"}, "interconnect": {"amba", "xpipes"},
+	},
+	Reads: map[string][]string{
+		"n": {"spmatrix", "mpmatrix"}, "iters": {"cacheloop"}, "blocks": {"des"},
+		"cores": {"cacheloop", "mpmatrix", "des"}, "tgp-dir": {"tg"},
+		"bench": cliflags.All, "mode": cliflags.All, "interconnect": cliflags.All, "trace-dir": cliflags.All,
+		"stats": cliflags.All, "guard": cliflags.All, "run-budget": cliflags.All, "on-violation": cliflags.All,
+	},
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // TestRunsRefuseFlagsTheyNeverRead drives a built nocsim: a flag the
-// selected benchmark or mode never reads must exit 1 naming it, before any
+// selected benchmark or mode never reads, an unknown value of an enum flag
+// or a size out of its benchmark's range must exit 1 naming it, before any
 // simulation starts and with nothing written; every flag a run reads still
 // runs.
 func TestRunsRefuseFlagsTheyNeverRead(t *testing.T) {
@@ -34,6 +35,15 @@ func TestRunsRefuseFlagsTheyNeverRead(t *testing.T) {
 		{[]string{"-bench", "spmatrix", "-n", "4", "-cores", "2"}, "-cores applies to cacheloop/mpmatrix/des runs, not -bench spmatrix"},
 		{[]string{"-bench", "spmatrix", "-n", "4", "-mode", "arm", "-tgp-dir", "tgp"}, "-tgp-dir applies to tg runs, not -mode arm"},
 		{[]string{"-bench", "spmatrix", "-n", "4", "-tgp-dir", "tgp"}, "-tgp-dir applies to tg runs, not -mode arm"},
+		{[]string{"-mode", "TG"}, `-mode "TG": want arm or tg`},
+		{[]string{"-on-violation", "ignore"}, `-on-violation "ignore": want record or fail`},
+		{[]string{"-bench", "foo"}, `-bench "foo": want spmatrix, cacheloop, mpmatrix or des`},
+		{[]string{"-interconnect", "foo"}, `-interconnect "foo": want amba or xpipes`},
+		// Out-of-range sizes fail by name, never as a panic.
+		{[]string{"-bench", "mpmatrix", "-cores", "0"}, "-bench mpmatrix: prog: MPMatrix cores=0 n=16 invalid"},
+		{[]string{"-n", "0"}, "-bench mpmatrix: prog: MPMatrix cores=2 n=0 invalid"},
+		{[]string{"-bench", "des", "-blocks", "-1"}, "-bench des: prog: DES cores=2 blocks=-1 invalid"},
+		{[]string{"-bench", "spmatrix", "-n", "-3"}, "-bench spmatrix: prog: SPMatrix n=-3 out of range [2,64]"},
 		{[]string{"-bench", "spmatrix", "-n", "4"}, ""},
 		{[]string{"-bench", "cacheloop", "-cores", "1", "-iters", "5", "-mode", "tg", "-tgp-dir", "tgp"}, ""},
 	} {
@@ -60,7 +70,7 @@ func TestRunsRefuseFlagsTheyNeverRead(t *testing.T) {
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("nocsim %v: output %q does not name the flag (want %q)", tc.args, out, tc.want)
 		}
-		if strings.Contains(string(out), "reference") || wrote {
+		if strings.Contains(string(out), "reference") || strings.Contains(string(out), "panic") || wrote {
 			t.Errorf("nocsim %v simulated or wrote before refusing:\n%s", tc.args, out)
 		}
 	}

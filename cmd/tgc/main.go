@@ -10,16 +10,14 @@
 //	tgc -asm hand.tgp -bin hand.bin                # assemble only
 //	tgc -dump m0.bin                               # disassemble
 //
-// -dump, -trc and -asm name the mode and exclude each other. A mode reads
-// only the flags one table lists for it; a flag it never reads is refused
-// by name, never ignored.
+// -dump, -trc and -asm name the mode and exclude each other; a flag the
+// mode never reads is refused (internal/cliflags).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 
 	"noctg/internal/cliflags"
 	"noctg/internal/core"
@@ -41,12 +39,12 @@ func main() {
 		pollGap   = flag.Uint64("pollgap", core.DefaultPollGap, "fallback poll period in cycles")
 	)
 	flag.Parse()
-	mode := modeOf()
+	mode, err := table.Check(flag.CommandLine)
+	tool.Fail(err)
 	if mode == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	tool.Fail(checkFlags(mode))
 
 	switch mode {
 	case "dump":
@@ -82,35 +80,13 @@ func main() {
 	}
 }
 
-// reads is the one table of the flags each mode reads besides the flag
-// that names it.
-var reads = map[string][]string{
-	"dump": nil,
-	"trc":  {"tgp", "bin", "timeshift", "rewind", "pollgap"},
-	"asm":  {"tgp", "bin"},
-}
-
-// modeOf is the first mode, in the order dump, trc, asm, whose flag holds
-// a value; "" when none does.
-func modeOf() string {
-	for _, m := range []string{"dump", "trc", "asm"} {
-		if flag.Lookup(m).Value.String() != "" {
-			return m
-		}
-	}
-	return ""
-}
-
-// checkFlags refuses, by name, the first explicitly set flag that mode
-// does not read.
-func checkFlags(mode string) error {
-	var err error
-	flag.Visit(func(f *flag.Flag) {
-		if err == nil && f.Name != mode && !slices.Contains(reads[mode], f.Name) {
-			err = fmt.Errorf("-%s does not apply to -%s", f.Name, mode)
-		}
-	})
-	return err
+// table maps each flag to the modes that read it (internal/cliflags).
+var table = cliflags.Table{
+	Modes: []string{"dump", "trc", "asm"},
+	Reads: map[string][]string{
+		"dump": {"dump"}, "asm": {"asm"}, "tgp": {"trc", "asm"}, "bin": {"trc", "asm"},
+		"trc": {"trc"}, "timeshift": {"trc"}, "rewind": {"trc"}, "pollgap": {"trc"},
+	},
 }
 
 func emit(p *core.Program, tgpOut, binOut string) {

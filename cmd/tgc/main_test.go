@@ -52,10 +52,10 @@ func TestModesRefuseFlagsTheyNeverRead(t *testing.T) {
 		args []string
 		want string // "" for a run that must succeed
 	}{
-		{[]string{"-asm", "p.tgp", "-bin", "p.bin", "-timeshift", "-pollgap", "7", "-rewind"}, "-pollgap does not apply to -asm"},
-		{[]string{"-dump", "p.bin", "-tgp", "out.tgp"}, "-tgp does not apply to -dump"},
-		{[]string{"-asm", "p.tgp", "-trc", "p.trc"}, "-asm does not apply to -trc"},
-		{[]string{"-dump", "p.bin", "-asm", "p.tgp"}, "-asm does not apply to -dump"},
+		{[]string{"-asm", "p.tgp", "-bin", "p.bin", "-timeshift", "-pollgap", "7", "-rewind"}, "-pollgap applies to trc runs, not -asm"},
+		{[]string{"-dump", "p.bin", "-tgp", "out.tgp"}, "-tgp applies to trc/asm runs, not -dump"},
+		{[]string{"-asm", "p.tgp", "-trc", "p.trc"}, "-asm applies to asm runs, not -trc"},
+		{[]string{"-dump", "p.bin", "-asm", "p.tgp"}, "-asm applies to asm runs, not -dump"},
 		{[]string{"-asm", "p.tgp", "-tgp", "out.tgp", "-bin", "out.bin"}, ""},
 		{[]string{"-trc", "p.trc", "-timeshift", "-pollgap", "7", "-rewind", "-tgp", "out.tgp", "-bin", "out.bin"}, ""},
 		{[]string{"-dump", "p.bin"}, ""},

@@ -37,6 +37,15 @@ import (
 
 const tool cliflags.Tool = "tgrepro"
 
+// table maps each flag to the runs that read it (internal/cliflags): the
+// experiments combine and each reads every flag, so none is refused.
+var table = cliflags.Table{Reads: map[string][]string{
+	"table2": cliflags.All, "crosscheck": cliflags.All, "overhead": cliflags.All, "ablation": cliflags.All,
+	"fig2": cliflags.All, "all": cliflags.All, "sizes": cliflags.All, "workers": cliflags.All,
+	"kernel": cliflags.All, "cpuprofile": cliflags.All, "memprofile": cliflags.All, "guard": cliflags.All,
+	"run-budget": cliflags.All, "on-violation": cliflags.All,
+}}
+
 func main() {
 	var (
 		table2     = flag.Bool("table2", false, "regenerate Table 2 (ARM vs TG accuracy and speedup)")
@@ -51,6 +60,8 @@ func main() {
 	profiles := cliflags.RegisterProfile()
 	guards := cliflags.RegisterGuard("fail")
 	flag.Parse()
+	_, err := table.Check(flag.CommandLine)
+	tool.Fail(err)
 	kernel, err := execs.Kernel()
 	tool.Fail(err)
 	gcfg, err := guards.Config()

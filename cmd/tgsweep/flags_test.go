@@ -3,7 +3,6 @@ package main
 import (
 	"errors"
 	"os/exec"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -55,67 +54,47 @@ func TestCurveViolationsFailTheRun(t *testing.T) {
 	}
 }
 
-// TestEnumFlagsRejectUnknownValues drives the built tools: an unknown
+// TestEnumFlagsRejectUnknownValues drives the built tgsweep: an unknown
 // value of an enum flag — including the removed -kernel auto — or a flag
 // the selected mode never reads must exit 1 with an error naming it,
 // before any simulation starts, never fall back to a different experiment.
+// That the flag table covers every flag tgsweep declares is table.Check's
+// own precondition, so every run here holds it.
 func TestEnumFlagsRejectUnknownValues(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds the tools")
+		t.Skip("builds the tool")
 	}
-	bins := map[string]string{}
-	for _, name := range []string{"tgsweep", "tgrepro", "nocsim"} {
-		bins[name] = buildTool(t, name)
-	}
-	// The mode table covers every flag tgsweep declares: a flag no mode
-	// reads could never be set.
-	usage, _ := runTool(t, bins["tgsweep"], "-h")
-	flags := regexp.MustCompile(`(?m)^  -(\S+)`).FindAllSubmatch(usage, -1)
-	if len(flags) == 0 {
-		t.Fatalf("tgsweep -h lists no flags:\n%s", usage)
-	}
-	for _, m := range flags {
-		read := false
-		for mode := range reads {
-			read = read || readBy(mode, string(m[1]))
-		}
-		if !read {
-			t.Errorf("tgsweep -%s is read by no mode", m[1])
-		}
-	}
+	bin := buildTool(t, "tgsweep")
 	for _, tc := range []struct {
-		tool string
 		args []string
 		want string
 	}{
-		{"tgrepro", []string{"-all", "-sizes", "quik"}, `-sizes "quik": want quick or default`},
-		{"tgrepro", []string{"-table2", "-sizes", "Quick"}, `-sizes "Quick"`},
-		{"nocsim", []string{"-mode", "TG"}, `-mode "TG": want arm or tg`},
-		{"tgsweep", []string{"-kernel", "auto"}, `unknown kernel "auto"`},
-		{"tgrepro", []string{"-all", "-kernel", "auto"}, `unknown kernel "auto"`},
-		{"tgsweep", []string{"-scenario", "library", "-curve", "-curve-mode", "fast"}, `-curve-mode "fast": want uniform or adaptive`},
+		{[]string{"-kernel", "auto"}, `unknown kernel "auto"`},
+		{[]string{"-scenario", "library", "-curve", "-curve-mode", "fast"}, `-curve-mode "fast": want uniform or adaptive`},
 		// Flags a mode never reads are refused, not silently ignored.
-		{"tgsweep", []string{"-scenario", "library", "-curve-mode", "adaptive"}, `-curve-mode requires -curve`},
-		{"tgsweep", []string{"-scenario", "library", "-curve", "-analytic"}, `-analytic applies to grid/scenario sweeps, not -curve`},
-		{"tgsweep", []string{"-retry-backoff", "1s"}, `-retry-backoff requires -retries N >= 2`},
-		{"tgsweep", []string{"-resume"}, `-resume requires -journal`},
-		{"tgsweep", []string{"-curve"}, `-curve requires -scenario`},
-		{"tgsweep", []string{"-scenario", "library", "-grid", "g.json"}, `-grid applies to grid sweeps, not -scenario`},
-		{"tgsweep", []string{"-validate", "-journal", "v.journal"}, `-journal applies to curve/grid/scenario sweeps, not -validate`},
-		{"tgsweep", []string{"-validate", "-scenario", "library", "-curve"}, `-curve applies to curve sweeps, not -validate`},
-		{"tgsweep", []string{"-validate", "-analytic"}, `-analytic applies to grid/scenario sweeps, not -validate`},
-		{"tgsweep", []string{"-validate", "-shards", "2"}, `-shards applies to curve/grid/scenario sweeps, not -validate`},
-		{"tgsweep", []string{"-print-grid", "-scenario", "library"}, `-scenario applies to curve/scenario/validate sweeps, not -print-grid`},
-		{"nocsim", []string{"-on-violation", "ignore"}, `-on-violation "ignore": want record or fail`},
+		{[]string{"-scenario", "library", "-curve-mode", "adaptive"}, `-curve-mode requires -curve`},
+		// An empty -grid is still the grid mode and refuses the same flags.
+		{[]string{"-grid=", "-curve-mode", "adaptive"}, `-curve-mode requires -curve`},
+		{[]string{"-grid=", "-resume"}, `-resume requires -journal`},
+		{[]string{"-scenario", "library", "-curve", "-analytic"}, `-analytic applies to grid/scenario runs, not -curve`},
+		{[]string{"-retry-backoff", "1s"}, `-retry-backoff requires -retries N >= 2`},
+		{[]string{"-resume"}, `-resume requires -journal`},
+		{[]string{"-curve"}, `-curve requires -scenario`},
+		{[]string{"-scenario", "library", "-grid", "g.json"}, `-grid applies to grid runs, not -scenario`},
+		{[]string{"-validate", "-journal", "v.journal"}, `-journal applies to curve/grid/scenario runs, not -validate`},
+		{[]string{"-validate", "-scenario", "library", "-curve"}, `-curve applies to curve runs, not -validate`},
+		{[]string{"-validate", "-analytic"}, `-analytic applies to grid/scenario runs, not -validate`},
+		{[]string{"-validate", "-shards", "2"}, `-shards applies to curve/grid/scenario runs, not -validate`},
+		{[]string{"-print-grid", "-scenario", "library"}, `-scenario applies to curve/scenario/validate runs, not -print-grid`},
 	} {
-		out, err := runTool(t, bins[tc.tool], tc.args...)
+		out, err := runTool(t, bin, tc.args...)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%s %v: %v, want exit status 1\n%s", tc.tool, tc.args, err, out)
+			t.Errorf("tgsweep %v: %v, want exit status 1\n%s", tc.args, err, out)
 			continue
 		}
 		if !strings.Contains(string(out), tc.want) {
-			t.Errorf("%s %v: output %q does not name the value (want %q)", tc.tool, tc.args, out, tc.want)
+			t.Errorf("tgsweep %v: output %q does not name the value (want %q)", tc.args, out, tc.want)
 		}
 	}
 }

@@ -42,16 +42,13 @@
 // estimates — lands in <out>.json. The default suite is the
 // stock source set; with -scenario, sources derive from the scenario
 // file's stochastic workloads. A failed fidelity check exits nonzero.
-// -validate reads -scenario, -workers and -out (and, like every mode, the
-// profile flags) and refuses the rest: the harness pins every kernel to
-// one cycle schedule, so -kernel and the sweep flags do not apply.
+// The harness pins every kernel to one cycle schedule, so -kernel and the
+// sweep flags do not apply to -validate.
 //
-// Each mode (grid, -scenario, -curve, -validate, -print-grid,
-// -print-scenarios) reads the flags one table lists for it; a flag set
-// that the mode never reads is refused by name, never ignored. Grid and
-// scenario files share one validator and one set of bounds: cores in
-// [1, 112], count in [0, 10 000 000], a mean gap of 0 (the default) or in
-// (0, 1e9], mesh sides and buffer_flits in [0, 64].
+// A flag the selected mode never reads is refused (internal/cliflags).
+// Grid and scenario files share one validator and one set of bounds: cores
+// in [1, 112], count in [0, 10 000 000], a mean gap of 0 (the default) or
+// in (0, 1e9], mesh sides and buffer_flits in [0, 64].
 //
 // The paper's own evaluation (Table 2, the cross-interconnect check, the
 // overhead measurement, the ablations, Figure 2) is cmd/tgrepro's job.
@@ -102,10 +99,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"maps"
 	"os"
-	"slices"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -132,7 +126,7 @@ func main() {
 		retries   = flag.Int("retries", 0, "max attempts per point: transient failures (run budget, barrier stall, worker panic) retry with backoff on the same -kernel and -shards (0/1 = no retries)")
 		retryBack = flag.Duration("retry-backoff", 0, "base delay before a retry, doubling per attempt (requires -retries N >= 2)")
 	)
-	// The mode flags are read through modeOf.
+	// The mode flags are read through table.Check.
 	flag.Bool("print-grid", false, "print the default grid JSON and exit")
 	flag.Bool("print-scenarios", false, "print the scenario library JSON and exit")
 	flag.Bool("curve", false, "sweep injection load per scenario and emit load-latency curves (requires -scenario)")
@@ -143,8 +137,8 @@ func main() {
 	// continues either way; -on-violation only picks the exit status.
 	guards := cliflags.RegisterGuard("record")
 	flag.Parse()
-	m := modeOf()
-	tool.Fail(checkFlags(m))
+	m, err := table.Check(flag.CommandLine)
+	tool.Fail(err)
 
 	kernel, err := execs.Kernel()
 	tool.Fail(err)
@@ -269,61 +263,24 @@ func main() {
 	guards.Exit(tool, violated)
 }
 
-// sweepFlags are the flags every simulating mode reads.
-const sweepFlags = " out maxcycles shards journal resume retries retry-backoff workers kernel guard run-budget on-violation"
-
-// reads is the one table of the flags each mode reads, besides the flag
-// that names the mode and -cpuprofile/-memprofile, which every mode reads.
-// A flag set on the command line that the mode does not read is refused,
-// never ignored; needs names the flags read only beside another one.
-var (
-	reads = map[string]string{
-		"grid":            "analytic" + sweepFlags,
-		"scenario":        "analytic" + sweepFlags,
-		"curve":           "scenario curve-mode" + sweepFlags,
-		"validate":        "scenario workers out",
-		"print-grid":      "",
-		"print-scenarios": "",
-	}
-	needs = map[string]string{"resume": "journal", "curve": "scenario", "curve-mode": "curve"}
-)
-
-// modeOf is the first mode, printing first, whose flag holds a value; the
-// grid sweep when none does.
-func modeOf() string {
-	for _, m := range []string{"print-grid", "print-scenarios", "validate", "curve", "scenario"} {
-		if v := flag.Lookup(m).Value.String(); v != "" && v != "false" {
-			return m
-		}
-	}
-	return "grid"
+// table maps each flag to the modes that read it (internal/cliflags).
+var table = cliflags.Table{
+	Modes:   []string{"print-grid", "print-scenarios", "validate", "curve", "scenario"},
+	Default: "grid",
+	Reads: map[string][]string{
+		"grid": {"grid"}, "analytic": {"grid", "scenario"}, "scenario": {"curve", "scenario", "validate"},
+		"curve": {"curve"}, "curve-mode": {"curve"}, "validate": {"validate"},
+		"print-grid": {"print-grid"}, "print-scenarios": {"print-scenarios"},
+		"out": {"curve", "grid", "scenario", "validate"}, "workers": {"curve", "grid", "scenario", "validate"},
+		"maxcycles": sims, "shards": sims, "kernel": sims, "journal": sims, "resume": sims,
+		"retries": sims, "retry-backoff": sims, "guard": sims, "run-budget": sims, "on-violation": sims,
+		"cpuprofile": cliflags.All, "memprofile": cliflags.All,
+	},
+	Needs: map[string]string{"resume": "journal", "curve": "scenario", "curve-mode": "curve"},
 }
 
-func readBy(mode, name string) bool {
-	return name == mode || slices.Contains(strings.Fields(reads[mode]+" cpuprofile memprofile"), name)
-}
-
-// checkFlags refuses, by name, the first explicitly set flag that mode
-// does not read or that lacks the flag it needs.
-func checkFlags(mode string) error {
-	var set []string // in lexical order
-	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	for _, name := range set {
-		if need, ok := needs[name]; ok && !slices.Contains(set, need) {
-			return fmt.Errorf("-%s requires -%s", name, need)
-		}
-		if !readBy(mode, name) {
-			var by []string
-			for _, m := range slices.Sorted(maps.Keys(reads)) {
-				if readBy(m, name) {
-					by = append(by, m)
-				}
-			}
-			return fmt.Errorf("-%s applies to %s sweeps, not -%s", name, strings.Join(by, "/"), mode)
-		}
-	}
-	return nil
-}
+// sims are the simulating modes.
+var sims = []string{"curve", "grid", "scenario"}
 
 // loadScenarios reads the -scenario file, or the stock library for
 // "library".

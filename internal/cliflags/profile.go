@@ -1,8 +1,3 @@
-// Package cliflags holds the flag groups more than one cmd/ main takes, so
-// each is declared, validated and resolved once — -cpuprofile/-memprofile
-// (this file), -workers/-kernel (exec.go), -guard/-run-budget/
-// -on-violation (guard.go) — and the one exit path every main leaves
-// through on an error or a guard violation (tool.go).
 package cliflags
 
 import (
@@ -12,16 +7,16 @@ import (
 	"runtime/pprof"
 )
 
-// Profile holds the registered profiling flag values.
-type Profile struct {
+// profile holds the registered profiling flag values.
+type profile struct {
 	cpu *string
 	mem *string
 }
 
 // RegisterProfile adds -cpuprofile and -memprofile to the default flag set.
 // Call before flag.Parse.
-func RegisterProfile() *Profile {
-	return &Profile{
+func RegisterProfile() *profile {
+	return &profile{
 		cpu: flag.String("cpuprofile", "", "write a CPU profile to this file"),
 		mem: flag.String("memprofile", "", "write a heap profile to this file at exit"),
 	}
@@ -31,7 +26,7 @@ func RegisterProfile() *Profile {
 // finishes the CPU profile and writes the heap profile; errors either way
 // fail the tool. Call the stop function on the success path only (a
 // failed run exits without profiles).
-func (f *Profile) Start(t Tool) (stop func()) {
+func (f *profile) Start(t Tool) (stop func()) {
 	var cpuFile *os.File
 	if *f.cpu != "" {
 		var err error

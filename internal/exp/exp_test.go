@@ -258,7 +258,11 @@ func TestLatencyDistributionFidelity(t *testing.T) {
 func TestMeasureRowPipelineAccuracy(t *testing.T) {
 	// The pipeline workload is pure fine-grained handshaking — the hardest
 	// reactive case. The TG platform must still track the reference.
-	row, err := MeasureRow(prog.Pipeline(3, 8), DefaultOptions())
+	spec, err := prog.Bench("pipeline", 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := MeasureRow(spec, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +273,11 @@ func TestMeasureRowPipelineAccuracy(t *testing.T) {
 }
 
 func TestPipelineCrossInterconnect(t *testing.T) {
-	res, err := CrossCheck(prog.Pipeline(3, 6), DefaultOptions())
+	spec, err := prog.Bench("pipeline", 3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := CrossCheck(spec, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

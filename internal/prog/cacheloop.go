@@ -11,9 +11,11 @@ const maxCacheloopIters = 1_000_000
 // the interconnect sees only the initial refills. The paper uses it to show
 // TG speedup growing with the number of processors, because replaced cores
 // dominate simulation cost while the bus stays idle (Table 2, "Cacheloop").
-func Cacheloop(cores, iters int) *Spec {
+func Cacheloop(cores, iters int) *Spec { return must(cacheloop(cores, iters)) }
+
+func cacheloop(cores, iters int) (*Spec, error) {
 	if cores < 1 || iters < 1 || iters > maxCacheloopIters {
-		panic(fmt.Sprintf("prog: Cacheloop cores=%d iters=%d invalid", cores, iters))
+		return nil, fmt.Errorf("prog: Cacheloop cores=%d iters=%d invalid", cores, iters)
 	}
 	src := fmt.Sprintf(`
 ; Cacheloop: iterate an in-cache loop, then publish the iteration count.
@@ -48,5 +50,5 @@ result:
 			}
 			return nil
 		},
-	}
+	}, nil
 }

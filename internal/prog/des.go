@@ -15,9 +15,11 @@ import (
 // memory; and each finished block passes through a semaphore-protected
 // progress update, which provides the synchronisation contention the paper
 // stresses (Table 2, "DES").
-func DES(cores, blocksPerCore int) *Spec {
+func DES(cores, blocksPerCore int) *Spec { return must(des(cores, blocksPerCore)) }
+
+func des(cores, blocksPerCore int) (*Spec, error) {
 	if cores < 1 || cores > 16 || blocksPerCore < 1 || blocksPerCore > 256 {
-		panic(fmt.Sprintf("prog: DES cores=%d blocks=%d invalid", cores, blocksPerCore))
+		return nil, fmt.Errorf("prog: DES cores=%d blocks=%d invalid", cores, blocksPerCore)
 	}
 	sptab, ks := desTables()
 
@@ -219,5 +221,5 @@ sptab:
 			}
 			return checkWord(peek, complete, completeMagic, "des complete")
 		},
-	}
+	}, nil
 }

@@ -13,9 +13,11 @@ import (
 // serialises progress publishing and generates the polling contention the
 // paper's §3 analyses) and per-core done flags that core 0 collects
 // (Table 2, "MP matrix").
-func MPMatrix(cores, n int) *Spec {
+func MPMatrix(cores, n int) *Spec { return must(mpmatrix(cores, n)) }
+
+func mpmatrix(cores, n int) (*Spec, error) {
 	if cores < 1 || cores > 16 || n < cores || n > 64 {
-		panic(fmt.Sprintf("prog: MPMatrix cores=%d n=%d invalid", cores, n))
+		return nil, fmt.Errorf("prog: MPMatrix cores=%d n=%d invalid", cores, n)
 	}
 	ready := sharedAddr(offReady)
 	tick := sharedAddr(offTick)
@@ -194,5 +196,5 @@ fin:
 			}
 			return checkWord(peek, complete, completeMagic, "mpmatrix complete")
 		},
-	}
+	}, nil
 }

@@ -2,7 +2,7 @@ package prog
 
 import "fmt"
 
-// Pipeline is an additional workload beyond the paper's four: a dataflow
+// pipeline is an additional workload beyond the paper's four: a dataflow
 // chain in which core 0 produces items, middle cores transform them, and
 // the last core folds them into a checksum, with single-buffer flag
 // handshakes between adjacent stages. Every item crosses every stage
@@ -15,9 +15,9 @@ import "fmt"
 // the consumer side polls flag[s] == 1, reads the item and clears the
 // flag. Each poll episode targets a single stable value, so the translator
 // collapses it reactively like any barrier flag.
-func Pipeline(cores, items int) *Spec {
+func pipeline(cores, items int) (*Spec, error) {
 	if cores < 2 || cores > 16 || items < 1 || items > 4096 {
-		panic(fmt.Sprintf("prog: Pipeline cores=%d items=%d invalid", cores, items))
+		return nil, fmt.Errorf("prog: Pipeline cores=%d items=%d invalid", cores, items)
 	}
 	complete := sharedAddr(offComplete)
 	result := sharedAddr(offSums)
@@ -150,5 +150,5 @@ fin:
 			}
 			return checkWord(peek, complete, completeMagic, "pipeline complete")
 		},
-	}
+	}, nil
 }

@@ -45,6 +45,30 @@ type Spec struct {
 	Validate func(peek func(uint32) uint32, syms map[string]uint32) error
 }
 
+// Bench builds the named benchmark on cores processors, size being its
+// one size parameter (spmatrix runs on one core); an out-of-range value
+// returns the error the named constructor panics with.
+func Bench(name string, cores, size int) (*Spec, error) {
+	build, ok := benches[name]
+	if !ok {
+		return nil, fmt.Errorf("prog: unknown benchmark %q", name)
+	}
+	return build(cores, size)
+}
+
+var benches = map[string]func(cores, size int) (*Spec, error){
+	"spmatrix":  func(_, n int) (*Spec, error) { return spmatrix(n) },
+	"cacheloop": cacheloop, "mpmatrix": mpmatrix, "des": des, "pipeline": pipeline,
+}
+
+// must is the exported constructors' panic on an out-of-range size.
+func must(s *Spec, err error) *Spec {
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // Assemble produces one program per core, each loaded at its private base.
 func (s *Spec) Assemble() ([]*cpu.Program, error) {
 	progs := make([]*cpu.Program, s.Cores)

@@ -219,26 +219,23 @@ func TestInvalidSpecParamsPanic(t *testing.T) {
 
 func TestPipelineOnAMBA(t *testing.T) {
 	for _, cores := range []int{2, 3, 4} {
-		runSpec(t, Pipeline(cores, 6), platform.AMBA)
+		runSpec(t, must(pipeline(cores, 6)), platform.AMBA)
 	}
 }
 
 func TestPipelineOnXPipes(t *testing.T) {
-	runSpec(t, Pipeline(3, 4), platform.XPipes)
+	runSpec(t, must(pipeline(3, 4)), platform.XPipes)
 }
 
 func TestPipelinePollWords(t *testing.T) {
-	s := Pipeline(4, 2)
+	s := must(pipeline(4, 2))
 	if len(s.PollWords) != 3 {
 		t.Fatalf("4 stages need 3 handshake flags, got %d", len(s.PollWords))
 	}
 }
 
 func TestPipelineInvalidParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("single-core pipeline should panic")
-		}
-	}()
-	Pipeline(1, 10)
+	if _, err := Bench("pipeline", 1, 10); err == nil {
+		t.Fatal("single-core pipeline accepted")
+	}
 }

@@ -7,9 +7,11 @@ import "fmt"
 // multiplies them and folds the product into a checksum. Traffic is cache
 // refills and write-through stores on an otherwise idle interconnect —
 // the simplest accuracy/speedup environment (Table 2, "SP matrix").
-func SPMatrix(n int) *Spec {
+func SPMatrix(n int) *Spec { return must(spmatrix(n)) }
+
+func spmatrix(n int) (*Spec, error) {
 	if n < 2 || n > 64 {
-		panic(fmt.Sprintf("prog: SPMatrix n=%d out of range [2,64]", n))
+		return nil, fmt.Errorf("prog: SPMatrix n=%d out of range [2,64]", n)
 	}
 	src := fmt.Sprintf(`
 ; SP matrix: C = A×B in private memory, then checksum(C) -> result.
@@ -124,5 +126,5 @@ cmat:
 			}
 			return nil
 		},
-	}
+	}, nil
 }

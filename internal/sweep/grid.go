@@ -114,28 +114,14 @@ func (w Workload) spatial() (*stochastic.Spatial, error) {
 	return s, nil
 }
 
-// spec builds the benchmark spec for a TG workload. The prog constructors
-// panic on out-of-range sizes; convert that into a validation error so a
-// bad grid never takes the process down.
-func (w Workload) spec() (s *prog.Spec, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s, err = nil, fmt.Errorf("sweep: invalid workload %s (cores %d, size %d): %v", w.Label(), w.Cores, w.Size, r)
-		}
-	}()
-	switch w.Bench {
-	case "spmatrix":
-		return prog.SPMatrix(w.Size), nil
-	case "cacheloop":
-		return prog.Cacheloop(w.Cores, w.Size), nil
-	case "mpmatrix":
-		return prog.MPMatrix(w.Cores, w.Size), nil
-	case "des":
-		return prog.DES(w.Cores, w.Size), nil
-	case "pipeline":
-		return prog.Pipeline(w.Cores, w.Size), nil
+// spec builds the benchmark spec for a TG workload; an out-of-range size
+// is a validation error, never a panic.
+func (w Workload) spec() (*prog.Spec, error) {
+	s, err := prog.Bench(w.Bench, w.Cores, w.Size)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: invalid workload %s (cores %d, size %d): %w", w.Label(), w.Cores, w.Size, err)
 	}
-	return nil, fmt.Errorf("sweep: unknown benchmark %q", w.Bench)
+	return s, nil
 }
 
 // dist maps the distribution name onto the stochastic package's enum.
