@@ -84,7 +84,7 @@ func main() {
 		sizes = exp.QuickSizes()
 	}
 	if execs.Workers() != 1 && (sel.Table2 || sel.Overhead) {
-		fmt.Fprintln(os.Stderr, "tgrepro:", sweep.TimingCaveat)
+		fmt.Fprintln(os.Stderr, "tgrepro:", timingCaveat)
 	}
 	opt := exp.DefaultOptions()
 	opt.Platform.Kernel = kernel
@@ -102,5 +102,5 @@ func main() {
 	if guards.Check(tool, err) {
 		return
 	}
-	sweep.FormatPaper(os.Stdout, res, sel)
+	formatPaper(os.Stdout, res, sel)
 }

@@ -1,19 +1,20 @@
-package sweep
+package main
 
 import (
 	"fmt"
 	"io"
 
 	"noctg/internal/exp"
+	"noctg/internal/sweep"
 )
 
-// TimingCaveat is the warning CLIs print when wall-clock experiment columns
+// timingCaveat is the warning printed when wall-clock experiment columns
 // run under a parallel worker pool.
-const TimingCaveat = "note: wall-time columns (time ARM/TG, gain) contend for host cores under parallel execution; use -workers 1 for timing fidelity (simulated cycles are exact either way)"
+const timingCaveat = "note: wall-time columns (time ARM/TG, gain) contend for host cores under parallel execution; use -workers 1 for timing fidelity (simulated cycles are exact either way)"
 
-// FormatPaper renders the selected experiment families of one parallel
-// paper run in cmd/tgrepro's report layout.
-func FormatPaper(w io.Writer, res *PaperResults, sel PaperSelect) {
+// formatPaper renders the selected experiment families of one parallel
+// paper run.
+func formatPaper(w io.Writer, res *sweep.PaperResults, sel sweep.PaperSelect) {
 	if sel.Table2 {
 		fmt.Fprintln(w, "== Table 2: TG vs ARM performance with AMBA ==")
 		fmt.Fprint(w, exp.FormatTable2(res.Table2))

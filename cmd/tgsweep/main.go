@@ -2,10 +2,8 @@
 // workloads × fabrics × clock periods × seeds fans out over a bounded
 // worker pool, and the per-run latency/throughput/flit metrics land in JSON
 // and CSV artifacts whose bytes are identical for any -workers value. Each
-// stochastic point simulates on its own engine; a TG configuration, whose
-// replay is deterministic, simulates once per campaign and its successful
-// result is shared by every seed of the grid (a failure is never shared:
-// each seed simulates and reports its own).
+// stochastic point simulates on its own engine; TG points share their
+// results across seeds as internal/sweep's package doc says.
 //
 // Usage:
 //
@@ -66,15 +64,10 @@
 // byte-identical for every N, 0 and 1 (one engine) included — the
 // execution-axis differentials pin this. AMBA points ignore the setting.
 //
-// -journal FILE makes the sweep crash-safe: every completed point is
-// appended to a write-ahead journal before its worker moves on, and a
-// background fsync makes the records durable in groups, so a killed
-// process loses no completed point and an OS crash at most those finished
-// since the last sync. -resume skips completed points and re-runs only
-// in-flight or unstarted ones — final artifacts are byte-identical to an
-// uninterrupted run at any kill point, and the resume may use a different
-// worker count, kernel or shard count. With -curve, every load level is a
-// journaled point.
+// -journal FILE makes the sweep crash-safe, and -resume finishes a
+// journaled campaign with the artifacts of an uninterrupted run (the crash
+// contract is internal/journal's package doc). With -curve, every load
+// level is a journaled point.
 // Under -journal, SIGINT/SIGTERM drain gracefully: in-flight points
 // finish, the journal is flushed, and the process exits nonzero with a
 // resume hint. Without -journal a signal stops the process at once.
@@ -103,6 +96,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"noctg/internal/analytic"
 	"noctg/internal/cliflags"
 	"noctg/internal/drain"
 	"noctg/internal/journal"
@@ -298,41 +292,29 @@ func loadScenarios(path string) []scenario.Spec {
 
 // printPredictions renders the closed-form prediction per scenario — the
 // zero-load latency and saturation knee, no simulation — as a table on
-// stderr, leaving stdout pure JSON for piping.
+// stderr, leaving stdout pure JSON for piping. The rows are the -analytic
+// report's entries: each scenario's first point, its lightest configured
+// load.
 func printPredictions(specs []scenario.Spec) {
 	pts, err := scenario.Points(specs)
 	if err != nil {
 		return
 	}
-	// One representative point per scenario: the first point of each
-	// scenario's expansion carries its lightest configured load.
-	byLabel := make(map[string]sweep.Point)
-	var labels []string
-	for _, p := range pts {
-		key := p.Workload.Label() + " @ " + p.Fabric.Label()
-		if _, ok := byLabel[key]; !ok {
-			byLabel[key] = p
-			labels = append(labels, key)
-		}
-	}
 	tw := tabwriter.NewWriter(os.Stderr, 2, 0, 2, ' ', 0)
 	fmt.Fprintf(tw, "scenario\tzero-load lat\tknee gap\tknee offered\tsat ceiling\n")
 	fmt.Fprintf(tw, "\t(cycles)\t(cycles)\t(txn/kcycle)\t(txn/kcycle)\n")
-	for _, key := range labels {
-		p := byLabel[key]
-		est, err := sweep.NewEstimator(p.Workload, p.Fabric)
-		if err != nil {
-			fmt.Fprintf(tw, "%s\t-\t-\t-\t-\n", key)
+	for _, en := range sweep.AnalyticReport(pts).Entries {
+		est, err := analytic.New(en.Spec)
+		if en.Err != "" || err != nil {
+			fmt.Fprintf(tw, "%s\t-\t-\t-\t-\n", en.Label)
 			continue
 		}
-		e := est.Estimate()
 		// The continuous knee: resource saturation when the bottleneck
 		// fills first, the marginal-throughput knee when the closed-loop
 		// population self-limits before any resource does.
 		kg := sweep.PredictedKneeGap(est)
-		knee := fmt.Sprintf("%.1f", kg)
-		offered := fmt.Sprintf("%.1f", float64(est.Spec().Traffic.Masters)*1000/(kg+1))
-		fmt.Fprintf(tw, "%s\t%.1f\t%s\t%s\t%.1f\n", key, e.ZeroLoadLatency, knee, offered, e.SatThroughputTPK)
+		offered := float64(en.Spec.Traffic.Masters) * 1000 / (kg + 1)
+		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\t%.1f\n", en.Label, en.Estimate.ZeroLoadLatency, kg, offered, en.Estimate.SatThroughputTPK)
 	}
 	tw.Flush()
 }

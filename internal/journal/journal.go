@@ -3,6 +3,8 @@
 // records, a reader that tolerates the torn tail a SIGKILL leaves behind,
 // and an atomic file writer for final artifacts.
 //
+// # The crash contract
+//
 // The journal is a text file of independent, CRC-framed records, one per
 // line:
 //
@@ -10,26 +12,37 @@
 //
 // Records are appended in execution order: one campaign header naming the
 // point set, then a start record per attempt and one done record per
-// finished point carrying the point's full serialised result and its
-// SHA-256 outcome hash. Because every record is self-framed and written
-// before the call that appends it returns, a process killed at ANY byte
-// offset leaves a journal whose valid prefix is exactly the set of
-// completed points — the half-written last record is the normal crash
-// signature, not corruption, and Load drops it silently. A framing or
-// checksum failure anywhere before the tail IS corruption and comes back
-// as an error.
+// finished point carrying the point's attempt count, outcome (ok, failed
+// or quarantined), full serialised result and SHA-256 outcome hash.
 //
-// Records are made durable by group commit (see Writer): one background
-// fsync at a time covers every record written before it started. So a
-// process kill loses nothing, and an OS crash or power loss loses at most
-// the done records written since the last completed sync; those points
-// re-run on resume and come out byte-identical. Writer.Close returns only
-// once everything written is synced.
+// Torn tail. Every record is self-framed and written before the call that
+// appends it returns, so a process killed at ANY byte offset leaves a
+// journal whose valid prefix is exactly the set of completed points. The
+// half-written last record is the normal crash signature, not corruption:
+// Load drops it and a resume truncates it. A framing or checksum failure
+// anywhere before the tail IS corruption and comes back as an error.
 //
-// The journal deliberately stores results, not just outcome hashes: a
-// resumed campaign re-serialises completed points from their journal
-// records, so the final artifacts are byte-identical to an uninterrupted
-// run without re-simulating anything.
+// Group commit. Records are made durable by one background fsync at a
+// time, which covers every record written before it started (see Writer),
+// so no worker waits for the disk. A process kill loses nothing; an OS
+// crash or power loss loses at most the done records written since the
+// last completed sync, and those points re-run on resume and come out
+// byte-identical. Writer.Close returns only once everything written is
+// synced, and the first write or sync failure is sticky: no record
+// follows it, and the run reports that error.
+//
+// Resume. The journal stores results, not just outcome hashes: a resumed
+// campaign (sweep.Runner.Resume, tgsweep -resume) skips every completed
+// point — failed and quarantined ones included — re-runs in-flight and
+// unstarted ones, and re-serialises the stored results, so the final
+// artifacts are byte-identical to an uninterrupted run at any kill point.
+// A point's key (sweep.PointKey) hashes only result-determining fields, so
+// a resume may change the worker count, kernel, shard count, guard or
+// retry policy; a journal of a different point set is refused by its
+// campaign key. Attempt numbering continues across a resume.
+//
+// Every final artifact goes through AtomicWrite (a temp file and a
+// rename), so a crash mid-write never leaves a partial output file.
 package journal
 
 import (

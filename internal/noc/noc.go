@@ -18,6 +18,30 @@
 // on. Its latency/contention profile is deliberately very different from the
 // shared bus: per-hop pipelining, distance-dependent latency, distributed
 // contention at router outputs.
+//
+// # Flow control
+//
+// The fabric has one flow-control rule, the same on a local link and on a
+// link cut between shards (router.downstreamSpace): an output sends on a
+// VC while its cycle-start credit view holds a credit. Each link channel
+// counts the free slots of the FIFO it feeds; a send takes one, and a pop
+// of that FIFO returns it for the next cycle — a local link sets the
+// credits returned during the current cycle aside until the cycle ends, a
+// cut link gets them back at the exporter's Exchange. The view is the
+// downstream occupancy as of the start of the cycle, so the outcome of a
+// cycle is a pure function of the state at its start: it does not depend
+// on router tick order or on where the fabric is cut, which is what makes
+// every partition of a fabric (Region) compute the unpartitioned fabric's
+// flit movements.
+//
+// It also means a router holding no flit can change nothing, so a cycle
+// costs what its resident flits cost: each pool domain ticks only its
+// active routers, and a router probes only its candidate channels (see
+// Network.tick). The summaries that make this cheap — occupancy and
+// request masks, the request cache and counts, the credit views, the
+// active sets — are checked, not trusted: CheckInvariants recomputes them
+// from the FIFOs, and the exhaustive schedule survives as a test-only
+// reference that production must match cycle for cycle.
 package noc
 
 import (
@@ -446,14 +470,8 @@ func (r *router) refund(k int, cycle uint64) {
 }
 
 // downstreamSpace reports whether output dir of this router can accept a
-// flit on vc this cycle. This is the fabric's one flow-control rule, the
-// same on local and cut links: a link channel sends while its cycle-start
-// credit view — its credits less those returned during the cycle — holds
-// one. The view never depends on which routers happened to tick first, so
-// the outcome of a cycle is a pure function of the state at its start —
-// the invariant that makes the unpartitioned fabric and every partition of
-// it compute the same flit movements, and that lets a cycle skip every
-// router holding no flit (see Network.tick).
+// flit on vc this cycle: the package's one flow-control rule (see the
+// package doc), a channel's credits less those returned during the cycle.
 func (r *router) downstreamSpace(dir, vc int, cycle uint64) bool {
 	if dir == portL {
 		return r.local != nil // NIs always sink delivered flits

@@ -14,14 +14,11 @@ import (
 // between execution windows, plus credit counters giving the exporter a
 // conservative view of downstream buffer space.
 //
-// Determinism is the design constraint. The fabric's flow control reads a
-// cycle-start credit view (see downstreamSpace): the outcome of a cycle is
-// a pure function of the state at its start, independent of router tick
-// order, so cutting a link (which delays visibility of a pushed flit until
-// the window boundary, and of a pop until the exporter's Exchange returns
-// its credit) produces exactly the flit movements of the uncut fabric. The
-// unpartitioned network and every partition of it compute byte-identical
-// results.
+// Determinism is the design constraint, and the package's flow-control
+// rule (see the package doc) carries it: cutting a link delays visibility
+// of a pushed flit until the window boundary, and of a pop until the
+// exporter's Exchange returns its credit, and produces exactly the flit
+// movements of the uncut fabric.
 
 // cutRingCap bounds a cut link's export ring. A physical link carries at
 // most one flit per cycle and rings drain at every window boundary (at

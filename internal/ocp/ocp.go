@@ -8,6 +8,26 @@
 // burst reads and writes, a request/accept handshake, and a response phase
 // for reads. Writes are posted — the master is released as soon as the
 // interconnect accepts the request (Figure 2(a) semantics).
+//
+// # The wake rule
+//
+// One rule, the same on both fabrics, lets a blocked master sleep: the
+// port wakes its master. Every master — the TG device, the open-loop
+// stochastic generator and its cloning replay, the ARM cores' memory
+// unit, the test suites' scripted master — drives its port through one
+// embedded Handshake and differs from the others only in what it issues
+// and when. At registration the handshake's SetWaker hands the master's
+// engine wake handle (sim.Waker) to the port, through PassWaker, which
+// looks through a Monitor. A port that takes it — the AMBA port and the
+// ×pipes master NI — calls WakeAt at every change of its answers: at the
+// accept (the bus grant, or the request's tail entering the router) for
+// the next cycle, and for the cycle the response becomes takeable. A
+// master blocked on such a port therefore reports sim.WakeNever and costs
+// no tick until then. A master whose port did not take the handle — a
+// test fake, a capture port, any wrapper that is not a sim.WakeSink —
+// polls every blocked cycle instead. A missed wake parks a master forever,
+// so each port's wake cycles are held to strict ticking by its package's
+// tests.
 package ocp
 
 import (

@@ -2,32 +2,43 @@
 // other package in the repository. It stands in for the SystemC kernel that
 // the paper's MPARM platform runs on.
 //
-// The strict kernel is deliberately simple: every registered device is
-// ticked once per simulated clock cycle, in registration order, on a
-// single goroutine. It is the oracle the other two kernels are held to,
-// and, with both the ARM reference and the TG replay on it, the paper's
-// like-for-like speedup: the gain comes from traffic generators doing less
-// work per cycle than the processor models they replace.
+// # Kernels
 //
-// Every device states its next wake (Device embeds Sleeper). An
-// idle-skipping kernel (KernelSkip) accelerates runs whose devices all
-// sleep at once: when every registered device reports a future wake cycle
-// — a TG deep inside an Idle(100000), a core stalled on a quiescent
-// interconnect — the engine advances the cycle counter straight to the
-// earliest wake cycle instead of spinning through no-op ticks. Skipping
-// never changes simulated state: a cycle is skipped only when no device
-// could have done work in it, so makespans, histograms and per-device
-// counters are identical to a strict run (the sweep differential tests
-// assert byte-identical artifacts).
+// Three cycle-advance strategies drive an Engine, and all three compute
+// the same simulated state — makespans, histograms, counters and every
+// artifact byte built from them:
 //
-// The event-driven kernel (KernelEvent, event.go) goes one step further:
-// instead of requiring every device to sleep before any cycle can be
-// elided, it keeps a calendar of per-device wakes and ticks only the
-// devices that are due each cycle. Its per-cycle cost scales with the
-// number of awake devices, not the device count, so one saturated master
-// among many idle ones no longer drags the whole platform back to
-// strict-ticking speed. The all-asleep case degenerates to exactly the
-// skip kernel's cycle jump.
+//   - strict (KernelStrict) ticks every registered device once per cycle,
+//     in registration order, on a single goroutine. It is the oracle the
+//     other two are held to, and, with both the ARM reference and the TG
+//     replay on it, the paper's like-for-like speedup: the gain comes from
+//     traffic generators doing less work per cycle than the processor
+//     models they replace.
+//   - skip (KernelSkip) jumps the cycle counter straight to the earliest
+//     wake when every device sleeps at once — a TG deep inside an
+//     Idle(100000), a core stalled on a quiescent interconnect.
+//   - event (KernelEvent, event.go) keeps a calendar of per-device wakes
+//     and ticks only the devices due each cycle, so its per-cycle cost
+//     scales with the awake set, not the device count; when every device
+//     sleeps it makes the skip kernel's jump.
+//
+// The kernels rely on one contract: every Device embeds a Sleeper, and
+// NextWake is a strict "will not act before" promise that holds even if
+// the device is never ticked or re-queried in between (see Sleeper). A
+// device that cannot bound its next action reports NextWake(now) = now,
+// as a DeviceFunc always does, and is ticked every cycle while the others
+// still sleep; no device type switches an engine to strict ticking. A
+// device whose earliest action another device can move earlier implements
+// WakeSink and is woken through its Waker at the stimulus; a wake
+// scheduled with WakeAt is kept until its cycle executes, across Run
+// calls, on every kernel. How a master blocked on its port uses that
+// handle is the package ocp's wake rule.
+//
+// Phase boundaries (Phases.Run) are forced wake points: each window is its
+// own bounded run, and the skip and event kernels clamp their jumps at a
+// window's end as at a cycle budget, so every kernel snapshots the same
+// state at the same boundary cycles. The platform layer picks the kernel
+// (platform.KernelMode, whose zero value is event).
 package sim
 
 import (

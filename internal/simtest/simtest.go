@@ -4,6 +4,38 @@
 // digest and pin to its producer (artifact.go), and a scripted OCP master
 // that issues a fixed sequence of transactions separated by idle gaps,
 // recording accept and response cycles.
+//
+// # The artifact contract
+//
+// Every deterministic output the repository stores — the sweep goldens,
+// the measure, fabric and paper digests, the cloning pin — is a row of
+// one harness, Artifacts: a name, a stored file and a producer of bytes.
+// Each package holds its rows in one TestArtifacts table. For each row the
+// harness runs the producer twice (the runs must agree), compares the
+// bytes with the stored file, failing with the row, the path and the first
+// differing byte, and prints "artifact <name> <sha256>" at column 0. A
+// differential holds its reference bytes to the same files through the
+// same compare (Pin).
+//
+// One environment variable, NOCTG_ARTIFACTS, switches every row and every
+// Pin from comparing to rewriting; any value but "update" fails. After an
+// intentional model change, regenerate every file and review the diff:
+//
+//	NOCTG_ARTIFACTS=update go test -count=1 -run '^TestArtifacts' ./...
+//
+// To show that a change leaves every artifact unchanged, diff the
+// manifest of two trees:
+//
+//	go test -count=1 -run '^TestArtifacts' -v ./... | grep '^artifact '
+//
+// # Execution axes
+//
+// Kernel, shard count, worker count and journal resume are execution
+// knobs: every campaign must serialise the bytes of its reference row
+// (strict kernel, one engine, one worker, no crash) on every other row of
+// the table in axes.go. "go test ./..." runs a covering set of rows, in
+// which every value of every axis appears; NOCTG_AXES=full runs the whole
+// cross product.
 package simtest
 
 import "noctg/internal/ocp"

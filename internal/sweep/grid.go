@@ -290,9 +290,7 @@ type Grid struct {
 	// paper's 200 MHz).
 	ClockPeriodsNS []uint64 `json:"clock_periods_ns,omitempty"`
 	// Seeds lists the stochastic seeds to sweep (default [1]). TG points
-	// are deterministic: each TG configuration simulates once per
-	// campaign, and its successful result is shared by every seed (a
-	// failure never is; each seed simulates and reports its own).
+	// share one result across seeds (see the package doc).
 	Seeds []int64 `json:"seeds,omitempty"`
 	// Measure is every point's measurement plan (nil = the zero plan: one
 	// open epoch over the whole run; see Measure).

@@ -16,6 +16,7 @@ import (
 	"noctg/internal/noc"
 	"noctg/internal/ocp"
 	"noctg/internal/platform"
+	"noctg/internal/prog"
 	"noctg/internal/sim"
 	"noctg/internal/stochastic"
 )
@@ -128,19 +129,11 @@ const stochasticMaxCycles = 2_000_000
 // (deep wait states, small meshes) still finish.
 const tgOverrun = 8
 
-// programCache is a campaign's memory of its TG work. It translates each
-// distinct TG workload once and shares the read-only programs across every
-// point (and worker) that replays them — the paper's trace-once/replay-many
-// exploration flow. Sharing is safe: TG devices keep all mutable state
-// (registers, PC) in the device, never in the program.
-//
-// It also simulates each TG configuration once per campaign. A TG replay
-// is deterministic, so its result depends on program × fabric × clock ×
-// measurement plan and never on the seed: the first point of a seed-free
-// configuration simulates, and every later one copies its result under
-// its own ID and seed. Only a successful result is shared; a failed one
-// never is, so each seed that meets a failure simulates, retries and
-// reports it on its own.
+// programCache is a campaign's memory of its TG work: the translation of
+// each distinct TG workload and the result of each seed-free TG
+// configuration, shared as the package doc's TG result sharing says.
+// Sharing programs is safe: TG devices keep all mutable state (registers,
+// PC) in the device, never in the program.
 type programCache struct {
 	mu      sync.Mutex
 	m       map[tgKey]*programEntry
@@ -158,6 +151,7 @@ type tgKey struct {
 
 type programEntry struct {
 	once  sync.Once
+	spec  *prog.Spec
 	progs []*core.Program
 	err   error
 }
@@ -182,10 +176,11 @@ func entry[K comparable, E any](c *programCache, m *map[K]*E, k K) *E {
 	return e
 }
 
-func (c *programCache) get(w Workload) ([]*core.Program, error) {
+// get returns TG workload w's benchmark spec and its translated programs.
+func (c *programCache) get(w Workload) (*prog.Spec, []*core.Program, error) {
 	e := entry(c, &c.m, tgKey{Bench: w.Bench, Cores: w.Cores, Size: w.Size})
-	e.once.Do(func() { e.progs, e.err = translate(w) })
-	return e.progs, e.err
+	e.once.Do(func() { e.spec, e.progs, e.err = translate(w) })
+	return e.spec, e.progs, e.err
 }
 
 // result returns TG point p's result: simulate's when p is the first point
@@ -212,21 +207,21 @@ func (c *programCache) result(p Point, simulate func() Result) Result {
 // converts the traces into TG programs. The cross-interconnect equality
 // property (Section 6) guarantees the programs are fabric-independent, so
 // one translation serves every fabric in the grid.
-func translate(w Workload) ([]*core.Program, error) {
+func translate(w Workload) (*prog.Spec, []*core.Program, error) {
 	spec, err := w.spec()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ref, err := exp.RunReference(spec, exp.DefaultOptions(), true)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: reference %s: %w", w.Label(), err)
+		return nil, nil, fmt.Errorf("sweep: reference %s: %w", w.Label(), err)
 	}
 	progs, _, _, err := exp.TranslateAll(spec, ref.Traces,
 		core.DefaultTranslateConfig(exp.PollRangesFor(spec)))
 	if err != nil {
-		return nil, fmt.Errorf("sweep: translate %s: %w", w.Label(), err)
+		return nil, nil, fmt.Errorf("sweep: translate %s: %w", w.Label(), err)
 	}
-	return progs, nil
+	return spec, progs, nil
 }
 
 // validatePoints rejects invalid points up front so a sweep (journaled or
@@ -425,13 +420,15 @@ func (r Runner) simulate(cache *programCache, p Point, attempt int) (res Result)
 	)
 	switch p.Workload.Kind {
 	case KindTG:
-		var progs []*core.Program
-		progs, err = cache.get(p.Workload)
+		var (
+			spec  *prog.Spec
+			progs []*core.Program
+		)
+		spec, progs, err = cache.get(p.Workload)
 		if err != nil {
 			res.Err = err.Error()
 			return res
 		}
-		spec, _ := p.Workload.spec()
 		cfg.Cores = spec.Cores
 		maxCycles = spec.MaxCycles * tgOverrun
 		sys, err = platform.BuildTG(cfg, progs)

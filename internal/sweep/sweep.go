@@ -11,6 +11,20 @@
 // is cheap design-space sweeps; this package is the substrate that turns
 // the repository's one-engine-at-a-time harness into "all configurations,
 // all cores, one invocation".
+//
+// # TG result sharing
+//
+// A TG workload is traced and translated once per campaign, and its
+// read-only programs serve every point that replays them, on every fabric:
+// the paper's trace-once, replay-many flow. A TG replay is also
+// deterministic, so its result depends on program × fabric × clock ×
+// measurement plan and never on the seed. A TG configuration therefore
+// simulates once per campaign: the first point of a seed-free
+// configuration simulates, and every later one copies its successful
+// result under its own ID and seed. A failure is never shared; each seed
+// that meets one simulates, retries and reports it on its own. Adding
+// seeds to a TG-heavy grid thus costs almost nothing, and the artifacts
+// are the bytes every point would have computed alone.
 package sweep
 
 import (
