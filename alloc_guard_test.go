@@ -162,7 +162,7 @@ func TestZeroAllocBurstyInjection(t *testing.T) {
 }
 
 func TestZeroAllocEventKernelMixedLoad(t *testing.T) {
-	// The event kernel's whole run loop — calendar filing, active-set
+	// The event kernel's whole run loop — wake filing, active-set
 	// sweeps, wake hooks, cycle jumps — must stay allocation-free in steady state
 	// on its target mixed-load workload.
 	const span = 10_000
@@ -212,7 +212,7 @@ func TestZeroAllocAnalyticEstimate(t *testing.T) {
 // TestZeroAllocGrantWake guards the bus's wake path: on a saturated 8-core
 // AMBA TG platform under the event kernel every blocked master sleeps until
 // the bus grants its request or completes its read, so each transaction
-// takes calendar unfilings and active-set insertions. Steady state must
+// takes early wakes and active-set insertions. Steady state must
 // allocate nothing, and the masters must get exactly as far as under strict
 // ticking — a missed wake would park a master for the rest of the run.
 func TestZeroAllocGrantWake(t *testing.T) { checkWakeAllocs(t, platform.AMBA) }

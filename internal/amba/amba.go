@@ -260,9 +260,6 @@ func New(cfg Config, now func() uint64) *Bus {
 	return &Bus{cfg: cfg.withDefaults(), now: now}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (b *Bus) Config() Config { return b.cfg }
-
 // NewMasterPort allocates the next master port. Ports are numbered in
 // creation order; with FixedPriority, lower numbers win arbitration.
 func (b *Bus) NewMasterPort() ocp.MasterPort {
@@ -286,9 +283,6 @@ func (b *Bus) MapSlave(slave ocp.Slave, rng ocp.AddrRange) error {
 	b.bindings = append(b.bindings, binding{rng: rng, slave: slave})
 	return nil
 }
-
-// Masters returns the number of attached master ports.
-func (b *Bus) Masters() int { return len(b.ports) }
 
 // BusyCycles returns how many cycles the bus spent occupied by a transfer.
 func (b *Bus) BusyCycles() uint64 {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"noctg/internal/amba"
 	"noctg/internal/layout"
@@ -203,6 +204,16 @@ func TestQuickTable2Formats(t *testing.T) {
 	}
 	if strings.Contains(out, " 0s ") {
 		t.Fatalf("a sub-millisecond time printed as 0s:\n%s", out)
+	}
+	// fmt pads by runes, so a µs wall (µ is two bytes) lines up with an
+	// ms wall.
+	out = FormatTable2([]*Row{
+		{Bench: "des", Cores: 2, WallARM: 903 * time.Microsecond, WallTG: 561 * time.Microsecond},
+		{Bench: "mpmatrix", Cores: 2, WallARM: 1500 * time.Microsecond, WallTG: 1240 * time.Microsecond},
+	})
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if us, ms := utf8.RuneCountInString(lines[2]), utf8.RuneCountInString(lines[3]); us != ms {
+		t.Fatalf("a µs row is %d runes wide, an ms row %d:\n%s", us, ms, out)
 	}
 	if testing.Short() {
 		t.Skip("table sweep in -short mode")

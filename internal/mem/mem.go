@@ -163,17 +163,6 @@ func (r *RAM) PerformInto(req *ocp.Request, dst []uint32) ocp.Response {
 	return ocp.Response{Err: true}
 }
 
-// NextWake implements sim.Sleeper: a RAM is purely reactive (it acts only
-// inside a fabric-invoked Perform), so it never needs a clock tick of its
-// own under any kernel — the invoking fabric is awake whenever an access
-// is pending, which is all the event kernel requires.
-func (r *RAM) NextWake(uint64) uint64 { return wakeNever }
-
-// wakeNever mirrors sim.WakeNever without importing sim: the passive slaves
-// in this package implement the Sleeper method set but are not engine
-// devices.
-const wakeNever = ^uint64(0)
-
 // PeekWord reads a word directly, bypassing timing — used by program
 // loaders, test assertions and functional validation only.
 func (r *RAM) PeekWord(addr uint32) uint32 {

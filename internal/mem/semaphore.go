@@ -93,10 +93,6 @@ func (s *SemBank) PerformInto(req *ocp.Request, dst []uint32) ocp.Response {
 	return ocp.Response{Err: true}
 }
 
-// NextWake implements sim.Sleeper: the bank is purely reactive and never
-// needs a clock tick of its own.
-func (s *SemBank) NextWake(uint64) uint64 { return wakeNever }
-
 // Stats returns (successful acquires, failed polls, releases).
 func (s *SemBank) Stats() (acquires, fails, releases uint64) {
 	return s.acquires, s.fails, s.releases

@@ -812,14 +812,8 @@ func (st *shardState) putPacket(p *packet) {
 	st.pktPool = append(st.pktPool, p)
 }
 
-// Config returns the effective configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Nodes returns the number of fabric nodes.
 func (n *Network) Nodes() int { return len(n.routers) }
-
-// Topology returns the fabric's link structure.
-func (n *Network) Topology() Topology { return n.cfg.Topology }
 
 // FlitsRouted returns the total number of link traversals. With regions it
 // folds the shard-local tallies on the fly, so the value is identical for

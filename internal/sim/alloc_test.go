@@ -22,8 +22,8 @@ func (m *metronome) NextWake(now uint64) uint64 {
 }
 
 // TestZeroAllocCalendar: the event kernel's steady state allocates
-// nothing while devices sleep far out, are re-filed into the ring, and
-// park with WakeNever until a WakeAt brings them back.
+// nothing while devices sleep far out, are admitted from the wake table,
+// and park with WakeNever until a WakeAt brings them back.
 func TestZeroAllocCalendar(t *testing.T) {
 	e := NewEngine(Clock{})
 	for i := 0; i < 8; i++ {

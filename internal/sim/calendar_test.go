@@ -41,12 +41,12 @@ func (k *kicker) NextWake(now uint64) uint64 {
 	return max(k.at[k.i], now)
 }
 
-// TestEventKernelFarWakeRefiled: wakes evSlots or more cycles out wait in
-// the far set and are re-filed into the ring as it turns; each one still
-// ticks its device at exactly its cycle, in ordinary runs and when a
-// windowed run's boundary falls before, on or after it.
+// TestEventKernelFarWakeRefiled: wakes from one to thousands of cycles
+// out, filed one after another, each tick the device at exactly its
+// cycle, in ordinary runs and when a windowed run's boundary falls
+// before, on or after it.
 func TestEventKernelFarWakeRefiled(t *testing.T) {
-	times := []uint64{0, 2, evSlots + 1, evSlots + 2, 3 * evSlots, 1000, 1000 + evSlots, 1001 + evSlots, 5000}
+	times := []uint64{0, 2, 17, 18, 48, 1000, 1016, 1017, 5000}
 	want := fmt.Sprint(times)
 	e := NewEngine(Clock{})
 	a := &alarm{pulser: pulser{times: times}}
@@ -58,7 +58,7 @@ func TestEventKernelFarWakeRefiled(t *testing.T) {
 	if got := fmt.Sprint(a.seen); got != want {
 		t.Fatalf("ticks at %s, want %s", got, want)
 	}
-	for _, window := range []uint64{1, 5, evSlots - 1, evSlots, evSlots + 1, 1000} {
+	for _, window := range []uint64{1, 5, 15, 16, 17, 1000} {
 		e := NewEngine(Clock{})
 		a := &alarm{pulser: pulser{times: times}}
 		e.Add(a)
@@ -74,9 +74,9 @@ func TestEventKernelFarWakeRefiled(t *testing.T) {
 	}
 }
 
-// TestEventKernelWakeNeverParked: a device sleeping with WakeNever is
-// parked in no ring slot and in no far list; only its Waker brings it
-// back, at once (Wake), next cycle, a few cycles out or far out (WakeAt).
+// TestEventKernelWakeNeverParked: a device sleeping with WakeNever files
+// no wake; only its Waker brings it back, at once (Wake), next cycle, a
+// few cycles out or far out (WakeAt).
 func TestEventKernelWakeNeverParked(t *testing.T) {
 	e := NewEngine(Clock{})
 	a := &alarm{}
@@ -85,7 +85,7 @@ func TestEventKernelWakeNeverParked(t *testing.T) {
 	k.do = []func(){
 		func() { a.waker.WakeAt(11) },
 		func() { a.waker.WakeAt(25) },
-		func() { a.waker.WakeAt(40 + 5*evSlots) },
+		func() { a.waker.WakeAt(120) },
 		func() { a.waker.Wake() },
 	}
 	e.Add(k)
@@ -95,14 +95,15 @@ func TestEventKernelWakeNeverParked(t *testing.T) {
 	}
 	// The Wake from the later-registered kicker ticks the alarm in the
 	// next cycle, as under strict ticking.
-	if got, want := fmt.Sprint(a.seen), fmt.Sprint([]uint64{11, 25, 41, 40 + 5*evSlots}); got != want {
+	if got, want := fmt.Sprint(a.seen), fmt.Sprint([]uint64{11, 25, 41, 120}); got != want {
 		t.Fatalf("parked device ticked at %s, want %s", got, want)
 	}
 }
 
-// TestEventKernelWakeAtMovesFarSleeper: a WakeAt earlier than a far
-// sleeper's wake moves it into the ring. A device's own far wake still
-// stands after the early tick; a wake an earlier WakeAt replaced does not.
+// TestEventKernelWakeAtMovesFarSleeper: a WakeAt earlier than a
+// sleeper's filed wake moves the wake earlier. A device's own far wake
+// still stands after the early tick; a wake an earlier WakeAt replaced
+// does not.
 func TestEventKernelWakeAtMovesFarSleeper(t *testing.T) {
 	e := NewEngine(Clock{})
 	a := &alarm{pulser: pulser{times: []uint64{0, 1000}}}
@@ -123,6 +124,68 @@ func TestEventKernelWakeAtMovesFarSleeper(t *testing.T) {
 	}
 	if got, want := fmt.Sprint(b.seen), fmt.Sprint([]uint64{25}); got != want {
 		t.Fatalf("replaced wake: ticks at %s, want %s", got, want)
+	}
+}
+
+// TestEventKernelEarlyWakeOfEarliestSleeper: waking the sleeper whose
+// filed wake is the earliest leaves the engine's bound on filed wakes
+// stale. The stale bound costs no executed cycle: the devices tick as
+// under strict ticking, and every executed cycle ticks a device, whether
+// the woken sleeper ticks in the waking cycle or the next, and whether a
+// busy device keeps the engine stepping past the stale bound or every
+// device sleeps across it.
+func TestEventKernelEarlyWakeOfEarliestSleeper(t *testing.T) {
+	cases := []struct {
+		kickerFirst, busy bool
+		seen              []uint64 // a's ticks
+		executed          uint64
+	}{
+		{false, false, []uint64{0, 11, 3000}, 5}, // 0, 10, 11, 2000, 3000
+		{false, true, []uint64{0, 11, 3000}, 1502},
+		{true, false, []uint64{0, 10, 3000}, 4}, // 0, 10, 2000, 3000
+		{true, true, []uint64{0, 10, 3000}, 1502},
+	}
+	run := func(kernel Kernel, kickerFirst, busy bool) (*alarm, int, *Engine) {
+		e := NewEngine(Clock{})
+		a := &alarm{pulser: pulser{times: []uint64{0, 1000, 3000}}}
+		b := &alarm{pulser: pulser{times: []uint64{0, 2000}}}
+		// The kicker cancels a's wake at 1000 and wakes it early.
+		k := &kicker{at: []uint64{10}, do: []func(){func() {
+			a.i++
+			a.waker.Wake()
+		}}}
+		devs := []Device{a, b, k}
+		if kickerFirst {
+			devs = []Device{k, a, b}
+		}
+		if busy {
+			p := &pulser{}
+			for c := uint64(0); c < 1500; c++ {
+				p.times = append(p.times, c)
+			}
+			devs = append(devs, p)
+		}
+		for _, d := range devs {
+			e.Add(d)
+		}
+		e.SetKernel(kernel)
+		if _, err := e.Run(10_000, a.done); err != nil {
+			t.Fatal(err)
+		}
+		return a, a.work + b.work, e
+	}
+	for _, tc := range cases {
+		_, strictWork, _ := run(KernelStrict, tc.kickerFirst, tc.busy)
+		a, work, e := run(KernelEvent, tc.kickerFirst, tc.busy)
+		if got, want := fmt.Sprint(a.seen), fmt.Sprint(tc.seen); got != want {
+			t.Errorf("kicker first %v, busy %v: a ticked at %s, want %s", tc.kickerFirst, tc.busy, got, want)
+		}
+		if work != strictWork {
+			t.Errorf("kicker first %v, busy %v: %d pulses, strict %d", tc.kickerFirst, tc.busy, work, strictWork)
+		}
+		if got := e.Cycle() - e.SkippedCycles; got != tc.executed {
+			t.Errorf("kicker first %v, busy %v: %d cycles executed, want %d", tc.kickerFirst, tc.busy, got, tc.executed)
+		}
 	}
 }
 

@@ -17,10 +17,11 @@
 //   - skip (KernelSkip) jumps the cycle counter straight to the earliest
 //     wake when every device sleeps at once — a TG deep inside an
 //     Idle(100000), a core stalled on a quiescent interconnect.
-//   - event (KernelEvent, event.go) keeps a calendar of per-device wakes
-//     and ticks only the devices due each cycle, so its per-cycle cost
-//     scales with the awake set, not the device count; when every device
-//     sleeps it makes the skip kernel's jump.
+//   - event (KernelEvent, event.go) keeps one filed wake per sleeping
+//     device and ticks only the awake devices each cycle, so its sweep
+//     scales with the awake set, plus one O(devices) admission pass on
+//     each cycle where a filed wake falls due; when every device sleeps
+//     it makes the skip kernel's jump.
 //
 // The kernels rely on one contract: every Device embeds a Sleeper, and
 // NextWake is a strict "will not act before" promise that holds even if
@@ -165,18 +166,13 @@ type Engine struct {
 	// over (diagnostics only; strict runs keep it at zero).
 	SkippedCycles uint64
 
-	// Event-kernel schedule (event.go): evBits holds evWords words of
-	// active set (evActive), then evWords of far set, then the ring of
-	// evSlots per-cycle due sets; evRing marks the ring slots that may hold
-	// a sleeper, evWake is each sleeping device's wake and evFarMin a lower
-	// bound on the far set's wakes. evLive is true while an event-kernel
-	// run is in progress.
-	evBits   []uint64
+	// Event-kernel schedule (event.go): evActive is the active set, evWake
+	// each sleeping device's filed wake (WakeNever while active or parked)
+	// and evNext a lower bound on those wakes. evLive is true while an
+	// event-kernel run is in progress.
 	evActive []uint64
 	evWake   []uint64
-	evWords  int
-	evRing   uint16
-	evFarMin uint64
+	evNext   uint64
 	evLive   bool
 	// evFused mirrors devices with their TickSleeper fast path (nil where
 	// unimplemented).
@@ -209,9 +205,6 @@ func (e *Engine) Clock() Clock {
 
 // SetKernel selects the cycle-advance strategy for subsequent Run calls.
 func (e *Engine) SetKernel(k Kernel) { e.kernel = k }
-
-// Kernel returns the selected cycle-advance strategy.
-func (e *Engine) Kernel() Kernel { return e.kernel }
 
 // Add registers a device. Devices are ticked in registration order; the
 // platform packages rely on this to tick every master before the fabric,
@@ -376,7 +369,7 @@ func (e *Engine) RunEvery(maxCycles, stride uint64, done func() bool) (uint64, e
 // The three kernels share this loop. Strict executes every cycle with a
 // full-device Step. Skip does the same but fast-forwards over all-asleep
 // spans. Event replaces Step with stepEvent (ticking only due devices) and
-// reads the next wake straight off the schedule's calendar; its jump logic
+// reads the next wake straight off the schedule's wake table; its jump logic
 // is the skip kernel's, so the all-asleep case is byte-for-byte the same.
 func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error) {
 	if done == nil {

@@ -2,21 +2,22 @@ package sim
 
 import "math/bits"
 
-// The event-driven kernel. The engine keeps its devices in bitsets over
-// registration index: an active set, swept word by word in index order
-// each executed cycle, and a calendar of sleepers. Each cycle first admits
-// the calendar's slot for that cycle into the active set, then sweeps it,
-// ticking each device and asking its post-tick NextWake: a device that
+// The event-driven kernel. The engine keeps its devices in a bitset over
+// registration index, the active set, swept word by word in index order
+// each executed cycle, and a wake table: evWake[i] holds sleeping device
+// i's filed wake, or WakeNever while it is active or parked. The sweep
+// ticks each active device and asks its post-tick NextWake: a device that
 // stays active costs no schedule work at all, and one that goes back to
-// sleep is filed under its wake cycle. A wake fewer than evSlots cycles
-// out sets a bit in that cycle's slot of a ring of per-cycle due sets; a
-// later one sets a bit in the far set, which is re-filed into the ring as
-// the ring turns; a device sleeping with WakeNever is parked in neither,
-// and only a Waker brings it back. Wake, sleep and admit are therefore
-// bit operations, the per-cycle cost scales with the number of awake
-// devices, and when the active set empties, run's shared jump logic
-// advances the cycle counter straight to the earliest filed wake, which
-// is exactly the skip kernel's all-asleep fast-forward.
+// sleep leaves the active set with its wake filed in the table. evNext is
+// a lower bound on the filed wakes, and exact while it is ahead of the
+// current cycle; on a cycle it reaches, one admission pass over the table
+// moves every due sleeper into the active set and recomputes it. A device
+// sleeping with WakeNever is filed nowhere, and only a Waker brings it
+// back. So the per-cycle cost scales with the number of awake devices,
+// plus one O(devices) pass on each cycle where a filed wake falls due.
+// When the active set empties, run's shared jump logic advances the cycle
+// counter straight to the earliest filed wake, which is exactly the skip
+// kernel's all-asleep fast-forward.
 //
 // Correctness leans on two properties. First, the Sleeper contract (see
 // engine.go) makes a reported wake w a promise that every omitted Tick in
@@ -83,13 +84,6 @@ func (w *engineWaker) Wake() { w.e.wakeDevice(w.idx) }
 // WakeAt implements Waker.
 func (w *engineWaker) WakeAt(at uint64) { w.e.wakeDeviceAt(w.idx, at) }
 
-// evSlots is the calendar ring's length in cycles, a power of two. A
-// bus transfer or a short idle fits in the ring; a longer sleep waits in
-// the far set. Sixteen slots keep a small platform's whole schedule to one
-// allocation of about 20 bytes a device: a 4-core AMBA platform's eleven
-// devices take 232 bytes.
-const evSlots = 16
-
 // wakeDevice handles an external-stimulus wake for device idx: it drops the
 // skip kernel's memoized wake (forcing a re-query) and, inside an event
 // run, moves a sleeping device into the active set.
@@ -122,7 +116,6 @@ func (e *Engine) wakeDeviceAt(idx int32, at uint64) {
 	if at <= e.cycle+1 {
 		e.evActivate(idx)
 	} else if at < e.evWake[idx] {
-		e.evUnfile(idx)
 		e.evFile(idx, at)
 	}
 }
@@ -130,20 +123,18 @@ func (e *Engine) wakeDeviceAt(idx int32, at uint64) {
 // initEventSchedule (re)builds the schedule from every device's current
 // NextWake. It runs at the start of each event-kernel Run, so state
 // changes made between runs (direct device manipulation in tests, programs
-// loaded after a previous run) are always picked up. evWake and the
-// bitsets share one allocation, reused across runs; steady-state event
-// runs allocate nothing.
+// loaded after a previous run) are always picked up. evWake and the active
+// set share one allocation, reused across runs; steady-state event runs
+// allocate nothing.
 func (e *Engine) initEventSchedule() {
 	e.sizeDue()
 	n := len(e.devices)
-	words := (n + 63) >> 6
 	if len(e.evWake) != n {
-		buf := make([]uint64, n+(2+evSlots)*words)
-		e.evWake, e.evBits, e.evWords = buf[:n], buf[n:], words
-		e.evActive = e.evBits[:words]
+		buf := make([]uint64, n+(n+63)>>6)
+		e.evWake, e.evActive = buf[:n], buf[n:]
 	}
-	clear(e.evBits)
-	e.evRing, e.evFarMin = 0, WakeNever
+	clear(e.evActive)
+	e.evNext = WakeNever
 	now := e.cycle
 	for i := 0; i < n; i++ {
 		w := e.devices[i].NextWake(now)
@@ -151,7 +142,7 @@ func (e *Engine) initEventSchedule() {
 			w = d
 		}
 		if w <= now {
-			e.evActive[i>>6] |= 1 << (uint(i) & 63)
+			e.evActivate(int32(i))
 		} else {
 			e.evFile(int32(i), w)
 		}
@@ -163,69 +154,37 @@ func (e *Engine) evAwake(idx int32) bool {
 	return e.evActive[idx>>6]&(1<<(uint(idx)&63)) != 0
 }
 
-// evSlot returns the ring's due set for cycle c.
-func (e *Engine) evSlot(c uint64) []uint64 {
-	k := e.evWords
-	return e.evBits[(2+int(c&(evSlots-1)))*k:][:k]
-}
-
-// evFile files sleeping device idx under wake w > e.cycle: in the ring
-// while w is fewer than evSlots cycles out, else in the far set, and
-// nowhere for WakeNever.
+// evFile files sleeping device idx under wake w > e.cycle; WakeNever
+// parks it.
 func (e *Engine) evFile(idx int32, w uint64) {
 	e.evWake[idx] = w
-	word, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-	switch {
-	case w == WakeNever:
-	case w-e.cycle < evSlots:
-		e.evSlot(w)[word] |= bit
-		e.evRing |= 1 << (w & (evSlots - 1))
-	default:
-		e.evBits[e.evWords+int(word)] |= bit
-		e.evFarMin = min(e.evFarMin, w)
-	}
+	e.evNext = min(e.evNext, w)
 }
 
-// evUnfile takes sleeping device idx off the calendar. evFarMin stays a
-// lower bound; evRefile recomputes it.
-func (e *Engine) evUnfile(idx int32) {
-	w := e.evWake[idx]
-	if w == WakeNever {
-		return
-	}
-	word, bit := idx>>6, uint64(1)<<(uint(idx)&63)
-	e.evSlot(w)[word] &^= bit
-	e.evBits[e.evWords+int(word)] &^= bit
-}
-
-// evActivate moves sleeping device idx into the active set.
+// evActivate moves sleeping device idx into the active set. Taking the
+// earliest filed wake off the table pulls evNext back to the current
+// cycle, so that the next step or jump recomputes it.
 func (e *Engine) evActivate(idx int32) {
-	e.evUnfile(idx)
+	if w := e.evWake[idx]; w == e.evNext && w != WakeNever {
+		e.evNext = e.cycle
+	}
+	e.evWake[idx] = WakeNever
 	e.evActive[idx>>6] |= 1 << (uint(idx) & 63)
 }
 
-// evRefile moves every far sleeper due within evSlots cycles into the
-// ring, leaves evFarMin at the earliest wake still far, and returns the
-// earliest far wake it found, moved or not. Far wakes are never behind the
-// current cycle: the refile runs before the cycle that would pass one.
-func (e *Engine) evRefile() uint64 {
-	far := e.evBits[e.evWords : 2*e.evWords]
-	first, least := WakeNever, WakeNever
-	for word, m := range far {
-		for ; m != 0; m &= m - 1 {
-			i := word<<6 | bits.TrailingZeros64(m)
-			w := e.evWake[i]
-			first = min(first, w)
-			if w-e.cycle < evSlots {
-				far[word] &^= m & -m
-				e.evFile(int32(i), w)
-			} else {
-				least = min(least, w)
-			}
+// evAdmit moves every sleeper due by cycle c into the active set and
+// leaves evNext at the earliest wake still filed. Filed wakes are never
+// behind the current cycle: every cycle and every jump stops at evNext.
+func (e *Engine) evAdmit(c uint64) {
+	next := WakeNever
+	for i, w := range e.evWake {
+		if w <= c {
+			e.evActivate(int32(i))
+		} else {
+			next = min(next, w)
 		}
 	}
-	e.evFarMin = least
-	return first
+	e.evNext = next
 }
 
 // stepEvent executes one cycle under the event kernel: it admits the
@@ -235,18 +194,10 @@ func (e *Engine) evRefile() uint64 {
 // the sweep and is picked up before the cycle ends.
 func (e *Engine) stepEvent() {
 	c := e.cycle
-	if e.evFarMin < c+evSlots {
-		e.evRefile()
+	if e.evNext <= c {
+		e.evAdmit(c)
 	}
 	active := e.evActive
-	if s := uint16(1) << (c & (evSlots - 1)); e.evRing&s != 0 {
-		e.evRing &^= s
-		slot := e.evSlot(c)
-		for word, due := range slot {
-			active[word] |= due
-			slot[word] = 0
-		}
-	}
 	fused := e.evFused
 	for word := range active {
 		for m := active[word]; m != 0; {
@@ -277,30 +228,28 @@ func (e *Engine) stepEvent() {
 }
 
 // eventNextWake returns the earliest cycle at which any device acts: the
-// current cycle while the active set is non-empty, else the first
-// non-empty ring slot, else the far set's earliest wake (WakeNever on a
-// fully quiescent engine).
+// current cycle while the active set is non-empty, else the earliest filed
+// wake (WakeNever on a fully quiescent engine). An evNext the current
+// cycle has reached may be stale, so it runs the admission pass first, and
+// a jump always lands on a real wake.
 func (e *Engine) eventNextWake() uint64 {
-	for _, m := range e.evActive {
-		if m != 0 {
+	if !e.evIdle() {
+		return e.cycle
+	}
+	if e.evNext <= e.cycle {
+		if e.evAdmit(e.cycle); !e.evIdle() {
 			return e.cycle
 		}
 	}
-	return e.calendarWake()
+	return e.evNext
 }
 
-// calendarWake is eventNextWake with the active set empty. evRing, rotated
-// to start at the current cycle, names the ring slots to look at in cycle
-// order; a slot a woken sleeper left empty is passed over.
-func (e *Engine) calendarWake() uint64 {
-	c := e.cycle
-	for r := bits.RotateLeft16(e.evRing, -int(c&(evSlots-1))); r != 0; r &= r - 1 {
-		at := c + uint64(bits.TrailingZeros16(r))
-		for _, m := range e.evSlot(at) {
-			if m != 0 {
-				return at
-			}
+// evIdle reports whether the active set is empty.
+func (e *Engine) evIdle() bool {
+	for _, m := range e.evActive {
+		if m != 0 {
+			return false
 		}
 	}
-	return e.evRefile()
+	return true
 }

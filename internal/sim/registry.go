@@ -136,9 +136,6 @@ func (r *Registry) Reset() {
 // Counters returns the number of registered counters (diagnostics).
 func (r *Registry) Counters() int { return len(r.d.counters) }
 
-// Histograms returns the number of registered histograms (diagnostics).
-func (r *Registry) Histograms() int { return len(r.d.hists) }
-
 // RegistrySnapshot is an immutable, serialisable capture of every
 // registered metric. Map keys serialise in sorted order (encoding/json),
 // so two identical simulations snapshot to identical bytes.

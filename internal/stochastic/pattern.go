@@ -73,12 +73,6 @@ func ParsePattern(s string) (Pattern, error) {
 	return 0, fmt.Errorf("stochastic: unknown pattern %q (want uniform, transpose, bitcomp, bitrev, hotspot or neighbor)", s)
 }
 
-// Deterministic reports whether the pattern maps each source to one fixed
-// destination (so a generator's destination sequence is constant).
-func (p Pattern) Deterministic() bool {
-	return p == Transpose || p == BitComplement || p == BitReverse
-}
-
 // MaxGridDim bounds each logical grid dimension so hostile scenario files
 // cannot make Validate (or callers building per-node destination tables)
 // allocate unbounded memory.

@@ -25,7 +25,7 @@ func AnalyticSpec(w Workload, f Fabric) (analytic.Spec, error) {
 	if w.Kind != KindStochastic {
 		return analytic.Spec{}, fmt.Errorf("sweep: analytic estimation needs a stochastic workload, got %q", w.Kind)
 	}
-	if err := w.validate(curveOpenCount); err != nil {
+	if err := w.validate(curveOpenCount, nil); err != nil {
 		return analytic.Spec{}, err
 	}
 	if err := f.validate(); err != nil {

@@ -31,12 +31,12 @@ func TestArrivalWorkloadValidation(t *testing.T) {
 			Arrival: mmpp}},
 	}
 	for _, tc := range bad {
-		if err := tc.w.validate(fileMaxCount); err == nil {
+		if err := tc.w.validate(fileMaxCount, nil); err == nil {
 			t.Errorf("%s: validate accepted %+v", tc.name, tc.w)
 		}
 	}
 	good := Workload{Kind: KindStochastic, Cores: 2, Count: 100, Arrival: mmpp}
-	if err := good.validate(fileMaxCount); err != nil {
+	if err := good.validate(fileMaxCount, nil); err != nil {
 		t.Fatalf("valid arrival workload rejected: %v", err)
 	}
 	cfg, err := good.StochasticConfig(7)

@@ -111,7 +111,7 @@ func (cs CurveSpec) Validate() error {
 		return fmt.Errorf("sweep: curve %q needs a stochastic workload (TG replay has a fixed load)", cs.Name)
 	}
 	// Every level replaces the template's count with curveOpenCount.
-	if err := d.Workload.validate(curveOpenCount); err != nil {
+	if err := d.Workload.validate(curveOpenCount, nil); err != nil {
 		return fmt.Errorf("sweep: curve %q: %w", cs.Name, err)
 	}
 	if err := d.Fabric.validate(); err != nil {

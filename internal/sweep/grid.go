@@ -150,8 +150,8 @@ func ValidateGap(gap float64) error {
 }
 
 // validate checks the workload with its transaction count capped at
-// maxCount.
-func (w Workload) validate(maxCount int) error {
+// maxCount. A TG workload's spec check goes through specs.
+func (w Workload) validate(maxCount int, specs specChecks) error {
 	// A TG workload may leave cores (0) to its benchmark.
 	if w.Cores < 0 || w.Cores > layout.MaxCores || w.Cores == 0 && w.Kind == KindStochastic {
 		return fmt.Errorf("sweep: cores %d outside [1, %d]", w.Cores, layout.MaxCores)
@@ -167,13 +167,8 @@ func (w Workload) validate(maxCount int) error {
 		if w.Size <= 0 {
 			return fmt.Errorf("sweep: workload %s needs a positive size", w.Bench)
 		}
-		spec, err := w.spec()
-		if err != nil {
+		if err := specs.check(w); err != nil {
 			return err
-		}
-		if w.Cores > 0 && spec.Cores != w.Cores {
-			return fmt.Errorf("sweep: %s built %d cores, workload asked for %d",
-				w.Bench, spec.Cores, w.Cores)
 		}
 	case KindStochastic:
 		if w.Arrival != nil && (w.Dist != "" || w.MeanGap != 0) {
@@ -354,6 +349,29 @@ func (g Grid) Expand() []Point {
 	return pts
 }
 
+// specChecks memoises the TG spec check by tgKey, the only input its
+// outcome and its message depend on, so a campaign builds each distinct
+// benchmark spec once however many points name it. A nil memo checks
+// every time.
+type specChecks map[tgKey]error
+
+// check builds TG workload w's benchmark spec and checks its core count.
+func (m specChecks) check(w Workload) error {
+	k := w.tgKey()
+	if err, ok := m[k]; ok {
+		return err
+	}
+	spec, err := w.spec()
+	if err == nil && w.Cores > 0 && spec.Cores != w.Cores {
+		err = fmt.Errorf("sweep: %s built %d cores, workload asked for %d",
+			w.Bench, spec.Cores, w.Cores)
+	}
+	if m != nil {
+		m[k] = err
+	}
+	return err
+}
+
 // Validate checks every axis value so a bad grid fails before any engine is
 // built, deterministically. It is the one validator of a run description
 // (a scenario compiles to a Grid), so both file formats accept the same
@@ -368,7 +386,7 @@ func (g Grid) Validate() error {
 		return fmt.Errorf("sweep: grid has no fabrics")
 	}
 	for i, w := range g.Workloads {
-		if err := w.validate(fileMaxCount); err != nil {
+		if err := w.validate(fileMaxCount, nil); err != nil {
 			return fmt.Errorf("workload %d: %w", i, err)
 		}
 	}

@@ -149,6 +149,9 @@ type tgKey struct {
 	Size  int
 }
 
+// tgKey returns TG workload w's translation key.
+func (w Workload) tgKey() tgKey { return tgKey{Bench: w.Bench, Cores: w.Cores, Size: w.Size} }
+
 type programEntry struct {
 	once  sync.Once
 	spec  *prog.Spec
@@ -178,7 +181,7 @@ func entry[K comparable, E any](c *programCache, m *map[K]*E, k K) *E {
 
 // get returns TG workload w's benchmark spec and its translated programs.
 func (c *programCache) get(w Workload) (*prog.Spec, []*core.Program, error) {
-	e := entry(c, &c.m, tgKey{Bench: w.Bench, Cores: w.Cores, Size: w.Size})
+	e := entry(c, &c.m, w.tgKey())
 	e.once.Do(func() { e.spec, e.progs, e.err = translate(w) })
 	return e.spec, e.progs, e.err
 }
@@ -226,10 +229,12 @@ func translate(w Workload) (*prog.Spec, []*core.Program, error) {
 
 // validatePoints rejects invalid points up front so a sweep (journaled or
 // not) never records half a campaign before discovering a bad grid. A point
-// built in code may ask for up to curveOpenCount transactions.
+// built in code may ask for up to curveOpenCount transactions; each
+// distinct TG workload's spec is built once.
 func (r Runner) validatePoints(points []Point) error {
+	specs := specChecks{}
 	for _, p := range points {
-		if err := p.Workload.validate(curveOpenCount); err != nil {
+		if err := p.Workload.validate(curveOpenCount, specs); err != nil {
 			return fmt.Errorf("sweep: point %d: %w", p.ID, err)
 		}
 		if err := p.Fabric.validate(); err != nil {

@@ -144,6 +144,42 @@ func TestGridValidateRejectsBadAxes(t *testing.T) {
 	}
 }
 
+// TestValidatePointsBuildsEachTGSpecOnce: validating a TG-only campaign
+// builds each distinct benchmark spec once, so its allocations do not grow
+// with the seed count, and a bad TG point still fails with its own ID.
+func TestValidatePointsBuildsEachTGSpecOnce(t *testing.T) {
+	points := func(seeds int) []Point {
+		g := Grid{
+			Workloads: []Workload{
+				{Kind: KindTG, Bench: "mpmatrix", Cores: 2, Size: 8},
+				{Kind: KindTG, Bench: "cacheloop", Cores: 2, Size: 500},
+			},
+			Fabrics: []Fabric{{Interconnect: FabricAMBA}},
+		}
+		for s := 1; s <= seeds; s++ {
+			g.Seeds = append(g.Seeds, int64(s))
+		}
+		return g.Expand()
+	}
+	allocs := func(pts []Point) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := (Runner{}).validatePoints(pts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(points(1)), allocs(points(96))
+	if many > one {
+		t.Errorf("validating 96 seeds allocates %.0f times, 1 seed %.0f", many, one)
+	}
+	pts := points(3)
+	pts[4].Workload = Workload{Kind: KindTG, Bench: "spmatrix", Cores: 1, Size: 1}
+	err := (Runner{}).validatePoints(pts)
+	if err == nil || !strings.HasPrefix(err.Error(), "sweep: point 4: ") {
+		t.Fatalf("a bad fifth point: %v", err)
+	}
+}
+
 func TestPartialMeshDimensionFailsCleanly(t *testing.T) {
 	// Only one mesh dimension given: the other defaults inside noc, and the
 	// capacity check must apply to the effective geometry — a 4x(default 3)
