@@ -36,7 +36,7 @@ func TestEndToEndFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed.Events) != len(ref.Traces[0].Events) {
+	if parsed.Len() != ref.Traces[0].Len() {
 		t.Fatal(".trc round trip lost events")
 	}
 

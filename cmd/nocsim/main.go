@@ -85,7 +85,7 @@ func main() {
 			tool.Fail(err)
 			tool.Fail(tr.Write(f))
 			tool.Fail(f.Close())
-			fmt.Printf("wrote %s (%d events)\n", path, len(tr.Events))
+			fmt.Printf("wrote %s (%d events)\n", path, tr.Len())
 		}
 	}
 

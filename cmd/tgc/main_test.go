@@ -40,7 +40,7 @@ func TestModesRefuseFlagsTheyNeverRead(t *testing.T) {
 	}
 	events := []ocp.Event{{Cmd: ocp.Read, Addr: 0x08000000, Burst: 1, Assert: 3, Accept: 4, Resp: 6,
 		HasResp: true, Data: []uint32{0}}}
-	if err := trace.New(0, sim.Clock{}, events).Write(&trc); err != nil {
+	if err := trace.New(0, sim.Clock{}, ocp.LogOf(events)).Write(&trc); err != nil {
 		t.Fatal(err)
 	}
 	for name, b := range map[string][]byte{"p.tgp": tgp.Bytes(), "p.bin": img.Bytes(), "p.trc": trc.Bytes()} {

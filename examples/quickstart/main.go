@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("%s on %d cores: %d cycles (%v wall)\n",
 		bench.Name, bench.Cores, ref.Makespan, ref.Wall)
 	for i, tr := range ref.Traces {
-		fmt.Printf("  master %d: %d OCP events, span %d cycles\n", i, len(tr.Events), tr.Span())
+		fmt.Printf("  master %d: %d OCP events, span %d cycles\n", i, tr.Len(), tr.Span())
 	}
 
 	fmt.Println("\n== 2. translate traces into TG programs ==")

@@ -26,7 +26,7 @@ func main() {
 	busyRef := float64(ref.Sys.Bus.BusyCycles()) / float64(ref.Sys.Engine.Cycle())
 	var txns int
 	for _, tr := range ref.Traces {
-		txns += len(tr.Events)
+		txns += tr.Len()
 	}
 	fmt.Printf("ground truth: %d cycles, %.0f%% bus busy, %d transactions\n\n",
 		ref.Makespan, 100*busyRef, txns)

@@ -362,10 +362,3 @@ func (e *Estimator) compileXPipes() {
 
 // Spec returns the compiled specification.
 func (e *Estimator) Spec() Spec { return e.spec }
-
-// Bottleneck returns the name of the most loaded resource and its summed
-// per-transaction demand in cycles.
-func (e *Estimator) Bottleneck() (string, float64) {
-	r := e.resources[e.bottleneck]
-	return r.name, r.demand
-}

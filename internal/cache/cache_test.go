@@ -203,7 +203,7 @@ func TestLoadMissThenHit(t *testing.T) {
 	if v != 7 {
 		t.Fatalf("miss load = %d", v)
 	}
-	evs := mon.Events()
+	evs := logged(mon)
 	if len(evs) != 1 || evs[0].Cmd != ocp.BurstRead || evs[0].Burst != 4 {
 		t.Fatalf("miss should emit one 4-beat burst read, got %+v", evs)
 	}
@@ -211,7 +211,7 @@ func TestLoadMissThenHit(t *testing.T) {
 	if v != 8 {
 		t.Fatalf("hit load = %d", v)
 	}
-	if len(mon.Events()) != 1 {
+	if len(logged(mon)) != 1 {
 		t.Fatal("hit must not touch the bus")
 	}
 	if hitCycles >= missCycles {
@@ -237,7 +237,7 @@ func TestStoreWriteThrough(t *testing.T) {
 		t.Fatalf("cached copy not updated: %d", v)
 	}
 	var writes int
-	for _, ev := range mon.Events() {
+	for _, ev := range logged(mon) {
 		if ev.Cmd == ocp.Write {
 			writes++
 		}
@@ -254,13 +254,13 @@ func TestUncachedAccessBypasses(t *testing.T) {
 	if v != 9 {
 		t.Fatalf("uncached load = %d", v)
 	}
-	evs := mon.Events()
+	evs := logged(mon)
 	if len(evs) != 2 || evs[0].Cmd != ocp.Write || evs[1].Cmd != ocp.Read {
 		t.Fatalf("uncached ops should be single-word WR+RD, got %+v", evs)
 	}
 	// Repeating the load must hit the bus again (no caching).
 	doOp(t, e, mu, OpLoad, 0x8010, 0)
-	if len(mon.Events()) != 3 {
+	if len(logged(mon)) != 3 {
 		t.Fatal("uncached load must not be cached")
 	}
 }
@@ -273,7 +273,7 @@ func TestFetchThroughICache(t *testing.T) {
 		t.Fatalf("fetch = %#x", v)
 	}
 	doOp(t, e, mu, OpFetch, 0x1004, 0) // same line: hit
-	if len(mon.Events()) != 1 {
+	if len(logged(mon)) != 1 {
 		t.Fatal("second fetch in the line should hit")
 	}
 	if mu.ICache().Hits != 1 || mu.ICache().Misses != 1 {
@@ -330,4 +330,14 @@ func TestMemUnitVersusFlatMemoryProperty(t *testing.T) {
 			t.Fatalf("mem[%#x] = %d, want %d", addr, got, want)
 		}
 	}
+}
+
+// logged returns the events mon has recorded, as a flat slice.
+func logged(mon *ocp.Monitor) []ocp.Event {
+	log := mon.Log()
+	evs := make([]ocp.Event, log.Len())
+	for i := range evs {
+		evs[i] = *log.At(i)
+	}
+	return evs
 }

@@ -495,7 +495,7 @@ func (p *pollPort) Busy() bool { return p.pending }
 // --- translator unit tests ---
 
 func mkTrace(events []ocp.Event) *trace.Trace {
-	return trace.New(0, sim.DefaultClock, events)
+	return trace.New(0, sim.DefaultClock, ocp.LogOf(events))
 }
 
 func TestTranslateSimpleGapArithmetic(t *testing.T) {
@@ -726,6 +726,67 @@ func TestTranslatePollClusterHoistsRefill(t *testing.T) {
 		if in.Op == SetRegister && p.RegNames[in.Rd] == "tempreg" && in.Imm != 1 {
 			t.Fatalf("tempreg set to %d, want 1", in.Imm)
 		}
+	}
+}
+
+// TestTranslatePollClusterAcrossChunks: poll episodes that straddle a
+// recorded log's chunk boundaries (events 16 and 1024, where the chunks
+// switch from 16 to 16 events and from 512 to 512), a hoisted refill
+// included, translate to the same program as the same events given as one
+// flat chunk.
+func TestTranslatePollClusterAcrossChunks(t *testing.T) {
+	sem := ocp.AddrRange{Base: 0x900, Size: 16}
+	var evs []ocp.Event
+	var tick uint64 = 5
+	poll := func(v uint32) {
+		evs = append(evs, ocp.Event{Cmd: ocp.Read, Addr: 0x900, Burst: 1,
+			Assert: tick, Accept: tick + 1, Resp: tick + 4, HasResp: true, Data: []uint32{v}})
+		tick += 4 + 8
+	}
+	for _, start := range []int{13, 1020} {
+		for len(evs) < start {
+			evs = append(evs, ocp.Event{Cmd: ocp.Write, Addr: 0x100 + uint32(len(evs)%8)*4, Burst: 1,
+				Assert: tick, Accept: tick + 1, Data: []uint32{uint32(len(evs))}})
+			tick += 1 + 3
+		}
+		poll(0)
+		poll(0)
+		evs = append(evs, ocp.Event{Cmd: ocp.BurstRead, Addr: 0x1000, Burst: 4,
+			Assert: tick, Accept: tick + 1, Resp: tick + 10, HasResp: true, Data: []uint32{1, 2, 3, 4}})
+		tick += 10 + 3
+		poll(0)
+		poll(0)
+		poll(1)
+	}
+	var log ocp.Log
+	for _, e := range evs {
+		log.Append(e)
+	}
+	cfg := TranslateConfig{PollRanges: []PollRange{{Range: sem}}, RecognizePolls: true}
+	chunked, cstats, err := Translate(trace.New(0, sim.DefaultClock, log), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, fstats, err := Translate(mkTrace(evs), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cstats.PollLoops != 2 || cstats.PollReadsCollapsed != 8 {
+		t.Fatalf("chunked trace: %d loops collapsing %d reads, want 2 and 8", cstats.PollLoops, cstats.PollReadsCollapsed)
+	}
+	if *cstats != *fstats {
+		t.Fatalf("stats differ: chunked %+v, flat %+v", *cstats, *fstats)
+	}
+	ctext, err := tgpText(chunked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ftext, err := tgpText(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctext != ftext {
+		t.Fatalf("chunked and flat traces translate differently:\n%s\nvs\n%s", ctext, ftext)
 	}
 }
 

@@ -74,9 +74,6 @@ func NewDevice(prog *Program, port ocp.MasterPort) (*Device, error) {
 	return d, nil
 }
 
-// Name implements sim.Named.
-func (d *Device) Name() string { return fmt.Sprintf("tg%d", d.id) }
-
 // RegisterStats implements sim.StatsSource.
 func (d *Device) RegisterStats(r *sim.Registry) {
 	r.RegisterCounter("inst_ret", &d.InstRet)
@@ -85,9 +82,6 @@ func (d *Device) RegisterStats(r *sim.Registry) {
 
 // Done reports whether the TG halted (platform.Master).
 func (d *Device) Done() bool { return d.halted }
-
-// Faulted reports whether the TG stopped on a bus error.
-func (d *Device) Faulted() bool { return d.faulted }
 
 // HaltCycle returns the cycle Halt executed.
 func (d *Device) HaltCycle() uint64 { return d.haltCycle }

@@ -38,7 +38,7 @@ func TestFig3GoldenTranslation(t *testing.T) {
 		{Cmd: ocp.Read, Addr: 0xf8, Burst: 1,
 			Assert: cy(325), Accept: cy(325) + 1, Resp: cy(340), HasResp: true, Data: []uint32{1}},
 	}
-	tr := trace.New(0, clk, evs)
+	tr := trace.New(0, clk, ocp.LogOf(evs))
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestTranslateDeterminism(t *testing.T) {
 		{Cmd: ocp.BurstRead, Addr: 0x40, Burst: 4, Assert: 30, Accept: 31, Resp: 40, HasResp: true, Data: []uint32{0, 0, 0, 0}},
 	}
 	cfg := TranslateConfig{RecognizePolls: true}
-	p1, _, err := Translate(trace.New(0, sim.DefaultClock, evs), cfg)
+	p1, _, err := Translate(trace.New(0, sim.DefaultClock, ocp.LogOf(evs)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := Translate(trace.New(0, sim.DefaultClock, evs), cfg)
+	p2, _, err := Translate(trace.New(0, sim.DefaultClock, ocp.LogOf(evs)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

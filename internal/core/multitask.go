@@ -81,9 +81,6 @@ func NewMultiTask(cfg MultiTaskConfig, progs []*Program, port ocp.MasterPort) (*
 	return m, nil
 }
 
-// Name implements sim.Named.
-func (m *MultiTask) Name() string { return "multitask" }
-
 // Done reports whether every task has halted.
 func (m *MultiTask) Done() bool { return m.halted }
 

@@ -59,7 +59,7 @@ func TestTranslateReplayExactProperty(t *testing.T) {
 			evs = append(evs, e)
 			now = e.Done()
 		}
-		tr := trace.New(0, sim.DefaultClock, evs)
+		tr := trace.New(0, sim.DefaultClock, ocp.LogOf(evs))
 		prog, stats, err := Translate(tr, TranslateConfig{RecognizePolls: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -121,7 +121,7 @@ func TestTranslateIdleSumProperty(t *testing.T) {
 			evs = append(evs, e)
 			now = e.Done()
 		}
-		prog, _, err := Translate(trace.New(0, sim.DefaultClock, evs), TranslateConfig{RecognizePolls: true})
+		prog, _, err := Translate(trace.New(0, sim.DefaultClock, ocp.LogOf(evs)), TranslateConfig{RecognizePolls: true})
 		if err != nil {
 			t.Fatal(err)
 		}

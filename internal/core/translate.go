@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"noctg/internal/ocp"
@@ -77,6 +78,45 @@ type TranslateStats struct {
 // applications traced on different interconnects therefore translate to
 // identical programs — the paper's Section 6 validation.
 func Translate(tr *trace.Trace, cfg TranslateConfig) (*Program, *TranslateStats, error) {
+	return translate(tr, cfg, make([]Inst, 0, instEstimate(tr.Len())))
+}
+
+// TranslateAll translates each trace with cfg and returns the programs and
+// their summed stats. The translations emit through one buffer, sized for
+// the longest trace, and each program is copied out at its exact length,
+// so a platform's masters share one estimate's slack.
+func TranslateAll(traces []*trace.Trace, cfg TranslateConfig) ([]*Program, TranslateStats, error) {
+	var agg TranslateStats
+	longest := 0
+	for _, tr := range traces {
+		longest = max(longest, tr.Len())
+	}
+	buf := make([]Inst, 0, instEstimate(longest))
+	progs := make([]*Program, len(traces))
+	for i, tr := range traces {
+		p, stats, err := translate(tr, cfg, buf)
+		if err != nil {
+			return nil, agg, fmt.Errorf("master %d: %w", i, err)
+		}
+		buf = p.Insts[:0]
+		p.Insts = slices.Clone(p.Insts)
+		progs[i] = p
+		agg.Events += stats.Events
+		agg.PollLoops += stats.PollLoops
+		agg.PollReadsCollapsed += stats.PollReadsCollapsed
+		agg.ClampedCycles += stats.ClampedCycles
+	}
+	return progs, agg, nil
+}
+
+// instEstimate sizes the instructions of a trace of n events: an event
+// becomes its command plus at most an Idle and the register set-up it
+// needs, and the paper's benchmarks translate at up to 3.3 instructions
+// per event, so 3.5 sizes a program once (append still grows past it).
+func instEstimate(n int) int { return n*7/2 + 1 }
+
+// translate emits tr's program into buf, which it may grow.
+func translate(tr *trace.Trace, cfg TranslateConfig, buf []Inst) (*Program, *TranslateStats, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -86,7 +126,7 @@ func Translate(tr *trace.Trace, cfg TranslateConfig) (*Program, *TranslateStats,
 	t := &translator{
 		cfg:   cfg,
 		prog:  NewProgram(tr.MasterID, 0),
-		stats: &TranslateStats{Events: len(tr.Events)},
+		stats: &TranslateStats{Events: tr.Len()},
 	}
 	for _, r := range []struct {
 		name string
@@ -100,18 +140,15 @@ func Translate(tr *trace.Trace, cfg TranslateConfig) (*Program, *TranslateStats,
 	}
 	t.prog.Labels["start"] = 0
 
-	events := tr.Events
-	// An event becomes its command plus at most an Idle and the register
-	// set-up it needs; the paper's benchmarks translate at 2.3 to 3.3
-	// instructions per event, so 3.5 sizes the program once (append still
-	// grows past it).
-	t.prog.Insts = make([]Inst, 0, len(events)*7/2+1)
-	for i := 0; i < len(events); {
-		if cfg.RecognizePolls && t.pollable(events[i].Addr) && events[i].Cmd == ocp.Read {
+	events := &tr.Log
+	t.prog.Insts = buf[:0]
+	for i := 0; i < events.Len(); {
+		e := events.At(i)
+		if e.Cmd == ocp.Read && cfg.RecognizePolls && t.pollable(e.Addr) {
 			i = t.emitPollCluster(events, i)
 			continue
 		}
-		t.emitEvent(&events[i])
+		t.emitEvent(e)
 		i++
 	}
 	if cfg.Rewind {
@@ -220,7 +257,7 @@ func (t *translator) emitEvent(e *ocp.Event) {
 	t.nextTick = e.Done() + 1
 }
 
-// emitPollCluster collapses a polling episode starting at events[i] into a
+// emitPollCluster collapses a polling episode starting at event i into a
 // single reactive loop and returns the index of the first event after it.
 //
 // An episode is a maximal sequence of reads to one pollable address,
@@ -234,9 +271,9 @@ func (t *translator) emitEvent(e *ocp.Event) {
 // final (successful) response; all idle gaps stay measured between
 // adjacent events of the original trace, so they remain
 // interconnect-independent.
-func (t *translator) emitPollCluster(events []ocp.Event, i int) int {
-	addr := events[i].Addr
-	polls := []*ocp.Event{&events[i]}
+func (t *translator) emitPollCluster(events *ocp.Log, i int) int {
+	addr := events.At(i).Addr
+	polls := []*ocp.Event{events.At(i)}
 	type preEvent struct {
 		ev       *ocp.Event
 		prevDone uint64 // completion of the event preceding it in the trace
@@ -245,8 +282,8 @@ func (t *translator) emitPollCluster(events []ocp.Event, i int) int {
 	straddled := map[int]bool{} // poll-gap indices that cross a refill
 
 	j := i + 1
-	for j < len(events) {
-		ev := &events[j]
+	for j < events.Len() {
+		ev := events.At(j)
 		if ev.Cmd == ocp.Read && ev.Addr == addr {
 			polls = append(polls, ev)
 			j++
@@ -255,12 +292,12 @@ func (t *translator) emitPollCluster(events []ocp.Event, i int) int {
 		// Absorb refills only when more polls of this address follow.
 		if ev.Cmd == ocp.BurstRead && !t.pollable(ev.Addr) {
 			k := j
-			for k < len(events) && events[k].Cmd == ocp.BurstRead && !t.pollable(events[k].Addr) {
+			for k < events.Len() && events.At(k).Cmd == ocp.BurstRead && !t.pollable(events.At(k).Addr) {
 				k++
 			}
-			if k < len(events) && events[k].Cmd == ocp.Read && events[k].Addr == addr {
+			if k < events.Len() && events.At(k).Cmd == ocp.Read && events.At(k).Addr == addr {
 				for ; j < k; j++ {
-					pres = append(pres, preEvent{ev: &events[j], prevDone: events[j-1].Done()})
+					pres = append(pres, preEvent{ev: events.At(j), prevDone: events.At(j - 1).Done()})
 				}
 				straddled[len(polls)-1] = true
 				continue

@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"fmt"
-
 	"noctg/internal/cache"
 	"noctg/internal/sim"
 )
@@ -75,14 +73,8 @@ func NewCore(id int, mu *cache.MemUnit, entry uint32) *Core {
 	return c
 }
 
-// Name implements sim.Named.
-func (c *Core) Name() string { return fmt.Sprintf("core%d", c.ID) }
-
 // Halted reports whether the core executed HALT or faulted.
 func (c *Core) Halted() bool { return c.halted }
-
-// Faulted reports whether the core stopped on a bus fault or decode error.
-func (c *Core) Faulted() bool { return c.faulted }
 
 // HaltCycle returns the cycle HALT retired (valid once Halted).
 func (c *Core) HaltCycle() uint64 { return c.haltCycle }

@@ -55,7 +55,7 @@ func armObservation(t *testing.T, spec *prog.Spec, icache cache.Config, perClock
 		}
 		ic, dc := c.MemUnit().ICache(), c.MemUnit().DCache()
 		var trc bytes.Buffer
-		if err := trace.New(i, sys.Engine.Clock(), sys.Monitors[i].Events()).Write(&trc); err != nil {
+		if err := trace.New(i, sys.Engine.Clock(), sys.Monitors[i].Log()).Write(&trc); err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "core %d: inst %d stall %d halt %d faulted %v pc %#x regs %x icache %d/%d/%d dcache %d/%d/%d trc %x\n",

@@ -96,13 +96,13 @@ func AblationGenerators(spec *prog.Spec, source, target Options) ([]*FidelityRow
 	}
 
 	// Cloning replays raw events.
-	events := make([][]ocp.Event, len(ref.Traces))
+	logs := make([]ocp.Log, len(ref.Traces))
 	for i, tr := range ref.Traces {
-		events[i] = tr.Events
+		logs[i] = tr.Log
 	}
 	cfg := target.Platform
 	cfg.Cores = spec.Cores
-	sys, err := platform.BuildClone(cfg, events)
+	sys, err := platform.BuildClone(cfg, logs)
 	if err != nil {
 		return nil, err
 	}

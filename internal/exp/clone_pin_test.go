@@ -32,14 +32,14 @@ type cloneReplay struct {
 // transactions.
 func cloneCampaign(t *testing.T) simtest.Campaign {
 	specs := []*prog.Spec{prog.MPMatrix(4, 8), prog.MPMatrix(2, 8)}
-	traces := make([][][]ocp.Event, len(specs))
+	traces := make([][]ocp.Log, len(specs))
 	for i, spec := range specs {
 		ref, err := RunReference(spec, DefaultOptions(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tr := range ref.Traces {
-			traces[i] = append(traces[i], tr.Events)
+			traces[i] = append(traces[i], tr.Log)
 		}
 	}
 	return func(t *testing.T, x simtest.Exec) []byte {

@@ -93,7 +93,7 @@ func RunReference(spec *prog.Spec, opt Options, traced bool) (*RefResult, error)
 	res := &RefResult{Sys: sys, Makespan: makespan, Wall: wall}
 	if traced {
 		for i, mon := range sys.Monitors {
-			res.Traces = append(res.Traces, trace.New(i, sys.Engine.Clock(), mon.Events()))
+			res.Traces = append(res.Traces, trace.New(i, sys.Engine.Clock(), mon.Log()))
 		}
 	}
 	return res, nil
@@ -113,25 +113,16 @@ func PollRangesFor(spec *prog.Spec) []core.PollRange {
 	return ranges
 }
 
-// TranslateAll converts per-master traces into TG programs. It returns the
-// programs, aggregate stats, and the translation wall time (the paper's
-// "parsing and elaboration" cost).
+// TranslateAll converts per-master traces into TG programs (see
+// core.TranslateAll). It returns the programs, aggregate stats, and the
+// translation wall time (the paper's "parsing and elaboration" cost).
 func TranslateAll(spec *prog.Spec, traces []*trace.Trace, cfg core.TranslateConfig) ([]*core.Program, core.TranslateStats, time.Duration, error) {
-	var agg core.TranslateStats
-	progs := make([]*core.Program, len(traces))
 	start := time.Now()
-	for i, tr := range traces {
-		p, stats, err := core.Translate(tr, cfg)
-		if err != nil {
-			return nil, agg, 0, fmt.Errorf("exp: translate master %d: %w", i, err)
-		}
-		progs[i] = p
-		agg.Events += stats.Events
-		agg.PollLoops += stats.PollLoops
-		agg.PollReadsCollapsed += stats.PollReadsCollapsed
-		agg.ClampedCycles += stats.ClampedCycles
+	progs, stats, err := core.TranslateAll(traces, cfg)
+	if err != nil {
+		return nil, stats, 0, fmt.Errorf("exp: translate %w", err)
 	}
-	return progs, agg, time.Since(start), nil
+	return progs, stats, time.Since(start), nil
 }
 
 // TGResult is the outcome of a TG-platform simulation.

@@ -94,19 +94,19 @@ func TestPollGapMatchesMeasuredConstant(t *testing.T) {
 	}
 	foundSem, foundFlag := false, false
 	for _, tr := range ref.Traces {
-		evs := tr.Events
-		for i := 0; i+1 < len(evs); i++ {
-			if !evs[i].Cmd.IsRead() || !evs[i+1].Cmd.IsRead() || evs[i+1].Addr != evs[i].Addr {
+		for i := 0; i+1 < tr.Len(); i++ {
+			e, next := tr.At(i), tr.At(i+1)
+			if !e.Cmd.IsRead() || !next.Cmd.IsRead() || next.Addr != e.Addr {
 				continue
 			}
-			gap := evs[i+1].Assert - evs[i].Resp
+			gap := next.Assert - e.Resp
 			switch {
-			case semRange.Contains(evs[i].Addr):
+			case semRange.Contains(e.Addr):
 				if gap != prog.SemPollGap {
 					t.Fatalf("semaphore poll gap %d, prog.SemPollGap = %d", gap, prog.SemPollGap)
 				}
 				foundSem = true
-			case flags[evs[i].Addr]:
+			case flags[e.Addr]:
 				if gap != prog.FlagPollGap {
 					t.Fatalf("flag poll gap %d, prog.FlagPollGap = %d", gap, prog.FlagPollGap)
 				}

@@ -69,20 +69,20 @@ func TestFig2aTraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := ref.Traces[0].Events
+	tr := ref.Traces[0]
 	// Find the shared-memory WR and the RD after it.
 	var wr, rd *ocp.Event
-	for i := range evs {
-		if evs[i].Addr == layout.SharedBase {
-			if evs[i].Cmd == ocp.Write {
-				wr = &evs[i]
-			} else if evs[i].Cmd == ocp.Read && wr != nil {
-				rd = &evs[i]
+	for i := range tr.Len() {
+		if e := tr.At(i); e.Addr == layout.SharedBase {
+			if e.Cmd == ocp.Write {
+				wr = e
+			} else if e.Cmd == ocp.Read && wr != nil {
+				rd = e
 			}
 		}
 	}
 	if wr == nil || rd == nil {
-		t.Fatalf("trace missing WR/RD pair: %+v", evs)
+		t.Fatalf("trace of %d events missing WR/RD pair", tr.Len())
 	}
 	if wr.HasResp {
 		t.Fatal("posted write must not record a response")

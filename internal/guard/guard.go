@@ -305,9 +305,6 @@ func NewMonitor(cfg Config, p Probes) *Monitor {
 	return &Monitor{cfg: cfg, p: p}
 }
 
-// Violation returns the violation Check fired, if any.
-func (m *Monitor) Violation() *Violation { return m.fired }
-
 // Check runs every configured watchdog at cycle now. It returns nil while
 // all invariants hold and the first violation (as an error) forever after
 // one fires.

@@ -206,12 +206,6 @@ type Log struct {
 	ValidLen int64
 }
 
-// Completed reports whether key has a durable done record.
-func (l *Log) Completed(key string) bool {
-	_, ok := l.Done[key]
-	return ok
-}
-
 // Parse decodes a journal image. The last record — complete or not — is
 // allowed to be torn (dropped, TornTail set); any earlier framing or
 // checksum failure is corruption and returns an error. Parse never

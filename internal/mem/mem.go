@@ -127,9 +127,6 @@ func (r *RAM) write(idx int, words []uint32) {
 	}
 }
 
-// Name returns the memory's diagnostic name.
-func (r *RAM) Name() string { return r.name }
-
 // Range returns the address range the RAM occupies.
 func (r *RAM) Range() ocp.AddrRange {
 	return ocp.AddrRange{Base: r.base, Size: uint32(r.size * 4)}

@@ -208,7 +208,7 @@ func TestRAMRange(t *testing.T) {
 	if r.Range() != want {
 		t.Fatalf("Range = %v, want %v", r.Range(), want)
 	}
-	if r.Name() != "x" {
+	if r.name != "x" {
 		t.Fatal("name")
 	}
 }

@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"fmt"
-
-	"noctg/internal/ocp"
-)
+import "noctg/internal/ocp"
 
 // SemBank is the hardware semaphore slave. Its semantics follow the paper's
 // Figure 2(b)/Figure 3 polling protocol:
@@ -41,9 +37,6 @@ func NewSemBank(name string, base uint32, n int, waitStates uint64) *SemBank {
 	}
 	return &SemBank{base: base, free: free, waitStates: waitStates, name: name}
 }
-
-// Name returns the bank's diagnostic name.
-func (s *SemBank) Name() string { return s.name }
 
 // Range returns the address range the bank occupies.
 func (s *SemBank) Range() ocp.AddrRange {
@@ -96,14 +89,6 @@ func (s *SemBank) PerformInto(req *ocp.Request, dst []uint32) ocp.Response {
 // Stats returns (successful acquires, failed polls, releases).
 func (s *SemBank) Stats() (acquires, fails, releases uint64) {
 	return s.acquires, s.fails, s.releases
-}
-
-// Addr returns the byte address of semaphore i.
-func (s *SemBank) Addr(i int) uint32 {
-	if i < 0 || i >= len(s.free) {
-		panic(fmt.Sprintf("mem: semaphore index %d out of range", i))
-	}
-	return s.base + uint32(i*4)
 }
 
 func (s *SemBank) index(addr uint32) (int, bool) {

@@ -12,3 +12,6 @@ func SkewResidentFlits(n *Network) { n.routers[0].st.residentFlits++ }
 // SkewLivePackets counts one packet more out of the domain's pool than
 // live references exist — the trace a packet never recycled leaves.
 func SkewLivePackets(n *Network) { n.routers[0].st.livePackets++ }
+
+// Index returns the region's position in the partition.
+func (rg *Region) Index() int { return rg.index }

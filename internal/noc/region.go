@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"fmt"
-
-	"noctg/internal/sim"
-)
+import "noctg/internal/sim"
 
 // This file implements spatial sharding of the fabric: Partition cuts the
 // mesh into contiguous row bands, each of which becomes a Region — a
@@ -209,12 +205,6 @@ func (n *Network) RegionOf(node int) int {
 	return n.regionOfRow[node/n.cfg.Width]
 }
 
-// Index returns the region's position in the partition.
-func (rg *Region) Index() int { return rg.index }
-
-// Name implements sim.Named for engine diagnostics.
-func (rg *Region) Name() string { return fmt.Sprintf("noc/shard%d", rg.index) }
-
 // BindCycleSource points the region's master NIs at their shard engine's
 // cycle counter; NIs consult it inside TryRequest/TakeResponse, which run
 // during master ticks on the shard's own engine.
@@ -311,4 +301,3 @@ var _ sim.Device = (*Region)(nil)
 var _ sim.Sleeper = (*Region)(nil)
 var _ sim.WakeSink = (*Region)(nil)
 var _ sim.TickSleeper = (*Region)(nil)
-var _ sim.Named = (*Region)(nil)

@@ -26,24 +26,27 @@ type TrafficMeter interface {
 	RequestLatencyHist() *sim.Histogram
 }
 
-// Event is one traced OCP transaction as observed at a master interface.
-// The three timestamps are what the translator needs to compute
-// interconnect-independent idle gaps (see core.Translate):
+// Event is one traced OCP transaction as observed at a master interface
+// (the trace that holds it names the master). The three timestamps are
+// what the translator needs to compute interconnect-independent idle gaps
+// (see core.Translate):
 //
 //   - Assert: the first cycle the master presented the request,
 //   - Accept: the cycle the interconnect latched it (posted writes complete
 //     here from the master's point of view),
 //   - Resp:   the cycle read data returned (reads only).
+//
+// An Event takes 64 bytes, so a full log chunk of 512 is an exact 32 KiB
+// allocation; keep HasResp beside Cmd.
 type Event struct {
-	Cmd      Cmd
-	Addr     uint32
-	Burst    int
-	Data     []uint32 // write payload or read response data
-	MasterID int
-	Assert   uint64
-	Accept   uint64
-	Resp     uint64 // zero for writes
-	HasResp  bool
+	Cmd     Cmd
+	HasResp bool // a read's response arrived
+	Addr    uint32
+	Burst   int
+	Data    []uint32 // write payload or read response data
+	Assert  uint64
+	Accept  uint64
+	Resp    uint64 // zero for writes
 }
 
 // Done returns the completion cycle from the master's perspective: response
@@ -59,11 +62,12 @@ func (e *Event) Done() uint64 {
 // it. It always meters: the transaction and read counters and the two
 // latency histograms (TrafficMeter, and the "port<i>/" registry entries)
 // cost no allocation and are what every measurement reads. It records —
-// keeps an event log with a private copy of each payload — only after
-// Record: the log is the in-simulation equivalent of the paper's adapted
-// OCP interface modules that "collect traces of OCP request and response
-// communication events", and only a run whose product is that trace
-// (exp.RunReference) pays for it.
+// keeps an event log with a private copy of each payload, stored as the
+// package doc's event-log contract says — only after Record: the log is
+// the in-simulation equivalent of the paper's adapted OCP interface
+// modules that "collect traces of OCP request and response communication
+// events", and only a run whose product is that trace (exp.RunReference)
+// pays for it.
 //
 // The wrapped port sees exactly the same call sequence either way, so a
 // monitor does not perturb simulated timing (recording does cost host
@@ -72,11 +76,11 @@ type Monitor struct {
 	port   MasterPort
 	now    func() uint64
 	record bool
-	// log holds the recorded events in chunks, every chunk full but the
-	// last, so recording never re-copies an event; logged counts them.
-	// Events joins the chunks once.
-	log    [][]Event
-	logged int
+	log    Log
+	// words is the payload arena: each recorded payload is carved from its
+	// free tail, and one that does not fit starts a new block twice the
+	// size of the last, between minWords and maxWords words.
+	words []uint32
 
 	cur       Event
 	asserting bool // a request has been presented but not yet accepted
@@ -121,7 +125,7 @@ func (m *Monitor) RegisterStats(r *sim.Registry) {
 }
 
 // Record switches the event log on: every transaction completed from now
-// on is appended to Events with its own copy of the payload. Call it before
+// on is appended to Log with its own copy of the payload. Call it before
 // the run starts.
 func (m *Monitor) Record() { m.record = true }
 
@@ -129,14 +133,13 @@ func (m *Monitor) Record() { m.record = true }
 func (m *Monitor) TryRequest(req *Request) bool {
 	if !m.asserting {
 		m.cur = Event{
-			Cmd:      req.Cmd,
-			Addr:     req.Addr,
-			Burst:    req.Burst,
-			MasterID: req.MasterID,
-			Assert:   m.now(),
+			Cmd:    req.Cmd,
+			Addr:   req.Addr,
+			Burst:  req.Burst,
+			Assert: m.now(),
 		}
 		if m.record && req.Cmd.IsWrite() {
-			m.cur.Data = append([]uint32(nil), req.Data...)
+			m.cur.Data = m.keep(req.Data)
 		}
 		m.asserting = true
 	}
@@ -153,28 +156,32 @@ func (m *Monitor) TryRequest(req *Request) bool {
 	return ok
 }
 
-// A new log chunk holds as many events as were logged before it, clamped
-// to [minChunk, maxChunk].
+// The payload arena's block sizes, in words.
 const (
-	minChunk = 16
-	maxChunk = 512
+	minWords = 64
+	maxWords = 4096
 )
 
+// keep returns the monitor's own copy of data, carved from the payload
+// arena with its capacity capped at its length.
+func (m *Monitor) keep(data []uint32) []uint32 {
+	if len(data) == 0 {
+		return nil
+	}
+	if len(data) > cap(m.words)-len(m.words) {
+		m.words = make([]uint32, 0, max(min(2*cap(m.words), maxWords), minWords, len(data)))
+	}
+	i := len(m.words)
+	m.words = append(m.words, data...)
+	return m.words[i:len(m.words):len(m.words)]
+}
+
 // complete counts the current transaction and, when recording, logs it.
-// A reference run logs hundreds of thousands of events: grown by append,
-// which enlarges a large slice by about a quarter and copies it each time,
-// the log cost several times its own size.
 func (m *Monitor) complete() {
 	m.txns.Inc()
-	if !m.record {
-		return
+	if m.record {
+		m.log.Append(m.cur)
 	}
-	if k := len(m.log) - 1; k < 0 || len(m.log[k]) == cap(m.log[k]) {
-		m.log = append(m.log, make([]Event, 0, min(max(m.logged, minChunk), maxChunk)))
-	}
-	k := len(m.log) - 1
-	m.log[k] = append(m.log[k], m.cur)
-	m.logged++
 }
 
 // TakeResponse implements MasterPort, noting the response cycle (and, when
@@ -185,7 +192,7 @@ func (m *Monitor) TakeResponse() (*Response, bool) {
 		m.cur.Resp = m.now()
 		m.cur.HasResp = true
 		if m.record {
-			m.cur.Data = append([]uint32(nil), resp.Data...)
+			m.cur.Data = m.keep(resp.Data)
 		}
 		m.complete()
 		m.reads.Inc()
@@ -199,22 +206,10 @@ func (m *Monitor) TakeResponse() (*Response, bool) {
 // Busy implements MasterPort.
 func (m *Monitor) Busy() bool { return m.port.Busy() }
 
-// Events returns the transactions recorded since Record, in issue order
-// (nil on a monitor that only meters). The returned slice is owned by the
-// monitor; callers must not modify it.
-func (m *Monitor) Events() []Event {
-	if len(m.log) > 1 {
-		all := make([]Event, 0, m.logged)
-		for _, c := range m.log {
-			all = append(all, c...)
-		}
-		m.log = append(m.log[:0], all)
-	}
-	if len(m.log) == 0 {
-		return nil
-	}
-	return m.log[0]
-}
+// Log returns the transactions recorded since Record, in issue order
+// (empty on a monitor that only meters). The log shares the monitor's
+// storage and is read-only.
+func (m *Monitor) Log() Log { return m.log }
 
 var _ MasterPort = (*Monitor)(nil)
 var _ TrafficMeter = (*Monitor)(nil)

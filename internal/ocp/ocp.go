@@ -28,6 +28,19 @@
 // polls every blocked cycle instead. A missed wake parks a master forever,
 // so each port's wake cycles are held to strict ticking by its package's
 // tests.
+//
+// # The event log
+//
+// A trace is recorded once and never copied. A recording Monitor appends
+// each completed transaction to its Log, whose chunks never move once
+// written, and the Log it hands out is the storage of the trace built
+// from it (trace.New): every reader — the translator, the .trc writer and
+// its Size, the cloning replay — walks the chunks through Len and At, and
+// nothing joins them into a flat slice. Each recorded payload is carved
+// from the monitor's word arena with its capacity capped at its length,
+// and is read-only, like every event of a handed-out log. LogOf wraps a
+// flat slice as one chunk without copying it, so trace.New of a
+// hand-built slice makes a one-chunk log.
 package ocp
 
 import (

@@ -127,11 +127,11 @@ func TestMonitorRecordsWriteAcceptance(t *testing.T) {
 	for !m.TryRequest(req) {
 		cycle++
 	}
-	evs := m.Events()
-	if len(evs) != 1 {
-		t.Fatalf("got %d events, want 1", len(evs))
+	log := m.Log()
+	if log.Len() != 1 {
+		t.Fatalf("got %d events, want 1", log.Len())
 	}
-	e := evs[0]
+	e := log.At(0)
 	if e.Assert != 0 || e.Accept != 2 {
 		t.Fatalf("assert=%d accept=%d, want 0,2", e.Assert, e.Accept)
 	}
@@ -157,7 +157,7 @@ func TestMonitorRecordsReadResponse(t *testing.T) {
 		t.Fatal("expected immediate accept")
 	}
 	// No event yet: reads complete at response time.
-	if len(m.Events()) != 0 {
+	if log := m.Log(); log.Len() != 0 {
 		t.Fatal("read event recorded before response")
 	}
 	cycle = 4
@@ -167,11 +167,11 @@ func TestMonitorRecordsReadResponse(t *testing.T) {
 	if !ok || resp.Data[0] != 0x088000f0 {
 		t.Fatal("response not passed through")
 	}
-	evs := m.Events()
-	if len(evs) != 1 {
-		t.Fatalf("got %d events, want 1", len(evs))
+	log := m.Log()
+	if log.Len() != 1 {
+		t.Fatalf("got %d events, want 1", log.Len())
 	}
-	e := evs[0]
+	e := log.At(0)
 	if !e.HasResp || e.Resp != 4 || e.Done() != 4 {
 		t.Fatalf("resp cycle = %d hasResp=%v", e.Resp, e.HasResp)
 	}
@@ -221,44 +221,88 @@ func TestMonitorMetersWithoutRecording(t *testing.T) {
 	if h := m.LatencyHist(); h.Count() != 1 || h.Max() != 7 {
 		t.Fatalf("latency histogram: %d samples, max %d; want 1, 7", h.Count(), h.Max())
 	}
-	if m.Events() != nil {
-		t.Fatalf("a metering-only monitor logged %d events", len(m.Events()))
+	if log := m.Log(); log.Len() != 0 {
+		t.Fatalf("a metering-only monitor logged %d events", log.Len())
 	}
-	if m.cur.Data != nil {
+	if m.cur.Data != nil || m.words != nil {
 		t.Fatal("a metering-only monitor copied a payload")
 	}
 }
 
-// The log keeps issue order within one chunk and across many, and a read
-// of Events part-way through (which joins the chunks) neither loses nor
-// reorders anything logged before or after it.
+// The log keeps issue order within one chunk and across many, a log read
+// part-way through still reads what was logged before it, and each payload
+// is carved from the arena with its capacity capped, so appending to one
+// cannot overwrite the next.
 func TestMonitorMultipleTransactionsInOrder(t *testing.T) {
 	for _, n := range []int{5, 3000} {
 		var cycle uint64
 		p := &scriptPort{}
 		m := NewMonitor(p, func() uint64 { return cycle })
 		m.Record()
-		var early []Event
+		var early Log
 		for i := 0; i < n; i++ {
 			if i == n/2 {
-				early = m.Events()
+				early = m.Log()
 			}
 			cycle = uint64(10 * i)
 			m.TryRequest(&Request{Cmd: Write, Addr: uint32(i * 4), Burst: 1, Data: []uint32{uint32(i)}})
 		}
-		evs := m.Events()
-		if len(evs) != n || len(early) != n/2 {
-			t.Fatalf("n=%d: got %d events, %d part-way", n, len(evs), len(early))
+		log := m.Log()
+		if log.Len() != n || early.Len() != n/2 {
+			t.Fatalf("n=%d: got %d events, %d part-way", n, log.Len(), early.Len())
 		}
-		for i, e := range evs {
+		for i := range log.Len() {
+			e := log.At(i)
 			if e.Addr != uint32(i*4) || e.Assert != uint64(10*i) || e.Data[0] != uint32(i) {
 				t.Fatalf("n=%d: event %d out of order: %+v", n, i, e)
 			}
-			if i < len(early) && early[i].Addr != e.Addr {
-				t.Fatalf("n=%d: part-way event %d = %+v, later %+v", n, i, early[i], e)
+			if cap(e.Data) != len(e.Data) {
+				t.Fatalf("n=%d: event %d payload has capacity %d for %d words", n, i, cap(e.Data), len(e.Data))
+			}
+			if i < early.Len() && early.At(i) != e {
+				t.Fatalf("n=%d: part-way event %d = %+v, later %+v", n, i, early.At(i), e)
 			}
 		}
 	}
+}
+
+// TestLogAt holds At's arithmetic to the chunks Append lays down, across
+// every chunk boundary up to the first two full-size chunks, and holds
+// LogOf to one chunk that Append refuses to extend.
+func TestLogAt(t *testing.T) {
+	var l Log
+	var flat []Event
+	for i := range 2000 {
+		e := l.Append(Event{Addr: uint32(i)})
+		flat = append(flat, *e)
+		if l.Len() != i+1 || l.At(i) != e {
+			t.Fatalf("Append(%d): Len %d, At(%d) is not where Append stored it", i, l.Len(), i)
+		}
+	}
+	for i := range l.Len() {
+		if a := l.At(i).Addr; a != uint32(i) {
+			t.Fatalf("At(%d) = event %d", i, a)
+		}
+	}
+	sizes := []int{16, 16, 32, 64, 128, 256, 512, 512, 464}
+	if len(l.chunks) != len(sizes) {
+		t.Fatalf("%d chunks, want %d", len(l.chunks), len(sizes))
+	}
+	for k, c := range l.chunks {
+		if len(c) != sizes[k] {
+			t.Fatalf("chunk %d holds %d events, want %d", k, len(c), sizes[k])
+		}
+	}
+	one := LogOf(flat)
+	if len(one.chunks) != 1 || one.Len() != len(flat) || one.At(1500) != &flat[1500] {
+		t.Fatal("LogOf copied the slice or split it")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Append extended a LogOf log")
+		}
+	}()
+	one.Append(Event{})
 }
 
 func TestNewMonitorNilPanics(t *testing.T) {

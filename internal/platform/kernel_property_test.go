@@ -315,7 +315,7 @@ func TestARMKernelIndependent(t *testing.T) {
 						fmt.Fprintf(&out, " %#x", c.Reg(r))
 					}
 					var trc bytes.Buffer
-					if err := trace.New(i, sys.Engine.Clock(), sys.Monitors[i].Events()).Write(&trc); err != nil {
+					if err := trace.New(i, sys.Engine.Clock(), sys.Monitors[i].Log()).Write(&trc); err != nil {
 						t.Fatal(err)
 					}
 					fmt.Fprintf(&out, " trc %x\n", sha256.Sum256(trc.Bytes()))

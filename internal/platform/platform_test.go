@@ -73,13 +73,13 @@ func TestTraceMonitorsAttached(t *testing.T) {
 	if _, err := sys.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
-	evs := sys.Monitors[0].Events()
-	if len(evs) == 0 {
+	log := sys.Monitors[0].Log()
+	if log.Len() == 0 {
 		t.Fatal("no events traced")
 	}
 	var sawWrite bool
-	for _, e := range evs {
-		if e.Cmd == ocp.Write && e.Addr == layout.SharedBase {
+	for i := range log.Len() {
+		if e := log.At(i); e.Cmd == ocp.Write && e.Addr == layout.SharedBase {
 			sawWrite = true
 		}
 	}
@@ -157,10 +157,10 @@ END`
 }
 
 func TestClonePlatform(t *testing.T) {
-	events := [][]ocp.Event{{
+	logs := []ocp.Log{ocp.LogOf([]ocp.Event{
 		{Cmd: ocp.Write, Addr: layout.SharedBase + 4, Burst: 1, Assert: 10, Accept: 11, Data: []uint32{9}},
-	}}
-	sys, err := BuildClone(Config{Cores: 1}, events)
+	})}
+	sys, err := BuildClone(Config{Cores: 1}, logs)
 	if err != nil {
 		t.Fatal(err)
 	}

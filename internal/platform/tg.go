@@ -26,12 +26,12 @@ func BuildTG(cfg Config, programs []*core.Program) (*System, error) {
 
 // BuildClone assembles a platform driven by cloning replayers (the
 // non-reactive baseline of Section 3, stochastic.NewClone): master i
-// replays events[i] at absolute timestamps.
-func BuildClone(cfg Config, events [][]ocp.Event) (*System, error) {
-	if len(events) != cfg.Cores {
-		return nil, fmt.Errorf("platform: %d clone traces for %d cores", len(events), cfg.Cores)
+// replays logs[i] at absolute timestamps.
+func BuildClone(cfg Config, logs []ocp.Log) (*System, error) {
+	if len(logs) != cfg.Cores {
+		return nil, fmt.Errorf("platform: %d clone traces for %d cores", len(logs), cfg.Cores)
 	}
 	return Build(cfg, func(s *System, id int, port ocp.MasterPort) Master {
-		return stochastic.NewClone(id, events[id], port)
+		return stochastic.NewClone(id, logs[id], port)
 	})
 }

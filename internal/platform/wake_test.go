@@ -63,10 +63,12 @@ func TestBlockedMasterSleepsOnlyBehindWakingPort(t *testing.T) {
 				}
 				var out []byte
 				for i, m := range sys.Monitors {
-					if len(m.Events()) != 4 {
-						t.Fatalf("%v: master %d completed %d of 4 transactions", x, i, len(m.Events()))
+					log := m.Log()
+					if log.Len() != 4 {
+						t.Fatalf("%v: master %d completed %d of 4 transactions", x, i, log.Len())
 					}
-					for _, e := range m.Events() {
+					for k := range log.Len() {
+						e := log.At(k)
 						out = fmt.Appendf(out, "master %d %v assert %d accept %d resp %d\n", i, e.Cmd, e.Assert, e.Accept, e.Resp)
 					}
 				}

@@ -70,12 +70,6 @@ func (f DeviceFunc) Tick(cycle uint64) { f(cycle) }
 // NextWake implements Sleeper: a DeviceFunc is always awake.
 func (f DeviceFunc) NextWake(now uint64) uint64 { return now }
 
-// Named is optionally implemented by devices that want to appear with a
-// readable name in diagnostics.
-type Named interface {
-	Name() string
-}
-
 // WakeNever is the NextWake return value of a device that will never act
 // again without external stimulus (a halted TG, a fully drained bus).
 const WakeNever = ^uint64(0)
@@ -230,9 +224,6 @@ func (e *Engine) Reserve(n int) {
 	e.devices = slices.Grow(e.devices, n)
 	e.evFused = slices.Grow(e.evFused, n)
 }
-
-// Devices returns the number of registered devices.
-func (e *Engine) Devices() int { return len(e.devices) }
 
 // Cycle returns the current cycle number, i.e. the number of completed
 // (executed or skipped) cycles since construction.

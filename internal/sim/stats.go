@@ -49,9 +49,6 @@ func (h *Histogram) Observe(v uint64) {
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
 // Max returns the largest observed sample (zero when empty).
 func (h *Histogram) Max() uint64 { return h.max }
 

@@ -8,8 +8,9 @@ package sim
 // Run/RunPhased entry points do per call — would cost O(devices) per
 // window and erase the event kernel's advantage under one-cycle windows.
 //
-// A session is single-use and exclusive: between BeginWindowed and Close,
-// advance the engine only through RunTo. External wakes (Waker.Wake and
+// A session is single-use and exclusive: once BeginWindowed opens it,
+// advance the engine only through RunTo (the shard runner keeps each
+// shard's session for the engine's lifetime). External wakes (Waker.Wake and
 // WakeAt) are honoured between windows exactly as they are mid-run — the
 // event schedule stays live for the whole session.
 type WindowedRun struct {
@@ -31,14 +32,6 @@ func (e *Engine) BeginWindowed() *WindowedRun {
 		e.evLive = true
 	}
 	return w
-}
-
-// Close ends the session. The engine is ready for ordinary Run calls (or a
-// new session) afterwards.
-func (w *WindowedRun) Close() {
-	if w.event {
-		w.e.evLive = false
-	}
 }
 
 // RunTo advances the engine to exactly the target cycle — a forced

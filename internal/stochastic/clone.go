@@ -7,7 +7,7 @@ import (
 // recorded is the source of a cloning replay: each event of a trace is
 // due at its recorded assert cycle.
 type recorded struct {
-	events []ocp.Event
+	events ocp.Log
 	// buf is the reusable write payload: the interconnect copies it no
 	// later than acceptance (see ocp.MasterPort).
 	buf []uint32
@@ -27,27 +27,35 @@ type recorded struct {
 // transactions to previous responses but replays the recorded polls
 // verbatim. Comparing both against the reactive TG on an interconnect
 // other than the traced one reproduces the paper's motivation
-// quantitatively.
-func NewClone(id int, events []ocp.Event, port ocp.MasterPort) *Generator {
+// quantitatively. events is a monitor's log (as exp.AblationGenerators
+// replays it) or a hand-built slice.
+func NewClone[E []ocp.Event | ocp.Log](id int, events E, port ocp.MasterPort) *Generator {
 	if port == nil {
 		panic("stochastic: NewClone requires a port")
 	}
+	r := &recorded{}
+	switch ev := any(events).(type) {
+	case []ocp.Event:
+		r.events = ocp.LogOf(ev)
+	case ocp.Log:
+		r.events = ev
+	}
 	g := &Generator{}
-	g.start(id, &recorded{events: events}, port)
+	g.start(id, r, port)
 	return g
 }
 
 // due implements source.
 func (r *recorded) due(n int, _ uint64) (uint64, bool) {
-	if n >= len(r.events) {
+	if n >= r.events.Len() {
 		return 0, false
 	}
-	return r.events[n].Assert, true
+	return r.events.At(n).Assert, true
 }
 
 // request implements source.
 func (r *recorded) request(id, n int) ocp.Request {
-	e := &r.events[n]
+	e := r.events.At(n)
 	req := ocp.Request{Cmd: e.Cmd, Addr: e.Addr, Burst: e.Burst, MasterID: id}
 	if e.Cmd.IsWrite() {
 		r.buf = append(r.buf[:0], e.Data...)

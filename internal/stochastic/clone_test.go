@@ -98,7 +98,7 @@ func TestCloneIgnoresResponses(t *testing.T) {
 
 func TestCloneEmpty(t *testing.T) {
 	e, bus, _ := cloneRig(t)
-	c := NewClone(0, nil, bus.NewMasterPort())
+	c := NewClone(0, ocp.Log{}, bus.NewMasterPort())
 	e.Add(c)
 	e.Add(bus)
 	if _, err := e.Run(100, c.Done); err != nil {
@@ -106,8 +106,5 @@ func TestCloneEmpty(t *testing.T) {
 	}
 	if c.HaltCycle() == 0 && !c.Done() {
 		t.Fatal("empty clone should halt immediately")
-	}
-	if c.Name() != "clone0" {
-		t.Fatal("name")
 	}
 }

@@ -225,14 +225,6 @@ func (g *Generator) start(id int, src source, port ocp.MasterPort) {
 	g.next(0)
 }
 
-// Name implements sim.Named.
-func (g *Generator) Name() string {
-	if _, ok := g.src.(*recorded); ok {
-		return fmt.Sprintf("clone%d", g.id)
-	}
-	return fmt.Sprintf("stoch%d", g.id)
-}
-
 // Done reports whether all transactions have been issued and completed.
 func (g *Generator) Done() bool { return g.state == gDone }
 

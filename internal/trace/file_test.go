@@ -15,7 +15,7 @@ import (
 func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m0.trc")
-	tr := New(7, sim.DefaultClock, sampleEvents())
+	tr := New(7, sim.DefaultClock, ocp.LogOf(sampleEvents()))
 
 	f, err := os.Create(path)
 	if err != nil {
@@ -37,8 +37,8 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MasterID != 7 || len(got.Events) != len(tr.Events) {
-		t.Fatalf("file round trip lost data: master=%d events=%d", got.MasterID, len(got.Events))
+	if got.MasterID != 7 || got.Len() != tr.Len() {
+		t.Fatalf("file round trip lost data: master=%d events=%d", got.MasterID, got.Len())
 	}
 }
 
@@ -55,7 +55,7 @@ RSP 0x00000001 @200ns
 	if tr.Clock.PeriodNS != 10 {
 		t.Fatalf("clock = %d ns", tr.Clock.PeriodNS)
 	}
-	e := tr.Events[0]
+	e := tr.At(0)
 	if e.Assert != 10 || e.Accept != 11 || e.Resp != 20 {
 		t.Fatalf("cycles wrong with 10ns clock: %+v", e)
 	}
@@ -74,8 +74,8 @@ WR 0x00000010 0x00000001 @10ns acc@15ns
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Events) != 1 {
-		t.Fatalf("events = %d", len(tr.Events))
+	if tr.Len() != 1 {
+		t.Fatalf("events = %d", tr.Len())
 	}
 }
 
@@ -90,7 +90,7 @@ func TestLargeTraceRoundTrip(t *testing.T) {
 		evs = append(evs, e)
 		now = e.Done()
 	}
-	tr := New(0, sim.DefaultClock, evs)
+	tr := New(0, sim.DefaultClock, ocp.LogOf(evs))
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -99,10 +99,10 @@ func TestLargeTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Events) != len(evs) {
-		t.Fatalf("%d events survived of %d", len(got.Events), len(evs))
+	if got.Len() != len(evs) {
+		t.Fatalf("%d events survived of %d", got.Len(), len(evs))
 	}
-	if !reflect.DeepEqual(got.Events[49_999], evs[49_999]) {
+	if !reflect.DeepEqual(*got.At(49_999), evs[49_999]) {
 		t.Fatal("tail event corrupted")
 	}
 }

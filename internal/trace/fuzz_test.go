@@ -34,8 +34,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical output does not reparse: %v\n%s", err, buf.String())
 		}
-		if len(tr2.Events) != len(tr.Events) {
-			t.Fatalf("round trip changed event count %d → %d", len(tr.Events), len(tr2.Events))
+		if tr2.Len() != tr.Len() {
+			t.Fatalf("round trip changed event count %d → %d", tr.Len(), tr2.Len())
 		}
 	})
 }

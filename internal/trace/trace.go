@@ -7,6 +7,10 @@
 // Timestamps are stored in nanoseconds (cycle × clock period), exactly as
 // the paper prints them; the header records the clock so parsing recovers
 // cycles losslessly.
+//
+// A Trace's events are an ocp.Log: the recording monitor's own chunks,
+// never copied, under the storage contract of the ocp package doc (# The
+// event log).
 package trace
 
 import (
@@ -26,24 +30,25 @@ type Trace struct {
 	MasterID int
 	// Clock is the traced core's clock (5 ns in the paper's examples).
 	Clock sim.Clock
-	// Events are the transactions in issue order, timestamps in cycles.
-	Events []ocp.Event
+	// Log holds the transactions in issue order, timestamps in cycles.
+	ocp.Log
 }
 
-// New builds a trace from monitor events.
-func New(masterID int, clock sim.Clock, events []ocp.Event) *Trace {
+// New builds a trace on log: a monitor's (ocp.Monitor.Log) or a hand-built
+// slice's (ocp.LogOf).
+func New(masterID int, clock sim.Clock, log ocp.Log) *Trace {
 	if clock.PeriodNS == 0 {
 		clock = sim.DefaultClock
 	}
-	return &Trace{MasterID: masterID, Clock: clock, Events: events}
+	return &Trace{MasterID: masterID, Clock: clock, Log: log}
 }
 
 // Span returns the completion time (cycles) of the last event, or zero.
 func (t *Trace) Span() uint64 {
-	if len(t.Events) == 0 {
+	if t.Len() == 0 {
 		return 0
 	}
-	return t.Events[len(t.Events)-1].Done()
+	return t.At(t.Len() - 1).Done()
 }
 
 // Write renders the trace in .trc format, appending the lines into one
@@ -51,8 +56,8 @@ func (t *Trace) Span() uint64 {
 func (t *Trace) Write(w io.Writer) error {
 	b := fmt.Appendf(make([]byte, 0, 8<<10), "; noctg trace v1\n; master %d clockns %d\n", t.MasterID, t.Clock.PeriodNS)
 	ns := t.Clock.NS
-	for i := range t.Events {
-		e := &t.Events[i]
+	for i := range t.Len() {
+		e := t.At(i)
 		b = appendHex(append(b, e.Cmd.String()...), e.Addr)
 		switch e.Cmd {
 		case ocp.Read:
@@ -87,8 +92,8 @@ func (t *Trace) Size() (int, error) {
 	n := len("; noctg trace v1\n; master  clockns \n") + intLen(int64(t.MasterID)) + uintLen(t.Clock.PeriodNS)
 	const hex = len(" 0x00000000")
 	ns := t.Clock.NS
-	for i := range t.Events {
-		e := &t.Events[i]
+	for i := range t.Len() {
+		e := t.At(i)
 		n += len(e.Cmd.String()) + hex
 		switch e.Cmd {
 		case ocp.Read:
@@ -189,7 +194,7 @@ func Parse(r io.Reader) (*Trace, error) {
 			cur = nil
 			continue
 		}
-		ev := ocp.Event{MasterID: t.MasterID, Burst: 1}
+		ev := ocp.Event{Burst: 1}
 		switch kind {
 		case "RD":
 			ev.Cmd = ocp.Read
@@ -241,9 +246,8 @@ func Parse(r io.Reader) (*Trace, error) {
 		if ev.Cmd.IsWrite() && len(ev.Data) != ev.Burst {
 			return nil, fmt.Errorf("trace: line %d: write burst %d with %d data words", lineNo, ev.Burst, len(ev.Data))
 		}
-		t.Events = append(t.Events, ev)
-		if ev.Cmd.IsRead() {
-			cur = &t.Events[len(t.Events)-1]
+		if e := t.Append(ev); ev.Cmd.IsRead() {
+			cur = e
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -288,8 +292,8 @@ func parseHex(s string) (uint32, error) {
 // responses after accept.
 func (t *Trace) Validate() error {
 	var prev uint64
-	for i := range t.Events {
-		e := &t.Events[i]
+	for i := range t.Len() {
+		e := t.At(i)
 		if e.Accept < e.Assert {
 			return fmt.Errorf("trace: event %d accepted (%d) before asserted (%d)", i, e.Accept, e.Assert)
 		}

@@ -25,8 +25,17 @@ func sampleEvents() []ocp.Event {
 	}
 }
 
+// events copies t's events into a flat slice, for comparing whole traces.
+func events(t *Trace) []ocp.Event {
+	var evs []ocp.Event
+	for i := range t.Len() {
+		evs = append(evs, *t.At(i))
+	}
+	return evs
+}
+
 func TestWriteParseRoundTrip(t *testing.T) {
-	tr := New(3, sim.DefaultClock, sampleEvents())
+	tr := New(3, sim.DefaultClock, ocp.LogOf(sampleEvents()))
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -39,16 +48,13 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		t.Fatalf("header lost: master=%d clock=%d", got.MasterID, got.Clock.PeriodNS)
 	}
 	want := sampleEvents()
-	for i := range want {
-		want[i].MasterID = 3
-	}
-	if !reflect.DeepEqual(got.Events, want) {
-		t.Fatalf("events differ:\n got %+v\nwant %+v", got.Events, want)
+	if !reflect.DeepEqual(events(got), want) {
+		t.Fatalf("events differ:\n got %+v\nwant %+v", events(got), want)
 	}
 }
 
 func TestFormatLooksLikeFig3a(t *testing.T) {
-	tr := New(0, sim.DefaultClock, sampleEvents()[:2])
+	tr := New(0, sim.DefaultClock, ocp.LogOf(sampleEvents()[:2]))
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -85,27 +91,27 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	tr := New(0, sim.DefaultClock, sampleEvents())
+	tr := New(0, sim.DefaultClock, ocp.LogOf(sampleEvents()))
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := New(0, sim.DefaultClock, []ocp.Event{
+	bad := New(0, sim.DefaultClock, ocp.LogOf([]ocp.Event{
 		{Cmd: ocp.Read, Addr: 0, Burst: 1, Assert: 10, Accept: 5, Resp: 20, HasResp: true},
-	})
+	}))
 	if err := bad.Validate(); err == nil {
 		t.Fatal("accept before assert should fail validation")
 	}
-	overlap := New(0, sim.DefaultClock, []ocp.Event{
+	overlap := New(0, sim.DefaultClock, ocp.LogOf([]ocp.Event{
 		{Cmd: ocp.Read, Addr: 0, Burst: 1, Assert: 10, Accept: 11, Resp: 20, HasResp: true, Data: []uint32{0}},
 		{Cmd: ocp.Read, Addr: 0, Burst: 1, Assert: 15, Accept: 16, Resp: 30, HasResp: true, Data: []uint32{0}},
-	})
+	}))
 	if err := overlap.Validate(); err == nil {
 		t.Fatal("overlapping transactions should fail validation")
 	}
 }
 
 func TestSpan(t *testing.T) {
-	tr := New(0, sim.DefaultClock, sampleEvents())
+	tr := New(0, sim.DefaultClock, ocp.LogOf(sampleEvents()))
 	if tr.Span() != 55 {
 		t.Fatalf("span = %d, want accept of last write (55)", tr.Span())
 	}
@@ -121,7 +127,7 @@ func TestRoundTripRandomProperty(t *testing.T) {
 		now := uint64(rng.Intn(5))
 		for i := 0; i < rng.Intn(30); i++ {
 			kind := rng.Intn(4)
-			e := ocp.Event{Addr: uint32(rng.Intn(1<<20) * 4), Burst: 1, MasterID: 2}
+			e := ocp.Event{Addr: uint32(rng.Intn(1<<20) * 4), Burst: 1}
 			e.Assert = now + uint64(1+rng.Intn(10))
 			e.Accept = e.Assert + uint64(rng.Intn(5))
 			switch kind {
@@ -153,7 +159,7 @@ func TestRoundTripRandomProperty(t *testing.T) {
 			evs = append(evs, e)
 			now = e.Done()
 		}
-		tr := New(2, sim.DefaultClock, evs)
+		tr := New(2, sim.DefaultClock, ocp.LogOf(evs))
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("generated trace invalid: %v", err)
 		}
@@ -165,10 +171,10 @@ func TestRoundTripRandomProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Events) != len(evs) {
-			t.Fatalf("trial %d: %d events round-tripped to %d", trial, len(evs), len(got.Events))
+		if got.Len() != len(evs) {
+			t.Fatalf("trial %d: %d events round-tripped to %d", trial, len(evs), got.Len())
 		}
-		if !reflect.DeepEqual(got.Events, evs) {
+		if !reflect.DeepEqual(events(got), evs) {
 			t.Fatalf("trial %d: events differ", trial)
 		}
 	}
@@ -181,8 +187,8 @@ func writeFmt(t *Trace, w io.Writer) error {
 	fmt.Fprintf(bw, "; noctg trace v1\n")
 	fmt.Fprintf(bw, "; master %d clockns %d\n", t.MasterID, t.Clock.PeriodNS)
 	ns := t.Clock.NS
-	for i := range t.Events {
-		e := &t.Events[i]
+	for i := range t.Len() {
+		e := t.At(i)
 		switch e.Cmd {
 		case ocp.Read:
 			fmt.Fprintf(bw, "RD 0x%08x @%dns acc@%dns\n", e.Addr, ns(e.Assert), ns(e.Accept))
@@ -263,8 +269,81 @@ func TestWriteMatchesFmtOracle(t *testing.T) {
 			evs = append(evs, e)
 		}
 		master := rng.Intn(64) - 8
-		requireOracle(t, New(master, sim.Clock{PeriodNS: uint64(1 + rng.Intn(20))}, evs))
+		requireOracle(t, New(master, sim.Clock{PeriodNS: uint64(1 + rng.Intn(20))}, ocp.LogOf(evs)))
 	}
-	requireOracle(t, New(3, sim.DefaultClock, sampleEvents()))
-	requireOracle(t, New(0, sim.DefaultClock, nil))
+	requireOracle(t, New(3, sim.DefaultClock, ocp.LogOf(sampleEvents())))
+	requireOracle(t, New(0, sim.DefaultClock, ocp.LogOf(nil)))
+}
+
+// timeline returns n valid events cycling through all four commands, each
+// asserted after the previous one completes.
+func timeline(n int) []ocp.Event {
+	evs := make([]ocp.Event, n)
+	now := uint64(3)
+	for i := range evs {
+		e := &evs[i]
+		*e = ocp.Event{Cmd: ocp.Cmd(1 + i%4), Addr: uint32(i%97) * 4, Burst: 1,
+			Assert: now + uint64(i%5), Accept: now + uint64(i%5) + 1}
+		if e.Cmd == ocp.BurstRead || e.Cmd == ocp.BurstWrite {
+			e.Burst = 1 + i%8
+		}
+		for k := range e.Burst {
+			e.Data = append(e.Data, uint32(i<<8|k))
+		}
+		if e.Cmd.IsRead() {
+			e.HasResp, e.Resp = true, e.Accept+uint64(2+i%7)
+		}
+		now = e.Done()
+	}
+	return evs
+}
+
+// TestChunkBoundaries: a recorded log (chunks of 16, 16, 32, …, 512) at
+// lengths on each side of its chunk boundaries reads back event for event
+// as the flat slice it was built from, renders the same bytes as that
+// slice's one-chunk log, in as many bytes as Size counts, and survives
+// Write → Parse → Write byte for byte.
+func TestChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, 15, 16, 17, 511, 512, 513, 1025} {
+		flat := timeline(n)
+		var log ocp.Log
+		for _, e := range flat {
+			log.Append(e)
+		}
+		tr := New(1, sim.DefaultClock, log)
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if tr.Len() != n {
+			t.Fatalf("n=%d: Len = %d", n, tr.Len())
+		}
+		for i := range flat {
+			if !reflect.DeepEqual(*tr.At(i), flat[i]) {
+				t.Fatalf("n=%d: At(%d) = %+v, want %+v", n, i, *tr.At(i), flat[i])
+			}
+		}
+		var chunked, one, again bytes.Buffer
+		if err := tr.Write(&chunked); err != nil {
+			t.Fatal(err)
+		}
+		if err := New(1, sim.DefaultClock, ocp.LogOf(flat)).Write(&one); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(chunked.Bytes(), one.Bytes()) {
+			t.Fatalf("n=%d: the chunked log renders differently from the flat one", n)
+		}
+		if size, err := tr.Size(); err != nil || size != chunked.Len() {
+			t.Fatalf("n=%d: Size = %d, %v; Write rendered %d bytes", n, size, err, chunked.Len())
+		}
+		parsed, err := Parse(bytes.NewReader(chunked.Bytes()))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if err := parsed.Write(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), chunked.Bytes()) {
+			t.Fatalf("n=%d: Write → Parse → Write changed the bytes", n)
+		}
+	}
 }

@@ -48,7 +48,6 @@ const ksCrit = 1.949
 // cycle-by-cycle schedule, which makes injection timestamps exact.
 type cycleProbe struct{ now uint64 }
 
-func (c *cycleProbe) Name() string               { return "validprobe" }
 func (c *cycleProbe) Tick(cycle uint64)          { c.now = cycle }
 func (c *cycleProbe) NextWake(now uint64) uint64 { return now }
 
