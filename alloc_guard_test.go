@@ -299,7 +299,7 @@ func TestZeroAllocCloneReplay(t *testing.T) {
 		events[i] = ocp.Event{Cmd: ocp.Write, Addr: uint32(i%64) * 4, Burst: 1,
 			Assert: uint64(2 * i), Data: []uint32{uint32(i)}}
 	}
-	c := stochastic.NewClone(0, events, sinkPort{})
+	c := stochastic.NewClone(0, ocp.LogOf(events), sinkPort{})
 	cycle := uint64(0)
 	tick := func() {
 		for i := 0; i < 1000; i++ {

@@ -22,12 +22,14 @@ import (
 var testOnlyAllowed = map[string]string{
 	"cpu.Core.Reg":                "platform's kernel property test fingerprints every core's registers",
 	"cpu.Core.PC":                 "platform's kernel property test fingerprints every core's program counter",
+	"cpu.Core.Faulted":            "prog's runSpec fails a run whose ARM core faulted, through armMaster's promoted method",
 	"cpu.Core.MemUnit":            "platform's kernel property test fingerprints every core's caches through its memory unit",
 	"cache.MemUnit.ICache":        "cpu's and platform's fingerprint tests read the instruction cache's hit and miss counts",
 	"cache.MemUnit.DCache":        "cpu's and platform's fingerprint tests read the data cache's hit and miss counts",
 	"cache.MemUnit.Busy":          "cpu's whole-instruction test fingerprints the memory unit's state clock by clock",
 	"stochastic.Generator.Issued": "the root alloc guard and benchmarks, and platform's kernel property test, count accepted requests on engines with no fabric to complete them",
 	"exp.Fig2bResult.Reactive":    "sweep's paper test checks the Fig. 2(b) verdict the paper harness computes",
+	"ocp.LogOf":                   "the core, cpu, platform, stochastic, trace, tgc and root tests wrap hand-built event slices as one-chunk logs",
 	"mem.SemBank.Range":           "the amba, cpu, noc and stochastic tests map a semaphore bank on a bare fabric",
 	"shard.Runner.Shards":         "platform's guard tests check a barrier-stall violation names a shard of the runner's count",
 	"sim.Registry.Counters":       "the root alloc guard checks a platform registered its counters",

@@ -76,6 +76,9 @@ func NewCore(id int, mu *cache.MemUnit, entry uint32) *Core {
 // Halted reports whether the core executed HALT or faulted.
 func (c *Core) Halted() bool { return c.halted }
 
+// Faulted reports whether the core stopped on a bus fault or decode error.
+func (c *Core) Faulted() bool { return c.faulted }
+
 // HaltCycle returns the cycle HALT retired (valid once Halted).
 func (c *Core) HaltCycle() uint64 { return c.haltCycle }
 

@@ -15,6 +15,3 @@ func Decode(w0, w1 uint32) (Inst, bool) {
 	ok := i.decode(w0, w1)
 	return i, ok
 }
-
-// Faulted reports whether the core stopped on a bus fault or decode error.
-func (c *Core) Faulted() bool { return c.faulted }

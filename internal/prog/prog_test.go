@@ -26,7 +26,11 @@ func runSpec(t *testing.T, s *Spec, ic platform.Interconnect) *platform.System {
 		t.Fatalf("run: %v", err)
 	}
 	for i, m := range sys.Masters {
-		if f, ok := m.(interface{ Faulted() bool }); ok && f.Faulted() {
+		f, ok := m.(interface{ Faulted() bool })
+		if !ok {
+			t.Fatalf("master %d (%T) reports no fault state", i, m)
+		}
+		if f.Faulted() {
 			t.Fatalf("core %d faulted", i)
 		}
 	}

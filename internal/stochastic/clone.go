@@ -28,18 +28,12 @@ type recorded struct {
 // verbatim. Comparing both against the reactive TG on an interconnect
 // other than the traced one reproduces the paper's motivation
 // quantitatively. events is a monitor's log (as exp.AblationGenerators
-// replays it) or a hand-built slice.
-func NewClone[E []ocp.Event | ocp.Log](id int, events E, port ocp.MasterPort) *Generator {
+// replays it); ocp.LogOf wraps a hand-built slice.
+func NewClone(id int, events ocp.Log, port ocp.MasterPort) *Generator {
 	if port == nil {
 		panic("stochastic: NewClone requires a port")
 	}
-	r := &recorded{}
-	switch ev := any(events).(type) {
-	case []ocp.Event:
-		r.events = ocp.LogOf(ev)
-	case ocp.Log:
-		r.events = ev
-	}
+	r := &recorded{events: events}
 	g := &Generator{}
 	g.start(id, r, port)
 	return g

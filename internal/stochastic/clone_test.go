@@ -27,7 +27,7 @@ func TestCloneReplaysAtRecordedTimes(t *testing.T) {
 		{Cmd: ocp.Read, Addr: 0x1004, Burst: 1, Assert: 30, Accept: 31, Resp: 35,
 			HasResp: true, Data: []uint32{7}},
 	}
-	c := NewClone(0, events, bus.NewMasterPort())
+	c := NewClone(0, ocp.LogOf(events), bus.NewMasterPort())
 	e.Add(c)
 	e.Add(bus)
 	if _, err := e.Run(1000, func() bool { return c.Done() && bus.Idle() }); err != nil {
@@ -58,7 +58,7 @@ func TestCloneDriftsOnSlowerFabric(t *testing.T) {
 		{Cmd: ocp.Read, Addr: 0x1004, Burst: 1, Assert: 10, Accept: 11, Resp: 15, HasResp: true, Data: []uint32{0}},
 		{Cmd: ocp.Read, Addr: 0x1008, Burst: 1, Assert: 20, Accept: 21, Resp: 25, HasResp: true, Data: []uint32{0}},
 	}
-	c := NewClone(0, events, bus.NewMasterPort())
+	c := NewClone(0, ocp.LogOf(events), bus.NewMasterPort())
 	e.Add(c)
 	e.Add(bus)
 	if _, err := e.Run(10_000, func() bool { return c.Done() && bus.Idle() }); err != nil {
@@ -84,7 +84,7 @@ func TestCloneIgnoresResponses(t *testing.T) {
 		{Cmd: ocp.Read, Addr: 0x9000, Burst: 1, Assert: 0, Accept: 1, Resp: 4, HasResp: true, Data: []uint32{1}},
 		{Cmd: ocp.Write, Addr: 0x9000, Burst: 1, Assert: 10, Accept: 11, Data: []uint32{1}},
 	}
-	c := NewClone(0, events, bus.NewMasterPort())
+	c := NewClone(0, ocp.LogOf(events), bus.NewMasterPort())
 	e.Add(c)
 	e.Add(bus)
 	if _, err := e.Run(1000, func() bool { return c.Done() && bus.Idle() }); err != nil {
