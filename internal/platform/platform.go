@@ -58,12 +58,13 @@ type KernelMode int
 
 const (
 	// KernelEvent, the zero value, ticks only the devices whose scheduled
-	// wake is due each cycle and jumps all-asleep spans like KernelSkip;
-	// per-cycle cost scales with the awake set, not the core count.
+	// wake is due each cycle and jumps all-asleep spans; per-cycle cost
+	// scales with the awake set, not the core count.
 	KernelEvent KernelMode = iota
 	// KernelStrict ticks every device on every cycle.
 	KernelStrict
-	// KernelSkip fast-forwards over cycles in which every device sleeps.
+	// KernelSkip ticks every device on each executed cycle and jumps
+	// all-asleep spans as KernelEvent does.
 	KernelSkip
 )
 

@@ -14,14 +14,16 @@
 //     replay on it, the paper's like-for-like speedup: the gain comes from
 //     traffic generators doing less work per cycle than the processor
 //     models they replace.
-//   - skip (KernelSkip) jumps the cycle counter straight to the earliest
-//     wake when every device sleeps at once — a TG deep inside an
-//     Idle(100000), a core stalled on a quiescent interconnect.
-//   - event (KernelEvent, event.go) keeps one filed wake per sleeping
-//     device and ticks only the awake devices each cycle, so its sweep
-//     scales with the awake set, plus one O(devices) admission pass on
-//     each cycle where a filed wake falls due; when every device sleeps
-//     it makes the skip kernel's jump.
+//   - event (KernelEvent, event.go) keeps one wake schedule: a filed wake
+//     per sleeping device, and only the awake devices tick each cycle, so
+//     its sweep scales with the awake set, plus one O(devices) admission
+//     pass on each cycle where a filed wake falls due. When every device
+//     sleeps it jumps the cycle counter straight to the earliest filed
+//     wake — a TG deep inside an Idle(100000), a core stalled on a
+//     quiescent interconnect.
+//   - skip (KernelSkip) runs on the same schedule, but wakes every device
+//     before each executed cycle: every device ticks, as under strict,
+//     and all-asleep spans are jumped exactly where event jumps them.
 //
 // The kernels rely on one contract: every Device embeds a Sleeper, and
 // NextWake is a strict "will not act before" promise that holds even if
@@ -51,10 +53,11 @@ import (
 // Device is anything driven by the simulation clock. Tick is called exactly
 // once per executed cycle, in the order devices were registered, except
 // where the device's own NextWake (the embedded Sleeper) has promised the
-// tick a no-op: the skip and event kernels omit those. The cycle argument
-// always carries the absolute cycle number, so devices that keep deadlines
-// in absolute cycles observe no difference. A device that cannot bound its
-// next activity reports NextWake(now) = now and is ticked every cycle.
+// tick a no-op: the event kernel omits those, and the skip kernel the
+// cycles in which every device has. The cycle argument always carries the
+// absolute cycle number, so devices that keep deadlines in absolute cycles
+// observe no difference. A device that cannot bound its next activity
+// reports NextWake(now) = now and is ticked every cycle.
 type Device interface {
 	Tick(cycle uint64)
 	Sleeper
@@ -86,19 +89,18 @@ const WakeNever = ^uint64(0)
 //
 // The contract is strict, not advisory: a reported wake of w is a promise
 // that holds even if the device is never ticked and never re-queried
-// during [now, w) — the event kernel removes sleeping devices from the
-// tick loop altogether, and the skip kernel memoizes reported wakes. A
-// device whose earliest action can move earlier because of external input
-// (an interconnect receiving a TryRequest from a master) must therefore
-// implement WakeSink and call its Waker when that input arrives; purely
-// self-timed devices (absolute idle deadlines, recorded schedules) need
-// nothing extra.
+// during [now, w) — the wake schedule files the post-tick wake and does
+// not ask again before it falls due. A device whose earliest action can
+// move earlier because of external input (an interconnect receiving a
+// TryRequest from a master) must therefore implement WakeSink and call its
+// Waker when that input arrives; purely self-timed devices (absolute idle
+// deadlines, recorded schedules) need nothing extra.
 //
 // The contract is also conservative: a device that cannot cheaply bound
 // its next activity must return now. A conservative device merely keeps
-// itself in the per-cycle tick set (event kernel) or disables whole-cycle
-// skipping (skip kernel) without affecting correctness; the other devices
-// still sleep through their own promises under the event kernel.
+// itself in the per-cycle tick set, and so keeps both fast kernels from
+// jumping, without affecting correctness; the other devices still sleep
+// through their own promises under the event kernel.
 type Sleeper interface {
 	NextWake(now uint64) uint64
 }
@@ -110,11 +112,13 @@ const (
 	// KernelStrict ticks every device on every cycle (the default, and the
 	// reference semantics the paper's speedups are reported against).
 	KernelStrict Kernel = iota
-	// KernelSkip fast-forwards over cycles in which every device sleeps.
+	// KernelSkip ticks every device on each executed cycle and
+	// fast-forwards over cycles in which every device sleeps, as
+	// KernelEvent does.
 	KernelSkip
 	// KernelEvent ticks only devices whose scheduled wake is due, using a
 	// per-device wake schedule (see event.go); when every device sleeps it
-	// jumps the cycle counter like KernelSkip.
+	// jumps the cycle counter to the earliest wake.
 	KernelEvent
 )
 
@@ -142,16 +146,6 @@ type Engine struct {
 	clock   Clock
 	kernel  Kernel
 
-	// blocker is the index of the device that most recently refused to
-	// sleep. Scans start there: an active device tends to stay active, so
-	// contended phases cost one NextWake call per cycle instead of a full
-	// scan.
-	blocker int
-	// wakeMemo caches, per device, the last reported wake cycle. While the
-	// cached value is in the future the skip kernel's nextWake scan trusts
-	// it instead of re-querying the device; wakeDevice (the WakeSink hook)
-	// invalidates the entry when external input arrives early.
-	wakeMemo []uint64
 	// due holds, per device, the cycle of its latest scheduled wake
 	// (Waker.WakeAt); entries before the current cycle are spent. sizeDue
 	// extends it to the device count where it is read.
@@ -246,63 +240,8 @@ func (e *Engine) Step() {
 	e.cycle++
 }
 
-// nextWake returns the earliest cycle at which any device might act, asking
-// every device with now = e.cycle (the next cycle to execute). The scan
-// rotates, starting from the last blocking device, and exits at the first
-// device that needs a tick now. Devices whose previously reported wake is
-// still in the future are not re-queried: the Sleeper contract makes the
-// cached value binding until then, and wakeDevice invalidates the memo when
-// external input arrives early. The caller guarantees e.wakeMemo is sized
-// to the device count.
-func (e *Engine) nextWake() uint64 {
-	now := e.cycle
-	ds := e.devices
-	memo := e.wakeMemo
-	n := len(ds)
-	if e.blocker >= n {
-		e.blocker = 0
-	}
-	w := WakeNever
-	for k := 0; k < n; k++ {
-		i := e.blocker + k
-		if i >= n {
-			i -= n
-		}
-		nw := memo[i]
-		if nw <= now {
-			nw = ds[i].NextWake(now)
-		}
-		if d := e.due[i]; d >= now && d < nw {
-			nw = d
-		}
-		memo[i] = nw
-		if nw <= now {
-			e.blocker = i
-			return now
-		}
-		if nw < w {
-			w = nw
-		}
-	}
-	return w
-}
-
-// resetWakeMemo sizes and clears the skip kernel's per-device wake cache
-// (stale entries could date from before direct device manipulation between
-// runs, which bypasses the WakeSink hooks).
-func (e *Engine) resetWakeMemo() {
-	e.sizeDue()
-	n := len(e.devices)
-	if cap(e.wakeMemo) < n {
-		e.wakeMemo = make([]uint64, n)
-		return
-	}
-	e.wakeMemo = e.wakeMemo[:n]
-	clear(e.wakeMemo)
-}
-
-// sizeDue gives every device a due entry, WakeNever for the new ones. The
-// skip and event kernels call it as a run or session starts, and WakeAt
+// sizeDue gives every device a due entry, WakeNever for the new ones.
+// initEventSchedule calls it as a run or session starts, and WakeAt
 // before it records a wake, so an engine sizes it once, not once per Add.
 func (e *Engine) sizeDue() {
 	n := len(e.devices)
@@ -321,10 +260,10 @@ func (e *Engine) sizeDue() {
 // the number of cycles executed by this call. If the limit is hit first the
 // returned error wraps ErrMaxCycles.
 //
-// Under the skip kernel, done() must depend only on device state (not on the
-// raw cycle counter): skipped cycles are exactly those in which no device
-// state changes, so the predicate is evaluated only at cycles where its
-// value could differ from the previous evaluation.
+// Under the skip and event kernels, done() must depend only on device
+// state (not on the raw cycle counter): skipped cycles are exactly those in
+// which no device state changes, so the predicate is evaluated only at
+// cycles where its value could differ from the previous evaluation.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	return e.run(maxCycles, 1, done)
 }
@@ -354,24 +293,20 @@ func (e *Engine) RunEvery(maxCycles, stride uint64, done func() bool) (uint64, e
 // run is the shared Run/RunEvery loop. The predicate is evaluated at stride
 // boundaries (relative to the start cycle) and, if the final budgeted cycle
 // is not a boundary, once more after the loop — never twice for the same
-// cycle. All loop state (start, end, the done closure's captures) is hoisted
-// out of the per-cycle path, and the body allocates nothing in steady state.
+// cycle. All loop state (start, end, the done closure's captures and the
+// kernel choice) is hoisted out of the per-cycle path, and the body
+// allocates nothing in steady state.
 //
-// The three kernels share this loop. Strict executes every cycle with a
-// full-device Step. Skip does the same but fast-forwards over all-asleep
-// spans. Event replaces Step with stepEvent (ticking only due devices) and
-// reads the next wake straight off the schedule's wake table; its jump logic
-// is the skip kernel's, so the all-asleep case is byte-for-byte the same.
+// Strict executes every cycle with a full-device Step. Skip and event run
+// on the one wake schedule (event.go) and share its jump rule: skip wakes
+// every device before each executed cycle, event only the due ones.
 func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error) {
 	if done == nil {
 		return 0, errors.New("sim: Run requires a completion predicate")
 	}
-	event := e.kernel == KernelEvent
-	skip := event || e.kernel == KernelSkip
-	if skip && !event {
-		e.resetWakeMemo()
-	}
-	if event {
+	skip := e.kernel == KernelSkip
+	sched := skip || e.kernel == KernelEvent
+	if sched {
 		e.initEventSchedule()
 		e.evLive = true
 		defer func() { e.evLive = false }()
@@ -380,11 +315,13 @@ func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error)
 	end := start + maxCycles
 	checked := false // whether done() was evaluated at the current cycle
 	// untilCheck counts down to the next stride boundary, replacing a
-	// per-cycle modulo; skip/event jumps recompute it from the landing
-	// cycle.
+	// per-cycle modulo; jumps recompute it from the landing cycle.
 	untilCheck := stride
 	for e.cycle < end {
-		if event {
+		if skip {
+			e.evActivateAll()
+		}
+		if sched {
 			e.stepEvent()
 		} else {
 			e.Step()
@@ -402,15 +339,10 @@ func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error)
 				}
 			}
 		}
-		if !skip {
+		if !sched {
 			continue
 		}
-		var w uint64
-		if event {
-			w = e.eventNextWake()
-		} else {
-			w = e.nextWake()
-		}
+		w := e.eventNextWake()
 		if w <= e.cycle {
 			continue
 		}

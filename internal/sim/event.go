@@ -15,9 +15,10 @@ import "math/bits"
 // sleeping with WakeNever is filed nowhere, and only a Waker brings it
 // back. So the per-cycle cost scales with the number of awake devices,
 // plus one O(devices) pass on each cycle where a filed wake falls due.
-// When the active set empties, run's shared jump logic advances the cycle
-// counter straight to the earliest filed wake, which is exactly the skip
-// kernel's all-asleep fast-forward.
+// When the active set empties, run's jump logic advances the cycle counter
+// straight to the earliest filed wake. The skip kernel runs on this same
+// schedule: evActivateAll puts every device into the active set before each
+// of its executed cycles.
 //
 // Correctness leans on two properties. First, the Sleeper contract (see
 // engine.go) makes a reported wake w a promise that every omitted Tick in
@@ -84,21 +85,18 @@ func (w *engineWaker) Wake() { w.e.wakeDevice(w.idx) }
 // WakeAt implements Waker.
 func (w *engineWaker) WakeAt(at uint64) { w.e.wakeDeviceAt(w.idx, at) }
 
-// wakeDevice handles an external-stimulus wake for device idx: it drops the
-// skip kernel's memoized wake (forcing a re-query) and, inside an event
-// run, moves a sleeping device into the active set.
+// wakeDevice handles an external-stimulus wake for device idx: inside a
+// run or session on the wake schedule, it moves a sleeping device into the
+// active set.
 func (e *Engine) wakeDevice(idx int32) {
-	if int(idx) < len(e.wakeMemo) {
-		e.wakeMemo[idx] = 0
-	}
 	if e.evLive && !e.evAwake(idx) {
 		e.evActivate(idx)
 	}
 }
 
 // wakeDeviceAt records a scheduled wake in e.due, which every kernel reads.
-// An event run also wakes a sleeper due next cycle at once, as Wake does,
-// or files a later one under the earlier wake.
+// A run on the wake schedule also wakes a sleeper due next cycle at once,
+// as Wake does, or files a later one under the earlier wake.
 func (e *Engine) wakeDeviceAt(idx int32, at uint64) {
 	if int(idx) >= len(e.due) {
 		e.sizeDue()
@@ -107,9 +105,6 @@ func (e *Engine) wakeDeviceAt(idx int32, at uint64) {
 		return
 	}
 	e.due[idx] = at
-	if int(idx) < len(e.wakeMemo) && at < e.wakeMemo[idx] {
-		e.wakeMemo[idx] = at
-	}
 	if !e.evLive || e.evAwake(idx) {
 		return
 	}
@@ -170,6 +165,15 @@ func (e *Engine) evActivate(idx int32) {
 	}
 	e.evWake[idx] = WakeNever
 	e.evActive[idx>>6] |= 1 << (uint(idx) & 63)
+}
+
+// evActivateAll moves every device into the active set, so that the next
+// stepEvent ticks them all: the skip kernel's executed cycle.
+func (e *Engine) evActivateAll() {
+	for i := range e.evWake {
+		e.evActivate(int32(i))
+	}
+	e.evNext = WakeNever // no wake is left filed
 }
 
 // evAdmit moves every sleeper due by cycle c into the active set and

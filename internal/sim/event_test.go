@@ -267,24 +267,40 @@ func TestEventKernelStrideDetectionRounding(t *testing.T) {
 	}
 }
 
-func TestSkipKernelWakeMemoInvalidation(t *testing.T) {
-	// The skip kernel memoizes reported wakes, so a sleeping WakeSink that
-	// is stimulated mid-run must have its memo dropped: without the
-	// invalidation the engine would trust the stale WakeNever, jump to the
-	// budget and never run the sink's pending work.
-	for _, kernel := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
-		e := NewEngine(Clock{})
-		sink := &wakeSink{runTicks: runTicks{n: 3}}
-		stim := &stimulator{times: []uint64{50}, sink: sink}
-		e.Add(stim)
-		e.Add(sink)
-		e.SetKernel(kernel)
-		ran, err := e.Run(10_000, func() bool { return sink.work > 0 })
-		if err != nil {
-			t.Fatalf("kernel %v: %v", kernel, err)
-		}
-		if sink.work != 1 || ran != 53 {
-			t.Fatalf("kernel %v: work %d after %d cycles, want 1 after 53", kernel, sink.work, ran)
+// TestWakeTicksSleepingSink: a WakeSink asleep with WakeNever and
+// stimulated mid-run through Wake does its pending work on every kernel,
+// at strict's cycles. Registered after the stimulator, it ticks in the
+// stimulus cycle; registered before it, the Wake lands after the sink's
+// own tick has filed it asleep, and it first ticks a cycle later.
+func TestWakeTicksSleepingSink(t *testing.T) {
+	for _, row := range []struct {
+		name      string
+		sinkFirst bool
+		want      uint64
+	}{
+		{"stimulator first", false, 53},
+		{"sink first", true, 54},
+	} {
+		for _, kernel := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+			e := NewEngine(Clock{})
+			sink := &wakeSink{runTicks: runTicks{n: 3}}
+			stim := &stimulator{times: []uint64{50}, sink: sink}
+			if row.sinkFirst {
+				e.Add(sink)
+				e.Add(stim)
+			} else {
+				e.Add(stim)
+				e.Add(sink)
+			}
+			e.SetKernel(kernel)
+			ran, err := e.Run(10_000, func() bool { return sink.work > 0 })
+			if err != nil {
+				t.Fatalf("%s, kernel %v: %v", row.name, kernel, err)
+			}
+			if sink.work != 1 || ran != row.want {
+				t.Fatalf("%s, kernel %v: work %d after %d cycles, want 1 after %d",
+					row.name, kernel, sink.work, ran, row.want)
+			}
 		}
 	}
 }

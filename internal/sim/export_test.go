@@ -9,7 +9,5 @@ func (h *Histogram) Sum() uint64 { return h.sum }
 // Close ends the session. The engine is ready for ordinary Run calls (or a
 // new session) afterwards.
 func (w *WindowedRun) Close() {
-	if w.event {
-		w.e.evLive = false
-	}
+	w.e.evLive = false
 }

@@ -33,35 +33,51 @@ func (p *pulser) NextWake(now uint64) uint64 {
 
 func (p *pulser) done() bool { return p.i >= len(p.times) }
 
+// TestSkipKernelEquivalence holds skip to strict's simulated state and to
+// its own definition: every device ticks on each executed cycle, and the
+// kernel jumps exactly where event does. Two pulsers on different
+// schedules tell that apart from event, which ticks each only at its wakes.
 func TestSkipKernelEquivalence(t *testing.T) {
-	times := []uint64{0, 3, 4, 100, 1000, 1001, 5000}
+	type run struct {
+		e   *Engine
+		ran uint64
+		err error
+		ps  [2]pulser
+	}
+	exec := func(k Kernel, stride uint64) *run {
+		r := &run{e: NewEngine(Clock{})}
+		r.ps[0].times = []uint64{0, 3, 4, 100, 1000, 1001, 5000}
+		r.ps[1].times = []uint64{2, 4, 700, 3000}
+		r.e.Add(&r.ps[0])
+		r.e.Add(&r.ps[1])
+		r.e.SetKernel(k)
+		r.ran, r.err = r.e.RunEvery(100_000, stride, func() bool { return r.ps[0].done() && r.ps[1].done() })
+		return r
+	}
 	for _, stride := range []uint64{1, 7, 32} {
-		strict := NewEngine(Clock{})
-		ps := &pulser{times: times}
-		strict.Add(ps)
-		ranS, errS := strict.RunEvery(100_000, stride, ps.done)
-
-		skip := NewEngine(Clock{})
-		pk := &pulser{times: times}
-		skip.Add(pk)
-		skip.SetKernel(KernelSkip)
-		ranK, errK := skip.RunEvery(100_000, stride, pk.done)
-
-		if ranS != ranK || strict.Cycle() != skip.Cycle() {
+		strict, skip, event := exec(KernelStrict, stride), exec(KernelSkip, stride), exec(KernelEvent, stride)
+		if strict.ran != skip.ran || strict.e.Cycle() != skip.e.Cycle() {
 			t.Fatalf("stride %d: strict ran %d (cycle %d), skip ran %d (cycle %d)",
-				stride, ranS, strict.Cycle(), ranK, skip.Cycle())
+				stride, strict.ran, strict.e.Cycle(), skip.ran, skip.e.Cycle())
 		}
-		if (errS == nil) != (errK == nil) {
-			t.Fatalf("stride %d: strict err %v, skip err %v", stride, errS, errK)
+		if strict.err != nil || skip.err != nil || event.err != nil {
+			t.Fatalf("stride %d: strict err %v, skip err %v, event err %v", stride, strict.err, skip.err, event.err)
 		}
-		if ps.work != pk.work {
-			t.Fatalf("stride %d: strict work %d, skip work %d", stride, ps.work, pk.work)
-		}
-		if skip.SkippedCycles == 0 {
+		if skip.e.SkippedCycles == 0 {
 			t.Fatalf("stride %d: skip kernel never skipped", stride)
 		}
-		if pk.ticks >= ps.ticks {
-			t.Fatalf("stride %d: skip kernel ticked %d >= strict %d", stride, pk.ticks, ps.ticks)
+		if skip.e.SkippedCycles != event.e.SkippedCycles {
+			t.Fatalf("stride %d: skip skipped %d cycles, event %d", stride, skip.e.SkippedCycles, event.e.SkippedCycles)
+		}
+		executed := skip.e.Cycle() - skip.e.SkippedCycles
+		for i := range skip.ps {
+			if strict.ps[i].work != skip.ps[i].work {
+				t.Fatalf("stride %d, pulser %d: strict work %d, skip work %d", stride, i, strict.ps[i].work, skip.ps[i].work)
+			}
+			if uint64(skip.ps[i].ticks) != executed {
+				t.Fatalf("stride %d, pulser %d: skip kernel ticked %d times in %d executed cycles",
+					stride, i, skip.ps[i].ticks, executed)
+			}
 		}
 	}
 }

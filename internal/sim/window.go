@@ -1,10 +1,9 @@
 package sim
 
-// WindowedRun drives an engine in bounded windows while keeping the
-// kernel's acceleration state (the event schedule, the skip kernel's wake
-// memo) alive across window boundaries. The shard runner uses it to
-// advance each shard's engine to a synchronization target many thousands
-// of times per run; rebuilding the event schedule per window — as the
+// WindowedRun drives an engine in bounded windows while keeping the wake
+// schedule (event.go) alive across window boundaries. The shard runner uses
+// it to advance each shard's engine to a synchronization target many
+// thousands of times per run; rebuilding the schedule per window — as the
 // Run/RunPhased entry points do per call — would cost O(devices) per
 // window and erase the event kernel's advantage under one-cycle windows.
 //
@@ -12,22 +11,19 @@ package sim
 // advance the engine only through RunTo (the shard runner keeps each
 // shard's session for the engine's lifetime). External wakes (Waker.Wake and
 // WakeAt) are honoured between windows exactly as they are mid-run — the
-// event schedule stays live for the whole session.
+// schedule stays live for the whole session.
 type WindowedRun struct {
 	e     *Engine
-	event bool
 	skip  bool
+	sched bool
 }
 
 // BeginWindowed opens a windowed session on the engine's selected kernel.
 func (e *Engine) BeginWindowed() *WindowedRun {
 	w := &WindowedRun{e: e}
-	w.event = e.kernel == KernelEvent
-	w.skip = w.event || e.kernel == KernelSkip
-	if w.skip && !w.event {
-		e.resetWakeMemo()
-	}
-	if w.event {
+	w.skip = e.kernel == KernelSkip
+	w.sched = w.skip || e.kernel == KernelEvent
+	if w.sched {
 		e.initEventSchedule()
 		e.evLive = true
 	}
@@ -42,20 +38,18 @@ func (e *Engine) BeginWindowed() *WindowedRun {
 func (w *WindowedRun) RunTo(target uint64) {
 	e := w.e
 	for e.cycle < target {
-		if w.event {
+		if w.skip {
+			e.evActivateAll()
+		}
+		if w.sched {
 			e.stepEvent()
 		} else {
 			e.Step()
 		}
-		if !w.skip || e.cycle >= target {
+		if !w.sched || e.cycle >= target {
 			continue
 		}
-		var nw uint64
-		if w.event {
-			nw = e.eventNextWake()
-		} else {
-			nw = e.nextWake()
-		}
+		nw := e.eventNextWake()
 		if nw <= e.cycle {
 			continue
 		}
@@ -72,12 +66,8 @@ func (w *WindowedRun) RunTo(target uint64) {
 // quiescent engine. The strict kernel cannot bound device activity and
 // conservatively reports the current cycle.
 func (w *WindowedRun) NextWake() uint64 {
-	e := w.e
-	if w.event {
-		return e.eventNextWake()
+	if w.sched {
+		return w.e.eventNextWake()
 	}
-	if w.skip {
-		return e.nextWake()
-	}
-	return e.cycle
+	return w.e.cycle
 }
