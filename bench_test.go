@@ -145,8 +145,8 @@ func mixedLoadBusy() string {
 
 // mixedLoadSystem builds the event kernel's target workload: one saturated
 // TG hammering the shared memory plus idleMasters TGs sleeping in deep Idle
-// loops, all over one AMBA bus. Under strict and skip ticking the busy
-// master forces every device to be ticked every cycle; the event kernel
+// loops, all over one AMBA bus. Under strict ticking every device is
+// ticked every cycle; the event kernel
 // ticks only the busy master and the bus.
 func mixedLoadSystem(tb testing.TB, kernel platform.KernelMode, busy string, idleMasters int) *platform.System {
 	tb.Helper()
@@ -224,8 +224,8 @@ func benchMixedLoad(b *testing.B, sys *platform.System, span uint64) {
 
 // BenchmarkEngineEventMixedLoad is the event kernel's headline benchmark:
 // 1 saturated + 15 idle masters on the AMBA bus, where whole-cycle skipping
-// is impossible and the strict/skip kernels pay for every idle master every
-// cycle. The event/skip Msimcycles/s ratio is the active-set speedup; it
+// is impossible and the strict kernel pays for every idle master every
+// cycle. The event/strict Msimcycles/s ratio is the active-set speedup; it
 // grows with the idle fraction (see the IdleScaling variant).
 func BenchmarkEngineEventMixedLoad(b *testing.B) {
 	const span = 100_000
@@ -239,8 +239,8 @@ func BenchmarkEngineEventMixedLoad(b *testing.B) {
 }
 
 // BenchmarkEngineEventIdleScaling sweeps the idle-master count: event-kernel
-// throughput should stay roughly flat while skip degrades linearly with the
-// device count.
+// throughput should stay roughly flat while strict degrades linearly with
+// the device count.
 func BenchmarkEngineEventIdleScaling(b *testing.B) {
 	const span = 100_000
 	busy := mixedLoadBusy()

@@ -12,7 +12,7 @@
 //	tgrepro -overhead
 //	tgrepro -ablation
 //	tgrepro -fig2
-//	tgrepro -all [-kernel event|strict|skip]
+//	tgrepro -all [-kernel event|strict]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // -workers, -kernel, the profile pair and the guard trio are the flag

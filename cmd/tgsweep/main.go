@@ -8,7 +8,7 @@
 // Usage:
 //
 //	tgsweep [-workers N] [-grid FILE|default] [-out BASE|-] [-maxcycles N]
-//	        [-kernel event|strict|skip] [-shards N]
+//	        [-kernel event|strict] [-shards N]
 //	        [-journal FILE [-resume]] [-retries N [-retry-backoff D]]
 //	        [-run-budget D] [-cpuprofile FILE] [-memprofile FILE]
 //	tgsweep -scenario FILE|library # run declarative traffic scenarios
@@ -52,11 +52,10 @@
 // overhead measurement, the ablations, Figure 2) is cmd/tgrepro's job.
 //
 // -kernel selects the simulation kernel: "event" (the default) ticks only
-// the devices that are due each cycle, "skip" fast-forwards only over
-// cycles in which every device sleeps, and "strict" ticks every device
-// every cycle. All three produce byte-identical artifacts; strict exists
-// for cross-checking and for timing experiments that must not benefit
-// from kernel tricks.
+// the devices that are due each cycle and jumps the spans in which every
+// device sleeps, and "strict" ticks every device every cycle. Both produce
+// byte-identical artifacts; strict exists for cross-checking and for
+// timing experiments that must not benefit from kernel tricks.
 //
 // -shards N > 1 runs every ×pipes simulation sharded across N engine
 // goroutines (conservative time-window synchronisation, see internal/shard).

@@ -33,9 +33,10 @@
 //
 // # Where each contract lives
 //
-//   - sim: the cycle-driven engine and its three kernels (strict, skip,
-//     event), the Sleeper promise every device makes, wake handles, the
-//     stats registry and phased measurement windows.
+//   - sim: the cycle-driven engine and its two kernels (strict, the
+//     oracle, and event, production), the Sleeper promise every device
+//     makes, wake handles, the stats registry and phased measurement
+//     windows.
 //   - ocp: the socket between masters and fabrics, and the wake rule by
 //     which a fabric port wakes the master blocked on it.
 //   - noc: the ×pipes-style mesh and torus, and its one flow-control rule,

@@ -215,11 +215,11 @@ type Bus struct {
 	activeData []uint32
 
 	// counted is the first cycle not yet credited to the busy/idle
-	// counters. It supports the skip and event kernels' elided ticks: the
-	// cycles from counted to the next Tick, those before the first Tick
-	// included, are credited in bulk (a cycle the bus was not ticked in
-	// is, by the Sleeper contract, one in which its occupancy state could
-	// not change).
+	// counters. It supports the event kernel's elided ticks: the cycles
+	// from counted to the next Tick, those before the first Tick included,
+	// are credited in bulk (a cycle the bus was not ticked in is, by the
+	// Sleeper contract, one in which its occupancy state could not
+	// change).
 	counted uint64
 
 	// waker is the engine's wake handle (sim.WakeSink); nil when the bus is
@@ -297,8 +297,8 @@ func (b *Bus) IdleCycles() uint64 {
 }
 
 // gap returns the busy/idle credit for the cycles from counted up to, not
-// including, end, in which the bus was not ticked (skip-kernel jumps,
-// event-kernel sleeps, the cycles before its first tick). Tick folds such
+// including, end, in which the bus was not ticked (event-kernel jumps and
+// sleeps, the cycles before its first tick). Tick folds such
 // gaps into the counters itself, but a run that ends inside a gap is never
 // followed by another Tick, so the getters account the tail on the fly
 // (the bus state was frozen across the gap, making the attribution
@@ -401,7 +401,7 @@ func (b *Bus) decode(p *port, addr uint32) *binding {
 
 // Tick implements sim.Device.
 func (b *Bus) Tick(cycle uint64) {
-	// Credit elided cycles (skip-kernel jumps, event-kernel sleeps) to the
+	// Credit elided cycles (event-kernel jumps and sleeps) to the
 	// occupancy counters: a tick is only omitted while the bus state is
 	// frozen, so the whole gap was uniformly busy (posted-write drain) or
 	// uniformly idle.

@@ -19,7 +19,7 @@ func RegisterExec() *Exec {
 	return &Exec{
 		workers: flag.Int("workers", 0, "worker pool size (0 = all host cores)"),
 		kernel: flag.String("kernel", platform.KernelEvent.String(),
-			"simulation kernel: event, strict or skip (artifacts are byte-identical under each)"),
+			"simulation kernel: event or strict (artifacts are byte-identical under each)"),
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // TestExecFlags pins the one resolution of -workers/-kernel that tgsweep
 // and tgrepro share: the default is the event kernel, and the removed
-// "auto" value is rejected by name like any other unknown kernel.
+// "skip" and "auto" values are rejected by name like any other unknown
+// kernel, with the two kernels that exist.
 func TestExecFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -20,7 +21,7 @@ func TestExecFlags(t *testing.T) {
 	}{
 		{name: "defaults", kernel: "event"},
 		{name: "strict", args: []string{"-kernel", "strict", "-workers", "3"}, workers: 3, kernel: "strict"},
-		{name: "skip", args: []string{"-kernel", "skip"}, kernel: "skip"},
+		{name: "skip", args: []string{"-kernel", "skip"}, wantErr: `unknown kernel "skip" (want strict or event)`},
 		{name: "auto", args: []string{"-kernel", "auto"}, wantErr: `unknown kernel "auto"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

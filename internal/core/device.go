@@ -40,7 +40,7 @@ type Device struct {
 	// wakeAt is the absolute cycle at which an Idle wait expires: the
 	// device resumes execution at the first tick whose cycle is >= wakeAt.
 	// Keeping the deadline absolute (instead of a per-tick countdown) is
-	// what lets the skip kernel jump over the whole wait without ticking.
+	// what lets the event kernel jump over the whole wait without ticking.
 	wakeAt uint64
 	// burstBuf is the reusable BurstWrite payload buffer. Interconnects
 	// copy the payload no later than acceptance (see ocp.MasterPort), so

@@ -160,7 +160,7 @@ func (m *MultiTask) rotate(cycle uint64, penalize bool) bool {
 // NextWake implements sim.Sleeper conservatively: scheduling state (time
 // slices, switch penalties) is per-tick countdown state, so a running
 // multitask master asks to be ticked every cycle; only a fully halted one
-// lets the skip and event kernels elide its ticks. Conservatism is safe by
+// lets the event kernel elide its ticks. Conservatism is safe by
 // the Sleeper contract — it just keeps the master in the per-cycle tick
 // set.
 func (m *MultiTask) NextWake(now uint64) uint64 {

@@ -18,7 +18,7 @@ func TestZeroAllocRAMRecycledTable(t *testing.T) {
 	w := &ocp.Request{Cmd: ocp.BurstWrite, Addr: 4096 - 8, Burst: 4, Data: data}
 	run := func() {
 		r := RAM{size: 16 * pageWords}
-		r.PerformInto(w, nil)
+		r.Perform(w, nil)
 		r.LoadWords(12*4096, []uint32{9})
 		r.LoadWords(5*4096-4, data)
 		r.Clear()

@@ -137,15 +137,10 @@ func (r *RAM) AccessCycles(req *ocp.Request) uint64 {
 	return r.waitStates * uint64(req.Burst)
 }
 
-// Perform implements ocp.Slave.
-func (r *RAM) Perform(req *ocp.Request) ocp.Response {
-	return r.PerformInto(req, make([]uint32, 0, req.Burst))
-}
-
-// PerformInto implements ocp.BufferedSlave: read data is appended to dst
-// instead of freshly allocated, so interconnects can reuse one buffer per
-// port across transactions.
-func (r *RAM) PerformInto(req *ocp.Request, dst []uint32) ocp.Response {
+// Perform implements ocp.Slave: read data is appended to dst instead of
+// freshly allocated, so interconnects can reuse one buffer per port across
+// transactions.
+func (r *RAM) Perform(req *ocp.Request, dst []uint32) ocp.Response {
 	idx, ok := r.index(req.Addr)
 	if !ok || idx+req.Burst > r.size {
 		return ocp.Response{Err: true}
@@ -216,4 +211,3 @@ func (r *RAM) index(addr uint32) (int, bool) {
 }
 
 var _ ocp.Slave = (*RAM)(nil)
-var _ ocp.BufferedSlave = (*RAM)(nil)

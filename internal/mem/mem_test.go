@@ -9,11 +9,11 @@ import (
 
 func TestRAMReadWrite(t *testing.T) {
 	r := NewRAM("priv", 0x1000, 64, 1)
-	resp := r.Perform(&ocp.Request{Cmd: ocp.Write, Addr: 0x1004, Burst: 1, Data: []uint32{0xdeadbeef}})
+	resp := r.Perform(&ocp.Request{Cmd: ocp.Write, Addr: 0x1004, Burst: 1, Data: []uint32{0xdeadbeef}}, nil)
 	if resp.Err {
 		t.Fatal("write failed")
 	}
-	resp = r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x1004, Burst: 1})
+	resp = r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x1004, Burst: 1}, nil)
 	if resp.Err || resp.Data[0] != 0xdeadbeef {
 		t.Fatalf("read back %#x", resp.Data)
 	}
@@ -22,10 +22,10 @@ func TestRAMReadWrite(t *testing.T) {
 func TestRAMBurst(t *testing.T) {
 	r := NewRAM("priv", 0, 64, 1)
 	payload := []uint32{1, 2, 3, 4}
-	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: 8, Burst: 4, Data: payload}); resp.Err {
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: 8, Burst: 4, Data: payload}, nil); resp.Err {
 		t.Fatal("burst write failed")
 	}
-	resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 8, Burst: 4})
+	resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 8, Burst: 4}, nil)
 	if resp.Err {
 		t.Fatal("burst read failed")
 	}
@@ -38,14 +38,14 @@ func TestRAMBurst(t *testing.T) {
 
 func TestRAMOutOfRange(t *testing.T) {
 	r := NewRAM("priv", 0x1000, 16, 0)
-	if resp := r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x0ffc, Burst: 1}); !resp.Err {
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x0ffc, Burst: 1}, nil); !resp.Err {
 		t.Fatal("below-base read should fail")
 	}
-	if resp := r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x1010, Burst: 1}); !resp.Err {
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x1010, Burst: 1}, nil); !resp.Err {
 		t.Fatal("past-end read should fail")
 	}
 	// Burst straddling the end must fail, not partially succeed.
-	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x100c, Burst: 4}); !resp.Err {
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x100c, Burst: 4}, nil); !resp.Err {
 		t.Fatal("straddling burst should fail")
 	}
 }
@@ -82,7 +82,7 @@ func TestRAMUnwrittenReadsZeroWithoutStore(t *testing.T) {
 	r := NewRAM("priv", 0x1000, 1<<20, 0)
 	dst := make([]uint32, 0, 4)
 	if avg := testing.AllocsPerRun(10, func() {
-		resp := r.PerformInto(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x1ff8, Burst: 4}, dst)
+		resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x1ff8, Burst: 4}, dst)
 		if resp.Err || len(resp.Data) != 4 || resp.Data[0]|resp.Data[1]|resp.Data[2]|resp.Data[3] != 0 {
 			t.Fatalf("unwritten burst read = %+v", resp)
 		}
@@ -93,10 +93,10 @@ func TestRAMUnwrittenReadsZeroWithoutStore(t *testing.T) {
 	}); avg != 0 || r.table != nil {
 		t.Fatalf("reading an unwritten RAM allocates %.0f times, table taken: %v", avg, r.table != nil)
 	}
-	if resp := r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x1000 + 1<<20, Burst: 1}); !resp.Err {
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x1000 + 1<<20, Burst: 1}, nil); !resp.Err {
 		t.Fatal("past-end read of an unwritten RAM should fail")
 	}
-	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: 0x1000 + 1<<20 - 8, Burst: 4, Data: make([]uint32, 4)}); !resp.Err || r.table != nil {
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: 0x1000 + 1<<20 - 8, Burst: 4, Data: make([]uint32, 4)}, nil); !resp.Err || r.table != nil {
 		t.Fatal("straddling write should fail before taking a table")
 	}
 }
@@ -114,11 +114,11 @@ func TestRAMUntouchedPagesReadZero(t *testing.T) {
 	if r.PeekWord(5*pageBytes) != 0 || r.PeekWord(3*pageBytes+8) != 7 {
 		t.Fatal("untouched page or poked word reads wrong")
 	}
-	resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 3*pageBytes - 8, Burst: 4})
+	resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 3*pageBytes - 8, Burst: 4}, nil)
 	if resp.Err || len(resp.Data) != 4 || resp.Data[0]|resp.Data[1]|resp.Data[2]|resp.Data[3] != 0 {
 		t.Fatalf("burst from an untouched into a touched page = %+v", resp)
 	}
-	resp = r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 4*pageBytes - 8, Burst: 4})
+	resp = r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 4*pageBytes - 8, Burst: 4}, nil)
 	if resp.Err || len(resp.Data) != 4 || resp.Data[0]|resp.Data[1]|resp.Data[2]|resp.Data[3] != 0 {
 		t.Fatalf("burst from a touched into an untouched page = %+v", resp)
 	}
@@ -131,10 +131,10 @@ func TestRAMAccessesCrossPages(t *testing.T) {
 	r := NewRAM("priv", 0x10000, 4*pageBytes, 0)
 	edge := uint32(0x10000 + pageBytes)
 	payload := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
-	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: edge - 12, Burst: 8, Data: payload}); resp.Err {
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstWrite, Addr: edge - 12, Burst: 8, Data: payload}, nil); resp.Err {
 		t.Fatal("page-crossing burst write failed")
 	}
-	resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: edge - 12, Burst: 8})
+	resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: edge - 12, Burst: 8}, nil)
 	if resp.Err || len(resp.Data) != 8 {
 		t.Fatalf("page-crossing burst read = %+v", resp)
 	}
@@ -159,7 +159,7 @@ func TestRAMAccessesCrossPages(t *testing.T) {
 	far := uint32(0x10000 + 3*pageBytes)
 	r.LoadWords(far-4, []uint32{11})
 	r.LoadWords(far, []uint32{12})
-	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: far - 4, Burst: 2}); resp.Err || resp.Data[0] != 11 || resp.Data[1] != 12 {
+	if resp := r.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: far - 4, Burst: 2}, nil); resp.Err || resp.Data[0] != 11 || resp.Data[1] != 12 {
 		t.Fatalf("read across poked boundary = %+v", resp)
 	}
 }
@@ -194,7 +194,7 @@ func TestRAMClearRecyclesWipedStore(t *testing.T) {
 					t.Fatalf("round %d size %d: word %#x = %#x leaked from a recycled table", round, size, addr, v)
 				}
 			}
-			if resp := b.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x80000 + size, Burst: 1}); !resp.Err {
+			if resp := b.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x80000 + size, Burst: 1}, nil); !resp.Err {
 				t.Fatalf("size %d: read past the end of a RAM on a larger table should fail", size)
 			}
 			b.Clear()
@@ -220,11 +220,11 @@ func TestRAMRandomAccessProperty(t *testing.T) {
 	f := func(idx uint8, val uint32, write bool) bool {
 		addr := uint32(idx) * 4
 		if write {
-			r.Perform(&ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1, Data: []uint32{val}})
+			r.Perform(&ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1, Data: []uint32{val}}, nil)
 			model[addr] = val
 			return true
 		}
-		resp := r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1})
+		resp := r.Perform(&ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1}, nil)
 		return !resp.Err && resp.Data[0] == model[addr]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -237,7 +237,7 @@ func TestSemBankTestAndSet(t *testing.T) {
 	addr := s.Addr(1)
 
 	// First read of a free semaphore returns 1 and locks it.
-	resp := s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1})
+	resp := s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1}, nil)
 	if resp.Err || resp.Data[0] != 1 {
 		t.Fatalf("first read = %v, want 1", resp.Data)
 	}
@@ -246,17 +246,17 @@ func TestSemBankTestAndSet(t *testing.T) {
 	}
 	// Subsequent reads fail with 0.
 	for i := 0; i < 3; i++ {
-		resp = s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1})
+		resp = s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1}, nil)
 		if resp.Data[0] != 0 {
 			t.Fatalf("poll %d = %v, want 0", i, resp.Data)
 		}
 	}
 	// Unlock with WR 1, then it can be taken again.
-	s.Perform(&ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1, Data: []uint32{1}})
+	s.Perform(&ocp.Request{Cmd: ocp.Write, Addr: addr, Burst: 1, Data: []uint32{1}}, nil)
 	if !s.free[1] {
 		t.Fatal("write 1 should unlock")
 	}
-	resp = s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1})
+	resp = s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: addr, Burst: 1}, nil)
 	if resp.Data[0] != 1 {
 		t.Fatal("re-acquire after unlock failed")
 	}
@@ -268,7 +268,7 @@ func TestSemBankTestAndSet(t *testing.T) {
 
 func TestSemBankIndependentSemaphores(t *testing.T) {
 	s := NewSemBank("sem", 0, 8, 0)
-	s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: s.Addr(2), Burst: 1})
+	s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: s.Addr(2), Burst: 1}, nil)
 	if !s.free[3] || s.free[2] {
 		t.Fatal("acquiring one semaphore must not affect others")
 	}
@@ -276,7 +276,7 @@ func TestSemBankIndependentSemaphores(t *testing.T) {
 
 func TestSemBankWriteZeroLocks(t *testing.T) {
 	s := NewSemBank("sem", 0, 1, 0)
-	s.Perform(&ocp.Request{Cmd: ocp.Write, Addr: 0, Burst: 1, Data: []uint32{0}})
+	s.Perform(&ocp.Request{Cmd: ocp.Write, Addr: 0, Burst: 1, Data: []uint32{0}}, nil)
 	if s.free[0] {
 		t.Fatal("write 0 should lock")
 	}
@@ -284,10 +284,10 @@ func TestSemBankWriteZeroLocks(t *testing.T) {
 
 func TestSemBankRejectsBurstsAndBadAddr(t *testing.T) {
 	s := NewSemBank("sem", 0x9000, 2, 0)
-	if resp := s.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x9000, Burst: 2}); !resp.Err {
+	if resp := s.Perform(&ocp.Request{Cmd: ocp.BurstRead, Addr: 0x9000, Burst: 2}, nil); !resp.Err {
 		t.Fatal("burst to semaphore bank should fail")
 	}
-	if resp := s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x9010, Burst: 1}); !resp.Err {
+	if resp := s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x9010, Burst: 1}, nil); !resp.Err {
 		t.Fatal("out-of-range semaphore read should fail")
 	}
 }
@@ -301,7 +301,7 @@ func TestSemBankMutualExclusionProperty(t *testing.T) {
 		held := false
 		for _, acquire := range ops {
 			if acquire {
-				resp := s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0, Burst: 1})
+				resp := s.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0, Burst: 1}, nil)
 				got := resp.Data[0] == 1
 				if got && held {
 					return false // double acquire
@@ -310,7 +310,7 @@ func TestSemBankMutualExclusionProperty(t *testing.T) {
 					held = true
 				}
 			} else {
-				s.Perform(&ocp.Request{Cmd: ocp.Write, Addr: 0, Burst: 1, Data: []uint32{1}})
+				s.Perform(&ocp.Request{Cmd: ocp.Write, Addr: 0, Burst: 1, Data: []uint32{1}}, nil)
 				held = false
 			}
 		}

@@ -49,15 +49,10 @@ func (s *SemBank) AccessCycles(req *ocp.Request) uint64 {
 }
 
 // Perform implements ocp.Slave. Burst accesses to the semaphore bank are
-// rejected: test-and-set is a single-word operation.
-func (s *SemBank) Perform(req *ocp.Request) ocp.Response {
-	return s.PerformInto(req, make([]uint32, 0, 1))
-}
-
-// PerformInto implements ocp.BufferedSlave. Semaphore polling is the
-// hottest read path of the reactive scenarios (Figure 2(b)/Figure 3), so
-// poll responses must not allocate.
-func (s *SemBank) PerformInto(req *ocp.Request, dst []uint32) ocp.Response {
+// rejected: test-and-set is a single-word operation. Semaphore polling is
+// the hottest read path of the reactive scenarios (Figure 2(b)/Figure 3),
+// so poll responses append to dst and must not allocate.
+func (s *SemBank) Perform(req *ocp.Request, dst []uint32) ocp.Response {
 	if req.Burst != 1 {
 		return ocp.Response{Err: true}
 	}
@@ -103,4 +98,3 @@ func (s *SemBank) index(addr uint32) (int, bool) {
 }
 
 var _ ocp.Slave = (*SemBank)(nil)
-var _ ocp.BufferedSlave = (*SemBank)(nil)

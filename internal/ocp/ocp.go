@@ -194,37 +194,26 @@ type Slave interface {
 	// (the paper's "slave access time"), excluding interconnect transport.
 	AccessCycles(req *Request) uint64
 	// Perform applies the request's side effects and, for reads, returns
-	// the data. It is called exactly once per accepted transaction.
-	Perform(req *Request) Response
+	// the data. It is called exactly once per accepted transaction. Read
+	// words are appended to dst, which arrives with length 0 (or nil) and
+	// whatever capacity the caller has accumulated, so that a caller
+	// reusing one buffer per port allocates nothing per transaction; writes
+	// and errors return Data nil. Interconnects own the buffer lifecycle
+	// (see PerformBuffered).
+	Perform(req *Request, dst []uint32) Response
 }
 
-// BufferedSlave is optionally implemented by slaves that can serve reads
-// into a caller-provided buffer, sparing the per-transaction Data allocation
-// of Perform. dst arrives with length 0 and whatever capacity the caller has
-// accumulated; the returned Response's Data must be the result of appending
-// the read words to dst (writes and errors return Data nil as usual).
-// Interconnects own the buffer lifecycle: they pass storage whose lifetime
-// covers the response's delivery, and grow it across transactions.
-type BufferedSlave interface {
-	PerformInto(req *Request, dst []uint32) Response
-}
-
-// PerformBuffered serves req on s, reusing buf for read data when the slave
-// supports buffered operation and falling back to Perform otherwise. It
-// returns the response together with the (possibly grown) buffer, which the
-// caller keeps for the next transaction. The returned response's Data
-// aliases the returned buffer for buffered slaves — the caller must not
-// start another transaction on the same buffer until the response has been
-// consumed.
+// PerformBuffered serves req on s into buf and returns the response
+// together with the (possibly grown) buffer, which the caller keeps for the
+// next transaction. The response's Data aliases the returned buffer: the
+// caller must not start another transaction on the same buffer until the
+// response has been consumed.
 func PerformBuffered(s Slave, req *Request, buf []uint32) (Response, []uint32) {
-	if bs, ok := s.(BufferedSlave); ok {
-		resp := bs.PerformInto(req, buf[:0])
-		if cap(resp.Data) > cap(buf) {
-			buf = resp.Data[:0]
-		}
-		return resp, buf
+	resp := s.Perform(req, buf[:0])
+	if cap(resp.Data) > cap(buf) {
+		buf = resp.Data[:0]
 	}
-	return s.Perform(req), buf
+	return resp, buf
 }
 
 // AddrRange is a half-open byte-address range [Base, Base+Size).

@@ -25,7 +25,7 @@ import (
 // randomProgram emits a random but well-formed TGP program: bursts of
 // reads/writes to the shared memory, long and short Idle gaps, and a
 // semaphore-guarded critical section shared by all masters, so that the
-// skip kernel has to get both pure sleeping and reactive cross-core timing
+// event kernel has to get both pure sleeping and reactive cross-core timing
 // right.
 func randomProgram(r *rand.Rand, master, cores int) string {
 	var b strings.Builder
@@ -273,8 +273,8 @@ func randomScenariosCampaign() simtest.Campaign {
 // compare everything a reference run exposes: makespan, final engine
 // cycle, fabric work, each core's retired instructions, stalls, halt
 // cycle, PC and registers, its caches' counters, and each master's
-// serialised trace. The sleeping kernels must also skip cycles, or the
-// sleep path would go untested.
+// serialised trace. The event kernel must also skip cycles, or the sleep
+// path would go untested.
 func TestARMKernelIndependent(t *testing.T) {
 	specs := []*prog.Spec{prog.MPMatrix(2, 4), prog.Cacheloop(2, 50), prog.DES(3, 1)}
 	caches := cache.Config{Lines: 64, WordsPerLine: 4}

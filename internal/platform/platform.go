@@ -48,10 +48,10 @@ type Master interface {
 	Done() bool
 }
 
-// KernelMode selects the simulation kernel for a platform. Every mode
-// computes byte-identical simulated state; they differ only in host time.
+// KernelMode selects the simulation kernel for a platform. Both modes
+// compute byte-identical simulated state; they differ only in host time.
 // Every master, the miniARM core included, is a sim.Sleeper, so ARM
-// reference runs sleep on KernelEvent and KernelSkip like TG runs do; the
+// reference runs sleep on KernelEvent like TG runs do; the
 // paper's like-for-like speedup, both sides ticked every cycle, is both
 // sides on KernelStrict (exp.Row.GainStrict).
 type KernelMode int
@@ -63,17 +63,16 @@ const (
 	KernelEvent KernelMode = iota
 	// KernelStrict ticks every device on every cycle.
 	KernelStrict
-	// KernelSkip ticks every device on each executed cycle and jumps
-	// all-asleep spans as KernelEvent does.
-	KernelSkip
 )
+
+// Deprecated: KernelSkip is KernelEvent; the skip kernel is gone. It
+// remains only because the benchmark's kernel ratios still name it.
+const KernelSkip = KernelEvent
 
 func (k KernelMode) String() string {
 	switch k {
 	case KernelStrict:
 		return "strict"
-	case KernelSkip:
-		return "skip"
 	case KernelEvent:
 		return "event"
 	}
@@ -87,19 +86,14 @@ func ParseKernel(s string) (KernelMode, error) {
 		return KernelEvent, nil
 	case "strict":
 		return KernelStrict, nil
-	case "skip":
-		return KernelSkip, nil
 	}
-	return 0, fmt.Errorf("platform: unknown kernel %q (want strict, skip or event)", s)
+	return 0, fmt.Errorf("platform: unknown kernel %q (want strict or event)", s)
 }
 
 // kernel maps a KernelMode onto the engine's kernel.
 func (k KernelMode) kernel() sim.Kernel {
-	switch k {
-	case KernelStrict:
+	if k == KernelStrict {
 		return sim.KernelStrict
-	case KernelSkip:
-		return sim.KernelSkip
 	}
 	return sim.KernelEvent
 }
@@ -133,8 +127,8 @@ type Config struct {
 	// log only once somebody calls its Record, which exp.RunReference alone
 	// does.
 	Trace bool
-	// Kernel selects the simulation kernel (default KernelEvent); strict,
-	// skip and event runs produce identical simulated state (the
+	// Kernel selects the simulation kernel (default KernelEvent); strict
+	// and event runs produce identical simulated state (the
 	// differential tests assert byte-identical sweep artifacts), differing
 	// only in host time.
 	Kernel KernelMode
@@ -446,7 +440,7 @@ func (s *System) Run(maxCycles uint64) (uint64, error) {
 // RunPhased executes the warmup → measure → drain methodology on the
 // system, using the same completion predicate and completionStride as Run
 // (unless p.Stride overrides it). Phase boundaries are forced wake points,
-// so the three kernels land on byte-identical boundary cycles (see
+// so both kernels land on byte-identical boundary cycles (see
 // sim.Phases). Callers drive the Stats registry from the phase callbacks:
 // Sync + Reset at the warmup boundary, Sync + Snapshot + Reset at each
 // epoch end.

@@ -197,3 +197,52 @@ func TestRunHitsLimit(t *testing.T) {
 	}
 	_ = sim.ErrMaxCycles
 }
+
+// tickCounter counts the ticks its master receives.
+type tickCounter struct {
+	Master
+	ticks uint64
+}
+
+func (c *tickCounter) Tick(cycle uint64) {
+	c.ticks++
+	c.Master.Tick(cycle)
+}
+
+// TestKernelSkipBuildsEventEngine: the deprecated KernelSkip name builds
+// the event kernel, which ticks a halted master at none of the cycles its
+// busy neighbour keeps the engine executing; a kernel that ticks every
+// device on each executed cycle would tick it at all of them.
+func TestKernelSkipBuildsEventEngine(t *testing.T) {
+	srcs := []string{
+		"MASTER[0,1]\nBEGIN\nHalt\nEND",
+		"MASTER[1,1]\nREGISTER addr 0x08000000\nREGISTER data 5\nBEGIN\n" +
+			"Write(addr, data)\nRead(addr)\nWrite(addr, data)\nRead(addr)\nHalt\nEND",
+	}
+	var halted *tickCounter
+	sys, err := Build(Config{Cores: 2, Kernel: KernelSkip}, func(s *System, id int, port ocp.MasterPort) Master {
+		p, err := core.Assemble(srcs[id])
+		if err != nil {
+			panic(err)
+		}
+		d, err := core.NewDevice(p, port)
+		if err != nil {
+			panic(err)
+		}
+		if id == 0 {
+			halted = &tickCounter{Master: d}
+			return halted
+		}
+		return d
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(10_000); err != nil {
+		t.Fatal(err)
+	}
+	executed := sys.Engine.Cycle() - sys.Engine.SkippedCycles
+	if halted.ticks != 1 || executed < 2 {
+		t.Fatalf("halted master ticked %d times in %d executed cycles, want once", halted.ticks, executed)
+	}
+}

@@ -118,7 +118,7 @@ func TestRunnerStopRuleMatchesEngine(t *testing.T) {
 			for _, stride := range []uint64{1, 7, 32} {
 				for _, budget := range []uint64{1, 32, 40, 64, 96, 1000} {
 					// The napper's last wake is the completion cycle; done
-					// reads device state only (the skip/event contract).
+					// reads device state only (the event kernel's contract).
 					build := func() (*sim.Engine, func() bool) {
 						e := sim.NewEngine(sim.Clock{})
 						e.SetKernel(kernel)
@@ -192,7 +192,7 @@ func TestRunnerWindowsSkipQuiescence(t *testing.T) {
 	a := newShard(na, sim.KernelEvent, 0)
 	b := newShard(nb, sim.KernelEvent, 0)
 	// Like the platform's predicate, done is a function of device state
-	// only (the skip/event contract): all scheduled work drained.
+	// only (the event kernel's contract): all scheduled work drained.
 	a.Done = func() bool { return len(na.wakes) == 0 }
 	b.Done = func() bool { return len(nb.wakes) == 0 }
 	r := New([]*Shard{a, b})

@@ -4,43 +4,40 @@
 //
 // # Kernels
 //
-// Three cycle-advance strategies drive an Engine, and all three compute
-// the same simulated state — makespans, histograms, counters and every
-// artifact byte built from them:
+// Two cycle-advance strategies drive an Engine, and both compute the same
+// simulated state — makespans, histograms, counters and every artifact
+// byte built from them:
 //
 //   - strict (KernelStrict) ticks every registered device once per cycle,
 //     in registration order, on a single goroutine. It is the oracle the
-//     other two are held to, and, with both the ARM reference and the TG
+//     event kernel is held to, and, with both the ARM reference and the TG
 //     replay on it, the paper's like-for-like speedup: the gain comes from
 //     traffic generators doing less work per cycle than the processor
 //     models they replace.
-//   - event (KernelEvent, event.go) keeps one wake schedule: a filed wake
-//     per sleeping device, and only the awake devices tick each cycle, so
-//     its sweep scales with the awake set, plus one O(devices) admission
-//     pass on each cycle where a filed wake falls due. When every device
-//     sleeps it jumps the cycle counter straight to the earliest filed
-//     wake — a TG deep inside an Idle(100000), a core stalled on a
-//     quiescent interconnect.
-//   - skip (KernelSkip) runs on the same schedule, but wakes every device
-//     before each executed cycle: every device ticks, as under strict,
-//     and all-asleep spans are jumped exactly where event jumps them.
+//   - event (KernelEvent, event.go), the production kernel, keeps one wake
+//     schedule: a filed wake per sleeping device, and only the awake
+//     devices tick each cycle, so its sweep scales with the awake set,
+//     plus one O(devices) admission pass on each cycle where a filed wake
+//     falls due. When every device sleeps it jumps the cycle counter
+//     straight to the earliest filed wake — a TG deep inside an
+//     Idle(100000), a core stalled on a quiescent interconnect.
 //
-// The kernels rely on one contract: every Device embeds a Sleeper, and
-// NextWake is a strict "will not act before" promise that holds even if
-// the device is never ticked or re-queried in between (see Sleeper). A
+// The event kernel relies on one contract: every Device embeds a Sleeper,
+// and NextWake is a strict "will not act before" promise that holds even
+// if the device is never ticked or re-queried in between (see Sleeper). A
 // device that cannot bound its next action reports NextWake(now) = now,
 // as a DeviceFunc always does, and is ticked every cycle while the others
 // still sleep; no device type switches an engine to strict ticking. A
 // device whose earliest action another device can move earlier implements
 // WakeSink and is woken through its Waker at the stimulus; a wake
 // scheduled with WakeAt is kept until its cycle executes, across Run
-// calls, on every kernel. How a master blocked on its port uses that
+// calls, on both kernels. How a master blocked on its port uses that
 // handle is the package ocp's wake rule.
 //
 // Phase boundaries (Phases.Run) are forced wake points: each window is its
-// own bounded run, and the skip and event kernels clamp their jumps at a
-// window's end as at a cycle budget, so every kernel snapshots the same
-// state at the same boundary cycles. The platform layer picks the kernel
+// own bounded run, and the event kernel clamps its jumps at a window's end
+// as at a cycle budget, so both kernels snapshot the same state at the
+// same boundary cycles. The platform layer picks the kernel
 // (platform.KernelMode, whose zero value is event).
 package sim
 
@@ -53,11 +50,10 @@ import (
 // Device is anything driven by the simulation clock. Tick is called exactly
 // once per executed cycle, in the order devices were registered, except
 // where the device's own NextWake (the embedded Sleeper) has promised the
-// tick a no-op: the event kernel omits those, and the skip kernel the
-// cycles in which every device has. The cycle argument always carries the
-// absolute cycle number, so devices that keep deadlines in absolute cycles
-// observe no difference. A device that cannot bound its next activity
-// reports NextWake(now) = now and is ticked every cycle.
+// tick a no-op: the event kernel omits those. The cycle argument always
+// carries the absolute cycle number, so devices that keep deadlines in
+// absolute cycles observe no difference. A device that cannot bound its
+// next activity reports NextWake(now) = now and is ticked every cycle.
 type Device interface {
 	Tick(cycle uint64)
 	Sleeper
@@ -77,9 +73,9 @@ func (f DeviceFunc) NextWake(now uint64) uint64 { return now }
 // again without external stimulus (a halted TG, a fully drained bus).
 const WakeNever = ^uint64(0)
 
-// Sleeper is how a device declares future idleness to the skip and event
-// kernels; every Device embeds it. NextWake(now) returns the earliest
-// cycle at which the device might change state or perform work:
+// Sleeper is how a device declares future idleness to the event kernel;
+// every Device embeds it. NextWake(now) returns the earliest cycle at
+// which the device might change state or perform work:
 //
 //   - now:        the device needs its Tick at cycle now (it is active);
 //   - w > now:    the device will not act before cycle w — its Ticks are
@@ -98,9 +94,9 @@ const WakeNever = ^uint64(0)
 //
 // The contract is also conservative: a device that cannot cheaply bound
 // its next activity must return now. A conservative device merely keeps
-// itself in the per-cycle tick set, and so keeps both fast kernels from
+// itself in the per-cycle tick set, and so keeps the event kernel from
 // jumping, without affecting correctness; the other devices still sleep
-// through their own promises under the event kernel.
+// through their own promises.
 type Sleeper interface {
 	NextWake(now uint64) uint64
 }
@@ -112,10 +108,6 @@ const (
 	// KernelStrict ticks every device on every cycle (the default, and the
 	// reference semantics the paper's speedups are reported against).
 	KernelStrict Kernel = iota
-	// KernelSkip ticks every device on each executed cycle and
-	// fast-forwards over cycles in which every device sleeps, as
-	// KernelEvent does.
-	KernelSkip
 	// KernelEvent ticks only devices whose scheduled wake is due, using a
 	// per-device wake schedule (see event.go); when every device sleeps it
 	// jumps the cycle counter to the earliest wake.
@@ -126,8 +118,6 @@ func (k Kernel) String() string {
 	switch k {
 	case KernelStrict:
 		return "strict"
-	case KernelSkip:
-		return "skip"
 	case KernelEvent:
 		return "event"
 	}
@@ -150,8 +140,8 @@ type Engine struct {
 	// (Waker.WakeAt); entries before the current cycle are spent. sizeDue
 	// extends it to the device count where it is read.
 	due []uint64
-	// SkippedCycles counts cycles the skip and event kernels fast-forwarded
-	// over (diagnostics only; strict runs keep it at zero).
+	// SkippedCycles counts cycles the event kernel fast-forwarded over
+	// (diagnostics only; strict runs keep it at zero).
 	SkippedCycles uint64
 
 	// Event-kernel schedule (event.go): evActive is the active set, evWake
@@ -260,10 +250,10 @@ func (e *Engine) sizeDue() {
 // the number of cycles executed by this call. If the limit is hit first the
 // returned error wraps ErrMaxCycles.
 //
-// Under the skip and event kernels, done() must depend only on device
-// state (not on the raw cycle counter): skipped cycles are exactly those in
-// which no device state changes, so the predicate is evaluated only at
-// cycles where its value could differ from the previous evaluation.
+// Under the event kernel, done() must depend only on device state (not on
+// the raw cycle counter): skipped cycles are exactly those in which no
+// device state changes, so the predicate is evaluated only at cycles where
+// its value could differ from the previous evaluation.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	return e.run(maxCycles, 1, done)
 }
@@ -297,15 +287,13 @@ func (e *Engine) RunEvery(maxCycles, stride uint64, done func() bool) (uint64, e
 // kernel choice) is hoisted out of the per-cycle path, and the body
 // allocates nothing in steady state.
 //
-// Strict executes every cycle with a full-device Step. Skip and event run
-// on the one wake schedule (event.go) and share its jump rule: skip wakes
-// every device before each executed cycle, event only the due ones.
+// Strict executes every cycle with a full-device Step; event runs on the
+// wake schedule (event.go) and jumps all-asleep spans.
 func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error) {
 	if done == nil {
 		return 0, errors.New("sim: Run requires a completion predicate")
 	}
-	skip := e.kernel == KernelSkip
-	sched := skip || e.kernel == KernelEvent
+	sched := e.kernel == KernelEvent
 	if sched {
 		e.initEventSchedule()
 		e.evLive = true
@@ -318,9 +306,6 @@ func (e *Engine) run(maxCycles, stride uint64, done func() bool) (uint64, error)
 	// per-cycle modulo; jumps recompute it from the landing cycle.
 	untilCheck := stride
 	for e.cycle < end {
-		if skip {
-			e.evActivateAll()
-		}
 		if sched {
 			e.stepEvent()
 		} else {

@@ -16,9 +16,7 @@ import "math/bits"
 // back. So the per-cycle cost scales with the number of awake devices,
 // plus one O(devices) pass on each cycle where a filed wake falls due.
 // When the active set empties, run's jump logic advances the cycle counter
-// straight to the earliest filed wake. The skip kernel runs on this same
-// schedule: evActivateAll puts every device into the active set before each
-// of its executed cycles.
+// straight to the earliest filed wake.
 //
 // Correctness leans on two properties. First, the Sleeper contract (see
 // engine.go) makes a reported wake w a promise that every omitted Tick in
@@ -165,15 +163,6 @@ func (e *Engine) evActivate(idx int32) {
 	}
 	e.evWake[idx] = WakeNever
 	e.evActive[idx>>6] |= 1 << (uint(idx) & 63)
-}
-
-// evActivateAll moves every device into the active set, so that the next
-// stepEvent ticks them all: the skip kernel's executed cycle.
-func (e *Engine) evActivateAll() {
-	for i := range e.evWake {
-		e.evActivate(int32(i))
-	}
-	e.evNext = WakeNever // no wake is left filed
 }
 
 // evAdmit moves every sleeper due by cycle c into the active set and

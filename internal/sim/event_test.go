@@ -48,6 +48,34 @@ func (s *wakeSink) NextWake(now uint64) uint64 {
 	return WakeNever
 }
 
+// pulser is a Sleeper test device that does work only at scheduled cycles.
+type pulser struct {
+	times []uint64
+	i     int
+	work  int
+	ticks int
+}
+
+func (p *pulser) Tick(c uint64) {
+	p.ticks++
+	if p.i < len(p.times) && c == p.times[p.i] {
+		p.work++
+		p.i++
+	}
+}
+
+func (p *pulser) NextWake(now uint64) uint64 {
+	if p.i >= len(p.times) {
+		return WakeNever
+	}
+	if t := p.times[p.i]; t > now {
+		return t
+	}
+	return now
+}
+
+func (p *pulser) done() bool { return p.i >= len(p.times) }
+
 // stimulator pokes a wakeSink at each scheduled cycle.
 type stimulator struct {
 	times []uint64
@@ -106,11 +134,170 @@ func TestEventKernelEquivalence(t *testing.T) {
 	}
 }
 
+// TestSkipKernelEquivalence holds the cycles the event kernel skips to
+// strict's simulated state. Two pulsers on different schedules reach
+// strict's final cycle and work; each is ticked only at its own wakes, and
+// every cycle in which neither has a wake is one the kernel jumped.
+func TestSkipKernelEquivalence(t *testing.T) {
+	times := [2][]uint64{{0, 3, 4, 100, 1000, 1001, 5000}, {2, 4, 700, 3000}}
+	const woken = 10 // cycles holding a wake of either pulser; 4 holds both
+	type run struct {
+		e   *Engine
+		ran uint64
+		err error
+		ps  [2]pulser
+	}
+	exec := func(k Kernel, stride uint64) *run {
+		r := &run{e: NewEngine(Clock{})}
+		for i := range r.ps {
+			r.ps[i].times = times[i]
+			r.e.Add(&r.ps[i])
+		}
+		r.e.SetKernel(k)
+		r.ran, r.err = r.e.RunEvery(100_000, stride, func() bool { return r.ps[0].done() && r.ps[1].done() })
+		return r
+	}
+	for _, stride := range []uint64{1, 7, 32} {
+		strict, event := exec(KernelStrict, stride), exec(KernelEvent, stride)
+		if strict.err != nil || event.err != nil {
+			t.Fatalf("stride %d: strict err %v, event err %v", stride, strict.err, event.err)
+		}
+		if strict.ran != event.ran || strict.e.Cycle() != event.e.Cycle() {
+			t.Fatalf("stride %d: strict ran %d (cycle %d), event ran %d (cycle %d)",
+				stride, strict.ran, strict.e.Cycle(), event.ran, event.e.Cycle())
+		}
+		if strict.e.SkippedCycles != 0 {
+			t.Fatalf("stride %d: strict skipped %d cycles", stride, strict.e.SkippedCycles)
+		}
+		if executed := event.e.Cycle() - event.e.SkippedCycles; executed != woken {
+			t.Fatalf("stride %d: event executed %d cycles, want the %d holding a wake", stride, executed, woken)
+		}
+		for i := range event.ps {
+			if strict.ps[i].work != event.ps[i].work {
+				t.Fatalf("stride %d, pulser %d: strict work %d, event work %d", stride, i, strict.ps[i].work, event.ps[i].work)
+			}
+			if event.ps[i].ticks != len(times[i]) {
+				t.Fatalf("stride %d, pulser %d: event ticked %d times for %d wakes", stride, i, event.ps[i].ticks, len(times[i]))
+			}
+		}
+	}
+}
+
+// TestSkipKernelLimitEquivalence: a device that sleeps forever without the
+// predicate holding must still exhaust the budget at exactly the strict
+// kernel's final cycle, whether or not the stride divides the budget.
+func TestSkipKernelLimitEquivalence(t *testing.T) {
+	for _, kernel := range []Kernel{KernelStrict, KernelEvent} {
+		for _, stride := range []uint64{1, 7, 32} {
+			e := NewEngine(Clock{})
+			p := &pulser{times: []uint64{2}}
+			e.Add(p)
+			e.SetKernel(kernel)
+			ran, err := e.RunEvery(500, stride, func() bool { return false })
+			if !errors.Is(err, ErrMaxCycles) {
+				t.Fatalf("kernel %v, stride %d: err = %v", kernel, stride, err)
+			}
+			if ran != 500 || e.Cycle() != 500 {
+				t.Fatalf("kernel %v, stride %d: ran %d, cycle %d, want 500", kernel, stride, ran, e.Cycle())
+			}
+		}
+	}
+}
+
+// TestSkipKernelFiniteWakeBeyondBudget: with the next wake beyond the
+// budget, the run must fail at the budget, not at the wake cycle.
+func TestSkipKernelFiniteWakeBeyondBudget(t *testing.T) {
+	for _, kernel := range []Kernel{KernelStrict, KernelEvent} {
+		e := NewEngine(Clock{})
+		p := &pulser{times: []uint64{0, 10_000}}
+		e.Add(p)
+		e.SetKernel(kernel)
+		ran, err := e.Run(100, p.done)
+		if !errors.Is(err, ErrMaxCycles) {
+			t.Fatalf("kernel %v: err = %v", kernel, err)
+		}
+		if ran != 100 || e.Cycle() != 100 {
+			t.Fatalf("kernel %v: ran %d, cycle %d, want 100", kernel, ran, e.Cycle())
+		}
+	}
+}
+
+// TestSkipKernelStrideDetectionRounding: work completes at cycle 9, and
+// the stride-8 boundary that detects it lies past a 12-cycle budget. Both
+// kernels must then report completion at the budget, not at the boundary;
+// the event kernel reaches it by a jump that the budget clamps.
+func TestSkipKernelStrideDetectionRounding(t *testing.T) {
+	for _, kernel := range []Kernel{KernelStrict, KernelEvent} {
+		e := NewEngine(Clock{})
+		p := &pulser{times: []uint64{9}}
+		e.Add(p)
+		e.SetKernel(kernel)
+		ran, err := e.RunEvery(12, 8, p.done)
+		if err != nil {
+			t.Fatalf("kernel %v: %v", kernel, err)
+		}
+		if ran != 12 || e.Cycle() != 12 {
+			t.Fatalf("kernel %v: detected after %d cycles (cycle %d), want 12", kernel, ran, e.Cycle())
+		}
+	}
+}
+
+// TestAlwaysAwakeDeviceAmongSleepers: a DeviceFunc states NextWake(now) =
+// now, so it is ticked every cycle on both kernels, while the sleepers
+// beside it keep their own promises. Event must reach strict's simulated
+// state and final cycle, and tick the sleepers only at their wakes, never
+// inside their sleep.
+func TestAlwaysAwakeDeviceAmongSleepers(t *testing.T) {
+	type run struct {
+		cycle, ticks uint64
+		a, b         pulser
+	}
+	exec := func(k Kernel) run {
+		var r run
+		r.a.times = []uint64{0, 3, 50, 120}
+		r.b.times = []uint64{7, 80}
+		e := NewEngine(Clock{})
+		e.Add(&r.a)
+		e.Add(DeviceFunc(func(uint64) { r.ticks++ }))
+		e.Add(&r.b)
+		e.SetKernel(k)
+		if _, err := e.RunEvery(1000, 8, func() bool { return r.a.done() && r.b.done() }); err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		r.cycle = e.Cycle()
+		return r
+	}
+	ref := exec(KernelStrict)
+	if ref.ticks != ref.cycle {
+		t.Fatalf("strict: always-awake device ticked %d times in %d cycles", ref.ticks, ref.cycle)
+	}
+	t.Run(KernelEvent.String(), func(t *testing.T) {
+		got := exec(KernelEvent)
+		if got.cycle != ref.cycle || got.a.work != ref.a.work || got.b.work != ref.b.work {
+			t.Fatalf("cycle %d, work %d/%d; strict: cycle %d, work %d/%d",
+				got.cycle, got.a.work, got.b.work, ref.cycle, ref.a.work, ref.b.work)
+		}
+		if got.ticks != ref.ticks {
+			t.Fatalf("always-awake device ticked %d times, strict %d", got.ticks, ref.ticks)
+		}
+		for _, p := range []pulser{got.a, got.b} {
+			if p.ticks != p.work {
+				t.Fatalf("sleeper ticked %d times for %d wakes: ticked inside its sleep", p.ticks, p.work)
+			}
+		}
+	})
+}
+
+func TestKernelString(t *testing.T) {
+	if KernelStrict.String() != "strict" || KernelEvent.String() != "event" {
+		t.Fatal("kernel names changed")
+	}
+}
+
 func TestEventKernelTicksOnlyAwakeDevices(t *testing.T) {
-	// One dense device keeps the engine executing every cycle; the sparse
-	// device must still be ticked only at its own schedule. The skip kernel
-	// cannot elide these ticks (the dense device blocks every whole-cycle
-	// skip), which is exactly the mixed-load gap the event kernel closes.
+	// One dense device keeps the engine executing every cycle, so no
+	// whole-cycle jump is possible; the sparse device must still be ticked
+	// only at its own schedule.
 	dense := make([]uint64, 1000)
 	for i := range dense {
 		dense[i] = uint64(i)
@@ -233,8 +420,8 @@ func (o *orderedSleeper) NextWake(now uint64) uint64 {
 
 func TestEventKernelLimitAndWakeNever(t *testing.T) {
 	// Budget exhaustion and the frozen-forever case must land on exactly
-	// the strict kernel's final cycle, for every kernel.
-	for _, kernel := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+	// the strict kernel's final cycle, on both kernels.
+	for _, kernel := range []Kernel{KernelStrict, KernelEvent} {
 		e := NewEngine(Clock{})
 		p := &pulser{times: []uint64{2}}
 		e.Add(p)
@@ -250,9 +437,10 @@ func TestEventKernelLimitAndWakeNever(t *testing.T) {
 }
 
 func TestEventKernelStrideDetectionRounding(t *testing.T) {
-	// Work completes at cycle 9; stride 8 → detection at relative cycle 16
-	// on every kernel (see TestSkipKernelStrideDetectionRounding).
-	for _, kernel := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+	// Work completes at cycle 9 (detected state after the tick at cycle 9,
+	// i.e. engine cycle 10); stride 8 → detection at relative cycle 16 on
+	// both kernels.
+	for _, kernel := range []Kernel{KernelStrict, KernelEvent} {
 		e := NewEngine(Clock{})
 		p := &pulser{times: []uint64{9}}
 		e.Add(p)
@@ -268,7 +456,7 @@ func TestEventKernelStrideDetectionRounding(t *testing.T) {
 }
 
 // TestWakeTicksSleepingSink: a WakeSink asleep with WakeNever and
-// stimulated mid-run through Wake does its pending work on every kernel,
+// stimulated mid-run through Wake does its pending work on both kernels,
 // at strict's cycles. Registered after the stimulator, it ticks in the
 // stimulus cycle; registered before it, the Wake lands after the sink's
 // own tick has filed it asleep, and it first ticks a cycle later.
@@ -281,7 +469,7 @@ func TestWakeTicksSleepingSink(t *testing.T) {
 		{"stimulator first", false, 53},
 		{"sink first", true, 54},
 	} {
-		for _, kernel := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+		for _, kernel := range []Kernel{KernelStrict, KernelEvent} {
 			e := NewEngine(Clock{})
 			sink := &wakeSink{runTicks: runTicks{n: 3}}
 			stim := &stimulator{times: []uint64{50}, sink: sink}
@@ -369,12 +557,12 @@ func (s *scheduler) NextWake(now uint64) uint64 {
 }
 
 // TestWakeAtTicksTheSleeperAtItsCycle: a scheduled wake ticks a device
-// that reports WakeNever exactly at the scheduled cycle on every kernel —
+// that reports WakeNever exactly at the scheduled cycle on both kernels —
 // scheduled from another device or from its own tick, one cycle or
 // thousands ahead, and across Run calls that end while it is pending.
 func TestWakeAtTicksTheSleeperAtItsCycle(t *testing.T) {
 	want := []uint64{50, 51, 61, 5200}
-	for _, k := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+	for _, k := range []Kernel{KernelStrict, KernelEvent} {
 		e := NewEngine(Clock{})
 		e.SetKernel(k)
 		sink := &blindSink{}

@@ -38,11 +38,11 @@ func (p Phase) String() string {
 // RunEvery — the compatibility anchor the sweep property tests pin.
 //
 // Phase boundaries are forced wake points: each window is executed as its
-// own bounded kernel run, and the skip and event kernels clamp their cycle
-// jumps at the window end exactly as they clamp at a cycle budget. All
-// three kernels therefore land on byte-identical boundary cycles, and a
-// boundary callback observes identical device state regardless of kernel —
-// the property the sweep's phased differential tests assert.
+// own bounded kernel run, and the event kernel clamps its cycle jumps at
+// the window end exactly as it clamps at a cycle budget. Both kernels
+// therefore land on byte-identical boundary cycles, and a boundary
+// callback observes identical device state regardless of kernel — the
+// property the sweep's phased differential tests assert.
 type Phases struct {
 	// Warmup is the warmup window length in cycles (0 = none).
 	Warmup uint64

@@ -52,7 +52,7 @@ func phaseTrace(t *testing.T, kernel Kernel, p Phases, maxCycles, doneAt uint64)
 
 // TestRunPhasedBoundariesKernelIdentical pins the forced-wake-point
 // contract: warmup and epoch boundaries land on byte-identical cycles
-// under the strict, skip and event kernels, even when the only device
+// under the strict and event kernels, even when the only device
 // sleeps across every boundary.
 func TestRunPhasedBoundariesKernelIdentical(t *testing.T) {
 	p := Phases{Warmup: 100, Epoch: 150, MaxEpochs: 3, Stride: 32}
@@ -61,14 +61,12 @@ func TestRunPhasedBoundariesKernelIdentical(t *testing.T) {
 	if !reflect.DeepEqual(wantTrace, want) {
 		t.Fatalf("strict boundaries = %v, want %v", wantTrace, want)
 	}
-	for _, k := range []Kernel{KernelSkip, KernelEvent} {
-		res, trace := phaseTrace(t, k, p, 10_000, 5_000)
-		if !reflect.DeepEqual(trace, wantTrace) {
-			t.Fatalf("kernel %v boundaries %v != strict %v", k, trace, wantTrace)
-		}
-		if res != wantRes {
-			t.Fatalf("kernel %v result %+v != strict %+v", k, res, wantRes)
-		}
+	res, trace := phaseTrace(t, KernelEvent, p, 10_000, 5_000)
+	if !reflect.DeepEqual(trace, wantTrace) {
+		t.Fatalf("event boundaries %v != strict %v", trace, wantTrace)
+	}
+	if res != wantRes {
+		t.Fatalf("event result %+v != strict %+v", res, wantRes)
 	}
 	if wantRes.Completed || wantRes.Epochs != 3 || wantRes.WarmupCycles != 100 || wantRes.MeasureCycles != 450 {
 		t.Fatalf("phased result = %+v", wantRes)
@@ -76,7 +74,7 @@ func TestRunPhasedBoundariesKernelIdentical(t *testing.T) {
 }
 
 func TestRunPhasedCompletesInWarmup(t *testing.T) {
-	for _, k := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+	for _, k := range []Kernel{KernelStrict, KernelEvent} {
 		res, trace := phaseTrace(t, k, Phases{Warmup: 500, Epoch: 100, MaxEpochs: 4}, 10_000, 40)
 		if !res.Completed || res.CompletedIn != PhaseWarmup || res.Epochs != 0 {
 			t.Fatalf("kernel %v: %+v", k, res)
@@ -90,7 +88,7 @@ func TestRunPhasedCompletesInWarmup(t *testing.T) {
 }
 
 func TestRunPhasedCompletesMidEpoch(t *testing.T) {
-	for _, k := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+	for _, k := range []Kernel{KernelStrict, KernelEvent} {
 		res, trace := phaseTrace(t, k, Phases{Warmup: 100, Epoch: 200, MaxEpochs: 10, Stride: 1}, 10_000, 450)
 		if !res.Completed || res.CompletedIn != PhaseMeasure {
 			t.Fatalf("kernel %v: %+v", k, res)
@@ -167,7 +165,7 @@ func TestRunPhasedAfterEpochStops(t *testing.T) {
 // the zero phase configuration is exactly one open measurement window, so
 // it must execute the same cycles as a plain RunEvery.
 func TestRunPhasedZeroConfigMatchesRunEvery(t *testing.T) {
-	for _, k := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+	for _, k := range []Kernel{KernelStrict, KernelEvent} {
 		run := func(phased bool) uint64 {
 			e := NewEngine(Clock{})
 			d := &timedDone{at: 777}

@@ -102,7 +102,7 @@ func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 }
 
 // OnSync registers a settlement hook. Devices that account lazily in bulk
-// (the bus's skip-gap busy/idle credit and wait-cycle credit) register one
+// (the bus's jumped-span busy/idle credit and wait-cycle credit) register one
 // so that Sync(now) can fold the pending tail into the counters before a
 // boundary snapshot or reset — otherwise cycles belonging to one epoch
 // would be credited into the next.

@@ -34,6 +34,41 @@ func TestRunEveryChecksFinalCycle(t *testing.T) {
 	}
 }
 
+func TestRunEverySingleEvaluationPerBoundary(t *testing.T) {
+	// done() must be evaluated exactly once per stride boundary: when the
+	// budget's final cycle lands on a boundary, the old post-loop check
+	// re-evaluated it a second time.
+	e := NewEngine(Clock{})
+	e.Add(DeviceFunc(func(uint64) {}))
+	evals := 0
+	_, err := e.RunEvery(20, 4, func() bool { evals++; return false })
+	if !errors.Is(err, ErrMaxCycles) {
+		t.Fatalf("err = %v", err)
+	}
+	if evals != 5 {
+		t.Fatalf("done() evaluated %d times, want 5 (20 cycles / stride 4)", evals)
+	}
+}
+
+func TestRunEveryStrideLargerThanBudget(t *testing.T) {
+	// stride > maxCycles: no in-loop boundary is ever reached, so the
+	// post-loop check must evaluate the predicate exactly once.
+	e := NewEngine(Clock{})
+	n := 0
+	e.Add(DeviceFunc(func(uint64) { n++ }))
+	evals := 0
+	ran, err := e.RunEvery(10, 64, func() bool { evals++; return n >= 10 })
+	if err != nil {
+		t.Fatalf("final-cycle check missed: %v", err)
+	}
+	if ran != 10 {
+		t.Fatalf("ran %d, want 10", ran)
+	}
+	if evals != 1 {
+		t.Fatalf("done() evaluated %d times, want exactly 1", evals)
+	}
+}
+
 func TestRunEveryLimit(t *testing.T) {
 	e := NewEngine(Clock{})
 	_, err := e.RunEvery(20, 4, func() bool { return false })

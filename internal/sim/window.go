@@ -14,15 +14,12 @@ package sim
 // schedule stays live for the whole session.
 type WindowedRun struct {
 	e     *Engine
-	skip  bool
 	sched bool
 }
 
 // BeginWindowed opens a windowed session on the engine's selected kernel.
 func (e *Engine) BeginWindowed() *WindowedRun {
-	w := &WindowedRun{e: e}
-	w.skip = e.kernel == KernelSkip
-	w.sched = w.skip || e.kernel == KernelEvent
+	w := &WindowedRun{e: e, sched: e.kernel == KernelEvent}
 	if w.sched {
 		e.initEventSchedule()
 		e.evLive = true
@@ -31,16 +28,13 @@ func (e *Engine) BeginWindowed() *WindowedRun {
 }
 
 // RunTo advances the engine to exactly the target cycle — a forced
-// boundary, like a RunPhased window edge. The skip and event kernels jump
-// all-asleep spans but clamp the jump at the target, so the engine always
+// boundary, like a RunPhased window edge. The event kernel jumps
+// all-asleep spans but clamps the jump at the target, so the engine always
 // lands on it; the strict kernel executes every cycle (each one a no-op
 // when all devices sleep, by the Sleeper contract).
 func (w *WindowedRun) RunTo(target uint64) {
 	e := w.e
 	for e.cycle < target {
-		if w.skip {
-			e.evActivateAll()
-		}
 		if w.sched {
 			e.stepEvent()
 		} else {

@@ -3,8 +3,8 @@ package sim
 import "testing"
 
 // TestWindowedRunMatchesStrictReference drives the same pulse schedule
-// through a reference strict engine and through windowed sessions on every
-// kernel, with several window sizes, asserting identical device work and
+// through a reference strict engine and through windowed sessions on both
+// kernels, with several window sizes, asserting identical device work and
 // final cycles — the equivalence the shard runner's per-window advancement
 // rests on.
 func TestWindowedRunMatchesStrictReference(t *testing.T) {
@@ -16,7 +16,7 @@ func TestWindowedRunMatchesStrictReference(t *testing.T) {
 	ref.Add(rp)
 	ref.RunFor(end)
 
-	for _, kernel := range []Kernel{KernelStrict, KernelSkip, KernelEvent} {
+	for _, kernel := range []Kernel{KernelStrict, KernelEvent} {
 		for _, window := range []uint64{1, 7, 64, 4096} {
 			e := NewEngine(Clock{})
 			p := &pulser{times: times}
@@ -45,29 +45,25 @@ func TestWindowedRunMatchesStrictReference(t *testing.T) {
 }
 
 // TestWindowedNextWakeHorizon checks the horizon query: the strict kernel
-// reports now (it cannot bound activity), the skip and event kernels
-// report the earliest pending pulse, and a drained engine reports
-// WakeNever.
+// reports now (it cannot bound activity), the event kernel reports the
+// earliest pending pulse, and a drained engine reports WakeNever.
 func TestWindowedNextWakeHorizon(t *testing.T) {
-	for _, kernel := range []Kernel{KernelSkip, KernelEvent} {
-		e := NewEngine(Clock{})
-		p := &pulser{times: []uint64{500}}
-		e.Add(p)
-		e.SetKernel(kernel)
-		w := e.BeginWindowed()
-		if got := w.NextWake(); got != 500 {
-			t.Fatalf("%v: horizon %d, want 500", kernel, got)
-		}
-		w.RunTo(501)
-		if got := w.NextWake(); got != WakeNever {
-			t.Fatalf("%v: drained horizon %d, want WakeNever", kernel, got)
-		}
-		w.Close()
-	}
-
 	e := NewEngine(Clock{})
 	e.Add(&pulser{times: []uint64{500}})
-	w := e.BeginWindowed() // KernelStrict
+	e.SetKernel(KernelEvent)
+	w := e.BeginWindowed()
+	if got := w.NextWake(); got != 500 {
+		t.Fatalf("event: horizon %d, want 500", got)
+	}
+	w.RunTo(501)
+	if got := w.NextWake(); got != WakeNever {
+		t.Fatalf("event: drained horizon %d, want WakeNever", got)
+	}
+	w.Close()
+
+	e = NewEngine(Clock{})
+	e.Add(&pulser{times: []uint64{500}})
+	w = e.BeginWindowed() // KernelStrict
 	if got := w.NextWake(); got != 0 {
 		t.Fatalf("strict horizon %d, want 0", got)
 	}
@@ -100,27 +96,25 @@ func (s *napSink) NextWake(now uint64) uint64 {
 // windows — the shard runner does exactly this after importing flits — and
 // checks the device runs in the next window under the event kernel.
 func TestWindowedWakeBetweenWindows(t *testing.T) {
-	for _, kernel := range []Kernel{KernelSkip, KernelEvent} {
-		e := NewEngine(Clock{})
-		s := &napSink{}
-		e.Add(s)
-		e.SetKernel(kernel)
-		w := e.BeginWindowed()
-		w.RunTo(10)
-		if got := w.NextWake(); got != WakeNever {
-			t.Fatalf("%v: horizon %d before stimulus", kernel, got)
-		}
-		s.pending = true
-		s.waker.Wake()
-		if got := w.NextWake(); got != 10 {
-			t.Fatalf("%v: horizon %d after stimulus, want 10", kernel, got)
-		}
-		w.RunTo(11)
-		if s.work != 1 {
-			t.Fatalf("%v: work %d after wake, want 1", kernel, s.work)
-		}
-		w.Close()
+	e := NewEngine(Clock{})
+	s := &napSink{}
+	e.Add(s)
+	e.SetKernel(KernelEvent)
+	w := e.BeginWindowed()
+	w.RunTo(10)
+	if got := w.NextWake(); got != WakeNever {
+		t.Fatalf("horizon %d before stimulus", got)
 	}
+	s.pending = true
+	s.waker.Wake()
+	if got := w.NextWake(); got != 10 {
+		t.Fatalf("horizon %d after stimulus, want 10", got)
+	}
+	w.RunTo(11)
+	if s.work != 1 {
+		t.Fatalf("work %d after wake, want 1", s.work)
+	}
+	w.Close()
 }
 
 // TestWindowedSkippedCyclesClamp verifies that an all-asleep jump clamps

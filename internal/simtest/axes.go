@@ -30,7 +30,7 @@ type Axes struct {
 // is the reference: the strict kernel on one engine, one worker, no cut.
 // Retiring an axis value is a one-row edit here.
 var Table = Axes{
-	Kernels:    []string{"strict", "skip", "event"},
+	Kernels:    []string{"strict", "event"},
 	Shards:     []int{0, 1, 2, 3, 4, 8},
 	Workers:    []int{1, 2, 3, 4, 8},
 	ResumeCuts: []int{0, 35, 80},
@@ -213,7 +213,7 @@ func Render(t testing.TB, write func(io.Writer) error) []byte {
 // reference row, then on every other row over the given axes, and fails
 // the test for each row whose bytes differ from the reference's on the
 // same items. The other rows run as parallel subtests named after the row
-// (go test -run 'TestX/skip/shards=4' picks one), so a campaign must only
+// (go test -run 'TestX/event/shards=4' picks one), so a campaign must only
 // read what it shares across rows. Differential returns the reference
 // bytes of the whole campaign, so a caller can hold the oracle itself to
 // a stored artifact with Pin.

@@ -18,7 +18,7 @@
 // clock; state transitions advance only inside nextGap. The schedule is
 // drawn up front relative to the completion cycle of the previous
 // transaction, so the Sleeper "will not act before" promise holds
-// unchanged and all three kernels (and every shard count) execute
+// unchanged and both kernels (and every shard count) execute
 // byte-identical runs.
 package stochastic
 

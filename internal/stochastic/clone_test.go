@@ -79,7 +79,7 @@ func TestCloneIgnoresResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Lock the semaphore so every poll fails.
-	sem.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x9000, Burst: 1})
+	sem.Perform(&ocp.Request{Cmd: ocp.Read, Addr: 0x9000, Burst: 1}, nil)
 	events := []ocp.Event{
 		{Cmd: ocp.Read, Addr: 0x9000, Burst: 1, Assert: 0, Accept: 1, Resp: 4, HasResp: true, Data: []uint32{1}},
 		{Cmd: ocp.Write, Addr: 0x9000, Burst: 1, Assert: 10, Accept: 11, Data: []uint32{1}},

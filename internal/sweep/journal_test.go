@@ -409,7 +409,7 @@ func TestRetryQuarantinesDeterministic(t *testing.T) {
 
 // endless wraps a master so that it never reports done. It declares
 // itself always awake on purpose: with the generator's own NextWake the
-// event and skip kernels would see a finished generator sleep forever and
+// event kernel would see a finished generator sleep forever and
 // jump straight to the cycle budget, so the run would end on the cycle
 // limit, not on the wall-clock budget this test exercises. The embedded
 // meter keeps the point measurable.

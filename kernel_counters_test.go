@@ -10,8 +10,7 @@ import (
 )
 
 // TestBusCounterKernelEquivalence: the bus busy/idle counters are the same
-// under every kernel, across a long idle span the tick-eliding kernels
-// skip.
+// under both kernels, across a long idle span the event kernel skips.
 func TestBusCounterKernelEquivalence(t *testing.T) {
 	src := `MASTER[0,0]
 REGISTER addr 0x08000000
