@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,16 @@ func TestRowsCover(t *testing.T) {
 	}
 	if kernelOnly := Rows(t, Kernel); len(kernelOnly) != len(Table.Kernels) {
 		t.Errorf("a kernel-only campaign runs %d rows, want %d", len(kernelOnly), len(Table.Kernels))
+	}
+	for _, k := range rotation {
+		if !slices.Contains(Table.Kernels, k) {
+			t.Errorf("rotation names kernel %s, which the table does not hold", k)
+		}
+	}
+	// Past the reference and the single-engine kernels, the first row runs
+	// the default (last) kernel.
+	if first, def := rows[len(Table.Kernels)], Table.Kernels[len(Table.Kernels)-1]; first.Kernel != def {
+		t.Errorf("first covering row %v, want the default kernel %s", first, def)
 	}
 	checkRotated(t)
 
